@@ -197,37 +197,52 @@ func BenchmarkLoadBalanceSolve200Groups(b *testing.B) {
 // incremental hot path: one single-group speed delta applied to a persistent
 // load-split instance, an allocation-free re-solve, and the rollback. This
 // is what the engine pays per Gibbs proposal instead of a full
-// NewInstance + Solve rebuild.
+// NewInstance + Solve rebuild. The paper case is the paper's 200-group
+// cluster (at most 4 live classes); the site case is one fleet-100k site
+// (39 groups of 10 servers over 3 server generations).
 func BenchmarkLoadSplitProposal(b *testing.B) {
-	cluster := dcmodel.PaperCluster(200)
-	speeds := make([]int, 200)
-	for i := range speeds {
-		speeds[i] = 1 + i%4
+	site := dcmodel.HeterogeneousCluster(390, 39)
+	cases := []struct {
+		name           string
+		cluster        *dcmodel.Cluster
+		lambda, onsite float64
+	}{
+		{"paper-200", dcmodel.PaperCluster(200), 4e5, 2000},
+		{"site-390x39", site, 0.3 * site.MaxCapacityRPS(), 0.5},
 	}
-	prob := &dcmodel.SlotProblem{
-		Cluster:   cluster,
-		LambdaRPS: 4e5,
-		We:        0.07, Wd: 0.02, OnsiteKW: 2000,
-	}
-	in, err := loadbalance.NewInstance(prob, speeds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sol dcmodel.Solution
-	if err := in.SolveInto(&sol); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := i % len(speeds)
-		if err := in.SetSpeed(g, 1+(speeds[g]+i)%4); err != nil {
-			b.Fatal(err)
-		}
-		if err := in.SolveInto(&sol); err != nil {
-			b.Fatal(err)
-		}
-		in.Revert()
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			n := len(tc.cluster.Groups)
+			speeds := make([]int, n)
+			for i := range speeds {
+				speeds[i] = 1 + i%4
+			}
+			prob := &dcmodel.SlotProblem{
+				Cluster:   tc.cluster,
+				LambdaRPS: tc.lambda,
+				We:        0.07, Wd: 0.02, OnsiteKW: tc.onsite,
+			}
+			in, err := loadbalance.NewInstance(prob, speeds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sol dcmodel.Solution
+			if err := in.SolveInto(&sol); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := i % n
+				if err := in.SetSpeed(g, 1+(speeds[g]+i)%4); err != nil {
+					b.Fatal(err)
+				}
+				if err := in.SolveInto(&sol); err != nil {
+					b.Fatal(err)
+				}
+				in.Revert()
+			}
+		})
 	}
 }
 

@@ -192,15 +192,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	}
 
 	if *restore != "" {
-		blob, err := os.ReadFile(*restore)
-		if err != nil {
-			return fmt.Errorf("restore: %w", err)
-		}
-		var ck serve.Checkpoint
-		if err := json.Unmarshal(blob, &ck); err != nil {
-			return fmt.Errorf("restore: malformed checkpoint %s: %w", *restore, err)
-		}
-		if err := svc.RestoreFrom(ck); err != nil {
+		if err := restoreCheckpoint(*restore, svc); err != nil {
 			return fmt.Errorf("restore: %w", err)
 		}
 		restoreDone.Store(true)
@@ -309,9 +301,23 @@ func emit(w io.Writer, cluster *dcmodel.Cluster, seed uint64, start, count int) 
 	return nil
 }
 
+// restoreCheckpoint loads the checkpoint file at path into svc.
+func restoreCheckpoint(path string, svc *serve.Service) error {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var ck serve.Checkpoint
+	if err := json.Unmarshal(blob, &ck); err != nil {
+		return fmt.Errorf("malformed checkpoint %s: %w", path, err)
+	}
+	return svc.RestoreFrom(ck)
+}
+
 // writeCheckpoint persists the service snapshot atomically: write a temp
-// file in the target directory, fsync, rename. A crash mid-write leaves
-// the previous checkpoint intact.
+// file in the target directory, fsync, rename, fsync the directory. A crash
+// mid-write leaves the previous checkpoint intact, and once it returns nil
+// the rename itself is durable.
 func writeCheckpoint(path string, svc *serve.Service) error {
 	ck, err := svc.Checkpoint()
 	if err != nil {
@@ -338,5 +344,21 @@ func writeCheckpoint(path string, svc *serve.Service) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a rename into it survives a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

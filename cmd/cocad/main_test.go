@@ -7,12 +7,17 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dcmodel"
+	"repro/internal/gsd"
+	"repro/internal/lyapunov"
 	"repro/internal/serve"
 	"repro/internal/telemetry/promtext"
 )
@@ -300,5 +305,71 @@ func TestEmitSlotsWindows(t *testing.T) {
 	}
 	if got := strings.Count(full, "\n"); got != 100 {
 		t.Fatalf("emitted %d records, want 100", got)
+	}
+}
+
+// TestWriteCheckpointRestoreRoundTrip writes a checkpoint of a service that
+// has settled some slots, restores it into a freshly built one and requires
+// the same /state hash and accounting; no temp file may be left beside the
+// checkpoint, and a write into a missing directory must fail.
+func TestWriteCheckpointRestoreRoundTrip(t *testing.T) {
+	newSvc := func() *serve.Service {
+		cluster := dcmodel.HeterogeneousCluster(15, 3)
+		ctrl, err := core.NewController(cluster, 0.02, lyapunov.ConstantV(5e5, 13, 24), 1, 2,
+			&gsd.Solver{Opts: gsd.Options{Delta: 1e4, MaxIters: 150, Seed: 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serve.New(ctrl)
+	}
+	src := newSvc()
+	var stream bytes.Buffer
+	if err := emit(&stream, dcmodel.HeterogeneousCluster(15, 3), 7, 0, 30); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(&stream)
+	for dec.More() {
+		var in serve.SlotInput
+		if err := dec.Decode(&in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Step(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt.json")
+	if err := writeCheckpoint(path, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCheckpoint(path, src); err != nil { // overwrite in place
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "run.ckpt.json" {
+		t.Fatalf("checkpoint directory holds %v, want only run.ckpt.json", entries)
+	}
+
+	dst := newSvc()
+	if err := restoreCheckpoint(path, dst); err != nil {
+		t.Fatal(err)
+	}
+	want, got := src.State(), dst.State()
+	if got.Slot != 30 || !got.Restored {
+		t.Fatalf("restored state = %+v, want slot 30 restored", got)
+	}
+	if got.Hash != want.Hash || got.TotalUSD != want.TotalUSD || got.GridKWh != want.GridKWh {
+		t.Fatalf("restored state %+v, written %+v", got, want)
+	}
+
+	if err := writeCheckpoint(filepath.Join(dir, "missing", "ck.json"), src); err == nil {
+		t.Fatal("writeCheckpoint into a missing directory succeeded")
+	}
+	if err := restoreCheckpoint(filepath.Join(dir, "missing.json"), newSvc()); err == nil {
+		t.Fatal("restoreCheckpoint of a missing file succeeded")
 	}
 }

@@ -1,5 +1,10 @@
 package dcmodel
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // ClusterArrays is the struct-of-arrays view of a cluster's per-group
 // constants: server counts, static powers and the per-(group, speed)
 // service rates and power slopes flattened into parallel slices indexed
@@ -17,6 +22,14 @@ type ClusterArrays struct {
 	N         []float64 // per group: float64(n_g)
 	StaticKW  []float64 // per group: the type's idle power p_s
 	NumSpeeds []int     // per group: K_g, the number of positive levels
+
+	// Shape is each group's shape id: two groups share one exactly when
+	// they have equal N and bit-identical rate and slope rows, so at equal
+	// speed every per-group constant the load split derives from those rows
+	// is bit-identical too. Ids are dense, in first-appearance order;
+	// Shapes is their count.
+	Shape  []int32
+	Shapes int
 
 	rates  []float64 // [g·Stride + k] = Groups[g].RateAt(k)
 	slopes []float64 // [g·Stride + k] = Groups[g].PowerSlopeKWPerRPS(k)
@@ -38,6 +51,7 @@ func NewClusterArrays(c *Cluster) *ClusterArrays {
 		N:         make([]float64, n),
 		StaticKW:  make([]float64, n),
 		NumSpeeds: make([]int, n),
+		Shape:     make([]int32, n),
 		rates:     make([]float64, n*stride),
 		slopes:    make([]float64, n*stride),
 	}
@@ -51,7 +65,30 @@ func NewClusterArrays(c *Cluster) *ClusterArrays {
 			a.slopes[g*stride+k] = grp.PowerSlopeKWPerRPS(k)
 		}
 	}
+	a.assignShapes()
 	return a
+}
+
+// assignShapes fills Shape and Shapes, keying each group on the bits of its
+// N and its full rate and slope rows (rows are zero-padded to Stride, so
+// equal rows also mean equal NumSpeeds).
+func (a *ClusterArrays) assignShapes() {
+	ids := make(map[string]int32)
+	key := make([]byte, 0, 8*(1+2*a.Stride))
+	for g := range a.N {
+		key = binary.LittleEndian.AppendUint64(key[:0], math.Float64bits(a.N[g]))
+		for k := g * a.Stride; k < (g+1)*a.Stride; k++ {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(a.rates[k]))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(a.slopes[k]))
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(key)] = id
+		}
+		a.Shape[g] = id
+	}
+	a.Shapes = len(ids)
 }
 
 // Arrays returns the cluster's struct-of-arrays view, building and caching

@@ -3,6 +3,7 @@ package loadbalance
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dcmodel"
@@ -212,5 +213,88 @@ func TestSetSpeedValidation(t *testing.T) {
 	}
 	if math.Float64bits(sol.Value) != math.Float64bits(fresh.Value) {
 		t.Fatalf("instance diverged after rejected SetSpeed: %v != %v", sol.Value, fresh.Value)
+	}
+}
+
+// requireFreshClasses fails unless in's live-class table is the table a
+// fresh build of the same speed vector makes (same class ids in the same
+// rows, same per-row constants and per-group rows), and the shape chain
+// heads are all cleared between builds.
+func requireFreshClasses(t *testing.T, step int, in *Instance, p *dcmodel.SlotProblem, mirror []int) {
+	t.Helper()
+	fresh, err := NewInstance(p, mirror)
+	if err != nil {
+		if errors.Is(err, ErrInfeasible) {
+			return
+		}
+		t.Fatal(err)
+	}
+	got, want := &in.cls[in.clsCur], &fresh.cls[fresh.clsCur]
+	if !slices.Equal(got.row, want.row) || len(got.rows) != len(want.rows) {
+		t.Fatalf("step %d: rows %v over %d classes, fresh %v over %d",
+			step, got.row, len(got.rows), want.row, len(want.rows))
+	}
+	for r, w := range want.rows {
+		g := got.rows[r]
+		if g.id != w.id || math.Float64bits(g.rate) != math.Float64bits(w.rate) ||
+			math.Float64bits(g.cap) != math.Float64bits(w.cap) ||
+			math.Float64bits(g.slope) != math.Float64bits(w.slope) ||
+			math.Float64bits(g.wdnr) != math.Float64bits(w.wdnr) {
+			t.Fatalf("step %d: class row %d = %+v, fresh %+v", step, r, g, w)
+		}
+	}
+	for s, h := range in.shapeHead {
+		if h != -1 {
+			t.Fatalf("step %d: shapeHead[%d] = %d after a build, want -1", step, s, h)
+		}
+	}
+}
+
+// TestClassBookkeepingMatchesFresh drives random SetSpeed/Revert/Commit
+// sequences — including a second SetSpeed while one is still pending, whose
+// Revert must undo only the second — over the class-path cluster families,
+// and requires after every step that SolveInto is bit-equal to a fresh
+// NewInstance and that the live-class table is the one a fresh build makes.
+func TestClassBookkeepingMatchesFresh(t *testing.T) {
+	for _, fam := range classFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			c := fam.cluster
+			n := len(c.Groups)
+			p := &dcmodel.SlotProblem{
+				Cluster: c, LambdaRPS: 0.3 * c.MaxCapacityRPS(),
+				We: 0.07, Wd: 0.02, OnsiteKW: 0.002 * c.PeakPowerKW(),
+			}
+			rng := stats.NewRNG(0xC1A55 + uint64(n))
+			mirror := make([]int, n)
+			for g := range mirror {
+				mirror[g] = 1 + rng.IntN(c.Groups[g].Type.NumSpeeds())
+			}
+			in, err := NewInstance(p, mirror)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending, lastG, lastK := false, 0, 0
+			for step := 0; step < 300; step++ {
+				switch op := rng.IntN(10); {
+				case op < 5 || !pending:
+					g := rng.IntN(n)
+					k := rng.IntN(c.Groups[g].Type.NumSpeeds() + 1)
+					if err := in.SetSpeed(g, k); err != nil {
+						t.Fatalf("step %d: SetSpeed(%d, %d): %v", step, g, k, err)
+					}
+					pending, lastG, lastK = true, g, mirror[g]
+					mirror[g] = k
+				case op < 8:
+					in.Revert()
+					mirror[lastG] = lastK
+					pending = false
+				default:
+					in.Commit()
+					pending = false
+				}
+				requireBitEqual(t, step, p, in, mirror)
+				requireFreshClasses(t, step, in, p, mirror)
+			}
+		})
 	}
 }

@@ -24,10 +24,16 @@
 // of rebuilding the subproblem 200·n times per slot.
 //
 // The per-group constants live in a struct-of-arrays layout (parallel
-// gIdx/gN/gRate/gSlope/gCap slices over the on groups, backed by the
+// gIdx/gCls/gN/gRate/gSlope/gCap slices over the on groups, backed by the
 // cluster's cached dcmodel.ClusterArrays): the water-fill and sweep inner
 // loops walk flat float64 arrays instead of pointer-chasing group structs,
 // which keeps them cache-linear at fleet scale (10k+ groups per site).
+//
+// On groups with the same shape (dcmodel.ClusterArrays.Shape) at the same
+// speed form one class and get the same allocation at every price, so each
+// price probe of the water-fill evaluates the allocation once per live class
+// and then accumulates it per on group in ascending order — the same
+// per-group values added in the same order, hence the same bits.
 package loadbalance
 
 import (
@@ -49,6 +55,7 @@ var ErrInfeasible = errors.New("loadbalance: load exceeds configuration capacity
 // Instance's parallel slices; entry/setEntry convert between the two views.
 type group struct {
 	idx     int     // index into the cluster's group list
+	cls     int32   // (shape, speed) class: Shape[idx]·Stride + k
 	n       float64 // number of servers
 	rate    float64 // R = n·x: aggregate service rate
 	slopeKW float64 // A = PUE·p_c(x)/x: marginal facility power per RPS
@@ -62,6 +69,7 @@ func (in *Instance) makeGroup(g, k int) group {
 	r := in.arr.Rate(g, k)
 	return group{
 		idx:     g,
+		cls:     in.arr.Shape[g]*int32(in.arr.Stride) + int32(k),
 		n:       in.arr.N[g],
 		rate:    r,
 		slopeKW: in.prob.Cluster.PUE * in.arr.Slope(g, k),
@@ -95,15 +103,50 @@ type undoRecord struct {
 	rateSum float64
 }
 
+// classRow is one live (shape, speed) class: the constants every member
+// group shares, computed with the per-group arithmetic and association of
+// alloc and marginal, plus the class's water-fill scratch.
+type classRow struct {
+	id    int32   // class id (gCls value)
+	next  int32   // while building: the previous row of the same shape, or -1
+	rate  float64 // R
+	cap   float64 // γ·R
+	slope float64 // PUE·p_c(x)/x
+	wdnr  float64 // (Wd·n)·R
+
+	oslope float64 // ω·slope, set once per fill
+	val    float64 // the allocation at the current price probe
+}
+
+// classTable is the compact table of the live classes: one row per distinct
+// gCls value among the on groups, in first-appearance order, plus the row of
+// every on group. The groups of one class have bit-identical n, R and slope,
+// so any member's constants are the row's.
+type classTable struct {
+	rows []classRow
+	row  []int32 // per on-group position: its row
+}
+
 // fillSystem adapts an Instance to numopt.WaterSystem for one electricity
 // weight ω without allocating: the instance owns a single fillSystem and
-// rewrites omega per fill, and the pointer passed as the interface is the
+// rewrites it per fill, and the pointer passed as the interface is the
 // already-heap-resident field, so no per-fill boxing occurs. It also
-// implements numopt.BulkWaterSystem, so the water-filling inner loops run
-// over the instance's flat arrays without a per-item interface call.
+// implements numopt.BulkWaterSystem over the live-class table: every probe
+// evaluates the allocation once per class, then gathers it per on group.
 type fillSystem struct {
 	in    *Instance
 	omega float64
+	tab   *classTable
+}
+
+// prepare points the system at the instance's live-class table for one
+// fill under electricity weight omega.
+func (s *fillSystem) prepare(omega float64) {
+	s.omega = omega
+	s.tab = &s.in.cls[s.in.clsCur]
+	for r := range s.tab.rows {
+		s.tab.rows[r].oslope = omega * s.tab.rows[r].slope
+	}
 }
 
 func (s *fillSystem) Items() int        { return len(s.in.gIdx) }
@@ -115,13 +158,33 @@ func (s *fillSystem) Alloc(i int, nu float64) float64 {
 	return s.in.alloc(i, s.omega, nu)
 }
 
+// classAlloc sets every class row's val to its allocation at price nu:
+// alloc's arithmetic with the row's constants.
+func (s *fillSystem) classAlloc(nu float64) {
+	wd, rows := s.in.prob.Wd, s.tab.rows
+	for r := range rows {
+		c := &rows[r]
+		rem := nu - c.oslope
+		switch {
+		case rem <= 0:
+			c.val = 0
+		case wd <= 0:
+			c.val = c.cap
+		default:
+			c.val = numopt.Clamp(c.rate-math.Sqrt(c.wdnr/rem), 0, c.cap)
+		}
+	}
+}
+
 // SumAlloc implements numopt.BulkWaterSystem: Σ_i Alloc(i, ν) accumulated in
-// ascending index order — the exact arithmetic of the generic per-item loop.
+// ascending index order — the per-group values and the order of the
+// additions of the generic per-item loop.
 func (s *fillSystem) SumAlloc(nu float64) float64 {
-	in, omega := s.in, s.omega
+	s.classAlloc(nu)
+	rows := s.tab.rows
 	var sum float64
-	for i := 0; i < len(in.gIdx); i++ {
-		sum += in.alloc(i, omega, nu)
+	for _, r := range s.tab.row {
+		sum += rows[r].val
 	}
 	return sum
 }
@@ -129,13 +192,35 @@ func (s *fillSystem) SumAlloc(nu float64) float64 {
 // AllocInto implements numopt.BulkWaterSystem: writes Alloc(i, ν) into out
 // and returns the ascending-order sum of the written values.
 func (s *fillSystem) AllocInto(out []float64, nu float64) float64 {
-	in, omega := s.in, s.omega
+	s.classAlloc(nu)
+	rows := s.tab.rows
 	var sum float64
-	for i := range out {
-		out[i] = in.alloc(i, omega, nu)
+	for i, r := range s.tab.row[:len(out)] {
+		out[i] = rows[r].val
 		sum += out[i]
 	}
 	return sum
+}
+
+// ZeroDerivRange implements numopt.BulkWaterSystem: the minimum and maximum
+// of Deriv(i, 0) over the on groups, taken over the class rows (a class's
+// members share one value, so the extremes are the same).
+func (s *fillSystem) ZeroDerivRange() (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for r := range s.tab.rows {
+		c := &s.tab.rows[r]
+		d0 := math.Inf(1)
+		if c.rate > 0 {
+			d0 = c.oslope + c.wdnr/(c.rate*c.rate)
+		}
+		if d0 < lo {
+			lo = d0
+		}
+		if d0 > hi {
+			hi = d0
+		}
+	}
+	return lo, hi
 }
 
 // orderCache memoizes the fillNoDelay group ordering. The sort key is
@@ -204,8 +289,9 @@ type Instance struct {
 	speeds []int // owned copy of the current speed vector
 
 	// On groups in struct-of-arrays layout, ascending cluster index. The
-	// five slices are parallel: position i describes one on group.
+	// six slices are parallel: position i describes one on group.
 	gIdx   []int     // cluster group index
+	gCls   []int32   // (shape, speed) class id
 	gN     []float64 // float64(n_g)
 	gRate  []float64 // R = n·x
 	gSlope []float64 // A = PUE·p_c(x)/x
@@ -222,6 +308,17 @@ type Instance struct {
 	baseKW  float64 // PUE · Σ static power of on groups (load-independent)
 	capSum  float64 // Σ γ·R of on groups (the feasibility bound NewInstance checks)
 	rateSum float64 // Σ R of on groups (Cluster.UsableCapacityRPS before the γ factor)
+
+	// Live-class tables, double-buffered: recompute builds the table for
+	// the new on-group layout into the idle buffer and flips clsCur, so
+	// Revert restores the previous table by flipping back. shapeHead (per
+	// shape, -1 when empty) heads the chain of a shape's rows while a table
+	// is built, and is all -1 between builds. Reset sizes both tables for
+	// the most classes the cluster can have live at once,
+	// min(groups, Shapes·K), so no build ever grows one.
+	cls       [2]classTable
+	clsCur    int
+	shapeHead []int32
 
 	undo    undoRecord
 	sys     fillSystem
@@ -263,13 +360,26 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	in.static = in.static[:n]
 	if cap(in.gIdx) < n {
 		in.gIdx = make([]int, 0, n)
+		in.gCls = make([]int32, 0, n)
 		in.gN = make([]float64, 0, n)
 		in.gRate = make([]float64, 0, n)
 		in.gSlope = make([]float64, 0, n)
 		in.gCap = make([]float64, 0, n)
 	} else {
-		in.gIdx, in.gN, in.gRate, in.gSlope, in.gCap =
-			in.gIdx[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
+		in.gIdx, in.gCls, in.gN, in.gRate, in.gSlope, in.gCap =
+			in.gIdx[:0], in.gCls[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
+	}
+	in.shapeHead = growInt32(in.shapeHead, in.arr.Shapes)
+	for i := range in.shapeHead {
+		in.shapeHead[i] = -1
+	}
+	maxCls := min(n, in.arr.Shapes*(in.arr.Stride-1))
+	for i := range in.cls {
+		t := &in.cls[i]
+		if cap(t.rows) < maxCls {
+			t.rows = make([]classRow, 0, maxCls)
+		}
+		t.row = growInt32(t.row, n)[:0]
 	}
 	in.sys.in = in
 	in.undo.valid = false
@@ -293,9 +403,18 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	return nil
 }
 
+// growInt32 returns buf resliced to length n, reallocated when too short.
+func growInt32(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
 // appendEntry pushes one on group onto the end of the parallel slices.
 func (in *Instance) appendEntry(e group) {
 	in.gIdx = append(in.gIdx, e.idx)
+	in.gCls = append(in.gCls, e.cls)
 	in.gN = append(in.gN, e.n)
 	in.gRate = append(in.gRate, e.rate)
 	in.gSlope = append(in.gSlope, e.slopeKW)
@@ -305,21 +424,22 @@ func (in *Instance) appendEntry(e group) {
 // entry gathers position p of the parallel slices back into a struct.
 func (in *Instance) entry(p int) group {
 	return group{
-		idx: in.gIdx[p], n: in.gN[p], rate: in.gRate[p],
+		idx: in.gIdx[p], cls: in.gCls[p], n: in.gN[p], rate: in.gRate[p],
 		slopeKW: in.gSlope[p], cap: in.gCap[p],
 	}
 }
 
 // setEntry scatters e into position p of the parallel slices.
 func (in *Instance) setEntry(p int, e group) {
-	in.gIdx[p], in.gN[p], in.gRate[p], in.gSlope[p], in.gCap[p] =
-		e.idx, e.n, e.rate, e.slopeKW, e.cap
+	in.gIdx[p], in.gCls[p], in.gN[p], in.gRate[p], in.gSlope[p], in.gCap[p] =
+		e.idx, e.cls, e.n, e.rate, e.slopeKW, e.cap
 }
 
 // recompute refreshes the tracked aggregates as fresh sums over the on
 // groups in ascending cluster order — the exact accumulation order of a
 // from-scratch NewInstance (off groups contribute an exact +0 there, which
-// is an identity), so the values are bit-for-bit reproducible.
+// is an identity), so the values are bit-for-bit reproducible. It also
+// rebuilds the live-class table into the idle buffer and makes it current.
 func (in *Instance) recompute() {
 	var base, caps, rates float64
 	for i := range in.gIdx {
@@ -329,6 +449,40 @@ func (in *Instance) recompute() {
 	}
 	in.baseKW, in.capSum, in.rateSum = base, caps, rates
 	in.order.valid = false
+	in.clsCur ^= 1
+	in.buildClasses(&in.cls[in.clsCur])
+}
+
+// buildClasses fills t with the live classes of the current on groups. A
+// group finds its row by walking the rows of its shape (at most one per
+// speed), so the build is linear in the on groups even when every group is
+// a class of its own.
+func (in *Instance) buildClasses(t *classTable) {
+	t.rows, t.row = t.rows[:0], t.row[:0]
+	stride := int32(in.arr.Stride)
+	for i, c := range in.gCls {
+		shape := c / stride
+		r := in.shapeHead[shape]
+		for r >= 0 && t.rows[r].id != c {
+			r = t.rows[r].next
+		}
+		if r < 0 {
+			r = int32(len(t.rows))
+			t.rows = append(t.rows, classRow{
+				id:    c,
+				next:  in.shapeHead[shape],
+				rate:  in.gRate[i],
+				cap:   in.gCap[i],
+				slope: in.gSlope[i],
+				wdnr:  in.prob.Wd * in.gN[i] * in.gRate[i],
+			})
+			in.shapeHead[shape] = r
+		}
+		t.row = append(t.row, r)
+	}
+	for r := range t.rows {
+		in.shapeHead[t.rows[r].id/stride] = -1
+	}
 }
 
 // Speeds returns the instance's current speed vector. The slice is the
@@ -427,6 +581,7 @@ func (in *Instance) Revert() {
 	}
 	in.baseKW, in.capSum, in.rateSum = u.baseKW, u.capSum, u.rateSum
 	in.order.valid = false
+	in.clsCur ^= 1 // the pre-mutation table is intact in the idle buffer
 }
 
 // Commit accepts the most recent SetSpeed, discarding its undo snapshot.
@@ -450,6 +605,7 @@ func (in *Instance) insertPos(g int) int {
 func (in *Instance) insertAt(p int, e group) {
 	in.appendEntry(group{})
 	copy(in.gIdx[p+1:], in.gIdx[p:])
+	copy(in.gCls[p+1:], in.gCls[p:])
 	copy(in.gN[p+1:], in.gN[p:])
 	copy(in.gRate[p+1:], in.gRate[p:])
 	copy(in.gSlope[p+1:], in.gSlope[p:])
@@ -463,13 +619,14 @@ func (in *Instance) insertAt(p int, e group) {
 func (in *Instance) removeAt(p int) {
 	g := in.gIdx[p]
 	copy(in.gIdx[p:], in.gIdx[p+1:])
+	copy(in.gCls[p:], in.gCls[p+1:])
 	copy(in.gN[p:], in.gN[p+1:])
 	copy(in.gRate[p:], in.gRate[p+1:])
 	copy(in.gSlope[p:], in.gSlope[p+1:])
 	copy(in.gCap[p:], in.gCap[p+1:])
 	n := len(in.gIdx) - 1
-	in.gIdx, in.gN, in.gRate, in.gSlope, in.gCap =
-		in.gIdx[:n], in.gN[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
+	in.gIdx, in.gCls, in.gN, in.gRate, in.gSlope, in.gCap =
+		in.gIdx[:n], in.gCls[:n], in.gN[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
 	in.pos[g] = -1
 	for i := p; i < n; i++ {
 		in.pos[in.gIdx[i]] = i
@@ -518,7 +675,7 @@ func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 	if in.prob.Wd <= 0 {
 		return in.fillNoDelayInto(dst, omega), nil
 	}
-	in.sys.omega = omega
+	in.sys.prepare(omega)
 	out, err := numopt.WaterFillInto(&in.sys, in.prob.LambdaRPS, waterFillTol, dst)
 	if err != nil {
 		return nil, ErrInfeasible

@@ -1,6 +1,7 @@
 package loadbalance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -32,6 +33,7 @@ type refSolver struct {
 	groups []refGroup
 	baseKW float64
 	capSum float64
+	regime string // set by solve: "grid", "surplus", "kink" or "no-delay"
 }
 
 func newRefSolver(p *dcmodel.SlotProblem, speeds []int) *refSolver {
@@ -150,15 +152,16 @@ func (r *refSolver) solve() (dcmodel.Solution, error) {
 		}
 		switch {
 		case r.p.We == 0 || r.powerOf(grid) >= onsite-powerTol:
-			loads = grid
+			loads, r.regime = grid, "grid"
 		default:
 			free, err := r.fill(0)
 			if err != nil {
 				return dcmodel.Solution{}, err
 			}
 			if r.powerOf(free) <= onsite+powerTol {
-				loads = free
+				loads, r.regime = free, "surplus"
 			} else {
+				r.regime = "kink"
 				omega := numopt.BisectMonotone(func(w float64) float64 {
 					l, ferr := r.fill(w)
 					if ferr != nil {
@@ -175,6 +178,9 @@ func (r *refSolver) solve() (dcmodel.Solution, error) {
 				}
 			}
 		}
+	}
+	if r.p.Wd <= 0 {
+		r.regime = "no-delay"
 	}
 	full := make([]float64, len(r.p.Cluster.Groups))
 	for i := range r.groups {
@@ -226,40 +232,156 @@ func TestSoAMatchesOldLayoutProperty(t *testing.T) {
 			}
 			t.Fatalf("trial %d: NewInstance: %v", trial, err)
 		}
-		got, gotErr := in.Solve()
-		want, wantErr := newRefSolver(p, speeds).solve()
-		if (gotErr != nil) != (wantErr != nil) {
-			t.Fatalf("trial %d: SoA err %v, reference err %v", trial, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		cases++
-		for g := range want.Load {
-			if got.Load[g] != want.Load[g] {
-				t.Fatalf("trial %d: group %d load %v (SoA) != %v (old layout)",
-					trial, g, got.Load[g], want.Load[g])
-			}
-		}
-		if got.Value != want.Value {
-			t.Fatalf("trial %d: objective %v (SoA) != %v (old layout)", trial, got.Value, want.Value)
-		}
-		led := dcmodel.Ledger{
-			PriceUSDPerKWh: 0.04 + 0.1*rng.Float64(),
-			OnsiteKW:       p.OnsiteKW,
-			Beta:           0.02,
-			Alpha:          1,
-			RECPerSlotKWh:  5,
-		}
-		chGot := led.Charge(cluster.FacilityPowerKW(got.Speeds, got.Load),
-			cluster.DelayCost(got.Speeds, got.Load), 0)
-		chWant := led.Charge(cluster.FacilityPowerKW(want.Speeds, want.Load),
-			cluster.DelayCost(want.Speeds, want.Load), 0)
-		if chGot != chWant {
-			t.Fatalf("trial %d: ledger charge %+v (SoA) != %+v (old layout)", trial, chGot, chWant)
+		if requireRefParity(t, fmt.Sprintf("trial %d", trial), in, p, speeds, 0.04+0.1*rng.Float64()) != "" {
+			cases++
 		}
 	}
 	if cases < 40 {
 		t.Fatalf("only %d comparable cases out of 120 trials; generator drifted", cases)
+	}
+}
+
+// requireRefParity solves in and the old-layout reference for the same
+// problem and fails unless they agree bit for bit on the load vector, the
+// P3 objective and the Ledger charge at the given price. It returns the
+// reference's regime, or "" when both report an error.
+func requireRefParity(t *testing.T, label string, in *Instance, p *dcmodel.SlotProblem, speeds []int, price float64) string {
+	t.Helper()
+	got, gotErr := in.Solve()
+	ref := newRefSolver(p, speeds)
+	want, wantErr := ref.solve()
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("%s: SoA err %v, reference err %v", label, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return ""
+	}
+	for g := range want.Load {
+		if got.Load[g] != want.Load[g] {
+			t.Fatalf("%s: group %d load %v (SoA) != %v (old layout)",
+				label, g, got.Load[g], want.Load[g])
+		}
+	}
+	if got.Value != want.Value {
+		t.Fatalf("%s: objective %v (SoA) != %v (old layout)", label, got.Value, want.Value)
+	}
+	led := dcmodel.Ledger{
+		PriceUSDPerKWh: price,
+		OnsiteKW:       p.OnsiteKW,
+		Beta:           0.02,
+		Alpha:          1,
+		RECPerSlotKWh:  5,
+	}
+	cluster := p.Cluster
+	chGot := led.Charge(cluster.FacilityPowerKW(got.Speeds, got.Load),
+		cluster.DelayCost(got.Speeds, got.Load), 0)
+	chWant := led.Charge(cluster.FacilityPowerKW(want.Speeds, want.Load),
+		cluster.DelayCost(want.Speeds, want.Load), 0)
+	if chGot != chWant {
+		t.Fatalf("%s: ledger charge %+v (SoA) != %+v (old layout)", label, chGot, chWant)
+	}
+	return ref.regime
+}
+
+// classFamily is a cluster family for the class-path tests, from few
+// classes over many groups to one class per group.
+type classFamily struct {
+	name    string
+	cluster *dcmodel.Cluster
+}
+
+func classFamilies() []classFamily {
+	// All distinct: the three server generations cycle across groups and
+	// every group has a different N, so every on group is its own class.
+	gens := dcmodel.HeterogeneousCluster(3, 3)
+	distinct := &dcmodel.Cluster{Gamma: 0.95, PUE: 1.2}
+	for g := 0; g < 17; g++ {
+		distinct.Groups = append(distinct.Groups,
+			dcmodel.Group{Type: gens.Groups[g%3].Type, N: 4 + 3*g})
+	}
+	// Same rows, different N: a halved Opteron at 20 servers has the rate
+	// and slope rows of 10 Opterons, so only N (and with it (Wd·n)·R)
+	// separates their classes.
+	halved := dcmodel.Opteron()
+	halved.StaticKW /= 2
+	for i := range halved.Levels {
+		halved.Levels[i].BusyKW /= 2
+		halved.Levels[i].RateRPS /= 2
+	}
+	sameRows := &dcmodel.Cluster{Gamma: 0.95, PUE: 1}
+	for g := 0; g < 12; g++ {
+		grp := dcmodel.Group{Type: dcmodel.Opteron(), N: 10}
+		if g%2 == 1 {
+			grp = dcmodel.Group{Type: halved, N: 20}
+		}
+		sameRows.Groups = append(sameRows.Groups, grp)
+	}
+	return []classFamily{
+		{"paper-200", dcmodel.PaperCluster(200)},               // one shape, up to 4 classes
+		{"site-390x39", dcmodel.HeterogeneousCluster(390, 39)}, // the fleet-100k site
+		{"uneven-paper-7", dcmodel.PaperCluster(7)},            // 216000 = 6·30857 + 30858
+		{"uneven-hetero-100x7", dcmodel.HeterogeneousCluster(100, 7)},
+		{"all-distinct-17", distinct},
+		{"same-rows-distinct-n", sameRows},
+	}
+}
+
+// TestClassPathMatchesOldLayoutProperty extends the randomized parity sweep
+// to the clusters where class-level evaluation matters: many groups per
+// class (the paper's 200 groups, the fleet-100k site), an uneven last group
+// (a shape of its own) and all-distinct groups (one class per group). Each
+// family must agree bit for bit with the per-group reference in every
+// regime: grid, kink, surplus and Wd = 0.
+func TestClassPathMatchesOldLayoutProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	regimes := []string{"grid", "kink", "surplus", "no-delay"}
+	for _, fam := range classFamilies() {
+		t.Run(fam.name, func(t *testing.T) {
+			c := fam.cluster
+			seen := map[string]int{}
+			for trial := 0; trial < 60; trial++ {
+				speeds := make([]int, len(c.Groups))
+				var capRPS float64
+				for g := range speeds {
+					speeds[g] = rng.Intn(c.Groups[g].Type.NumSpeeds() + 1)
+					capRPS += c.Gamma * c.Groups[g].RateAt(speeds[g])
+				}
+				want := regimes[trial%len(regimes)]
+				p := &dcmodel.SlotProblem{
+					Cluster:   c,
+					LambdaRPS: capRPS * (0.05 + 0.9*rng.Float64()),
+					We:        []float64{0.05, 3.1}[rng.Intn(2)],
+					Wd:        []float64{0.02, 1.7}[rng.Intn(2)],
+				}
+				switch want {
+				case "no-delay":
+					p.Wd = 0
+				case "surplus":
+					p.OnsiteKW = 1e12
+				case "kink":
+					// Midway between the surplus and grid fills' power.
+					ref := newRefSolver(p, speeds)
+					grid, gerr := ref.fill(p.We)
+					free, ferr := ref.fill(0)
+					if gerr == nil && ferr == nil {
+						p.OnsiteKW = (ref.powerOf(grid) + ref.powerOf(free)) / 2
+					}
+				}
+				in, err := NewInstance(p, speeds)
+				if err != nil {
+					if err == ErrInfeasible {
+						continue
+					}
+					t.Fatalf("trial %d: NewInstance: %v", trial, err)
+				}
+				got := requireRefParity(t, fmt.Sprintf("trial %d (%s)", trial, want), in, p, speeds, 0.04+0.1*rng.Float64())
+				seen[got]++
+			}
+			for _, r := range regimes {
+				if seen[r] < 5 {
+					t.Fatalf("regime %s reached %d times (seen %v); generator drifted", r, seen[r], seen)
+				}
+			}
+		})
 	}
 }

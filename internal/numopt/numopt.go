@@ -53,7 +53,13 @@ func Bisect(f func(float64) float64, lo, hi, xtol float64, maxIter int) (float64
 // the nearer endpoint is returned; this saturating behavior is what the
 // dual-variable searches in the load balancer need.
 func BisectMonotone(g func(float64) float64, target, lo, hi, xtol float64, maxIter int) float64 {
-	glo, ghi := g(lo), g(hi)
+	return bisectMonotoneFrom(g, target, lo, hi, g(lo), g(hi), xtol, maxIter)
+}
+
+// bisectMonotoneFrom is BisectMonotone for a caller that already holds the
+// endpoint values glo = g(lo) and ghi = g(hi); g must be pure, so reusing
+// them changes nothing but the number of evaluations.
+func bisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol float64, maxIter int) float64 {
 	increasing := ghi >= glo
 	// Saturate outside the achievable range.
 	if increasing {
@@ -198,10 +204,11 @@ type WaterSystem interface {
 
 // BulkWaterSystem is an optional extension of WaterSystem for systems whose
 // coordinate state lives in flat arrays: WaterFillInto type-asserts for it
-// and, when present, replaces its per-item Alloc interface calls with one
-// bulk call per price evaluation. Implementations MUST accumulate in
-// ascending index order — the exact arithmetic of the per-item loop they
-// replace — so the fast path stays bit-for-bit identical to the generic one.
+// and, when present, replaces its per-item Alloc and Deriv interface calls
+// with one bulk call per price evaluation (and one for the bracket).
+// Implementations MUST accumulate in ascending index order — the exact
+// arithmetic of the per-item loop they replace — so the fast path stays
+// bit-for-bit identical to the generic one.
 type BulkWaterSystem interface {
 	WaterSystem
 	// SumAlloc returns Σ_i Alloc(i, nu), accumulated in ascending i.
@@ -209,6 +216,9 @@ type BulkWaterSystem interface {
 	// AllocInto writes Alloc(i, nu) into out[i] for i in [0, len(out)) and
 	// returns the ascending-order sum of the written values.
 	AllocInto(out []float64, nu float64) float64
+	// ZeroDerivRange returns the minimum and maximum of Deriv(i, 0) over
+	// all coordinates.
+	ZeroDerivRange() (lo, hi float64)
 }
 
 // waterItems adapts the closure-based []WaterFillItem form to WaterSystem so
@@ -279,23 +289,32 @@ func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float6
 	}
 	// Bracket ν: start from the largest Deriv(0) and expand geometrically
 	// until the aggregate allocation covers total.
-	nuLo, nuHi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		d0 := sys.Deriv(i, 0)
-		if d0 < nuLo {
-			nuLo = d0
-		}
-		if d0 > nuHi {
-			nuHi = d0
+	var nuLo, nuHi float64
+	if bulk != nil {
+		nuLo, nuHi = bulk.ZeroDerivRange()
+	} else {
+		nuLo, nuHi = math.Inf(1), math.Inf(-1)
+		for i := 0; i < n; i++ {
+			d0 := sys.Deriv(i, 0)
+			if d0 < nuLo {
+				nuLo = d0
+			}
+			if d0 > nuHi {
+				nuHi = d0
+			}
 		}
 	}
 	if nuHi <= nuLo {
 		nuHi = nuLo + 1
 	}
-	for iter := 0; sumAt(nuHi) < total && iter < 200; iter++ {
+	// sumHi tracks sumAt(nuHi) for the final nuHi on either exit (covered,
+	// or the 200-step cap), so the bisection need not probe it again.
+	sumHi := sumAt(nuHi)
+	for iter := 0; sumHi < total && iter < 200; iter++ {
 		nuHi = nuLo + 2*(nuHi-nuLo)
+		sumHi = sumAt(nuHi)
 	}
-	nu := BisectMonotone(sumAt, total, nuLo, nuHi, (nuHi-nuLo)*1e-13, 120)
+	nu := bisectMonotoneFrom(sumAt, total, nuLo, nuHi, sumAt(nuLo), sumHi, (nuHi-nuLo)*1e-13, 120)
 	var got float64
 	if bulk != nil {
 		got = bulk.AllocInto(out, nu)

@@ -1,6 +1,7 @@
 package numopt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -379,5 +380,192 @@ func TestWaterFillIntoReusesBuffer(t *testing.T) {
 	}
 	if len(out) != 3 {
 		t.Fatalf("grown output length = %d, want 3", len(out))
+	}
+}
+
+// waterFillReference is WaterFillInto's generic path for 0 < total < Σ Cap
+// with the bracket and the bisection probing separately: BisectMonotone
+// evaluates both endpoints afresh, including the one the bracket loop has
+// just evaluated. It is the oracle for the form that hands that value over.
+func waterFillReference(sys WaterSystem, total, tol float64) []float64 {
+	n := sys.Items()
+	sumAt := func(nu float64) float64 {
+		var s float64
+		for i := 0; i < n; i++ {
+			s += sys.Alloc(i, nu)
+		}
+		return s
+	}
+	nuLo, nuHi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		d0 := sys.Deriv(i, 0)
+		if d0 < nuLo {
+			nuLo = d0
+		}
+		if d0 > nuHi {
+			nuHi = d0
+		}
+	}
+	if nuHi <= nuLo {
+		nuHi = nuLo + 1
+	}
+	for iter := 0; sumAt(nuHi) < total && iter < 200; iter++ {
+		nuHi = nuLo + 2*(nuHi-nuLo)
+	}
+	nu := BisectMonotone(sumAt, total, nuLo, nuHi, (nuHi-nuLo)*1e-13, 120)
+	out := make([]float64, n)
+	var got float64
+	for i := range out {
+		out[i] = sys.Alloc(i, nu)
+		got += out[i]
+	}
+	resid := total - got
+	for pass := 0; pass < 4 && math.Abs(resid) > tol; pass++ {
+		for i := 0; i < n; i++ {
+			if resid > 0 {
+				d := math.Min(sys.Cap(i)-out[i], resid)
+				out[i] += d
+				resid -= d
+			} else {
+				d := math.Min(out[i], -resid)
+				out[i] -= d
+				resid += d
+			}
+			if math.Abs(resid) <= tol {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// countingSystem counts the Alloc calls made through a WaterSystem.
+type countingSystem struct {
+	WaterSystem
+	allocs int
+}
+
+func (c *countingSystem) Alloc(i int, nu float64) float64 {
+	c.allocs++
+	return c.WaterSystem.Alloc(i, nu)
+}
+
+// slowSystem never covers its total within the bracket's 200 doublings:
+// every Deriv(i, 0) is 0, so the bracket starts at [0, 1] and ends at
+// [0, 2^200], where the allocation is still ~1e-40 of the capacity.
+type slowSystem struct{ caps []float64 }
+
+func (s *slowSystem) Items() int                     { return len(s.caps) }
+func (s *slowSystem) Cap(i int) float64              { return s.caps[i] }
+func (s *slowSystem) Deriv(i int, v float64) float64 { return v }
+func (s *slowSystem) Alloc(i int, nu float64) float64 {
+	return Clamp(s.caps[i]*nu/(nu+1e100), 0, s.caps[i])
+}
+
+// TestWaterFillIntoReusesBracketProbe pins that handing the bracket's last
+// sum to the bisection changes no bit and saves exactly one price probe (n
+// Alloc calls), both when the bracket covers the total and when it stops
+// at its 200-doubling cap.
+func TestWaterFillIntoReusesBracketProbe(t *testing.T) {
+	rng := stats.NewRNG(12)
+	check := func(label string, sys WaterSystem, total float64) {
+		t.Helper()
+		n := sys.Items()
+		ref := &countingSystem{WaterSystem: sys}
+		want := waterFillReference(ref, total, 1e-9)
+		cur := &countingSystem{WaterSystem: sys}
+		got, err := WaterFillInto(cur, total, 1e-9, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: out[%d] = %v, reference %v", label, i, got[i], want[i])
+			}
+		}
+		if ref.allocs-cur.allocs != n {
+			t.Fatalf("%s: %d Alloc calls, reference %d: want exactly one probe (%d calls) saved",
+				label, cur.allocs, ref.allocs, n)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(9)
+		sys := &quadSystem{w: make([]float64, n), caps: make([]float64, n)}
+		var capSum float64
+		for i := 0; i < n; i++ {
+			sys.w[i] = rng.Uniform(0.1, 10)
+			sys.caps[i] = rng.Uniform(0.5, 20)
+			capSum += sys.caps[i]
+		}
+		check(fmt.Sprintf("quad trial %d", trial), sys, rng.Uniform(0.01, 0.99)*capSum)
+	}
+	slow := &slowSystem{caps: []float64{3, 5, 7}}
+	if s := slow.Alloc(0, math.Pow(2, 200)) * 3; s >= 1 {
+		t.Fatalf("slowSystem covers %v at the bracket cap; the cap case is not exercised", s)
+	}
+	check("bracket cap", slow, 10)
+}
+
+// quadBulk is quadSystem with the BulkWaterSystem methods.
+type quadBulk struct{ quadSystem }
+
+func (q *quadBulk) SumAlloc(nu float64) float64 {
+	var s float64
+	for i := range q.w {
+		s += q.Alloc(i, nu)
+	}
+	return s
+}
+
+func (q *quadBulk) AllocInto(out []float64, nu float64) float64 {
+	var s float64
+	for i := range out {
+		out[i] = q.Alloc(i, nu)
+		s += out[i]
+	}
+	return s
+}
+
+func (q *quadBulk) ZeroDerivRange() (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for i := range q.w {
+		d0 := q.Deriv(i, 0)
+		if d0 < lo {
+			lo = d0
+		}
+		if d0 > hi {
+			hi = d0
+		}
+	}
+	return lo, hi
+}
+
+// TestWaterFillIntoBulkMatchesGeneric pins that the BulkWaterSystem path
+// (bulk sums and the bulk bracket) reproduces the per-item path bit for bit.
+func TestWaterFillIntoBulkMatchesGeneric(t *testing.T) {
+	rng := stats.NewRNG(13)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.IntN(9)
+		q := &quadBulk{quadSystem{w: make([]float64, n), caps: make([]float64, n)}}
+		var capSum float64
+		for i := 0; i < n; i++ {
+			q.w[i] = rng.Uniform(0.1, 10)
+			q.caps[i] = rng.Uniform(0.5, 20)
+			capSum += q.caps[i]
+		}
+		total := rng.Uniform(0, capSum)
+		want, err := WaterFillInto(&q.quadSystem, total, 1e-9, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := WaterFillInto(q, total, 1e-9, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: bulk out[%d] = %v, generic %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
