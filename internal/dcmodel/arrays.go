@@ -24,10 +24,11 @@ type ClusterArrays struct {
 	NumSpeeds []int     // per group: K_g, the number of positive levels
 
 	// Shape is each group's shape id: two groups share one exactly when
-	// they have equal N and bit-identical rate and slope rows, so at equal
-	// speed every per-group constant the load split derives from those rows
-	// is bit-identical too. Ids are dense, in first-appearance order;
-	// Shapes is their count.
+	// they have equal N and server types with bit-identical StaticKW and
+	// per-level RateRPS and BusyKW, so at equal speed every per-group
+	// constant the load split and the objective derive from them (rate and
+	// slope rows, RateAt, PowerKW and DelayCost operands) is bit-identical
+	// too. Ids are dense, in first-appearance order; Shapes is their count.
 	Shape  []int32
 	Shapes int
 
@@ -65,21 +66,23 @@ func NewClusterArrays(c *Cluster) *ClusterArrays {
 			a.slopes[g*stride+k] = grp.PowerSlopeKWPerRPS(k)
 		}
 	}
-	a.assignShapes()
+	a.assignShapes(c)
 	return a
 }
 
 // assignShapes fills Shape and Shapes, keying each group on the bits of its
-// N and its full rate and slope rows (rows are zero-padded to Stride, so
-// equal rows also mean equal NumSpeeds).
-func (a *ClusterArrays) assignShapes() {
+// N, its type's StaticKW and its type's per-level RateRPS and BusyKW (the
+// level count is part of the key's length).
+func (a *ClusterArrays) assignShapes(c *Cluster) {
 	ids := make(map[string]int32)
-	key := make([]byte, 0, 8*(1+2*a.Stride))
-	for g := range a.N {
+	key := make([]byte, 0, 8*(2+2*a.Stride))
+	for g := range c.Groups {
+		typ := &c.Groups[g].Type
 		key = binary.LittleEndian.AppendUint64(key[:0], math.Float64bits(a.N[g]))
-		for k := g * a.Stride; k < (g+1)*a.Stride; k++ {
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(a.rates[k]))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(a.slopes[k]))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(typ.StaticKW))
+		for _, l := range typ.Levels {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(l.RateRPS))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(l.BusyKW))
 		}
 		id, ok := ids[string(key)]
 		if !ok {

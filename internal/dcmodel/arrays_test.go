@@ -3,8 +3,8 @@ package dcmodel
 import "testing"
 
 // TestClusterArraysShapes pins the shape ids the load split's class table
-// keys on: equal N and bit-identical rate/slope rows share an id, anything
-// else gets its own, in first-appearance order.
+// keys on: equal N and bit-identical server-type numbers share an id,
+// anything else gets its own, in first-appearance order.
 func TestClusterArraysShapes(t *testing.T) {
 	gens := HeterogeneousCluster(3, 3)
 	distinct := &Cluster{Gamma: 0.95, PUE: 1}
@@ -12,8 +12,8 @@ func TestClusterArraysShapes(t *testing.T) {
 		distinct.Groups = append(distinct.Groups, Group{Type: gens.Groups[0].Type, N: 10 + g})
 	}
 	// halved runs at half the rate on half the power, so 20 halved servers
-	// have bit-identical rate and slope rows to 10 Opterons: only N tells
-	// the two groups apart.
+	// have bit-identical rate and slope rows to 10 Opterons: the rows alone
+	// do not tell the two groups apart.
 	halved := Opteron()
 	halved.StaticKW /= 2
 	for i := range halved.Levels {
@@ -23,6 +23,24 @@ func TestClusterArraysShapes(t *testing.T) {
 	sameRows := &Cluster{Gamma: 0.95, PUE: 1, Groups: []Group{
 		{Type: Opteron(), N: 10}, {Type: halved, N: 20}, {Type: Opteron(), N: 10},
 	}}
+	// noStatic moves the Opteron's idle power into nothing: the computing
+	// power BusyKW − StaticKW is bit-identical, so with equal N the rate and
+	// slope rows are too, and only the static power (the objective's n·p_s)
+	// tells the groups apart.
+	noStatic := Opteron()
+	noStatic.StaticKW = 0
+	for i, l := range Opteron().Levels {
+		noStatic.Levels[i].BusyKW = l.BusyKW - Opteron().StaticKW
+	}
+	sameRowsStatic := &Cluster{Gamma: 0.95, PUE: 1, Groups: []Group{
+		{Type: Opteron(), N: 10}, {Type: noStatic, N: 10}, {Type: noStatic, N: 10},
+	}}
+	ss := NewClusterArrays(sameRowsStatic)
+	for k := 0; k < ss.Stride; k++ {
+		if ss.Rate(0, k) != ss.Rate(1, k) || ss.Slope(0, k) != ss.Slope(1, k) {
+			t.Fatalf("same-rows-static cluster differs at speed %d; the static-only case is not exercised", k)
+		}
+	}
 	cases := []struct {
 		name    string
 		cluster *Cluster
@@ -34,6 +52,7 @@ func TestClusterArraysShapes(t *testing.T) {
 		{"hetero-7-uneven", HeterogeneousCluster(100, 7), []int32{0, 1, 2, 0, 1, 2, 3}},
 		{"distinct-n", distinct, []int32{0, 1, 2, 3, 4, 5}},
 		{"same-rows-distinct-n", sameRows, []int32{0, 1, 0}},
+		{"same-rows-distinct-static", sameRowsStatic, []int32{0, 1, 1}},
 	}
 	sr := NewClusterArrays(sameRows)
 	for k := 0; k < sr.Stride; k++ {
@@ -56,14 +75,18 @@ func TestClusterArraysShapes(t *testing.T) {
 		if a.Shapes != shapes {
 			t.Fatalf("%s: Shapes = %d, want %d", tc.name, a.Shapes, shapes)
 		}
-		// Groups of one shape must agree bit for bit on every row value.
+		// Groups of one shape must agree bit for bit on every value the load
+		// split and the objective read.
 		for g := range tc.want {
 			for h := range tc.want {
 				if a.Shape[g] != a.Shape[h] {
 					continue
 				}
+				tg, th := &tc.cluster.Groups[g].Type, &tc.cluster.Groups[h].Type
 				for k := 0; k < a.Stride; k++ {
-					if a.Rate(g, k) != a.Rate(h, k) || a.Slope(g, k) != a.Slope(h, k) || a.N[g] != a.N[h] {
+					if a.Rate(g, k) != a.Rate(h, k) || a.Slope(g, k) != a.Slope(h, k) ||
+						a.N[g] != a.N[h] || a.StaticKW[g] != a.StaticKW[h] ||
+						(k <= a.NumSpeeds[g] && (tg.Rate(k) != th.Rate(k) || tg.ComputingKW(k) != th.ComputingKW(k))) {
 						t.Fatalf("%s: groups %d and %d share shape %d but differ at speed %d",
 							tc.name, g, h, a.Shape[g], k)
 					}

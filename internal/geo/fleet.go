@@ -3,6 +3,7 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/cliutil"
@@ -227,6 +228,9 @@ func (f *Fleet) validateLoad(lambda float64) error {
 	if f.slot >= f.Slots {
 		return errors.New("geo: horizon exhausted")
 	}
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return fmt.Errorf("geo: load %v is not finite", lambda)
+	}
 	if lambda < 0 {
 		return errors.New("geo: negative load")
 	}
@@ -283,6 +287,9 @@ func (f *Fleet) siteLedger(k int) dcmodel.Ledger {
 func (f *Fleet) Step(lambda, v float64) (FleetStepOutcome, error) {
 	if err := f.validateLoad(lambda); err != nil {
 		return FleetStepOutcome{}, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return FleetStepOutcome{}, fmt.Errorf("geo: control parameter V %v is not finite and non-negative", v)
 	}
 	var stepStart time.Time
 	if f.metrics != nil {

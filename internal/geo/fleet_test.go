@@ -308,3 +308,45 @@ func TestFleetQueueSettle(t *testing.T) {
 		t.Errorf("slot = %d after one settle, want 1", f.Slot())
 	}
 }
+
+// TestStepRejectsNonFiniteInputs pins the load and V guards of both
+// federation types. A NaN λ fails both comparisons of a plain range check,
+// so before the guard it passed validation and settled as a zero-cost,
+// zero-draw slot with a NaN load; every such step must now be an error.
+func TestStepRejectsNonFiniteInputs(t *testing.T) {
+	const slots = 4
+	nan, inf := math.NaN(), math.Inf(1)
+	fleet, err := NewFleet(makeFleetSites(2, 3, 5, slots), 0.005, slots, gsd.Options{Delta: 1e4, MaxIters: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(makeSitesK(2, slots), 0.005, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetLoad, sysLoad := 0.3*fleet.TotalCapacityRPS(), 0.3*sys.TotalCapacityRPS()
+	cases := []struct {
+		name      string
+		step      func() error
+		wantError bool
+	}{
+		{"fleet NaN load", func() error { _, err := fleet.Step(nan, 5e5); return err }, true},
+		{"fleet +Inf load", func() error { _, err := fleet.Step(inf, 5e5); return err }, true},
+		{"fleet -Inf load", func() error { _, err := fleet.Step(-inf, 5e5); return err }, true},
+		{"fleet NaN V", func() error { _, err := fleet.Step(fleetLoad, nan); return err }, true},
+		{"fleet +Inf V", func() error { _, err := fleet.Step(fleetLoad, inf); return err }, true},
+		{"fleet -Inf V", func() error { _, err := fleet.Step(fleetLoad, -inf); return err }, true},
+		{"fleet negative V", func() error { _, err := fleet.Step(fleetLoad, -1); return err }, true},
+		{"system NaN load", func() error { _, err := sys.Step(nan, 100); return err }, true},
+		{"system +Inf load", func() error { _, err := sys.Step(inf, 100); return err }, true},
+		{"system -Inf load", func() error { _, err := sys.Step(-inf, 100); return err }, true},
+		{"system proportional NaN load", func() error { _, err := sys.ProportionalSplit(nan, 100); return err }, true},
+		{"fleet finite", func() error { _, err := fleet.Step(fleetLoad, 5e5); return err }, false},
+		{"system finite", func() error { _, err := sys.Step(sysLoad, 100); return err }, false},
+	}
+	for _, tc := range cases {
+		if err := tc.step(); (err != nil) != tc.wantError {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantError)
+		}
+	}
+}

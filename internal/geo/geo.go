@@ -225,11 +225,14 @@ func (sys *System) siteValue(k int, v, mu float64) float64 {
 }
 
 // validateLoad guards the shared Step/ProportionalSplit preconditions:
-// horizon not exhausted, non-negative load, load within the federation's
-// aggregate capacity.
+// horizon not exhausted, finite non-negative load, load within the
+// federation's aggregate capacity.
 func (sys *System) validateLoad(lambda float64) error {
 	if sys.slot >= sys.Slots {
 		return errors.New("geo: horizon exhausted")
+	}
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return fmt.Errorf("geo: load %v is not finite", lambda)
 	}
 	if lambda < 0 {
 		return errors.New("geo: negative load")

@@ -211,10 +211,12 @@ func TestStepParallelConcurrency(t *testing.T) {
 	}
 }
 
-// TestSolveErrorSurfaced pins the infeasibility/error distinction: a NaN
-// load slips past the range guards, reaches the per-site solver, and must
-// surface as a real error (p3.ErrInvalid) counted in geo.solve_errors —
-// not be masked as "site full" the way the pre-memoization siteValue did.
+// TestSolveErrorSurfaced pins the infeasibility/error distinction: a site
+// corrupted after construction (a negative N, with a negative γ keeping its
+// capacity positive so the split still solves it) passes the load guards,
+// reaches the per-site solver, and must surface as a real error
+// (p3.ErrInvalid) counted in geo.solve_errors — not be masked as "site full"
+// the way the pre-memoization siteValue did.
 func TestSolveErrorSurfaced(t *testing.T) {
 	const slots = 4
 	sys, err := NewSystem(makeSitesK(3, slots), 0.005, slots)
@@ -223,9 +225,10 @@ func TestSolveErrorSurfaced(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
-	_, err = sys.Step(math.NaN(), 120)
+	sys.Sites[0].N, sys.Sites[0].Gamma = -sys.Sites[0].N, -sys.Sites[0].Gamma
+	_, err = sys.Step(0.3*sys.TotalCapacityRPS(), 120)
 	if err == nil {
-		t.Fatal("NaN load stepped without error")
+		t.Fatal("corrupted site stepped without error")
 	}
 	if !errors.Is(err, p3.ErrInvalid) {
 		t.Errorf("error %v does not wrap p3.ErrInvalid", err)

@@ -218,8 +218,8 @@ func TestSetSpeedValidation(t *testing.T) {
 
 // requireFreshClasses fails unless in's live-class table is the table a
 // fresh build of the same speed vector makes (same class ids in the same
-// rows, same per-row constants and per-group rows), and the shape chain
-// heads are all cleared between builds.
+// rows, same per-row constants, counts and per-group rows), and the class
+// slots are all cleared between builds.
 func requireFreshClasses(t *testing.T, step int, in *Instance, p *dcmodel.SlotProblem, mirror []int) {
 	t.Helper()
 	fresh, err := NewInstance(p, mirror)
@@ -239,13 +239,22 @@ func requireFreshClasses(t *testing.T, step int, in *Instance, p *dcmodel.SlotPr
 		if g.id != w.id || math.Float64bits(g.rate) != math.Float64bits(w.rate) ||
 			math.Float64bits(g.cap) != math.Float64bits(w.cap) ||
 			math.Float64bits(g.slope) != math.Float64bits(w.slope) ||
-			math.Float64bits(g.wdnr) != math.Float64bits(w.wdnr) {
+			math.Float64bits(g.wdnr) != math.Float64bits(w.wdnr) ||
+			g.cnt != w.cnt || g.n != w.n || g.staticKW != w.staticKW ||
+			g.compKW != w.compKW || g.x != w.x {
 			t.Fatalf("step %d: class row %d = %+v, fresh %+v", step, r, g, w)
 		}
 	}
-	for s, h := range in.shapeHead {
-		if h != -1 {
-			t.Fatalf("step %d: shapeHead[%d] = %d after a build, want -1", step, s, h)
+	var cnt float64
+	for _, r := range got.rows {
+		cnt += r.cnt
+	}
+	if int(cnt) != len(got.row) {
+		t.Fatalf("step %d: class counts sum to %v over %d on groups", step, cnt, len(got.row))
+	}
+	for c, r := range in.clsSlot {
+		if r != -1 {
+			t.Fatalf("step %d: clsSlot[%d] = %d after a build, want -1", step, c, r)
 		}
 	}
 }

@@ -32,8 +32,11 @@
 // On groups with the same shape (dcmodel.ClusterArrays.Shape) at the same
 // speed form one class and get the same allocation at every price, so each
 // price probe of the water-fill evaluates the allocation once per live class
-// and then accumulates it per on group in ascending order — the same
-// per-group values added in the same order, hence the same bits.
+// and weighs it by the class's group count. That estimate of the ascending
+// per-group sum comes with a rounding-error bound (numopt.ClassSumSlack)
+// that decides almost every bisection comparison; only an undecided probe
+// accumulates the per-group values in ascending order. Every comparison is
+// decided as the exact sum decides it, hence the same bits.
 package loadbalance
 
 import (
@@ -105,17 +108,24 @@ type undoRecord struct {
 
 // classRow is one live (shape, speed) class: the constants every member
 // group shares, computed with the per-group arithmetic and association of
-// alloc and marginal, plus the class's water-fill scratch.
+// alloc, marginal and the objective, plus the class's water-fill scratch.
 type classRow struct {
 	id    int32   // class id (gCls value)
-	next  int32   // while building: the previous row of the same shape, or -1
+	cnt   float64 // number of on groups in the class (exact)
 	rate  float64 // R
 	cap   float64 // γ·R
 	slope float64 // PUE·p_c(x)/x
 	wdnr  float64 // (Wd·n)·R
 
+	// The objective's per-group terms: Group.PowerKW = n·p_s + p_c·L/x and
+	// Group.DelayCost = n·L/(R − L).
+	n, staticKW, compKW, x float64
+
 	oslope float64 // ω·slope, set once per fill
 	val    float64 // the allocation at the current price probe
+
+	// objective's memo: a member group's power and delay terms at load memoL.
+	memoL, memoP, memoD float64
 }
 
 // classTable is the compact table of the live classes: one row per distinct
@@ -132,7 +142,9 @@ type classTable struct {
 // rewrites it per fill, and the pointer passed as the interface is the
 // already-heap-resident field, so no per-fill boxing occurs. It also
 // implements numopt.BulkWaterSystem over the live-class table: every probe
-// evaluates the allocation once per class, then gathers it per on group.
+// evaluates the allocation once per class and weighs it by the class's
+// group count for the certified estimate; only an exact sum gathers it per
+// on group.
 type fillSystem struct {
 	in    *Instance
 	omega float64
@@ -158,10 +170,12 @@ func (s *fillSystem) Alloc(i int, nu float64) float64 {
 	return s.in.alloc(i, s.omega, nu)
 }
 
-// classAlloc sets every class row's val to its allocation at price nu:
-// alloc's arithmetic with the row's constants.
-func (s *fillSystem) classAlloc(nu float64) {
+// classAlloc sets every class row's val to its allocation at price nu —
+// alloc's arithmetic with the row's constants — and returns Σ_r cnt_r·val_r
+// in row order.
+func (s *fillSystem) classAlloc(nu float64) float64 {
 	wd, rows := s.in.prob.Wd, s.tab.rows
+	var est float64
 	for r := range rows {
 		c := &rows[r]
 		rem := nu - c.oslope
@@ -173,8 +187,27 @@ func (s *fillSystem) classAlloc(nu float64) {
 		default:
 			c.val = numopt.Clamp(c.rate-math.Sqrt(c.wdnr/rem), 0, c.cap)
 		}
+		est += c.cnt * c.val
 	}
+	return est
 }
+
+// SumAllocBound implements numopt.BulkWaterSystem: the class-weighted sum
+// and its numopt.ClassSumSlack. When every class has one member the rows
+// are the on groups in ascending order and every weight is 1, so the
+// estimate is the ascending sum itself and the slack is 0.
+func (s *fillSystem) SumAllocBound(nu float64) (est, slack float64) {
+	est = s.classAlloc(nu)
+	n, classes := len(s.tab.row), len(s.tab.rows)
+	if classes == n {
+		return est, 0
+	}
+	return est, numopt.ClassSumSlack(est, n, classes)
+}
+
+// CapSum implements numopt.BulkWaterSystem: the tracked Σ γ·R, the same
+// ascending sum over the on groups.
+func (s *fillSystem) CapSum() float64 { return s.in.capSum }
 
 // SumAlloc implements numopt.BulkWaterSystem: Σ_i Alloc(i, ν) accumulated in
 // ascending index order — the per-group values and the order of the
@@ -311,14 +344,14 @@ type Instance struct {
 
 	// Live-class tables, double-buffered: recompute builds the table for
 	// the new on-group layout into the idle buffer and flips clsCur, so
-	// Revert restores the previous table by flipping back. shapeHead (per
-	// shape, -1 when empty) heads the chain of a shape's rows while a table
-	// is built, and is all -1 between builds. Reset sizes both tables for
-	// the most classes the cluster can have live at once,
-	// min(groups, Shapes·K), so no build ever grows one.
-	cls       [2]classTable
-	clsCur    int
-	shapeHead []int32
+	// Revert restores the previous table by flipping back. clsSlot (per
+	// class id, -1 when absent) holds each class's row while a table is
+	// built, and is all -1 between builds. Reset sizes both tables for the
+	// most classes the cluster can have live at once, min(groups,
+	// Shapes·K), so no build ever grows one.
+	cls     [2]classTable
+	clsCur  int
+	clsSlot []int32
 
 	undo    undoRecord
 	sys     fillSystem
@@ -369,9 +402,9 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 		in.gIdx, in.gCls, in.gN, in.gRate, in.gSlope, in.gCap =
 			in.gIdx[:0], in.gCls[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
 	}
-	in.shapeHead = growInt32(in.shapeHead, in.arr.Shapes)
-	for i := range in.shapeHead {
-		in.shapeHead[i] = -1
+	in.clsSlot = growInt32(in.clsSlot, in.arr.Shapes*in.arr.Stride)
+	for i := range in.clsSlot {
+		in.clsSlot[i] = -1
 	}
 	maxCls := min(n, in.arr.Shapes*(in.arr.Stride-1))
 	for i := range in.cls {
@@ -454,34 +487,35 @@ func (in *Instance) recompute() {
 }
 
 // buildClasses fills t with the live classes of the current on groups. A
-// group finds its row by walking the rows of its shape (at most one per
-// speed), so the build is linear in the on groups even when every group is
-// a class of its own.
+// group finds its row through clsSlot in O(1), so the build is linear in
+// the on groups even when every group is a class of its own.
 func (in *Instance) buildClasses(t *classTable) {
 	t.rows, t.row = t.rows[:0], t.row[:0]
-	stride := int32(in.arr.Stride)
 	for i, c := range in.gCls {
-		shape := c / stride
-		r := in.shapeHead[shape]
-		for r >= 0 && t.rows[r].id != c {
-			r = t.rows[r].next
-		}
+		r := in.clsSlot[c]
 		if r < 0 {
+			g := in.gIdx[i]
+			k := in.speeds[g]
+			typ := &in.prob.Cluster.Groups[g].Type
 			r = int32(len(t.rows))
 			t.rows = append(t.rows, classRow{
-				id:    c,
-				next:  in.shapeHead[shape],
-				rate:  in.gRate[i],
-				cap:   in.gCap[i],
-				slope: in.gSlope[i],
-				wdnr:  in.prob.Wd * in.gN[i] * in.gRate[i],
+				id:       c,
+				rate:     in.gRate[i],
+				cap:      in.gCap[i],
+				slope:    in.gSlope[i],
+				wdnr:     in.prob.Wd * in.gN[i] * in.gRate[i],
+				n:        in.gN[i],
+				staticKW: in.arr.StaticKW[g],
+				compKW:   typ.ComputingKW(k),
+				x:        typ.Rate(k),
 			})
-			in.shapeHead[shape] = r
+			in.clsSlot[c] = r
 		}
+		t.rows[r].cnt++
 		t.row = append(t.row, r)
 	}
 	for r := range t.rows {
-		in.shapeHead[t.rows[r].id/stride] = -1
+		in.clsSlot[t.rows[r].id] = -1
 	}
 }
 
@@ -768,8 +802,46 @@ func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
 	}
 	dst.Speeds = append(dst.Speeds[:0], in.speeds...)
 	dst.Load = in.expandInto(dst.Load, loads)
-	dst.Value = in.prob.Objective(dst.Speeds, dst.Load)
+	dst.Value = in.objective(loads)
 	return nil
+}
+
+// objective is SlotProblem.Objective of the instance's speeds and the
+// instance-group loads, bit for bit: each on group's Group.PowerKW and
+// Group.DelayCost with the same operands and association (taken from its
+// class row: groups of one shape share a server type and N), added in
+// ascending cluster order. Off groups add exact zeros there (speed 0, load
+// 0), so skipping them changes no bit.
+func (in *Instance) objective(loads []float64) float64 {
+	t := &in.cls[in.clsCur]
+	for r := range t.rows {
+		t.rows[r].memoL = math.NaN()
+	}
+	var it, d float64
+	for i, r := range t.row {
+		c := &t.rows[r]
+		l := loads[i]
+		if l != c.memoL {
+			// A class's groups mostly carry one load, so a row keeps its
+			// last member's terms and recomputes them only on a new load.
+			c.memoL, c.memoP, c.memoD = l, c.n*c.staticKW+c.compKW*l/c.x, 0
+			switch {
+			case l <= 0:
+			case l >= c.rate:
+				c.memoD = math.Inf(1)
+			default:
+				c.memoD = c.n * l / (c.rate - l)
+			}
+		}
+		it += c.memoP
+		d += c.memoD // +0 for an idle group: an exact identity
+	}
+	p := in.prob
+	grid := p.Cluster.PUE*it - p.OnsiteKW
+	if grid < 0 {
+		grid = 0
+	}
+	return p.We*grid + p.Wd*d
 }
 
 // solveWith runs the regime analysis with a pluggable filler so the

@@ -300,8 +300,8 @@ func classFamilies() []classFamily {
 			dcmodel.Group{Type: gens.Groups[g%3].Type, N: 4 + 3*g})
 	}
 	// Same rows, different N: a halved Opteron at 20 servers has the rate
-	// and slope rows of 10 Opterons, so only N (and with it (Wd·n)·R)
-	// separates their classes.
+	// and slope rows of 10 Opterons, so the split's constants alone do not
+	// separate their classes; N (and with it (Wd·n)·R) does.
 	halved := dcmodel.Opteron()
 	halved.StaticKW /= 2
 	for i := range halved.Levels {
@@ -316,6 +316,22 @@ func classFamilies() []classFamily {
 		}
 		sameRows.Groups = append(sameRows.Groups, grp)
 	}
+	// Same rows and N, different static power: an Opteron whose idle power
+	// is moved out of every level has bit-identical computing power, so
+	// only the objective's n·p_s separates their classes.
+	noStatic := dcmodel.Opteron()
+	noStatic.StaticKW = 0
+	for i, l := range dcmodel.Opteron().Levels {
+		noStatic.Levels[i].BusyKW = l.BusyKW - dcmodel.Opteron().StaticKW
+	}
+	sameRowsStatic := &dcmodel.Cluster{Gamma: 0.95, PUE: 1.1}
+	for g := 0; g < 12; g++ {
+		grp := dcmodel.Group{Type: dcmodel.Opteron(), N: 10}
+		if g%3 == 1 {
+			grp.Type = noStatic
+		}
+		sameRowsStatic.Groups = append(sameRowsStatic.Groups, grp)
+	}
 	return []classFamily{
 		{"paper-200", dcmodel.PaperCluster(200)},               // one shape, up to 4 classes
 		{"site-390x39", dcmodel.HeterogeneousCluster(390, 39)}, // the fleet-100k site
@@ -323,6 +339,7 @@ func classFamilies() []classFamily {
 		{"uneven-hetero-100x7", dcmodel.HeterogeneousCluster(100, 7)},
 		{"all-distinct-17", distinct},
 		{"same-rows-distinct-n", sameRows},
+		{"same-rows-distinct-static", sameRowsStatic},
 	}
 }
 

@@ -209,16 +209,47 @@ type WaterSystem interface {
 // Implementations MUST accumulate in ascending index order — the exact
 // arithmetic of the per-item loop they replace — so the fast path stays
 // bit-for-bit identical to the generic one.
+//
+// Each price probe first asks SumAllocBound for a certified estimate of the
+// exact sum and takes SumAlloc only when the estimate cannot decide the
+// comparison at hand (see certProbe), so every decision, and hence every
+// output bit, is the one the exact sums would give.
 type BulkWaterSystem interface {
 	WaterSystem
 	// SumAlloc returns Σ_i Alloc(i, nu), accumulated in ascending i.
 	SumAlloc(nu float64) float64
+	// SumAllocBound returns an estimate of SumAlloc(nu) and a slack with
+	// |SumAlloc(nu) − est| ≤ slack; a zero slack promises est is exact.
+	SumAllocBound(nu float64) (est, slack float64)
 	// AllocInto writes Alloc(i, nu) into out[i] for i in [0, len(out)) and
 	// returns the ascending-order sum of the written values.
 	AllocInto(out []float64, nu float64) float64
 	// ZeroDerivRange returns the minimum and maximum of Deriv(i, 0) over
 	// all coordinates.
 	ZeroDerivRange() (lo, hi float64)
+	// CapSum returns Σ_i Cap(i), accumulated in ascending i.
+	CapSum() float64
+}
+
+// ClassSumSlack is the slack for est = Σ_r c_r·v_r as an estimate of E, the
+// floating-point ascending sum of n non-negative terms that take the value
+// v_r exactly c_r times (r ranging over classes classes, Σ c_r = n, every
+// c_r exact as a float64). With u = 2⁻⁵³ and γ_k = k·u/(1 − k·u), and S the
+// real sum, Higham's bounds (Accuracy and Stability of Numerical
+// Algorithms, §4.2) give |E − S| ≤ γ_{n−1}·S for the n−1 additions, and
+// |est − S| ≤ γ_classes·S for one rounded product and at most classes−1
+// additions per term. So
+//
+//	|E − est| ≤ (γ_{n−1} + γ_classes)·S ≤ (γ_{n−1} + γ_classes)/(1 − γ_classes)·est,
+//
+// about (n + classes − 1)·u·est. The returned (n + classes)·2⁻⁵²·est is
+// twice that, and the margin also covers the rounding of the product
+// itself and of est ± slack in a comparison, for any n + classes far below
+// 2⁵⁰. Sums and integer multiples of non-negative floats that land in the
+// subnormal range are exact, so underflow cannot break the bound; overflow
+// makes est or slack infinite, which certProbe treats as undecidable.
+func ClassSumSlack(est float64, n, classes int) float64 {
+	return float64(n+classes) * 0x1p-52 * est
 }
 
 // waterItems adapts the closure-based []WaterFillItem form to WaterSystem so
@@ -247,15 +278,22 @@ func WaterFill(items []WaterFillItem, total, tol float64) ([]float64, error) {
 // sufficiently large out it performs no allocation beyond what sys itself
 // does. The arithmetic — accumulation order, bracketing, bisection
 // tolerances, residual repair — is exactly WaterFill's, so the two produce
-// bit-for-bit identical allocations for equivalent inputs.
+// bit-for-bit identical allocations for equivalent inputs. A
+// BulkWaterSystem takes the certified-probe path of bulkPrice, which
+// decides every comparison as the exact sums would.
 func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float64, error) {
 	if total < 0 {
 		return nil, ErrInfeasible
 	}
 	n := sys.Items()
+	bulk, _ := sys.(BulkWaterSystem)
 	var capSum float64
-	for i := 0; i < n; i++ {
-		capSum += sys.Cap(i)
+	if bulk != nil {
+		capSum = bulk.CapSum()
+	} else {
+		for i := 0; i < n; i++ {
+			capSum += sys.Cap(i)
+		}
 	}
 	if total > capSum*(1+1e-12)+tol {
 		return nil, ErrInfeasible
@@ -276,49 +314,11 @@ func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float6
 		}
 		return out, nil
 	}
-	bulk, _ := sys.(BulkWaterSystem)
-	sumAt := func(nu float64) float64 {
-		if bulk != nil {
-			return bulk.SumAlloc(nu)
-		}
-		var s float64
-		for i := 0; i < n; i++ {
-			s += sys.Alloc(i, nu)
-		}
-		return s
-	}
-	// Bracket ν: start from the largest Deriv(0) and expand geometrically
-	// until the aggregate allocation covers total.
-	var nuLo, nuHi float64
-	if bulk != nil {
-		nuLo, nuHi = bulk.ZeroDerivRange()
-	} else {
-		nuLo, nuHi = math.Inf(1), math.Inf(-1)
-		for i := 0; i < n; i++ {
-			d0 := sys.Deriv(i, 0)
-			if d0 < nuLo {
-				nuLo = d0
-			}
-			if d0 > nuHi {
-				nuHi = d0
-			}
-		}
-	}
-	if nuHi <= nuLo {
-		nuHi = nuLo + 1
-	}
-	// sumHi tracks sumAt(nuHi) for the final nuHi on either exit (covered,
-	// or the 200-step cap), so the bisection need not probe it again.
-	sumHi := sumAt(nuHi)
-	for iter := 0; sumHi < total && iter < 200; iter++ {
-		nuHi = nuLo + 2*(nuHi-nuLo)
-		sumHi = sumAt(nuHi)
-	}
-	nu := bisectMonotoneFrom(sumAt, total, nuLo, nuHi, sumAt(nuLo), sumHi, (nuHi-nuLo)*1e-13, 120)
 	var got float64
 	if bulk != nil {
-		got = bulk.AllocInto(out, nu)
+		got = bulk.AllocInto(out, bulkPrice(bulk, total))
 	} else {
+		nu := itemPrice(sys, total)
 		for i := 0; i < n; i++ {
 			out[i] = sys.Alloc(i, nu)
 			got += out[i]
@@ -345,4 +345,147 @@ func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float6
 		}
 	}
 	return out, nil
+}
+
+// The price search's constants, shared by both paths: the bracket may
+// double at most bracketDoublings times, and the bisection stops after
+// bisectIters steps or once the bracket is bisectRelTol of its start.
+const (
+	bracketDoublings = 200
+	bisectIters      = 120
+	bisectRelTol     = 1e-13
+)
+
+// itemPrice is the per-item path's search for the price ν at which
+// Σ_i Alloc(i, ν) meets total: bracket ν from the extremes of Deriv(i, 0),
+// expanding geometrically until the aggregate allocation covers total, then
+// bisect.
+func itemPrice(sys WaterSystem, total float64) float64 {
+	n := sys.Items()
+	sumAt := func(nu float64) float64 {
+		var s float64
+		for i := 0; i < n; i++ {
+			s += sys.Alloc(i, nu)
+		}
+		return s
+	}
+	nuLo, nuHi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		d0 := sys.Deriv(i, 0)
+		if d0 < nuLo {
+			nuLo = d0
+		}
+		if d0 > nuHi {
+			nuHi = d0
+		}
+	}
+	if nuHi <= nuLo {
+		nuHi = nuLo + 1
+	}
+	// sumHi tracks sumAt(nuHi) for the final nuHi on either exit (covered,
+	// or the doubling cap), so the bisection need not probe it again.
+	sumHi := sumAt(nuHi)
+	for iter := 0; sumHi < total && iter < bracketDoublings; iter++ {
+		nuHi = nuLo + 2*(nuHi-nuLo)
+		sumHi = sumAt(nuHi)
+	}
+	return bisectMonotoneFrom(sumAt, total, nuLo, nuHi, sumAt(nuLo), sumHi, (nuHi-nuLo)*bisectRelTol, bisectIters)
+}
+
+// certProbe is one price probe of a BulkWaterSystem: the exact sum
+// E = SumAlloc(nu) is known to lie within slack of v, and equals v once
+// slack is 0.
+type certProbe struct{ nu, v, slack float64 }
+
+// probeAt asks b for its certified estimate at nu.
+func probeAt(b BulkWaterSystem, nu float64) certProbe {
+	est, slack := b.SumAllocBound(nu)
+	return certProbe{nu, est, slack}
+}
+
+// settle replaces the estimate with the exact sum.
+func (p *certProbe) settle(b BulkWaterSystem) {
+	if p.slack != 0 {
+		p.v, p.slack = b.SumAlloc(p.nu), 0
+	}
+}
+
+// vs returns a value that compares with t exactly as E does under every
+// operator: the estimate when t lies strictly outside [v − slack, v + slack]
+// (E lies inside, so on the same side of t), the exact sum otherwise. A NaN
+// estimate or slack, or a NaN t, fails both tests and settles.
+func (p *certProbe) vs(b BulkWaterSystem, t float64) float64 {
+	if p.slack != 0 && !(t < p.v-p.slack || t > p.v+p.slack) {
+		p.settle(b)
+	}
+	return p.v
+}
+
+// atLeast reports E(p.nu) >= E(q.nu), from the intervals when they are
+// ordered and from the exact sums otherwise.
+func (p *certProbe) atLeast(b BulkWaterSystem, q *certProbe) bool {
+	if p.v-p.slack >= q.v+q.slack {
+		return true
+	}
+	if p.v+p.slack < q.v-q.slack {
+		return false
+	}
+	p.settle(b)
+	q.settle(b)
+	return p.v >= q.v
+}
+
+// bulkPrice is itemPrice over a BulkWaterSystem with certified probes: the
+// same bracket and the same bisection steps, each comparison of a probe sum
+// decided from its estimate whenever the slack allows and from the exact
+// sum otherwise, so the returned ν is bit-identical to the exact search's.
+// When every probe sum is an exact SumAlloc this is the exact search.
+func bulkPrice(b BulkWaterSystem, total float64) float64 {
+	nuLo, nuHi := b.ZeroDerivRange()
+	if nuHi <= nuLo {
+		nuHi = nuLo + 1
+	}
+	hi := probeAt(b, nuHi)
+	for iter := 0; hi.vs(b, total) < total && iter < bracketDoublings; iter++ {
+		nuHi = nuLo + 2*(nuHi-nuLo)
+		hi = probeAt(b, nuHi)
+	}
+	lo := probeAt(b, nuLo)
+	return bisectCertified(b, total, nuLo, nuHi, &lo, &hi, (nuHi-nuLo)*bisectRelTol, bisectIters)
+}
+
+// bisectCertified is bisectMonotoneFrom with every comparison of a probe
+// sum made through certProbe, in the same order and with the same
+// operators, so it takes the same branch at every step.
+func bisectCertified(b BulkWaterSystem, target, lo, hi float64, plo, phi *certProbe, xtol float64, maxIter int) float64 {
+	increasing := phi.atLeast(b, plo)
+	if increasing {
+		if target <= plo.vs(b, target) {
+			return lo
+		}
+		if target >= phi.vs(b, target) {
+			return hi
+		}
+	} else {
+		if target >= plo.vs(b, target) {
+			return lo
+		}
+		if target <= phi.vs(b, target) {
+			return hi
+		}
+	}
+	for i := 0; i < maxIter && hi-lo > xtol; i++ {
+		mid := lo + (hi-lo)/2
+		p := probeAt(b, mid)
+		gm := p.vs(b, target)
+		if gm == target {
+			return mid
+		}
+		if (gm < target) == increasing {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo + (hi-lo)/2
 }

@@ -506,8 +506,43 @@ func TestWaterFillIntoReusesBracketProbe(t *testing.T) {
 	check("bracket cap", slow, 10)
 }
 
-// quadBulk is quadSystem with the BulkWaterSystem methods.
-type quadBulk struct{ quadSystem }
+// boundMode selects what a quadBulk's SumAllocBound reports.
+type boundMode int
+
+const (
+	boundCertified boundMode = iota // the class estimate with ClassSumSlack
+	boundExact                      // the exact ascending sum with zero slack
+	boundNoSlack                    // the class estimate claimed exact: unsound once classes repeat
+)
+
+// quadBulk is quadSystem with the BulkWaterSystem methods. Items with
+// identical (w, cap) form one class, in first-appearance order, and
+// SumAllocBound weighs each class's allocation by its member count — the
+// estimate the load balancer's class table makes.
+type quadBulk struct {
+	quadSystem
+	mode     boundMode
+	cw, ccap []float64 // per class: the shared w and cap
+	cnt      []float64 // per class: its member count
+}
+
+func newQuadBulk(w, caps []float64, mode boundMode) *quadBulk {
+	q := &quadBulk{quadSystem: quadSystem{w: w, caps: caps}, mode: mode}
+	ids := make(map[[2]float64]int)
+	for i := range w {
+		key := [2]float64{w[i], caps[i]}
+		r, ok := ids[key]
+		if !ok {
+			r = len(q.cw)
+			ids[key] = r
+			q.cw = append(q.cw, w[i])
+			q.ccap = append(q.ccap, caps[i])
+			q.cnt = append(q.cnt, 0)
+		}
+		q.cnt[r]++
+	}
+	return q
+}
 
 func (q *quadBulk) SumAlloc(nu float64) float64 {
 	var s float64
@@ -515,6 +550,19 @@ func (q *quadBulk) SumAlloc(nu float64) float64 {
 		s += q.Alloc(i, nu)
 	}
 	return s
+}
+
+func (q *quadBulk) SumAllocBound(nu float64) (est, slack float64) {
+	if q.mode == boundExact {
+		return q.SumAlloc(nu), 0
+	}
+	for r := range q.cw {
+		est += q.cnt[r] * Clamp(nu/q.cw[r], 0, q.ccap[r])
+	}
+	if q.mode == boundNoSlack {
+		return est, 0
+	}
+	return est, ClassSumSlack(est, len(q.w), len(q.cw))
 }
 
 func (q *quadBulk) AllocInto(out []float64, nu float64) float64 {
@@ -540,19 +588,202 @@ func (q *quadBulk) ZeroDerivRange() (lo, hi float64) {
 	return lo, hi
 }
 
+func (q *quadBulk) CapSum() float64 {
+	var s float64
+	for _, c := range q.caps {
+		s += c
+	}
+	return s
+}
+
+// withMode returns a copy of q, sharing its items, that reports mode.
+func (q *quadBulk) withMode(mode boundMode) *quadBulk {
+	c := *q
+	c.mode = mode
+	return &c
+}
+
+// probeLog records the estimate of every probe of a quadBulk, and counts
+// the exact sums taken.
+type probeLog struct {
+	*quadBulk
+	ests  []float64
+	exact int
+}
+
+func (p *probeLog) SumAllocBound(nu float64) (float64, float64) {
+	est, slack := p.quadBulk.SumAllocBound(nu)
+	p.ests = append(p.ests, est)
+	return est, slack
+}
+
+func (p *probeLog) SumAlloc(nu float64) float64 {
+	p.exact++
+	return p.quadBulk.SumAlloc(nu)
+}
+
+// classQuad draws a duplicate-heavy quadBulk: n items, each a copy of one of
+// classes random (w, cap) pairs.
+func classQuad(rng *stats.RNG, n, classes int, mode boundMode) *quadBulk {
+	cw, ccap := make([]float64, classes), make([]float64, classes)
+	for r := range cw {
+		cw[r] = rng.Uniform(0.1, 10)
+		ccap[r] = rng.Uniform(0.5, 20)
+	}
+	w, caps := make([]float64, n), make([]float64, n)
+	for i := range w {
+		r := rng.IntN(classes)
+		w[i], caps[i] = cw[r], ccap[r]
+	}
+	return newQuadBulk(w, caps, mode)
+}
+
+// exactProbes water-fills total on q with exact probe sums and returns
+// those sums in probe order.
+func exactProbes(q *quadBulk, total float64) []float64 {
+	log := &probeLog{quadBulk: q.withMode(boundExact)}
+	if _, err := WaterFillInto(log, total, 1e-9, nil); err != nil {
+		panic(err)
+	}
+	return log.ests
+}
+
+// certResult is one certified-versus-exact comparison.
+type certResult struct {
+	agree bool // q's own bounds, exact bulk sums and the generic path agree bit for bit
+	exact int  // exact sums q's own bounds fell back to
+	hit   bool // some exact probe sum equals total: the equality branches ran
+}
+
+// compareCertified water-fills total on q three ways — with q's own bounds,
+// with exact bulk sums, and on the generic per-item path.
+func compareCertified(q *quadBulk, total float64) certResult {
+	want, err := WaterFillInto(&q.quadSystem, total, 1e-9, nil)
+	if err != nil {
+		panic(err)
+	}
+	exact, err := WaterFillInto(q.withMode(boundExact), total, 1e-9, nil)
+	if err != nil {
+		panic(err)
+	}
+	log := &probeLog{quadBulk: q}
+	got, err := WaterFillInto(log, total, 1e-9, nil)
+	if err != nil {
+		panic(err)
+	}
+	res := certResult{agree: true, exact: log.exact}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+			math.Float64bits(exact[i]) != math.Float64bits(want[i]) {
+			res.agree = false
+		}
+	}
+	for _, s := range exactProbes(q, total) {
+		res.hit = res.hit || s == total
+	}
+	return res
+}
+
+// forcedTotals returns totals set to exact probe sums of a fill at total:
+// the last three probes (where the bisection has nearly converged) and two
+// drawn at random, so fills at these totals meet an exact tie.
+func forcedTotals(rng *stats.RNG, q *quadBulk, total float64) []float64 {
+	sums := exactProbes(q, total)
+	var out []float64
+	for j := max(0, len(sums)-3); j < len(sums); j++ {
+		out = append(out, sums[j])
+	}
+	for k := 0; k < 2; k++ {
+		out = append(out, sums[rng.IntN(len(sums))])
+	}
+	return out
+}
+
+// certCorpus tallies compareCertified over randomized duplicate-heavy
+// systems of up to 10,000 items built with the given bound mode, at random
+// totals and at totals forced onto exact probe sums.
+type certCorpus struct {
+	cases, mismatches, fallbacks, hits int
+	first                              string // the first mismatch
+}
+
+func runCertCorpus(mode boundMode) certCorpus {
+	rng := stats.NewRNG(1313)
+	var c certCorpus
+	shapes := []struct{ n, classes int }{
+		{1, 1}, {2, 1}, {3, 2}, {7, 3}, {7, 7}, {40, 4}, {200, 4}, {200, 200},
+		{1000, 12}, {10000, 3}, {10000, 40},
+	}
+	for _, sh := range shapes {
+		trials := 6
+		if sh.n >= 1000 {
+			trials = 2
+		}
+		for trial := 0; trial < trials; trial++ {
+			q := classQuad(rng, sh.n, sh.classes, mode)
+			total := rng.Uniform(0.01, 0.99) * q.CapSum()
+			for k, tot := range append([]float64{total}, forcedTotals(rng, q, total)...) {
+				r := compareCertified(q, tot)
+				c.cases++
+				c.fallbacks += r.exact
+				if r.hit {
+					c.hits++
+				}
+				if !r.agree {
+					c.mismatches++
+					if c.first == "" {
+						c.first = fmt.Sprintf("n=%d classes=%d trial %d total #%d (%v)", sh.n, sh.classes, trial, k, tot)
+					}
+				}
+			}
+		}
+	}
+	return c
+}
+
+// TestWaterFillCertifiedMatchesExact pins that certified probes change no
+// bit: on duplicate-heavy systems (real classes, up to 10,000 items) the
+// certified, exact-bulk and generic paths agree bit for bit, including at
+// totals equal to an exact probe sum, where the estimate cannot decide, the
+// exact fallback runs and the gm == target return fires.
+func TestWaterFillCertifiedMatchesExact(t *testing.T) {
+	c := runCertCorpus(boundCertified)
+	if c.mismatches > 0 {
+		t.Fatalf("%d of %d fills differ from the exact path; first: %s", c.mismatches, c.cases, c.first)
+	}
+	if c.hits == 0 {
+		t.Fatal("no total met an exact probe sum; the tie branches are not exercised")
+	}
+	if c.fallbacks == 0 {
+		t.Fatal("no probe fell back to the exact sum; the fallback is not exercised")
+	}
+	t.Logf("%d fills, %d at an exact tie, %d exact fallbacks", c.cases, c.hits, c.fallbacks)
+}
+
+// TestWaterFillCertifiedCatchesZeroSlack is the corpus's mutation check: a
+// system that claims its class estimate is exact (slack 0) on
+// duplicate-heavy input must make the comparison fail.
+func TestWaterFillCertifiedCatchesZeroSlack(t *testing.T) {
+	if c := runCertCorpus(boundNoSlack); c.mismatches == 0 {
+		t.Fatalf("zero slack went unnoticed over %d fills", c.cases)
+	}
+}
+
 // TestWaterFillIntoBulkMatchesGeneric pins that the BulkWaterSystem path
-// (bulk sums and the bulk bracket) reproduces the per-item path bit for bit.
+// (certified probes, the bulk capacity sum and the bulk bracket) reproduces
+// the per-item path bit for bit.
 func TestWaterFillIntoBulkMatchesGeneric(t *testing.T) {
 	rng := stats.NewRNG(13)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.IntN(9)
-		q := &quadBulk{quadSystem{w: make([]float64, n), caps: make([]float64, n)}}
+		w, caps := make([]float64, n), make([]float64, n)
 		var capSum float64
 		for i := 0; i < n; i++ {
-			q.w[i] = rng.Uniform(0.1, 10)
-			q.caps[i] = rng.Uniform(0.5, 20)
-			capSum += q.caps[i]
+			w[i] = rng.Uniform(0.1, 10)
+			caps[i] = rng.Uniform(0.5, 20)
+			capSum += caps[i]
 		}
+		q := newQuadBulk(w, caps, boundCertified)
 		total := rng.Uniform(0, capSum)
 		want, err := WaterFillInto(&q.quadSystem, total, 1e-9, nil)
 		if err != nil {
