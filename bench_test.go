@@ -97,35 +97,6 @@ func BenchmarkGSD500Iters200Groups(b *testing.B) {
 	}
 }
 
-// BenchmarkGSDParallel measures the speculative parallel Gibbs chain on the
-// same 200-group workload under a ramped δ schedule (early iterations accept
-// freely and flush the speculation window; late iterations are near-greedy
-// and speculate deep). Results are bit-identical at every worker count — only
-// wall time moves. workers=1 is the sequential reference arm.
-func BenchmarkGSDParallel(b *testing.B) {
-	cluster := dcmodel.PaperCluster(200)
-	prob := &dcmodel.SlotProblem{
-		Cluster:   cluster,
-		LambdaRPS: 0.3 * cluster.MaxCapacityRPS(),
-		We:        0.05,
-		Wd:        0.02,
-	}
-	sched := gsd.RampSchedule(1e3, 2, 25, 1e8)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := gsd.Solve(prob, gsd.Options{
-					Schedule: sched, MaxIters: 500, Seed: uint64(i), Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDistributedGSD(b *testing.B) {
 	cluster := dcmodel.HeterogeneousCluster(240, 12)
 	prob := &dcmodel.SlotProblem{

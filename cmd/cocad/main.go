@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		iters      = fs.Int("iters", 150, "GSD iteration budget per slot")
 		delta      = fs.Float64("delta", 1e4, "GSD temperature δ")
 		patience   = fs.Int("patience", 0, "GSD early-stop patience (0 disables)")
-		gsdWorkers = fs.Int("gsd-workers", 0, "speculative proposal evaluators per GSD solve (0 or 1: sequential; >1: parallel speculation, bit-identical results)")
 		emitSlots  = fs.Int("emit-slots", 0, "emit this many synthetic SlotInput NDJSON records to stdout and exit")
 		emitStart  = fs.Int("emit-start", 0, "absolute slot index the emitted stream starts at")
 		site       = fs.String("site", "default", "site label stamped on this daemon's metrics series")
@@ -108,7 +107,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		cliutil.NonNegativeCount("-emit-slots", *emitSlots),
 		cliutil.NonNegativeCount("-emit-start", *emitStart),
 		cliutil.NonNegativeCount("-patience", *patience),
-		cliutil.WorkersFor("-gsd-workers", *gsdWorkers),
 		cliutil.PositiveFloat("-v", *vParam),
 		cliutil.PositiveFloat("-alpha", *alpha),
 		cliutil.PositiveFloat("-delta", *delta),
@@ -147,7 +145,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	ctrl, err := core.NewController(cluster, *beta, lyapunov.ConstantV(*vParam, *frames, *frameSlots),
 		*alpha, *rec, &gsd.Solver{Opts: gsd.Options{
 			Delta: *delta, MaxIters: *iters, Patience: *patience, Seed: *seed,
-			Workers: *gsdWorkers,
 		}})
 	if err != nil {
 		return err

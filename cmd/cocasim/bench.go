@@ -61,15 +61,7 @@ type benchReport struct {
 		Solves         int     `json:"solves"`
 		NsPerSolve     float64 `json:"ns_per_solve"`
 		AllocsPerSolve float64 `json:"allocs_per_solve"`
-		// Workers is the -gsd-workers speculative-evaluator count; when > 1
-		// a parallel arm re-runs the same seeded solves with speculation on,
-		// hard-checks the hash against the sequential arm, and records its
-		// timing here. Workers <= 1 leaves the parallel fields at 0 and the
-		// gate skips them (the sweep ParWorkers rule).
-		Workers       int     `json:"workers"`
-		ParNsPerSolve float64 `json:"par_ns_per_solve"`
-		Speedup       float64 `json:"speedup"`
-		ResultHash    string  `json:"result_hash"` // over every solve's full solution
+		ResultHash     string  `json:"result_hash"` // over every solve's full solution
 	} `json:"gsd"`
 	Geo struct {
 		Sites           int     `json:"sites"`
@@ -143,7 +135,7 @@ func fig2ResultHash(res experiments.Fig2Result) string {
 // the report as JSON to path. The sweep arms feed pool telemetry into reg
 // (nil disables), which main dumps next to the report. A non-empty
 // scaleSpec appends the fleet-scale grid section.
-func runBench(path string, workers, gsdWorkers int, reg *telemetry.Registry, scaleSpec string) error {
+func runBench(path string, workers int, reg *telemetry.Registry, scaleSpec string) error {
 	var rep benchReport
 	rep.Cores = runtime.NumCPU()
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
@@ -221,59 +213,35 @@ func runBench(path string, workers, gsdWorkers int, reg *telemetry.Registry, sca
 		We:        0.05, Wd: 0.02,
 	}
 	const gsdSolves = 10
-	gsdOpts := func(seed uint64, w int) gsd.Options {
-		return gsd.Options{Delta: 1e8, MaxIters: 500, Seed: seed, Workers: w}
+	gsdOpts := func(seed uint64) gsd.Options {
+		return gsd.Options{Delta: 1e8, MaxIters: 500, Seed: seed}
 	}
-	gsdArm := func(w int) (string, time.Duration, error) {
-		h := newFnvHash()
-		start := time.Now()
-		for seed := 0; seed < gsdSolves; seed++ {
-			res, err := gsd.Solve(prob, gsdOpts(uint64(seed), w))
-			if err != nil {
-				return "", 0, err
-			}
-			h.floats(res.Solution.Value, float64(res.Iters), float64(res.Accepted))
-			for _, s := range res.Solution.Speeds {
-				h.floats(float64(s))
-			}
-			h.floats(res.Solution.Load...)
-		}
-		return h.sum(), time.Since(start), nil
-	}
-	if _, err := gsd.Solve(prob, gsdOpts(0, 0)); err != nil { // warm-up
+	if _, err := gsd.Solve(prob, gsdOpts(0)); err != nil { // warm-up
 		return err
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	seqHash, gsdElapsed, err := gsdArm(0)
-	if err != nil {
-		return err
+	gh := newFnvHash()
+	gsdStart := time.Now()
+	for seed := 0; seed < gsdSolves; seed++ {
+		res, err := gsd.Solve(prob, gsdOpts(uint64(seed)))
+		if err != nil {
+			return err
+		}
+		gh.floats(res.Solution.Value, float64(res.Iters), float64(res.Accepted))
+		for _, s := range res.Solution.Speeds {
+			gh.floats(float64(s))
+		}
+		gh.floats(res.Solution.Load...)
 	}
+	gsdElapsed := time.Since(gsdStart)
 	runtime.ReadMemStats(&ms1)
 	rep.GSD.Groups = len(cluster.Groups)
 	rep.GSD.MaxIters = 500
 	rep.GSD.Solves = gsdSolves
 	rep.GSD.NsPerSolve = float64(gsdElapsed.Nanoseconds()) / gsdSolves
 	rep.GSD.AllocsPerSolve = float64(ms1.Mallocs-ms0.Mallocs) / gsdSolves
-	rep.GSD.ResultHash = seqHash
-	rep.GSD.Workers = gsdWorkers
-	if gsdWorkers > 1 {
-		// Speculative arm: same seeds, parallel proposal evaluation. The
-		// solver's contract is bit-identical results, so a hash mismatch is
-		// a hard failure, not a regression to tolerate.
-		parHash, parElapsed, err := gsdArm(gsdWorkers)
-		if err != nil {
-			return err
-		}
-		if parHash != seqHash {
-			return fmt.Errorf("gsd speculative arm (%d workers) diverged from sequential: %s vs %s",
-				gsdWorkers, parHash, seqHash)
-		}
-		rep.GSD.ParNsPerSolve = float64(parElapsed.Nanoseconds()) / gsdSolves
-		if parElapsed > 0 {
-			rep.GSD.Speedup = float64(gsdElapsed) / float64(parElapsed)
-		}
-	}
+	rep.GSD.ResultHash = gh.sum()
 
 	// Geo split: the memoized greedy marginal allocation over a 16-site
 	// federation, one Step+Settle per slot so the deficit queues feed back
@@ -484,11 +452,6 @@ func compareBench(path, basePath string) error {
 	}
 	slower("gsd ns/solve", fresh.GSD.NsPerSolve, base.GSD.NsPerSolve)
 	slower("gsd allocs/solve", fresh.GSD.AllocsPerSolve, base.GSD.AllocsPerSolve)
-	// Same rule as the sweep: the speculative-arm gate only fires when both
-	// reports actually ran it (gsd-workers > 1 on both hosts).
-	if fresh.GSD.Workers > 1 && base.GSD.Workers > 1 {
-		slower("gsd par ns/solve", fresh.GSD.ParNsPerSolve, base.GSD.ParNsPerSolve)
-	}
 	slower("geo ns/step", fresh.Geo.NsPerStep, base.Geo.NsPerStep)
 	slower("geo p3 solves/step", fresh.Geo.P3SolvesPerStep, base.Geo.P3SolvesPerStep)
 	// Request-level engine: the hash is worker-invariant (function of the

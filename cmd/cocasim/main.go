@@ -44,17 +44,16 @@ var logger *slog.Logger
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|fig5|mix|capping|lookahead|reset|tariff|batch|predict|delay|geo|all")
-		slots      = flag.Int("slots", 0, "horizon in hours (default: 8760, one year)")
-		n          = flag.Int("n", 0, "fleet size (default: 216000, the paper's deployment)")
-		beta       = flag.Float64("beta", 0, "delay weight β (default: 0.02)")
-		budget     = flag.Float64("budget", 0, "carbon budget as fraction of unaware usage (default: 0.92)")
-		seed       = flag.Uint64("seed", 0, "master seed (default: 2012)")
-		csvDir     = flag.String("csvdir", "", "write figure data as CSV files into this directory (fig2/fig3 series)")
-		workers    = flag.Int("workers", 0, "worker pool for independent runs (0: all cores, 1: sequential; results are identical either way)")
-		gsdWorkers = flag.Int("gsd-workers", 0, "speculative proposal evaluators inside each GSD solve (0 or 1: sequential chain; >1: parallel speculation, bit-identical results)")
-		bench      = flag.String("bench-json", "", "run the engine/sweep benchmark and write the JSON report to this path, then exit")
-		scale      = flag.String("scale", "", "fleet-scale bench grid as GROUPSxSITES cells (e.g. 200x16,10000x256): parity-check and time geo.Fleet steps; with -bench-json the cells land in the report, alone they print and exit")
+		exp     = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|fig5|mix|capping|lookahead|reset|tariff|batch|predict|delay|geo|all")
+		slots   = flag.Int("slots", 0, "horizon in hours (default: 8760, one year)")
+		n       = flag.Int("n", 0, "fleet size (default: 216000, the paper's deployment)")
+		beta    = flag.Float64("beta", 0, "delay weight β (default: 0.02)")
+		budget  = flag.Float64("budget", 0, "carbon budget as fraction of unaware usage (default: 0.92)")
+		seed    = flag.Uint64("seed", 0, "master seed (default: 2012)")
+		csvDir  = flag.String("csvdir", "", "write figure data as CSV files into this directory (fig2/fig3 series)")
+		workers = flag.Int("workers", 0, "worker pool for independent runs (0: all cores, 1: sequential; results are identical either way)")
+		bench   = flag.String("bench-json", "", "run the engine/sweep benchmark and write the JSON report to this path, then exit")
+		scale   = flag.String("scale", "", "fleet-scale bench grid as GROUPSxSITES cells (e.g. 200x16,10000x256): parity-check and time geo.Fleet steps; with -bench-json the cells land in the report, alone they print and exit")
 
 		stream      = flag.String("stream", "", "single-run mode: stream one NDJSON record per settled slot to this path (- for stdout)")
 		policy      = flag.String("policy", "coca", "policy for -stream single-run mode: coca|unaware")
@@ -85,7 +84,6 @@ func main() {
 	// through the pool's `> 0` check and silently mean "all cores".
 	if err := cliutil.FirstError(
 		cliutil.Workers(*workers),
-		cliutil.WorkersFor("-gsd-workers", *gsdWorkers),
 		cliutil.NonNegativeCount("-slots", *slots),
 		cliutil.NonNegativeCount("-n", *n),
 		cliutil.NonNegativeFloat("-beta", *beta),
@@ -144,7 +142,7 @@ func main() {
 		if *telemJSON == "" {
 			*telemJSON = strings.TrimSuffix(*bench, ".json") + ".telemetry.json"
 		}
-		if err := runBench(*bench, *workers, *gsdWorkers, reg, *scale); err != nil {
+		if err := runBench(*bench, *workers, reg, *scale); err != nil {
 			logger.Error("bench failed", "error", err)
 			os.Exit(1)
 		}

@@ -135,24 +135,12 @@ func NewFleet(sites []FleetSite, beta float64, slots int, opts gsd.Options) (*Fl
 // default) runs sites sequentially; n > 1 fans them across up to n
 // goroutines with bit-identical results (see the design rules above).
 // Negative n is an explicit error, the cliutil.WorkersFor rule.
-//
-// When n exceeds the site count the surplus cores would idle in the
-// site fan-out, so they are handed to the sites themselves: each site's
-// GSD chain runs its speculative evaluator with n/len(Sites) workers
-// (gsd.Options.Workers), which is bit-identical to the sequential chain.
 // Call SetWorkers before stepping.
 func (f *Fleet) SetWorkers(n int) error {
 	if err := cliutil.WorkersFor("geo.Fleet.SetWorkers", n); err != nil {
 		return err
 	}
 	f.workers = n
-	inSite := 0
-	if n > len(f.Sites) {
-		inSite = n / len(f.Sites)
-	}
-	for i := range f.solvers {
-		f.solvers[i].Opts.Workers = inSite
-	}
 	return nil
 }
 

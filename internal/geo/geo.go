@@ -26,6 +26,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
 	"repro/internal/trace"
+	"repro/internal/workpool"
 )
 
 // Site is one data center in the federation.
@@ -349,7 +350,7 @@ func (sys *System) ProportionalSplit(lambda float64, v float64) (StepOutcome, er
 	k := len(sys.Sites)
 	out := StepOutcome{Sites: make([]SiteOutcome, k)}
 	errs := make([]error, k)
-	fanEval(sys.workers(), k, func(i int) {
+	workpool.Fan(sys.workers(), k, func(i int) {
 		mu := lambda * sys.Sites[i].CapacityRPS() / total
 		so := SiteOutcome{LoadRPS: mu}
 		if mu > 0 {

@@ -100,7 +100,7 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 	// the worker pool. Each job writes only its own table slot, so the
 	// result — and the lowest-index error below — is independent of
 	// scheduling.
-	fanEval(sys.workers(), k, eval)
+	workpool.Fan(sys.workers(), k, eval)
 	for i := range cand {
 		if !cand[i].capOK {
 			continue
@@ -151,11 +151,4 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 		}
 	}
 	return plan, nil
-}
-
-// fanEval runs eval(0..n-1) on up to `workers` goroutines via the shared
-// bounded pool: each job writes only its own slot, so results carry no
-// ordering dependence. workers <= 1 degrades to the plain sequential loop.
-func fanEval(workers, n int, eval func(int)) {
-	workpool.Fan(workers, n, eval)
 }

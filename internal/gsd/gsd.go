@@ -56,13 +56,10 @@ type Options struct {
 	Failed []bool
 	// RecordHistory enables per-iteration incumbent tracking (Fig. 4).
 	RecordHistory bool
-	// Workers, when > 1, enables the speculative parallel chain in the
-	// sequential engine: proposal load splits are pre-evaluated on this many
-	// goroutines ahead of the strictly sequential accept/reject replay, so
-	// the Result is bit-for-bit identical to a Workers <= 1 run (see
-	// DESIGN.md "Speculative Gibbs chain"). 0 and 1 both mean sequential;
-	// negative is an error. SolveDistributed ignores it (that engine's
-	// parallelism is the per-group goroutine protocol itself).
+	// Workers has no effect and is not validated. Algorithm 2 is a strictly
+	// sequential chain, and both engines ignore this field. It remains only
+	// because the benchmark module (bench/) still sets it; it goes when
+	// that caller does.
 	Workers int
 	// Metrics, when non-nil, records iteration/acceptance totals,
 	// patience exits, warm-start cold fallbacks and per-solve wall time.
@@ -253,7 +250,6 @@ type engine struct {
 	eval  dcmodel.Solution
 	cache proposalCache
 	propG int
-	spec  specState
 }
 
 func newEngine(p *dcmodel.SlotProblem, opts Options) (*engine, error) {
@@ -274,9 +270,6 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	n := len(p.Cluster.Groups)
 	if opts.Failed != nil && len(opts.Failed) != n {
 		return fmt.Errorf("gsd: Failed has %d entries for %d groups", len(opts.Failed), n)
-	}
-	if opts.Workers < 0 {
-		return fmt.Errorf("gsd: Options.Workers must be >= 0; got %d", opts.Workers)
 	}
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 200 * n
@@ -339,7 +332,6 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	e.bestEver.CopyFrom(&e.best)
 	e.resetCache()
 	e.propG = -1
-	e.spec.reset()
 	return nil
 }
 
@@ -389,23 +381,6 @@ func (e *engine) evalExploration() (*dcmodel.Solution, error) {
 		e.eval.Value = ent.value
 		return &e.eval, nil
 	}
-	if se := e.spec.take(g, k, e.cache.epoch); se != nil {
-		// A speculative worker already solved this proposal against the
-		// frozen incumbent. The worker's SolveInto is bit-identical to the
-		// main instance's (same SetSpeed delta from the same incumbent,
-		// fresh-ordered-sums invariant), so serving it — and storing it
-		// through to the memo exactly as a fresh solve would — leaves the
-		// chain unchanged.
-		if se.failed {
-			e.cache.store(g, k, true, 0, nil)
-			return nil, loadbalance.ErrInfeasible
-		}
-		e.eval.Speeds = append(e.eval.Speeds[:0], e.speeds...)
-		e.eval.Load = append(e.eval.Load[:0], se.load...)
-		e.eval.Value = se.value
-		e.cache.store(g, k, false, se.value, se.load)
-		return &e.eval, nil
-	}
 	if err := e.inst.SolveInto(&e.eval); err != nil {
 		// Every load-split failure surfaces as ErrInfeasible, so a boolean
 		// memo reproduces the error (and its span string) exactly.
@@ -432,9 +407,6 @@ func (e *engine) revertProposal() {
 // instance. The span bookkeeping never touches e.rng, so traced and
 // untraced runs draw the identical random sequence.
 func (e *engine) step() {
-	if e.spec.enabled {
-		e.specAdvance()
-	}
 	delta := e.opts.temperature(e.iters)
 	var sweep *span.Span
 	if e.opts.Tracer != nil {
@@ -516,7 +488,6 @@ func (e *engine) run() Result {
 			span.Int("groups", len(e.p.Cluster.Groups)),
 			span.Float("lambda_rps", e.p.LambdaRPS))
 	}
-	e.initSpec()
 	noImprove := 0
 	patienceExit := false
 	lastBest := e.bestEver.Value
@@ -533,26 +504,15 @@ func (e *engine) run() Result {
 			}
 		}
 	}
-	e.finishSpec()
 	if solveSpan != nil {
 		solveSpan.Set(
 			span.Int("iters", e.iters), span.Int("accepted", e.accept),
 			span.Float("best_value", e.bestEver.Value),
 			span.Bool("patience_exit", patienceExit))
-		if e.spec.enabled {
-			solveSpan.Set(
-				span.Int("workers", e.spec.workers),
-				span.Int("spec_windows", e.spec.windows),
-				span.Int("spec_hits", e.spec.hits),
-				span.Int("spec_wasted", e.spec.wasted))
-		}
 		solveSpan.End()
 	}
 	if m := e.opts.Metrics; m != nil {
 		m.FinishSolve(e.iters, e.accept, patienceExit, time.Since(start).Seconds())
-		if e.spec.enabled {
-			m.FinishSpec(e.spec.windows, e.spec.evals, e.spec.hits, e.spec.wasted)
-		}
 	}
 	return Result{
 		Solution: e.bestEver,

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/dcmodel"
-	"repro/internal/workpool"
 )
 
 // ErrNeedsDelayWeight is returned by SolveDistributed when Wd = 0: with no
@@ -17,38 +16,22 @@ var ErrNeedsDelayWeight = errors.New("loadbalance: distributed solver requires W
 // (ω, ν) price signals to the server groups and aggregating their replies.
 // Each group is an autonomous agent: it answers a price query from nothing
 // but its own parameters, mirroring the dual-decomposition structure the
-// paper references ([5], [27]). The agents used to be one goroutine each;
-// at fleet scale (10k+ groups per site) that is 10k parked goroutines per
-// solve, so a round now fans the queries across a bounded worker pool —
-// every agent writes only its own reply slot, so the aggregate (summed in
-// agent-index order) is identical under any schedule, including the
-// sequential workers <= 1 path.
+// paper references ([5], [27]). A round queries the agents in index order
+// and sums their replies in that same order.
 type distCoordinator struct {
-	in      *Instance
-	workers int       // pool width for a broadcast round; <=1 sequential
-	loads   []float64 // per-agent reply: load accepted at the announced price
-	rounds  int       // broadcast rounds executed (the protocol's message cost)
-}
-
-func newDistCoordinator(in *Instance, workers int) *distCoordinator {
-	return &distCoordinator{
-		in:      in,
-		workers: workers,
-		loads:   make([]float64, len(in.gIdx)),
-	}
+	in     *Instance
+	loads  []float64 // per-agent reply: load accepted at the announced price
+	rounds int       // broadcast rounds executed (the protocol's message cost)
 }
 
 // round broadcasts one (ω, ν) price and gathers every agent's response into
 // the coordinator's reply slots, returning their agent-index-ordered sum.
 func (d *distCoordinator) round(omega, nu float64) float64 {
 	d.rounds++
-	in := d.in
-	workpool.Fan(d.workers, len(d.loads), func(agent int) {
-		d.loads[agent] = in.alloc(agent, omega, nu)
-	})
 	var s float64
-	for _, l := range d.loads {
-		s += l
+	for agent := range d.loads {
+		d.loads[agent] = d.in.alloc(agent, omega, nu)
+		s += d.loads[agent]
 	}
 	return s
 }
@@ -135,15 +118,6 @@ func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, e
 // expansion plus bisection, summed over every ω the outer search tried) —
 // the message cost a real deployment would pay per load split.
 func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
-	return SolveDistributedWorkers(p, speeds, 1)
-}
-
-// SolveDistributedWorkers is SolveDistributedCounted with the agent replies
-// of each broadcast round fanned across up to `workers` goroutines.
-// workers <= 1 runs rounds sequentially; every width produces bit-for-bit
-// the same solution and round count, since agents only ever write their own
-// reply slot and the coordinator aggregates in agent-index order.
-func SolveDistributedWorkers(p *dcmodel.SlotProblem, speeds []int, workers int) (dcmodel.Solution, int, error) {
 	if p.Wd <= 0 {
 		return dcmodel.Solution{}, 0, ErrNeedsDelayWeight
 	}
@@ -151,7 +125,7 @@ func SolveDistributedWorkers(p *dcmodel.SlotProblem, speeds []int, workers int) 
 	if err != nil {
 		return dcmodel.Solution{}, 0, err
 	}
-	d := newDistCoordinator(in, workers)
+	d := &distCoordinator{in: in, loads: make([]float64, len(in.gIdx))}
 	loads, err := in.solveWith(d)
 	if err != nil {
 		return dcmodel.Solution{}, d.rounds, err

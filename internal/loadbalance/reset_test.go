@@ -11,7 +11,7 @@ import (
 // from a dirtied state (pending SetSpeed mutations) — and requires every
 // re-prepared instance to solve bit-for-bit identically to a fresh
 // NewInstance build. This is the invariant that lets the GSD engine pool
-// recycle instances and the speculative chain re-sync worker clones.
+// recycle instances.
 func TestResetMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(91)
 	in := &Instance{}

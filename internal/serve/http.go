@@ -204,6 +204,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	for {
 		var in SlotInput
 		if err := dec.Decode(&in); err != nil {

@@ -153,6 +153,36 @@ func TestHandlerIngestErrorRecord(t *testing.T) {
 	}
 }
 
+// TestHandlerIngestRejectsUnknownField pins /ingest to the /decide rule:
+// a misspelled key is an error record, not a silently zero-valued slot.
+func TestHandlerIngestRejectsUnknownField(t *testing.T) {
+	s, srv := testServer(t)
+	resp, err := http.Post(srv.URL+"/ingest", "application/x-ndjson",
+		strings.NewReader(`{"lambda": 10, "onsite_kw": 1, "price_usd_per_kwh": 0.05}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines []map[string]any
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, m)
+	}
+	if len(lines) != 1 {
+		t.Fatalf("got %d records, want one error record: %v", len(lines), lines)
+	}
+	if _, ok := lines[0]["error"]; !ok {
+		t.Fatalf("record is not an error: %v", lines[0])
+	}
+	if st := s.State(); st.Slot != 0 {
+		t.Fatalf("state slot %d after a rejected record, want 0", st.Slot)
+	}
+}
+
 func TestHandlerStateCheckpointTelemetry(t *testing.T) {
 	s, srv := testServer(t)
 	drive(t, s, testSlots(t, 0, 5))

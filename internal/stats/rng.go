@@ -44,30 +44,6 @@ func (g *RNG) Reseed(seed uint64) {
 	g.src.Seed(seed, seed^0x9e3779b97f4a7c15)
 }
 
-// Clone returns an independent copy positioned at the same point in the
-// stream: the clone and the original produce identical future draws without
-// affecting each other. Useful for speculative look-ahead that must not
-// advance the real stream.
-func (g *RNG) Clone() *RNG {
-	c := NewRNG(0)
-	g.CloneInto(c)
-	return c
-}
-
-// CloneInto copies the generator state into dst (allocation-free after the
-// first use), leaving dst positioned exactly where g is in the stream.
-func (g *RNG) CloneInto(dst *RNG) {
-	state, err := g.src.MarshalBinary()
-	if err != nil {
-		// PCG.MarshalBinary cannot fail; keep the invariant loud if the
-		// runtime ever changes that.
-		panic("stats: PCG MarshalBinary failed: " + err.Error())
-	}
-	if err := dst.src.UnmarshalBinary(state); err != nil {
-		panic("stats: PCG UnmarshalBinary failed: " + err.Error())
-	}
-}
-
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

@@ -168,3 +168,22 @@ func TestIntNRange(t *testing.T) {
 		}
 	}
 }
+
+// TestReseedMatchesFresh pins Reseed's contract: after Reseed(s) a consumed
+// generator produces the exact stream NewRNG(s) would.
+func TestReseedMatchesFresh(t *testing.T) {
+	g := NewRNG(1)
+	for i := 0; i < 1000; i++ {
+		g.Float64()
+		g.IntN(17)
+	}
+	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
+		g.Reseed(seed)
+		fresh := NewRNG(seed)
+		for i := 0; i < 200; i++ {
+			if a, b := g.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: %d != %d", seed, i, a, b)
+			}
+		}
+	}
+}

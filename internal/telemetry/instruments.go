@@ -89,17 +89,8 @@ type SolveMetrics struct {
 	ColdFallbacks *Counter // warm starts dropped (stale length or infeasible)
 	DualRounds    *Counter // dual-decomposition rounds (distributed engine only)
 
-	// Speculative-chain stats (sequential engine with Options.Workers > 1):
-	// windows opened, proposals evaluated ahead of the replay, evaluations
-	// the replay actually consumed, and evaluations discarded unused.
-	SpecWindows *Counter
-	SpecEvals   *Counter
-	SpecHits    *Counter
-	SpecWasted  *Counter
-
 	SolveSeconds *Histogram // wall time per solve
 	ItersPerRun  *Histogram // iterations per solve (convergence effort)
-	WindowSize   *Histogram // speculated steps per window (parallel chain)
 }
 
 // NewSolveMetrics registers a solver's instruments under prefix.
@@ -112,13 +103,8 @@ func NewSolveMetrics(r *Registry, prefix string) *SolveMetrics {
 		PatienceExits: r.Counter(p + "patience_exits"),
 		ColdFallbacks: r.Counter(p + "cold_fallbacks"),
 		DualRounds:    r.Counter(p + "dual_rounds"),
-		SpecWindows:   r.Counter(p + "spec_windows"),
-		SpecEvals:     r.Counter(p + "spec_evals"),
-		SpecHits:      r.Counter(p + "spec_hits"),
-		SpecWasted:    r.Counter(p + "spec_wasted"),
 		SolveSeconds:  r.Histogram(p+"solve_seconds", ExpBuckets(1e-5, 4, 12)),
 		ItersPerRun:   r.Histogram(p+"iterations_per_solve", ExpBuckets(8, 2, 12)),
-		WindowSize:    r.Histogram(p+"spec_window_size", ExpBuckets(1, 2, 10)),
 	}
 }
 
@@ -132,21 +118,6 @@ func (m *SolveMetrics) FinishSolve(iters, accepted int, patienceExit bool, secon
 	}
 	m.SolveSeconds.Observe(seconds)
 	m.ItersPerRun.Observe(float64(iters))
-}
-
-// FinishSpec folds one parallel solve's speculation accounting into the
-// instruments. The sequential engine (Workers <= 1) opens no windows and
-// never calls it.
-func (m *SolveMetrics) FinishSpec(windows, evals, hits, wasted int) {
-	m.SpecWindows.Add(float64(windows))
-	m.SpecEvals.Add(float64(evals))
-	m.SpecHits.Add(float64(hits))
-	m.SpecWasted.Add(float64(wasted))
-}
-
-// ObserveWindow records the size of one speculative window.
-func (m *SolveMetrics) ObserveWindow(steps int) {
-	m.WindowSize.Observe(float64(steps))
 }
 
 // GeoSiteMetrics is one federation site's slice of GeoMetrics. The
@@ -309,19 +280,14 @@ type FleetMetrics struct {
 	siteDeficit *LabeledGauge
 
 	// Per-shard GSD solve stats, one SolveMetrics view per site.
-	shardSolves     *LabeledCounter
-	shardIters      *LabeledCounter
-	shardAccepted   *LabeledCounter
-	shardPatience   *LabeledCounter
-	shardCold       *LabeledCounter
-	shardDual       *LabeledCounter
-	shardSpecWins   *LabeledCounter
-	shardSpecEvals  *LabeledCounter
-	shardSpecHits   *LabeledCounter
-	shardSpecWaste  *LabeledCounter
-	shardSeconds    *LabeledHistogram
-	shardItersRun   *LabeledHistogram
-	shardWindowSize *LabeledHistogram
+	shardSolves   *LabeledCounter
+	shardIters    *LabeledCounter
+	shardAccepted *LabeledCounter
+	shardPatience *LabeledCounter
+	shardCold     *LabeledCounter
+	shardDual     *LabeledCounter
+	shardSeconds  *LabeledHistogram
+	shardItersRun *LabeledHistogram
 
 	sites  map[string]*FleetSiteMetrics
 	shards map[string]*SolveMetrics
@@ -345,19 +311,14 @@ func NewFleetMetrics(r *Registry, prefix string) *FleetMetrics {
 		siteErrors:  r.LabeledCounter(p+"site.solve_errors", "solver failures surfaced by the site's shard", "site"),
 		siteDeficit: r.LabeledGauge(p+"site.deficit_kwh", "site carbon-deficit queue length", "site"),
 
-		shardSolves:     r.LabeledCounter(p+"shard.solves", "GSD solves run by the site's shard", "site"),
-		shardIters:      r.LabeledCounter(p+"shard.iterations", "GSD iterations spent by the site's shard", "site"),
-		shardAccepted:   r.LabeledCounter(p+"shard.accepted_moves", "GSD moves accepted by the site's shard", "site"),
-		shardPatience:   r.LabeledCounter(p+"shard.patience_exits", "solves stopped early by the patience criterion", "site"),
-		shardCold:       r.LabeledCounter(p+"shard.cold_fallbacks", "warm starts dropped by the site's shard", "site"),
-		shardDual:       r.LabeledCounter(p+"shard.dual_rounds", "dual-decomposition rounds run by the site's shard", "site"),
-		shardSpecWins:   r.LabeledCounter(p+"shard.spec_windows", "speculative windows opened by the site's shard", "site"),
-		shardSpecEvals:  r.LabeledCounter(p+"shard.spec_evals", "proposals evaluated speculatively by the site's shard", "site"),
-		shardSpecHits:   r.LabeledCounter(p+"shard.spec_hits", "speculative evaluations consumed by the replay", "site"),
-		shardSpecWaste:  r.LabeledCounter(p+"shard.spec_wasted", "speculative evaluations discarded unused", "site"),
-		shardSeconds:    r.LabeledHistogram(p+"shard.solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12), "site"),
-		shardItersRun:   r.LabeledHistogram(p+"shard.iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12), "site"),
-		shardWindowSize: r.LabeledHistogram(p+"shard.spec_window_size", "speculated steps per window", ExpBuckets(1, 2, 10), "site"),
+		shardSolves:   r.LabeledCounter(p+"shard.solves", "GSD solves run by the site's shard", "site"),
+		shardIters:    r.LabeledCounter(p+"shard.iterations", "GSD iterations spent by the site's shard", "site"),
+		shardAccepted: r.LabeledCounter(p+"shard.accepted_moves", "GSD moves accepted by the site's shard", "site"),
+		shardPatience: r.LabeledCounter(p+"shard.patience_exits", "solves stopped early by the patience criterion", "site"),
+		shardCold:     r.LabeledCounter(p+"shard.cold_fallbacks", "warm starts dropped by the site's shard", "site"),
+		shardDual:     r.LabeledCounter(p+"shard.dual_rounds", "dual-decomposition rounds run by the site's shard", "site"),
+		shardSeconds:  r.LabeledHistogram(p+"shard.solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12), "site"),
+		shardItersRun: r.LabeledHistogram(p+"shard.iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12), "site"),
 
 		sites:  make(map[string]*FleetSiteMetrics),
 		shards: make(map[string]*SolveMetrics),
@@ -403,13 +364,8 @@ func (m *FleetMetrics) SiteSolveMetrics(name string) *SolveMetrics {
 		PatienceExits: m.shardPatience.With(name),
 		ColdFallbacks: m.shardCold.With(name),
 		DualRounds:    m.shardDual.With(name),
-		SpecWindows:   m.shardSpecWins.With(name),
-		SpecEvals:     m.shardSpecEvals.With(name),
-		SpecHits:      m.shardSpecHits.With(name),
-		SpecWasted:    m.shardSpecWaste.With(name),
 		SolveSeconds:  m.shardSeconds.With(name),
 		ItersPerRun:   m.shardItersRun.With(name),
-		WindowSize:    m.shardWindowSize.With(name),
 	}
 	m.shards[name] = s
 	return s
