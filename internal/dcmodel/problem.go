@@ -105,11 +105,8 @@ func (p *SlotProblem) Validate() error {
 	if err := p.Cluster.Validate(); err != nil {
 		return err
 	}
-	if p.LambdaRPS < 0 || math.IsNaN(p.LambdaRPS) {
-		return fmt.Errorf("dcmodel: negative arrival rate %v", p.LambdaRPS)
-	}
-	if p.We < 0 || p.Wd < 0 {
-		return fmt.Errorf("dcmodel: negative weights We=%v Wd=%v", p.We, p.Wd)
+	if err := p.CheckScalars(); err != nil {
+		return err
 	}
 	top := make([]int, len(p.Cluster.Groups))
 	for g := range top {
@@ -118,6 +115,25 @@ func (p *SlotProblem) Validate() error {
 	if p.LambdaRPS > p.Cluster.UsableCapacityRPS(top)*(1+1e-12) {
 		return fmt.Errorf("dcmodel: arrival rate %v exceeds usable capacity %v",
 			p.LambdaRPS, p.Cluster.UsableCapacityRPS(top))
+	}
+	return nil
+}
+
+// CheckScalars reports whether the problem's scalars are usable: λ, We
+// and Wd finite and ≥ 0, r(t) finite. It is O(1) and allocates only for
+// the error, so per-slot hot paths (loadbalance.Instance.Reset) run it
+// where the O(groups) Validate would be too dear. A NaN anywhere here
+// would otherwise come back as a NaN objective or a near-empty split with
+// no error.
+func (p *SlotProblem) CheckScalars() error {
+	if !(p.LambdaRPS >= 0) || math.IsInf(p.LambdaRPS, 1) {
+		return fmt.Errorf("dcmodel: arrival rate %v is not finite and ≥ 0", p.LambdaRPS)
+	}
+	if !(p.We >= 0) || !(p.Wd >= 0) || math.IsInf(p.We, 1) || math.IsInf(p.Wd, 1) {
+		return fmt.Errorf("dcmodel: weights We=%v Wd=%v are not finite and ≥ 0", p.We, p.Wd)
+	}
+	if math.IsNaN(p.OnsiteKW) || math.IsInf(p.OnsiteKW, 0) {
+		return fmt.Errorf("dcmodel: on-site supply %v kW is not finite", p.OnsiteKW)
 	}
 	return nil
 }

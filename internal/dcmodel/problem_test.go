@@ -98,6 +98,45 @@ func TestSlotProblemValidate(t *testing.T) {
 	}
 }
 
+// TestSlotProblemValidateNonFinite pins that Validate and CheckScalars
+// reject a NaN or infinite λ, We, Wd or r(t), and a negative weight; a NaN
+// weight or supply used to pass and solve to a NaN objective.
+func TestSlotProblemValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*SlotProblem)
+	}{
+		{"lambda NaN", func(p *SlotProblem) { p.LambdaRPS = nan }},
+		{"lambda +Inf", func(p *SlotProblem) { p.LambdaRPS = inf }},
+		{"lambda negative", func(p *SlotProblem) { p.LambdaRPS = -1 }},
+		{"We NaN", func(p *SlotProblem) { p.We = nan }},
+		{"We +Inf", func(p *SlotProblem) { p.We = inf }},
+		{"We negative", func(p *SlotProblem) { p.We = -1 }},
+		{"Wd NaN", func(p *SlotProblem) { p.Wd = nan }},
+		{"Wd +Inf", func(p *SlotProblem) { p.Wd = inf }},
+		{"Wd negative", func(p *SlotProblem) { p.Wd = -1 }},
+		{"OnsiteKW NaN", func(p *SlotProblem) { p.OnsiteKW = nan }},
+		{"OnsiteKW +Inf", func(p *SlotProblem) { p.OnsiteKW = inf }},
+		{"OnsiteKW -Inf", func(p *SlotProblem) { p.OnsiteKW = -inf }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := SlotProblem{Cluster: smallCluster(), LambdaRPS: 100, We: 1, Wd: 1, OnsiteKW: 5}
+			if err := p.CheckScalars(); err != nil {
+				t.Fatalf("valid scalars rejected: %v", err)
+			}
+			tc.edit(&p)
+			if err := p.Validate(); err == nil {
+				t.Error("Validate accepted it")
+			}
+			if err := p.CheckScalars(); err == nil {
+				t.Error("CheckScalars accepted it")
+			}
+		})
+	}
+}
+
 func TestSlotProblemFeasibleGate(t *testing.T) {
 	c := smallCluster()
 	p := SlotProblem{Cluster: c, LambdaRPS: 150, We: 1, Wd: 1}

@@ -41,6 +41,30 @@ func TestSolveProducesFeasibleSolution(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsNonFiniteScalars pins that a NaN weight or on-site
+// supply is an error, not a chain over NaN objectives.
+func TestSolveRejectsNonFiniteScalars(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		edit func(*dcmodel.SlotProblem)
+	}{
+		{"We NaN", func(p *dcmodel.SlotProblem) { p.We = nan }},
+		{"Wd NaN", func(p *dcmodel.SlotProblem) { p.Wd = nan }},
+		{"OnsiteKW NaN", func(p *dcmodel.SlotProblem) { p.OnsiteKW = nan }},
+		{"OnsiteKW +Inf", func(p *dcmodel.SlotProblem) { p.OnsiteKW = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallProblem(4, 60)
+			tc.edit(p)
+			if res, err := Solve(p, Options{Delta: 1e4, MaxIters: 100, Seed: 1}); err == nil {
+				t.Errorf("Solve returned Value %v with a nil error", res.Solution.Value)
+			}
+		})
+	}
+}
+
 func TestSolveDeterministicWithSeed(t *testing.T) {
 	p := smallProblem(3, 40)
 	a, err := Solve(p, Options{Delta: 1e4, MaxIters: 300, Seed: 7, RecordHistory: true})

@@ -11,11 +11,16 @@ import (
 	"repro/internal/stats"
 )
 
-// probeCounter is an instance's fill system with its price probes and the
-// exact sums they fell back to counted.
+// probeCounter is an instance's fill system with its price probes, the
+// exact sums they fell back to and the locator's slope sweeps counted.
 type probeCounter struct {
 	*fillSystem
-	probes, exact int
+	probes, exact, slopes int
+}
+
+func (c *probeCounter) SumAllocSlope(nu float64) (float64, float64) {
+	c.slopes++
+	return c.fillSystem.SumAllocSlope(nu)
 }
 
 func (c *probeCounter) SumAllocBound(nu float64) (float64, float64) {
@@ -28,12 +33,15 @@ func (c *probeCounter) SumAlloc(nu float64) float64 {
 	return c.fillSystem.SumAlloc(nu)
 }
 
-// TestCertifiedProbesRarelyFallBack pins the saving of certified probes on
-// the two LoadSplitProposal clusters: over a proposal loop (one speed delta,
-// fills at the grid, surplus and an intermediate electricity weight, then
-// the rollback) the estimate must decide almost every probe. A bound that is
-// sound but too loose would send most probes to the O(groups) exact sum and
-// give the whole saving back without changing a bit; this catches that.
+// TestCertifiedProbesRarelyFallBack pins the saving of certified probes and
+// of the located price search on the two LoadSplitProposal clusters: over a
+// proposal loop (one speed delta, fills at the grid, surplus and an
+// intermediate electricity weight, then the rollback) the estimate must
+// decide almost every probe, and the locator must settle most bisection
+// steps without one. A bound that is sound but too loose would send most
+// probes to the O(groups) exact sum, and a locator that stops locating
+// would go back to a probe per step; neither changes a bit, so this test
+// is what catches them.
 func TestCertifiedProbesRarelyFallBack(t *testing.T) {
 	site := dcmodel.HeterogeneousCluster(390, 39)
 	cases := []struct {
@@ -44,7 +52,7 @@ func TestCertifiedProbesRarelyFallBack(t *testing.T) {
 		{"paper-200", dcmodel.PaperCluster(200), 4e5, 2000},
 		{"site-390x39", site, 0.3 * site.MaxCapacityRPS(), 0.5},
 	}
-	const maxExactPerFill = 5
+	const maxExactPerFill, maxSweepsPerFill = 5, 20
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := len(tc.cluster.Groups)
@@ -77,12 +85,16 @@ func TestCertifiedProbesRarelyFallBack(t *testing.T) {
 				}
 				in.Revert()
 			}
-			perFill := float64(pc.exact) / float64(fills)
-			t.Logf("%d fills: %.1f probes and %.2f exact sums per fill",
-				fills, float64(pc.probes)/float64(fills), perFill)
-			if perFill > maxExactPerFill {
+			perFill := func(k int) float64 { return float64(k) / float64(fills) }
+			t.Logf("%d fills: %.1f probes, %.2f exact sums and %.1f slope sweeps per fill",
+				fills, perFill(pc.probes), perFill(pc.exact), perFill(pc.slopes))
+			if perFill(pc.exact) > maxExactPerFill {
 				t.Fatalf("%.2f exact sums per fill (of %.1f probes), want at most %d",
-					perFill, float64(pc.probes)/float64(fills), maxExactPerFill)
+					perFill(pc.exact), perFill(pc.probes), maxExactPerFill)
+			}
+			if sweeps := perFill(pc.probes + pc.slopes); sweeps > maxSweepsPerFill {
+				t.Fatalf("%.1f class sweeps per fill (%.1f probes, %.1f slope sweeps), want at most %d",
+					sweeps, perFill(pc.probes), perFill(pc.slopes), maxSweepsPerFill)
 			}
 		})
 	}
@@ -185,4 +197,75 @@ func regimeOf(in *Instance) string {
 		return "surplus"
 	}
 	return "kink"
+}
+
+// TestSumAllocMonotoneBitwise pins the BulkWaterSystem contract the located
+// price search rests on: the computed SumAlloc never decreases from ν to
+// the next float up. It walks ulp by ulp around every class's entry price
+// (where its allocation leaves 0) and cap price (where it reaches γ·R),
+// through the root of the fill and across random prices spanning the
+// bracket, at the grid, surplus and an intermediate (kink) electricity
+// weight, on both LoadSplitProposal clusters.
+func TestSumAllocMonotoneBitwise(t *testing.T) {
+	site := dcmodel.HeterogeneousCluster(390, 39)
+	cases := []struct {
+		name    string
+		cluster *dcmodel.Cluster
+		lambda  float64
+	}{
+		{"paper-200", dcmodel.PaperCluster(200), 4e5},
+		{"site-390x39", site, 0.3 * site.MaxCapacityRPS()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.cluster.Groups)
+			speeds := make([]int, n)
+			for i := range speeds {
+				speeds[i] = 1 + i%4
+			}
+			p := &dcmodel.SlotProblem{Cluster: tc.cluster, LambdaRPS: tc.lambda, We: 0.07, Wd: 0.02}
+			in, err := NewInstance(p, speeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := stats.NewRNG(0x3070 + uint64(n))
+			s := &in.sys
+			checked, rises := 0, 0
+			walk := func(nu float64, steps int) {
+				e := s.SumAlloc(nu)
+				for k := 0; k < steps; k++ {
+					next := math.Nextafter(nu, math.Inf(1))
+					en := s.SumAlloc(next)
+					if !(e <= en) {
+						t.Fatalf("SumAlloc(%v) = %v > SumAlloc(%v) = %v", nu, e, next, en)
+					}
+					if en > e {
+						rises++
+					}
+					checked++
+					nu, e = next, en
+				}
+			}
+			for _, omega := range []float64{p.We, 0, p.We / 3} {
+				s.prepare(omega)
+				lo, hi := s.ZeroDerivRange()
+				for _, c := range s.tab.rows {
+					walk(c.oslope+c.wdnr/(c.rate*c.rate), 200) // entry: v leaves 0
+					gap := c.rate - c.cap                      // cap: v reaches γ·R
+					walk(c.oslope+c.wdnr/(gap*gap), 200)
+				}
+				for _, frac := range []float64{0.05, 0.5, 0.95, 0.999} {
+					target := frac * in.capSum
+					walk(numopt.BisectMonotone(s.SumAlloc, target, lo, 64*(hi-lo)+hi, 0, 200), 200)
+				}
+				for k := 0; k < 200; k++ {
+					walk(lo+rng.Uniform(-0.1, 64)*(hi-lo), 20)
+				}
+			}
+			if rises < checked/20 {
+				t.Fatalf("only %d of %d steps raised the sum; the walk misses the moving regime", rises, checked)
+			}
+			t.Logf("%d ulp steps, %d strict rises", checked, rises)
+		})
+	}
 }

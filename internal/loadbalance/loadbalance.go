@@ -205,6 +205,35 @@ func (s *fillSystem) SumAllocBound(nu float64) (est, slack float64) {
 	return est, numopt.ClassSumSlack(est, n, classes)
 }
 
+// SumAllocSlope implements numopt.BulkWaterSystem: the class-weighted sum
+// of classAlloc's values and its derivative in nu. A row strictly inside
+// (0, cap) has v = R − q with q = √(wdnr/rem), whose derivative is
+// ½·q/rem; a row at 0 or at cap contributes no slope. It writes no row
+// state, so it may run between any two probes.
+func (s *fillSystem) SumAllocSlope(nu float64) (est, slope float64) {
+	wd, rows := s.in.prob.Wd, s.tab.rows
+	for r := range rows {
+		c := &rows[r]
+		rem := nu - c.oslope
+		switch {
+		case rem <= 0:
+		case wd <= 0:
+			est += c.cnt * c.cap
+		default:
+			q := math.Sqrt(c.wdnr / rem)
+			switch v := c.rate - q; {
+			case v <= 0:
+			case v >= c.cap:
+				est += c.cnt * c.cap
+			default:
+				est += c.cnt * v
+				slope += c.cnt * 0.5 * q / rem
+			}
+		}
+	}
+	return est, slope
+}
+
 // CapSum implements numopt.BulkWaterSystem: the tracked Σ γ·R, the same
 // ascending sum over the on groups.
 func (s *fillSystem) CapSum() float64 { return s.in.capSum }
@@ -374,9 +403,14 @@ func NewInstance(p *dcmodel.SlotProblem, speeds []int) (*Instance, error) {
 // every internal buffer. The resulting state is bit-for-bit identical to a
 // fresh NewInstance build: the on-group slices are rebuilt in the same
 // ascending order with the same arithmetic, and the tracked sums come from
-// the same recompute. On error the instance is left invalid; it must be
-// Reset successfully before further use.
+// the same recompute. A problem whose scalars fail
+// dcmodel.SlotProblem.CheckScalars (a NaN or infinite λ, weight or on-site
+// supply, or a negative one) is an error. On error the instance is left
+// invalid; it must be Reset successfully before further use.
 func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
+	if err := p.CheckScalars(); err != nil {
+		return err
+	}
 	if len(speeds) != len(p.Cluster.Groups) {
 		return fmt.Errorf("loadbalance: %d speeds for %d groups",
 			len(speeds), len(p.Cluster.Groups))

@@ -162,6 +162,46 @@ func TestSolveInfeasible(t *testing.T) {
 	}
 }
 
+// TestResetRejectsBadScalars pins that NewInstance/Reset, and so Solve,
+// return an error for a NaN or infinite λ, weight or on-site supply and for
+// a negative weight. A NaN λ used to solve to a split carrying ~4e-6 RPS,
+// and a NaN We, Wd or OnsiteKW to Value = NaN, each with a nil error.
+func TestResetRejectsBadScalars(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*dcmodel.SlotProblem)
+	}{
+		{"lambda NaN", func(p *dcmodel.SlotProblem) { p.LambdaRPS = nan }},
+		{"lambda +Inf", func(p *dcmodel.SlotProblem) { p.LambdaRPS = inf }},
+		{"We NaN", func(p *dcmodel.SlotProblem) { p.We = nan }},
+		{"We +Inf", func(p *dcmodel.SlotProblem) { p.We = inf }},
+		{"We negative", func(p *dcmodel.SlotProblem) { p.We = -0.05 }},
+		{"Wd NaN", func(p *dcmodel.SlotProblem) { p.Wd = nan }},
+		{"Wd +Inf", func(p *dcmodel.SlotProblem) { p.Wd = inf }},
+		{"Wd negative", func(p *dcmodel.SlotProblem) { p.Wd = -0.01 }},
+		{"OnsiteKW NaN", func(p *dcmodel.SlotProblem) { p.OnsiteKW = nan }},
+		{"OnsiteKW +Inf", func(p *dcmodel.SlotProblem) { p.OnsiteKW = inf }},
+		{"OnsiteKW -Inf", func(p *dcmodel.SlotProblem) { p.OnsiteKW = -inf }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &dcmodel.SlotProblem{Cluster: twoGroups(true), LambdaRPS: 50, We: 0.05, Wd: 0.01, OnsiteKW: 1}
+			in, err := NewInstance(p, []int{4, 4})
+			if err != nil {
+				t.Fatalf("valid problem rejected: %v", err)
+			}
+			tc.edit(p)
+			if err := in.Reset(p, []int{4, 4}); err == nil {
+				t.Error("Reset accepted it")
+			}
+			if sol, err := Solve(p, []int{4, 4}); err == nil {
+				t.Errorf("Solve returned Value %v with a nil error", sol.Value)
+			}
+		})
+	}
+}
+
 func TestSolveZeroLoad(t *testing.T) {
 	c := twoGroups(false)
 	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 0, We: 1, Wd: 0.01}

@@ -87,26 +87,30 @@ func FuzzBisectMonotone(f *testing.F) {
 }
 
 // FuzzWaterFillCertified checks on random duplicate-heavy systems that the
-// certified-probe path returns the exact path's allocation bit for bit, at
-// a random total (pick 0) or at a total forced onto the pick-th exact probe
-// sum of that fill (a fill at total 0 or at capacity probes nothing).
+// certified-probe path, with and without the located price search, returns
+// the exact path's allocation bit for bit, at a random total (pick 0) or at
+// a total forced onto the pick-th exact probe sum of that fill (a fill at
+// total 0 or at capacity probes nothing), under true or adversarial slopes
+// (slope modulo the number of slope modes).
 func FuzzWaterFillCertified(f *testing.F) {
-	f.Add(uint64(1), uint16(200), uint8(4), 0.5, uint8(0))
-	f.Add(uint64(2), uint16(5000), uint8(3), 0.9, uint8(40))
-	f.Add(uint64(3), uint16(7), uint8(7), 0.1, uint8(1))
-	f.Add(uint64(4), uint16(104), uint8(50), 0.0, uint8(26)) // total 0: no probes
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, classes uint8, frac float64, pick uint8) {
+	f.Add(uint64(1), uint16(200), uint8(4), 0.5, uint8(0), uint8(0))
+	f.Add(uint64(2), uint16(5000), uint8(3), 0.9, uint8(40), uint8(0))
+	f.Add(uint64(3), uint16(7), uint8(7), 0.1, uint8(1), uint8(7))
+	f.Add(uint64(4), uint16(104), uint8(50), 0.0, uint8(26), uint8(4)) // total 0: no probes
+	f.Add(uint64(5), uint16(300), uint8(5), 0.7, uint8(44), uint8(6))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, classes uint8, frac float64, pick, slope uint8) {
 		if math.IsNaN(frac) || math.IsInf(frac, 0) {
 			return
 		}
 		items := 1 + int(n)%10000
-		q := classQuad(stats.NewRNG(seed), items, 1+int(classes)%items, boundCertified)
+		q := classQuad(stats.NewRNG(seed), items, 1+int(classes)%items, boundCertified).
+			with(boundCertified, slopeMode(int(slope)%int(numSlopeModes)))
 		total := math.Abs(math.Mod(frac, 1)) * q.CapSum()
 		if sums := exactProbes(q, total); pick > 0 && len(sums) > 0 {
 			total = sums[int(pick)%len(sums)]
 		}
 		if r := compareCertified(q, total); !r.agree {
-			t.Fatalf("certified fill differs from the exact path at total %v", total)
+			t.Fatalf("certified fill (slopes %v) differs from the exact path at total %v", q.slope, total)
 		}
 	})
 }

@@ -213,14 +213,24 @@ type WaterSystem interface {
 // Each price probe first asks SumAllocBound for a certified estimate of the
 // exact sum and takes SumAlloc only when the estimate cannot decide the
 // comparison at hand (see certProbe), so every decision, and hence every
-// output bit, is the one the exact sums would give.
+// output bit, is the one the exact sums would give. SumAllocSlope only
+// steers which probes are taken (see locatePrice); its values never reach
+// a decision.
 type BulkWaterSystem interface {
 	WaterSystem
-	// SumAlloc returns Σ_i Alloc(i, nu), accumulated in ascending i.
+	// SumAlloc returns Σ_i Alloc(i, nu), accumulated in ascending i. The
+	// computed sum MUST be non-decreasing in nu, bit for bit: nu ≤ nu'
+	// implies SumAlloc(nu) ≤ SumAlloc(nu'). A fixed-order sum of
+	// non-negative per-item values that are each non-decreasing in nu is,
+	// since rounded addition is monotone in each operand.
 	SumAlloc(nu float64) float64
 	// SumAllocBound returns an estimate of SumAlloc(nu) and a slack with
 	// |SumAlloc(nu) − est| ≤ slack; a zero slack promises est is exact.
 	SumAllocBound(nu float64) (est, slack float64)
+	// SumAllocSlope returns an estimate of SumAlloc(nu) and of its
+	// derivative in nu. It is advisory: any values, NaN included, may
+	// change how many probes a fill takes but never an output bit.
+	SumAllocSlope(nu float64) (est, slope float64)
 	// AllocInto writes Alloc(i, nu) into out[i] for i in [0, len(out)) and
 	// returns the ascending-order sum of the written values.
 	AllocInto(out []float64, nu float64) float64
@@ -268,7 +278,7 @@ func (w waterItems) Alloc(i int, nu float64) float64 { return w[i].Alloc(nu) }
 // for separable convex costs described by items, via bisection on the dual
 // price ν (the classic water-filling / KKT structure: λ_i(ν) = Alloc_i(ν)).
 // It returns the allocation, or ErrInfeasible when total exceeds Σ Cap_i or
-// total < 0.
+// is not ≥ 0 (negative or NaN).
 func WaterFill(items []WaterFillItem, total, tol float64) ([]float64, error) {
 	return WaterFillInto(waterItems(items), total, tol, nil)
 }
@@ -282,7 +292,7 @@ func WaterFill(items []WaterFillItem, total, tol float64) ([]float64, error) {
 // BulkWaterSystem takes the certified-probe path of bulkPrice, which
 // decides every comparison as the exact sums would.
 func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float64, error) {
-	if total < 0 {
+	if !(total >= 0) { // negative or NaN
 		return nil, ErrInfeasible
 	}
 	n := sys.Items()
@@ -349,11 +359,13 @@ func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float6
 
 // The price search's constants, shared by both paths: the bracket may
 // double at most bracketDoublings times, and the bisection stops after
-// bisectIters steps or once the bracket is bisectRelTol of its start.
+// bisectIters steps or once the bracket is bisectRelTol of its start. The
+// bulk path's locator takes at most locateIters slope sweeps.
 const (
 	bracketDoublings = 200
 	bisectIters      = 120
 	bisectRelTol     = 1e-13
+	locateIters      = 16
 )
 
 // itemPrice is the per-item path's search for the price ν at which
@@ -457,6 +469,17 @@ func bulkPrice(b BulkWaterSystem, total float64) float64 {
 // bisectCertified is bisectMonotoneFrom with every comparison of a probe
 // sum made through certProbe, in the same order and with the same
 // operators, so it takes the same branch at every step.
+//
+// When the sums increase it first locates the price: a certified inner
+// bracket (a, c) with E(a) < target < E(c), both strict, for the exact sum
+// E = SumAlloc. E is non-decreasing in ν bit for bit (the BulkWaterSystem
+// contract), so every midpoint m ≤ a has E(m) ≤ E(a) < target: the exact
+// path's gm == target test fails there and it sets lo = m. Likewise every
+// m ≥ c has E(m) > target and sets hi = m. Those steps are taken without a
+// probe; the midpoints inside (a, c) are probed as before. The endpoints,
+// midpoints and stop rule are the exact path's, so is every decision, and
+// so is the returned ν. A side that fails to certify stays at ∓Inf and
+// decides nothing.
 func bisectCertified(b BulkWaterSystem, target, lo, hi float64, plo, phi *certProbe, xtol float64, maxIter int) float64 {
 	increasing := phi.atLeast(b, plo)
 	if increasing {
@@ -474,8 +497,20 @@ func bisectCertified(b BulkWaterSystem, target, lo, hi float64, plo, phi *certPr
 			return hi
 		}
 	}
+	below, above := math.Inf(-1), math.Inf(1)
+	if increasing {
+		below, above = locatePrice(b, target, lo, hi, xtol)
+	}
 	for i := 0; i < maxIter && hi-lo > xtol; i++ {
 		mid := lo + (hi-lo)/2
+		if mid <= below {
+			lo = mid
+			continue
+		}
+		if mid >= above {
+			hi = mid
+			continue
+		}
 		p := probeAt(b, mid)
 		gm := p.vs(b, target)
 		if gm == target {
@@ -488,4 +523,51 @@ func bisectCertified(b BulkWaterSystem, target, lo, hi float64, plo, phi *certPr
 		}
 	}
 	return lo + (hi-lo)/2
+}
+
+// locatePrice returns prices below < above with E(below) < target <
+// E(above) certified through certProbe, or −Inf / +Inf for a side it could
+// not certify or that lies outside (lo, hi), where no midpoint falls. It
+// runs a safeguarded Newton iteration on SumAllocSlope's estimate inside
+// [lo, hi], bisecting whenever a step leaves the bracket or the slope is
+// not positive, and certifies the points w on either side of where it
+// converges. Only the certified comparisons are trusted.
+func locatePrice(b BulkWaterSystem, target, lo, hi, w float64) (below, above float64) {
+	below, above = math.Inf(-1), math.Inf(1)
+	l, h := lo, hi
+	x := l + (h-l)/2
+	converged := false
+	for i := 0; i < locateIters && !converged; i++ {
+		est, slope := b.SumAllocSlope(x)
+		switch {
+		case est < target:
+			l = x
+		case est > target:
+			h = x
+		case est != target: // NaN
+			return below, above
+		}
+		next := x - (est-target)/slope
+		if !(slope > 0 && next > l && next < h) {
+			next = l + (h-l)/2
+		}
+		converged = math.Abs(next-x) <= w/2
+		x = next
+	}
+	if !converged {
+		return below, above
+	}
+	if a := x - w; a > lo {
+		p := probeAt(b, a)
+		if p.vs(b, target) < target {
+			below = a
+		}
+	}
+	if c := x + w; c < hi {
+		p := probeAt(b, c)
+		if p.vs(b, target) > target {
+			above = c
+		}
+	}
+	return below, above
 }

@@ -227,6 +227,27 @@ func TestWaterFillInfeasible(t *testing.T) {
 	}
 }
 
+// TestWaterFillRejectsBadTotals pins that a total that is not ≥ 0 — NaN
+// included — or beyond capacity is ErrInfeasible on the closure, generic
+// and bulk paths. A NaN total used to return a near-empty allocation.
+func TestWaterFillRejectsBadTotals(t *testing.T) {
+	items := []WaterFillItem{quadItem(1, 1), quadItem(1, 1)}
+	bulk := newQuadBulk([]float64{1, 1}, []float64{1, 1}, boundCertified)
+	for _, total := range []float64{math.NaN(), -1, math.Inf(-1), math.Inf(1), 5} {
+		t.Run(fmt.Sprint(total), func(t *testing.T) {
+			if out, err := WaterFill(items, total, 1e-9); err != ErrInfeasible {
+				t.Errorf("WaterFill: %v, %v; want ErrInfeasible", out, err)
+			}
+			if out, err := WaterFillInto(&bulk.quadSystem, total, 1e-9, nil); err != ErrInfeasible {
+				t.Errorf("WaterFillInto generic: %v, %v; want ErrInfeasible", out, err)
+			}
+			if out, err := WaterFillInto(bulk, total, 1e-9, nil); err != ErrInfeasible {
+				t.Errorf("WaterFillInto bulk: %v, %v; want ErrInfeasible", out, err)
+			}
+		})
+	}
+}
+
 func TestWaterFillEdgeTotals(t *testing.T) {
 	items := []WaterFillItem{quadItem(2, 3), quadItem(1, 4)}
 	out, err := WaterFill(items, 0, 1e-9)
@@ -297,15 +318,26 @@ func TestWaterFillProperty(t *testing.T) {
 	}
 }
 
-// quadSystem is the WaterSystem form of quadItem costs 0.5·w_i·λ_i².
+// quadSystem is the WaterSystem form of quadItem costs 0.5·w_i·λ_i², plus
+// a linear term off_i·λ_i when off is set.
 type quadSystem struct {
 	w, caps []float64
+	off     []float64 // per-item marginal cost at 0; nil means all 0
 }
 
-func (q *quadSystem) Items() int                      { return len(q.w) }
-func (q *quadSystem) Cap(i int) float64               { return q.caps[i] }
-func (q *quadSystem) Deriv(i int, v float64) float64  { return q.w[i] * v }
-func (q *quadSystem) Alloc(i int, nu float64) float64 { return Clamp(nu/q.w[i], 0, q.caps[i]) }
+func (q *quadSystem) offset(i int) float64 {
+	if q.off == nil {
+		return 0
+	}
+	return q.off[i]
+}
+
+func (q *quadSystem) Items() int                     { return len(q.w) }
+func (q *quadSystem) Cap(i int) float64              { return q.caps[i] }
+func (q *quadSystem) Deriv(i int, v float64) float64 { return q.offset(i) + q.w[i]*v }
+func (q *quadSystem) Alloc(i int, nu float64) float64 {
+	return Clamp((nu-q.offset(i))/q.w[i], 0, q.caps[i])
+}
 
 // TestWaterFillIntoMatchesWaterFill pins that the closure-free system form
 // produces bit-for-bit the closure form's allocation across random feasible
@@ -515,33 +547,66 @@ const (
 	boundNoSlack                    // the class estimate claimed exact: unsound once classes repeat
 )
 
+// slopeMode selects what a quadBulk's SumAllocSlope reports. Only
+// slopeTrue helps the locator; every other mode is adversarial, and none
+// may change a bit.
+type slopeMode int
+
+const (
+	slopeTrue   slopeMode = iota // the class estimate and its derivative
+	slopeNone                    // a NaN estimate: the locator gives up, leaving the certified-only path
+	slopeZero                    // the true estimate with slope 0
+	slopeNeg                     // slope −1
+	slopeNaN                     // slope NaN
+	slopeInf                     // slope +Inf
+	slopeHuge                    // the true slope ×10⁶
+	slopeRandom                  // a random slope of either sign
+	numSlopeModes
+)
+
+func (m slopeMode) String() string {
+	return [...]string{"true", "none", "zero", "neg", "nan", "inf", "huge", "random"}[m]
+}
+
 // quadBulk is quadSystem with the BulkWaterSystem methods. Items with
-// identical (w, cap) form one class, in first-appearance order, and
+// identical (w, cap, offset) form one class, in first-appearance order, and
 // SumAllocBound weighs each class's allocation by its member count — the
 // estimate the load balancer's class table makes.
 type quadBulk struct {
 	quadSystem
-	mode     boundMode
-	cw, ccap []float64 // per class: the shared w and cap
-	cnt      []float64 // per class: its member count
+	mode           boundMode
+	slope          slopeMode
+	rng            *stats.RNG // slopeRandom's draws
+	cw, ccap, coff []float64  // per class: the shared w, cap and offset
+	cnt            []float64  // per class: its member count
 }
 
 func newQuadBulk(w, caps []float64, mode boundMode) *quadBulk {
-	q := &quadBulk{quadSystem: quadSystem{w: w, caps: caps}, mode: mode}
-	ids := make(map[[2]float64]int)
+	return newOffsetQuadBulk(w, caps, nil, mode)
+}
+
+func newOffsetQuadBulk(w, caps, off []float64, mode boundMode) *quadBulk {
+	q := &quadBulk{quadSystem: quadSystem{w: w, caps: caps, off: off}, mode: mode, rng: stats.NewRNG(uint64(len(w)))}
+	ids := make(map[[3]float64]int)
 	for i := range w {
-		key := [2]float64{w[i], caps[i]}
+		key := [3]float64{w[i], caps[i], q.offset(i)}
 		r, ok := ids[key]
 		if !ok {
 			r = len(q.cw)
 			ids[key] = r
 			q.cw = append(q.cw, w[i])
 			q.ccap = append(q.ccap, caps[i])
+			q.coff = append(q.coff, q.offset(i))
 			q.cnt = append(q.cnt, 0)
 		}
 		q.cnt[r]++
 	}
 	return q
+}
+
+// classAlloc is Alloc's arithmetic for class r.
+func (q *quadBulk) classAlloc(r int, nu float64) float64 {
+	return Clamp((nu-q.coff[r])/q.cw[r], 0, q.ccap[r])
 }
 
 func (q *quadBulk) SumAlloc(nu float64) float64 {
@@ -557,12 +622,40 @@ func (q *quadBulk) SumAllocBound(nu float64) (est, slack float64) {
 		return q.SumAlloc(nu), 0
 	}
 	for r := range q.cw {
-		est += q.cnt[r] * Clamp(nu/q.cw[r], 0, q.ccap[r])
+		est += q.cnt[r] * q.classAlloc(r, nu)
 	}
 	if q.mode == boundNoSlack {
 		return est, 0
 	}
 	return est, ClassSumSlack(est, len(q.w), len(q.cw))
+}
+
+func (q *quadBulk) SumAllocSlope(nu float64) (est, slope float64) {
+	if q.slope == slopeNone {
+		return math.NaN(), 1
+	}
+	for r := range q.cw {
+		v := q.classAlloc(r, nu)
+		est += q.cnt[r] * v
+		if v > 0 && v < q.ccap[r] {
+			slope += q.cnt[r] / q.cw[r]
+		}
+	}
+	switch q.slope {
+	case slopeZero:
+		slope = 0
+	case slopeNeg:
+		slope = -1
+	case slopeNaN:
+		slope = math.NaN()
+	case slopeInf:
+		slope = math.Inf(1)
+	case slopeHuge:
+		slope *= 1e6
+	case slopeRandom:
+		slope *= q.rng.Uniform(-2, 4)
+	}
+	return est, slope
 }
 
 func (q *quadBulk) AllocInto(out []float64, nu float64) float64 {
@@ -596,19 +689,24 @@ func (q *quadBulk) CapSum() float64 {
 	return s
 }
 
-// withMode returns a copy of q, sharing its items, that reports mode.
-func (q *quadBulk) withMode(mode boundMode) *quadBulk {
+// with returns a copy of q, sharing its items, that reports mode and slope.
+func (q *quadBulk) with(mode boundMode, slope slopeMode) *quadBulk {
 	c := *q
-	c.mode = mode
+	c.mode, c.slope = mode, slope
 	return &c
 }
 
 // probeLog records the estimate of every probe of a quadBulk, and counts
-// the exact sums taken.
+// the exact sums and slope sweeps taken.
 type probeLog struct {
 	*quadBulk
-	ests  []float64
-	exact int
+	ests          []float64
+	exact, slopes int
+}
+
+func (p *probeLog) SumAllocSlope(nu float64) (float64, float64) {
+	p.slopes++
+	return p.quadBulk.SumAllocSlope(nu)
 }
 
 func (p *probeLog) SumAllocBound(nu float64) (float64, float64) {
@@ -623,7 +721,7 @@ func (p *probeLog) SumAlloc(nu float64) float64 {
 }
 
 // classQuad draws a duplicate-heavy quadBulk: n items, each a copy of one of
-// classes random (w, cap) pairs.
+// classes random (w, cap) pairs. It reports true slopes.
 func classQuad(rng *stats.RNG, n, classes int, mode boundMode) *quadBulk {
 	cw, ccap := make([]float64, classes), make([]float64, classes)
 	for r := range cw {
@@ -638,10 +736,11 @@ func classQuad(rng *stats.RNG, n, classes int, mode boundMode) *quadBulk {
 	return newQuadBulk(w, caps, mode)
 }
 
-// exactProbes water-fills total on q with exact probe sums and returns
-// those sums in probe order.
+// exactProbes water-fills total on q with exact probe sums and no
+// locator, and returns those sums in probe order: the sums at every
+// bisection midpoint of the fill.
 func exactProbes(q *quadBulk, total float64) []float64 {
-	log := &probeLog{quadBulk: q.withMode(boundExact)}
+	log := &probeLog{quadBulk: q.with(boundExact, slopeNone)}
 	if _, err := WaterFillInto(log, total, 1e-9, nil); err != nil {
 		panic(err)
 	}
@@ -650,32 +749,40 @@ func exactProbes(q *quadBulk, total float64) []float64 {
 
 // certResult is one certified-versus-exact comparison.
 type certResult struct {
-	agree bool // q's own bounds, exact bulk sums and the generic path agree bit for bit
-	exact int  // exact sums q's own bounds fell back to
+	agree bool // every path below agrees with the generic path bit for bit
+	exact int  // exact sums q's own bounds and slopes fell back to
 	hit   bool // some exact probe sum equals total: the equality branches ran
+	// Probes and slope sweeps of the fill with q's own bounds and slopes,
+	// and probes of the same fill without the locator.
+	probes, slopes, unlocated int
 }
 
-// compareCertified water-fills total on q three ways — with q's own bounds,
-// with exact bulk sums, and on the generic per-item path.
+// compareCertified water-fills total on q five ways — with q's own bounds
+// and slopes (certified and located), with q's bounds and no locator
+// (certified only), with exact bulk sums with and without q's slopes, and
+// on the generic per-item path — and compares them with the last.
 func compareCertified(q *quadBulk, total float64) certResult {
 	want, err := WaterFillInto(&q.quadSystem, total, 1e-9, nil)
 	if err != nil {
 		panic(err)
 	}
-	exact, err := WaterFillInto(q.withMode(boundExact), total, 1e-9, nil)
-	if err != nil {
-		panic(err)
-	}
-	log := &probeLog{quadBulk: q}
-	got, err := WaterFillInto(log, total, 1e-9, nil)
-	if err != nil {
-		panic(err)
-	}
-	res := certResult{agree: true, exact: log.exact}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
-			math.Float64bits(exact[i]) != math.Float64bits(want[i]) {
-			res.agree = false
+	res := certResult{agree: true}
+	for k, sys := range []*quadBulk{q.with(boundExact, slopeNone), q.with(boundExact, q.slope), q.with(q.mode, slopeNone), q} {
+		log := &probeLog{quadBulk: sys}
+		got, err := WaterFillInto(log, total, 1e-9, nil)
+		if err != nil {
+			panic(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				res.agree = false
+			}
+		}
+		switch k {
+		case 2:
+			res.unlocated = len(log.ests)
+		case 3:
+			res.exact, res.probes, res.slopes = log.exact, len(log.ests), log.slopes
 		}
 	}
 	for _, s := range exactProbes(q, total) {
@@ -700,14 +807,15 @@ func forcedTotals(rng *stats.RNG, q *quadBulk, total float64) []float64 {
 }
 
 // certCorpus tallies compareCertified over randomized duplicate-heavy
-// systems of up to 10,000 items built with the given bound mode, at random
-// totals and at totals forced onto exact probe sums.
+// systems of up to 10,000 items built with the given bound and slope
+// modes, at random totals and at totals forced onto exact probe sums.
 type certCorpus struct {
 	cases, mismatches, fallbacks, hits int
+	probes, slopes, unlocated          int
 	first                              string // the first mismatch
 }
 
-func runCertCorpus(mode boundMode) certCorpus {
+func runCertCorpus(mode boundMode, slope slopeMode) certCorpus {
 	rng := stats.NewRNG(1313)
 	var c certCorpus
 	shapes := []struct{ n, classes int }{
@@ -720,12 +828,15 @@ func runCertCorpus(mode boundMode) certCorpus {
 			trials = 2
 		}
 		for trial := 0; trial < trials; trial++ {
-			q := classQuad(rng, sh.n, sh.classes, mode)
+			q := classQuad(rng, sh.n, sh.classes, mode).with(mode, slope)
 			total := rng.Uniform(0.01, 0.99) * q.CapSum()
 			for k, tot := range append([]float64{total}, forcedTotals(rng, q, total)...) {
 				r := compareCertified(q, tot)
 				c.cases++
 				c.fallbacks += r.exact
+				c.probes += r.probes
+				c.slopes += r.slopes
+				c.unlocated += r.unlocated
 				if r.hit {
 					c.hits++
 				}
@@ -741,30 +852,98 @@ func runCertCorpus(mode boundMode) certCorpus {
 	return c
 }
 
-// TestWaterFillCertifiedMatchesExact pins that certified probes change no
-// bit: on duplicate-heavy systems (real classes, up to 10,000 items) the
-// certified, exact-bulk and generic paths agree bit for bit, including at
-// totals equal to an exact probe sum, where the estimate cannot decide, the
-// exact fallback runs and the gm == target return fires.
+// TestWaterFillCertifiedMatchesExact pins that certified probes and the
+// located price search change no bit: on duplicate-heavy systems (real
+// classes, up to 10,000 items) the certified and located, certified-only,
+// exact-bulk and generic paths agree bit for bit, including at totals equal
+// to an exact probe sum, where the estimate cannot decide, the exact
+// fallback runs and the gm == target return fires — under true slopes and
+// under every adversarial slope. With true slopes the locator must also
+// skip most probes; a locator that silently stops locating fails here.
 func TestWaterFillCertifiedMatchesExact(t *testing.T) {
-	c := runCertCorpus(boundCertified)
-	if c.mismatches > 0 {
-		t.Fatalf("%d of %d fills differ from the exact path; first: %s", c.mismatches, c.cases, c.first)
+	for slope := slopeTrue; slope < numSlopeModes; slope++ {
+		t.Run(slope.String(), func(t *testing.T) {
+			c := runCertCorpus(boundCertified, slope)
+			if c.mismatches > 0 {
+				t.Fatalf("%d of %d fills differ from the exact path; first: %s", c.mismatches, c.cases, c.first)
+			}
+			if c.hits == 0 {
+				t.Fatal("no total met an exact probe sum; the tie branches are not exercised")
+			}
+			if c.fallbacks == 0 {
+				t.Fatal("no probe fell back to the exact sum; the fallback is not exercised")
+			}
+			t.Logf("%d fills, %d at an exact tie, %d exact fallbacks; per fill %.1f probes and %.1f slope sweeps (%.1f probes unlocated)",
+				c.cases, c.hits, c.fallbacks, float64(c.probes)/float64(c.cases),
+				float64(c.slopes)/float64(c.cases), float64(c.unlocated)/float64(c.cases))
+			if slope == slopeTrue && 2*c.probes > c.unlocated {
+				t.Fatalf("located fills take %d probes, unlocated %d: the locator skips under half", c.probes, c.unlocated)
+			}
+		})
 	}
-	if c.hits == 0 {
-		t.Fatal("no total met an exact probe sum; the tie branches are not exercised")
+}
+
+// plateauQuad draws a duplicate-heavy quadBulk whose sum is flat over a
+// price interval while some allocations still move. Two low classes reach
+// their caps at price full; a dust class, whose every allocation is far
+// below an ulp of the sum, rises across the middle of (full, full+gap); a
+// mid class starts at full+gap and a top class higher still, so the plateau
+// is not the bracket's top. The plateau is narrow enough that the bracket's
+// first midpoint lies below it, so the locator reaches it by Newton steps,
+// not at that midpoint. It returns the system and the exact plateau sum.
+func plateauQuad(rng *stats.RNG, n int) (*quadBulk, float64) {
+	const classes = 5
+	cw, ccap := make([]float64, classes), make([]float64, classes)
+	for r := range cw {
+		cw[r], ccap[r] = rng.Uniform(0.1, 10), rng.Uniform(0.5, 20)
 	}
-	if c.fallbacks == 0 {
-		t.Fatal("no probe fell back to the exact sum; the fallback is not exercised")
+	full := math.Max(cw[0]*ccap[0], cw[1]*ccap[1])
+	gap := rng.Uniform(0.05, 0.2) * full
+	ccap[2] = 1e-22
+	cw[2] = gap / 3 / ccap[2] // rises from 0 to its cap over gap/3
+	coff := []float64{0, 0, full + gap/3, full + gap, full + gap*rng.Uniform(1.5, 4)}
+	w, caps, off := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range w {
+		r := i % classes // every class present, whatever n
+		if i >= classes {
+			r = rng.IntN(classes)
+		}
+		w[i], caps[i], off[i] = cw[r], ccap[r], coff[r]
 	}
-	t.Logf("%d fills, %d at an exact tie, %d exact fallbacks", c.cases, c.hits, c.fallbacks)
+	q := newOffsetQuadBulk(w, caps, off, boundCertified)
+	return q, q.SumAlloc(full + gap/2)
+}
+
+// TestWaterFillLocatedPlateau pins the strictness of the locator's
+// certificate: at a total equal to the sum on a plateau of the price, the
+// exact path returns the first midpoint that lands on the plateau, where
+// E(m) == total, and the dust class's allocation there records which
+// midpoint that was. A locator that certified E(a) ≤ total instead of
+// E(a) < total would settle such a midpoint without a probe and return
+// another plateau price.
+func TestWaterFillLocatedPlateau(t *testing.T) {
+	rng := stats.NewRNG(4242)
+	for _, n := range []int{5, 40, 400, 4000} {
+		for trial := 0; trial < 6; trial++ {
+			q, total := plateauQuad(rng, n)
+			sums := exactProbes(q, total)
+			if len(sums) < 3 || sums[len(sums)-1] != total {
+				t.Fatalf("n=%d trial %d: no bisection midpoint landed on the plateau", n, trial)
+			}
+			for slope := slopeTrue; slope < numSlopeModes; slope++ {
+				if r := compareCertified(q.with(boundCertified, slope), total); !r.agree {
+					t.Fatalf("n=%d trial %d, %v slopes: the fill on the plateau differs from the exact path", n, trial, slope)
+				}
+			}
+		}
+	}
 }
 
 // TestWaterFillCertifiedCatchesZeroSlack is the corpus's mutation check: a
 // system that claims its class estimate is exact (slack 0) on
 // duplicate-heavy input must make the comparison fail.
 func TestWaterFillCertifiedCatchesZeroSlack(t *testing.T) {
-	if c := runCertCorpus(boundNoSlack); c.mismatches == 0 {
+	if c := runCertCorpus(boundNoSlack, slopeNone); c.mismatches == 0 {
 		t.Fatalf("zero slack went unnoticed over %d fills", c.cases)
 	}
 }
