@@ -219,38 +219,33 @@ func BenchmarkLoadSplitProposal(b *testing.B) {
 
 // BenchmarkGeoStep measures the geo-federation split hot path — the
 // memoized greedy marginal allocation plus the per-site operate pass — at
-// two federation sizes and fan-outs. It reports the split's solve economy
-// alongside wall time: p3solves/step collapses from ~Chunks·K on the naive
-// loop to ~Chunks + K on the memoized path (see BenchmarkGeoStepNaive in
+// two federation sizes. It reports the split's solve economy alongside
+// wall time: p3solves/step collapses from ~Chunks·K on the naive loop to
+// ~Chunks + K on the memoized path (see BenchmarkGeoStepNaive in
 // internal/geo for the reference cost).
 func BenchmarkGeoStep(b *testing.B) {
 	for _, k := range []int{4, 16} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("K=%d/workers=%d", k, workers), func(b *testing.B) {
-				sys, err := geo.NewSystem(benchGeoSites(k, 64), 0.005, 64)
-				if err != nil {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			sys, err := geo.NewSystem(benchGeoSites(k, 64), 0.005, 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+			lambda := 0.4 * sys.TotalCapacityRPS()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Step(lambda, 120); err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.SetWorkers(workers); err != nil {
-					b.Fatal(err)
-				}
-				reg := telemetry.NewRegistry()
-				sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
-				lambda := 0.4 * sys.TotalCapacityRPS()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := sys.Step(lambda, 120); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				snap := reg.Snapshot()
-				if steps := snap.Counters["geo.steps"]; steps > 0 {
-					b.ReportMetric(snap.Counters["geo.p3_solves"]/steps, "p3solves/step")
-					b.ReportMetric(snap.Counters["geo.memo_hits"]/steps, "memohits/step")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			snap := reg.Snapshot()
+			if steps := snap.Counters["geo.steps"]; steps > 0 {
+				b.ReportMetric(snap.Counters["geo.p3_solves"]/steps, "p3solves/step")
+				b.ReportMetric(snap.Counters["geo.memo_hits"]/steps, "memohits/step")
+			}
+		})
 	}
 }
 

@@ -52,8 +52,6 @@ func main() {
 		seed    = flag.Uint64("seed", 0, "master seed (default: 2012)")
 		csvDir  = flag.String("csvdir", "", "write figure data as CSV files into this directory (fig2/fig3 series)")
 		workers = flag.Int("workers", 0, "worker pool for independent runs (0: all cores, 1: sequential; results are identical either way)")
-		bench   = flag.String("bench-json", "", "run the engine/sweep benchmark and write the JSON report to this path, then exit")
-		scale   = flag.String("scale", "", "fleet-scale bench grid as GROUPSxSITES cells (e.g. 200x16,10000x256): parity-check and time geo.Fleet steps; with -bench-json the cells land in the report, alone they print and exit")
 
 		stream      = flag.String("stream", "", "single-run mode: stream one NDJSON record per settled slot to this path (- for stdout)")
 		policy      = flag.String("policy", "coca", "policy for -stream single-run mode: coca|unaware")
@@ -66,10 +64,9 @@ func main() {
 		reqsimEvery   = flag.Int("reqsim-every", 1, "replay every kth settled slot (sampling knob for long -reqsim runs)")
 		reqsimBursty  = flag.Bool("reqsim-bursty", false, "replace Poisson arrivals with a bursty on/off process in -reqsim replays (the arm where Eq. 4 is knowably wrong)")
 
-		traceOut     = flag.String("trace-out", "", "record execution spans and write them as Chrome trace-event JSON to this path (open in ui.perfetto.dev or chrome://tracing)")
-		traceSpans   = flag.String("trace-spans", "", "record execution spans and write them as NDJSON (one span per line) to this path")
-		benchAgainst = flag.String("bench-against", "", "with -bench-json: compare the fresh report against this baseline (hard equality on result hashes, ±25% wall-time tolerance) and exit non-zero on regression")
-		logFormat    = flag.String("log-format", logf.FormatText, "structured log format for stderr: text or json")
+		traceOut   = flag.String("trace-out", "", "record execution spans and write them as Chrome trace-event JSON to this path (open in ui.perfetto.dev or chrome://tracing)")
+		traceSpans = flag.String("trace-spans", "", "record execution spans and write them as NDJSON (one span per line) to this path")
+		logFormat  = flag.String("log-format", logf.FormatText, "structured log format for stderr: text or json")
 	)
 	flag.Parse()
 
@@ -135,36 +132,6 @@ func main() {
 				metricsSrv.Close()
 			}
 		}
-	}
-
-	if *bench != "" {
-		// The benchmark's telemetry summary lands next to the report.
-		if *telemJSON == "" {
-			*telemJSON = strings.TrimSuffix(*bench, ".json") + ".telemetry.json"
-		}
-		if err := runBench(*bench, *workers, reg, *scale); err != nil {
-			logger.Error("bench failed", "error", err)
-			os.Exit(1)
-		}
-		finish()
-		if *benchAgainst != "" {
-			if err := compareBench(*bench, *benchAgainst); err != nil {
-				logger.Error("bench regression", "error", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *scale != "" {
-		// Standalone -scale: run the fleet grid and print the throughput
-		// lines without the full benchmark report.
-		if _, err := runScale(*scale, *workers); err != nil {
-			logger.Error("scale bench failed", "error", err)
-			os.Exit(1)
-		}
-		finish()
-		return
 	}
 
 	cfg := experiments.Config{

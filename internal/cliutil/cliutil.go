@@ -24,7 +24,7 @@ func Workers(v int) error {
 
 // WorkersFor is the Workers rule for library entry points rather than
 // flags: owner names the knob in the message (e.g. "experiments.Config.
-// Workers", "geo.System.SetWorkers"). 0 keeps each caller's documented
+// Workers", "geo.Fleet.SetWorkers"). 0 keeps each caller's documented
 // default (all cores for the experiment pool, sequential for geo) and
 // positives are literal pool sizes; negatives are an error everywhere —
 // they used to silently mean "all cores" in the experiment pool, the bug

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"strings"
@@ -113,6 +116,29 @@ func TestFig2ShapeMatchesPaper(t *testing.T) {
 		if math.IsNaN(v) || v < 0 {
 			t.Fatalf("moving avg cost[%d] = %v", i, v)
 		}
+	}
+}
+
+// TestFig2GoldenHash pins the Fig. 2 V-sweep absolutely: sixty days of
+// the 2,000-server scenario on one worker, with every sweep row folded into
+// FNV-1a as little-endian IEEE-754 bits. TestParallelSweepsMatchSequential
+// covers the fan-out; this digest covers the arithmetic itself.
+func TestFig2GoldenHash(t *testing.T) {
+	const want = "fnv1a:cddedbf1a4a99d84"
+	res, err := Fig2(Config{Slots: 60 * 24, N: 2000, Seed: 2012, Workers: 1, Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range res.Sweep {
+		for _, v := range []float64{p.V, p.AvgCostUSD, p.AvgDeficitKWh, p.BudgetUsed} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		t.Errorf("Fig. 2 sweep hash = %s, want %s (experiment arithmetic drifted)", got, want)
 	}
 }
 

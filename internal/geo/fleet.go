@@ -3,7 +3,6 @@ package geo
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cliutil"
@@ -211,24 +210,6 @@ type FleetStepOutcome struct {
 	TotalGridKWh float64
 }
 
-// validateLoad mirrors System.validateLoad for the fleet.
-func (f *Fleet) validateLoad(lambda float64) error {
-	if f.slot >= f.Slots {
-		return errors.New("geo: horizon exhausted")
-	}
-	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return fmt.Errorf("geo: load %v is not finite", lambda)
-	}
-	if lambda < 0 {
-		return errors.New("geo: negative load")
-	}
-	if lambda > f.TotalCapacityRPS() {
-		return fmt.Errorf("geo: load %v exceeds fleet capacity %v",
-			lambda, f.TotalCapacityRPS())
-	}
-	return nil
-}
-
 // siteProblem builds site k's heterogeneous P3 instance for the slot at
 // load mu, with the COCA weights of Eq. (16) from the site's own price and
 // deficit queue. The instance lives in the fleet's per-site scratch slot —
@@ -273,18 +254,15 @@ func (f *Fleet) siteLedger(k int) dcmodel.Ledger {
 // needs exactly one solve per loaded site while the per-site COCA weights
 // still steer each site's own speed/load decisions by price and deficit.
 func (f *Fleet) Step(lambda, v float64) (FleetStepOutcome, error) {
-	if err := f.validateLoad(lambda); err != nil {
+	total := f.TotalCapacityRPS()
+	if err := validateStep(f.slot, f.Slots, lambda, total, v); err != nil {
 		return FleetStepOutcome{}, err
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return FleetStepOutcome{}, fmt.Errorf("geo: control parameter V %v is not finite and non-negative", v)
 	}
 	var stepStart time.Time
 	if f.metrics != nil {
 		stepStart = time.Now()
 	}
 	k := len(f.Sites)
-	total := f.TotalCapacityRPS()
 	out := FleetStepOutcome{Sites: make([]FleetSiteOutcome, k)}
 	if f.probs == nil {
 		f.probs = make([]dcmodel.SlotProblem, k)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cliutil"
 	"repro/internal/dcmodel"
 	"repro/internal/lyapunov"
 	"repro/internal/p3"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
 	"repro/internal/trace"
-	"repro/internal/workpool"
 )
 
 // Site is one data center in the federation.
@@ -79,8 +77,6 @@ type System struct {
 	slot    int
 	tracer  *span.Tracer
 	metrics *telemetry.GeoMetrics
-	// splitWorkers bounds the split evaluator's fan-out; see SetWorkers.
-	splitWorkers int
 }
 
 // SetTracer attaches a span tracer: every subsequent Step records a
@@ -95,32 +91,6 @@ func (sys *System) SetTracer(tr *span.Tracer) { sys.tracer = tr }
 // counters and Settle the deficit gauges. Nil (the default) disables
 // instrumentation.
 func (sys *System) Instrument(m *telemetry.GeoMetrics) { sys.metrics = m }
-
-// SetWorkers bounds the split evaluator's fan-out: n > 1 evaluates P3
-// candidates (and ProportionalSplit's per-site solves) on up to n
-// goroutines with a deterministic lowest-index argmin/error reduction, so
-// results are bit-identical to the sequential path whatever the
-// scheduling. n in {0, 1} stays sequential — unlike
-// experiments.Config.Workers, zero does NOT mean all cores, because geo
-// systems are routinely stepped inside already-pooled experiment workers
-// and must not oversubscribe by default. Negative n is an explicit error
-// (the rule cliutil.WorkersFor enforces across the repository; negatives
-// used to be silently accepted as sequential here).
-func (sys *System) SetWorkers(n int) error {
-	if err := cliutil.WorkersFor("geo.System.SetWorkers", n); err != nil {
-		return err
-	}
-	sys.splitWorkers = n
-	return nil
-}
-
-// workers resolves the effective split fan-out.
-func (sys *System) workers() int {
-	if sys.splitWorkers > 1 {
-		return sys.splitWorkers
-	}
-	return 1
-}
 
 // NewSystem validates and assembles the federation, creating one
 // carbon-deficit queue per site.
@@ -225,11 +195,12 @@ func (sys *System) siteValue(k int, v, mu float64) float64 {
 	return sol.Value
 }
 
-// validateLoad guards the shared Step/ProportionalSplit preconditions:
-// horizon not exhausted, finite non-negative load, load within the
-// federation's aggregate capacity.
-func (sys *System) validateLoad(lambda float64) error {
-	if sys.slot >= sys.Slots {
+// validateStep guards every federation step, System's and Fleet's alike:
+// the horizon is not exhausted, the load is finite, non-negative and within
+// the aggregate capacity, and the control parameter V is finite and
+// non-negative.
+func validateStep(slot, slots int, lambda, capacityRPS, v float64) error {
+	if slot >= slots {
 		return errors.New("geo: horizon exhausted")
 	}
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
@@ -238,9 +209,11 @@ func (sys *System) validateLoad(lambda float64) error {
 	if lambda < 0 {
 		return errors.New("geo: negative load")
 	}
-	if lambda > sys.TotalCapacityRPS() {
-		return fmt.Errorf("geo: load %v exceeds federation capacity %v",
-			lambda, sys.TotalCapacityRPS())
+	if lambda > capacityRPS {
+		return fmt.Errorf("geo: load %v exceeds capacity %v", lambda, capacityRPS)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("geo: control parameter V %v is not finite and non-negative", v)
 	}
 	return nil
 }
@@ -255,19 +228,17 @@ const Chunks = 100
 //
 // The split runs on the memoized greedy engine of split.go: bit-identical
 // to the naive O(Chunks·K)-solve loop (kept as stepNaive, pinned by golden
-// hash tests) at O(Chunks + K) P3 solves, with the candidate evaluations
-// optionally fanned across SetWorkers goroutines. Real solver failures
+// hash tests) at O(Chunks + K) P3 solves. Real solver failures
 // abort the step and count into geo.solve_errors; capacity infeasibility
 // never does — a full site is a legitimate split answer.
 func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
-	if err := sys.validateLoad(lambda); err != nil {
+	if err := validateStep(sys.slot, sys.Slots, lambda, sys.TotalCapacityRPS(), v); err != nil {
 		return StepOutcome{}, err
 	}
 	k := len(sys.Sites)
 	stepSpan := sys.tracer.StartRoot("geo.step",
 		span.Int("slot", sys.slot), span.Float("lambda_rps", lambda),
-		span.Float("v", v), span.Int("sites", k),
-		span.Int("workers", sys.workers()))
+		span.Float("v", v), span.Int("sites", k))
 	defer stepSpan.End()
 	plan, err := sys.greedySplit(lambda, v)
 	if err != nil {
@@ -337,27 +308,21 @@ func (sys *System) Settle(out StepOutcome) {
 
 // ProportionalSplit is the carbon- and price-blind baseline: load shares
 // proportional to site capacity. It returns the same outcome structure so
-// runs are directly comparable, and shares Step's validateLoad guards
-// (horizon, negative load, capacity). The per-site solves fan across the
-// SetWorkers pool — each site writes only its own outcome slot, errors
-// reduce to the lowest site index, and totals accumulate sequentially in
-// site order, so every pool width produces bit-identical results.
+// runs are directly comparable, and shares Step's guards (horizon, load,
+// capacity, V).
 func (sys *System) ProportionalSplit(lambda float64, v float64) (StepOutcome, error) {
-	if err := sys.validateLoad(lambda); err != nil {
+	total := sys.TotalCapacityRPS()
+	if err := validateStep(sys.slot, sys.Slots, lambda, total, v); err != nil {
 		return StepOutcome{}, err
 	}
-	total := sys.TotalCapacityRPS()
-	k := len(sys.Sites)
-	out := StepOutcome{Sites: make([]SiteOutcome, k)}
-	errs := make([]error, k)
-	workpool.Fan(sys.workers(), k, func(i int) {
+	out := StepOutcome{Sites: make([]SiteOutcome, len(sys.Sites))}
+	for i := range sys.Sites {
 		mu := lambda * sys.Sites[i].CapacityRPS() / total
 		so := SiteOutcome{LoadRPS: mu}
 		if mu > 0 {
 			sol, err := sys.siteProblem(i, v, mu).Solve()
 			if err != nil {
-				errs[i] = err
-				return
+				return StepOutcome{}, err
 			}
 			so.Speed, so.Active = sol.Speed, sol.Active
 			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
@@ -365,13 +330,8 @@ func (sys *System) ProportionalSplit(lambda float64, v float64) (StepOutcome, er
 			so.CostUSD = ch.TotalUSD
 		}
 		out.Sites[i] = so
-	})
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			return StepOutcome{}, errs[i]
-		}
-		out.TotalCostUSD += out.Sites[i].CostUSD
-		out.TotalGridKWh += out.Sites[i].GridKWh
+		out.TotalCostUSD += so.CostUSD
+		out.TotalGridKWh += so.GridKWh
 	}
 	return out, nil
 }

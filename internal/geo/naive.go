@@ -16,7 +16,7 @@ import (
 //
 // It does not advance the slot; Settle the returned outcome as usual.
 func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
-	if err := sys.validateLoad(lambda); err != nil {
+	if err := validateStep(sys.slot, sys.Slots, lambda, sys.TotalCapacityRPS(), v); err != nil {
 		return StepOutcome{}, 0, err
 	}
 	k := len(sys.Sites)

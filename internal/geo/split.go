@@ -6,14 +6,12 @@ import (
 	"math"
 
 	"repro/internal/p3"
-	"repro/internal/workpool"
 )
 
-// This file is the geo split hot path: the memoized, incremental and
-// optionally parallel greedy marginal allocation behind System.Step. It is
-// pinned bit-for-bit against the naive reference loop in naive.go (see
-// TestGoldenSplitParity), which it replaces at O(Chunks + K) P3 solves per
-// slot instead of O(Chunks·K).
+// This file is the geo split hot path: the memoized, incremental greedy
+// marginal allocation behind System.Step. It is pinned bit-for-bit against
+// the naive reference loop in naive.go (see TestGoldenSplitParity), which
+// it replaces at O(Chunks + K) P3 solves per slot instead of O(Chunks·K).
 //
 // The key invariant: site values are only ever needed on the per-slot grid
 // μ = split_i + chunk where split_i accumulates whole chunks, and within a
@@ -37,7 +35,6 @@ type candidate struct {
 	value float64 // P3 optimum at split_i + chunk (+Inf when infeasible)
 	delta float64 // value − cur_i, the greedy marginal cost
 	sol   p3.HomogeneousSolution
-	err   error // real solver failure (never capacity infeasibility)
 }
 
 // splitPlan is a computed greedy allocation plus the cached P3 solutions
@@ -69,8 +66,7 @@ func (sys *System) evalSite(i int, v, mu float64) (float64, p3.HomogeneousSoluti
 
 // greedySplit allocates lambda across the sites in λ/Chunks increments by
 // greedy marginal cost — arithmetic identical to stepNaive, with the
-// candidate table absorbing every redundant re-solve and the worker pool
-// fanning the initial K evaluations.
+// candidate table absorbing every redundant re-solve.
 func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 	k := len(sys.Sites)
 	plan := splitPlan{
@@ -85,29 +81,29 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 	chunk := lambda / Chunks
 	cur := make([]float64, k) // current site values, accumulated like naive
 	cand := make([]candidate, k)
-	eval := func(i int) {
+	// eval refreshes site i's candidate, counting the fresh solve; only a
+	// real solver failure is an error.
+	eval := func(i int) error {
 		c := &cand[i]
 		*c = candidate{fresh: true}
 		if plan.split[i]+chunk > sys.Sites[i].CapacityRPS() {
-			return
+			return nil
 		}
 		c.capOK = true
-		c.value, c.sol, c.err = sys.evalSite(i, v, plan.split[i]+chunk)
+		plan.p3Solves++
+		var err error
+		c.value, c.sol, err = sys.evalSite(i, v, plan.split[i]+chunk)
+		if err != nil {
+			return fmt.Errorf("geo: site %s: %w", sys.Sites[i].Name, err)
+		}
 		c.delta = c.value - cur[i]
+		return nil
 	}
 
-	// Initial candidates: every site's value at one chunk, fanned across
-	// the worker pool. Each job writes only its own table slot, so the
-	// result — and the lowest-index error below — is independent of
-	// scheduling.
-	workpool.Fan(sys.workers(), k, eval)
+	// Initial candidates: every site's value at one chunk.
 	for i := range cand {
-		if !cand[i].capOK {
-			continue
-		}
-		plan.p3Solves++
-		if cand[i].err != nil {
-			return plan, fmt.Errorf("geo: site %s: %w", sys.Sites[i].Name, cand[i].err)
+		if err := eval(i); err != nil {
+			return plan, err
 		}
 	}
 
@@ -142,12 +138,8 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 		}
 		// Only the winner's tentative load moved; every other cached
 		// (value, Δ) pair is still exact. One fresh solve per round.
-		eval(best)
-		if cand[best].capOK {
-			plan.p3Solves++
-			if cand[best].err != nil {
-				return plan, fmt.Errorf("geo: site %s: %w", sys.Sites[best].Name, cand[best].err)
-			}
+		if err := eval(best); err != nil {
+			return plan, err
 		}
 	}
 	return plan, nil

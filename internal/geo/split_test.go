@@ -47,9 +47,9 @@ func makeSitesK(k, slots int) []Site {
 }
 
 // hashOutcome folds a StepOutcome into an FNV-1a digest over the
-// little-endian IEEE-754 bits of every computed number — the
-// BENCH_engine.json recipe, so "bit-identical" means the same thing here
-// and in the bench gate.
+// little-endian IEEE-754 bits of every computed number — the recipe of
+// every golden result hash in the repository, so "bit-identical" means the
+// same thing here and in bench/.
 func hashOutcome(h interface{ Write([]byte) (int, error) }, out StepOutcome) {
 	put := func(vs ...float64) {
 		var buf [8]byte
@@ -66,9 +66,9 @@ func hashOutcome(h interface{ Write([]byte) (int, error) }, out StepOutcome) {
 }
 
 // TestGoldenSplitParity pins the split hot path bit-for-bit: the naive
-// reference loop, the memoized sequential path and the memoized parallel
-// path (workers > 1) must produce FNV-identical outcomes slot after slot,
-// with the deficit queues fed back so any drift compounds and is caught.
+// reference loop and the memoized path must produce FNV-identical outcomes
+// slot after slot, with the deficit queues fed back so any drift compounds
+// and is caught.
 func TestGoldenSplitParity(t *testing.T) {
 	for _, k := range []int{4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -80,11 +80,8 @@ func TestGoldenSplitParity(t *testing.T) {
 				}
 				return sys
 			}
-			naiveSys, memoSys, parSys := mk(), mk(), mk()
-			if err := parSys.SetWorkers(4); err != nil {
-				t.Fatal(err)
-			}
-			hn, hm, hp := fnv.New64a(), fnv.New64a(), fnv.New64a()
+			naiveSys, memoSys := mk(), mk()
+			hn, hm := fnv.New64a(), fnv.New64a()
 			cap := naiveSys.TotalCapacityRPS()
 			for tt := 0; tt < slots; tt++ {
 				lambda := cap * (0.15 + 0.6*float64(tt)/slots)
@@ -99,24 +96,60 @@ func TestGoldenSplitParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				memoSys.Settle(outM)
-				outP, err := parSys.Step(lambda, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parSys.Settle(outP)
 				hashOutcome(hn, outN)
 				hashOutcome(hm, outM)
-				hashOutcome(hp, outP)
 			}
-			naive, memo, par := hn.Sum64(), hm.Sum64(), hp.Sum64()
+			naive, memo := hn.Sum64(), hm.Sum64()
 			if memo != naive {
 				t.Errorf("memoized split hash %016x != naive reference %016x", memo, naive)
 			}
-			if par != naive {
-				t.Errorf("parallel split hash %016x != naive reference %016x", par, naive)
-			}
-			t.Logf("golden split hash fnv1a:%016x (naive = memo = parallel)", naive)
+			t.Logf("golden split hash fnv1a:%016x (naive = memo)", naive)
 		})
+	}
+}
+
+// TestGoldenSplitHash pins the memoized split absolutely: 96 slots of a
+// 16-site federation of 500–800-server sites under a sinusoidal load, with
+// every step settled so the deficit queues feed back into later splits.
+// Each step folds its totals, then every site's load, speed, active count,
+// cost and grid draw.
+func TestGoldenSplitHash(t *testing.T) {
+	const (
+		want         = "fnv1a:4ebecbf49ca54a0c"
+		sites, slots = 16, 96
+	)
+	ss := makeSitesK(sites, slots)
+	for i := range ss {
+		ss[i].N = 500 + 100*(i%4)
+		ss[i].Portfolio.OffsiteKWh = trace.Constant("f", 20, slots)
+		ss[i].Portfolio.RECsKWh = float64(slots) * 30
+	}
+	sys, err := NewSystem(ss, 0.005, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	put := func(vs ...float64) {
+		var buf [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	capRPS := sys.TotalCapacityRPS()
+	for tt := 0; tt < slots; tt++ {
+		out, err := sys.Step(capRPS*(0.35+0.3*math.Sin(float64(tt)/7)), 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(out.TotalCostUSD, out.TotalGridKWh)
+		for _, so := range out.Sites {
+			put(so.LoadRPS, float64(so.Speed), float64(so.Active), so.CostUSD, so.GridKWh)
+		}
+		sys.Settle(out)
+	}
+	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		t.Errorf("split hash = %s, want %s (split arithmetic drifted)", got, want)
 	}
 }
 
@@ -169,46 +202,6 @@ func TestSplitSolveAccounting(t *testing.T) {
 	t.Logf("solves/step: naive %.1f, memoized %.1f (%.1fx), hits/step %.1f",
 		float64(naiveSolves)/slots, memoSolves/slots,
 		float64(naiveSolves)/memoSolves, memoHits/slots)
-}
-
-// TestStepParallelConcurrency drives the parallel split with more workers
-// than sites and verifies it matches the sequential system slot-for-slot —
-// run under -race (CI does) this is the data-race exercise of the fan-out.
-func TestStepParallelConcurrency(t *testing.T) {
-	const k, slots = 12, 8
-	seqSys, err := NewSystem(makeSitesK(k, slots), 0.005, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSys, err := NewSystem(makeSitesK(k, slots), 0.005, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := parSys.SetWorkers(32); err != nil {
-		t.Fatal(err)
-	}
-	capRPS := seqSys.TotalCapacityRPS()
-	for tt := 0; tt < slots; tt++ {
-		lambda := capRPS * (0.1 + 0.08*float64(tt))
-		want, err := seqSys.Step(lambda, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := parSys.Step(lambda, 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TotalCostUSD != want.TotalCostUSD || got.TotalGridKWh != want.TotalGridKWh {
-			t.Fatalf("slot %d: parallel totals diverged: %+v vs %+v", tt, got, want)
-		}
-		for i := range want.Sites {
-			if got.Sites[i] != want.Sites[i] {
-				t.Fatalf("slot %d site %d diverged: %+v vs %+v", tt, i, got.Sites[i], want.Sites[i])
-			}
-		}
-		seqSys.Settle(want)
-		parSys.Settle(got)
-	}
 }
 
 // TestSolveErrorSurfaced pins the infeasibility/error distinction: a site
@@ -347,22 +340,19 @@ func TestProportionalSplitGuards(t *testing.T) {
 // benchGeoSystem builds a K-site system with a long horizon for the
 // split benchmarks; stepping without settling keeps the slot fixed so the
 // horizon never exhausts mid-measurement.
-func benchGeoSystem(b *testing.B, k, workers int) (*System, float64) {
+func benchGeoSystem(b *testing.B, k int) (*System, float64) {
 	b.Helper()
 	sys, err := NewSystem(makeSitesK(k, 64), 0.005, 64)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.SetWorkers(workers); err != nil {
 		b.Fatal(err)
 	}
 	return sys, 0.4 * sys.TotalCapacityRPS()
 }
 
 // BenchmarkGeoStepNaive is the pre-memoization reference cost (O(Chunks·K)
-// P3 solves per slot) — the yardstick for the memoized paths below.
+// P3 solves per slot) — the yardstick for the memoized path below.
 func BenchmarkGeoStepNaive(b *testing.B) {
-	sys, lambda := benchGeoSystem(b, 16, 1)
+	sys, lambda := benchGeoSystem(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := sys.stepNaive(lambda, 120); err != nil {
@@ -373,19 +363,7 @@ func BenchmarkGeoStepNaive(b *testing.B) {
 
 // BenchmarkGeoStepMemo is the memoized sequential split.
 func BenchmarkGeoStepMemo(b *testing.B) {
-	sys, lambda := benchGeoSystem(b, 16, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Step(lambda, 120); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGeoStepParallel adds the worker-pool fan-out on top of the memo
-// table.
-func BenchmarkGeoStepParallel(b *testing.B) {
-	sys, lambda := benchGeoSystem(b, 16, 4)
+	sys, lambda := benchGeoSystem(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Step(lambda, 120); err != nil {

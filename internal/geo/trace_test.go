@@ -73,15 +73,12 @@ func TestStepTracedSpans(t *testing.T) {
 		if got := st.Attrs["slot"]; got != float64(i) {
 			t.Fatalf("geo.step %d slot attr = %v", i, got)
 		}
-		// The split hot path annotates its solve accounting and fan-out.
+		// The split hot path annotates its solve accounting.
 		if got, ok := st.Attrs["p3_solves"].(float64); !ok || got <= 0 {
 			t.Fatalf("geo.step %d p3_solves attr = %v, want > 0", i, st.Attrs["p3_solves"])
 		}
 		if got, ok := st.Attrs["memo_hits"].(float64); !ok || got <= 0 {
 			t.Fatalf("geo.step %d memo_hits attr = %v, want > 0", i, st.Attrs["memo_hits"])
-		}
-		if got, ok := st.Attrs["workers"].(float64); !ok || got != 1 {
-			t.Fatalf("geo.step %d workers attr = %v, want 1 (default sequential)", i, st.Attrs["workers"])
 		}
 		stepIDs[st.ID] = i
 	}

@@ -3,6 +3,7 @@ package gsd
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -18,49 +19,54 @@ import (
 // a delta-updated sum, a reordered accumulation, a skipped solve that
 // should have drawn randomness — changes a hash.
 
-// hashRun digests a Result: Value, Iters, Accepted, Speeds, Load, History,
-// all as little-endian IEEE-754 bits through FNV-1a (the BENCH_engine.json
-// recipe).
-func hashRun(res Result) string {
-	h := fnv.New64a()
-	put := func(vs ...float64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
+// digest folds float64s into FNV-1a as little-endian IEEE-754 bits, the
+// recipe of every golden result hash in the repository.
+type digest struct{ hash.Hash64 }
+
+func newDigest() digest { return digest{fnv.New64a()} }
+
+func (d digest) put(vs ...float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		d.Write(buf[:])
 	}
-	put(res.Solution.Value, float64(res.Iters), float64(res.Accepted))
+}
+
+func (d digest) sum() string { return fmt.Sprintf("fnv1a:%016x", d.Sum64()) }
+
+// putSolve folds a Result's Value, Iters, Accepted, Speeds and Load.
+func (d digest) putSolve(res Result) {
+	d.put(res.Solution.Value, float64(res.Iters), float64(res.Accepted))
 	for _, s := range res.Solution.Speeds {
-		put(float64(s))
+		d.put(float64(s))
 	}
-	put(res.Solution.Load...)
-	put(res.History...)
-	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
+	d.put(res.Solution.Load...)
+}
+
+// hashRun digests one Result: putSolve's fields, then History.
+func hashRun(res Result) string {
+	d := newDigest()
+	d.putSolve(res)
+	d.put(res.History...)
+	return d.sum()
 }
 
 func hashSolutions(sols []dcmodel.Solution) string {
-	h := fnv.New64a()
-	put := func(vs ...float64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
+	d := newDigest()
 	for _, s := range sols {
-		put(s.Value)
+		d.put(s.Value)
 		for _, sp := range s.Speeds {
-			put(float64(sp))
+			d.put(float64(sp))
 		}
-		put(s.Load...)
+		d.put(s.Load...)
 	}
-	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
+	return d.sum()
 }
 
 // TestGoldenSolveHashes replays fixed seeded runs across the solver's
-// regimes — the BenchmarkGSD500Iters200Groups workload at two seeds, a
-// small kink-heavy problem, a heterogeneous cluster, and the Wd = 0
+// regimes — the BenchmarkGSD500Iters200Groups workload at two seeds and
+// streamed over seeds 0–9 (History left out), a small kink-heavy problem, a heterogeneous cluster, and the Wd = 0
 // fillNoDelay path — and requires the exact pre-optimization result bits.
 func TestGoldenSolveHashes(t *testing.T) {
 	paper := func(seed uint64) Result {
@@ -86,6 +92,13 @@ func TestGoldenSolveHashes(t *testing.T) {
 		}},
 		{"paper-seed7", "fnv1a:aebe49b4af208c7b", func(t *testing.T) string {
 			return hashRun(paper(7))
+		}},
+		{"paper-seeds0-9", "fnv1a:f3ec8576db004544", func(t *testing.T) string {
+			d := newDigest()
+			for seed := uint64(0); seed < 10; seed++ {
+				d.putSolve(paper(seed))
+			}
+			return d.sum()
 		}},
 		{"kink", "fnv1a:8f83c9ccf29b00e7", func(t *testing.T) string {
 			res, err := Solve(smallProblem(6, 100),

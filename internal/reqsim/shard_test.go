@@ -1,6 +1,10 @@
 package reqsim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 )
 
@@ -54,6 +58,34 @@ func TestRunShardedWorkerInvariance(t *testing.T) {
 					workers, rep, got, ref)
 			}
 		}
+	}
+}
+
+// TestRunShardedGoldenHash pins the sharded replay absolutely: 16 shards
+// of an M/M/1/PS queue at ρ = 0.7, with every field of the merged Result
+// folded into FNV-1a as little-endian IEEE-754 bits. Any drift in the
+// event loop, the RNG draw order or the shard merge changes the digest;
+// the worker-invariance test above makes it a function of the config alone.
+func TestRunShardedGoldenHash(t *testing.T) {
+	const want = "fnv1a:e87ab8489da34002"
+	r, err := NewPool(2).RunSharded(Config{
+		ArrivalRPS: 7, ServiceRPS: 10, Service: ExponentialService(1),
+		Horizon: 3000, Warmup: 100, Seed: 2012,
+	}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range []float64{float64(r.Arrived), float64(r.Admitted), float64(r.Dropped),
+		float64(r.Completed), float64(r.Events), float64(r.MaxInSystem),
+		r.MeanJobs, r.MeanRespSec, r.UtilFraction, r.P50Sec, r.P95Sec, r.P99Sec,
+		r.AreaJobsSec, r.MeasuredSec, r.BusySec, r.RespSumSec} {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		t.Errorf("sharded result hash = %s, want %s (event loop, RNG order or merge drifted)", got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package simtest_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -157,6 +159,36 @@ func TestEngineMatchesGoldenRun(t *testing.T) {
 			}
 			compareRuns(t, name, got, want)
 		})
+	}
+}
+
+// TestEngineGoldenHash pins the engine's slot arithmetic absolutely: the
+// unaware policy over four weeks of the 2,000-server scenario, with every
+// charged number of every SlotRecord folded into FNV-1a as little-endian
+// IEEE-754 bits. The parity tests compare the engine with a reference loop;
+// this digest also catches a drift the two would share.
+func TestEngineGoldenHash(t *testing.T) {
+	const want = "fnv1a:84e3cd10ada72be5"
+	sc, _, err := simtest.Build(simtest.Options{Slots: 28 * 24, N: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(sc, baseline.NewUnaware(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, r := range res.Records {
+		for _, v := range []float64{float64(r.Slot), float64(r.Speed), float64(r.Active),
+			r.LambdaRPS, r.TotalUSD, r.ElectricityUSD, r.DelayUSD, r.SwitchUSD,
+			r.GridKWh, r.EnergyKWh, r.DeficitKWh} {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		t.Errorf("engine result hash = %s, want %s (slot arithmetic drifted)", got, want)
 	}
 }
 
