@@ -18,7 +18,6 @@ import (
 	"repro/internal/lyapunov"
 	"repro/internal/p3"
 	"repro/internal/price"
-	"repro/internal/queueing"
 	"repro/internal/renewable"
 	"repro/internal/sim"
 	"repro/internal/simtest"
@@ -282,19 +281,6 @@ func BenchmarkDeficitQueueUpdate(b *testing.B) {
 	q := lyapunov.NewDeficitQueue(1, 100)
 	for i := 0; i < b.N; i++ {
 		q.Update(float64(i%1000), float64(i%700))
-	}
-}
-
-func BenchmarkMG1PSQueue(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := queueing.Simulate(queueing.Config{
-			ArrivalRPS: 7, ServiceRPS: 10,
-			Service: queueing.ExponentialService(1),
-			Horizon: 2000, Warmup: 100, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

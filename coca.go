@@ -16,7 +16,6 @@ import (
 	"repro/internal/p3"
 	"repro/internal/predict"
 	"repro/internal/price"
-	"repro/internal/queueing"
 	"repro/internal/renewable"
 	"repro/internal/reqsim"
 	"repro/internal/serve"
@@ -440,56 +439,26 @@ func RunTraced(sc *Scenario, p Policy, tr *Tracer, observers ...Observer) (*RunR
 	return sim.RunTraced(sc, p, tr, observers...)
 }
 
-// Queueing validation (paper Eq. 4).
+// Queueing validation (paper Eq. 4) and request-level replay
+// (internal/reqsim): the high-throughput sharded M/G/1/PS simulator and its
+// slot-pipeline replay hooks. It recycles every slab across runs (zero
+// steady-state allocations) and fans shards over a worker pool with results
+// invariant to the worker count.
 type (
-	// QueueConfig configures the event-driven M/G/1/PS simulator.
-	QueueConfig = queueing.Config
-	// QueueResult summarizes a queueing run.
-	QueueResult = queueing.Result
-)
-
-// ServiceDist samples i.i.d. service requirements for the queueing
-// simulator. Construct values with ExponentialService,
-// DeterministicService or HyperexpService.
-type ServiceDist = queueing.ServiceDist
-
-// ExponentialService returns an exponential requirement distribution.
-func ExponentialService(mean float64) ServiceDist { return queueing.ExponentialService(mean) }
-
-// DeterministicService returns a constant requirement.
-func DeterministicService(mean float64) ServiceDist { return queueing.DeterministicService(mean) }
-
-// HyperexpService returns a high-variance two-phase requirement.
-func HyperexpService(mean, p float64) ServiceDist { return queueing.HyperexpService(mean, p) }
-
-// SimulateQueue runs the event-driven M/G/1/PS simulation.
-func SimulateQueue(cfg QueueConfig) (QueueResult, error) { return queueing.Simulate(cfg) }
-
-// AnalyticMeanJobs is the M/G/1/PS prediction λ/(x−λ) behind Eq. (4).
-func AnalyticMeanJobs(arrivalRPS, serviceRPS float64) float64 {
-	return queueing.AnalyticMeanJobs(arrivalRPS, serviceRPS)
-}
-
-// Request-level engine (internal/reqsim): the high-throughput sharded
-// M/G/1/PS simulator and its slot-pipeline replay hooks. Unlike the
-// reference queueing simulator above — which it matches bit for bit on
-// identical seeds — it recycles every slab across runs (zero steady-state
-// allocations) and fans shards over a worker pool with results invariant
-// to the worker count.
-type (
-	// ReqsimConfig configures one request-level simulation.
-	ReqsimConfig = reqsim.Config
-	// ReqsimResult summarizes a request-level run (journey counters plus
-	// exact P50/P95/P99 response-time percentiles).
-	ReqsimResult = reqsim.Result
+	// QueueConfig configures one M/G/1/PS simulation.
+	QueueConfig = reqsim.Config
+	// QueueResult summarizes a run (journey counters plus exact
+	// P50/P95/P99 response-time percentiles when driven with a tape).
+	QueueResult = reqsim.Result
+	// ServiceDist is a closure-free service-requirement distribution.
+	// Construct values with ExponentialService, DeterministicService,
+	// HyperexpService or ParetoService; the zero value is invalid.
+	ServiceDist = reqsim.ServiceSampler
 	// ReqsimEngine is a reusable zero-steady-state-allocation simulator.
 	ReqsimEngine = reqsim.Engine
 	// ReqsimPool fans independent shards over workers and merges
 	// deterministically in shard order.
 	ReqsimPool = reqsim.Pool
-	// ReqsimServiceSampler is a closure-free service distribution; build
-	// with the reqsim constructors to add the heavy-tailed Pareto arm.
-	ReqsimServiceSampler = reqsim.ServiceSampler
 	// ReplayOptions configures a slot or fleet replayer.
 	ReplayOptions = reqsim.ReplayOptions
 	// ReplayReport aggregates empirical-vs-analytic delay error over a run.
@@ -501,21 +470,34 @@ type (
 	FleetReplayer = reqsim.FleetReplayer
 )
 
+// ExponentialService returns an exponential requirement distribution.
+func ExponentialService(mean float64) ServiceDist { return reqsim.ExponentialService(mean) }
+
+// DeterministicService returns a constant requirement.
+func DeterministicService(mean float64) ServiceDist { return reqsim.DeterministicService(mean) }
+
+// HyperexpService returns a high-variance two-phase requirement.
+func HyperexpService(mean, p float64) ServiceDist { return reqsim.HyperexpService(mean, p) }
+
+// ParetoService returns a heavy-tailed Pareto requirement distribution
+// (alpha in (1, 2]) for the arm where the analytic model's insensitivity
+// argument converges only slowly.
+func ParetoService(mean, alpha float64) ServiceDist { return reqsim.ParetoService(mean, alpha) }
+
+// SimulateQueue runs one event-driven M/G/1/PS simulation on a fresh
+// engine. Unstable uncapped configurations (ρ = λ·E[S]/x ≥ 1) are rejected.
+func SimulateQueue(cfg QueueConfig) (QueueResult, error) { return reqsim.Simulate(cfg) }
+
+// AnalyticMeanJobs is the M/G/1/PS prediction λ/(x−λ) behind Eq. (4).
+func AnalyticMeanJobs(arrivalRPS, serviceRPS float64) float64 {
+	return reqsim.AnalyticMeanJobs(arrivalRPS, serviceRPS)
+}
+
 // NewReqsimEngine returns a reusable request-level simulator.
 func NewReqsimEngine() *ReqsimEngine { return reqsim.NewEngine() }
 
 // NewReqsimPool returns a sharded runner over the given worker count.
 func NewReqsimPool(workers int) *ReqsimPool { return reqsim.NewPool(workers) }
-
-// SimulateRequests runs one request-level simulation on a fresh engine.
-func SimulateRequests(cfg ReqsimConfig) (ReqsimResult, error) { return reqsim.Simulate(cfg) }
-
-// ParetoService returns a heavy-tailed Pareto requirement distribution
-// (alpha > 1) for the arm where the analytic model's insensitivity
-// argument converges only slowly.
-func ParetoService(mean, alpha float64) ReqsimServiceSampler {
-	return reqsim.ParetoService(mean, alpha)
-}
 
 // NewSlotReplayer wires request-level replay into a sim run: pass its
 // Observer to RunObserved/RunTraced.

@@ -2,6 +2,7 @@ package coca
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -82,5 +83,24 @@ func TestPublicAPIQueueingValidation(t *testing.T) {
 	want := AnalyticMeanJobs(5, 10)
 	if math.Abs(res.MeanJobs-want) > 0.15*want {
 		t.Errorf("measured %v vs analytic %v", res.MeanJobs, want)
+	}
+}
+
+// TestSimulateQueueRejectsUnstableServiceMean pins the stability rule on
+// the service mean, not just the rates: λ = 6 against x = 10 looks stable,
+// but a mean requirement of 2 makes ρ = λ·E[S]/x = 1.2. Without the check
+// the run "measures" MeanJobs in the thousands — an artifact of the horizon
+// where Eq. (4) has no steady state.
+func TestSimulateQueueRejectsUnstableServiceMean(t *testing.T) {
+	res, err := SimulateQueue(QueueConfig{
+		ArrivalRPS: 6, ServiceRPS: 10,
+		Service: ExponentialService(2),
+		Horizon: 20000, Warmup: 1000, Seed: 7,
+	})
+	if err == nil {
+		t.Fatalf("ρ = 1.2 queue accepted: MeanJobs %v", res.MeanJobs)
+	}
+	if !strings.Contains(err.Error(), "unstable") || !strings.Contains(err.Error(), "1.2") {
+		t.Errorf("error %q does not name the unstable utilization 1.2", err)
 	}
 }

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/workpool"
 )
 
 // workers resolves the configured fan-out: Workers > 0 is taken literally
@@ -32,12 +32,13 @@ func (c Config) pool() *telemetry.PoolMetrics {
 }
 
 // mapIndexed evaluates fn over the indices [0, n) on a bounded pool of
-// workers and returns the results in index order, so the output — and any
-// rendering done from it — is byte-identical whatever the worker count.
-// Jobs must be independent: each writes only its own slot. On failure the
-// lowest-index error is returned (the one the sequential path would have
-// hit first), keeping error reporting deterministic too. pm, when non-nil,
-// observes job progress and per-job wall time; it never affects results.
+// workers (workpool.Fan) and returns the results in index order, so the
+// output — and any rendering done from it — is byte-identical whatever the
+// worker count. Jobs must be independent: each writes only its own slot.
+// Every job runs; on failure the lowest-index error is returned (the one
+// the sequential path would have hit first), keeping error reporting
+// deterministic too. pm, when non-nil, observes job progress and per-job
+// wall time; it never affects results.
 func mapIndexed[T any](workers int, pm *telemetry.PoolMetrics, n int, fn func(int) (T, error)) ([]T, error) {
 	call := fn
 	if pm != nil {
@@ -49,57 +50,14 @@ func mapIndexed[T any](workers int, pm *telemetry.PoolMetrics, n int, fn func(in
 			return v, err
 		}
 	}
+	pm.SetWorkers(max(1, min(workers, n)))
 	out := make([]T, n)
-	if workers <= 1 || n <= 1 {
-		pm.SetWorkers(1)
-		for i := 0; i < n; i++ {
-			v, err := call(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+	errs := make([]error, n)
+	workpool.Fan(workers, n, func(i int) { out[i], errs[i] = call(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	pm.SetWorkers(workers)
-	var (
-		mu       sync.Mutex
-		next     int
-		errIdx   int = n
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				v, err := call(i)
-				if err != nil {
-					mu.Lock()
-					if i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/predict"
-	"repro/internal/queueing"
 	"repro/internal/report"
+	"repro/internal/reqsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -129,10 +129,10 @@ func DelayValidation(cfg Config, samples int) ([]DelayValidationPoint, float64, 
 		}
 		perServer := rec.LambdaRPS / float64(rec.Active)
 		rate := sc.Server.Rate(rec.Speed)
-		res, err := queueing.Simulate(queueing.Config{
+		res, err := reqsim.Simulate(reqsim.Config{
 			ArrivalRPS: perServer,
 			ServiceRPS: rate,
-			Service:    queueing.ExponentialService(1),
+			Service:    reqsim.ExponentialService(1),
 			Horizon:    40000,
 			Warmup:     2000,
 			Seed:       cfg.Seed + uint64(i),

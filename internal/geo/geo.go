@@ -179,22 +179,6 @@ func (sys *System) siteLedger(k int) dcmodel.Ledger {
 	}
 }
 
-// siteValue returns site k's P3 optimum value at load mu (+Inf when the
-// site cannot carry mu). Only the naive reference loop uses it; the hot
-// path goes through evalSite, which additionally separates real solver
-// errors from capacity infeasibility.
-func (sys *System) siteValue(k int, v, mu float64) float64 {
-	if mu == 0 {
-		// An empty site powers down: zero P3 value.
-		return 0
-	}
-	sol, err := sys.siteProblem(k, v, mu).Solve()
-	if err != nil {
-		return math.Inf(1)
-	}
-	return sol.Value
-}
-
 // validateStep guards every federation step, System's and Fleet's alike:
 // the horizon is not exhausted, the load is finite, non-negative and within
 // the aggregate capacity, and the control parameter V is finite and
@@ -227,8 +211,8 @@ const Chunks = 100
 // outcome. Call Settle with the realized off-site generation afterwards.
 //
 // The split runs on the memoized greedy engine of split.go: bit-identical
-// to the naive O(Chunks·K)-solve loop (kept as stepNaive, pinned by golden
-// hash tests) at O(Chunks + K) P3 solves. Real solver failures
+// to the naive O(Chunks·K)-solve loop (stepNaive in split_test.go, pinned
+// by golden hash tests) at O(Chunks + K) P3 solves. Real solver failures
 // abort the step and count into geo.solve_errors; capacity infeasibility
 // never does — a full site is a legitimate split answer.
 func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {

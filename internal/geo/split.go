@@ -10,8 +10,9 @@ import (
 
 // This file is the geo split hot path: the memoized, incremental greedy
 // marginal allocation behind System.Step. It is pinned bit-for-bit against
-// the naive reference loop in naive.go (see TestGoldenSplitParity), which
-// it replaces at O(Chunks + K) P3 solves per slot instead of O(Chunks·K).
+// the naive reference loop stepNaive in split_test.go (see
+// TestGoldenSplitParity), which it replaces at O(Chunks + K) P3 solves per
+// slot instead of O(Chunks·K).
 //
 // The key invariant: site values are only ever needed on the per-slot grid
 // μ = split_i + chunk where split_i accumulates whole chunks, and within a

@@ -1,7 +1,7 @@
 // Package numopt is the handwritten numerical-optimization toolkit used by
 // the COCA reproduction. Go has no mainstream numerical ecosystem, so the
-// primitives the paper's algorithms rest on — scalar root finding, unimodal
-// search over both continuous and integer domains, and the KKT water-filling
+// primitives the paper's algorithms rest on — saturating monotone
+// bisection, unimodal search over the integers, and the KKT water-filling
 // solver for separable convex programs with a single linear coupling
 // constraint — are implemented here from scratch on the standard library.
 package numopt
@@ -11,42 +11,8 @@ import (
 	"math"
 )
 
-// ErrNoBracket is returned when a root finder is called on an interval whose
-// endpoint values do not bracket the target.
-var ErrNoBracket = errors.New("numopt: interval does not bracket a root")
-
 // ErrInfeasible is returned by solvers whose constraints admit no solution.
 var ErrInfeasible = errors.New("numopt: problem infeasible")
-
-// Bisect finds x in [lo, hi] with f(x) ≈ 0 for a continuous f that changes
-// sign over the interval, to within xtol on the argument. It runs at most
-// maxIter iterations (64 is plenty for float64). If f(lo) and f(hi) have the
-// same strict sign, ErrNoBracket is returned.
-func Bisect(f func(float64) float64, lo, hi, xtol float64, maxIter int) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < maxIter && hi-lo > xtol; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (fhi > 0) {
-			hi, fhi = mid, fm
-		} else {
-			lo, flo = mid, fm
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
 
 // BisectMonotone finds x in [lo, hi] with g(x) ≈ target for a monotone
 // (either direction) continuous g. If the target lies outside [g(lo), g(hi)],
@@ -90,29 +56,6 @@ func bisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol 
 		}
 	}
 	return lo + (hi-lo)/2
-}
-
-// GoldenSection minimizes a unimodal continuous f over [lo, hi] to within
-// xtol and returns the minimizing argument and value.
-func GoldenSection(f func(float64) float64, lo, hi, xtol float64) (x, fx float64) {
-	const invPhi = 0.6180339887498949 // (√5 − 1) / 2
-	a, b := lo, hi
-	c := b - invPhi*(b-a)
-	d := a + invPhi*(b-a)
-	fc, fd := f(c), f(d)
-	for b-a > xtol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - invPhi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + invPhi*(b-a)
-			fd = f(d)
-		}
-	}
-	x = a + (b-a)/2
-	return x, f(x)
 }
 
 // MinimizeInt minimizes f over the integers [lo, hi]. It assumes f is

@@ -9,42 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestBisectFindsRoot(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(f, 0, 2, 1e-12, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Errorf("root = %v, want √2", root)
-	}
-}
-
-func TestBisectExactEndpoints(t *testing.T) {
-	f := func(x float64) float64 { return x - 1 }
-	if r, err := Bisect(f, 1, 2, 1e-12, 100); err != nil || r != 1 {
-		t.Errorf("lo endpoint root: %v, %v", r, err)
-	}
-	if r, err := Bisect(f, 0, 1, 1e-12, 100); err != nil || r != 1 {
-		t.Errorf("hi endpoint root: %v, %v", r, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-12, 100); err != ErrNoBracket {
-		t.Errorf("want ErrNoBracket, got %v", err)
-	}
-}
-
-func TestBisectDecreasingFunction(t *testing.T) {
-	f := func(x float64) float64 { return 3 - x }
-	root, err := Bisect(f, 0, 10, 1e-12, 200)
-	if err != nil || math.Abs(root-3) > 1e-10 {
-		t.Errorf("root = %v err = %v, want 3", root, err)
-	}
-}
-
 func TestBisectMonotoneIncreasing(t *testing.T) {
 	g := func(x float64) float64 { return 2*x + 1 }
 	x := BisectMonotone(g, 7, 0, 10, 1e-12, 200)
@@ -68,27 +32,6 @@ func TestBisectMonotoneSaturates(t *testing.T) {
 	}
 	if x := BisectMonotone(g, 5, 0, 1, 1e-12, 100); x != 1 {
 		t.Errorf("above-range target: x = %v, want 1", x)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.7) * (x - 1.7) }
-	x, fx := GoldenSection(f, -10, 10, 1e-9)
-	if math.Abs(x-1.7) > 1e-6 {
-		t.Errorf("argmin = %v, want 1.7", x)
-	}
-	if fx > 1e-10 {
-		t.Errorf("min value = %v", fx)
-	}
-}
-
-func TestGoldenSectionAsymmetric(t *testing.T) {
-	// Unimodal but not symmetric: x^4 - x (min at (1/4)^(1/3)).
-	f := func(x float64) float64 { return x*x*x*x - x }
-	x, _ := GoldenSection(f, 0, 2, 1e-10)
-	want := math.Cbrt(0.25)
-	if math.Abs(x-want) > 1e-6 {
-		t.Errorf("argmin = %v, want %v", x, want)
 	}
 }
 

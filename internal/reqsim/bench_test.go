@@ -1,10 +1,6 @@
 package reqsim
 
-import (
-	"testing"
-
-	"repro/internal/queueing"
-)
+import "testing"
 
 // benchCfg is the standard bench scenario: ρ = 0.7 exponential service —
 // the mid-load regime the fleet actually operates in. One run is ~2·λ·H
@@ -98,20 +94,20 @@ func BenchmarkReqsimHeavyTail(b *testing.B) {
 	}
 }
 
-// BenchmarkReqsimOracle runs the queueing oracle on the identical scenario
+// BenchmarkReqsimOracle runs the test oracle (oracle_test.go) on the identical scenario
 // so the engine's speedup is a number in the bench log, not a claim.
 func BenchmarkReqsimOracle(b *testing.B) {
-	cfg := queueing.Config{
-		ArrivalRPS: 7, ServiceRPS: 10, Service: queueing.ExponentialService(1),
+	cfg := oracleConfig{
+		ArrivalRPS: 7, ServiceRPS: 10, Service: oracleExponentialService(1),
 		Horizon: 10000, Warmup: 500, Seed: 1,
 	}
-	if _, err := queueing.Simulate(cfg); err != nil {
+	if _, err := oracleSimulate(cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := queueing.Simulate(cfg); err != nil {
+		if _, err := oracleSimulate(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

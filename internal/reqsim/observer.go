@@ -38,16 +38,9 @@ type ReplayOptions struct {
 	Bursty bool
 	// Every replays every Nth slot (default 1: every slot).
 	Every int
-	// MaxShards caps the number of independent server replicas simulated
-	// per slot (default 32). A slot with Active ≤ MaxShards replays every
-	// server; beyond that, a statistically identical subset.
-	MaxShards int
 	// Workers bounds the shard/site fan-out (default 1: sequential,
 	// bit-identical to any other width).
 	Workers int
-	// WarmupFrac is the fraction of each replay horizon discarded before
-	// measuring (default 0.1).
-	WarmupFrac float64
 	// Seed is the base seed; each slot (and site) derives its own stream.
 	Seed uint64
 
@@ -55,6 +48,16 @@ type ReplayOptions struct {
 	Metrics *telemetry.ReqsimMetrics // optional instruments
 	Tracer  *span.Tracer             // optional span recording ("reqsim.replay")
 }
+
+const (
+	// replayMaxShards caps the independent server replicas simulated per
+	// slot: a slot with Active ≤ replayMaxShards replays every server;
+	// beyond that, a statistically identical subset.
+	replayMaxShards = 32
+	// replayWarmupFrac is the fraction of each replay horizon discarded
+	// before measuring.
+	replayWarmupFrac = 0.1
+)
 
 func (o *ReplayOptions) withDefaults() ReplayOptions {
 	out := *o
@@ -67,14 +70,8 @@ func (o *ReplayOptions) withDefaults() ReplayOptions {
 	if out.Every <= 0 {
 		out.Every = 1
 	}
-	if out.MaxShards <= 0 {
-		out.MaxShards = 32
-	}
 	if out.Workers < 1 {
 		out.Workers = 1
-	}
-	if out.WarmupFrac <= 0 || out.WarmupFrac >= 1 {
-		out.WarmupFrac = 0.1
 	}
 	if out.Site == "" {
 		out.Site = "dc0"
@@ -185,8 +182,8 @@ func (r *SlotReplayer) observe(rec sim.SlotRecord) {
 		return // overloaded config: sim would have rejected it; nothing to validate
 	}
 	shards := rec.Active
-	if shards > o.MaxShards {
-		shards = o.MaxShards
+	if shards > replayMaxShards {
+		shards = replayMaxShards
 	}
 	// Size the horizon so expected arrivals across shards ≈ Requests.
 	horizon := float64(o.Requests) / (lambdaPer * float64(shards))
@@ -194,7 +191,7 @@ func (r *SlotReplayer) observe(rec sim.SlotRecord) {
 		ServiceRPS: x,
 		Service:    o.Service,
 		Horizon:    horizon,
-		Warmup:     horizon * o.WarmupFrac,
+		Warmup:     horizon * replayWarmupFrac,
 		Seed:       o.Seed + uint64(rec.Slot+1)*slotSeedStride,
 	}
 	cfg.ArrivalRPS, cfg.Arrivals = o.arrivals(lambdaPer)
@@ -322,7 +319,7 @@ func (r *FleetReplayer) observe(slot int, out geo.FleetStepOutcome) {
 			ServiceRPS: xEq,
 			Service:    o.Service,
 			Horizon:    horizon,
-			Warmup:     horizon * o.WarmupFrac,
+			Warmup:     horizon * replayWarmupFrac,
 			Seed:       o.Seed + uint64(slot+1)*slotSeedStride + uint64(i+1)*siteSeedStride,
 		}
 		cfg.ArrivalRPS, cfg.Arrivals = o.arrivals(lambda)

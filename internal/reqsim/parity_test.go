@@ -1,19 +1,15 @@
 package reqsim
 
-import (
-	"testing"
-
-	"repro/internal/queueing"
-)
+import "testing"
 
 // pair builds the oracle and engine configs for the same scenario. The
-// service mean is fixed at 1 (the paper's convention) so the two packages'
-// stability rules coincide.
+// service mean is fixed at 1 (the paper's convention) so the oracle's and
+// the engine's stability rules coincide.
 type scenario struct {
 	name       string
 	arrival    float64
 	service    float64
-	oracleDist queueing.ServiceDist
+	oracleDist oracleServiceDist
 	engineDist ServiceSampler
 	horizon    float64
 	warmup     float64
@@ -21,7 +17,7 @@ type scenario struct {
 }
 
 // TestBitParityWithOracle is the engine's core correctness claim: on every
-// Poisson configuration the fast engine and the internal/queueing oracle
+// Poisson configuration the fast engine and the oracle (oracle_test.go)
 // consume the identical RNG stream, order the identical events and
 // accumulate with the identical float expressions — so every shared Result
 // field must match bit for bit, across distributions, loads, caps and
@@ -29,37 +25,37 @@ type scenario struct {
 func TestBitParityWithOracle(t *testing.T) {
 	scenarios := []scenario{
 		{name: "exp-rho03", arrival: 3, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 4000, warmup: 200},
 		{name: "exp-rho05", arrival: 5, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 4000, warmup: 200},
 		{name: "exp-rho07", arrival: 7, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 4000, warmup: 200},
 		{name: "exp-rho085", arrival: 8.5, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 4000, warmup: 200},
 		{name: "det", arrival: 6, service: 10,
-			oracleDist: queueing.DeterministicService(1), engineDist: DeterministicService(1),
+			oracleDist: oracleDeterministicService(1), engineDist: DeterministicService(1),
 			horizon: 3000, warmup: 100},
 		{name: "hyperexp", arrival: 6, service: 10,
-			oracleDist: queueing.HyperexpService(1, 0.15), engineDist: HyperexpService(1, 0.15),
+			oracleDist: oracleHyperexpService(1, 0.15), engineDist: HyperexpService(1, 0.15),
 			horizon: 3000, warmup: 100},
 		{name: "overloaded-capped", arrival: 20, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 2000, warmup: 100, maxJobs: 50},
 		{name: "zero-warmup", arrival: 4, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 1500, warmup: 0},
 		{name: "no-arrivals", arrival: 0, service: 10,
-			oracleDist: queueing.ExponentialService(1), engineDist: ExponentialService(1),
+			oracleDist: oracleExponentialService(1), engineDist: ExponentialService(1),
 			horizon: 100, warmup: 0},
 	}
 	eng := NewEngine()
 	for _, sc := range scenarios {
 		for seed := uint64(1); seed <= 5; seed++ {
-			want, err := queueing.Simulate(queueing.Config{
+			want, err := oracleSimulate(oracleConfig{
 				ArrivalRPS: sc.arrival, ServiceRPS: sc.service, Service: sc.oracleDist,
 				Horizon: sc.horizon, Warmup: sc.warmup, Seed: seed, MaxJobs: sc.maxJobs,
 			})

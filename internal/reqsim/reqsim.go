@@ -1,9 +1,11 @@
-// Package reqsim is the high-throughput request-level discrete-event
-// engine: the same M/G/1/PS fair-share-clock simulation as the
-// internal/queueing oracle, engineered like the GSD and geo hot paths so a
-// fleet slot can be replayed at request granularity — millions of
-// simulated requests per second on one core, zero allocations per event in
-// steady state.
+// Package reqsim is the repository's M/G/1/PS (processor-sharing)
+// simulator: a request-level discrete-event engine built on the
+// fair-share clock, engineered like the GSD and geo hot paths so a fleet
+// slot can be replayed at request granularity — millions of simulated
+// requests per second on one core, zero allocations per event in steady
+// state. Its reference is a small closure-based oracle kept in the
+// package's tests (oracle_test.go), which the engine matches bit for bit
+// on every Poisson configuration (TestBitParityWithOracle).
 //
 // Design, mirroring the repository's hot-path rules:
 //
@@ -16,8 +18,8 @@
 //     allocations.
 //   - Closure-free samplers (sampler.go): a ServiceSampler is a tagged
 //     value dispatched through one switch, drawing the *exact* RNG
-//     sequence of the corresponding queueing.ServiceDist — which is what
-//     lets the parity tests demand bit-for-bit equality with the oracle.
+//     sequence of the oracle's closure samplers — which is what lets the
+//     parity tests demand bit-for-bit equality with the oracle.
 //   - Deterministic sharding (shard.go): per-shard seeds derived by a
 //     splitmix64-style stride, shards fanned over workpool.FanID with
 //     per-worker engines, results merged in shard index order — the same
@@ -67,9 +69,8 @@ type Config struct {
 }
 
 // Validate rejects NaN/negative rates, empty horizons, Warmup ≥ Horizon,
-// invalid samplers and unstable (ρ ≥ 1) uncapped systems — the queueing
-// oracle's rules extended to the bursty arm, where stability is judged on
-// the time-averaged arrival rate.
+// invalid samplers and unstable (ρ = λ·E[S]/x ≥ 1) uncapped systems. On
+// the bursty arm stability is judged on the time-averaged arrival rate.
 func (cfg *Config) Validate() error {
 	bursty := cfg.Arrivals.Bursty()
 	switch {
@@ -98,11 +99,11 @@ func (cfg *Config) Validate() error {
 	return nil
 }
 
-// Result summarizes a run. The first five fields carry the oracle's exact
-// semantics and match queueing.Result bit for bit on identical Poisson
-// configs. The raw sums (AreaJobsSec, MeasuredSec, BusySec, RespSumSec)
-// are exported so sharded runs can merge results without losing bits —
-// every mean above them is a ratio of two sums.
+// Result summarizes a run. The first five fields match the test oracle's
+// result bit for bit on identical Poisson configs. The raw sums
+// (AreaJobsSec, MeasuredSec, BusySec, RespSumSec) are exported so sharded
+// runs can merge results without losing bits — every mean above them is a
+// ratio of two sums.
 type Result struct {
 	MeanJobs     float64 // time-averaged number in system (compare to λ/(x−λ))
 	MeanRespSec  float64 // mean response time of completed jobs
@@ -201,7 +202,7 @@ func (e *Engine) Run(cfg Config, tape *SampleTape) (Result, error) {
 
 	// advance moves the wall clock to `to`, accumulating the time-average
 	// integrals and the fair-share clock. The expressions are verbatim from
-	// queueing.Simulate — the parity tests require bit-equal accumulation
+	// the test oracle — the parity tests require bit-equal accumulation
 	// order, not just the same mathematics.
 	advance := func(to float64) {
 		dt := to - now
@@ -342,8 +343,9 @@ func (e *Engine) drawArrival(now float64, a ArrivalProcess) float64 {
 	}
 }
 
-// AnalyticMeanJobs re-exports the paper's Eq. (4) prediction λ/(x−λ) (mean
-// service requirement 1), the number every empirical arm is compared to.
+// AnalyticMeanJobs returns the paper's Eq. (4) prediction λ/(x−λ) (mean
+// service requirement 1, so ρ = λ/x), the number every empirical arm is
+// compared to. It returns +Inf at or beyond saturation.
 func AnalyticMeanJobs(arrivalRPS, serviceRPS float64) float64 {
 	if arrivalRPS >= serviceRPS {
 		return math.Inf(1)

@@ -7,14 +7,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Closure-free samplers. The oracle in internal/queueing takes ServiceDist
-// closures — fine at toy scale, but a closure call per event is an indirect
+// Closure-free samplers. The test oracle (oracle_test.go) takes closure
+// samplers — fine at toy scale, but a closure call per event is an indirect
 // branch the fast engine does not want, and a closure cannot be validated,
 // printed or compared. Here a sampler is a small value type: a kind tag plus
 // precomputed parameters, sampled through one switch. The built-in kinds
-// draw *exactly* the same RNG sequence as the corresponding
-// queueing.ServiceDist constructors, which is what makes the bit-for-bit
-// parity tests possible.
+// draw *exactly* the same RNG sequence as the oracle's corresponding
+// constructors, which is what makes the bit-for-bit parity tests possible.
 
 type serviceKind uint8
 
@@ -27,7 +26,9 @@ const (
 )
 
 // ServiceSampler draws i.i.d. service requirements (units of work, mean 1
-// by the paper's convention). The zero value is invalid; use a constructor.
+// by the paper's convention; a server at rate x completes one unit per 1/x
+// seconds, so a requirement of 1 at rate 10 takes 100 ms alone, the paper's
+// §5.1 setup). The zero value is invalid; use a constructor.
 type ServiceSampler struct {
 	kind serviceKind
 	mean float64
@@ -39,20 +40,21 @@ type ServiceSampler struct {
 }
 
 // ExponentialService returns an exponential requirement with the given
-// mean. Draw-for-draw identical to queueing.ExponentialService.
+// mean. Draw-for-draw identical to the oracle's exponential sampler.
 func ExponentialService(mean float64) ServiceSampler {
 	return ServiceSampler{kind: serviceExponential, mean: mean, r1: 1 / mean}
 }
 
 // DeterministicService returns a constant requirement (no RNG draw),
-// matching queueing.DeterministicService.
+// matching the oracle.
 func DeterministicService(mean float64) ServiceSampler {
 	return ServiceSampler{kind: serviceDeterministic, mean: mean}
 }
 
-// HyperexpService returns the two-phase hyperexponential of
-// queueing.HyperexpService: mean `mean`, phase balance p ∈ (0,1), phase
-// means mean/(2p) and mean/(2(1−p)). Draw-for-draw identical to the oracle.
+// HyperexpService returns a two-phase hyperexponential requirement: mean
+// `mean`, phase balance p ∈ (0,1), phase means mean/(2p) and mean/(2(1−p)),
+// a coefficient of variation above 1 to exercise PS insensitivity.
+// Draw-for-draw identical to the oracle.
 func HyperexpService(mean, p float64) ServiceSampler {
 	if p <= 0 || p >= 1 {
 		panic("reqsim: HyperexpService requires p in (0,1)")

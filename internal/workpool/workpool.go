@@ -1,9 +1,9 @@
-// Package workpool provides the bounded fan-out primitive every parallel
-// hot path in this repository shares: run n index-addressed jobs on up to
-// `workers` goroutines, each job writing only its own output slot, so the
-// result is independent of goroutine scheduling. It is the pool discipline
-// internal/experiments introduced and internal/geo adopted, extracted so the
-// distributed load-balance rounds and the fleet step can reuse it.
+// Package workpool provides the bounded fan-out primitive the repository's
+// parallel paths share: run n index-addressed jobs on up to `workers`
+// goroutines, each job writing only its own output slot, so the result is
+// independent of goroutine scheduling. Its callers are the geo fleet step,
+// the reqsim shard pool and fleet replayer, and the experiment sweeps
+// (experiments.mapIndexed).
 package workpool
 
 import (
