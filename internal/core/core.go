@@ -103,6 +103,9 @@ func New(cfg Config) (*Policy, error) {
 	if err := cfg.Schedule.Validate(cfg.Schedule.Slots()); err != nil {
 		return nil, err
 	}
+	if err := lyapunov.CheckQueueParams(cfg.Alpha, cfg.RECPerSlotKWh); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	return &Policy{
 		cfg:   cfg,
 		queue: lyapunov.NewDeficitQueue(cfg.Alpha, cfg.RECPerSlotKWh),
@@ -240,6 +243,9 @@ func NewController(cluster *dcmodel.Cluster, beta float64, sched lyapunov.VSched
 	}
 	if solver == nil {
 		return nil, fmt.Errorf("core: nil P3 solver")
+	}
+	if err := lyapunov.CheckQueueParams(alpha, recPerSlotKWh); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Controller{
 		Cluster: cluster, Beta: beta, Schedule: sched, Solver: solver,

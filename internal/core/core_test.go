@@ -56,6 +56,28 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("bad schedule accepted")
 	}
+	for _, tc := range badQueueParams {
+		bad = good
+		bad.Alpha, bad.RECPerSlotKWh = tc.alpha, tc.rec
+		if _, err := New(bad); err == nil {
+			t.Errorf("%s: alpha %v, REC allowance %v accepted", tc.name, tc.alpha, tc.rec)
+		}
+	}
+}
+
+// badQueueParams are capping aggressiveness and REC allowance pairs the
+// constructors must refuse with an error: α must be finite and positive,
+// the allowance finite and non-negative.
+var badQueueParams = []struct {
+	name       string
+	alpha, rec float64
+}{
+	{"alpha-zero", 0, 1},
+	{"alpha-nan", math.NaN(), 1},
+	{"alpha-inf", math.Inf(1), 1},
+	{"rec-negative", 1, -1},
+	{"rec-nan", 1, math.NaN()},
+	{"rec-inf", 1, math.Inf(1)},
 }
 
 func TestCostDecreasesWithV(t *testing.T) {
@@ -244,6 +266,18 @@ func TestControllerValidation(t *testing.T) {
 	bad := &dcmodel.Cluster{}
 	if _, err := NewController(bad, 0.01, sched, 1, 1, &p3.HomogeneousSolver{}); err == nil {
 		t.Error("bad cluster accepted")
+	}
+	for _, tc := range badQueueParams {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewController panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := NewController(cluster, 0.01, sched, tc.alpha, tc.rec, &p3.HomogeneousSolver{}); err == nil {
+				t.Errorf("%s: alpha %v, REC allowance %v accepted", tc.name, tc.alpha, tc.rec)
+			}
+		}()
 	}
 }
 

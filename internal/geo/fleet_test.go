@@ -173,6 +173,20 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet(bad, 0.005, slots, gsd.Options{}); err == nil {
 		t.Error("NewFleet with nil cluster should fail")
 	}
+	// A NaN or infinite α or REC purchase would turn the site's deficit
+	// queue into NaN after one slot.
+	for _, mutate := range []func(*renewable.Portfolio){
+		func(p *renewable.Portfolio) { p.Alpha = math.NaN() },
+		func(p *renewable.Portfolio) { p.Alpha = math.Inf(1) },
+		func(p *renewable.Portfolio) { p.RECsKWh = math.NaN() },
+		func(p *renewable.Portfolio) { p.RECsKWh = math.Inf(1) },
+	} {
+		bad := makeFleetSites(2, 3, 5, slots)
+		mutate(bad[0].Portfolio)
+		if _, err := NewFleet(bad, 0.005, slots, gsd.Options{}); err == nil {
+			t.Errorf("NewFleet accepted site 0's portfolio %+v", *bad[0].Portfolio)
+		}
+	}
 	f, err := NewFleet(sites, 0.005, slots, gsd.Options{Delta: 1e4, MaxIters: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -33,14 +33,35 @@ func (c *probeCounter) SumAlloc(nu float64) float64 {
 	return c.fillSystem.SumAlloc(nu)
 }
 
-// TestCertifiedProbesRarelyFallBack pins the saving of certified probes and
-// of the located price search on the two LoadSplitProposal clusters: over a
-// proposal loop (one speed delta, fills at the grid, surplus and an
-// intermediate electricity weight, then the rollback) the estimate must
-// decide almost every probe, and the locator must settle most bisection
-// steps without one. A bound that is sound but too loose would send most
-// probes to the O(groups) exact sum, and a locator that stops locating
-// would go back to a probe per step; neither changes a bit, so this test
+// check fails t unless the fills c counted took at most maxSweeps class
+// sweeps (probes plus slope sweeps) and maxExact exact sums each.
+func (c *probeCounter) check(t *testing.T, fills int, maxSweeps, maxExact float64) {
+	t.Helper()
+	perFill := func(k int) float64 { return float64(k) / float64(fills) }
+	t.Logf("%d fills: %.2f probes, %.2f exact sums and %.2f slope sweeps per fill",
+		fills, perFill(c.probes), perFill(c.exact), perFill(c.slopes))
+	if perFill(c.exact) > maxExact {
+		t.Fatalf("%.2f exact sums per fill (of %.2f probes), want at most %v",
+			perFill(c.exact), perFill(c.probes), maxExact)
+	}
+	if sweeps := perFill(c.probes + c.slopes); sweeps > maxSweeps {
+		t.Fatalf("%.2f class sweeps per fill (%.2f probes, %.2f slope sweeps), want at most %v",
+			sweeps, perFill(c.probes), perFill(c.slopes), maxSweeps)
+	}
+}
+
+// TestCertifiedProbesRarelyFallBack pins the saving of certified probes, of
+// the located price search and of its hint on the two LoadSplitProposal
+// clusters. Over a proposal loop (one speed delta, fills at the grid,
+// surplus and an intermediate electricity weight, then the rollback) the
+// estimate must decide almost every probe and the locator must settle most
+// bisection steps without one. The gsd subtest is the GSD engine's loop on
+// the fleet's site: a random proposal, one fill at the grid weight, then a
+// rollback or an accept; there the hint, the last fill's price, starts the
+// locator next to the root. A bound that is sound but too loose would send
+// most probes to the O(groups) exact sum, a locator that stops locating
+// would go back to a probe per step, and a lost hint would cost the
+// locator's sweeps from the bracket's top; none changes a bit, so this test
 // is what catches them.
 func TestCertifiedProbesRarelyFallBack(t *testing.T) {
 	site := dcmodel.HeterogeneousCluster(390, 39)
@@ -52,7 +73,6 @@ func TestCertifiedProbesRarelyFallBack(t *testing.T) {
 		{"paper-200", dcmodel.PaperCluster(200), 4e5, 2000},
 		{"site-390x39", site, 0.3 * site.MaxCapacityRPS(), 0.5},
 	}
-	const maxExactPerFill, maxSweepsPerFill = 5, 20
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n := len(tc.cluster.Groups)
@@ -85,19 +105,47 @@ func TestCertifiedProbesRarelyFallBack(t *testing.T) {
 				}
 				in.Revert()
 			}
-			perFill := func(k int) float64 { return float64(k) / float64(fills) }
-			t.Logf("%d fills: %.1f probes, %.2f exact sums and %.1f slope sweeps per fill",
-				fills, perFill(pc.probes), perFill(pc.exact), perFill(pc.slopes))
-			if perFill(pc.exact) > maxExactPerFill {
-				t.Fatalf("%.2f exact sums per fill (of %.1f probes), want at most %d",
-					perFill(pc.exact), perFill(pc.probes), maxExactPerFill)
-			}
-			if sweeps := perFill(pc.probes + pc.slopes); sweeps > maxSweepsPerFill {
-				t.Fatalf("%.1f class sweeps per fill (%.1f probes, %.1f slope sweeps), want at most %d",
-					sweeps, perFill(pc.probes), perFill(pc.slopes), maxSweepsPerFill)
-			}
+			pc.check(t, fills, 10, 5)
 		})
 	}
+	t.Run("gsd/site-390x39", func(t *testing.T) {
+		n := len(site.Groups)
+		rng := stats.NewRNG(0x65D)
+		speeds := make([]int, n)
+		for i := range speeds {
+			speeds[i] = 1 + rng.IntN(site.Groups[i].Type.NumSpeeds())
+		}
+		p := &dcmodel.SlotProblem{
+			Cluster: site, LambdaRPS: 0.3 * site.MaxCapacityRPS(),
+			We: 0.07, Wd: 0.02,
+		}
+		in, err := NewInstance(p, speeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := &probeCounter{fillSystem: &in.sys}
+		var buf []float64
+		fills := 0
+		for i := 0; i < 100*n; i++ {
+			g := rng.IntN(n)
+			if err := in.SetSpeed(g, rng.IntN(site.Groups[g].Type.NumSpeeds()+1)); err != nil {
+				t.Fatal(err)
+			}
+			if in.Feasible() {
+				in.sys.prepare(p.We)
+				if buf, err = numopt.WaterFillInto(pc, p.LambdaRPS, waterFillTol, buf); err != nil {
+					t.Fatal(err)
+				}
+				fills++
+			}
+			if rng.Bernoulli(0.3) {
+				in.Commit()
+			} else {
+				in.Revert()
+			}
+		}
+		pc.check(t, fills, 9, 3)
+	})
 }
 
 // TestSolveValueMatchesObjective pins the on-group objective pass of
@@ -249,7 +297,8 @@ func TestSumAllocMonotoneBitwise(t *testing.T) {
 			for _, omega := range []float64{p.We, 0, p.We / 3} {
 				s.prepare(omega)
 				lo, hi := s.ZeroDerivRange()
-				for _, c := range s.tab.rows {
+				for _, r := range in.cls.live {
+					c := &in.cls.rows[r]
 					walk(c.oslope+c.wdnr/(c.rate*c.rate), 200) // entry: v leaves 0
 					gap := c.rate - c.cap                      // cap: v reaches γ·R
 					walk(c.oslope+c.wdnr/(gap*gap), 200)

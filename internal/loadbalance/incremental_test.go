@@ -216,10 +216,14 @@ func TestSetSpeedValidation(t *testing.T) {
 	}
 }
 
-// requireFreshClasses fails unless in's live-class table is the table a
-// fresh build of the same speed vector makes (same class ids in the same
-// rows, same per-row constants, counts and per-group rows), and the class
-// slots are all cleared between builds.
+// requireFreshClasses fails unless in's class table, kept by delta, agrees
+// with the table a fresh build of the same speed vector makes, compared by
+// class id (a delta-kept table's rows are in no particular order): every
+// on group's row has the fresh row's id, constants and count, the live rows
+// are exactly the rows with members and as many as the fresh build's, the
+// class slots name exactly the rows, and ZeroDerivRange, whose extremes set
+// every fill's bracket, is bit-equal to the fresh build's at the grid and
+// surplus weights.
 func requireFreshClasses(t *testing.T, step int, in *Instance, p *dcmodel.SlotProblem, mirror []int) {
 	t.Helper()
 	fresh, err := NewInstance(p, mirror)
@@ -229,32 +233,58 @@ func requireFreshClasses(t *testing.T, step int, in *Instance, p *dcmodel.SlotPr
 		}
 		t.Fatal(err)
 	}
-	got, want := &in.cls[in.clsCur], &fresh.cls[fresh.clsCur]
-	if !slices.Equal(got.row, want.row) || len(got.rows) != len(want.rows) {
-		t.Fatalf("step %d: rows %v over %d classes, fresh %v over %d",
-			step, got.row, len(got.rows), want.row, len(want.rows))
+	got, want := &in.cls, &fresh.cls
+	if !slices.Equal(in.gIdx, fresh.gIdx) {
+		t.Fatalf("step %d: on groups %v, fresh %v", step, in.gIdx, fresh.gIdx)
 	}
-	for r, w := range want.rows {
-		g := got.rows[r]
+	for i := range in.gRow {
+		g, w := got.rows[in.gRow[i]], want.rows[fresh.gRow[i]]
 		if g.id != w.id || math.Float64bits(g.rate) != math.Float64bits(w.rate) ||
 			math.Float64bits(g.cap) != math.Float64bits(w.cap) ||
 			math.Float64bits(g.slope) != math.Float64bits(w.slope) ||
 			math.Float64bits(g.wdnr) != math.Float64bits(w.wdnr) ||
 			g.cnt != w.cnt || g.n != w.n || g.staticKW != w.staticKW ||
 			g.compKW != w.compKW || g.x != w.x {
-			t.Fatalf("step %d: class row %d = %+v, fresh %+v", step, r, g, w)
+			t.Fatalf("step %d: on group %d's class row %+v, fresh %+v", step, in.gIdx[i], g, w)
 		}
 	}
+	if len(got.live) != len(want.live) {
+		t.Fatalf("step %d: %d live rows, fresh %d", step, len(got.live), len(want.live))
+	}
 	var cnt float64
-	for _, r := range got.rows {
-		cnt += r.cnt
+	for pos, r := range got.live {
+		if c := got.rows[r]; c.cnt <= 0 || int(c.live) != pos {
+			t.Fatalf("step %d: live[%d] = row %d with count %v and live position %d", step, pos, r, c.cnt, c.live)
+		}
+		cnt += got.rows[r].cnt
 	}
-	if int(cnt) != len(got.row) {
-		t.Fatalf("step %d: class counts sum to %v over %d on groups", step, cnt, len(got.row))
+	if int(cnt) != len(in.gRow) {
+		t.Fatalf("step %d: live class counts sum to %v over %d on groups", step, cnt, len(in.gRow))
 	}
-	for c, r := range in.clsSlot {
-		if r != -1 {
-			t.Fatalf("step %d: clsSlot[%d] = %d after a build, want -1", step, c, r)
+	for r, c := range got.rows {
+		if got.slot[c.id] != int32(r) {
+			t.Fatalf("step %d: row %d holds class %d, whose slot is %d", step, r, c.id, got.slot[c.id])
+		}
+		if c.cnt == 0 && slices.Contains(got.live, int32(r)) {
+			t.Fatalf("step %d: empty row %d is live", step, r)
+		}
+	}
+	named := 0
+	for _, r := range got.slot {
+		if r >= 0 {
+			named++
+		}
+	}
+	if named != len(got.rows) {
+		t.Fatalf("step %d: %d class slots name a row, %d rows", step, named, len(got.rows))
+	}
+	for _, omega := range []float64{p.We, 0} {
+		in.sys.prepare(omega)
+		fresh.sys.prepare(omega)
+		lo, hi := in.sys.ZeroDerivRange()
+		wlo, whi := fresh.sys.ZeroDerivRange()
+		if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+			t.Fatalf("step %d, ω = %v: ZeroDerivRange [%v, %v], fresh [%v, %v]", step, omega, lo, hi, wlo, whi)
 		}
 	}
 }

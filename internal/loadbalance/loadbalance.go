@@ -24,7 +24,7 @@
 // of rebuilding the subproblem 200·n times per slot.
 //
 // The per-group constants live in a struct-of-arrays layout (parallel
-// gIdx/gCls/gN/gRate/gSlope/gCap slices over the on groups, backed by the
+// gIdx/gRow/gN/gRate/gSlope/gCap slices over the on groups, backed by the
 // cluster's cached dcmodel.ClusterArrays): the water-fill and sweep inner
 // loops walk flat float64 arrays instead of pointer-chasing group structs,
 // which keeps them cache-linear at fleet scale (10k+ groups per site).
@@ -36,7 +36,11 @@
 // per-group sum comes with a rounding-error bound (numopt.ClassSumSlack)
 // that decides almost every bisection comparison; only an undecided probe
 // accumulates the per-group values in ascending order. Every comparison is
-// decided as the exact sum decides it, hence the same bits.
+// decided as the exact sum decides it, hence the same bits. The class table
+// is kept by delta: SetSpeed moves one group between two classes' counts and
+// Revert moves it back, so a proposal costs what it changes. Each fill also
+// starts its price search from the price the last fill at the same
+// electricity weight found, which is advisory and changes no bit either.
 package loadbalance
 
 import (
@@ -58,7 +62,7 @@ var ErrInfeasible = errors.New("loadbalance: load exceeds configuration capacity
 // Instance's parallel slices; entry/setEntry convert between the two views.
 type group struct {
 	idx     int     // index into the cluster's group list
-	cls     int32   // (shape, speed) class: Shape[idx]·Stride + k
+	row     int32   // its (shape, speed) class's row in the class table
 	n       float64 // number of servers
 	rate    float64 // R = n·x: aggregate service rate
 	slopeKW float64 // A = PUE·p_c(x)/x: marginal facility power per RPS
@@ -68,16 +72,37 @@ type group struct {
 // makeGroup builds the prepared constants for cluster group g at speed k > 0
 // from the cluster's flat arrays, with exactly the arithmetic NewInstance has
 // always used (the arrays store RateAt/PowerSlopeKWPerRPS values verbatim).
+// It counts the group in its class's row, appending the row when the table
+// has not met the class since Reset.
 func (in *Instance) makeGroup(g, k int) group {
 	r := in.arr.Rate(g, k)
-	return group{
+	e := group{
 		idx:     g,
-		cls:     in.arr.Shape[g]*int32(in.arr.Stride) + int32(k),
 		n:       in.arr.N[g],
 		rate:    r,
 		slopeKW: in.prob.Cluster.PUE * in.arr.Slope(g, k),
 		cap:     in.prob.Cluster.Gamma * r,
 	}
+	id := in.arr.Shape[g]*int32(in.arr.Stride) + int32(k)
+	e.row = in.cls.slot[id]
+	if e.row < 0 {
+		typ := &in.prob.Cluster.Groups[g].Type
+		e.row = int32(len(in.cls.rows))
+		in.cls.slot[id] = e.row
+		in.cls.rows = append(in.cls.rows, classRow{
+			id:       id,
+			rate:     e.rate,
+			cap:      e.cap,
+			slope:    e.slopeKW,
+			wdnr:     in.prob.Wd * e.n * e.rate,
+			n:        e.n,
+			staticKW: in.arr.StaticKW[g],
+			compKW:   typ.ComputingKW(k),
+			x:        typ.Rate(k),
+		})
+	}
+	in.cls.inc(e.row)
+	return e
 }
 
 // undoKind describes the structural effect of the last SetSpeed.
@@ -101,17 +126,20 @@ type undoRecord struct {
 	oldK    int   // its previous speed index
 	pos     int   // position in the on-group slices the mutation touched
 	entry   group // the displaced entry (modify/remove)
+	rows    int   // class-table rows before the mutation, which may append one
 	baseKW  float64
 	capSum  float64
 	rateSum float64
 }
 
-// classRow is one live (shape, speed) class: the constants every member
-// group shares, computed with the per-group arithmetic and association of
-// alloc, marginal and the objective, plus the class's water-fill scratch.
+// classRow is one (shape, speed) class the instance has met since its last
+// Reset: the constants every member group shares, computed once with the
+// per-group arithmetic and association of alloc, marginal and the
+// objective, plus the class's water-fill scratch.
 type classRow struct {
-	id    int32   // class id (gCls value)
-	cnt   float64 // number of on groups in the class (exact)
+	id    int32   // class id: Shape·Stride + k
+	cnt   float64 // number of on groups in the class (exact), 0 once it empties
+	live  int32   // its position in classTable.live while cnt > 0
 	rate  float64 // R
 	cap   float64 // γ·R
 	slope float64 // PUE·p_c(x)/x
@@ -128,37 +156,103 @@ type classRow struct {
 	memoL, memoP, memoD float64
 }
 
-// classTable is the compact table of the live classes: one row per distinct
-// gCls value among the on groups, in first-appearance order, plus the row of
-// every on group. The groups of one class have bit-identical n, R and slope,
-// so any member's constants are the row's.
+// classTable is the class table, kept by delta between Resets. A class's
+// row, once appended, keeps its index (slot) until Reset, and a SetSpeed
+// only moves one group's count between two rows; a Revert moves it back and
+// pops the row its SetSpeed appended. The groups of one class have
+// bit-identical n, R and slope, so any member's constants are the row's,
+// and the on groups find their rows through Instance.gRow.
+//
+// Rows whose count falls to zero stay, so the rows are in no useful order;
+// live lists the rows with members, and every sweep walks live alone. Three
+// rules keep the fills bit-identical to a fresh build's: an empty row never
+// reaches ZeroDerivRange, whose extremes set the bracket and so every bit;
+// a zero-slack estimate is the ascending per-group gather, never a row-order
+// sum; and any other estimate, whose bits may differ from a fresh build's,
+// is covered by its slack and so moves only probe counts.
 type classTable struct {
 	rows []classRow
-	row  []int32 // per on-group position: its row
+	live []int32 // the rows with cnt > 0, in no particular order
+	slot []int32 // per class id: its row, -1 until the class first appears
+}
+
+// inc adds one group to row r, listing the row as live if it was empty.
+func (t *classTable) inc(r int32) {
+	c := &t.rows[r]
+	if c.cnt == 0 {
+		c.live = int32(len(t.live))
+		t.live = append(t.live, r)
+	}
+	c.cnt++
+}
+
+// dec removes one group from row r, delisting the row once it is empty.
+func (t *classTable) dec(r int32) {
+	c := &t.rows[r]
+	c.cnt--
+	if c.cnt == 0 {
+		last := t.live[len(t.live)-1]
+		t.live[c.live] = last
+		t.rows[last].live = c.live
+		t.live = t.live[:len(t.live)-1]
+	}
+}
+
+// truncate pops the rows past the first n, all empty, forgetting their
+// classes.
+func (t *classTable) truncate(n int) {
+	for _, c := range t.rows[n:] {
+		t.slot[c.id] = -1
+	}
+	t.rows = t.rows[:n]
 }
 
 // fillSystem adapts an Instance to numopt.WaterSystem for one electricity
 // weight ω without allocating: the instance owns a single fillSystem and
 // rewrites it per fill, and the pointer passed as the interface is the
 // already-heap-resident field, so no per-fill boxing occurs. It also
-// implements numopt.BulkWaterSystem over the live-class table: every probe
+// implements numopt.BulkWaterSystem over the live classes: every probe
 // evaluates the allocation once per class and weighs it by the class's
 // group count for the certified estimate; only an exact sum gathers it per
 // on group.
 type fillSystem struct {
 	in    *Instance
 	omega float64
-	tab   *classTable
+	// hint is the price the last fill at ω = We (hint[0]) and at ω = 0
+	// (hint[1]) located, NaN before the first: the PriceHint of the next
+	// fill at that weight, whose speeds differ from it in a group or two.
+	hint [2]float64
 }
 
-// prepare points the system at the instance's live-class table for one
-// fill under electricity weight omega.
+// prepare sets the live classes up for one fill under electricity weight
+// omega.
 func (s *fillSystem) prepare(omega float64) {
 	s.omega = omega
-	s.tab = &s.in.cls[s.in.clsCur]
-	for r := range s.tab.rows {
-		s.tab.rows[r].oslope = omega * s.tab.rows[r].slope
+	t := &s.in.cls
+	for _, r := range t.live {
+		t.rows[r].oslope = omega * t.rows[r].slope
 	}
+}
+
+// hintSlot returns the index of omega's hint, or -1 for a weight that keeps
+// none (the kink bisection's).
+func (s *fillSystem) hintSlot() int {
+	switch s.omega {
+	case s.in.prob.We:
+		return 0
+	case 0:
+		return 1
+	}
+	return -1
+}
+
+// PriceHint implements numopt.BulkWaterSystem: the price the last fill at
+// this electricity weight found.
+func (s *fillSystem) PriceHint() float64 {
+	if i := s.hintSlot(); i >= 0 {
+		return s.hint[i]
+	}
+	return math.NaN()
 }
 
 func (s *fillSystem) Items() int        { return len(s.in.gIdx) }
@@ -170,13 +264,13 @@ func (s *fillSystem) Alloc(i int, nu float64) float64 {
 	return s.in.alloc(i, s.omega, nu)
 }
 
-// classAlloc sets every class row's val to its allocation at price nu —
+// classAlloc sets every live row's val to its allocation at price nu —
 // alloc's arithmetic with the row's constants — and returns Σ_r cnt_r·val_r
-// in row order.
+// in live order.
 func (s *fillSystem) classAlloc(nu float64) float64 {
-	wd, rows := s.in.prob.Wd, s.tab.rows
+	wd, rows := s.in.prob.Wd, s.in.cls.rows
 	var est float64
-	for r := range rows {
+	for _, r := range s.in.cls.live {
 		c := &rows[r]
 		rem := nu - c.oslope
 		switch {
@@ -193,14 +287,14 @@ func (s *fillSystem) classAlloc(nu float64) float64 {
 }
 
 // SumAllocBound implements numopt.BulkWaterSystem: the class-weighted sum
-// and its numopt.ClassSumSlack. When every class has one member the rows
-// are the on groups in ascending order and every weight is 1, so the
-// estimate is the ascending sum itself and the slack is 0.
+// and its numopt.ClassSumSlack. When every live class has one member the
+// class sweep costs what the ascending per-group gather does, so the
+// estimate is that gather, the exact sum, with slack 0.
 func (s *fillSystem) SumAllocBound(nu float64) (est, slack float64) {
 	est = s.classAlloc(nu)
-	n, classes := len(s.tab.row), len(s.tab.rows)
+	n, classes := len(s.in.gRow), len(s.in.cls.live)
 	if classes == n {
-		return est, 0
+		return s.gather(), 0
 	}
 	return est, numopt.ClassSumSlack(est, n, classes)
 }
@@ -211,8 +305,8 @@ func (s *fillSystem) SumAllocBound(nu float64) (est, slack float64) {
 // ½·q/rem; a row at 0 or at cap contributes no slope. It writes no row
 // state, so it may run between any two probes.
 func (s *fillSystem) SumAllocSlope(nu float64) (est, slope float64) {
-	wd, rows := s.in.prob.Wd, s.tab.rows
-	for r := range rows {
+	wd, rows := s.in.prob.Wd, s.in.cls.rows
+	for _, r := range s.in.cls.live {
 		c := &rows[r]
 		rem := nu - c.oslope
 		switch {
@@ -243,21 +337,31 @@ func (s *fillSystem) CapSum() float64 { return s.in.capSum }
 // additions of the generic per-item loop.
 func (s *fillSystem) SumAlloc(nu float64) float64 {
 	s.classAlloc(nu)
-	rows := s.tab.rows
+	return s.gather()
+}
+
+// gather returns the ascending sum over the on groups of their rows' val.
+func (s *fillSystem) gather() float64 {
+	rows := s.in.cls.rows
 	var sum float64
-	for _, r := range s.tab.row {
+	for _, r := range s.in.gRow {
 		sum += rows[r].val
 	}
 	return sum
 }
 
 // AllocInto implements numopt.BulkWaterSystem: writes Alloc(i, ν) into out
-// and returns the ascending-order sum of the written values.
+// and returns the ascending-order sum of the written values. A fill at
+// ω = We or ω = 0 calls it once, at the price it located, which it keeps as
+// that weight's hint.
 func (s *fillSystem) AllocInto(out []float64, nu float64) float64 {
+	if i := s.hintSlot(); i >= 0 {
+		s.hint[i] = nu
+	}
 	s.classAlloc(nu)
-	rows := s.tab.rows
+	rows := s.in.cls.rows
 	var sum float64
-	for i, r := range s.tab.row[:len(out)] {
+	for i, r := range s.in.gRow[:len(out)] {
 		out[i] = rows[r].val
 		sum += out[i]
 	}
@@ -265,12 +369,13 @@ func (s *fillSystem) AllocInto(out []float64, nu float64) float64 {
 }
 
 // ZeroDerivRange implements numopt.BulkWaterSystem: the minimum and maximum
-// of Deriv(i, 0) over the on groups, taken over the class rows (a class's
+// of Deriv(i, 0) over the on groups, taken over the live rows (a class's
 // members share one value, so the extremes are the same).
 func (s *fillSystem) ZeroDerivRange() (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for r := range s.tab.rows {
-		c := &s.tab.rows[r]
+	rows := s.in.cls.rows
+	for _, r := range s.in.cls.live {
+		c := &rows[r]
 		d0 := math.Inf(1)
 		if c.rate > 0 {
 			d0 = c.oslope + c.wdnr/(c.rate*c.rate)
@@ -342,9 +447,11 @@ type solveScratch struct {
 // Instance is a prepared subproblem for one (problem, speeds) pair. Prepare
 // once, then Solve; preparation separates validation from the hot path so
 // GSD can re-solve thousands of proposals cheaply. SetSpeed/Revert/Commit
-// mutate the prepared state incrementally, and SolveInto reuses both the
-// caller's Solution buffers and the instance's internal scratch, so the
-// steady-state proposal loop performs no heap allocation.
+// mutate the prepared state by delta, class table included, and SolveInto
+// reuses both the caller's Solution buffers and the instance's internal
+// scratch, so the steady-state proposal loop performs no heap allocation.
+// (Only a cluster with more possible classes than groups can grow the
+// class table, once for each class it first meets after Reset.)
 type Instance struct {
 	prob   *dcmodel.SlotProblem
 	arr    *dcmodel.ClusterArrays
@@ -353,7 +460,7 @@ type Instance struct {
 	// On groups in struct-of-arrays layout, ascending cluster index. The
 	// six slices are parallel: position i describes one on group.
 	gIdx   []int     // cluster group index
-	gCls   []int32   // (shape, speed) class id
+	gRow   []int32   // its class's row in cls
 	gN     []float64 // float64(n_g)
 	gRate  []float64 // R = n·x
 	gSlope []float64 // A = PUE·p_c(x)/x
@@ -371,16 +478,11 @@ type Instance struct {
 	capSum  float64 // Σ γ·R of on groups (the feasibility bound NewInstance checks)
 	rateSum float64 // Σ R of on groups (Cluster.UsableCapacityRPS before the γ factor)
 
-	// Live-class tables, double-buffered: recompute builds the table for
-	// the new on-group layout into the idle buffer and flips clsCur, so
-	// Revert restores the previous table by flipping back. clsSlot (per
-	// class id, -1 when absent) holds each class's row while a table is
-	// built, and is all -1 between builds. Reset sizes both tables for the
-	// most classes the cluster can have live at once, min(groups,
-	// Shapes·K), so no build ever grows one.
-	cls     [2]classTable
-	clsCur  int
-	clsSlot []int32
+	// The class table, built by Reset and kept by delta after it. Reset
+	// sizes it for the most classes the cluster can have live at once,
+	// min(groups, Shapes·K); only a class first met after Reset may grow
+	// the rows.
+	cls classTable
 
 	undo    undoRecord
 	sys     fillSystem
@@ -401,11 +503,11 @@ func NewInstance(p *dcmodel.SlotProblem, speeds []int) (*Instance, error) {
 
 // Reset re-prepares the instance for a new (problem, speeds) pair, reusing
 // every internal buffer. The resulting state is bit-for-bit identical to a
-// fresh NewInstance build: the on-group slices are rebuilt in the same
-// ascending order with the same arithmetic, and the tracked sums come from
-// the same recompute. A problem whose scalars fail
-// dcmodel.SlotProblem.CheckScalars (a NaN or infinite λ, weight or on-site
-// supply, or a negative one) is an error. On error the instance is left
+// fresh NewInstance build: the on-group slices and the class table are
+// rebuilt in the same ascending order with the same arithmetic, the tracked
+// sums come from the same recompute, and the price hints are cleared. A
+// problem whose scalars fail dcmodel.SlotProblem.CheckScalars (a NaN or
+// infinite λ, weight or on-site supply, or a negative one) is an error. On error the instance is left
 // invalid; it must be Reset successfully before further use.
 func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	if err := p.CheckScalars(); err != nil {
@@ -427,28 +529,28 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	in.static = in.static[:n]
 	if cap(in.gIdx) < n {
 		in.gIdx = make([]int, 0, n)
-		in.gCls = make([]int32, 0, n)
+		in.gRow = make([]int32, 0, n)
 		in.gN = make([]float64, 0, n)
 		in.gRate = make([]float64, 0, n)
 		in.gSlope = make([]float64, 0, n)
 		in.gCap = make([]float64, 0, n)
 	} else {
-		in.gIdx, in.gCls, in.gN, in.gRate, in.gSlope, in.gCap =
-			in.gIdx[:0], in.gCls[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
+		in.gIdx, in.gRow, in.gN, in.gRate, in.gSlope, in.gCap =
+			in.gIdx[:0], in.gRow[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
 	}
-	in.clsSlot = growInt32(in.clsSlot, in.arr.Shapes*in.arr.Stride)
-	for i := range in.clsSlot {
-		in.clsSlot[i] = -1
+	t := &in.cls
+	t.slot = growInt32(t.slot, in.arr.Shapes*in.arr.Stride)
+	for i := range t.slot {
+		t.slot[i] = -1
 	}
 	maxCls := min(n, in.arr.Shapes*(in.arr.Stride-1))
-	for i := range in.cls {
-		t := &in.cls[i]
-		if cap(t.rows) < maxCls {
-			t.rows = make([]classRow, 0, maxCls)
-		}
-		t.row = growInt32(t.row, n)[:0]
+	if cap(t.rows) < maxCls {
+		t.rows = make([]classRow, 0, maxCls)
+		t.live = make([]int32, 0, maxCls)
 	}
+	t.rows, t.live = t.rows[:0], t.live[:0]
 	in.sys.in = in
+	in.sys.hint = [2]float64{math.NaN(), math.NaN()}
 	in.undo.valid = false
 	for g := range p.Cluster.Groups {
 		k := speeds[g]
@@ -481,7 +583,7 @@ func growInt32(buf []int32, n int) []int32 {
 // appendEntry pushes one on group onto the end of the parallel slices.
 func (in *Instance) appendEntry(e group) {
 	in.gIdx = append(in.gIdx, e.idx)
-	in.gCls = append(in.gCls, e.cls)
+	in.gRow = append(in.gRow, e.row)
 	in.gN = append(in.gN, e.n)
 	in.gRate = append(in.gRate, e.rate)
 	in.gSlope = append(in.gSlope, e.slopeKW)
@@ -491,22 +593,21 @@ func (in *Instance) appendEntry(e group) {
 // entry gathers position p of the parallel slices back into a struct.
 func (in *Instance) entry(p int) group {
 	return group{
-		idx: in.gIdx[p], cls: in.gCls[p], n: in.gN[p], rate: in.gRate[p],
+		idx: in.gIdx[p], row: in.gRow[p], n: in.gN[p], rate: in.gRate[p],
 		slopeKW: in.gSlope[p], cap: in.gCap[p],
 	}
 }
 
 // setEntry scatters e into position p of the parallel slices.
 func (in *Instance) setEntry(p int, e group) {
-	in.gIdx[p], in.gCls[p], in.gN[p], in.gRate[p], in.gSlope[p], in.gCap[p] =
-		e.idx, e.cls, e.n, e.rate, e.slopeKW, e.cap
+	in.gIdx[p], in.gRow[p], in.gN[p], in.gRate[p], in.gSlope[p], in.gCap[p] =
+		e.idx, e.row, e.n, e.rate, e.slopeKW, e.cap
 }
 
 // recompute refreshes the tracked aggregates as fresh sums over the on
 // groups in ascending cluster order — the exact accumulation order of a
 // from-scratch NewInstance (off groups contribute an exact +0 there, which
-// is an identity), so the values are bit-for-bit reproducible. It also
-// rebuilds the live-class table into the idle buffer and makes it current.
+// is an identity), so the values are bit-for-bit reproducible.
 func (in *Instance) recompute() {
 	var base, caps, rates float64
 	for i := range in.gIdx {
@@ -516,41 +617,6 @@ func (in *Instance) recompute() {
 	}
 	in.baseKW, in.capSum, in.rateSum = base, caps, rates
 	in.order.valid = false
-	in.clsCur ^= 1
-	in.buildClasses(&in.cls[in.clsCur])
-}
-
-// buildClasses fills t with the live classes of the current on groups. A
-// group finds its row through clsSlot in O(1), so the build is linear in
-// the on groups even when every group is a class of its own.
-func (in *Instance) buildClasses(t *classTable) {
-	t.rows, t.row = t.rows[:0], t.row[:0]
-	for i, c := range in.gCls {
-		r := in.clsSlot[c]
-		if r < 0 {
-			g := in.gIdx[i]
-			k := in.speeds[g]
-			typ := &in.prob.Cluster.Groups[g].Type
-			r = int32(len(t.rows))
-			t.rows = append(t.rows, classRow{
-				id:       c,
-				rate:     in.gRate[i],
-				cap:      in.gCap[i],
-				slope:    in.gSlope[i],
-				wdnr:     in.prob.Wd * in.gN[i] * in.gRate[i],
-				n:        in.gN[i],
-				staticKW: in.arr.StaticKW[g],
-				compKW:   typ.ComputingKW(k),
-				x:        typ.Rate(k),
-			})
-			in.clsSlot[c] = r
-		}
-		t.rows[r].cnt++
-		t.row = append(t.row, r)
-	}
-	for r := range t.rows {
-		in.clsSlot[t.rows[r].id] = -1
-	}
 }
 
 // Speeds returns the instance's current speed vector. The slice is the
@@ -569,7 +635,8 @@ func (in *Instance) Feasible() bool {
 // SetSpeed retargets cluster group g to speed index k, updating the prepared
 // subproblem in place, and snapshots the previous state so Revert can undo
 // it. On groups stay ordered by cluster index, exactly as NewInstance builds
-// them. A no-op change (k equal to the current speed) still records an
+// them, and the class table moves g's count from its old class's row to its
+// new one's. A no-op change (k equal to the current speed) still records an
 // (empty) undo snapshot.
 func (in *Instance) SetSpeed(g, k int) error {
 	if g < 0 || g >= len(in.pos) {
@@ -580,7 +647,7 @@ func (in *Instance) SetSpeed(g, k int) error {
 	}
 	old := in.speeds[g]
 	in.undo = undoRecord{
-		valid: true, kind: undoNone, g: g, oldK: old,
+		valid: true, kind: undoNone, g: g, oldK: old, rows: len(in.cls.rows),
 		baseKW: in.baseKW, capSum: in.capSum, rateSum: in.rateSum,
 	}
 	if k == old {
@@ -591,10 +658,12 @@ func (in *Instance) SetSpeed(g, k int) error {
 	case old > 0 && k > 0:
 		p := in.pos[g]
 		in.undo.kind, in.undo.pos, in.undo.entry = undoModify, p, in.entry(p)
+		in.cls.dec(in.gRow[p])
 		in.setEntry(p, in.makeGroup(g, k))
 	case old > 0: // k == 0: drop the entry
 		p := in.pos[g]
 		in.undo.kind, in.undo.pos, in.undo.entry = undoRemove, p, in.entry(p)
+		in.cls.dec(in.gRow[p])
 		in.removeAt(p)
 	default: // old == 0, k > 0: insert in cluster-index order
 		p := in.insertPos(g)
@@ -607,7 +676,8 @@ func (in *Instance) SetSpeed(g, k int) error {
 
 // Revert undoes the most recent SetSpeed since the last Revert or Commit,
 // restoring the instance bit-for-bit (the tracked sums come back from the
-// snapshot, not a recomputation). It is a no-op when nothing is pending.
+// snapshot, not a recomputation; the class counts move back and a row the
+// SetSpeed appended is popped). It is a no-op when nothing is pending.
 func (in *Instance) Revert() {
 	if !in.undo.valid {
 		return
@@ -619,15 +689,19 @@ func (in *Instance) Revert() {
 	case undoNone:
 		return // sums and slices untouched; order cache still valid
 	case undoModify:
+		in.cls.dec(in.gRow[u.pos])
+		in.cls.inc(u.entry.row)
 		in.setEntry(u.pos, u.entry)
 	case undoRemove:
+		in.cls.inc(u.entry.row)
 		in.insertAt(u.pos, u.entry)
 	case undoInsert:
+		in.cls.dec(in.gRow[u.pos])
 		in.removeAt(u.pos)
 	}
+	in.cls.truncate(u.rows)
 	in.baseKW, in.capSum, in.rateSum = u.baseKW, u.capSum, u.rateSum
 	in.order.valid = false
-	in.clsCur ^= 1 // the pre-mutation table is intact in the idle buffer
 }
 
 // Commit accepts the most recent SetSpeed, discarding its undo snapshot.
@@ -651,7 +725,7 @@ func (in *Instance) insertPos(g int) int {
 func (in *Instance) insertAt(p int, e group) {
 	in.appendEntry(group{})
 	copy(in.gIdx[p+1:], in.gIdx[p:])
-	copy(in.gCls[p+1:], in.gCls[p:])
+	copy(in.gRow[p+1:], in.gRow[p:])
 	copy(in.gN[p+1:], in.gN[p:])
 	copy(in.gRate[p+1:], in.gRate[p:])
 	copy(in.gSlope[p+1:], in.gSlope[p:])
@@ -665,14 +739,14 @@ func (in *Instance) insertAt(p int, e group) {
 func (in *Instance) removeAt(p int) {
 	g := in.gIdx[p]
 	copy(in.gIdx[p:], in.gIdx[p+1:])
-	copy(in.gCls[p:], in.gCls[p+1:])
+	copy(in.gRow[p:], in.gRow[p+1:])
 	copy(in.gN[p:], in.gN[p+1:])
 	copy(in.gRate[p:], in.gRate[p+1:])
 	copy(in.gSlope[p:], in.gSlope[p+1:])
 	copy(in.gCap[p:], in.gCap[p+1:])
 	n := len(in.gIdx) - 1
-	in.gIdx, in.gCls, in.gN, in.gRate, in.gSlope, in.gCap =
-		in.gIdx[:n], in.gCls[:n], in.gN[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
+	in.gIdx, in.gRow, in.gN, in.gRate, in.gSlope, in.gCap =
+		in.gIdx[:n], in.gRow[:n], in.gN[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
 	in.pos[g] = -1
 	for i := p; i < n; i++ {
 		in.pos[in.gIdx[i]] = i
@@ -825,12 +899,12 @@ func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
 // ascending cluster order. Off groups add exact zeros there (speed 0, load
 // 0), so skipping them changes no bit.
 func (in *Instance) objective(loads []float64) float64 {
-	t := &in.cls[in.clsCur]
-	for r := range t.rows {
+	t := &in.cls
+	for _, r := range t.live {
 		t.rows[r].memoL = math.NaN()
 	}
 	var it, d float64
-	for i, r := range t.row {
+	for i, r := range in.gRow {
 		c := &t.rows[r]
 		l := loads[i]
 		if l != c.memoL {

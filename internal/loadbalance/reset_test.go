@@ -1,6 +1,7 @@
 package loadbalance
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -10,8 +11,8 @@ import (
 // across different problems and randomized speed vectors — including Resets
 // from a dirtied state (pending SetSpeed mutations) — and requires every
 // re-prepared instance to solve bit-for-bit identically to a fresh
-// NewInstance build. This is the invariant that lets the GSD engine pool
-// recycle instances.
+// NewInstance build, with its price hints cleared. This is the invariant
+// that lets the GSD engine pool recycle instances.
 func TestResetMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(91)
 	in := &Instance{}
@@ -29,6 +30,10 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		if err != nil {
 			continue
+		}
+		// The previous problem's located prices are no hint for this one.
+		if h := in.sys.hint; !math.IsNaN(h[0]) || !math.IsNaN(h[1]) {
+			t.Fatalf("trial %d (%s): price hints %v survived Reset", trial, tc.name, h)
 		}
 		requireBitEqual(t, trial, tc.prob, in, speeds)
 		// Dirty the instance before the next Reset: pending and committed

@@ -67,7 +67,10 @@ func TestQueueCheckpointRejectsInvalid(t *testing.T) {
 		"version":    func(ck *QueueCheckpoint) { ck.Version = 99 },
 		"alpha-zero": func(ck *QueueCheckpoint) { ck.Alpha = 0 },
 		"alpha-nan":  func(ck *QueueCheckpoint) { ck.Alpha = math.NaN() },
+		"alpha-inf":  func(ck *QueueCheckpoint) { ck.Alpha = math.Inf(1) },
 		"z-negative": func(ck *QueueCheckpoint) { ck.Z = -1 },
+		"z-nan":      func(ck *QueueCheckpoint) { ck.Z = math.NaN() },
+		"z-inf":      func(ck *QueueCheckpoint) { ck.Z = math.Inf(1) },
 		"q-negative": func(ck *QueueCheckpoint) { ck.Q = -0.5 },
 		"q-inf":      func(ck *QueueCheckpoint) { ck.Q = math.Inf(1) },
 	}

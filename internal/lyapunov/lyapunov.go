@@ -27,15 +27,27 @@ type DeficitQueue struct {
 	z     float64
 }
 
-// NewDeficitQueue returns a queue with capping aggressiveness alpha and
-// per-slot REC allowance z (both from the portfolio); it panics if alpha
-// is not positive or z is negative.
-func NewDeficitQueue(alpha, recPerSlotKWh float64) *DeficitQueue {
-	if alpha <= 0 {
-		panic("lyapunov: alpha must be positive")
+// CheckQueueParams reports whether a capping aggressiveness α and an REC
+// allowance (a portfolio's Z or a queue's per-slot z) can drive Eq. (17):
+// α finite and positive, the allowance finite and non-negative. A NaN or
+// infinite one would turn q(t) into NaN within a slot. The error names the
+// bad value and carries no package prefix, so each caller adds its own.
+func CheckQueueParams(alpha, recKWh float64) error {
+	if !(alpha > 0 && alpha <= math.MaxFloat64) {
+		return fmt.Errorf("alpha %v must be finite and positive", alpha)
 	}
-	if recPerSlotKWh < 0 {
-		panic("lyapunov: negative REC allowance")
+	if !(recKWh >= 0 && recKWh <= math.MaxFloat64) {
+		return fmt.Errorf("REC allowance %v must be finite and non-negative", recKWh)
+	}
+	return nil
+}
+
+// NewDeficitQueue returns a queue with capping aggressiveness alpha and
+// per-slot REC allowance z (both from the portfolio); it panics unless
+// CheckQueueParams accepts them.
+func NewDeficitQueue(alpha, recPerSlotKWh float64) *DeficitQueue {
+	if err := CheckQueueParams(alpha, recPerSlotKWh); err != nil {
+		panic("lyapunov: " + err.Error())
 	}
 	return &DeficitQueue{alpha: alpha, z: recPerSlotKWh}
 }
@@ -88,11 +100,8 @@ func (dq *DeficitQueue) RestoreFrom(ck QueueCheckpoint) error {
 	if ck.Version != QueueCheckpointVersion {
 		return fmt.Errorf("lyapunov: queue checkpoint version %d, want %d", ck.Version, QueueCheckpointVersion)
 	}
-	if ck.Alpha <= 0 || math.IsNaN(ck.Alpha) {
-		return fmt.Errorf("lyapunov: checkpoint alpha %v must be positive", ck.Alpha)
-	}
-	if ck.Z < 0 || math.IsNaN(ck.Z) {
-		return fmt.Errorf("lyapunov: checkpoint REC allowance %v must be non-negative", ck.Z)
+	if err := CheckQueueParams(ck.Alpha, ck.Z); err != nil {
+		return fmt.Errorf("lyapunov: checkpoint %w", err)
 	}
 	if ck.Q < 0 || math.IsNaN(ck.Q) || math.IsInf(ck.Q, 0) {
 		return fmt.Errorf("lyapunov: checkpoint queue length %v must be finite and non-negative", ck.Q)

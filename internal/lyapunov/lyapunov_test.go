@@ -39,18 +39,46 @@ func TestDeficitQueueClampsNegativeInputs(t *testing.T) {
 	}
 }
 
+// badQueueParams are (α, allowance) pairs CheckQueueParams must refuse: a
+// NaN or infinite value in either would turn q(t) into NaN.
+var badQueueParams = []struct {
+	name       string
+	alpha, rec float64
+}{
+	{"alpha-zero", 0, 1},
+	{"alpha-negative", -1, 1},
+	{"alpha-nan", math.NaN(), 1},
+	{"alpha-inf", math.Inf(1), 1},
+	{"alpha-neg-inf", math.Inf(-1), 1},
+	{"rec-negative", 1, -1},
+	{"rec-nan", 1, math.NaN()},
+	{"rec-inf", 1, math.Inf(1)},
+}
+
+// TestCheckQueueParams pins the shared predicate: finite α > 0 and a
+// finite allowance ≥ 0.
+func TestCheckQueueParams(t *testing.T) {
+	for _, tc := range badQueueParams {
+		if err := CheckQueueParams(tc.alpha, tc.rec); err == nil {
+			t.Errorf("%s: CheckQueueParams(%v, %v) accepted", tc.name, tc.alpha, tc.rec)
+		}
+	}
+	for _, ok := range [][2]float64{{1, 0}, {0.5, 3}, {math.SmallestNonzeroFloat64, math.MaxFloat64}} {
+		if err := CheckQueueParams(ok[0], ok[1]); err != nil {
+			t.Errorf("CheckQueueParams(%v, %v): %v", ok[0], ok[1], err)
+		}
+	}
+}
+
 func TestDeficitQueuePanics(t *testing.T) {
-	for _, bad := range []func(){
-		func() { NewDeficitQueue(0, 1) },
-		func() { NewDeficitQueue(1, -1) },
-	} {
+	for _, tc := range badQueueParams {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("%s: NewDeficitQueue(%v, %v) did not panic", tc.name, tc.alpha, tc.rec)
 				}
 			}()
-			bad()
+			NewDeficitQueue(tc.alpha, tc.rec)
 		}()
 	}
 }

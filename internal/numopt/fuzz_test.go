@@ -91,26 +91,29 @@ func FuzzBisectMonotone(f *testing.F) {
 // the exact path's allocation bit for bit, at a random total (pick 0) or at
 // a total forced onto the pick-th exact probe sum of that fill (a fill at
 // total 0 or at capacity probes nothing), under true or adversarial slopes
-// (slope modulo the number of slope modes).
+// (slope modulo the number of slope modes) and any price hint (hint modulo
+// the number of hint modes).
 func FuzzWaterFillCertified(f *testing.F) {
-	f.Add(uint64(1), uint16(200), uint8(4), 0.5, uint8(0), uint8(0))
-	f.Add(uint64(2), uint16(5000), uint8(3), 0.9, uint8(40), uint8(0))
-	f.Add(uint64(3), uint16(7), uint8(7), 0.1, uint8(1), uint8(7))
-	f.Add(uint64(4), uint16(104), uint8(50), 0.0, uint8(26), uint8(4)) // total 0: no probes
-	f.Add(uint64(5), uint16(300), uint8(5), 0.7, uint8(44), uint8(6))
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, classes uint8, frac float64, pick, slope uint8) {
+	f.Add(uint64(1), uint16(200), uint8(4), 0.5, uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), uint16(5000), uint8(3), 0.9, uint8(40), uint8(0), uint8(1))
+	f.Add(uint64(3), uint16(7), uint8(7), 0.1, uint8(1), uint8(7), uint8(4))
+	f.Add(uint64(4), uint16(104), uint8(50), 0.0, uint8(26), uint8(4), uint8(2)) // total 0: no probes
+	f.Add(uint64(5), uint16(300), uint8(5), 0.7, uint8(44), uint8(6), uint8(9))
+	f.Add(uint64(6), uint16(900), uint8(9), 0.3, uint8(0), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, classes uint8, frac float64, pick, slope, hint uint8) {
 		if math.IsNaN(frac) || math.IsInf(frac, 0) {
 			return
 		}
 		items := 1 + int(n)%10000
 		q := classQuad(stats.NewRNG(seed), items, 1+int(classes)%items, boundCertified).
-			with(boundCertified, slopeMode(int(slope)%int(numSlopeModes)))
+			with(boundCertified, slopeMode(int(slope)%int(numSlopeModes))).
+			withHint(hintMode(int(hint) % int(numHintModes)))
 		total := math.Abs(math.Mod(frac, 1)) * q.CapSum()
 		if sums := exactProbes(q, total); pick > 0 && len(sums) > 0 {
 			total = sums[int(pick)%len(sums)]
 		}
 		if r := compareCertified(q, total); !r.agree {
-			t.Fatalf("certified fill (slopes %v) differs from the exact path at total %v", q.slope, total)
+			t.Fatalf("certified fill (slopes %v, hint %v) differs from the exact path at total %v", q.slope, q.hint, total)
 		}
 	})
 }

@@ -156,9 +156,9 @@ type WaterSystem interface {
 // Each price probe first asks SumAllocBound for a certified estimate of the
 // exact sum and takes SumAlloc only when the estimate cannot decide the
 // comparison at hand (see certProbe), so every decision, and hence every
-// output bit, is the one the exact sums would give. SumAllocSlope only
-// steers which probes are taken (see locatePrice); its values never reach
-// a decision.
+// output bit, is the one the exact sums would give. SumAllocSlope and
+// PriceHint only steer which probes are taken (see locate); their
+// values never reach a decision.
 type BulkWaterSystem interface {
 	WaterSystem
 	// SumAlloc returns Σ_i Alloc(i, nu), accumulated in ascending i. The
@@ -174,6 +174,11 @@ type BulkWaterSystem interface {
 	// derivative in nu. It is advisory: any values, NaN included, may
 	// change how many probes a fill takes but never an output bit.
 	SumAllocSlope(nu float64) (est, slope float64)
+	// PriceHint returns a guess at the price this fill will find, such as
+	// the price a previous fill of a nearby system found, or NaN for none.
+	// It is advisory like SumAllocSlope: any value may change how many
+	// probes a fill takes but never an output bit.
+	PriceHint() float64
 	// AllocInto writes Alloc(i, nu) into out[i] for i in [0, len(out)) and
 	// returns the ascending-order sum of the written values.
 	AllocInto(out []float64, nu float64) float64
@@ -358,159 +363,159 @@ func probeAt(b BulkWaterSystem, nu float64) certProbe {
 	return certProbe{nu, est, slack}
 }
 
-// settle replaces the estimate with the exact sum.
-func (p *certProbe) settle(b BulkWaterSystem) {
-	if p.slack != 0 {
-		p.v, p.slack = b.SumAlloc(p.nu), 0
-	}
-}
-
 // vs returns a value that compares with t exactly as E does under every
 // operator: the estimate when t lies strictly outside [v − slack, v + slack]
 // (E lies inside, so on the same side of t), the exact sum otherwise. A NaN
-// estimate or slack, or a NaN t, fails both tests and settles.
+// estimate or slack, or a NaN t, fails both tests and takes the exact sum.
 func (p *certProbe) vs(b BulkWaterSystem, t float64) float64 {
 	if p.slack != 0 && !(t < p.v-p.slack || t > p.v+p.slack) {
-		p.settle(b)
+		p.v, p.slack = b.SumAlloc(p.nu), 0
 	}
 	return p.v
 }
 
-// atLeast reports E(p.nu) >= E(q.nu), from the intervals when they are
-// ordered and from the exact sums otherwise.
-func (p *certProbe) atLeast(b BulkWaterSystem, q *certProbe) bool {
-	if p.v-p.slack >= q.v+q.slack {
-		return true
-	}
-	if p.v+p.slack < q.v-q.slack {
-		return false
-	}
-	p.settle(b)
-	q.settle(b)
-	return p.v >= q.v
-}
-
-// bulkPrice is itemPrice over a BulkWaterSystem with certified probes: the
-// same bracket and the same bisection steps, each comparison of a probe sum
-// decided from its estimate whenever the slack allows and from the exact
-// sum otherwise, so the returned ν is bit-identical to the exact search's.
-// When every probe sum is an exact SumAlloc this is the exact search.
+// bulkPrice is itemPrice over a BulkWaterSystem, bit for bit: the same
+// bracket, the same bisection midpoints and the same decisions, taken with
+// far fewer sums. It locates the price first (locate): prices below <
+// above with E(below) < total < E(above), both strict, for the exact sum
+// E = SumAlloc. E is non-decreasing in ν bit for bit (the BulkWaterSystem
+// contract), so every ν ≤ below has E(ν) < total and every ν ≥ above has
+// E(ν) > total, and the exact search's comparison at such a price is
+// decided without a probe: a bracket top ≥ above covers total and one
+// ≤ below does not, the low end ≤ below does not saturate, and the
+// bisection steps outside (below, above) go the way the exact ones go.
+// Every other comparison probes through certProbe, which decides it as the
+// exact sum does. A side that fails to certify is NaN, which no comparison
+// passes, so that side probes as the exact search does. By the same
+// contract the exact search's sums never decrease from nuLo to nuHi, so its
+// decreasing branch is never taken.
 func bulkPrice(b BulkWaterSystem, total float64) float64 {
 	nuLo, nuHi := b.ZeroDerivRange()
 	if nuHi <= nuLo {
 		nuHi = nuLo + 1
 	}
-	hi := probeAt(b, nuHi)
-	for iter := 0; hi.vs(b, total) < total && iter < bracketDoublings; iter++ {
+	below, above := locate(b, total, nuLo, nuHi)
+	// phi is the probe at nuHi, taken only where the certificates leave
+	// E(nuHi) < total open.
+	var phi certProbe
+	for iter := 0; !(nuHi >= above); iter++ {
+		if !(nuHi <= below) {
+			phi = probeAt(b, nuHi)
+			if !(phi.vs(b, total) < total) {
+				break
+			}
+		}
+		if iter == bracketDoublings {
+			break
+		}
 		nuHi = nuLo + 2*(nuHi-nuLo)
-		hi = probeAt(b, nuHi)
 	}
-	lo := probeAt(b, nuLo)
-	return bisectCertified(b, total, nuLo, nuHi, &lo, &hi, (nuHi-nuLo)*bisectRelTol, bisectIters)
-}
-
-// bisectCertified is bisectMonotoneFrom with every comparison of a probe
-// sum made through certProbe, in the same order and with the same
-// operators, so it takes the same branch at every step.
-//
-// When the sums increase it first locates the price: a certified inner
-// bracket (a, c) with E(a) < target < E(c), both strict, for the exact sum
-// E = SumAlloc. E is non-decreasing in ν bit for bit (the BulkWaterSystem
-// contract), so every midpoint m ≤ a has E(m) ≤ E(a) < target: the exact
-// path's gm == target test fails there and it sets lo = m. Likewise every
-// m ≥ c has E(m) > target and sets hi = m. Those steps are taken without a
-// probe; the midpoints inside (a, c) are probed as before. The endpoints,
-// midpoints and stop rule are the exact path's, so is every decision, and
-// so is the returned ν. A side that fails to certify stays at ∓Inf and
-// decides nothing.
-func bisectCertified(b BulkWaterSystem, target, lo, hi float64, plo, phi *certProbe, xtol float64, maxIter int) float64 {
-	increasing := phi.atLeast(b, plo)
-	if increasing {
-		if target <= plo.vs(b, target) {
+	lo, hi := nuLo, nuHi
+	xtol := (hi - lo) * bisectRelTol
+	// The exact search's saturation tests, at lo and then at hi. A top
+	// ≤ below never covers the total, and any other top the certificates
+	// leave open was probed as phi.
+	if !(lo <= below) {
+		plo := probeAt(b, lo)
+		if total <= plo.vs(b, total) {
 			return lo
 		}
-		if target >= phi.vs(b, target) {
-			return hi
-		}
-	} else {
-		if target >= plo.vs(b, target) {
-			return lo
-		}
-		if target <= phi.vs(b, target) {
-			return hi
-		}
 	}
-	below, above := math.Inf(-1), math.Inf(1)
-	if increasing {
-		below, above = locatePrice(b, target, lo, hi, xtol)
+	if !(hi >= above) && (hi <= below || total >= phi.vs(b, total)) {
+		return hi
 	}
-	for i := 0; i < maxIter && hi-lo > xtol; i++ {
+	for i := 0; i < bisectIters && hi-lo > xtol; i++ {
 		mid := lo + (hi-lo)/2
-		if mid <= below {
+		switch {
+		case mid <= below:
 			lo = mid
-			continue
-		}
-		if mid >= above {
+		case mid >= above:
 			hi = mid
-			continue
-		}
-		p := probeAt(b, mid)
-		gm := p.vs(b, target)
-		if gm == target {
-			return mid
-		}
-		if (gm < target) == increasing {
-			lo = mid
-		} else {
-			hi = mid
+		default:
+			p := probeAt(b, mid)
+			gm := p.vs(b, total)
+			if gm == total {
+				return mid
+			}
+			if gm < total {
+				lo = mid
+			} else {
+				hi = mid
+			}
 		}
 	}
 	return lo + (hi-lo)/2
 }
 
-// locatePrice returns prices below < above with E(below) < target <
-// E(above) certified through certProbe, or −Inf / +Inf for a side it could
-// not certify or that lies outside (lo, hi), where no midpoint falls. It
-// runs a safeguarded Newton iteration on SumAllocSlope's estimate inside
-// [lo, hi], bisecting whenever a step leaves the bracket or the slope is
-// not positive, and certifies the points w on either side of where it
-// converges. Only the certified comparisons are trusted.
-func locatePrice(b BulkWaterSystem, target, lo, hi, w float64) (below, above float64) {
-	below, above = math.Inf(-1), math.Inf(1)
-	l, h := lo, hi
-	x := l + (h-l)/2
+// locate returns prices below < above with E(below) < total < E(above)
+// certified through certProbe, NaN for a side it could not certify. It
+// runs a safeguarded Newton iteration on SumAllocSlope's estimate, from
+// b.PriceHint() when that lies above nuLo and from the bracket's first top
+// nuHi otherwise. The estimates bound the root from below by nuLo and from
+// above by nothing at first: a step that leaves that bracket, or a slope
+// that is not positive, bisects the bracket, or doubles away from nuLo
+// while it has no top. Once a step d is short, d² ≤ w·(x − nuLo), where
+// the Newton error after it is of order w, it certifies the prices w on
+// either side of x, for w a quarter of the bisection tolerance near x
+// (certWidth). Only the certified comparisons are trusted.
+func locate(b BulkWaterSystem, total, nuLo, nuHi float64) (below, above float64) {
+	below, above = math.NaN(), math.NaN()
+	x := b.PriceHint()
+	if !(x > nuLo && x < math.Inf(1)) {
+		x = nuHi
+	}
+	l, h := nuLo, math.Inf(1)
+	var w float64
 	converged := false
 	for i := 0; i < locateIters && !converged; i++ {
 		est, slope := b.SumAllocSlope(x)
 		switch {
-		case est < target:
+		case est < total:
 			l = x
-		case est > target:
+		case est > total:
 			h = x
-		case est != target: // NaN
+		case est != total: // NaN
 			return below, above
 		}
-		next := x - (est-target)/slope
+		next := x - (est-total)/slope
 		if !(slope > 0 && next > l && next < h) {
-			next = l + (h-l)/2
+			if h == math.Inf(1) {
+				next = nuLo + 2*(x-nuLo)
+			} else {
+				next = l + (h-l)/2
+			}
 		}
-		converged = math.Abs(next-x) <= w/2
+		w = certWidth(nuLo, nuHi, next)
+		d := next - x
+		converged = d/(next-nuLo)*d <= w // d² ≤ w·(x − nuLo), without overflow
 		x = next
 	}
 	if !converged {
 		return below, above
 	}
-	if a := x - w; a > lo {
+	if a := x - w; a > nuLo {
 		p := probeAt(b, a)
-		if p.vs(b, target) < target {
+		if p.vs(b, total) < total {
 			below = a
 		}
 	}
-	if c := x + w; c < hi {
+	if c := x + w; c < math.Inf(1) {
 		p := probeAt(b, c)
-		if p.vs(b, target) > target {
+		if p.vs(b, total) > total {
 			above = c
 		}
 	}
 	return below, above
+}
+
+// certWidth is a quarter of the bisection tolerance bulkPrice uses when
+// its bracket doubling from [nuLo, nuHi] ends at the first top at or above
+// x: the width at which two certificates around a root near x leave about
+// one bisection midpoint between them to probe.
+func certWidth(nuLo, nuHi, x float64) float64 {
+	span := nuHi - nuLo
+	for i := 0; span < x-nuLo && i < bracketDoublings; i++ {
+		span *= 2
+	}
+	return span * (bisectRelTol / 4)
 }

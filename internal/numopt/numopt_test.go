@@ -511,6 +511,30 @@ func (m slopeMode) String() string {
 	return [...]string{"true", "none", "zero", "neg", "nan", "inf", "huge", "random"}[m]
 }
 
+// hintMode selects what a quadBulk's PriceHint reports for a fill at a
+// given total, relative to the price root the exact path finds there and
+// the bracket [lo, hi] it searches. Only the modes near root help the
+// locator; none may change a bit.
+type hintMode int
+
+const (
+	hintNone     hintMode = iota // NaN: the locator starts at the bracket's first top
+	hintRoot                     // root itself
+	hintRootUp                   // root·(1 + 10⁻³)
+	hintRootDown                 // root·(1 − 10⁻³)
+	hintRandom                   // uniform in [lo, hi]
+	hintBelowLo                  // below lo, where no allocation moves
+	hintLo                       // lo itself
+	hintPosInf                   // +Inf
+	hintNegInf                   // −Inf
+	hintHuge                     // 10³⁰⁰
+	numHintModes
+)
+
+func (m hintMode) String() string {
+	return [...]string{"none", "root", "root-up", "root-down", "random", "below-lo", "lo", "+inf", "-inf", "huge"}[m]
+}
+
 // quadBulk is quadSystem with the BulkWaterSystem methods. Items with
 // identical (w, cap, offset) form one class, in first-appearance order, and
 // SumAllocBound weighs each class's allocation by its member count — the
@@ -519,7 +543,9 @@ type quadBulk struct {
 	quadSystem
 	mode           boundMode
 	slope          slopeMode
-	rng            *stats.RNG // slopeRandom's draws
+	hint           hintMode
+	hintNu         float64    // what PriceHint reports; aimHint sets it from hint
+	rng            *stats.RNG // slopeRandom's and hintRandom's draws
 	cw, ccap, coff []float64  // per class: the shared w, cap and offset
 	cnt            []float64  // per class: its member count
 }
@@ -529,7 +555,7 @@ func newQuadBulk(w, caps []float64, mode boundMode) *quadBulk {
 }
 
 func newOffsetQuadBulk(w, caps, off []float64, mode boundMode) *quadBulk {
-	q := &quadBulk{quadSystem: quadSystem{w: w, caps: caps, off: off}, mode: mode, rng: stats.NewRNG(uint64(len(w)))}
+	q := &quadBulk{quadSystem: quadSystem{w: w, caps: caps, off: off}, mode: mode, hintNu: math.NaN(), rng: stats.NewRNG(uint64(len(w)))}
 	ids := make(map[[3]float64]int)
 	for i := range w {
 		key := [3]float64{w[i], caps[i], q.offset(i)}
@@ -632,11 +658,56 @@ func (q *quadBulk) CapSum() float64 {
 	return s
 }
 
-// with returns a copy of q, sharing its items, that reports mode and slope.
+func (q *quadBulk) PriceHint() float64 { return q.hintNu }
+
+// with returns a copy of q, sharing its items and its hint, that reports
+// mode and slope.
 func (q *quadBulk) with(mode boundMode, slope slopeMode) *quadBulk {
 	c := *q
 	c.mode, c.slope = mode, slope
 	return &c
+}
+
+// withHint returns a copy of q, sharing its items, whose hint follows mode.
+func (q *quadBulk) withHint(mode hintMode) *quadBulk {
+	c := *q
+	c.hint = mode
+	return &c
+}
+
+// aimHint sets q's PriceHint for a fill at total from q's hint mode, the
+// exact path's price there and the bracket it searches.
+func (q *quadBulk) aimHint(total float64) {
+	lo, hi := q.ZeroDerivRange()
+	if hi <= lo {
+		hi = lo + 1
+	}
+	for iter := 0; q.SumAlloc(hi) < total && iter < 200; iter++ {
+		hi = lo + 2*(hi-lo)
+	}
+	root := itemPrice(&q.quadSystem, total)
+	switch q.hint {
+	case hintNone:
+		q.hintNu = math.NaN()
+	case hintRoot:
+		q.hintNu = root
+	case hintRootUp:
+		q.hintNu = root * (1 + 1e-3)
+	case hintRootDown:
+		q.hintNu = root * (1 - 1e-3)
+	case hintRandom:
+		q.hintNu = q.rng.Uniform(lo, hi)
+	case hintBelowLo:
+		q.hintNu = lo - 1 - math.Abs(lo)
+	case hintLo:
+		q.hintNu = lo
+	case hintPosInf:
+		q.hintNu = math.Inf(1)
+	case hintNegInf:
+		q.hintNu = math.Inf(-1)
+	case hintHuge:
+		q.hintNu = 1e300
+	}
 }
 
 // probeLog records the estimate of every probe of a quadBulk, and counts
@@ -700,15 +771,17 @@ type certResult struct {
 	probes, slopes, unlocated int
 }
 
-// compareCertified water-fills total on q five ways — with q's own bounds
-// and slopes (certified and located), with q's bounds and no locator
-// (certified only), with exact bulk sums with and without q's slopes, and
-// on the generic per-item path — and compares them with the last.
+// compareCertified water-fills total on q five ways — with q's own bounds,
+// slopes and hint (certified and located), with q's bounds and no locator
+// (certified only), with exact bulk sums with and without q's slopes and
+// hint, and on the generic per-item path — and compares them with the last.
 func compareCertified(q *quadBulk, total float64) certResult {
 	want, err := WaterFillInto(&q.quadSystem, total, 1e-9, nil)
 	if err != nil {
 		panic(err)
 	}
+	q = q.withHint(q.hint)
+	q.aimHint(total)
 	res := certResult{agree: true}
 	for k, sys := range []*quadBulk{q.with(boundExact, slopeNone), q.with(boundExact, q.slope), q.with(q.mode, slopeNone), q} {
 		log := &probeLog{quadBulk: sys}
@@ -751,11 +824,15 @@ func forcedTotals(rng *stats.RNG, q *quadBulk, total float64) []float64 {
 
 // certCorpus tallies compareCertified over randomized duplicate-heavy
 // systems of up to 10,000 items built with the given bound and slope
-// modes, at random totals and at totals forced onto exact probe sums.
+// modes, at random totals and at totals forced onto exact probe sums. The
+// fills take the hint modes in turn.
 type certCorpus struct {
 	cases, mismatches, fallbacks, hits int
 	probes, slopes, unlocated          int
 	first                              string // the first mismatch
+	// Per hint mode: fills, and their probes and slope sweeps.
+	hinted                 [numHintModes]int
+	hintProbes, hintSlopes [numHintModes]int
 }
 
 func runCertCorpus(mode boundMode, slope slopeMode) certCorpus {
@@ -774,7 +851,11 @@ func runCertCorpus(mode boundMode, slope slopeMode) certCorpus {
 			q := classQuad(rng, sh.n, sh.classes, mode).with(mode, slope)
 			total := rng.Uniform(0.01, 0.99) * q.CapSum()
 			for k, tot := range append([]float64{total}, forcedTotals(rng, q, total)...) {
-				r := compareCertified(q, tot)
+				h := hintMode(c.cases % int(numHintModes))
+				r := compareCertified(q.withHint(h), tot)
+				c.hinted[h]++
+				c.hintProbes[h] += r.probes
+				c.hintSlopes[h] += r.slopes
 				c.cases++
 				c.fallbacks += r.exact
 				c.probes += r.probes
@@ -786,7 +867,7 @@ func runCertCorpus(mode boundMode, slope slopeMode) certCorpus {
 				if !r.agree {
 					c.mismatches++
 					if c.first == "" {
-						c.first = fmt.Sprintf("n=%d classes=%d trial %d total #%d (%v)", sh.n, sh.classes, trial, k, tot)
+						c.first = fmt.Sprintf("n=%d classes=%d trial %d total #%d (%v), %v hint", sh.n, sh.classes, trial, k, tot, h)
 					}
 				}
 			}
@@ -819,6 +900,10 @@ func TestWaterFillCertifiedMatchesExact(t *testing.T) {
 			t.Logf("%d fills, %d at an exact tie, %d exact fallbacks; per fill %.1f probes and %.1f slope sweeps (%.1f probes unlocated)",
 				c.cases, c.hits, c.fallbacks, float64(c.probes)/float64(c.cases),
 				float64(c.slopes)/float64(c.cases), float64(c.unlocated)/float64(c.cases))
+			for h := hintNone; h < numHintModes; h++ {
+				t.Logf("%v hint: %d fills, %.1f probes and %.1f slope sweeps per fill", h, c.hinted[h],
+					float64(c.hintProbes[h])/float64(c.hinted[h]), float64(c.hintSlopes[h])/float64(c.hinted[h]))
+			}
 			if slope == slopeTrue && 2*c.probes > c.unlocated {
 				t.Fatalf("located fills take %d probes, unlocated %d: the locator skips under half", c.probes, c.unlocated)
 			}
@@ -863,7 +948,9 @@ func plateauQuad(rng *stats.RNG, n int) (*quadBulk, float64) {
 // E(m) == total, and the dust class's allocation there records which
 // midpoint that was. A locator that certified E(a) ≤ total instead of
 // E(a) < total would settle such a midpoint without a probe and return
-// another plateau price.
+// another plateau price. Every slope mode runs with every hint mode, so
+// the locator also starts on the plateau itself (the root hint) and on
+// either side of it.
 func TestWaterFillLocatedPlateau(t *testing.T) {
 	rng := stats.NewRNG(4242)
 	for _, n := range []int{5, 40, 400, 4000} {
@@ -874,11 +961,70 @@ func TestWaterFillLocatedPlateau(t *testing.T) {
 				t.Fatalf("n=%d trial %d: no bisection midpoint landed on the plateau", n, trial)
 			}
 			for slope := slopeTrue; slope < numSlopeModes; slope++ {
-				if r := compareCertified(q.with(boundCertified, slope), total); !r.agree {
-					t.Fatalf("n=%d trial %d, %v slopes: the fill on the plateau differs from the exact path", n, trial, slope)
+				for hint := hintNone; hint < numHintModes; hint++ {
+					if r := compareCertified(q.with(boundCertified, slope).withHint(hint), total); !r.agree {
+						t.Fatalf("n=%d trial %d, %v slopes, %v hint: the fill on the plateau differs from the exact path", n, trial, slope, hint)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestWaterFillLocatedBracketTop pins how a certificate decides the bracket
+// doubling: a top at or below the certified price below has E(top) < total,
+// so the exact search doubles past it, and so must the certified one. Each
+// trial aims the hint and the total so that the locator stops at once (the
+// slope estimate at the hint x is the total itself) and certifies below =
+// x − w exactly at one of the doubling's tops. A doubling that took a top
+// equal to below as covering would stop there and return that top.
+func TestWaterFillLocatedBracketTop(t *testing.T) {
+	rng := stats.NewRNG(2718)
+	aimed := 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.IntN(8)
+		w, caps := make([]float64, n), make([]float64, n)
+		for i := range w {
+			w[i], caps[i] = rng.Uniform(0.1, 10), rng.Uniform(0.5, 20)
+		}
+		q := newQuadBulk(w, caps, boundExact)
+		lo, top := q.ZeroDerivRange()
+		if top <= lo {
+			top = lo + 1
+		}
+		first := top
+		for j := rng.IntN(8); j > 0; j-- {
+			top = lo + 2*(top-lo)
+		}
+		wc := certWidth(lo, first, math.Nextafter(top, math.Inf(1)))
+		x := top + wc
+		total, slope := q.SumAllocSlope(x)
+		if certWidth(lo, first, x) != wc || x-wc != top || !(slope > 0) ||
+			!(q.SumAlloc(top) < total) || !(total < q.CapSum()) {
+			continue
+		}
+		aimed++
+		want, err := WaterFillInto(&q.quadSystem, total, 1e-9, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []boundMode{boundExact, boundCertified} {
+			sys := q.with(mode, slopeTrue)
+			sys.hintNu = x
+			got, err := WaterFillInto(sys, total, 1e-9, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d, bound mode %d: out[%d] = %v, exact path %v (top %v, hint %v)",
+						trial, mode, i, got[i], want[i], top, x)
+				}
+			}
+		}
+	}
+	if aimed < 100 {
+		t.Fatalf("only %d of 400 trials put the certificate on a bracket top", aimed)
 	}
 }
 

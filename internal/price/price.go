@@ -43,10 +43,14 @@ func (m Model) Year(seed uint64) *trace.Trace {
 	rng := stats.NewRNG(seed)
 	noise := &stats.AR1{Mean: 0, Phi: 0.9, Sigma: 0.05, Clamp: true, Lo: -0.6, Hi: 0.6}
 	vals := make([]float64, trace.HoursPerYear)
+	var season float64
 	for h := range vals {
 		day := h / 24
 		hod := h % 24
-		v := m.BaseUSDPerKWh * diurnalShape(hod) * seasonalShape(day)
+		if hod == 0 {
+			season = seasonalShape(day)
+		}
+		v := m.BaseUSDPerKWh * diurnal[hod] * season
 		v *= math.Exp(noise.Next(rng))
 		if rng.Bernoulli(m.SpikeProb) {
 			v *= rng.Uniform(1.5, m.SpikeMax)
@@ -58,6 +62,14 @@ func (m Model) Year(seed uint64) *trace.Trace {
 	}
 	return &trace.Trace{Name: "price-synth", Values: vals}
 }
+
+// diurnal tabulates diurnalShape by hour of day.
+var diurnal = func() (t [24]float64) {
+	for hod := range t {
+		t[hod] = diurnalShape(hod)
+	}
+	return t
+}()
 
 // diurnalShape is the normalized two-peak daily profile of real-time
 // markets: a morning ramp around 08:00 and a stronger evening peak around

@@ -100,3 +100,23 @@ func TestCustomModel(t *testing.T) {
 		t.Errorf("base scaling ratio = %v, want ~2", ratio)
 	}
 }
+
+// TestYearTabulatedShapes pins that Year's tabulated shapes give the bits
+// of the per-hour expression Base·diurnalShape(hod)·seasonalShape(day).
+func TestYearTabulatedShapes(t *testing.T) {
+	m := DefaultModel()
+	got := m.Year(11)
+	rng := stats.NewRNG(11)
+	noise := &stats.AR1{Mean: 0, Phi: 0.9, Sigma: 0.05, Clamp: true, Lo: -0.6, Hi: 0.6}
+	for h, g := range got.Values {
+		v := m.BaseUSDPerKWh * diurnalShape(h%24) * seasonalShape(h/24)
+		v *= math.Exp(noise.Next(rng))
+		if rng.Bernoulli(m.SpikeProb) {
+			v *= rng.Uniform(1.5, m.SpikeMax)
+		}
+		v = math.Max(v, m.FloorUSDPerKWh)
+		if math.Float64bits(g) != math.Float64bits(v) {
+			t.Fatalf("hour %d: %v, per-hour expression %v", h, g, v)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/lyapunov"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -137,11 +138,8 @@ func (p *Portfolio) Validate(slots int) error {
 	if p.OnsiteKW.Len() < slots || p.OffsiteKWh.Len() < slots {
 		return fmt.Errorf("renewable: traces shorter than horizon %d", slots)
 	}
-	if p.RECsKWh < 0 {
-		return fmt.Errorf("renewable: negative RECs %v", p.RECsKWh)
-	}
-	if p.Alpha <= 0 {
-		return fmt.Errorf("renewable: alpha %v must be positive", p.Alpha)
+	if err := lyapunov.CheckQueueParams(p.Alpha, p.RECsKWh); err != nil {
+		return fmt.Errorf("renewable: %w", err)
 	}
 	return nil
 }

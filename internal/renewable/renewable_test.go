@@ -167,7 +167,12 @@ func TestPortfolioValidateErrors(t *testing.T) {
 		{"nil offsite", func(p *Portfolio) { p.OffsiteKWh = nil }},
 		{"short trace", func(p *Portfolio) { p.OnsiteKW = trace.Constant("r", 1, 5) }},
 		{"negative RECs", func(p *Portfolio) { p.RECsKWh = -1 }},
+		{"NaN RECs", func(p *Portfolio) { p.RECsKWh = math.NaN() }},
+		{"infinite RECs", func(p *Portfolio) { p.RECsKWh = math.Inf(1) }},
 		{"zero alpha", func(p *Portfolio) { p.Alpha = 0 }},
+		{"NaN alpha", func(p *Portfolio) { p.Alpha = math.NaN() }},
+		{"infinite alpha", func(p *Portfolio) { p.Alpha = math.Inf(1) }},
+		{"negative infinite alpha", func(p *Portfolio) { p.Alpha = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		p := *good
