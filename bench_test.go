@@ -136,6 +136,7 @@ func BenchmarkHomogeneousP3Solve(b *testing.B) {
 		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,
 		LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := hp.Solve(); err != nil {

@@ -24,6 +24,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/dcmodel"
 	"repro/internal/lyapunov"
@@ -97,8 +98,16 @@ func New(cfg Config) (*Policy, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("core: fleet size %d", cfg.N)
 	}
-	if cfg.Beta < 0 {
-		return nil, fmt.Errorf("core: negative beta")
+	// Negated so that NaN, which fails every comparison, is rejected: a
+	// NaN γ would otherwise switch the utilization cap off.
+	if !(cfg.Gamma > 0 && cfg.Gamma < 1) {
+		return nil, fmt.Errorf("core: gamma %v outside (0,1)", cfg.Gamma)
+	}
+	if !(cfg.PUE >= 1) || math.IsInf(cfg.PUE, 1) {
+		return nil, fmt.Errorf("core: PUE %v not a finite value of at least 1", cfg.PUE)
+	}
+	if !(cfg.Beta >= 0) {
+		return nil, fmt.Errorf("core: beta %v negative or NaN", cfg.Beta)
 	}
 	if err := cfg.Schedule.Validate(cfg.Schedule.Slots()); err != nil {
 		return nil, err

@@ -51,6 +51,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("negative beta accepted")
 	}
+	for _, tc := range []struct {
+		name       string
+		gamma, pue float64
+		beta       float64
+	}{
+		{"gamma 0", 0, 1, 0},
+		{"gamma 1", 1, 1, 0},
+		{"gamma NaN", math.NaN(), 1, 0}, // would switch the γ cap off
+		{"pue<1", 0.95, 0.9, 0},
+		{"pue NaN", 0.95, math.NaN(), 0},
+		{"pue +Inf", 0.95, math.Inf(1), 0},
+		{"beta NaN", 0.95, 1, math.NaN()},
+	} {
+		bad = good
+		bad.Gamma, bad.PUE, bad.Beta = tc.gamma, tc.pue, tc.beta
+		if _, err := New(bad); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
 	bad = good
 	bad.Schedule = lyapunov.VSchedule{T: 0}
 	if _, err := New(bad); err == nil {

@@ -81,11 +81,12 @@ func (c *Cluster) Validate() error {
 	if len(c.Groups) == 0 {
 		return fmt.Errorf("dcmodel: cluster has no groups")
 	}
-	if c.Gamma <= 0 || c.Gamma >= 1 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(c.Gamma > 0 && c.Gamma < 1) {
 		return fmt.Errorf("dcmodel: gamma %v outside (0,1)", c.Gamma)
 	}
-	if c.PUE < 1 {
-		return fmt.Errorf("dcmodel: PUE %v below 1", c.PUE)
+	if !(c.PUE >= 1) || math.IsInf(c.PUE, 1) {
+		return fmt.Errorf("dcmodel: PUE %v not a finite value of at least 1", c.PUE)
 	}
 	for i := range c.Groups {
 		if err := c.Groups[i].Validate(); err != nil {

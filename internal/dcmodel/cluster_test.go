@@ -87,6 +87,9 @@ func TestClusterValidateRejectsBadInputs(t *testing.T) {
 		{"gamma 0", func(c *Cluster) { c.Gamma = 0 }},
 		{"gamma 1", func(c *Cluster) { c.Gamma = 1 }},
 		{"pue<1", func(c *Cluster) { c.PUE = 0.5 }},
+		{"gamma NaN", func(c *Cluster) { c.Gamma = math.NaN() }},
+		{"pue NaN", func(c *Cluster) { c.PUE = math.NaN() }},
+		{"pue +Inf", func(c *Cluster) { c.PUE = math.Inf(1) }},
 		{"empty group", func(c *Cluster) { c.Groups[0].N = 0 }},
 	}
 	for _, tc := range cases {

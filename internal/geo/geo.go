@@ -47,10 +47,11 @@ func (s *Site) Validate(slots int) error {
 	if s.N <= 0 {
 		return fmt.Errorf("geo: site %q fleet %d", s.Name, s.N)
 	}
-	if s.Gamma <= 0 || s.Gamma >= 1 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(s.Gamma > 0 && s.Gamma < 1) {
 		return fmt.Errorf("geo: site %q gamma %v", s.Name, s.Gamma)
 	}
-	if s.PUE < 1 {
+	if !(s.PUE >= 1) || math.IsInf(s.PUE, 1) {
 		return fmt.Errorf("geo: site %q PUE %v", s.Name, s.PUE)
 	}
 	if s.Price == nil || s.Price.Len() < slots {

@@ -54,10 +54,22 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(good, 0.01, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	bad := makeSites(slots)
-	bad[0].N = 0
-	if _, err := NewSystem(bad, 0.01, slots); err == nil {
-		t.Error("bad site accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Site)
+	}{
+		{"empty fleet", func(s *Site) { s.N = 0 }},
+		{"gamma 1", func(s *Site) { s.Gamma = 1 }},
+		{"gamma NaN", func(s *Site) { s.Gamma = math.NaN() }},
+		{"pue<1", func(s *Site) { s.PUE = 0.9 }},
+		{"pue NaN", func(s *Site) { s.PUE = math.NaN() }},
+		{"pue +Inf", func(s *Site) { s.PUE = math.Inf(1) }},
+	} {
+		bad := makeSites(slots)
+		tc.mutate(&bad[0])
+		if _, err := NewSystem(bad, 0.01, slots); err == nil {
+			t.Errorf("%s: bad site accepted", tc.name)
+		}
 	}
 }
 

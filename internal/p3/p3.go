@@ -127,38 +127,81 @@ type HomogeneousSolution struct {
 	DelayCost float64 // d
 }
 
+// speedKernel is the homogeneous objective compiled for one speed level k:
+// it holds every operand that does not depend on the active-server count m,
+// so a probe of the integer search pays only the arithmetic in m. It is the
+// single formula of the objective; objective and Solve's probes both go
+// through eval.
+type speedKernel struct {
+	hp *HomogeneousProblem
+	x  float64 // Rate(k)
+	gx float64 // γ·x, the per-server load cap
+	ck float64 // ComputingKW(k)·λ/Rate(k), the fleet's computing power
+}
+
+// kernel compiles the objective for speed level k ≥ 1; speed 0 serves only
+// to evaluate the all-off count m = 0.
+func (hp *HomogeneousProblem) kernel(k int) speedKernel {
+	x := hp.Type.Rate(k)
+	// Evaluated in the order Group.PowerKW evaluates p_c(x_k)·L/x_k.
+	return speedKernel{hp: hp, x: x, gx: hp.Gamma * x,
+		ck: hp.Type.ComputingKW(k) * hp.LambdaRPS / x}
+}
+
+// eval returns the objective value for m active servers (m = 0 is the
+// fleet switched off), with the facility power p, the grid energy [p − r]^+
+// and the delay cost d it was built from. Infeasible counts return +Inf,
+// with the operands computed before the failing test (zero for the γ cap).
+func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
+	hp := kn.hp
+	lambda := hp.LambdaRPS
+	if m == 0 {
+		if lambda > 0 {
+			return math.Inf(1), 0, 0, 0
+		}
+		return hp.switchPenalty(0), 0, 0, 0
+	}
+	fm := float64(m)
+	if lambda/fm > kn.gx {
+		return math.Inf(1), 0, 0, 0
+	}
+	power = hp.PUE * (fm*hp.Type.StaticKW + kn.ck)
+	// [p − r]^+ bit for bit as math.Max(0, ·) computes it, without the
+	// call: +0 for every non-positive difference (−0 included) and
+	// math.NaN() for a NaN one.
+	if d := power - hp.OnsiteKW; d > 0 {
+		grid = d
+	} else if d != d {
+		grid = math.NaN()
+	}
+	// The M/G/1/PS delay m·λ/(m·x − λ), as Group.DelayCost computes it.
+	if !(lambda <= 0) {
+		if agg := fm * kn.x; lambda >= agg {
+			delay = math.Inf(1)
+		} else {
+			delay = fm * lambda / (agg - lambda)
+		}
+	}
+	if hp.MaxPowerKW > 0 && power > hp.MaxPowerKW*(1+1e-12) {
+		return math.Inf(1), power, grid, delay
+	}
+	if hp.MaxDelayCost > 0 && delay > hp.MaxDelayCost*(1+1e-12) {
+		return math.Inf(1), power, grid, delay
+	}
+	g := hp.We * grid
+	if hp.GridCostFn != nil {
+		g = hp.GridCostFn(grid)
+	}
+	return g + hp.Wd*delay + hp.switchPenalty(m), power, grid, delay
+}
+
 // objective evaluates the homogeneous objective for m active servers at
 // speed k. Infeasible pairs return +Inf.
 func (hp *HomogeneousProblem) objective(k, m int) (float64, HomogeneousSolution) {
-	sol := HomogeneousSolution{Speed: k, Active: m}
-	if m == 0 {
-		if hp.LambdaRPS > 0 {
-			return math.Inf(1), sol
-		}
-		sol.Value = hp.switchPenalty(0)
-		return sol.Value, sol
-	}
-	x := hp.Type.Rate(k)
-	perServer := hp.LambdaRPS / float64(m)
-	if perServer > hp.Gamma*x {
-		return math.Inf(1), sol
-	}
-	g := dcmodel.Group{Type: hp.Type, N: m}
-	sol.PowerKW = hp.PUE * g.PowerKW(k, hp.LambdaRPS)
-	sol.GridKWh = math.Max(0, sol.PowerKW-hp.OnsiteKW)
-	sol.DelayCost = g.DelayCost(k, hp.LambdaRPS)
-	if hp.MaxPowerKW > 0 && sol.PowerKW > hp.MaxPowerKW*(1+1e-12) {
-		return math.Inf(1), sol
-	}
-	if hp.MaxDelayCost > 0 && sol.DelayCost > hp.MaxDelayCost*(1+1e-12) {
-		return math.Inf(1), sol
-	}
-	grid := hp.We * sol.GridKWh
-	if hp.GridCostFn != nil {
-		grid = hp.GridCostFn(sol.GridKWh)
-	}
-	sol.Value = grid + hp.Wd*sol.DelayCost + hp.switchPenalty(m)
-	return sol.Value, sol
+	kn := hp.kernel(k)
+	v, power, grid, delay := kn.eval(m)
+	return v, HomogeneousSolution{Speed: k, Active: m, Value: v,
+		PowerKW: power, GridKWh: grid, DelayCost: delay}
 }
 
 // countBounds returns the feasible active-server interval [lo, hi] at speed
@@ -238,8 +281,9 @@ func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 		if maxM > hp.N {
 			maxM = hp.N
 		}
+		kn := hp.kernel(k)
 		m, val := numopt.MinimizeInt(func(m int) float64 {
-			v, _ := hp.objective(k, m)
+			v, _, _, _ := kn.eval(m)
 			return v
 		}, minM, maxM, 3)
 		if val < bestVal {

@@ -1,7 +1,10 @@
 package p3
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -246,5 +249,284 @@ func TestSwitchingPenaltyKeepsServersOn(t *testing.T) {
 	if got.Active != 150 {
 		t.Errorf("with huge switching penalty active = %d, want 150 (free optimum was %d)",
 			got.Active, free.Active)
+	}
+}
+
+// cubicType is a server whose computing power grows with the cube of its
+// frequency, so that, unlike the Opteron, its slower levels serve a request
+// for less energy and the optimal speed varies with the weights.
+func cubicType() dcmodel.ServerType {
+	st := dcmodel.ServerType{Name: "cubic", StaticKW: 0.1}
+	for f := 1.0; f <= 4; f++ {
+		st.Levels = append(st.Levels, dcmodel.SpeedLevel{
+			FreqGHz: f, BusyKW: 0.1 + 0.01*f*f*f, RateRPS: 2.5 * f,
+		})
+	}
+	return st
+}
+
+// goldenProblems is the grid of homogeneous instances the golden hash
+// covers: the Opteron and cubicType; N of 50 and 216,000; λ at zero,
+// small, mid and near capacity; PUE 1 and 1.3; delay- and energy-heavy
+// weights; and, on top of a plain instance, a switching penalty, a
+// peak-power cap, a delay cap and a tiered tariff.
+func goldenProblems(t testing.TB) []*HomogeneousProblem {
+	tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
+		{UpToKWh: 5, Mult: 1},
+		{UpToKWh: 4000, Mult: 1.5},
+		{UpToKWh: math.Inf(1), Mult: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*HomogeneousProblem
+	for _, st := range []dcmodel.ServerType{dcmodel.Opteron(), cubicType()} {
+		for _, n := range []int{50, 216000} {
+			capRPS := 0.95 * st.MaxRate() * float64(n)
+			for _, frac := range []float64{0, 0.013, 0.5, 0.985} {
+				for _, pue := range []float64{1, 1.3} {
+					for variant := 0; variant < 10; variant++ {
+						// Odd variants weight energy over delay, so slower
+						// speeds and the caps come into play.
+						we, wd := 0.07, 0.02
+						if variant%2 == 1 {
+							we, wd = 40, 0.001
+						}
+						hp := &HomogeneousProblem{
+							Type: st, N: n, Gamma: 0.95, PUE: pue,
+							LambdaRPS: frac * capRPS, We: we, Wd: wd,
+							OnsiteKW: 0.04 * float64(n),
+						}
+						switch variant / 2 {
+						case 1:
+							hp.SwitchWeight = 0.003
+							hp.PrevActive = n / 3
+						case 2:
+							hp.MaxPowerKW = 0.12 * float64(n) * pue
+						case 3:
+							hp.MaxDelayCost = 3 * hp.LambdaRPS / 10
+							if hp.MaxDelayCost == 0 {
+								hp.MaxDelayCost = 1
+							}
+						case 4:
+							w := hp.We
+							hp.GridCostFn = func(g float64) float64 { return w * tiers.Cost(g) }
+						}
+						out = append(out, hp)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestHomogeneousSolveGoldenHash pins every output bit of
+// HomogeneousProblem.Solve over goldenProblems: speed, count, value,
+// power, grid energy and delay cost, plus which instances are infeasible.
+func TestHomogeneousSolveGoldenHash(t *testing.T) {
+	const want = "fnv1a:be8fcd4d5c2bb30d"
+	h := fnv.New64a()
+	put := func(vs ...float64) {
+		var buf [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	infeasible := 0
+	for i, hp := range goldenProblems(t) {
+		sol, err := hp.Solve()
+		switch {
+		case errors.Is(err, ErrInfeasible):
+			infeasible++
+			put(-1)
+			continue
+		case err != nil:
+			t.Fatalf("problem %d: %v", i, err)
+		}
+		put(float64(sol.Speed), float64(sol.Active), sol.Value,
+			sol.PowerKW, sol.GridKWh, sol.DelayCost)
+	}
+	if infeasible == 0 {
+		t.Error("the grid has no infeasible instance; the caps never bind")
+	}
+	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		t.Errorf("homogeneous solve hash = %s, want %s (solver arithmetic drifted)", got, want)
+	}
+}
+
+// oracleObjective is the homogeneous objective as the solver computed it
+// before the per-speed kernel: a dcmodel.Group per probe, Group.PowerKW,
+// math.Max and Group.DelayCost. The kernel must reproduce it bit for bit.
+func oracleObjective(hp *HomogeneousProblem, k, m int) (float64, HomogeneousSolution) {
+	sol := HomogeneousSolution{Speed: k, Active: m}
+	if m == 0 {
+		if hp.LambdaRPS > 0 {
+			return math.Inf(1), sol
+		}
+		sol.Value = hp.switchPenalty(0)
+		return sol.Value, sol
+	}
+	x := hp.Type.Rate(k)
+	perServer := hp.LambdaRPS / float64(m)
+	if perServer > hp.Gamma*x {
+		return math.Inf(1), sol
+	}
+	g := dcmodel.Group{Type: hp.Type, N: m}
+	sol.PowerKW = hp.PUE * g.PowerKW(k, hp.LambdaRPS)
+	sol.GridKWh = math.Max(0, sol.PowerKW-hp.OnsiteKW)
+	sol.DelayCost = g.DelayCost(k, hp.LambdaRPS)
+	if hp.MaxPowerKW > 0 && sol.PowerKW > hp.MaxPowerKW*(1+1e-12) {
+		return math.Inf(1), sol
+	}
+	if hp.MaxDelayCost > 0 && sol.DelayCost > hp.MaxDelayCost*(1+1e-12) {
+		return math.Inf(1), sol
+	}
+	grid := hp.We * sol.GridKWh
+	if hp.GridCostFn != nil {
+		grid = hp.GridCostFn(sol.GridKWh)
+	}
+	sol.Value = grid + hp.Wd*sol.DelayCost + hp.switchPenalty(m)
+	return sol.Value, sol
+}
+
+// kernelMismatch compares the kernel at (k, m) with oracleObjective bit
+// for bit: the value and the power, grid energy and delay cost behind it.
+func kernelMismatch(hp *HomogeneousProblem, k, m int) error {
+	kn := hp.kernel(k)
+	v, power, grid, delay := kn.eval(m)
+	wv, ws := oracleObjective(hp, k, m)
+	got := [4]float64{v, power, grid, delay}
+	want := [4]float64{wv, ws.PowerKW, ws.GridKWh, ws.DelayCost}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("k=%d m=%d: kernel (v, p, grid, d) = %v, oracle %v", k, m, got, want)
+		}
+	}
+	return nil
+}
+
+// checkKernel runs kernelMismatch over the all-off count and, at every
+// speed, every stride-th count in [1, N] plus the last one.
+func checkKernel(t *testing.T, hp *HomogeneousProblem, stride int) {
+	t.Helper()
+	if err := kernelMismatch(hp, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
+		for m := 1; m <= hp.N; m += stride {
+			if err := kernelMismatch(hp, k, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := kernelMismatch(hp, k, hp.N); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHomogeneousKernelMatchesOracle checks the per-speed kernel against
+// the pre-kernel formula bit for bit: at every count for N = 50 and at a
+// stride for N = 216,000, over the golden grid, plus the corners of
+// [p − r]^+ (a difference of exactly +0 and of −0, and a NaN one) and the
+// caps' tolerance.
+func TestHomogeneousKernelMatchesOracle(t *testing.T) {
+	for _, hp := range goldenProblems(t) {
+		stride := 1
+		if hp.N > 1000 {
+			stride = 97
+		}
+		checkKernel(t, hp, stride)
+	}
+
+	exact := &HomogeneousProblem{
+		Type: dcmodel.Opteron(), N: 40, Gamma: 0.95, PUE: 1,
+		We: 0.07, Wd: 0.02, SwitchWeight: 0.01, PrevActive: 7,
+	}
+	_, at20 := oracleObjective(exact, 2, 20)
+	exact.OnsiteKW = at20.PowerKW // p − r = +0 at m = 20
+
+	noStatic := cubicType()
+	noStatic.StaticKW = 0
+	negZero := &HomogeneousProblem{ // p = PUE·(+0) = −0, so p − r = −0
+		Type: noStatic, N: 10, Gamma: 0.95, PUE: -1, We: 1, Wd: 1,
+	}
+	nan := &HomogeneousProblem{ // p − r = +Inf − +Inf, a NaN
+		Type: dcmodel.Opteron(), N: 10, Gamma: 0.95, PUE: math.Inf(1),
+		LambdaRPS: 20, We: 1, Wd: 1, OnsiteKW: math.Inf(1),
+	}
+	// Caps a hair below the power at m = 30 and the delay at m = 15, so
+	// both counts pass only through the (1 + 1e-12) tolerance.
+	caps := &HomogeneousProblem{
+		Type: dcmodel.Opteron(), N: 40, Gamma: 1, PUE: 1.2,
+		LambdaRPS: 120, We: 1, Wd: 1,
+	}
+	_, at30 := oracleObjective(caps, 4, 30)
+	_, at15 := oracleObjective(caps, 4, 15)
+	caps.MaxPowerKW = at30.PowerKW / (1 + 1e-13)
+	caps.MaxDelayCost = at15.DelayCost / (1 + 1e-13)
+	if v, _ := oracleObjective(caps, 4, 30); math.IsInf(v, 1) {
+		t.Fatal("the power cap's tolerance does not admit m = 30")
+	}
+	for _, hp := range []*HomogeneousProblem{exact, negZero, nan, caps} {
+		checkKernel(t, hp, 1)
+	}
+}
+
+// FuzzHomogeneousKernel checks the kernel against oracleObjective bit for
+// bit on random problems, with unrestricted weights, PUE, γ, supply and
+// caps, at every count of a fleet of up to 400 servers.
+func FuzzHomogeneousKernel(f *testing.F) {
+	f.Add(uint16(50), 0.5, 0.95, 1.0, 0.07, 0.02, 2.0, 0.0, uint16(0), 0.0, 0.0, false, false)
+	f.Add(uint16(400), 0.99, 0.95, 1.3, 40.0, 0.001, 10.0, 0.003, uint16(130), 50.0, 80.0, true, true)
+	f.Add(uint16(7), 0.0, 0.5, 1.1, 1.0, 1.0, 0.0, 0.5, uint16(3), 0.0, 0.0, false, true)
+	f.Fuzz(func(t *testing.T, n uint16, frac, gamma, pue, we, wd, onsite, sw float64,
+		prev uint16, maxPower, maxDelay float64, cubic, tiered bool) {
+		hp := &HomogeneousProblem{
+			Type: dcmodel.Opteron(), N: 1 + int(n%400), Gamma: gamma, PUE: pue,
+			We: we, Wd: wd, OnsiteKW: onsite,
+			SwitchWeight: sw, PrevActive: int(prev % 401),
+			MaxPowerKW: maxPower, MaxDelayCost: maxDelay,
+		}
+		if cubic {
+			hp.Type = cubicType()
+		}
+		// λ as a fraction of the fleet's top-speed capacity; Solve rejects
+		// negative and NaN loads before any probe.
+		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * float64(hp.N)
+		if math.IsNaN(hp.LambdaRPS) {
+			hp.LambdaRPS = 0
+		}
+		if tiered {
+			tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
+				{UpToKWh: 1, Mult: 1},
+				{UpToKWh: math.Inf(1), Mult: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp.GridCostFn = func(g float64) float64 { return we * tiers.Cost(g) }
+		}
+		checkKernel(t, hp, 1)
+	})
+}
+
+// TestHomogeneousSolveZeroAllocs pins that a solve at paper scale without
+// a tariff callback allocates nothing: the per-speed kernel and the probe
+// closure stay on the stack.
+func TestHomogeneousSolveZeroAllocs(t *testing.T) {
+	hp := &HomogeneousProblem{
+		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,
+		LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
+		SwitchWeight: 0.001, PrevActive: 70000, MaxPowerKW: 4e4, MaxDelayCost: 1e6,
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := hp.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Solve allocates %v times per call, want 0", allocs)
 	}
 }

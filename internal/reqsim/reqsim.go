@@ -9,10 +9,9 @@
 //
 // Design, mirroring the repository's hot-path rules:
 //
-//   - Struct-of-arrays job records indexed by dense int32 IDs. A job is a
-//     row across parallel slabs (arrival stamp, journey state), recycled
-//     through a free list — no per-request heap objects, no pointers for
-//     the GC to trace.
+//   - Job records indexed by dense int32 IDs. A job is a row in the
+//     arrival-stamp slab, recycled through a free list — no per-request
+//     heap objects, no pointers for the GC to trace.
 //   - A 4-ary slab-backed event heap (heap.go): half the tree height of a
 //     binary heap, four child keys per cache line, zero steady-state
 //     allocations.
@@ -43,12 +42,6 @@ import (
 	"math"
 
 	"repro/internal/stats"
-)
-
-// Job journey states (per-job byte in the state slab).
-const (
-	stateFree      uint8 = iota // row unused (on the free list)
-	stateScheduled              // in system, receiving PS service
 )
 
 // ErrBadConfig is the sentinel every validation failure wraps.
@@ -138,11 +131,9 @@ type Engine struct {
 	rng  *stats.RNG
 	heap d4heap
 
-	// SoA job records indexed by dense id: arrival stamp and journey
-	// state. (The completion level lives in the heap entry itself — it is
-	// dead weight once the job is popped.)
+	// Arrival stamps indexed by dense job id. (The completion level lives
+	// in the heap entry itself — it is dead weight once the job is popped.)
 	arrivedAt []float64
-	state     []uint8
 	free      []int32 // recycled ids
 
 	// On/off arrival phase (bursty arm only).
@@ -171,7 +162,6 @@ func (e *Engine) Run(cfg Config, tape *SampleTape) (Result, error) {
 	e.rng.Reseed(cfg.Seed)
 	e.heap.reset()
 	e.arrivedAt = e.arrivedAt[:0]
-	e.state = e.state[:0]
 	e.free = e.free[:0]
 	if cfg.MaxJobs > 0 {
 		e.heap.grow(cfg.MaxJobs)
@@ -248,7 +238,6 @@ func (e *Engine) Run(cfg Config, tape *SampleTape) (Result, error) {
 			res.Events++
 			res.Finished++
 			a := e.arrivedAt[id]
-			e.state[id] = stateFree
 			e.free = append(e.free, id)
 			if a >= cfg.Warmup {
 				res.Completed++
@@ -302,18 +291,16 @@ func (e *Engine) Run(cfg Config, tape *SampleTape) (Result, error) {
 }
 
 // admit allocates a dense job id for an arrival at `now`, recycling the
-// free list before growing the slabs.
+// free list before growing the arrival-stamp slab.
 func (e *Engine) admit(now float64) int32 {
 	if n := len(e.free); n > 0 {
 		id := e.free[n-1]
 		e.free = e.free[:n-1]
 		e.arrivedAt[id] = now
-		e.state[id] = stateScheduled
 		return id
 	}
 	id := int32(len(e.arrivedAt))
 	e.arrivedAt = append(e.arrivedAt, now)
-	e.state = append(e.state, stateScheduled)
 	return id
 }
 

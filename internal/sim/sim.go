@@ -125,14 +125,16 @@ func (sc *Scenario) Validate() error {
 	if sc.N <= 0 {
 		return fmt.Errorf("sim: fleet size %d", sc.N)
 	}
-	if sc.Gamma <= 0 || sc.Gamma >= 1 {
+	// The checks are negated so that NaN, which fails every comparison,
+	// is rejected rather than waved through.
+	if !(sc.Gamma > 0 && sc.Gamma < 1) {
 		return fmt.Errorf("sim: gamma %v outside (0,1)", sc.Gamma)
 	}
-	if sc.PUE < 1 {
-		return fmt.Errorf("sim: PUE %v below 1", sc.PUE)
+	if !(sc.PUE >= 1) || math.IsInf(sc.PUE, 1) {
+		return fmt.Errorf("sim: PUE %v not a finite value of at least 1", sc.PUE)
 	}
-	if sc.Beta < 0 {
-		return fmt.Errorf("sim: negative beta %v", sc.Beta)
+	if !(sc.Beta >= 0) {
+		return fmt.Errorf("sim: beta %v negative or NaN", sc.Beta)
 	}
 	if sc.Slots <= 0 {
 		return fmt.Errorf("sim: horizon %d", sc.Slots)
@@ -149,20 +151,20 @@ func (sc *Scenario) Validate() error {
 	if err := sc.Portfolio.Validate(sc.Slots); err != nil {
 		return err
 	}
-	if sc.Overestimate != 0 && sc.Overestimate < 1 {
-		return fmt.Errorf("sim: overestimation factor %v below 1", sc.Overestimate)
+	if sc.Overestimate != 0 && !(sc.Overestimate >= 1) {
+		return fmt.Errorf("sim: overestimation factor %v below 1 or NaN", sc.Overestimate)
 	}
-	if sc.SwitchCostKWh < 0 {
-		return fmt.Errorf("sim: negative switching cost")
+	if !(sc.SwitchCostKWh >= 0) {
+		return fmt.Errorf("sim: switching cost %v negative or NaN", sc.SwitchCostKWh)
 	}
-	if sc.MaxPowerKW < 0 || sc.MaxDelayCost < 0 {
-		return fmt.Errorf("sim: negative per-slot constraint")
+	if !(sc.MaxPowerKW >= 0 && sc.MaxDelayCost >= 0) {
+		return fmt.Errorf("sim: per-slot constraint (power %v, delay %v) negative or NaN", sc.MaxPowerKW, sc.MaxDelayCost)
 	}
 	if sc.NetworkDelaySec != nil && sc.NetworkDelaySec.Len() < sc.Slots {
 		return errors.New("sim: network-delay trace shorter than horizon")
 	}
-	if sc.SlotHours < 0 {
-		return fmt.Errorf("sim: negative slot duration %v", sc.SlotHours)
+	if !(sc.SlotHours >= 0) {
+		return fmt.Errorf("sim: slot duration %v negative or NaN", sc.SlotHours)
 	}
 	maxLambda := stats.MaxOf(sc.Workload.Values[:sc.Slots])
 	if maxLambda > sc.Capacity() {

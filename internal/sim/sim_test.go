@@ -132,6 +132,19 @@ func TestScenarioValidation(t *testing.T) {
 		{"nil portfolio", func(s *Scenario) { s.Portfolio = nil }},
 		{"phi<1", func(s *Scenario) { s.Overestimate = 0.5 }},
 		{"neg switch", func(s *Scenario) { s.SwitchCostKWh = -1 }},
+		// NaN fails every comparison, so each check must be written to
+		// reject it rather than to accept it by default.
+		{"nan gamma", func(s *Scenario) { s.Gamma = math.NaN() }},
+		{"nan pue", func(s *Scenario) { s.PUE = math.NaN() }},
+		{"inf pue", func(s *Scenario) { s.PUE = math.Inf(1) }},
+		{"nan beta", func(s *Scenario) { s.Beta = math.NaN() }},
+		{"nan switch", func(s *Scenario) { s.SwitchCostKWh = math.NaN() }},
+		{"nan max power", func(s *Scenario) { s.MaxPowerKW = math.NaN() }},
+		{"nan max delay", func(s *Scenario) { s.MaxDelayCost = math.NaN() }},
+		{"neg max delay", func(s *Scenario) { s.MaxDelayCost = -1 }},
+		{"nan slot hours", func(s *Scenario) { s.SlotHours = math.NaN() }},
+		{"neg slot hours", func(s *Scenario) { s.SlotHours = -1 }},
+		{"nan phi", func(s *Scenario) { s.Overestimate = math.NaN() }},
 		{"overloaded", func(s *Scenario) { s.Workload = trace.Constant("w", 1e9, s.Slots) }},
 	}
 	for _, tc := range cases {
