@@ -231,7 +231,7 @@ func BenchmarkGeoStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			reg := telemetry.NewRegistry()
-			sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+			sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 			lambda := 0.4 * sys.TotalCapacityRPS()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -335,8 +335,8 @@ type (
 	LabeledGauge = telemetry.LabeledGauge
 	// LabeledHistogram is a histogram vector keyed by label tuples.
 	LabeledHistogram = telemetry.LabeledHistogram
-	// FleetMetrics instruments a geo fleet run with site-labeled series;
-	// attach with geo.Fleet.Instrument.
+	// FleetMetrics instruments a multi-site run with site-labeled series;
+	// attach with GeoSystem.Instrument or geo.Fleet.Instrument.
 	FleetMetrics = telemetry.FleetMetrics
 	// RuntimeMetrics is the Go runtime collector (goroutines, heap, GC),
 	// refreshed on every registry scrape.
@@ -367,20 +367,14 @@ func NewPoolMetrics(r *TelemetryRegistry, prefix string) *PoolMetrics {
 // SlotStreamer.Observer to an Engine.
 func NewSlotStreamer(w io.Writer) *SlotStreamer { return telemetry.NewSlotStreamer(w) }
 
-// NewGeoMetrics registers federation instruments under prefix; attach
-// them with GeoSystem.Instrument.
-func NewGeoMetrics(r *TelemetryRegistry, prefix string) *GeoMetrics {
-	return telemetry.NewGeoMetrics(r, prefix)
-}
-
 // NewBatchMetrics registers batch-scheduler instruments under prefix;
 // attach them with BatchScheduler.Instrument.
 func NewBatchMetrics(r *TelemetryRegistry, prefix string) *BatchMetrics {
 	return telemetry.NewBatchMetrics(r, prefix)
 }
 
-// NewFleetMetrics registers fleet instruments (site-labeled) under
-// prefix; attach them with geo.Fleet.Instrument.
+// NewFleetMetrics registers multi-site instruments (site-labeled) under
+// prefix; attach them with GeoSystem.Instrument or geo.Fleet.Instrument.
 func NewFleetMetrics(r *TelemetryRegistry, prefix string) *FleetMetrics {
 	return telemetry.NewFleetMetrics(r, prefix)
 }
@@ -415,8 +409,6 @@ type (
 	SpanAttr = span.Attr
 	// SpanSummary is a tracer buffer overview (also served on /spans).
 	SpanSummary = span.Summary
-	// GeoMetrics instruments a geo federation run per site.
-	GeoMetrics = telemetry.GeoMetrics
 	// BatchMetrics instruments the batch-job scheduler.
 	BatchMetrics = telemetry.BatchMetrics
 )

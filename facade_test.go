@@ -133,7 +133,10 @@ func TestFacadeSurface(t *testing.T) {
 			RECsKWh:    100, Alpha: 1,
 		},
 	}
-	sys, err := NewGeoSystem([]GeoSite{site, site}, 0.01, 24)
+	// Site names key the per-site series, so the second copy is renamed.
+	site2 := site
+	site2.Name = "b"
+	sys, err := NewGeoSystem([]GeoSite{site, site2}, 0.01, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func GeoStudy(cfg Config) (GeoResult, error) {
 			// arms must not share mutable instruments across workers.
 			sys.SetTracer(cfg.Tracer)
 			if cfg.Telemetry != nil {
-				sys.Instrument(telemetry.NewGeoMetrics(cfg.Telemetry, "geo"))
+				sys.Instrument(telemetry.NewFleetMetrics(cfg.Telemetry, "geo"))
 			}
 		}
 		wl := trace.FIUYear(cfg.Seed).ScaledToPeak(0.5 * sys.TotalCapacityRPS())

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"testing"
 )
 
@@ -120,5 +124,30 @@ func TestGeoStudy(t *testing.T) {
 	}
 	if shareSum < 0.99 || shareSum > 1.01 {
 		t.Errorf("shares sum to %v", shareSum)
+	}
+}
+
+// TestGeoStudyGoldenHash pins the geo study absolutely: two weeks of the
+// 600-server three-site federation, the smart (greedy split) and naive
+// (capacity-proportional) arms both folded into FNV-1a as little-endian
+// IEEE-754 bits. The digest must not depend on the worker count.
+func TestGeoStudyGoldenHash(t *testing.T) {
+	const want = "fnv1a:cee6219090c85e93"
+	for _, workers := range []int{1, 2} {
+		res, err := GeoStudy(Config{Slots: 14 * 24, N: 600, Seed: 2012, Workers: workers, Out: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		vs := append([]float64{res.SmartCostUSD, res.NaiveCostUSD,
+			res.SmartGridKWh, res.NaiveGridKWh, res.SavingFrac}, res.SiteLoadShare...)
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+			t.Errorf("geo study hash at %d workers = %s, want %s", workers, got, want)
+		}
 	}
 }

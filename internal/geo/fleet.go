@@ -1,35 +1,21 @@
 package geo
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/dcmodel"
 	"repro/internal/gsd"
-	"repro/internal/lyapunov"
 	"repro/internal/renewable"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workpool"
 )
 
-// This file is the fleet-scale federation: System models every site as a
-// homogeneous deployment solved in closed form (p3.HomogeneousProblem), a
-// Fleet gives every site a full heterogeneous cluster driven by its own GSD
-// chain — the "100k+ servers, 256+ sites, one machine" setting. Two design
-// rules make it scale and stay reproducible:
-//
-//   - The GSD chain is sharded per site. Each site owns a gsd.Solver whose
-//     advancing seed and warm-start state never mix with another site's, so
-//     whole-site P3 solves are embarrassingly parallel: the schedule decides
-//     only *when* a site's slot solve runs, never what it computes.
-//   - Every fan-out is index-addressed (a site job writes only its own
-//     outcome slot), errors reduce to the lowest site index, and totals
-//     accumulate sequentially in site order after the barrier. Any worker
-//     count — including the sequential 0/1 path — therefore produces
-//     bit-identical outcomes, which the golden parity tests pin.
+// This file is the fleet-scale engine: a Fleet gives every site a full
+// heterogeneous cluster driven by its own GSD chain — the "100k+ servers,
+// 256+ sites, one machine" setting. Each site owns a gsd.Solver whose
+// seed and warm starts never mix with another site's, so the core's
+// fan-out decides only *when* a site's solve runs, never what it computes.
 
 // FleetSite is one data center of a Fleet: a heterogeneous cluster under
 // its own electricity price, renewable portfolio and carbon-deficit queue.
@@ -62,37 +48,30 @@ func (s *FleetSite) CapacityRPS() float64 {
 	return s.Cluster.Gamma * s.Cluster.MaxCapacityRPS()
 }
 
+func (s *FleetSite) supply() supply { return supply{s.Name, s.Price, s.Portfolio, s.CapacityRPS()} }
+
 // Fleet is a federation of heterogeneous-cluster sites, each running its
 // own GSD solver chain, stepped slot by slot like System.
 type Fleet struct {
+	federation
 	Sites []FleetSite
-	Beta  float64
-	Slots int
 
-	queues  []*lyapunov.DeficitQueue
 	solvers []*gsd.Solver // per-site shard: own advancing seed + warm starts
-	slot    int
 	workers int
 
-	// Per-slot scratch reused across Step calls: site problem instances
-	// (each handed to the pooled per-site solver, which never reads one
-	// after its run finishes) and the fan-out error slots. Outcome slices
-	// stay freshly allocated — they escape to the caller via Settle.
+	// Per-site problem scratch reused across Step calls: each instance is
+	// handed to the site's pooled solver, which never reads it after its
+	// run finishes. Outcome slices stay freshly allocated — they escape to
+	// the caller via Settle.
 	probs []dcmodel.SlotProblem
-	errs  []error
-
-	metrics   *telemetry.FleetMetrics
-	siteInstr []*telemetry.FleetSiteMetrics // cached per-site handles, index-aligned with Sites
-
-	settleOb SettleObserver
 }
 
-// SettleObserver is a per-slot instrumentation hook for fleet runs: it
-// receives each settled slot's index and outcome after the deficit queues
-// have absorbed it, before the clock advances. Observers must not mutate
-// the outcome; they are for metrics, request-level replays and tests —
-// the fleet analogue of sim.Observer.
-type SettleObserver func(slot int, out FleetStepOutcome)
+// FleetSiteOutcome and FleetStepOutcome alias the outcome types both
+// engines share, for callers that still name them.
+type (
+	FleetSiteOutcome = SiteOutcome
+	FleetStepOutcome = StepOutcome
+)
 
 // fleetSeedStride decorrelates per-site GSD seeds: site i's chain starts at
 // base + (i+1)·stride (a splitmix64-style odd constant), so sites never
@@ -105,24 +84,12 @@ const fleetSeedStride = 0x9E3779B97F4A7C15
 // base seed the per-site chains are derived from. One carbon-deficit queue
 // per site, exactly like NewSystem.
 func NewFleet(sites []FleetSite, beta float64, slots int, opts gsd.Options) (*Fleet, error) {
-	if len(sites) == 0 {
-		return nil, errors.New("geo: no sites")
+	fed, err := newFederation(sites, beta, slots)
+	if err != nil {
+		return nil, err
 	}
-	if beta < 0 {
-		return nil, errors.New("geo: negative beta")
-	}
-	if slots <= 0 {
-		return nil, errors.New("geo: non-positive horizon")
-	}
-	f := &Fleet{Sites: sites, Beta: beta, Slots: slots}
+	f := &Fleet{federation: fed, Sites: sites, probs: make([]dcmodel.SlotProblem, len(sites))}
 	for i := range sites {
-		if err := sites[i].Validate(slots); err != nil {
-			return nil, err
-		}
-		f.queues = append(f.queues, lyapunov.NewDeficitQueue(
-			sites[i].Portfolio.Alpha,
-			sites[i].Portfolio.RECPerSlotKWh(slots),
-		))
 		siteOpts := opts
 		siteOpts.Seed = opts.Seed + uint64(i+1)*fleetSeedStride
 		f.solvers = append(f.solvers, &gsd.Solver{Opts: siteOpts})
@@ -132,7 +99,8 @@ func NewFleet(sites []FleetSite, beta float64, slots int, opts gsd.Options) (*Fl
 
 // SetWorkers bounds Step's whole-site solve fan-out. n in {0, 1} (the
 // default) runs sites sequentially; n > 1 fans them across up to n
-// goroutines with bit-identical results (see the design rules above).
+// goroutines with bit-identical results (the fan-out rules of
+// federation.go).
 // Negative n is an explicit error, the cliutil.WorkersFor rule.
 // Call SetWorkers before stepping.
 func (f *Fleet) SetWorkers(n int) error {
@@ -143,104 +111,42 @@ func (f *Fleet) SetWorkers(n int) error {
 	return nil
 }
 
-// Instrument attaches fleet metrics (nil detaches). Per-site label
-// tuples are interned here, once, and the resulting plain-instrument
-// handles cached index-aligned with Sites, so the per-site emission in
-// Step is allocation-free: counter adds and histogram observes on
-// already-interned children, no map lookups, no label encoding. Each
-// site's GSD shard also gets its own SolveMetrics view, so shard solve
-// stats (iterations, dual rounds, solve wall time) land in the same
-// site-labeled vectors. Instrumentation never changes outcomes: it only
-// reads settled values after the fan-out barrier, in site order.
+// Instrument attaches fleet metrics (nil detaches): Step feeds the step
+// totals and per-site series, Settle the deficit gauges, and each site's
+// GSD shard gets its own SolveMetrics view, so shard solve stats
+// (iterations, dual rounds, solve wall time) land in site-labeled
+// vectors.
 func (f *Fleet) Instrument(m *telemetry.FleetMetrics) {
-	f.metrics = m
-	f.siteInstr = nil
-	if m == nil {
-		for i := range f.solvers {
-			f.solvers[i].Opts.Metrics = nil
+	f.instrument(m)
+	for i := range f.solvers {
+		var sm *telemetry.SolveMetrics
+		if m != nil {
+			sm = m.SiteSolveMetrics(f.Sites[i].Name)
 		}
-		return
-	}
-	f.siteInstr = make([]*telemetry.FleetSiteMetrics, len(f.Sites))
-	for i := range f.Sites {
-		f.siteInstr[i] = m.Site(f.Sites[i].Name)
-		f.solvers[i].Opts.Metrics = m.SiteSolveMetrics(f.Sites[i].Name)
+		f.solvers[i].Opts.Metrics = sm
 	}
 }
 
-// TotalCapacityRPS returns the fleet's aggregate γ-discounted capacity.
-func (f *Fleet) TotalCapacityRPS() float64 {
-	var c float64
-	for i := range f.Sites {
-		c += f.Sites[i].CapacityRPS()
-	}
-	return c
-}
-
-// TotalServers returns the number of servers across the fleet.
-func (f *Fleet) TotalServers() int {
-	n := 0
-	for i := range f.Sites {
-		n += f.Sites[i].Cluster.TotalServers()
-	}
-	return n
-}
-
-// Queue exposes site k's deficit-queue length.
-func (f *Fleet) Queue(k int) float64 { return f.queues[k].Len() }
-
-// Slot returns the next slot to be stepped.
-func (f *Fleet) Slot() int { return f.slot }
-
-// FleetSiteOutcome is one site's share of a stepped fleet slot.
-type FleetSiteOutcome struct {
-	LoadRPS   float64
-	Active    int // servers in groups running at positive speed
-	PowerKW   float64
-	GridKWh   float64
-	DelayCost float64
-	CostUSD   float64 // the site's dcmodel.Ledger charge: w_k·grid + β·delay
-	Value     float64 // the site's P3 objective at the solved configuration
-}
-
-// FleetStepOutcome is a stepped slot across the fleet.
-type FleetStepOutcome struct {
-	Sites        []FleetSiteOutcome
-	TotalCostUSD float64
-	TotalGridKWh float64
-}
-
-// siteProblem builds site k's heterogeneous P3 instance for the slot at
-// load mu, with the COCA weights of Eq. (16) from the site's own price and
-// deficit queue. The instance lives in the fleet's per-site scratch slot —
-// site k's solver finishes with it before the next Step rewrites it — so
-// stepping allocates no problem structs.
-func (f *Fleet) siteProblem(k int, v, mu float64) *dcmodel.SlotProblem {
-	site := &f.Sites[k]
-	t := f.slot
-	we, wd := dcmodel.P3Weights(v, f.queues[k].Len(), site.Price.Values[t], f.Beta)
+// solveSite is Fleet's per-site P3: the site's heterogeneous cluster under
+// its own COCA weights, solved on its GSD shard. The instance lives in the
+// fleet's per-site scratch slot, so stepping allocates no problem structs.
+func (f *Fleet) solveSite(k int, v, mu float64, so *SiteOutcome) error {
+	cl := f.Sites[k].Cluster
+	we, wd, onsiteKW := f.weights(k, v)
 	p := &f.probs[k]
 	*p = dcmodel.SlotProblem{
-		Cluster:   site.Cluster,
+		Cluster:   cl,
 		LambdaRPS: mu,
 		We:        we, Wd: wd,
-		OnsiteKW: site.Portfolio.OnsiteKW.Values[t],
+		OnsiteKW: onsiteKW,
 	}
-	return p
-}
-
-// siteLedger builds site k's slot-cost kernel for the current slot,
-// identical to System.siteLedger.
-func (f *Fleet) siteLedger(k int) dcmodel.Ledger {
-	site := &f.Sites[k]
-	t := f.slot
-	return dcmodel.Ledger{
-		PriceUSDPerKWh: site.Price.Values[t],
-		OnsiteKW:       site.Portfolio.OnsiteKW.Values[t],
-		Beta:           f.Beta,
-		Alpha:          site.Portfolio.Alpha,
-		RECPerSlotKWh:  site.Portfolio.RECPerSlotKWh(f.Slots),
+	sol, err := f.solvers[k].Solve(p)
+	if err != nil {
+		return err
 	}
+	so.Active, so.Value = cl.ActiveServers(sol.Speeds), sol.Value
+	f.charge(k, so, cl.FacilityPowerKW(sol.Speeds, sol.Load), cl.DelayCost(sol.Speeds, sol.Load))
+	return nil
 }
 
 // Step splits lambda across the sites proportionally to capacity, solves
@@ -253,92 +159,12 @@ func (f *Fleet) siteLedger(k int) dcmodel.Ledger {
 // would cost Chunks·K whole-cluster chains per slot; the proportional split
 // needs exactly one solve per loaded site while the per-site COCA weights
 // still steer each site's own speed/load decisions by price and deficit.
-func (f *Fleet) Step(lambda, v float64) (FleetStepOutcome, error) {
-	total := f.TotalCapacityRPS()
-	if err := validateStep(f.slot, f.Slots, lambda, total, v); err != nil {
-		return FleetStepOutcome{}, err
+func (f *Fleet) Step(lambda, v float64) (StepOutcome, error) {
+	start := f.clock()
+	out, err := f.proportional(lambda, v, f.workers, f)
+	if err != nil {
+		return StepOutcome{}, err
 	}
-	var stepStart time.Time
-	if f.metrics != nil {
-		stepStart = time.Now()
-	}
-	k := len(f.Sites)
-	out := FleetStepOutcome{Sites: make([]FleetSiteOutcome, k)}
-	if f.probs == nil {
-		f.probs = make([]dcmodel.SlotProblem, k)
-		f.errs = make([]error, k)
-	}
-	errs := f.errs
-	for i := range errs {
-		errs[i] = nil
-	}
-	workpool.Fan(f.workers, k, func(i int) {
-		mu := 0.0
-		if lambda > 0 {
-			mu = lambda * f.Sites[i].CapacityRPS() / total
-		}
-		so := FleetSiteOutcome{LoadRPS: mu}
-		if mu > 0 {
-			p := f.siteProblem(i, v, mu)
-			sol, err := f.solvers[i].Solve(p)
-			if err != nil {
-				errs[i] = fmt.Errorf("geo: fleet site %s: %w", f.Sites[i].Name, err)
-				return
-			}
-			cl := f.Sites[i].Cluster
-			so.Active = cl.ActiveServers(sol.Speeds)
-			so.Value = sol.Value
-			ch := f.siteLedger(i).Charge(
-				cl.FacilityPowerKW(sol.Speeds, sol.Load),
-				cl.DelayCost(sol.Speeds, sol.Load), 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
-		}
-		out.Sites[i] = so
-	})
-	for i := 0; i < k; i++ {
-		if errs[i] != nil {
-			if f.metrics != nil {
-				for j := i; j < k; j++ {
-					if errs[j] != nil {
-						f.siteInstr[j].SolveErrors.Inc()
-					}
-				}
-			}
-			return FleetStepOutcome{}, errs[i]
-		}
-		out.TotalCostUSD += out.Sites[i].CostUSD
-		out.TotalGridKWh += out.Sites[i].GridKWh
-	}
-	if f.metrics != nil {
-		for i := 0; i < k; i++ {
-			si, so := f.siteInstr[i], &out.Sites[i]
-			si.LoadRPS.Add(so.LoadRPS)
-			si.CostUSD.Add(so.CostUSD)
-			si.GridKWh.Add(so.GridKWh)
-		}
-		f.metrics.ObserveStep(out.TotalCostUSD, out.TotalGridKWh, time.Since(stepStart).Seconds())
-	}
+	f.observe(&out, start)
 	return out, nil
 }
-
-// Settle finishes the slot: every site's deficit queue absorbs its realized
-// grid draw against its own off-site generation, and the clock advances.
-func (f *Fleet) Settle(out FleetStepOutcome) {
-	t := f.slot
-	for i := range f.Sites {
-		f.queues[i].Update(out.Sites[i].GridKWh, f.Sites[i].Portfolio.OffsiteKWh.Values[t])
-		if f.metrics != nil {
-			f.siteInstr[i].DeficitKWh.Set(f.queues[i].Len())
-		}
-	}
-	if f.settleOb != nil {
-		f.settleOb(t, out)
-	}
-	f.slot++
-}
-
-// SetSettleObserver attaches the per-slot settle hook (nil detaches). The
-// observer runs synchronously inside Settle; it sees the slot index being
-// settled and the outcome Settle was called with.
-func (f *Fleet) SetSettleObserver(ob SettleObserver) { f.settleOb = ob }

@@ -162,8 +162,10 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := NewFleet(nil, 0.005, slots, gsd.Options{}); err == nil {
 		t.Error("NewFleet with no sites should fail")
 	}
-	if _, err := NewFleet(sites, -1, slots, gsd.Options{}); err == nil {
-		t.Error("NewFleet with negative beta should fail")
+	for _, beta := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewFleet(sites, beta, slots, gsd.Options{}); err == nil {
+			t.Errorf("NewFleet with beta %v should fail", beta)
+		}
 	}
 	if _, err := NewFleet(sites, 0.005, 0, gsd.Options{}); err == nil {
 		t.Error("NewFleet with zero horizon should fail")
@@ -380,6 +382,42 @@ func TestStepRejectsNonFiniteInputs(t *testing.T) {
 			}
 		} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestDuplicateSiteNamesRejected pins the name-uniqueness rule both
+// engines share: per-site metric and replay series are keyed by site
+// name, so two sites named alike would fold into one series.
+func TestDuplicateSiteNamesRejected(t *testing.T) {
+	const slots = 4
+	for _, tc := range []struct {
+		name  string
+		dupOf []int // dupOf[i] >= 0 renames site i after site dupOf[i]
+		ok    bool
+	}{
+		{"distinct", []int{-1, -1, -1}, true},
+		{"adjacent", []int{-1, 0, -1}, false},
+		{"apart", []int{-1, -1, 0}, false},
+		{"last pair", []int{-1, -1, 1}, false},
+	} {
+		sysSites := makeSitesK(len(tc.dupOf), slots)
+		fleetSites := makeFleetSites(len(tc.dupOf), 3, 5, slots)
+		for i, j := range tc.dupOf {
+			if j >= 0 {
+				sysSites[i].Name = sysSites[j].Name
+				fleetSites[i].Name = fleetSites[j].Name
+			}
+		}
+		_, sysErr := NewSystem(sysSites, 0.005, slots)
+		_, fleetErr := NewFleet(fleetSites, 0.005, slots, gsd.Options{})
+		for engine, err := range map[string]error{"NewSystem": sysErr, "NewFleet": fleetErr} {
+			if tc.ok && err != nil {
+				t.Errorf("%s: %s rejected distinct names: %v", tc.name, engine, err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "duplicate site name")) {
+				t.Errorf("%s: %s = %v, want a duplicate site name error", tc.name, engine, err)
+			}
 		}
 	}
 }

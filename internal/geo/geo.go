@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/dcmodel"
-	"repro/internal/lyapunov"
 	"repro/internal/p3"
 	"repro/internal/renewable"
 	"repro/internal/telemetry"
@@ -68,16 +67,21 @@ func (s *Site) CapacityRPS() float64 {
 	return s.Gamma * float64(s.N) * s.Server.MaxRate()
 }
 
-// System is a federation of sites under one global workload.
-type System struct {
-	Sites []Site
-	Beta  float64
-	Slots int
+func (s *Site) supply() supply { return supply{s.Name, s.Price, s.Portfolio, s.CapacityRPS()} }
 
-	queues  []*lyapunov.DeficitQueue
-	slot    int
-	tracer  *span.Tracer
-	metrics *telemetry.GeoMetrics
+// System is a federation of homogeneous sites under one global workload:
+// each site's P3 is solved in closed form (p3.HomogeneousProblem) and the
+// slot's arrivals are split by the memoized greedy marginal allocation of
+// split.go.
+type System struct {
+	federation
+	Sites []Site
+
+	tracer *span.Tracer
+	// The greedy split's instruments, set by Instrument: its solve
+	// accounting and per-site chunk counters index-aligned with Sites.
+	p3Solves, memoHits *telemetry.Counter
+	chunks             []*telemetry.Counter
 }
 
 // SetTracer attaches a span tracer: every subsequent Step records a
@@ -88,118 +92,59 @@ type System struct {
 // Nil (the default) disables tracing.
 func (sys *System) SetTracer(tr *span.Tracer) { sys.tracer = tr }
 
-// Instrument attaches federation metrics: Step feeds the per-site
-// counters and Settle the deficit gauges. Nil (the default) disables
-// instrumentation.
-func (sys *System) Instrument(m *telemetry.GeoMetrics) { sys.metrics = m }
+// Instrument attaches federation metrics (nil detaches): Step feeds the
+// step totals, the per-site series and the greedy split's solve
+// accounting, and Settle the deficit gauges.
+func (sys *System) Instrument(m *telemetry.FleetMetrics) {
+	sys.instrument(m)
+	sys.p3Solves, sys.memoHits, sys.chunks = nil, nil, nil
+	if m == nil {
+		return
+	}
+	var chunks *telemetry.LabeledCounter
+	sys.p3Solves, sys.memoHits, chunks = m.Split()
+	sys.chunks = make([]*telemetry.Counter, len(sys.Sites))
+	for i := range sys.Sites {
+		sys.chunks[i] = chunks.With(sys.Sites[i].Name)
+	}
+}
 
 // NewSystem validates and assembles the federation, creating one
 // carbon-deficit queue per site.
 func NewSystem(sites []Site, beta float64, slots int) (*System, error) {
-	if len(sites) == 0 {
-		return nil, errors.New("geo: no sites")
+	fed, err := newFederation(sites, beta, slots)
+	if err != nil {
+		return nil, err
 	}
-	if beta < 0 {
-		return nil, errors.New("geo: negative beta")
-	}
-	if slots <= 0 {
-		return nil, errors.New("geo: non-positive horizon")
-	}
-	sys := &System{Sites: sites, Beta: beta, Slots: slots}
-	for i := range sites {
-		if err := sites[i].Validate(slots); err != nil {
-			return nil, err
-		}
-		sys.queues = append(sys.queues, lyapunov.NewDeficitQueue(
-			sites[i].Portfolio.Alpha,
-			sites[i].Portfolio.RECPerSlotKWh(slots),
-		))
-	}
-	return sys, nil
-}
-
-// TotalCapacityRPS returns the federation's aggregate capacity.
-func (sys *System) TotalCapacityRPS() float64 {
-	var c float64
-	for i := range sys.Sites {
-		c += sys.Sites[i].CapacityRPS()
-	}
-	return c
-}
-
-// Queue exposes site k's deficit-queue length.
-func (sys *System) Queue(k int) float64 { return sys.queues[k].Len() }
-
-// Slot returns the next slot to be stepped.
-func (sys *System) Slot() int { return sys.slot }
-
-// SiteOutcome is one site's share of a stepped slot.
-type SiteOutcome struct {
-	LoadRPS   float64
-	Speed     int
-	Active    int
-	PowerKW   float64
-	GridKWh   float64
-	DelayCost float64
-	CostUSD   float64 // the site's dcmodel.Ledger charge: w_k·grid + β·delay
-}
-
-// StepOutcome is a stepped slot across the federation.
-type StepOutcome struct {
-	Sites        []SiteOutcome
-	TotalCostUSD float64
-	TotalGridKWh float64
+	return &System{federation: fed, Sites: sites}, nil
 }
 
 // siteProblem builds site k's P3 instance for the slot at load mu.
 func (sys *System) siteProblem(k int, v, mu float64) *p3.HomogeneousProblem {
 	site := &sys.Sites[k]
-	t := sys.slot
-	we, wd := dcmodel.P3Weights(v, sys.queues[k].Len(), site.Price.Values[t], sys.Beta)
+	we, wd, onsiteKW := sys.weights(k, v)
 	return &p3.HomogeneousProblem{
 		Type: site.Server, N: site.N,
 		Gamma: site.Gamma, PUE: site.PUE,
 		LambdaRPS: mu,
 		We:        we, Wd: wd,
-		OnsiteKW: site.Portfolio.OnsiteKW.Values[t],
+		OnsiteKW: onsiteKW,
 	}
 }
 
-// siteLedger builds site k's slot-cost kernel for the current slot. All
-// site charging goes through it, so geo shares the exact accounting of
-// internal/sim and internal/core.
-func (sys *System) siteLedger(k int) dcmodel.Ledger {
-	site := &sys.Sites[k]
-	t := sys.slot
-	return dcmodel.Ledger{
-		PriceUSDPerKWh: site.Price.Values[t],
-		OnsiteKW:       site.Portfolio.OnsiteKW.Values[t],
-		Beta:           sys.Beta,
-		Alpha:          site.Portfolio.Alpha,
-		RECPerSlotKWh:  site.Portfolio.RECPerSlotKWh(sys.Slots),
-	}
+// operate records site k's solved configuration in so and bills it.
+func (sys *System) operate(k int, so *SiteOutcome, sol p3.HomogeneousSolution) {
+	so.Speed, so.Active, so.Value = sol.Speed, sol.Active, sol.Value
+	sys.charge(k, so, sol.PowerKW, sol.DelayCost)
 }
 
-// validateStep guards every federation step, System's and Fleet's alike:
-// the horizon is not exhausted, the load is finite, non-negative and within
-// the aggregate capacity, and the control parameter V is finite and
-// non-negative.
-func validateStep(slot, slots int, lambda, capacityRPS, v float64) error {
-	if slot >= slots {
-		return errors.New("geo: horizon exhausted")
+// solveSite is System's per-site P3 for the proportional split.
+func (sys *System) solveSite(k int, v, mu float64, so *SiteOutcome) error {
+	sol, err := sys.siteProblem(k, v, mu).Solve()
+	if err != nil {
+		return err
 	}
-	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return fmt.Errorf("geo: load %v is not finite", lambda)
-	}
-	if lambda < 0 {
-		return errors.New("geo: negative load")
-	}
-	if lambda > capacityRPS {
-		return fmt.Errorf("geo: load %v exceeds capacity %v", lambda, capacityRPS)
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return fmt.Errorf("geo: control parameter V %v is not finite and non-negative", v)
-	}
+	sys.operate(k, so, sol)
 	return nil
 }
 
@@ -214,12 +159,13 @@ const Chunks = 100
 // The split runs on the memoized greedy engine of split.go: bit-identical
 // to the naive O(Chunks·K)-solve loop (stepNaive in split_test.go, pinned
 // by golden hash tests) at O(Chunks + K) P3 solves. Real solver failures
-// abort the step and count into geo.solve_errors; capacity infeasibility
+// abort the step and count into solve_errors; capacity infeasibility
 // never does — a full site is a legitimate split answer.
 func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
-	if err := validateStep(sys.slot, sys.Slots, lambda, sys.TotalCapacityRPS(), v); err != nil {
+	if err := sys.guard(lambda, v); err != nil {
 		return StepOutcome{}, err
 	}
+	start := sys.clock()
 	k := len(sys.Sites)
 	stepSpan := sys.tracer.StartRoot("geo.step",
 		span.Int("slot", sys.slot), span.Float("lambda_rps", lambda),
@@ -229,8 +175,8 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 	if err != nil {
 		stepSpan.Set(span.Str("error", err.Error()),
 			span.Int("p3_solves", plan.p3Solves), span.Int("memo_hits", plan.memoHits))
-		if !errors.Is(err, errNoAbsorb) {
-			sys.metrics.IncSolveError()
+		if sys.metrics != nil && !errors.Is(err, errNoAbsorb) {
+			sys.metrics.SolveErrors.Inc()
 		}
 		return StepOutcome{}, err
 	}
@@ -243,18 +189,15 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 				span.Float("load_rps", plan.split[i]),
 				span.Int("chunks", plan.chunks[i]),
 				span.Float("marginal_usd", plan.marginal[i]),
-				span.Float("queue_kwh", sys.queues[i].Len()))
+				span.Float("queue_kwh", sys.Queue(i)))
 		}
-		so := SiteOutcome{LoadRPS: plan.split[i]}
+		so := &out.Sites[i]
+		so.LoadRPS = plan.split[i]
 		if plan.split[i] > 0 {
 			// The site's last winning candidate was solved at exactly this
 			// load: reuse it instead of the naive loop's final re-solve.
-			sol := plan.sols[i]
 			plan.memoHits++
-			so.Speed, so.Active = sol.Speed, sol.Active
-			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
+			sys.operate(i, so, plan.sols[i])
 		}
 		if siteSpan != nil {
 			siteSpan.Set(
@@ -262,13 +205,16 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 				span.Float("cost_usd", so.CostUSD), span.Float("grid_kwh", so.GridKWh))
 			siteSpan.End()
 		}
-		sys.metrics.ObserveSite(sys.Sites[i].Name, so.LoadRPS, plan.chunks[i], so.CostUSD, so.GridKWh)
-		out.Sites[i] = so
-		out.TotalCostUSD += so.CostUSD
-		out.TotalGridKWh += so.GridKWh
 	}
-	sys.metrics.ObserveStep(out.TotalCostUSD, out.TotalGridKWh)
-	sys.metrics.ObserveSplit(plan.p3Solves, plan.memoHits)
+	out.total()
+	if sys.metrics != nil {
+		sys.observe(&out, start)
+		sys.p3Solves.Add(float64(plan.p3Solves))
+		sys.memoHits.Add(float64(plan.memoHits))
+		for i, c := range plan.chunks {
+			sys.chunks[i].Add(float64(c))
+		}
+	}
 	if stepSpan != nil {
 		stepSpan.Set(
 			span.Float("total_usd", out.TotalCostUSD),
@@ -279,44 +225,11 @@ func (sys *System) Step(lambda float64, v float64) (StepOutcome, error) {
 	return out, nil
 }
 
-// Settle finishes the slot: every site's deficit queue absorbs its
-// realized grid draw against its own off-site generation, and the clock
-// advances.
-func (sys *System) Settle(out StepOutcome) {
-	t := sys.slot
-	for i := range sys.Sites {
-		sys.queues[i].Update(out.Sites[i].GridKWh, sys.Sites[i].Portfolio.OffsiteKWh.Values[t])
-		sys.metrics.SetDeficit(sys.Sites[i].Name, sys.queues[i].Len())
-	}
-	sys.slot++
-}
-
 // ProportionalSplit is the carbon- and price-blind baseline: load shares
-// proportional to site capacity. It returns the same outcome structure so
-// runs are directly comparable, and shares Step's guards (horizon, load,
-// capacity, V).
+// proportional to site capacity, run by the same split as Fleet.Step. It
+// returns the same outcome structure so runs are directly comparable, and
+// shares Step's guards (horizon, load, capacity, V). It feeds no step
+// metrics; only its solver failures count.
 func (sys *System) ProportionalSplit(lambda float64, v float64) (StepOutcome, error) {
-	total := sys.TotalCapacityRPS()
-	if err := validateStep(sys.slot, sys.Slots, lambda, total, v); err != nil {
-		return StepOutcome{}, err
-	}
-	out := StepOutcome{Sites: make([]SiteOutcome, len(sys.Sites))}
-	for i := range sys.Sites {
-		mu := lambda * sys.Sites[i].CapacityRPS() / total
-		so := SiteOutcome{LoadRPS: mu}
-		if mu > 0 {
-			sol, err := sys.siteProblem(i, v, mu).Solve()
-			if err != nil {
-				return StepOutcome{}, err
-			}
-			so.Speed, so.Active = sol.Speed, sol.Active
-			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
-		}
-		out.Sites[i] = so
-		out.TotalCostUSD += so.CostUSD
-		out.TotalGridKWh += so.GridKWh
-	}
-	return out, nil
+	return sys.proportional(lambda, v, 0, sys)
 }

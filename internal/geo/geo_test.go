@@ -48,8 +48,10 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(nil, 0.01, slots); err == nil {
 		t.Error("empty federation accepted")
 	}
-	if _, err := NewSystem(good, -1, slots); err == nil {
-		t.Error("negative beta accepted")
+	for _, beta := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSystem(good, beta, slots); err == nil {
+			t.Errorf("beta %v accepted", beta)
+		}
 	}
 	if _, err := NewSystem(good, 0.01, 0); err == nil {
 		t.Error("zero horizon accepted")

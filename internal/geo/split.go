@@ -49,22 +49,6 @@ type splitPlan struct {
 	memoHits int // candidate reads (and final-pass reuses) served from cache
 }
 
-// evalSite solves site i's P3 at load mu, separating the two failure
-// modes: capacity-type infeasibility (p3.ErrInfeasible) is a legitimate
-// "site full" answer reported as +Inf, while any other error — a malformed
-// instance, a corrupted load — is a real failure the step must surface
-// (previously every error was masked as +Inf).
-func (sys *System) evalSite(i int, v, mu float64) (float64, p3.HomogeneousSolution, error) {
-	sol, err := sys.siteProblem(i, v, mu).Solve()
-	if err != nil {
-		if errors.Is(err, p3.ErrInfeasible) {
-			return math.Inf(1), p3.HomogeneousSolution{}, nil
-		}
-		return 0, p3.HomogeneousSolution{}, err
-	}
-	return sol.Value, sol, nil
-}
-
 // greedySplit allocates lambda across the sites in λ/Chunks increments by
 // greedy marginal cost — arithmetic identical to stepNaive, with the
 // candidate table absorbing every redundant re-solve.
@@ -82,20 +66,26 @@ func (sys *System) greedySplit(lambda, v float64) (splitPlan, error) {
 	chunk := lambda / Chunks
 	cur := make([]float64, k) // current site values, accumulated like naive
 	cand := make([]candidate, k)
-	// eval refreshes site i's candidate, counting the fresh solve; only a
-	// real solver failure is an error.
+	// eval refreshes site i's candidate, counting the fresh solve. Capacity
+	// infeasibility (p3.ErrInfeasible) is a legitimate "site full" answer
+	// valued +Inf; any other solver error — a malformed instance, a
+	// corrupted load — is a real failure the step must surface.
 	eval := func(i int) error {
 		c := &cand[i]
 		*c = candidate{fresh: true}
-		if plan.split[i]+chunk > sys.Sites[i].CapacityRPS() {
+		if plan.split[i]+chunk > sys.sites[i].capRPS {
 			return nil
 		}
 		c.capOK = true
 		plan.p3Solves++
-		var err error
-		c.value, c.sol, err = sys.evalSite(i, v, plan.split[i]+chunk)
-		if err != nil {
+		sol, err := sys.siteProblem(i, v, plan.split[i]+chunk).Solve()
+		switch {
+		case errors.Is(err, p3.ErrInfeasible):
+			c.value = math.Inf(1)
+		case err != nil:
 			return fmt.Errorf("geo: site %s: %w", sys.Sites[i].Name, err)
+		default:
+			c.value, c.sol = sol.Value, sol
 		}
 		c.delta = c.value - cur[i]
 		return nil

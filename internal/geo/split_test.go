@@ -28,7 +28,7 @@ import (
 //
 // It does not advance the slot; Settle the returned outcome as usual.
 func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
-	if err := validateStep(sys.slot, sys.Slots, lambda, sys.TotalCapacityRPS(), v); err != nil {
+	if err := sys.guard(lambda, v); err != nil {
 		return StepOutcome{}, 0, err
 	}
 	k := len(sys.Sites)
@@ -66,10 +66,7 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 			if err != nil {
 				return StepOutcome{}, solves, fmt.Errorf("geo: site %s: %w", sys.Sites[i].Name, err)
 			}
-			so.Speed, so.Active = sol.Speed, sol.Active
-			ch := sys.siteLedger(i).Charge(sol.PowerKW, sol.DelayCost, 0)
-			so.PowerKW, so.GridKWh, so.DelayCost = ch.PowerKW, ch.GridKWh, ch.DelayCost
-			so.CostUSD = ch.TotalUSD
+			sys.operate(i, &so, sol)
 		}
 		out.Sites[i] = so
 		out.TotalCostUSD += so.CostUSD
@@ -80,8 +77,7 @@ func (sys *System) stepNaive(lambda, v float64) (StepOutcome, int, error) {
 
 // siteValue returns site k's P3 optimum value at load mu (+Inf when the
 // site cannot carry mu), the naive loop's site evaluation. The hot path
-// goes through evalSite, which additionally separates real solver errors
-// from capacity infeasibility.
+// additionally separates real solver errors from capacity infeasibility.
 func (sys *System) siteValue(k int, v, mu float64) float64 {
 	if mu == 0 {
 		// An empty site powers down: zero P3 value.
@@ -191,10 +187,26 @@ func TestGoldenSplitParity(t *testing.T) {
 // Each step folds its totals, then every site's load, speed, active count,
 // cost and grid draw.
 func TestGoldenSplitHash(t *testing.T) {
-	const (
-		want         = "fnv1a:4ebecbf49ca54a0c"
-		sites, slots = 16, 96
-	)
+	const want = "fnv1a:4ebecbf49ca54a0c"
+	if got := goldenSplitHash(t, (*System).Step); got != want {
+		t.Errorf("split hash = %s, want %s (split arithmetic drifted)", got, want)
+	}
+}
+
+// TestGoldenProportionalSplitHash pins the capacity-proportional baseline
+// on the same federation and recipe as TestGoldenSplitHash.
+func TestGoldenProportionalSplitHash(t *testing.T) {
+	const want = "fnv1a:aa4b0cc57079de17"
+	if got := goldenSplitHash(t, (*System).ProportionalSplit); got != want {
+		t.Errorf("proportional split hash = %s, want %s (split arithmetic drifted)", got, want)
+	}
+}
+
+// goldenSplitHash steps the golden federation of TestGoldenSplitHash with
+// step, settling every slot, and returns the FNV-1a digest.
+func goldenSplitHash(t *testing.T, step func(*System, float64, float64) (StepOutcome, error)) string {
+	t.Helper()
+	const sites, slots = 16, 96
 	ss := makeSitesK(sites, slots)
 	for i := range ss {
 		ss[i].N = 500 + 100*(i%4)
@@ -215,7 +227,7 @@ func TestGoldenSplitHash(t *testing.T) {
 	}
 	capRPS := sys.TotalCapacityRPS()
 	for tt := 0; tt < slots; tt++ {
-		out, err := sys.Step(capRPS*(0.35+0.3*math.Sin(float64(tt)/7)), 120)
+		out, err := step(sys, capRPS*(0.35+0.3*math.Sin(float64(tt)/7)), 120)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,9 +237,7 @@ func TestGoldenSplitHash(t *testing.T) {
 		}
 		sys.Settle(out)
 	}
-	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
-		t.Errorf("split hash = %s, want %s (split arithmetic drifted)", got, want)
-	}
+	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 }
 
 // TestSplitSolveAccounting pins the memo table's exact bookkeeping: every
@@ -245,7 +255,7 @@ func TestSplitSolveAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	memoSys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+	memoSys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 	capRPS := naiveSys.TotalCapacityRPS()
 	var naiveSolves int
 	for tt := 0; tt < slots; tt++ {
@@ -294,7 +304,7 @@ func TestSolveErrorSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+	sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 	sys.Sites[0].N, sys.Sites[0].Gamma = -sys.Sites[0].N, -sys.Sites[0].Gamma
 	_, err = sys.Step(0.3*sys.TotalCapacityRPS(), 120)
 	if err == nil {
@@ -315,6 +325,27 @@ func TestSolveErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestProportionalSolveErrorCounted pins the shared split's failure path:
+// a corrupted site's solver error reaches the caller naming the site and
+// counts once into solve_errors, on the proportional split as on Step.
+func TestProportionalSolveErrorCounted(t *testing.T) {
+	const slots = 4
+	sys, err := NewSystem(makeSitesK(3, slots), 0.005, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
+	sys.Sites[1].N, sys.Sites[1].Gamma = -sys.Sites[1].N, -sys.Sites[1].Gamma
+	_, err = sys.ProportionalSplit(0.3*sys.TotalCapacityRPS(), 120)
+	if !errors.Is(err, p3.ErrInvalid) || !strings.Contains(err.Error(), "site s01") {
+		t.Fatalf("err = %v, want p3.ErrInvalid naming site s01", err)
+	}
+	if got := reg.Snapshot().Counters["geo.solve_errors"]; got != 1 {
+		t.Errorf("geo.solve_errors = %v, want 1", got)
+	}
+}
+
 // TestNoSiteCanAbsorbChunk forces the stranded-load error: two sites whose
 // per-site capacities are non-integer multiples of the chunk size can
 // absorb at most 99 of the 100 chunks of a load equal to the federation's
@@ -330,7 +361,7 @@ func TestNoSiteCanAbsorbChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+	sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 	lambda := sys.TotalCapacityRPS()
 	_, err = sys.Step(lambda, 120)
 	if !errors.Is(err, errNoAbsorb) {

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/gsd"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/promtext"
 	"repro/internal/telemetry/span"
 )
 
@@ -122,8 +126,8 @@ func TestStepTracedSpans(t *testing.T) {
 	}
 }
 
-// TestStepMetrics pins the GeoMetrics wiring: federation totals and lazy
-// per-site instruments land in the registry under the geo.* prefix.
+// TestStepMetrics pins System's metrics wiring: federation totals and
+// site-labeled series land in the registry under the geo.* prefix.
 func TestStepMetrics(t *testing.T) {
 	slots := 24
 	sys, err := NewSystem(makeSites(slots), 0.005, slots)
@@ -131,7 +135,7 @@ func TestStepMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	sys.Instrument(telemetry.NewGeoMetrics(reg, "geo"))
+	sys.Instrument(telemetry.NewFleetMetrics(reg, "geo"))
 
 	out, err := sys.Step(600, 100)
 	if err != nil {
@@ -193,7 +197,7 @@ func TestStepTracedMatchesUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracedSys.SetTracer(span.NewTracer())
-	tracedSys.Instrument(telemetry.NewGeoMetrics(telemetry.NewRegistry(), "geo"))
+	tracedSys.Instrument(telemetry.NewFleetMetrics(telemetry.NewRegistry(), "geo"))
 
 	for slot := 0; slot < 3; slot++ {
 		lambda := 500 + 50*float64(slot)
@@ -216,5 +220,101 @@ func TestStepTracedMatchesUntraced(t *testing.T) {
 		}
 		plainSys.Settle(want)
 		tracedSys.Settle(got)
+	}
+}
+
+// TestExportedMetricFamilies pins the /metrics surface of both engines:
+// the exact family and label list a System instrumented under "geo" and a
+// Fleet under "fleet" export, and that every site-labeled family carries
+// one series per site — no engine exports a per-site series it never
+// feeds. Tests, the bench and the README read these names.
+func TestExportedMetricFamilies(t *testing.T) {
+	const slots = 4
+	sys, err := NewSystem(makeSitesK(3, slots), 0.005, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysReg := telemetry.NewRegistry()
+	sys.Instrument(telemetry.NewFleetMetrics(sysReg, "geo"))
+	out, err := sys.Step(0.4*sys.TotalCapacityRPS(), 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Settle(out)
+
+	fleet, err := NewFleet(makeFleetSites(3, 3, 5, slots), 0.005, slots, gsd.Options{Delta: 1e4, MaxIters: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetReg := telemetry.NewRegistry()
+	fleet.Instrument(telemetry.NewFleetMetrics(fleetReg, "fleet"))
+	fout, err := fleet.Step(0.4*fleet.TotalCapacityRPS(), 5e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Settle(fout)
+
+	shared := func(p string) []string {
+		return []string{
+			p + "_grid_kwh", p + "_solve_errors", p + "_steps", p + "_total_usd",
+			p + "_site_cost_usd{site}", p + "_site_grid_kwh{site}", p + "_site_load_rps{site}",
+			p + "_site_deficit_kwh{site}",
+			p + "_step_seconds{le}", p + "_step_seconds_invalid",
+		}
+	}
+	for _, tc := range []struct {
+		engine string
+		reg    *telemetry.Registry
+		sites  []string
+		want   []string
+	}{
+		{"System", sysReg, []string{"s00", "s01", "s02"}, append(shared("geo"),
+			"geo_memo_hits", "geo_p3_solves", "geo_site_chunks{site}")},
+		{"Fleet", fleetReg, []string{"f000", "f001", "f002"}, append(shared("fleet"),
+			"fleet_shard_accepted_moves{site}", "fleet_shard_cold_fallbacks{site}",
+			"fleet_shard_dual_rounds{site}", "fleet_shard_iterations{site}",
+			"fleet_shard_patience_exits{site}", "fleet_shard_solves{site}",
+			"fleet_shard_iterations_per_solve{le,site}", "fleet_shard_iterations_per_solve_invalid{site}",
+			"fleet_shard_solve_seconds{le,site}", "fleet_shard_solve_seconds_invalid{site}")},
+	} {
+		var buf bytes.Buffer
+		if err := tc.reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := promtext.Parse(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, fam := range fams {
+			labels := map[string]bool{}
+			sites := map[string]bool{}
+			for _, s := range fam.Samples {
+				for _, l := range s.Labels {
+					labels[l.Name] = true
+					if l.Name == "site" {
+						sites[l.Value] = true
+					}
+				}
+			}
+			if labels["site"] && len(sites) != len(tc.sites) {
+				t.Errorf("%s: %s has series for %d sites, want %d", tc.engine, fam.Name, len(sites), len(tc.sites))
+			}
+			names := make([]string, 0, len(labels))
+			for l := range labels {
+				names = append(names, l)
+			}
+			sort.Strings(names)
+			sig := fam.Name
+			if len(names) > 0 {
+				sig += "{" + strings.Join(names, ",") + "}"
+			}
+			got = append(got, sig)
+		}
+		sort.Strings(got)
+		sort.Strings(tc.want)
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s exports families\n%s\nwant\n%s", tc.engine, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
 	}
 }

@@ -277,7 +277,7 @@ func (r *FleetReplayer) Observer() geo.SettleObserver { return r.observe }
 // Report returns the aggregated replay statistics so far.
 func (r *FleetReplayer) Report() ReplayReport { return r.rep.finish() }
 
-func (r *FleetReplayer) observe(slot int, out geo.FleetStepOutcome) {
+func (r *FleetReplayer) observe(slot int, out geo.StepOutcome) {
 	o := &r.opts
 	if slot%o.Every != 0 {
 		return

@@ -143,7 +143,7 @@ func TestFleetReplayerMatchesChargedDelay(t *testing.T) {
 		Seed:     5,
 		Metrics:  m,
 	})
-	out := geo.FleetStepOutcome{Sites: []geo.FleetSiteOutcome{
+	out := geo.StepOutcome{Sites: []geo.SiteOutcome{
 		{LoadRPS: 120, DelayCost: 30}, // x_eq = 124 → ρ ≈ 0.968… heavy but stable
 		{LoadRPS: 80, DelayCost: 4},   // x_eq = 100 → ρ = 0.8
 	}}
@@ -167,7 +167,7 @@ func TestFleetReplayerMatchesChargedDelay(t *testing.T) {
 // count, identical report bits.
 func TestFleetReplayerWorkerInvariance(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
-	out := geo.FleetStepOutcome{Sites: []geo.FleetSiteOutcome{
+	out := geo.StepOutcome{Sites: []geo.SiteOutcome{
 		{LoadRPS: 50, DelayCost: 5},
 		{LoadRPS: 30, DelayCost: 2},
 		{}, // idle site: skipped

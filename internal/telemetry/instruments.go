@@ -120,263 +120,100 @@ func (m *SolveMetrics) FinishSolve(iters, accepted int, patienceExit bool, secon
 	m.ItersPerRun.Observe(float64(iters))
 }
 
-// GeoSiteMetrics is one federation site's slice of GeoMetrics. The
-// instruments are children of site-labeled vectors, so the exposition
-// renders them as geo_site_*{site="…"} series.
-type GeoSiteMetrics struct {
-	Solves     *Counter // slots in which the site carried load (one P3 solve each)
-	LoadRPS    *Counter // running allocated load
-	Chunks     *Counter // greedy allocation chunks won
+// FleetSiteMetrics is one site's slice of FleetMetrics: the slot outcome
+// series. Solver-side stats live in the per-shard SolveMetrics from
+// SiteSolveMetrics.
+type FleetSiteMetrics struct {
+	LoadRPS    *Counter // running load allocated to the site
 	CostUSD    *Counter // running site cost (w·grid + β·delay)
 	GridKWh    *Counter // running grid draw
 	DeficitKWh *Gauge   // current carbon-deficit queue length
 }
 
-// GeoMetrics instruments a geo federation run: federation-level step and
-// cost totals plus a site-labeled breakdown. It deliberately takes plain
-// values, not geo types, so package geo can import telemetry without a
-// cycle. All methods are nil-safe.
-type GeoMetrics struct {
-	Steps    *Counter
-	TotalUSD *Counter
-	GridKWh  *Counter
-
-	P3Solves    *Counter // fresh P3 solves spent on the split hot path
-	MemoHits    *Counter // candidate reads served by the per-slot memo table
-	SolveErrors *Counter // real (non-infeasibility) solver failures surfaced by Step
-
-	siteSolves  *LabeledCounter
-	siteLoad    *LabeledCounter
-	siteChunks  *LabeledCounter
-	siteCost    *LabeledCounter
-	siteGrid    *LabeledCounter
-	siteDeficit *LabeledGauge
-	sites       map[string]*GeoSiteMetrics // cached per-site handles
-}
-
-// NewGeoMetrics registers federation instruments under prefix
-// (conventionally "geo"); per-site series live in site-labeled vectors
-// ("<prefix>.site.solves"{site="…"}, …), their tuples interned the first
-// time a site is observed.
-func NewGeoMetrics(r *Registry, prefix string) *GeoMetrics {
-	p := prefix + "."
-	return &GeoMetrics{
-		Steps:       r.Counter(p + "steps"),
-		TotalUSD:    r.Counter(p + "total_usd"),
-		GridKWh:     r.Counter(p + "grid_kwh"),
-		P3Solves:    r.Counter(p + "p3_solves"),
-		MemoHits:    r.Counter(p + "memo_hits"),
-		SolveErrors: r.Counter(p + "solve_errors"),
-		siteSolves:  r.LabeledCounter(p+"site.solves", "slots in which the site carried load", "site"),
-		siteLoad:    r.LabeledCounter(p+"site.load_rps", "running load allocated to the site", "site"),
-		siteChunks:  r.LabeledCounter(p+"site.chunks", "greedy allocation chunks won by the site", "site"),
-		siteCost:    r.LabeledCounter(p+"site.cost_usd", "running site cost (w*grid + beta*delay)", "site"),
-		siteGrid:    r.LabeledCounter(p+"site.grid_kwh", "running site grid draw", "site"),
-		siteDeficit: r.LabeledGauge(p+"site.deficit_kwh", "site carbon-deficit queue length", "site"),
-		sites:       make(map[string]*GeoSiteMetrics),
-	}
-}
-
-// Site returns (interning on first use) the named site's instruments.
-func (m *GeoMetrics) Site(name string) *GeoSiteMetrics {
-	if m == nil {
-		return nil
-	}
-	if s, ok := m.sites[name]; ok {
-		return s
-	}
-	s := &GeoSiteMetrics{
-		Solves:     m.siteSolves.With(name),
-		LoadRPS:    m.siteLoad.With(name),
-		Chunks:     m.siteChunks.With(name),
-		CostUSD:    m.siteCost.With(name),
-		GridKWh:    m.siteGrid.With(name),
-		DeficitKWh: m.siteDeficit.With(name),
-	}
-	m.sites[name] = s
-	return s
-}
-
-// ObserveStep folds one federation slot's totals into the instruments.
-func (m *GeoMetrics) ObserveStep(totalUSD, totalGridKWh float64) {
-	if m == nil {
-		return
-	}
-	m.Steps.Inc()
-	m.TotalUSD.Add(totalUSD)
-	m.GridKWh.Add(totalGridKWh)
-}
-
-// ObserveSite folds one site's share of a slot into the instruments.
-func (m *GeoMetrics) ObserveSite(name string, loadRPS float64, chunks int, costUSD, gridKWh float64) {
-	if m == nil {
-		return
-	}
-	s := m.Site(name)
-	if loadRPS > 0 {
-		s.Solves.Inc()
-	}
-	s.LoadRPS.Add(loadRPS)
-	s.Chunks.Add(float64(chunks))
-	s.CostUSD.Add(costUSD)
-	s.GridKWh.Add(gridKWh)
-}
-
-// ObserveSplit folds one slot's split-path solve accounting into the
-// instruments: fresh P3 solves spent and the candidate evaluations the
-// per-slot memo table absorbed (each hit is a solve the naive greedy loop
-// would have paid for).
-func (m *GeoMetrics) ObserveSplit(p3Solves, memoHits int) {
-	if m == nil {
-		return
-	}
-	m.P3Solves.Add(float64(p3Solves))
-	m.MemoHits.Add(float64(memoHits))
-}
-
-// IncSolveError records a real solver failure — anything beyond
-// capacity-type infeasibility — surfaced by a federation step.
-func (m *GeoMetrics) IncSolveError() {
-	if m == nil {
-		return
-	}
-	m.SolveErrors.Inc()
-}
-
-// SetDeficit records a site's current carbon-deficit queue length.
-func (m *GeoMetrics) SetDeficit(name string, kwh float64) {
-	if m == nil {
-		return
-	}
-	m.Site(name).DeficitKWh.Set(kwh)
-}
-
-// FleetSiteMetrics is one fleet site's slice of FleetMetrics: the slot
-// outcome series. Solver-side stats (iterations, dual rounds, solve wall
-// time) live in the per-shard SolveMetrics from SiteSolveMetrics.
-type FleetSiteMetrics struct {
-	LoadRPS     *Counter // running load allocated to the site
-	CostUSD     *Counter // running site cost (w·grid + β·delay)
-	GridKWh     *Counter // running grid draw
-	SolveErrors *Counter // solver failures surfaced by the site's shard
-	DeficitKWh  *Gauge   // current carbon-deficit queue length
-}
-
-// FleetMetrics instruments a geo.Fleet run: fleet-level step totals and
-// wall time plus a site-labeled breakdown, including per-shard GSD solve
-// stats assembled from the same labeled vectors (SiteSolveMetrics). Like
-// GeoMetrics it takes plain values so geo imports telemetry, not the
-// other way round. All methods are nil-safe.
+// FleetMetrics instruments a run of either multi-site engine — geo.System
+// (conventionally under "geo") or geo.Fleet (under "fleet"): step totals
+// and wall time, solver failures, and a site-labeled breakdown rendered
+// as <prefix>_site_*{site="…"} series. The engine-specific families —
+// the greedy split's solve accounting (Split) and the GSD shards' solve
+// stats (SiteSolveMetrics) — register on first use, so each engine
+// exports only the families it feeds. It takes plain values so geo
+// imports telemetry, not the other way round.
 type FleetMetrics struct {
-	Steps       *Counter   // stepped fleet slots
-	TotalUSD    *Counter   // running fleet cost
-	GridKWh     *Counter   // running fleet grid draw
-	StepSeconds *Histogram // wall time per fleet Step (fan-out included)
+	Steps       *Counter   // stepped slots
+	TotalUSD    *Counter   // running federation cost
+	GridKWh     *Counter   // running federation grid draw
+	SolveErrors *Counter   // real (non-infeasibility) solver failures surfaced by a step
+	StepSeconds *Histogram // wall time per Step (fan-out included)
 
+	reg         *Registry
+	prefix      string
 	siteLoad    *LabeledCounter
 	siteCost    *LabeledCounter
 	siteGrid    *LabeledCounter
-	siteErrors  *LabeledCounter
 	siteDeficit *LabeledGauge
-
-	// Per-shard GSD solve stats, one SolveMetrics view per site.
-	shardSolves   *LabeledCounter
-	shardIters    *LabeledCounter
-	shardAccepted *LabeledCounter
-	shardPatience *LabeledCounter
-	shardCold     *LabeledCounter
-	shardDual     *LabeledCounter
-	shardSeconds  *LabeledHistogram
-	shardItersRun *LabeledHistogram
-
-	sites  map[string]*FleetSiteMetrics
-	shards map[string]*SolveMetrics
 }
 
-// NewFleetMetrics registers fleet instruments under prefix
-// (conventionally "fleet"). Site series are labeled vectors
-// ("<prefix>.site.load_rps"{site="…"}, …); shard solver series mirror
-// SolveMetrics names under "<prefix>.shard.*"{site="…"}.
+// NewFleetMetrics registers the shared instruments under prefix.
 func NewFleetMetrics(r *Registry, prefix string) *FleetMetrics {
 	p := prefix + "."
 	return &FleetMetrics{
 		Steps:       r.Counter(p + "steps"),
 		TotalUSD:    r.Counter(p + "total_usd"),
 		GridKWh:     r.Counter(p + "grid_kwh"),
+		SolveErrors: r.Counter(p + "solve_errors"),
 		StepSeconds: r.Histogram(p+"step_seconds", ExpBuckets(1e-5, 4, 14)),
 
+		reg:         r,
+		prefix:      prefix,
 		siteLoad:    r.LabeledCounter(p+"site.load_rps", "running load allocated to the site", "site"),
 		siteCost:    r.LabeledCounter(p+"site.cost_usd", "running site cost (w*grid + beta*delay)", "site"),
 		siteGrid:    r.LabeledCounter(p+"site.grid_kwh", "running site grid draw", "site"),
-		siteErrors:  r.LabeledCounter(p+"site.solve_errors", "solver failures surfaced by the site's shard", "site"),
 		siteDeficit: r.LabeledGauge(p+"site.deficit_kwh", "site carbon-deficit queue length", "site"),
-
-		shardSolves:   r.LabeledCounter(p+"shard.solves", "GSD solves run by the site's shard", "site"),
-		shardIters:    r.LabeledCounter(p+"shard.iterations", "GSD iterations spent by the site's shard", "site"),
-		shardAccepted: r.LabeledCounter(p+"shard.accepted_moves", "GSD moves accepted by the site's shard", "site"),
-		shardPatience: r.LabeledCounter(p+"shard.patience_exits", "solves stopped early by the patience criterion", "site"),
-		shardCold:     r.LabeledCounter(p+"shard.cold_fallbacks", "warm starts dropped by the site's shard", "site"),
-		shardDual:     r.LabeledCounter(p+"shard.dual_rounds", "dual-decomposition rounds run by the site's shard", "site"),
-		shardSeconds:  r.LabeledHistogram(p+"shard.solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12), "site"),
-		shardItersRun: r.LabeledHistogram(p+"shard.iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12), "site"),
-
-		sites:  make(map[string]*FleetSiteMetrics),
-		shards: make(map[string]*SolveMetrics),
 	}
 }
 
-// Site returns (interning on first use) the named site's outcome
-// instruments.
+// Site interns the named site's outcome instruments.
 func (m *FleetMetrics) Site(name string) *FleetSiteMetrics {
-	if m == nil {
-		return nil
+	return &FleetSiteMetrics{
+		LoadRPS:    m.siteLoad.With(name),
+		CostUSD:    m.siteCost.With(name),
+		GridKWh:    m.siteGrid.With(name),
+		DeficitKWh: m.siteDeficit.With(name),
 	}
-	if s, ok := m.sites[name]; ok {
-		return s
-	}
-	s := &FleetSiteMetrics{
-		LoadRPS:     m.siteLoad.With(name),
-		CostUSD:     m.siteCost.With(name),
-		GridKWh:     m.siteGrid.With(name),
-		SolveErrors: m.siteErrors.With(name),
-		DeficitKWh:  m.siteDeficit.With(name),
-	}
-	m.sites[name] = s
-	return s
 }
 
-// SiteSolveMetrics returns (interning on first use) a SolveMetrics view
-// over the named site's shard series: every field is the site's child of
-// the corresponding labeled vector, so handing it to the site's
-// gsd.Solver (Opts.Metrics) records per-shard stats at exactly the flat
-// SolveMetrics cost.
+// Split registers (on first use) and returns the greedy split's
+// instruments: fresh P3 solves spent, candidate evaluations served by the
+// per-slot memo table (each a solve the naive greedy loop would have paid
+// for), and the chunks each site won.
+func (m *FleetMetrics) Split() (p3Solves, memoHits *Counter, chunks *LabeledCounter) {
+	p := m.prefix + "."
+	return m.reg.Counter(p + "p3_solves"), m.reg.Counter(p + "memo_hits"),
+		m.reg.LabeledCounter(p+"site.chunks", "greedy allocation chunks won by the site", "site")
+}
+
+// SiteSolveMetrics returns a SolveMetrics view over the named site's
+// shard series, registered on first use under "<prefix>.shard.*": every
+// field is the site's child of the corresponding labeled vector, so
+// handing it to the site's gsd.Solver (Opts.Metrics) records per-shard
+// stats at exactly the flat SolveMetrics cost.
 func (m *FleetMetrics) SiteSolveMetrics(name string) *SolveMetrics {
-	if m == nil {
-		return nil
+	p, r := m.prefix+".shard.", m.reg
+	return &SolveMetrics{
+		Solves:        r.LabeledCounter(p+"solves", "GSD solves run by the site's shard", "site").With(name),
+		Iterations:    r.LabeledCounter(p+"iterations", "GSD iterations spent by the site's shard", "site").With(name),
+		Accepted:      r.LabeledCounter(p+"accepted_moves", "GSD moves accepted by the site's shard", "site").With(name),
+		PatienceExits: r.LabeledCounter(p+"patience_exits", "solves stopped early by the patience criterion", "site").With(name),
+		ColdFallbacks: r.LabeledCounter(p+"cold_fallbacks", "warm starts dropped by the site's shard", "site").With(name),
+		DualRounds:    r.LabeledCounter(p+"dual_rounds", "dual-decomposition rounds run by the site's shard", "site").With(name),
+		SolveSeconds:  r.LabeledHistogram(p+"solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12), "site").With(name),
+		ItersPerRun:   r.LabeledHistogram(p+"iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12), "site").With(name),
 	}
-	if s, ok := m.shards[name]; ok {
-		return s
-	}
-	s := &SolveMetrics{
-		Solves:        m.shardSolves.With(name),
-		Iterations:    m.shardIters.With(name),
-		Accepted:      m.shardAccepted.With(name),
-		PatienceExits: m.shardPatience.With(name),
-		ColdFallbacks: m.shardCold.With(name),
-		DualRounds:    m.shardDual.With(name),
-		SolveSeconds:  m.shardSeconds.With(name),
-		ItersPerRun:   m.shardItersRun.With(name),
-	}
-	m.shards[name] = s
-	return s
 }
 
-// ObserveStep folds one fleet slot's totals and wall time into the
+// ObserveStep folds one stepped slot's totals and wall time into the
 // instruments.
 func (m *FleetMetrics) ObserveStep(totalUSD, totalGridKWh, seconds float64) {
-	if m == nil {
-		return
-	}
 	m.Steps.Inc()
 	m.TotalUSD.Add(totalUSD)
 	m.GridKWh.Add(totalGridKWh)
@@ -386,7 +223,7 @@ func (m *FleetMetrics) ObserveStep(totalUSD, totalGridKWh, seconds float64) {
 // BatchMetrics instruments the batch-job scheduler: submission and
 // completion counters, deferred (future-slot) submissions, served work,
 // and the live queue depth / backlog gauges. Value-based for the same
-// no-cycle reason as GeoMetrics; all methods are nil-safe.
+// no-cycle reason as FleetMetrics; all methods are nil-safe.
 type BatchMetrics struct {
 	Submitted   *Counter // jobs accepted by Submit
 	Deferred    *Counter // of those, jobs queued for a future arrival slot
