@@ -29,8 +29,8 @@ type HandlerOpts struct {
 	Ready *Readiness
 }
 
-// Handler mounts the control-plane endpoints and the telemetry surface on
-// one mux:
+// HandlerWith mounts the control-plane endpoints and the telemetry
+// surface on one mux:
 //
 //	POST /decide     — one SlotInput as JSON → one Decision as JSON
 //	POST /ingest     — NDJSON stream of SlotInputs → NDJSON Decisions,
@@ -44,17 +44,18 @@ type HandlerOpts struct {
 //
 // Every control-plane request is counted and timed into path/code-labeled
 // vectors ("http.requests", "http.request_seconds") and tagged with a
-// request id. tr may be nil (no /spans data).
-func (s *Service) Handler(reg *telemetry.Registry, tr *span.Tracer) http.Handler {
-	return s.HandlerWith(reg, tr, HandlerOpts{})
-}
-
-// HandlerWith is Handler with explicit options.
+// request id. tr may be nil (no /spans data); opts gates pprof, access
+// logging and the readiness probes.
 func (s *Service) HandlerWith(reg *telemetry.Registry, tr *span.Tracer, opts HandlerOpts) http.Handler {
 	mux := http.NewServeMux()
-	hm := newHTTPMetrics(reg, "http")
+	// Cardinality: path is one of the four mounted endpoints and code an
+	// HTTP status — both bounded; request ids never become labels.
+	requests := reg.LabeledCounter("http.requests",
+		"control-plane requests by endpoint and status", "path", "code")
+	seconds := reg.LabeledHistogram("http.request_seconds",
+		"request wall time by endpoint", telemetry.ExpBuckets(1e-4, 4, 12), "path")
 	wrap := func(path string, h http.HandlerFunc) {
-		mux.Handle(path, instrument(hm, opts.Log, path, h))
+		mux.Handle(path, instrument(requests, seconds, opts.Log, path, h))
 	}
 	wrap("/decide", s.handleDecide)
 	wrap("/ingest", s.handleIngest)
@@ -69,23 +70,6 @@ func (s *Service) HandlerWith(reg *telemetry.Registry, tr *span.Tracer, opts Han
 	telemetry.RegisterWith(mux, reg, tr, opts.Telemetry)
 	reg.OnScrape(s.refreshSettleLag)
 	return mux
-}
-
-// httpMetrics is the per-endpoint request accounting. Cardinality: path
-// is one of the four mounted endpoints and code an HTTP status — both
-// bounded; request ids never become labels.
-type httpMetrics struct {
-	requests *telemetry.LabeledCounter
-	seconds  *telemetry.LabeledHistogram
-}
-
-func newHTTPMetrics(r *telemetry.Registry, prefix string) *httpMetrics {
-	return &httpMetrics{
-		requests: r.LabeledCounter(prefix+".requests",
-			"control-plane requests by endpoint and status", "path", "code"),
-		seconds: r.LabeledHistogram(prefix+".request_seconds",
-			"request wall time by endpoint", telemetry.ExpBuckets(1e-4, 4, 12), "path"),
-	}
 }
 
 // reqSeq numbers requests within the process; the id is for correlating
@@ -118,7 +102,8 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // instrument wraps one endpoint with request-id tagging, access logging
 // and the path/code-labeled request accounting.
-func instrument(m *httpMetrics, log *slog.Logger, path string, h http.HandlerFunc) http.Handler {
+func instrument(requests *telemetry.LabeledCounter, seconds *telemetry.LabeledHistogram,
+	log *slog.Logger, path string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := "r" + strconv.FormatUint(reqSeq.Add(1), 10)
 		w.Header().Set("X-Request-Id", id)
@@ -134,8 +119,8 @@ func instrument(m *httpMetrics, log *slog.Logger, path string, h http.HandlerFun
 			code = http.StatusOK
 		}
 		secs := time.Since(start).Seconds()
-		m.requests.With(path, strconv.Itoa(code)).Inc()
-		m.seconds.With(path).Observe(secs)
+		requests.With(path, strconv.Itoa(code)).Inc()
+		seconds.With(path).Observe(secs)
 		if log != nil {
 			log.Info("response", "id", id, "path", path, "code", code, "seconds", secs)
 		}

@@ -18,7 +18,7 @@ func testServer(t *testing.T) (*Service, *httptest.Server) {
 	s := testService(t)
 	reg := telemetry.NewRegistry()
 	s.Instrument(NewMetrics(reg, "serve"))
-	srv := httptest.NewServer(s.Handler(reg, span.NewTracer()))
+	srv := httptest.NewServer(s.HandlerWith(reg, span.NewTracer(), HandlerOpts{}))
 	t.Cleanup(srv.Close)
 	return s, srv
 }

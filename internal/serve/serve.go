@@ -116,15 +116,7 @@ type Metrics struct {
 
 // NewMetrics registers service instruments under prefix.
 func NewMetrics(r *telemetry.Registry, prefix string) *Metrics {
-	return &Metrics{
-		Slots:            r.Counter(prefix + ".slots"),
-		Rejected:         r.Counter(prefix + ".rejected"),
-		TotalUSD:         r.Gauge(prefix + ".total_usd"),
-		GridKWh:          r.Gauge(prefix + ".grid_kwh"),
-		Queue:            r.Gauge(prefix + ".queue_kwh"),
-		SettleLagSeconds: r.Gauge(prefix + ".settle_lag_seconds"),
-		StepSeconds:      r.Histogram(prefix+".step_seconds", telemetry.ExpBuckets(1e-5, 4, 12)),
-	}
+	return newMetrics(r, prefix, nil)
 }
 
 // NewSiteMetrics registers the same service instruments as site-labeled
@@ -133,15 +125,29 @@ func NewMetrics(r *telemetry.Registry, prefix string) *Metrics {
 // aggregate. Cardinality: the site label is the deployment's bounded
 // site name, never a per-slot or per-request value.
 func NewSiteMetrics(r *telemetry.Registry, prefix, site string) *Metrics {
+	return newMetrics(r, prefix, []string{"site"}, site)
+}
+
+// newMetrics registers the service instruments under prefix: flat
+// families when labels is empty, else the values' children of labeled
+// vectors.
+func newMetrics(r *telemetry.Registry, prefix string, labels []string, values ...string) *Metrics {
 	p := prefix + "."
+	counter := func(name, help string) *telemetry.Counter {
+		return r.LabeledCounter(p+name, help, labels...).With(values...)
+	}
+	gauge := func(name, help string) *telemetry.Gauge {
+		return r.LabeledGauge(p+name, help, labels...).With(values...)
+	}
 	return &Metrics{
-		Slots:            r.LabeledCounter(p+"slots", "settled slots", "site").With(site),
-		Rejected:         r.LabeledCounter(p+"rejected", "slot inputs rejected before settling", "site").With(site),
-		TotalUSD:         r.LabeledGauge(p+"total_usd", "cumulative operating cost", "site").With(site),
-		GridKWh:          r.LabeledGauge(p+"grid_kwh", "cumulative grid draw", "site").With(site),
-		Queue:            r.LabeledGauge(p+"queue_kwh", "carbon-deficit queue length", "site").With(site),
-		SettleLagSeconds: r.LabeledGauge(p+"settle_lag_seconds", "age of the last settled slot", "site").With(site),
-		StepSeconds:      r.LabeledHistogram(p+"step_seconds", "slot turnaround through Step", telemetry.ExpBuckets(1e-5, 4, 12), "site").With(site),
+		Slots:            counter("slots", "settled slots"),
+		Rejected:         counter("rejected", "slot inputs rejected before settling"),
+		TotalUSD:         gauge("total_usd", "cumulative operating cost"),
+		GridKWh:          gauge("grid_kwh", "cumulative grid draw"),
+		Queue:            gauge("queue_kwh", "carbon-deficit queue length"),
+		SettleLagSeconds: gauge("settle_lag_seconds", "age of the last settled slot"),
+		StepSeconds: r.LabeledHistogram(p+"step_seconds", "slot turnaround through Step",
+			telemetry.ExpBuckets(1e-5, 4, 12), labels...).With(values...),
 	}
 }
 

@@ -34,7 +34,7 @@ func PublishExpvar(r *Registry) bool {
 	return publishedExpvars == r
 }
 
-// RegisterOpts tunes which observability endpoints Register mounts.
+// RegisterOpts tunes which observability endpoints RegisterWith mounts.
 type RegisterOpts struct {
 	// NoPprof leaves the /debug/pprof endpoints unmounted — for
 	// production listeners where live profiling and symbol dumps should
@@ -54,19 +54,14 @@ type RegisterOpts struct {
 // tr may be nil: a metrics-only process simply has no /spans data.
 func Handler(r *Registry, tr *span.Tracer) http.Handler {
 	mux := http.NewServeMux()
-	Register(mux, r, tr)
+	RegisterWith(mux, r, tr, RegisterOpts{})
 	return mux
 }
 
-// Register mounts the observability endpoints of Handler onto an existing
-// mux with default options, so a process serving its own API (the cocad
-// control plane) exposes application and telemetry endpoints from one
-// listener.
-func Register(mux *http.ServeMux, r *Registry, tr *span.Tracer) {
-	RegisterWith(mux, r, tr, RegisterOpts{})
-}
-
-// RegisterWith is Register with explicit options (pprof gating).
+// RegisterWith mounts the observability endpoints of Handler onto an
+// existing mux, so a process serving its own API (the cocad control plane)
+// exposes application and telemetry endpoints from one listener. opts
+// gates pprof.
 func RegisterWith(mux *http.ServeMux, r *Registry, tr *span.Tracer, opts RegisterOpts) {
 	// Best effort: when a second registry is mounted in one process only
 	// the first owns /debug/vars. Callers that care check PublishExpvar

@@ -95,16 +95,35 @@ type SolveMetrics struct {
 
 // NewSolveMetrics registers a solver's instruments under prefix.
 func NewSolveMetrics(r *Registry, prefix string) *SolveMetrics {
-	p := prefix + "."
+	return newSolveMetrics(r, prefix+".", nil)
+}
+
+// newSolveMetrics registers the solver instruments under p: flat families
+// when labels is empty, else the values' children of labeled vectors. The
+// help texts describe the per-shard view, so only labeled families carry
+// them.
+func newSolveMetrics(r *Registry, p string, labels []string, values ...string) *SolveMetrics {
+	help := func(text string) string {
+		if len(labels) == 0 {
+			return ""
+		}
+		return text
+	}
+	counter := func(name, text string) *Counter {
+		return r.LabeledCounter(p+name, help(text), labels...).With(values...)
+	}
+	histogram := func(name, text string, bounds []float64) *Histogram {
+		return r.LabeledHistogram(p+name, help(text), bounds, labels...).With(values...)
+	}
 	return &SolveMetrics{
-		Solves:        r.Counter(p + "solves"),
-		Iterations:    r.Counter(p + "iterations"),
-		Accepted:      r.Counter(p + "accepted_moves"),
-		PatienceExits: r.Counter(p + "patience_exits"),
-		ColdFallbacks: r.Counter(p + "cold_fallbacks"),
-		DualRounds:    r.Counter(p + "dual_rounds"),
-		SolveSeconds:  r.Histogram(p+"solve_seconds", ExpBuckets(1e-5, 4, 12)),
-		ItersPerRun:   r.Histogram(p+"iterations_per_solve", ExpBuckets(8, 2, 12)),
+		Solves:        counter("solves", "GSD solves run by the site's shard"),
+		Iterations:    counter("iterations", "GSD iterations spent by the site's shard"),
+		Accepted:      counter("accepted_moves", "GSD moves accepted by the site's shard"),
+		PatienceExits: counter("patience_exits", "solves stopped early by the patience criterion"),
+		ColdFallbacks: counter("cold_fallbacks", "warm starts dropped by the site's shard"),
+		DualRounds:    counter("dual_rounds", "dual-decomposition rounds run by the site's shard"),
+		SolveSeconds:  histogram("solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12)),
+		ItersPerRun:   histogram("iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12)),
 	}
 }
 
@@ -198,17 +217,7 @@ func (m *FleetMetrics) Split() (p3Solves, memoHits *Counter, chunks *LabeledCoun
 // handing it to the site's gsd.Solver (Opts.Metrics) records per-shard
 // stats at exactly the flat SolveMetrics cost.
 func (m *FleetMetrics) SiteSolveMetrics(name string) *SolveMetrics {
-	p, r := m.prefix+".shard.", m.reg
-	return &SolveMetrics{
-		Solves:        r.LabeledCounter(p+"solves", "GSD solves run by the site's shard", "site").With(name),
-		Iterations:    r.LabeledCounter(p+"iterations", "GSD iterations spent by the site's shard", "site").With(name),
-		Accepted:      r.LabeledCounter(p+"accepted_moves", "GSD moves accepted by the site's shard", "site").With(name),
-		PatienceExits: r.LabeledCounter(p+"patience_exits", "solves stopped early by the patience criterion", "site").With(name),
-		ColdFallbacks: r.LabeledCounter(p+"cold_fallbacks", "warm starts dropped by the site's shard", "site").With(name),
-		DualRounds:    r.LabeledCounter(p+"dual_rounds", "dual-decomposition rounds run by the site's shard", "site").With(name),
-		SolveSeconds:  r.LabeledHistogram(p+"solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12), "site").With(name),
-		ItersPerRun:   r.LabeledHistogram(p+"iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12), "site").With(name),
-	}
+	return newSolveMetrics(m.reg, m.prefix+".shard.", []string{"site"}, name)
 }
 
 // ObserveStep folds one stepped slot's totals and wall time into the

@@ -2,7 +2,8 @@ package telemetry
 
 import (
 	"encoding/binary"
-	"sort"
+	"io"
+	"slices"
 	"sync"
 )
 
@@ -41,13 +42,61 @@ type vecStripe[T any] struct {
 	m  map[string]*vecEntry[T]
 }
 
-// vec is the generic core shared by the three labeled instrument kinds.
+// desc is a family's identity, fixed at registration.
+type desc struct {
+	name string   // registry name ("geo.site.cost_usd")
+	expo string   // exposition name, promtext.SanitizeName(name)
+	help string   // rendered as # HELP when non-empty
+	typ  string   // counter | gauge | histogram
+	keys []string // label names; none for a flat instrument
+}
+
+func (d *desc) describe() *desc { return d }
+
+// rank is the family's exposition group: flat counters, flat gauges,
+// labeled counters, labeled gauges, flat histograms, labeled histograms.
+func (d *desc) rank() int {
+	r := 0
+	if d.typ == "histogram" {
+		r += 4
+	}
+	if len(d.keys) > 0 {
+		r += 2
+	}
+	if d.typ == "gauge" {
+		r++
+	}
+	return r
+}
+
+// family is one entry of the registry's table: a *LabeledCounter,
+// *LabeledGauge or *LabeledHistogram.
+type family interface {
+	describe() *desc
+	snapshotInto(*Snapshot)
+	writePrometheus(io.Writer) error
+}
+
+// vec is the generic core shared by the three instrument kinds. A flat
+// family keeps its one series inline; only a labeled family pays for the
+// lock stripes.
 type vec[T any] struct {
-	name     string
-	help     string
-	keys     []string  // label names, fixed at construction
-	newChild func() *T // builds a zero-valued child instrument
-	stripes  [vecStripes]vecStripe[T]
+	desc
+	newChild func() *T                 // builds a zero-valued child instrument
+	one      vecEntry[T]               // a flat family's series
+	stripes  *[vecStripes]vecStripe[T] // a labeled family's series
+}
+
+// newVec builds a family's series storage, creating a flat family's one
+// series up front.
+func newVec[T any](d desc, newChild func() *T) vec[T] {
+	v := vec[T]{desc: d, newChild: newChild}
+	if len(d.keys) == 0 {
+		v.one.child = newChild()
+	} else {
+		v.stripes = new([vecStripes]vecStripe[T])
+	}
+	return v
 }
 
 // appendTupleKey encodes the label values into dst as a length-prefixed
@@ -75,6 +124,9 @@ func stripeOf(key []byte) int {
 func (v *vec[T]) with(values []string) *T {
 	if len(values) != len(v.keys) {
 		panic("telemetry: " + v.name + ": wrong number of label values")
+	}
+	if v.stripes == nil {
+		return v.one.child
 	}
 	var buf [64]byte
 	key := appendTupleKey(buf[:0], values)
@@ -110,6 +162,9 @@ func (v *vec[T]) create(key []byte, values []string) *T {
 // entries returns every interned (tuple, child) pair sorted by label
 // values — the deterministic order every snapshot and exposition uses.
 func (v *vec[T]) entries() []*vecEntry[T] {
+	if v.stripes == nil {
+		return []*vecEntry[T]{&v.one}
+	}
 	var out []*vecEntry[T]
 	for i := range v.stripes {
 		s := &v.stripes[i]
@@ -119,23 +174,8 @@ func (v *vec[T]) entries() []*vecEntry[T] {
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return lessTuple(out[i].values, out[j].values)
-	})
+	slices.SortFunc(out, func(a, b *vecEntry[T]) int { return slices.Compare(a.values, b.values) })
 	return out
-}
-
-// lessTuple orders label tuples lexicographically value by value.
-func lessTuple(a, b []string) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // LabeledCounter is a counter vector: one Counter per label tuple.
@@ -181,7 +221,7 @@ type LabeledSnapshot struct {
 // Get returns the sample for the tuple, if present.
 func (s LabeledSnapshot) Get(values ...string) (float64, bool) {
 	for _, ser := range s.Series {
-		if equalTuple(ser.Values, values) {
+		if slices.Equal(ser.Values, values) {
 			return ser.Value, true
 		}
 	}
@@ -205,45 +245,43 @@ type LabeledHistogramsSnapshot struct {
 // Get returns the histogram snapshot for the tuple, if present.
 func (s LabeledHistogramsSnapshot) Get(values ...string) (HistogramSnapshot, bool) {
 	for _, ser := range s.Series {
-		if equalTuple(ser.Values, values) {
+		if slices.Equal(ser.Values, values) {
 			return ser.Hist, true
 		}
 	}
 	return HistogramSnapshot{}, false
 }
 
-func equalTuple(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+func (c *LabeledCounter) snapshotInto(s *Snapshot) {
+	putScalar(s.Counters, s.LabeledCounters, &c.vec, (*Counter).Value)
 }
 
-func (c *LabeledCounter) snapshot() LabeledSnapshot {
-	s := LabeledSnapshot{Help: c.help, Labels: c.keys}
-	for _, e := range c.entries() {
-		s.Series = append(s.Series, LabeledSeries{Values: e.values, Value: e.child.Value()})
-	}
-	return s
+func (g *LabeledGauge) snapshotInto(s *Snapshot) {
+	putScalar(s.Gauges, s.LabeledGauges, &g.vec, (*Gauge).Value)
 }
 
-func (g *LabeledGauge) snapshot() LabeledSnapshot {
-	s := LabeledSnapshot{Help: g.help, Labels: g.keys}
-	for _, e := range g.entries() {
-		s.Series = append(s.Series, LabeledSeries{Values: e.values, Value: e.child.Value()})
+// putScalar files a counter or gauge family: a flat family's one series
+// under flat, a labeled family's series under labeled.
+func putScalar[T any](flat map[string]float64, labeled map[string]LabeledSnapshot, v *vec[T], value func(*T) float64) {
+	if len(v.keys) == 0 {
+		flat[v.name] = value(v.one.child)
+		return
 	}
-	return s
+	ls := LabeledSnapshot{Help: v.help, Labels: v.keys}
+	for _, e := range v.entries() {
+		ls.Series = append(ls.Series, LabeledSeries{Values: e.values, Value: value(e.child)})
+	}
+	labeled[v.name] = ls
 }
 
-func (h *LabeledHistogram) snapshot() LabeledHistogramsSnapshot {
-	s := LabeledHistogramsSnapshot{Help: h.help, Labels: h.keys}
+func (h *LabeledHistogram) snapshotInto(s *Snapshot) {
+	if len(h.keys) == 0 {
+		s.Histograms[h.name] = h.one.child.Snapshot()
+		return
+	}
+	ls := LabeledHistogramsSnapshot{Help: h.help, Labels: h.keys}
 	for _, e := range h.entries() {
-		s.Series = append(s.Series, LabeledHistogramSeries{Values: e.values, Hist: e.child.Snapshot()})
+		ls.Series = append(ls.Series, LabeledHistogramSeries{Values: e.values, Hist: e.child.Snapshot()})
 	}
-	return s
+	s.LabeledHistograms[h.name] = ls
 }

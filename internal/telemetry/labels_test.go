@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -155,6 +156,46 @@ func TestRegistryLabeledGetOrCreate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap.Labels, []string{"site"}) {
 		t.Fatalf("labels = %v, want the first registration's", snap.Labels)
+	}
+}
+
+// TestRegistryCollisionPanics: two registrations that would render under
+// one exposition name panic at registration or at the first With, instead
+// of rendering two families of one name.
+func TestRegistryCollisionPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		first  func(*Registry)
+		second func(*Registry)
+	}{
+		{"counter and gauge",
+			func(r *Registry) { r.Counter("x.y") },
+			func(r *Registry) { r.Gauge("x.y") }},
+		{"gauge and histogram",
+			func(r *Registry) { r.LabeledGauge("x.y", "", "site") },
+			func(r *Registry) { r.LabeledHistogram("x.y", "", nil, "site") }},
+		{"x.y and x_y",
+			func(r *Registry) { r.Counter("x.y") },
+			func(r *Registry) { r.Counter("x_y") }},
+		{"flat then labeled",
+			func(r *Registry) { r.Counter("x.y") },
+			func(r *Registry) { r.LabeledCounter("x.y", "", "site").With("a") }},
+		{"labeled then flat",
+			func(r *Registry) { r.LabeledHistogram("x.y", "", nil, "site").With("a") },
+			func(r *Registry) { r.Histogram("x.y", nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			tc.first(r)
+			defer func() {
+				if recover() == nil {
+					var buf bytes.Buffer
+					_ = r.WritePrometheus(&buf)
+					t.Fatalf("second registration did not panic; exposition:\n%s", buf.String())
+				}
+			}()
+			tc.second(r)
+		})
 	}
 }
 

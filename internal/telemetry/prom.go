@@ -3,114 +3,81 @@ package telemetry
 import (
 	"io"
 	"runtime"
-	"sort"
 
 	"repro/internal/telemetry/promtext"
 )
 
 // Prometheus text-format exposition (version 0.0.4) over the registry —
 // the /metrics surface scrapers consume. No external client library: the
-// renderer walks one deterministic Snapshot and emits families through
-// promtext, so two scrapes of identical state are byte-identical (the
-// golden exposition test pins the exact output).
+// renderer walks the family table once, in scrape order, and emits each
+// family through promtext, so two scrapes of identical state are
+// byte-identical (the golden exposition test pins the exact output). A
+// flat instrument is a family with no labels and renders the same way:
 //
-// Mapping:
-//
-//   - flat Counter/Gauge         → one sample, name sanitized (dots → _)
-//   - LabeledCounter/Gauge       → one sample per tuple, sorted by values
-//   - Histogram (flat & labeled) → cumulative name_bucket{le="…"} series
-//     ending in le="+Inf", plus name_sum and name_count, plus a
-//     name_invalid counter surfacing NaN observations (NaN samples are
-//     excluded from buckets/sum/count, so without this series a producer
-//     emitting garbage would be invisible to a scraper)
-//
-// Family order is fixed (counters, gauges, labeled counters, labeled
-// gauges, histograms, labeled histograms; each sorted by name), which
-// keeps every family's samples contiguous as the format requires.
+//   - counters and gauges → one sample per tuple, sorted by values, name
+//     sanitized (dots → _)
+//   - histograms → cumulative name_bucket{le="…"} series ending in
+//     le="+Inf", plus name_sum and name_count, plus a name_invalid counter
+//     family surfacing NaN observations (NaN samples are excluded from
+//     buckets/sum/count, so without this series a producer emitting
+//     garbage would be invisible to a scraper)
 
 // WritePrometheus renders the registry in Prometheus text format. Scrape
-// hooks run first (via Snapshot), so pull-style collectors are fresh.
+// hooks run first, so pull-style collectors are fresh.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	snap := r.Snapshot()
-
-	for _, name := range sortedKeys(snap.Counters) {
-		n := promtext.SanitizeName(name)
-		if err := promtext.WriteHeader(w, n, "", "counter"); err != nil {
-			return err
-		}
-		if err := promtext.WriteSample(w, n, nil, snap.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		n := promtext.SanitizeName(name)
-		if err := promtext.WriteHeader(w, n, "", "gauge"); err != nil {
-			return err
-		}
-		if err := promtext.WriteSample(w, n, nil, snap.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.LabeledCounters) {
-		v := snap.LabeledCounters[name]
-		n := promtext.SanitizeName(name)
-		if err := promtext.WriteHeader(w, n, v.Help, "counter"); err != nil {
-			return err
-		}
-		for _, s := range v.Series {
-			if err := promtext.WriteSample(w, n, tupleLabels(v.Labels, s.Values, ""), s.Value); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(snap.LabeledGauges) {
-		v := snap.LabeledGauges[name]
-		n := promtext.SanitizeName(name)
-		if err := promtext.WriteHeader(w, n, v.Help, "gauge"); err != nil {
-			return err
-		}
-		for _, s := range v.Series {
-			if err := promtext.WriteSample(w, n, tupleLabels(v.Labels, s.Values, ""), s.Value); err != nil {
-				return err
-			}
-		}
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		if err := writeHistogram(w, promtext.SanitizeName(name), "", nil, nil, snap.Histograms[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.LabeledHistograms) {
-		v := snap.LabeledHistograms[name]
-		n := promtext.SanitizeName(name)
-		if err := promtext.WriteHeader(w, n, v.Help, "histogram"); err != nil {
-			return err
-		}
-		for _, s := range v.Series {
-			if err := writeHistogramSeries(w, n, v.Labels, s.Values, s.Hist); err != nil {
-				return err
-			}
-		}
-		if err := writeHistogramInvalid(w, n, v.Labels, v.Series); err != nil {
+	for _, f := range r.scrape() {
+		if err := f.writePrometheus(w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeHistogram renders one flat histogram family: header, the series,
-// and the invalid-counter family.
-func writeHistogram(w io.Writer, name, help string, labelNames, values []string, h HistogramSnapshot) error {
-	if err := promtext.WriteHeader(w, name, help, "histogram"); err != nil {
+func (c *LabeledCounter) writePrometheus(w io.Writer) error {
+	return writeScalar(w, &c.vec, (*Counter).Value)
+}
+
+func (g *LabeledGauge) writePrometheus(w io.Writer) error {
+	return writeScalar(w, &g.vec, (*Gauge).Value)
+}
+
+// writeScalar renders one counter or gauge family.
+func writeScalar[T any](w io.Writer, v *vec[T], value func(*T) float64) error {
+	if err := promtext.WriteHeader(w, v.expo, v.help, v.typ); err != nil {
 		return err
 	}
-	if err := writeHistogramSeries(w, name, labelNames, values, h); err != nil {
+	for _, e := range v.entries() {
+		if err := promtext.WriteSample(w, v.expo, tupleLabels(v.keys, e.values, ""), value(e.child)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writePrometheus renders the histogram family, then its per-tuple
+// invalid counters as one trailing counter family.
+func (h *LabeledHistogram) writePrometheus(w io.Writer) error {
+	if err := promtext.WriteHeader(w, h.expo, h.help, h.typ); err != nil {
 		return err
 	}
-	if err := promtext.WriteHeader(w, name+"_invalid", "", "counter"); err != nil {
+	entries := h.entries()
+	invalid := make([]uint64, len(entries))
+	for i, e := range entries {
+		hs := e.child.Snapshot()
+		invalid[i] = hs.Invalid
+		if err := writeHistogramSeries(w, h.expo, h.keys, e.values, hs); err != nil {
+			return err
+		}
+	}
+	if err := promtext.WriteHeader(w, h.expo+"_invalid", "", "counter"); err != nil {
 		return err
 	}
-	return promtext.WriteSample(w, name+"_invalid", tupleLabels(labelNames, values, ""), float64(h.Invalid))
+	for i, e := range entries {
+		if err := promtext.WriteSample(w, h.expo+"_invalid", tupleLabels(h.keys, e.values, ""), float64(invalid[i])); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeHistogramSeries renders one tuple's cumulative buckets, sum and
@@ -134,20 +101,6 @@ func writeHistogramSeries(w io.Writer, name string, labelNames, values []string,
 	return promtext.WriteSample(w, name+"_count", tupleLabels(labelNames, values, ""), float64(h.Count))
 }
 
-// writeHistogramInvalid renders the per-tuple invalid counters of a
-// labeled histogram as one trailing counter family.
-func writeHistogramInvalid(w io.Writer, name string, labelNames []string, series []LabeledHistogramSeries) error {
-	if err := promtext.WriteHeader(w, name+"_invalid", "", "counter"); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if err := promtext.WriteSample(w, name+"_invalid", tupleLabels(labelNames, s.Values, ""), float64(s.Hist.Invalid)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // tupleLabels builds the label pairs for one series; a non-empty le is
 // appended last, the bucket convention.
 func tupleLabels(names, values []string, le string) []promtext.Label {
@@ -162,15 +115,6 @@ func tupleLabels(names, values []string, le string) []promtext.Label {
 		out = append(out, promtext.Label{Name: "le", Value: le})
 	}
 	return out
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // RuntimeMetrics is the process collector: Go runtime health gauges

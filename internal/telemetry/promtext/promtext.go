@@ -148,16 +148,36 @@ func WriteSample(w io.Writer, name string, labels []Label, value float64) error 
 // Parse reads an exposition back into families. Samples are attached to
 // the most recent # TYPE header whose name prefixes them (the histogram
 // convention: name_bucket/_sum/_count belong to family name); samples
-// with no header open an untyped family of their own. Blank lines are
-// skipped; anything else malformed is an error naming the line.
+// with no header open an untyped family of their own. A family must be
+// contiguous and headed once, so a header after its samples, a second
+// # TYPE or a return to a closed family is an error: the exposition
+// renders one name twice. Blank lines are skipped; anything else
+// malformed is an error naming the line.
 func Parse(r io.Reader) ([]Family, error) {
 	var (
-		fams []Family
-		cur  *Family
+		fams   []Family
+		cur    *Family
+		typed  bool // cur has had its # TYPE
+		seen   = map[string]bool{}
+		lineNo int
 	)
+	// open makes name's family current. A header continues the current
+	// family only before its first sample; any other return to a family
+	// already seen means the exposition renders it twice.
+	open := func(name string, header bool) error {
+		if cur != nil && cur.Name == name && !(header && len(cur.Samples) > 0) {
+			return nil
+		}
+		if seen[name] {
+			return fmt.Errorf("promtext: line %d: family %s reappears", lineNo, name)
+		}
+		seen[name], typed = true, false
+		fams = append(fams, Family{Name: name, Type: "untyped"})
+		cur = &fams[len(fams)-1]
+		return nil
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -171,9 +191,8 @@ func Parse(r io.Reader) ([]Family, error) {
 			}
 			switch fields[1] {
 			case "HELP":
-				if cur == nil || cur.Name != fields[2] {
-					fams = append(fams, Family{Name: fields[2], Type: "untyped"})
-					cur = &fams[len(fams)-1]
+				if err := open(fields[2], true); err != nil {
+					return nil, err
 				}
 				if len(fields) == 4 {
 					cur.Help = fields[3]
@@ -182,11 +201,13 @@ func Parse(r io.Reader) ([]Family, error) {
 				if len(fields) != 4 {
 					return nil, fmt.Errorf("promtext: line %d: malformed TYPE", lineNo)
 				}
-				if cur == nil || cur.Name != fields[2] {
-					fams = append(fams, Family{Name: fields[2]})
-					cur = &fams[len(fams)-1]
+				if err := open(fields[2], true); err != nil {
+					return nil, err
 				}
-				cur.Type = fields[3]
+				if typed {
+					return nil, fmt.Errorf("promtext: line %d: second TYPE for %s", lineNo, cur.Name)
+				}
+				cur.Type, typed = fields[3], true
 			}
 			continue
 		}
@@ -195,8 +216,9 @@ func Parse(r io.Reader) ([]Family, error) {
 			return nil, fmt.Errorf("promtext: line %d: %w", lineNo, err)
 		}
 		if cur == nil || !sampleInFamily(s.Name, cur.Name) {
-			fams = append(fams, Family{Name: s.Name, Type: "untyped"})
-			cur = &fams[len(fams)-1]
+			if err := open(s.Name, false); err != nil {
+				return nil, err
+			}
 		}
 		cur.Samples = append(cur.Samples, s)
 	}

@@ -138,6 +138,29 @@ func TestParseTolerance(t *testing.T) {
 	}
 }
 
+// TestParseRejectsReappearingFamily: a family's lines must be contiguous
+// and headed once, so a header after the family's samples, a second
+// # TYPE, or any line returning to a closed family is an error, not a
+// silent second family.
+func TestParseRejectsReappearingFamily(t *testing.T) {
+	for _, text := range []string{
+		"# TYPE x_y counter\nx_y 1\n# TYPE x_y gauge\nx_y 2\n",
+		"# TYPE a counter\na 1\n# TYPE b counter\nb 1\n# TYPE a counter\na 2\n",
+		"# TYPE a counter\na 1\n# TYPE b gauge\nb 1\n# HELP a again\n",
+		"a 1\nb 2\na 3\n",
+		"# TYPE a counter\n# TYPE a gauge\na 1\n",
+	} {
+		if fams, err := Parse(strings.NewReader(text)); err == nil {
+			t.Errorf("Parse(%q) = %d families, want a reappearing-family error", text, len(fams))
+		}
+	}
+	// HELP then TYPE (or TYPE then HELP) for one name opens one family.
+	fams, err := Parse(strings.NewReader("# HELP a h\n# TYPE a counter\na 1\n# TYPE b gauge\n# HELP b h\nb 2\n"))
+	if err != nil || len(fams) != 2 || fams[0].Type != "counter" || fams[1].Help != "h" {
+		t.Fatalf("Parse = %+v, %v; want families a and b", fams, err)
+	}
+}
+
 func TestSortFamilies(t *testing.T) {
 	fams := []Family{{Name: "z"}, {Name: "a"}, {Name: "m"}}
 	SortFamilies(fams)

@@ -1,30 +1,15 @@
 package telemetry
 
-// ReqsimSiteMetrics is one site's slice of ReqsimMetrics: the per-slot
-// request-level replay outcome series. Percentile gauges carry the *exact*
-// streaming percentiles computed by the replay's sample tape; the
-// histogram carries the same response times bucketed for exposition — the
-// two views deliberately coexist (gauges are exact but last-slot-only,
-// the histogram is approximate but cumulative).
-type ReqsimSiteMetrics struct {
-	Requests *Counter // simulated requests replayed for the site
-	Dropped  *Counter // requests rejected by the replay's admission cap
-	P50Sec   *Gauge   // exact median response time, last replayed slot
-	P95Sec   *Gauge   // exact 95th percentile, last replayed slot
-	P99Sec   *Gauge   // exact 99th percentile, last replayed slot
-	QueueLen *Gauge   // measured mean jobs in system, last replayed slot
-	ModelErr *Gauge   // |empirical − analytic|/analytic mean jobs, last slot
-
-	// RespSeconds buckets each replayed slot's percentile triple for
-	// cumulative exposition (the gauges above stay exact but last-slot-only).
-	RespSeconds *Histogram
-}
-
 // ReqsimMetrics instruments request-level slot replays (internal/reqsim):
 // replay counts and request volume at the top level plus a site-labeled
-// breakdown of exact percentiles, queue lengths and analytic-model error.
-// Like the other *Metrics it takes plain values so reqsim imports
-// telemetry, never the reverse. All methods are nil-safe.
+// breakdown of the per-slot replay outcome. The percentile gauges carry
+// the *exact* streaming percentiles computed by the replay's sample tape
+// for the last replayed slot; the response-time histogram buckets the same
+// percentile triple cumulatively for exposition — the two views
+// deliberately coexist (gauges are exact but last-slot-only, the histogram
+// is approximate but cumulative). Like the other *Metrics it takes plain
+// values so reqsim imports telemetry, never the reverse. All methods are
+// nil-safe.
 type ReqsimMetrics struct {
 	Replays  *Counter // slots replayed at request granularity
 	Requests *Counter // total simulated requests
@@ -41,8 +26,6 @@ type ReqsimMetrics struct {
 	siteQueue    *LabeledGauge
 	siteModelErr *LabeledGauge
 	siteResp     *LabeledHistogram
-
-	sites map[string]*ReqsimSiteMetrics
 }
 
 // NewReqsimMetrics registers replay instruments under prefix
@@ -64,37 +47,15 @@ func NewReqsimMetrics(r *Registry, prefix string) *ReqsimMetrics {
 		siteQueue:    r.LabeledGauge(p+"site.queue_len", "measured mean jobs in system, last replayed slot", "site"),
 		siteModelErr: r.LabeledGauge(p+"site.model_err", "relative empirical-vs-analytic mean-jobs error, last slot", "site"),
 		siteResp:     r.LabeledHistogram(p+"site.resp_seconds", "response-time distribution across replayed slots", ExpBuckets(1e-3, 2, 18), "site"),
-
-		sites: make(map[string]*ReqsimSiteMetrics),
 	}
 }
 
-// Site returns (interning on first use) the named site's instruments.
-func (m *ReqsimMetrics) Site(name string) *ReqsimSiteMetrics {
-	if m == nil {
-		return nil
-	}
-	if s, ok := m.sites[name]; ok {
-		return s
-	}
-	s := &ReqsimSiteMetrics{
-		Requests:    m.siteRequests.With(name),
-		Dropped:     m.siteDropped.With(name),
-		P50Sec:      m.siteP50.With(name),
-		P95Sec:      m.siteP95.With(name),
-		P99Sec:      m.siteP99.With(name),
-		QueueLen:    m.siteQueue.With(name),
-		ModelErr:    m.siteModelErr.With(name),
-		RespSeconds: m.siteResp.With(name),
-	}
-	m.sites[name] = s
-	return s
-}
-
-// ObserveReplay folds one site's replayed slot into the instruments.
-// modelErr is the relative |empirical − analytic|/analytic mean-jobs
-// error; pass a negative value when no analytic prediction exists (the
-// error series is skipped, everything else recorded).
+// ObserveReplay folds one site's replayed slot into the instruments. It is
+// safe for concurrent use: each site series resolves through its vector's
+// allocation-free With. modelErr is the relative
+// |empirical − analytic|/analytic mean-jobs error; pass a negative value
+// when no analytic prediction exists (the error series is skipped,
+// everything else recorded).
 func (m *ReqsimMetrics) ObserveReplay(site string, requests, dropped int, events int64,
 	p50, p95, p99, meanJobs, modelErr float64) {
 	if m == nil {
@@ -103,18 +64,19 @@ func (m *ReqsimMetrics) ObserveReplay(site string, requests, dropped int, events
 	m.Replays.Inc()
 	m.Requests.Add(float64(requests))
 	m.Events.Add(float64(events))
-	s := m.Site(site)
-	s.Requests.Add(float64(requests))
-	s.Dropped.Add(float64(dropped))
-	s.P50Sec.Set(p50)
-	s.P95Sec.Set(p95)
-	s.P99Sec.Set(p99)
-	s.QueueLen.Set(meanJobs)
+	m.siteRequests.With(site).Add(float64(requests))
+	m.siteDropped.With(site).Add(float64(dropped))
+	m.siteP50.With(site).Set(p50)
+	m.siteP95.With(site).Set(p95)
+	m.siteP99.With(site).Set(p99)
+	m.siteQueue.With(site).Set(meanJobs)
+	siteErr := m.siteModelErr.With(site) // interned even when skipped
 	if modelErr >= 0 {
 		m.ModelErrSum.Add(modelErr)
-		s.ModelErr.Set(modelErr)
+		siteErr.Set(modelErr)
 	}
-	s.RespSeconds.Observe(p50)
-	s.RespSeconds.Observe(p95)
-	s.RespSeconds.Observe(p99)
+	resp := m.siteResp.With(site)
+	resp.Observe(p50)
+	resp.Observe(p95)
+	resp.Observe(p99)
 }

@@ -14,13 +14,23 @@
 // bucket layout. Instruments are created up front (where allocation and
 // registry locking happen once) and then written to concurrently.
 //
-// Two flavors of instrument coexist. Flat instruments ("run.total_usd")
-// are a single series per name. Labeled vectors (LabeledCounter,
-// LabeledGauge, LabeledHistogram) key a family of series by a small label
-// tuple — per-site, per-endpoint, per-shard — and render as dimensional
-// series in the Prometheus exposition (WritePrometheus, mounted at
-// /metrics). Labels must be low-cardinality: site names and endpoint
-// paths, never slot indices or request ids.
+// Every instrument belongs to a metric family in one registry table. A
+// labeled family (LabeledCounter, LabeledGauge, LabeledHistogram) keys
+// its series by a small label tuple — per-site, per-endpoint, per-shard —
+// and a flat instrument ("run.total_usd", from Counter, Gauge or
+// Histogram) is simply a family with no labels and exactly one series.
+// Both render through one path, as dimensional series in the Prometheus
+// exposition (WritePrometheus, mounted at /metrics). Labels must be
+// low-cardinality: site names and endpoint paths, never slot indices or
+// request ids.
+//
+// Registration is get-or-create: the same name and kind returns the
+// existing family, whose first registration fixed its help, labels and
+// bounds. Names are unique by exposition form (dots become underscores),
+// so a name already held by another kind ("x.y" as counter and gauge) or
+// another spelling ("x.y" and "x_y") panics at registration, and a flat
+// and a labeled family of one name panic at the first With (wrong number
+// of label values). No exposition can carry a family twice.
 //
 // Expvar is a process-wide singleton: PublishExpvar can export exactly
 // one registry per process under the "coca" name (expvar.Publish panics
@@ -37,6 +47,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry/promtext"
 )
 
 // Counter is a monotonically written accumulator. Add accepts any float
@@ -205,31 +217,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry names and owns instruments — flat ones and labeled vectors.
+// Registry names and owns instruments in one family table. Every family
+// is a *LabeledCounter, *LabeledGauge or *LabeledHistogram; a flat
+// instrument is a family with no label names and exactly one series.
 // Get-or-create methods are mutex-guarded and intended for setup; the
 // instruments they return are written to without touching the registry
 // again.
 type Registry struct {
-	mu                sync.Mutex
-	counters          map[string]*Counter
-	gauges            map[string]*Gauge
-	histograms        map[string]*Histogram
-	labeledCounters   map[string]*LabeledCounter
-	labeledGauges     map[string]*LabeledGauge
-	labeledHistograms map[string]*LabeledHistogram
-	scrapeHooks       []func()
+	mu          sync.Mutex
+	families    map[string]family // keyed by exposition name
+	scrapeHooks []func()
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:          make(map[string]*Counter),
-		gauges:            make(map[string]*Gauge),
-		histograms:        make(map[string]*Histogram),
-		labeledCounters:   make(map[string]*LabeledCounter),
-		labeledGauges:     make(map[string]*LabeledGauge),
-		labeledHistograms: make(map[string]*LabeledHistogram),
-	}
+	return &Registry{families: make(map[string]family)}
 }
 
 // OnScrape registers a hook that runs at the start of every Snapshot (and
@@ -242,105 +244,95 @@ func (r *Registry) OnScrape(fn func()) {
 	r.mu.Unlock()
 }
 
-// runScrapeHooks invokes the hooks outside the registry lock, so a hook
-// may itself resolve registry instruments.
-func (r *Registry) runScrapeHooks() {
+// scrape runs the scrape hooks — outside the registry lock, so a hook may
+// itself resolve registry instruments — and returns the family table in
+// exposition order: flat counters, flat gauges, labeled counters, labeled
+// gauges, flat histograms, labeled histograms, each sorted by name.
+func (r *Registry) scrape() []family {
 	r.mu.Lock()
 	hooks := r.scrapeHooks
 	r.mu.Unlock()
 	for _, fn := range hooks {
 		fn()
 	}
+	r.mu.Lock()
+	fams := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool {
+		a, b := fams[i].describe(), fams[j].describe()
+		if ra, rb := a.rank(), b.rank(); ra != rb {
+			return ra < rb
+		}
+		return a.name < b.name
+	})
+	return fams
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// lookup returns the family registered under name, building it from d on
+// first use. Later help, labels and bounds are ignored: the first
+// registration fixes the shape. A name whose exposition form is already
+// held by another kind or another spelling panics, because the two would
+// render as two families of one name.
+func lookup[F family](r *Registry, d desc, build func(desc) F) F {
+	d.expo = promtext.SanitizeName(d.name)
+	d.keys = append([]string(nil), d.keys...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	if f, ok := r.families[d.expo]; ok {
+		if same, ok := f.(F); ok && f.describe().name == d.name {
+			return same
+		}
+		old := f.describe()
+		panic("telemetry: " + d.typ + " " + d.name + " collides with " + old.typ + " " + old.name + " as " + d.expo)
 	}
-	return c
+	f := build(d)
+	r.families[d.expo] = f
+	return f
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+// Counter returns the named flat counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return r.LabeledCounter(name, "").With() }
 
-// Histogram returns the named histogram, creating it with the given
+// Gauge returns the named flat gauge, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge { return r.LabeledGauge(name, "").With() }
+
+// Histogram returns the named flat histogram, creating it with the given
 // bounds on first use (later bounds are ignored — the layout is fixed).
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
+	return r.LabeledHistogram(name, "", bounds).With()
 }
 
 // LabeledCounter returns the named counter vector over the given label
 // names, creating it on first use (later help/labels are ignored — the
 // shape is fixed, exactly like Histogram bounds).
 func (r *Registry) LabeledCounter(name, help string, labels ...string) *LabeledCounter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.labeledCounters[name]
-	if !ok {
-		c = &LabeledCounter{vec[Counter]{
-			name: name, help: help, keys: append([]string(nil), labels...),
-			newChild: func() *Counter { return &Counter{} },
-		}}
-		r.labeledCounters[name] = c
-	}
-	return c
+	return lookup(r, desc{name: name, help: help, typ: "counter", keys: labels}, func(d desc) *LabeledCounter {
+		return &LabeledCounter{newVec(d, func() *Counter { return &Counter{} })}
+	})
 }
 
 // LabeledGauge returns the named gauge vector, creating it on first use.
 func (r *Registry) LabeledGauge(name, help string, labels ...string) *LabeledGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.labeledGauges[name]
-	if !ok {
-		g = &LabeledGauge{vec[Gauge]{
-			name: name, help: help, keys: append([]string(nil), labels...),
-			newChild: func() *Gauge { return &Gauge{} },
-		}}
-		r.labeledGauges[name] = g
-	}
-	return g
+	return lookup(r, desc{name: name, help: help, typ: "gauge", keys: labels}, func(d desc) *LabeledGauge {
+		return &LabeledGauge{newVec(d, func() *Gauge { return &Gauge{} })}
+	})
 }
 
 // LabeledHistogram returns the named histogram vector, creating it with
 // the given bounds on first use; every child shares the bucket layout.
 func (r *Registry) LabeledHistogram(name, help string, bounds []float64, labels ...string) *LabeledHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.labeledHistograms[name]
-	if !ok {
+	return lookup(r, desc{name: name, help: help, typ: "histogram", keys: labels}, func(d desc) *LabeledHistogram {
 		b := append([]float64(nil), bounds...)
-		h = &LabeledHistogram{vec[Histogram]{
-			name: name, help: help, keys: append([]string(nil), labels...),
-			newChild: func() *Histogram { return NewHistogram(b) },
-		}}
-		r.labeledHistograms[name] = h
-	}
-	return h
+		return &LabeledHistogram{newVec(d, func() *Histogram { return NewHistogram(b) })}
+	})
 }
 
 // Snapshot is a point-in-time copy of every registered instrument,
-// marshaled with stable field names so summaries diff cleanly.
+// marshaled with stable field names so summaries diff cleanly. Flat
+// families land in the first three maps, labeled ones in the last three.
 type Snapshot struct {
 	Counters   map[string]float64           `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -354,65 +346,16 @@ type Snapshot struct {
 // Snapshot copies the registry's current state, running the scrape hooks
 // first so pull-style collectors are fresh.
 func (r *Registry) Snapshot() Snapshot {
-	r.runScrapeHooks()
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
-	}
-	lcs := make(map[string]*LabeledCounter, len(r.labeledCounters))
-	for k, v := range r.labeledCounters {
-		lcs[k] = v
-	}
-	lgs := make(map[string]*LabeledGauge, len(r.labeledGauges))
-	for k, v := range r.labeledGauges {
-		lgs[k] = v
-	}
-	lhs := make(map[string]*LabeledHistogram, len(r.labeledHistograms))
-	for k, v := range r.labeledHistograms {
-		lhs[k] = v
-	}
-	r.mu.Unlock()
-
 	s := Snapshot{
-		Counters:   make(map[string]float64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(hists)),
+		Counters:          make(map[string]float64),
+		Gauges:            make(map[string]float64),
+		Histograms:        make(map[string]HistogramSnapshot),
+		LabeledCounters:   make(map[string]LabeledSnapshot),
+		LabeledGauges:     make(map[string]LabeledSnapshot),
+		LabeledHistograms: make(map[string]LabeledHistogramsSnapshot),
 	}
-	for k, v := range counters {
-		s.Counters[k] = v.Value()
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Value()
-	}
-	for k, v := range hists {
-		s.Histograms[k] = v.Snapshot()
-	}
-	if len(lcs) > 0 {
-		s.LabeledCounters = make(map[string]LabeledSnapshot, len(lcs))
-		for k, v := range lcs {
-			s.LabeledCounters[k] = v.snapshot()
-		}
-	}
-	if len(lgs) > 0 {
-		s.LabeledGauges = make(map[string]LabeledSnapshot, len(lgs))
-		for k, v := range lgs {
-			s.LabeledGauges[k] = v.snapshot()
-		}
-	}
-	if len(lhs) > 0 {
-		s.LabeledHistograms = make(map[string]LabeledHistogramsSnapshot, len(lhs))
-		for k, v := range lhs {
-			s.LabeledHistograms[k] = v.snapshot()
-		}
+	for _, f := range r.scrape() {
+		f.snapshotInto(&s)
 	}
 	return s
 }
