@@ -163,3 +163,39 @@ func TestGoldenSolverSequenceHash(t *testing.T) {
 		t.Errorf("solver sequence hash = %s, want %s", got, want)
 	}
 }
+
+// TestGoldenDistributedHash pins SolveDistributed's results — timer
+// competition, agent-side acceptance and the dual-decomposition split —
+// over a few seeds, a failed group and a mid-sized cluster. Patience is off,
+// so the chain runs its whole budget and the digest is independent of the
+// patience rule.
+func TestGoldenDistributedHash(t *testing.T) {
+	const want = "fnv1a:aa85083b7125613e"
+	d := newDigest()
+	for seed := uint64(1); seed <= 3; seed++ {
+		res, err := SolveDistributed(smallProblem(4, 60),
+			Options{Delta: 1e5, MaxIters: 300, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.putSolve(res)
+	}
+	res, err := SolveDistributed(smallProblem(5, 45),
+		Options{Delta: 1e4, MaxIters: 300, Seed: 6, Failed: []bool{false, true, false, false, true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.putSolve(res)
+	hc := dcmodel.HeterogeneousCluster(240, 12)
+	res, err = SolveDistributed(&dcmodel.SlotProblem{
+		Cluster: hc, LambdaRPS: 0.35 * hc.MaxCapacityRPS(),
+		We: 0.07, Wd: 0.02, OnsiteKW: 3,
+	}, Options{Delta: 1e5, MaxIters: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.putSolve(res)
+	if got := d.sum(); got != want {
+		t.Errorf("distributed result hash = %s, want %s", got, want)
+	}
+}
