@@ -2,7 +2,6 @@ package gsd
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/dcmodel"
 	"repro/internal/loadbalance"
@@ -128,31 +127,12 @@ func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 		byID[a.id] = a
 	}
 
-	start := time.Now()
-	var solveSpan *span.Span
-	if opts.Tracer != nil {
-		solveSpan = opts.Tracer.Start("gsd.solve",
-			span.Int("groups", len(p.Cluster.Groups)),
-			span.Float("lambda_rps", p.LambdaRPS),
-			span.Bool("distributed", true))
-	}
-	noImprove := 0
-	patienceExit := false
-	lastBest := e.bestEver.Value
-	for e.iters < opts.MaxIters {
-		delta := e.opts.temperature(e.iters)
-		var sweep *span.Span
-		if opts.Tracer != nil {
-			sweep = opts.Tracer.Start("gsd.sweep",
-				span.Int("iter", e.iters), span.Float("delta", delta))
-		}
+	// Lines 2–7 per iteration; run owns the loop around them.
+	step := func(delta float64, sweep *span.Span) {
 		// Lines 2–5 on the current exploration vector.
 		if p.Feasible(e.speeds) {
-			var split *span.Span
-			if sweep != nil {
-				split = sweep.Child("gsd.loadsplit")
-			}
-			sol, rounds, lbErr := loadbalance.SolveDistributedCounted(p, e.speeds)
+			split := sweep.Child("gsd.loadsplit")
+			sol, rounds, lbErr := loadbalance.SolveDistributed(p, e.speeds)
 			if m := opts.Metrics; m != nil && m.DualRounds != nil {
 				m.DualRounds.Add(float64(rounds))
 			}
@@ -167,12 +147,10 @@ func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 			}
 			if lbErr == nil {
 				if sol.Value < e.bestEver.Value {
-					e.bestEver = sol.Clone()
+					e.bestEver.CopyFrom(&sol)
 				}
-				// Any agent can arbitrate; use the one that last explored
-				// (or the first on the opening round).
-				arbiter := agents[0]
-				dec := ask(arbiter, agentMsg{
+				// Any agent can arbitrate; the first one does.
+				dec := ask(agents[0], agentMsg{
 					kind: acceptDecide, delta: delta,
 					gBest: e.best.Value, gExpl: sol.Value,
 				})
@@ -183,7 +161,7 @@ func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 						span.Float("g_explore", sol.Value), span.Float("g_best", e.best.Value))
 				}
 				if dec.accept {
-					e.best = sol.Clone()
+					e.best.CopyFrom(&sol)
 					e.accept++
 				} else {
 					copy(e.speeds, e.best.Speeds)
@@ -192,9 +170,7 @@ func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 				copy(e.speeds, e.best.Speeds)
 			}
 		} else {
-			if sweep != nil {
-				sweep.Set(span.Bool("feasible", false))
-			}
+			sweep.Set(span.Bool("feasible", false))
 			copy(e.speeds, e.best.Speeds)
 		}
 		// Line 7 via random-timer competition.
@@ -207,34 +183,7 @@ func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 		}
 		prop := ask(byID[winner.id], agentMsg{kind: proposeSpeed})
 		e.speeds[winner.id] = prop.speed
-		if sweep != nil {
-			sweep.Set(span.Int("group", winner.id), span.Int("proposed_speed", prop.speed))
-			sweep.End()
-		}
-		e.iters++
-		if opts.RecordHistory {
-			e.history = append(e.history, e.best.Value)
-		}
-		if e.bestEver.Value < lastBest-1e-15 {
-			lastBest = e.bestEver.Value
-			noImprove = 0
-		} else {
-			noImprove++
-			if opts.Patience > 0 && noImprove >= opts.Patience {
-				patienceExit = true
-				break
-			}
-		}
+		sweep.Set(span.Int("group", winner.id), span.Int("proposed_speed", prop.speed))
 	}
-	if solveSpan != nil {
-		solveSpan.Set(
-			span.Int("iters", e.iters), span.Int("accepted", e.accept),
-			span.Float("best_value", e.bestEver.Value),
-			span.Bool("patience_exit", patienceExit))
-		solveSpan.End()
-	}
-	if m := opts.Metrics; m != nil {
-		m.FinishSolve(e.iters, e.accept, patienceExit, time.Since(start).Seconds())
-	}
-	return Result{Solution: e.bestEver, History: e.history, Iters: e.iters, Accepted: e.accept}, nil
+	return e.run(step, span.Bool("distributed", true)), nil
 }

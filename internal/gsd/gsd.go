@@ -44,7 +44,8 @@ type Options struct {
 	// MaxIters is the iteration budget (the stopping criterion of line 8).
 	MaxIters int
 	// Patience, when positive, stops the run early after this many
-	// consecutive iterations without improving the incumbent.
+	// consecutive iterations without improving the best value visited by
+	// more than 1e-15·(1+|best|).
 	Patience int
 	// Seed drives all randomness; identical seeds give identical runs.
 	Seed uint64
@@ -151,83 +152,6 @@ func safeInv(g float64) float64 {
 	return 1 / g
 }
 
-// proposalCache memoizes evaluated Gibbs proposals relative to the current
-// incumbent. Every exploration is "incumbent with group g moved to speed k",
-// so a (g, k) pair fully identifies it until the incumbent changes; repeated
-// explorations of a coordinate (common late in a run, when most proposals
-// are rejected) are then free. The solver is deterministic and draws no
-// randomness, so replaying a memoized result leaves the RNG sequence — and
-// therefore the whole chain — bit-for-bit identical to a fresh solve.
-type proposalCache struct {
-	stride  int // max speeds-per-group + 1
-	epoch   uint64
-	entries []cacheEntry // nil when the memo is disabled (see maxCacheFloats)
-}
-
-// maxCacheFloats bounds the memo's worst-case retained memory: every entry
-// keeps a cluster-sized load buffer across epochs, so a full cache holds
-// groups²·stride floats — fine at the 200-group experiment scale (~2 MB),
-// catastrophic at a 10k-group fleet site (~5 TB). Past the bound the memo is
-// disabled and every repeated proposal is re-solved; the solver is
-// deterministic and draws no randomness, so the chain is bit-for-bit
-// identical either way.
-const maxCacheFloats = 8 << 20 // 8M float64s ≈ 64 MB retained worst case
-
-type cacheEntry struct {
-	epoch  uint64 // valid iff equal to the cache's current epoch
-	failed bool   // the solve returned ErrInfeasible
-	value  float64
-	load   []float64 // full cluster-indexed loads (reused across epochs)
-}
-
-func newProposalCache(c *dcmodel.Cluster) proposalCache {
-	stride := 1
-	for g := range c.Groups {
-		if n := c.Groups[g].Type.NumSpeeds() + 1; n > stride {
-			stride = n
-		}
-	}
-	pc := proposalCache{stride: stride, epoch: 1}
-	if n := len(c.Groups); n*stride*n <= maxCacheFloats {
-		pc.entries = make([]cacheEntry, n*stride)
-		// One slab backs every entry's load buffer (each pre-sliced to
-		// len 0, cap n), so store never allocates: the per-entry lazy
-		// appends used to dominate the allocation profile of a fleet
-		// site's first slot.
-		backing := make([]float64, n*stride*n)
-		for i := range pc.entries {
-			pc.entries[i].load = backing[i*n : i*n : (i+1)*n]
-		}
-	}
-	return pc
-}
-
-// lookup returns the entry for proposal (g, k) if it was evaluated against
-// the current incumbent, nil otherwise.
-func (c *proposalCache) lookup(g, k int) *cacheEntry {
-	if c.entries == nil {
-		return nil
-	}
-	e := &c.entries[g*c.stride+k]
-	if e.epoch != c.epoch {
-		return nil
-	}
-	return e
-}
-
-func (c *proposalCache) store(g, k int, failed bool, value float64, load []float64) {
-	if c.entries == nil {
-		return
-	}
-	e := &c.entries[g*c.stride+k]
-	e.epoch, e.failed, e.value = c.epoch, failed, value
-	e.load = append(e.load[:0], load...)
-}
-
-// invalidate drops every entry (the incumbent changed) in O(1) by bumping
-// the epoch; entry buffers stay allocated for reuse.
-func (c *proposalCache) invalidate() { c.epoch++ }
-
 // engine holds shared run state for both GSD implementations.
 type engine struct {
 	p        *dcmodel.SlotProblem
@@ -241,14 +165,13 @@ type engine struct {
 	iters    int
 	accept   int
 
-	// Sequential hot-path state (the distributed engine drives its own loop
-	// and leaves these untouched): one persistent load-split instance that
-	// receives a SetSpeed delta per proposal instead of a full rebuild, a
-	// reusable evaluation buffer, the proposal memo, and the group of the
-	// pending proposal (-1 before the first draw).
+	// Sequential step state (the distributed step leaves it untouched after
+	// the initial load distribution): one persistent load-split instance
+	// that receives a SetSpeed delta per proposal instead of a full rebuild,
+	// a reusable evaluation buffer, and the group of the pending proposal
+	// (-1 before the first draw).
 	inst  *loadbalance.Instance
 	eval  dcmodel.Solution
-	cache proposalCache
 	propG int
 }
 
@@ -262,9 +185,8 @@ func newEngine(p *dcmodel.SlotProblem, opts Options) (*engine, error) {
 
 // reset re-arms the engine for a new (problem, options) pair, reusing every
 // buffer a previous run left behind: the RNG is reseeded to the exact
-// NewRNG state, the persistent load-split instance is Reset (bit-identical
-// to a fresh build), and the proposal memo survives shape-compatible
-// problem changes through an epoch bump. A pooled engine therefore runs the
+// NewRNG state and the persistent load-split instance is Reset
+// (bit-identical to a fresh build). A pooled engine therefore runs the
 // identical chain a freshly allocated one would.
 func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	n := len(p.Cluster.Groups)
@@ -330,64 +252,23 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 		return fmt.Errorf("gsd: initial load distribution: %w", err)
 	}
 	e.bestEver.CopyFrom(&e.best)
-	e.resetCache()
 	e.propG = -1
 	return nil
-}
-
-// resetCache re-arms the proposal memo for the engine's current problem.
-// When the cluster shape (group count and speed stride) matches the
-// previous run's, the allocated entries and their load slab are kept and an
-// epoch bump invalidates the stale values; otherwise the memo is rebuilt.
-func (e *engine) resetCache() {
-	c := e.p.Cluster
-	stride := 1
-	for g := range c.Groups {
-		if k := c.Groups[g].Type.NumSpeeds() + 1; k > stride {
-			stride = k
-		}
-	}
-	n := len(c.Groups)
-	enabled := n*stride*n <= maxCacheFloats
-	if e.cache.stride == stride &&
-		((enabled && len(e.cache.entries) == n*stride) || (!enabled && e.cache.entries == nil)) {
-		e.cache.invalidate()
-		return
-	}
-	e.cache = newProposalCache(c)
 }
 
 // evalExploration computes g̃ for the current exploration vector. The
 // returned pointer aliases engine-owned state (the incumbent when the
 // exploration equals it, the shared eval buffer otherwise) and is only valid
 // until the next call. The load-split solver is pure and deterministic, so
-// both shortcuts — returning the incumbent directly and replaying the
-// proposal memo — reproduce a fresh solve bit-for-bit without touching the
-// RNG.
+// returning the incumbent directly when the proposal re-drew its own speed
+// reproduces a fresh solve bit-for-bit without touching the RNG.
 func (e *engine) evalExploration() (*dcmodel.Solution, error) {
-	g := e.propG
-	if g < 0 || e.speeds[g] == e.best.Speeds[g] {
-		// The proposal re-drew the incumbent's own speed: the exploration IS
-		// the incumbent configuration.
+	if g := e.propG; g < 0 || e.speeds[g] == e.best.Speeds[g] {
 		return &e.best, nil
 	}
-	k := e.speeds[g]
-	if ent := e.cache.lookup(g, k); ent != nil {
-		if ent.failed {
-			return nil, loadbalance.ErrInfeasible
-		}
-		e.eval.Speeds = append(e.eval.Speeds[:0], e.speeds...)
-		e.eval.Load = append(e.eval.Load[:0], ent.load...)
-		e.eval.Value = ent.value
-		return &e.eval, nil
-	}
 	if err := e.inst.SolveInto(&e.eval); err != nil {
-		// Every load-split failure surfaces as ErrInfeasible, so a boolean
-		// memo reproduces the error (and its span string) exactly.
-		e.cache.store(g, k, true, 0, nil)
 		return nil, err
 	}
-	e.cache.store(g, k, false, e.eval.Value, e.eval.Load)
 	return &e.eval, nil
 }
 
@@ -403,16 +284,11 @@ func (e *engine) revertProposal() {
 	e.inst.Revert()
 }
 
-// step runs one GSD iteration (lines 2–7) against the persistent load-split
-// instance. The span bookkeeping never touches e.rng, so traced and
-// untraced runs draw the identical random sequence.
-func (e *engine) step() {
-	delta := e.opts.temperature(e.iters)
-	var sweep *span.Span
-	if e.opts.Tracer != nil {
-		sweep = e.opts.Tracer.Start("gsd.sweep",
-			span.Int("iter", e.iters), span.Float("delta", delta))
-	}
+// step runs one GSD iteration body (lines 2–7) at temperature delta
+// against the persistent load-split instance, annotating sweep when it is
+// non-nil. The span bookkeeping never touches e.rng, so traced and untraced
+// runs draw the identical random sequence.
+func (e *engine) step(delta float64, sweep *span.Span) {
 	// Lines 2–5: evaluate the exploration if it is feasible.
 	if e.inst.Feasible() {
 		var split *span.Span
@@ -441,10 +317,7 @@ func (e *engine) step() {
 			}
 			if accepted {
 				if sol != &e.best {
-					// The incumbent's speeds changed: previously memoized
-					// proposals no longer describe moves from it.
 					e.best.CopyFrom(sol)
-					e.cache.invalidate()
 				}
 				e.inst.Commit()
 				e.accept++
@@ -472,27 +345,37 @@ func (e *engine) step() {
 	e.propG = g
 	if sweep != nil {
 		sweep.Set(span.Int("group", g), span.Int("proposed_speed", k))
-		sweep.End()
-	}
-	e.iters++
-	if e.opts.RecordHistory {
-		e.history = append(e.history, e.best.Value)
 	}
 }
 
-func (e *engine) run() Result {
+// run drives the chain for both engines: the temperature, one gsd.sweep
+// span and one step call per iteration, the history, the patience rule, the
+// gsd.solve span (with solveAttrs appended) and the solve metrics.
+func (e *engine) run(step func(delta float64, sweep *span.Span), solveAttrs ...span.Attr) Result {
 	start := time.Now()
 	var solveSpan *span.Span
 	if e.opts.Tracer != nil {
 		solveSpan = e.opts.Tracer.Start("gsd.solve",
 			span.Int("groups", len(e.p.Cluster.Groups)),
 			span.Float("lambda_rps", e.p.LambdaRPS))
+		solveSpan.Set(solveAttrs...)
 	}
 	noImprove := 0
 	patienceExit := false
 	lastBest := e.bestEver.Value
 	for e.iters < e.opts.MaxIters {
-		e.step()
+		delta := e.opts.temperature(e.iters)
+		var sweep *span.Span
+		if e.opts.Tracer != nil {
+			sweep = e.opts.Tracer.Start("gsd.sweep",
+				span.Int("iter", e.iters), span.Float("delta", delta))
+		}
+		step(delta, sweep)
+		sweep.End()
+		e.iters++
+		if e.opts.RecordHistory {
+			e.history = append(e.history, e.best.Value)
+		}
 		if e.bestEver.Value < lastBest-1e-15*(1+math.Abs(lastBest)) {
 			lastBest = e.bestEver.Value
 			noImprove = 0
@@ -528,7 +411,7 @@ func Solve(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return e.run(), nil
+	return e.run(e.step), nil
 }
 
 // Solver adapts GSD to the p3.Solver interface. Opts configures the first
@@ -593,7 +476,7 @@ func (s *Solver) runPooled(p *dcmodel.SlotProblem, opts Options) (dcmodel.Soluti
 		put()
 		return dcmodel.Solution{}, err
 	}
-	res := e.run()
+	res := e.run(e.step)
 	sol := res.Solution.Clone()
 	put()
 	return sol, nil

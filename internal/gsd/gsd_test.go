@@ -2,6 +2,7 @@ package gsd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dcmodel"
@@ -298,4 +299,34 @@ func TestSolverInterfaceWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = first
+}
+
+// TestSolveMemoryLinearInGroups checks that the bytes one fresh Solve
+// allocates grow linearly with the group count: quadrupling the groups of
+// one server type must cost well under the 16× a groups²-sized structure
+// would.
+func TestSolveMemoryLinearInGroups(t *testing.T) {
+	alloc := func(groups int) uint64 {
+		cluster := dcmodel.PaperCluster(groups)
+		prob := &dcmodel.SlotProblem{
+			Cluster: cluster, LambdaRPS: 0.3 * cluster.MaxCapacityRPS(),
+			We: 0.05, Wd: 0.02,
+		}
+		best := uint64(math.MaxUint64)
+		for rep := 0; rep < 3; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Solve(prob, Options{Delta: 1e8, MaxIters: 200, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small, large := alloc(100), alloc(400)
+	if ratio := float64(large) / float64(small); ratio > 8 {
+		t.Errorf("Solve allocates %d B at 100 groups and %d B at 400 (%.1fx, want <= 8x)",
+			small, large, ratio)
+	}
 }

@@ -64,7 +64,7 @@ func TestStationaryDistributionGibbsShape(t *testing.T) {
 	}
 	const iters = 60000
 	for i := 0; i < iters; i++ {
-		e.step()
+		e.step(delta, nil)
 		visits[e.best.Speeds[0]]++
 	}
 

@@ -107,17 +107,11 @@ func (d *distCoordinator) fillInto(dst []float64, omega float64) ([]float64, err
 // SolveDistributed computes the same optimum as Solve but via the
 // dual-decomposition price protocol: every server group answers price
 // broadcasts from its own parameters only. The regime analysis on the [·]^+
-// kink is identical to the centralized path.
-func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, error) {
-	sol, _, err := SolveDistributedCounted(p, speeds)
-	return sol, err
-}
-
-// SolveDistributedCounted is SolveDistributed, additionally reporting the
-// number of price broadcast rounds the dual protocol spent (bracket
-// expansion plus bisection, summed over every ω the outer search tried) —
-// the message cost a real deployment would pay per load split.
-func SolveDistributedCounted(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
+// kink is identical to the centralized path. It also reports the number of
+// price broadcast rounds the protocol spent (bracket expansion plus
+// bisection, summed over every ω the outer search tried) — the message cost
+// a real deployment would pay per load split.
+func SolveDistributed(p *dcmodel.SlotProblem, speeds []int) (dcmodel.Solution, int, error) {
 	if p.Wd <= 0 {
 		return dcmodel.Solution{}, 0, ErrNeedsDelayWeight
 	}

@@ -30,7 +30,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d centralized: %v", trial, err)
 		}
-		dist, err := SolveDistributed(p, speeds)
+		dist, _, err := SolveDistributed(p, speeds)
 		if err != nil {
 			t.Fatalf("trial %d distributed: %v", trial, err)
 		}
@@ -59,9 +59,12 @@ func TestDistributedManyGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := SolveDistributed(p, speeds)
+	dist, rounds, err := SolveDistributed(p, speeds)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rounds < 1 {
+		t.Errorf("distributed split reports %d price rounds", rounds)
 	}
 	checkFeasible(t, p, dist)
 	if math.Abs(dist.Value-cent.Value) > 1e-3*(1+cent.Value) {
@@ -72,7 +75,7 @@ func TestDistributedManyGroups(t *testing.T) {
 func TestDistributedRejectsZeroDelayWeight(t *testing.T) {
 	c := twoGroups(false)
 	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 10, We: 1, Wd: 0}
-	if _, err := SolveDistributed(p, []int{4, 4}); err != ErrNeedsDelayWeight {
+	if _, _, err := SolveDistributed(p, []int{4, 4}); err != ErrNeedsDelayWeight {
 		t.Errorf("want ErrNeedsDelayWeight, got %v", err)
 	}
 }
@@ -80,7 +83,7 @@ func TestDistributedRejectsZeroDelayWeight(t *testing.T) {
 func TestDistributedInfeasible(t *testing.T) {
 	c := twoGroups(false)
 	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 1e7, We: 1, Wd: 0.01}
-	if _, err := SolveDistributed(p, []int{4, 4}); err != ErrInfeasible {
+	if _, _, err := SolveDistributed(p, []int{4, 4}); err != ErrInfeasible {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -88,7 +91,7 @@ func TestDistributedInfeasible(t *testing.T) {
 func TestDistributedZeroLoad(t *testing.T) {
 	c := twoGroups(false)
 	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 0, We: 1, Wd: 0.01}
-	sol, err := SolveDistributed(p, []int{4, 4})
+	sol, _, err := SolveDistributed(p, []int{4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

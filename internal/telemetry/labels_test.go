@@ -183,6 +183,24 @@ func TestRegistryCollisionPanics(t *testing.T) {
 		{"labeled then flat",
 			func(r *Registry) { r.LabeledHistogram("x.y", "", nil, "site").With("a") },
 			func(r *Registry) { r.Histogram("x.y", nil) }},
+		{"histogram then its invalid counter",
+			func(r *Registry) { r.Histogram("x.y", nil) },
+			func(r *Registry) { r.Counter("x.y_invalid") }},
+		{"invalid counter then its histogram",
+			func(r *Registry) { r.Counter("x.y_invalid") },
+			func(r *Registry) { r.Histogram("x.y", nil) }},
+		{"histogram then a gauge on its sum",
+			func(r *Registry) { r.LabeledHistogram("x.y", "", nil, "site") },
+			func(r *Registry) { r.Gauge("x.y_sum") }},
+		{"count counter then its histogram",
+			func(r *Registry) { r.Counter("x_y.count") },
+			func(r *Registry) { r.Histogram("x.y", nil) }},
+		{"histogram then a histogram on its buckets",
+			func(r *Registry) { r.Histogram("x.y", nil) },
+			func(r *Registry) { r.Histogram("x.y_bucket", nil) }},
+		{"bucket histogram then its base histogram",
+			func(r *Registry) { r.Histogram("x.y_bucket", nil) },
+			func(r *Registry) { r.LabeledHistogram("x.y", "", nil, "site") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRegistry()

@@ -45,6 +45,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -275,7 +276,9 @@ func (r *Registry) scrape() []family {
 // first use. Later help, labels and bounds are ignored: the first
 // registration fixes the shape. A name whose exposition form is already
 // held by another kind or another spelling panics, because the two would
-// render as two families of one name.
+// render as two families of one name. A histogram x also renders x_bucket,
+// x_sum and x_count samples and an x_invalid counter family, so those names
+// are held by x too, whichever of the two registers first.
 func lookup[F family](r *Registry, d desc, build func(desc) F) F {
 	d.expo = promtext.SanitizeName(d.name)
 	d.keys = append([]string(nil), d.keys...)
@@ -285,12 +288,29 @@ func lookup[F family](r *Registry, d desc, build func(desc) F) F {
 		if same, ok := f.(F); ok && f.describe().name == d.name {
 			return same
 		}
-		old := f.describe()
-		panic("telemetry: " + d.typ + " " + d.name + " collides with " + old.typ + " " + old.name + " as " + d.expo)
+		collide(&d, f.describe(), d.expo)
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count", "_invalid"} {
+		if base, ok := strings.CutSuffix(d.expo, suffix); ok {
+			if f, ok := r.families[base]; ok && f.describe().typ == "histogram" {
+				collide(&d, f.describe(), d.expo)
+			}
+		}
+		if d.typ == "histogram" {
+			if f, ok := r.families[d.expo+suffix]; ok {
+				collide(&d, f.describe(), d.expo+suffix)
+			}
+		}
 	}
 	f := build(d)
 	r.families[d.expo] = f
 	return f
+}
+
+// collide panics: registering d would render expo a second time, beside
+// the family old.
+func collide(d, old *desc, expo string) {
+	panic("telemetry: " + d.typ + " " + d.name + " collides with " + old.typ + " " + old.name + " as " + expo)
 }
 
 // Counter returns the named flat counter, creating it on first use.
