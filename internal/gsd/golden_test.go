@@ -170,7 +170,7 @@ func TestGoldenSolverSequenceHash(t *testing.T) {
 // so the chain runs its whole budget and the digest is independent of the
 // patience rule.
 func TestGoldenDistributedHash(t *testing.T) {
-	const want = "fnv1a:aa85083b7125613e"
+	const want = "fnv1a:040cf605a62bf74d"
 	d := newDigest()
 	for seed := uint64(1); seed <= 3; seed++ {
 		res, err := SolveDistributed(smallProblem(4, 60),

@@ -12,10 +12,12 @@
 // the effective weight to pin total power exactly at the on-site supply r(t)
 // (the kink).
 //
-// Two solvers are provided: Solve, a single-coordinator KKT water-filling
-// solver, and SolveDistributed, a dual-decomposition implementation in which
-// every server group answers price signals autonomously (the distributed
-// solution the paper points to via refs [5] and [27]).
+// The split runs either centralized (Solve, Instance.SolveInto: one
+// coordinator water-fills over the class table) or as the dual-decomposition
+// price protocol the paper points to via refs [5] and [27]
+// (Instance.SolveDistributedInto: every server group answers price
+// broadcasts from its own parameters). Both take the same decisions, so they
+// return the same bits.
 //
 // An Instance is mutable: SetSpeed applies a single-group speed change and
 // Revert undoes it, so an iterative caller (the GSD engine proposes one
@@ -486,6 +488,7 @@ type Instance struct {
 
 	undo    undoRecord
 	sys     fillSystem
+	proto   priceProtocol
 	order   orderCache
 	scratch solveScratch
 }
@@ -782,9 +785,9 @@ func (in *Instance) alloc(i int, omega, nu float64) float64 {
 
 // filler computes one water-filling for a fixed electricity weight, writing
 // per-instance-group loads into dst (implementations may return a different
-// slice when dst is short). The centralized Instance and the distributed
-// price-protocol coordinator both implement it, so solveWith runs the
-// identical regime analysis over either.
+// slice when dst is short). The centralized Instance and the price protocol
+// both implement it, so solveWith runs the identical regime analysis over
+// either.
 type filler interface {
 	fillInto(dst []float64, omega float64) ([]float64, error)
 }
@@ -795,8 +798,14 @@ func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 	if in.prob.Wd <= 0 {
 		return in.fillNoDelayInto(dst, omega), nil
 	}
+	return in.waterFill(&in.sys, dst, omega)
+}
+
+// waterFill water-fills λ under electricity weight omega through sys: the
+// instance's fillSystem, or the price protocol over it.
+func (in *Instance) waterFill(sys numopt.WaterSystem, dst []float64, omega float64) ([]float64, error) {
 	in.sys.prepare(omega)
-	out, err := numopt.WaterFillInto(&in.sys, in.prob.LambdaRPS, waterFillTol, dst)
+	out, err := numopt.WaterFillInto(sys, in.prob.LambdaRPS, waterFillTol, dst)
 	if err != nil {
 		return nil, ErrInfeasible
 	}
@@ -879,10 +888,15 @@ func (in *Instance) Solve() (dcmodel.Solution, error) {
 // so an infeasible configuration surfaces as ErrInfeasible exactly as a
 // fresh build would.
 func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
+	return in.solveIntoWith(in, dst)
+}
+
+// solveIntoWith is SolveInto over filler f.
+func (in *Instance) solveIntoWith(f filler, dst *dcmodel.Solution) error {
 	if in.prob.LambdaRPS > in.capSum*(1+1e-12) {
 		return ErrInfeasible
 	}
-	loads, err := in.solveWith(in)
+	loads, err := in.solveWith(f)
 	if err != nil {
 		return err
 	}
@@ -931,7 +945,7 @@ func (in *Instance) objective(loads []float64) float64 {
 }
 
 // solveWith runs the regime analysis with a pluggable filler so the
-// distributed solver can reuse the identical logic. The returned slice
+// price protocol can reuse the identical logic. The returned slice
 // aliases the instance's scratch buffers; callers consume or copy it before
 // the next solve.
 func (in *Instance) solveWith(f filler) ([]float64, error) {
