@@ -13,8 +13,8 @@ import (
 
 // This file pins the struct-of-arrays refactor against the layout it
 // replaced: a reference solver that walks the cluster's Group structs
-// directly (per-call accessor arithmetic, closure-based WaterFillItems
-// through the generic numopt.WaterFill path — no ClusterArrays, no
+// directly (per-call accessor arithmetic, one closure pair per group
+// through numopt.WaterFillInto's per-item path — no ClusterArrays, no
 // BulkWaterSystem) and runs the identical regime analysis. For randomized
 // problems over heterogeneous clusters the two must produce bit-for-bit
 // identical load vectors, objectives and Ledger charges.
@@ -60,14 +60,32 @@ func newRefSolver(p *dcmodel.SlotProblem, speeds []int) *refSolver {
 	return r
 }
 
-// items builds the closure-based WaterFillItems for one electricity weight —
-// the pre-SoA representation, one closure pair per group per fill.
-func (r *refSolver) items(omega float64) []numopt.WaterFillItem {
-	out := make([]numopt.WaterFillItem, len(r.groups))
+// refItem is one group's cap and closure pair: its marginal cost at load v
+// and its inverse, the load at which the marginal cost equals price nu,
+// clamped to [0, Cap].
+type refItem struct {
+	Cap   float64
+	Deriv func(v float64) float64
+	Alloc func(nu float64) float64
+}
+
+// refItems adapts the closures to numopt.WaterSystem, which is not a
+// BulkWaterSystem, so numopt.WaterFillInto takes its per-item path.
+type refItems []refItem
+
+func (w refItems) Items() int                      { return len(w) }
+func (w refItems) Cap(i int) float64               { return w[i].Cap }
+func (w refItems) Deriv(i int, v float64) float64  { return w[i].Deriv(v) }
+func (w refItems) Alloc(i int, nu float64) float64 { return w[i].Alloc(nu) }
+
+// items builds the closure-based items for one electricity weight — the
+// pre-SoA representation, one closure pair per group per fill.
+func (r *refSolver) items(omega float64) refItems {
+	out := make(refItems, len(r.groups))
 	wd := r.p.Wd
 	for i := range out {
 		g := r.groups[i]
-		out[i] = numopt.WaterFillItem{
+		out[i] = refItem{
 			Cap: g.cap,
 			Deriv: func(v float64) float64 {
 				den := g.rate - v
@@ -119,7 +137,7 @@ func (r *refSolver) fill(omega float64) ([]float64, error) {
 		}
 		return loads, nil
 	}
-	loads, err := numopt.WaterFill(r.items(omega), r.p.LambdaRPS, waterFillTol)
+	loads, err := numopt.WaterFillInto(r.items(omega), r.p.LambdaRPS, waterFillTol, nil)
 	if err != nil {
 		return nil, ErrInfeasible
 	}

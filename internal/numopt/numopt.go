@@ -109,30 +109,14 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// WaterFillItem describes one coordinate of the separable convex program
-// solved by WaterFill: each coordinate i contributes a convex cost with
-// derivative Deriv(λ_i) that is continuous and strictly increasing on
-// [0, Cap_i), and λ_i is constrained to [0, Cap_i].
-type WaterFillItem struct {
-	// Cap is the upper bound on this coordinate (exclusive domain limit for
-	// the derivative; the allocation itself may equal Cap).
-	Cap float64
-	// Deriv returns the marginal cost at allocation v in [0, Cap].
-	Deriv func(v float64) float64
-	// Alloc returns the allocation at which the marginal cost equals price
-	// nu, clamped to [0, Cap]. It is the inverse of Deriv extended by
-	// saturation, i.e. Alloc(nu)=0 when nu <= Deriv(0) and Alloc(nu)=Cap when
-	// nu >= Deriv(Cap).
-	Alloc func(nu float64) float64
-}
-
-// WaterSystem is the closure-free description of the separable convex
-// program WaterFillInto solves: coordinate i has capacity Cap(i), marginal
-// cost Deriv(i, v) that is continuous and strictly increasing on [0, Cap(i)),
-// and inverse marginal Alloc(i, nu) extended by saturation. A single
+// WaterSystem describes the separable convex program WaterFillInto solves:
+// coordinate i has capacity Cap(i), marginal cost Deriv(i, v) that is
+// continuous and strictly increasing on [0, Cap(i)), and inverse marginal
+// Alloc(i, nu) extended by saturation, i.e. Alloc(i, nu) = 0 when
+// nu ≤ Deriv(i, 0) and Cap(i) when nu ≥ Deriv(i, Cap(i)). A single
 // implementation over preallocated arrays lets hot loops (the GSD inner
-// loop solves one such program per Gibbs proposal) water-fill with zero
-// per-coordinate closure allocations.
+// loop solves one such program per Gibbs proposal) water-fill without
+// per-coordinate allocations.
 type WaterSystem interface {
 	// Items returns the number of coordinates.
 	Items() int
@@ -210,35 +194,19 @@ func ClassSumSlack(est float64, n, classes int) float64 {
 	return float64(n+classes) * 0x1p-52 * est
 }
 
-// waterItems adapts the closure-based []WaterFillItem form to WaterSystem so
-// WaterFill and WaterFillInto share one implementation of the algorithm.
-type waterItems []WaterFillItem
-
-func (w waterItems) Items() int                      { return len(w) }
-func (w waterItems) Cap(i int) float64               { return w[i].Cap }
-func (w waterItems) Deriv(i int, v float64) float64  { return w[i].Deriv(v) }
-func (w waterItems) Alloc(i int, nu float64) float64 { return w[i].Alloc(nu) }
-
-// WaterFill solves
+// WaterFillInto solves
 //
-//	min Σ_i cost_i(λ_i)   s.t.  Σ_i λ_i = total,  0 ≤ λ_i ≤ Cap_i
+//	min Σ_i cost_i(λ_i)   s.t.  Σ_i λ_i = total,  0 ≤ λ_i ≤ Cap(i)
 //
-// for separable convex costs described by items, via bisection on the dual
-// price ν (the classic water-filling / KKT structure: λ_i(ν) = Alloc_i(ν)).
-// It returns the allocation, or ErrInfeasible when total exceeds Σ Cap_i or
-// is not ≥ 0 (negative or NaN).
-func WaterFill(items []WaterFillItem, total, tol float64) ([]float64, error) {
-	return WaterFillInto(waterItems(items), total, tol, nil)
-}
-
-// WaterFillInto is WaterFill over a WaterSystem, writing the allocation into
-// out (grown when its capacity is short) and returning it. With a
-// sufficiently large out it performs no allocation beyond what sys itself
-// does. The arithmetic — accumulation order, bracketing, bisection
-// tolerances, residual repair — is exactly WaterFill's, so the two produce
-// bit-for-bit identical allocations for equivalent inputs. A
-// BulkWaterSystem takes the certified-probe path of bulkPrice, which
-// decides every comparison as the exact sums would.
+// for the separable convex costs sys describes, via bisection on the dual
+// price ν (the classic water-filling / KKT structure: λ_i(ν) = Alloc(i, ν)).
+// It writes the allocation into out (grown when its capacity is short) and
+// returns it, or ErrInfeasible when total exceeds Σ Cap(i) or is not ≥ 0
+// (negative or NaN). With a sufficiently large out it performs no
+// allocation beyond what sys itself does. A plain WaterSystem takes
+// itemPrice's per-item search; a BulkWaterSystem takes the certified-probe
+// path of bulkPrice, which decides every comparison as the exact sums
+// would, so the two produce bit-for-bit identical allocations.
 func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float64, error) {
 	if !(total >= 0) { // negative or NaN
 		return nil, ErrInfeasible

@@ -123,20 +123,11 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-// quadItem builds a WaterFillItem for cost 0.5·w·λ² (derivative w·λ), cap c.
-func quadItem(w, c float64) WaterFillItem {
-	return WaterFillItem{
-		Cap:   c,
-		Deriv: func(v float64) float64 { return w * v },
-		Alloc: func(nu float64) float64 { return Clamp(nu/w, 0, c) },
-	}
-}
-
 func TestWaterFillQuadraticClosedForm(t *testing.T) {
 	// Two uncapped quadratics 0.5·w_i·λ_i²: optimal split is inversely
 	// proportional to w_i.
-	items := []WaterFillItem{quadItem(1, 100), quadItem(3, 100)}
-	out, err := WaterFill(items, 8, 1e-9)
+	sys := &quadSystem{w: []float64{1, 3}, caps: []float64{100, 100}}
+	out, err := WaterFillInto(sys, 8, 1e-9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +138,8 @@ func TestWaterFillQuadraticClosedForm(t *testing.T) {
 }
 
 func TestWaterFillRespectsCaps(t *testing.T) {
-	items := []WaterFillItem{quadItem(1, 2), quadItem(1, 100)}
-	out, err := WaterFill(items, 10, 1e-9)
+	sys := &quadSystem{w: []float64{1, 1}, caps: []float64{2, 100}}
+	out, err := WaterFillInto(sys, 10, 1e-9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,26 +152,22 @@ func TestWaterFillRespectsCaps(t *testing.T) {
 }
 
 func TestWaterFillInfeasible(t *testing.T) {
-	items := []WaterFillItem{quadItem(1, 1), quadItem(1, 1)}
-	if _, err := WaterFill(items, 5, 1e-9); err != ErrInfeasible {
+	sys := &quadSystem{w: []float64{1, 1}, caps: []float64{1, 1}}
+	if _, err := WaterFillInto(sys, 5, 1e-9, nil); err != ErrInfeasible {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
-	if _, err := WaterFill(items, -1, 1e-9); err != ErrInfeasible {
+	if _, err := WaterFillInto(sys, -1, 1e-9, nil); err != ErrInfeasible {
 		t.Errorf("negative total: want ErrInfeasible, got %v", err)
 	}
 }
 
 // TestWaterFillRejectsBadTotals pins that a total that is not ≥ 0 — NaN
-// included — or beyond capacity is ErrInfeasible on the closure, generic
-// and bulk paths. A NaN total used to return a near-empty allocation.
+// included — or beyond capacity is ErrInfeasible on the generic and bulk
+// paths. A NaN total used to return a near-empty allocation.
 func TestWaterFillRejectsBadTotals(t *testing.T) {
-	items := []WaterFillItem{quadItem(1, 1), quadItem(1, 1)}
 	bulk := newQuadBulk([]float64{1, 1}, []float64{1, 1}, boundCertified)
 	for _, total := range []float64{math.NaN(), -1, math.Inf(-1), math.Inf(1), 5} {
 		t.Run(fmt.Sprint(total), func(t *testing.T) {
-			if out, err := WaterFill(items, total, 1e-9); err != ErrInfeasible {
-				t.Errorf("WaterFill: %v, %v; want ErrInfeasible", out, err)
-			}
 			if out, err := WaterFillInto(&bulk.quadSystem, total, 1e-9, nil); err != ErrInfeasible {
 				t.Errorf("WaterFillInto generic: %v, %v; want ErrInfeasible", out, err)
 			}
@@ -192,12 +179,12 @@ func TestWaterFillRejectsBadTotals(t *testing.T) {
 }
 
 func TestWaterFillEdgeTotals(t *testing.T) {
-	items := []WaterFillItem{quadItem(2, 3), quadItem(1, 4)}
-	out, err := WaterFill(items, 0, 1e-9)
+	sys := &quadSystem{w: []float64{2, 1}, caps: []float64{3, 4}}
+	out, err := WaterFillInto(sys, 0, 1e-9, nil)
 	if err != nil || out[0] != 0 || out[1] != 0 {
 		t.Errorf("zero total: %v, %v", out, err)
 	}
-	out, err = WaterFill(items, 7, 1e-9)
+	out, err = WaterFillInto(sys, 7, 1e-9, nil)
 	if err != nil || out[0] != 3 || out[1] != 4 {
 		t.Errorf("full capacity: %v, %v", out, err)
 	}
@@ -211,24 +198,21 @@ func TestWaterFillProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		n := 2 + rng.IntN(8)
-		items := make([]WaterFillItem, n)
+		sys := &quadSystem{w: make([]float64, n), caps: make([]float64, n)}
 		var capSum float64
-		ws := make([]float64, n)
-		for i := range items {
-			w := rng.Uniform(0.1, 10)
-			c := rng.Uniform(0.5, 20)
-			ws[i] = w
-			items[i] = quadItem(w, c)
-			capSum += c
+		for i := 0; i < n; i++ {
+			sys.w[i] = rng.Uniform(0.1, 10)
+			sys.caps[i] = rng.Uniform(0.5, 20)
+			capSum += sys.caps[i]
 		}
 		total := rng.Uniform(0, capSum)
-		out, err := WaterFill(items, total, 1e-9)
+		out, err := WaterFillInto(sys, total, 1e-9, nil)
 		if err != nil {
 			return false
 		}
 		var sum float64
 		for i, v := range out {
-			if v < -1e-9 || v > items[i].Cap+1e-9 {
+			if v < -1e-9 || v > sys.caps[i]+1e-9 {
 				return false
 			}
 			sum += v
@@ -239,8 +223,8 @@ func TestWaterFillProperty(t *testing.T) {
 		// KKT equal-marginal check for interior coordinates.
 		var marginals []float64
 		for i, v := range out {
-			if v > 1e-6 && v < items[i].Cap-1e-6 {
-				marginals = append(marginals, ws[i]*v)
+			if v > 1e-6 && v < sys.caps[i]-1e-6 {
+				marginals = append(marginals, sys.w[i]*v)
 			}
 		}
 		for i := 1; i < len(marginals); i++ {
@@ -261,8 +245,8 @@ func TestWaterFillProperty(t *testing.T) {
 	}
 }
 
-// quadSystem is the WaterSystem form of quadItem costs 0.5·w_i·λ_i², plus
-// a linear term off_i·λ_i when off is set.
+// quadSystem is the WaterSystem of costs 0.5·w_i·λ_i² (derivative w_i·λ_i)
+// under caps, plus a linear term off_i·λ_i when off is set.
 type quadSystem struct {
 	w, caps []float64
 	off     []float64 // per-item marginal cost at 0; nil means all 0
@@ -280,50 +264,6 @@ func (q *quadSystem) Cap(i int) float64              { return q.caps[i] }
 func (q *quadSystem) Deriv(i int, v float64) float64 { return q.offset(i) + q.w[i]*v }
 func (q *quadSystem) Alloc(i int, nu float64) float64 {
 	return Clamp((nu-q.offset(i))/q.w[i], 0, q.caps[i])
-}
-
-// TestWaterFillIntoMatchesWaterFill pins that the closure-free system form
-// produces bit-for-bit the closure form's allocation across random feasible
-// and infeasible inputs, including the total==0 and total>=capSum shortcuts.
-func TestWaterFillIntoMatchesWaterFill(t *testing.T) {
-	rng := stats.NewRNG(77)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.IntN(9)
-		sys := &quadSystem{w: make([]float64, n), caps: make([]float64, n)}
-		items := make([]WaterFillItem, n)
-		var capSum float64
-		for i := 0; i < n; i++ {
-			sys.w[i] = rng.Uniform(0.1, 10)
-			sys.caps[i] = rng.Uniform(0.5, 20)
-			items[i] = quadItem(sys.w[i], sys.caps[i])
-			capSum += sys.caps[i]
-		}
-		var total float64
-		switch trial % 5 {
-		case 0:
-			total = 0
-		case 1:
-			total = capSum * 1.5 // infeasible
-		case 2:
-			total = capSum // exact capacity shortcut
-		default:
-			total = rng.Uniform(0, capSum)
-		}
-		want, wantErr := WaterFill(items, total, 1e-9)
-		got, gotErr := WaterFillInto(sys, total, 1e-9, nil)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("trial %d: error mismatch: closures %v, system %v", trial, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d: out[%d] = %x, closures %x", trial,
-					i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-			}
-		}
-	}
 }
 
 // TestWaterFillIntoReusesBuffer pins the allocation contract: a big-enough
