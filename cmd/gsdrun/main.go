@@ -5,7 +5,7 @@
 // Usage:
 //
 //	gsdrun -groups 200 -iters 500                  # paper's §5.2.3 setting
-//	gsdrun -distributed -groups 24 -iters 400      # goroutine-per-group engine
+//	gsdrun -distributed -groups 24 -iters 400      # per-group draws, price-protocol splits
 //	gsdrun -delta 1e6 -load 0.4 -hetero
 package main
 
@@ -15,26 +15,64 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/dcmodel"
 	"repro/internal/gsd"
 	"repro/internal/report"
 )
 
+// config holds the flag values validate checks.
+type config struct {
+	groups, servers, iters          int
+	load, delta, price, beta, queue float64
+}
+
+// validate rejects flag values that would otherwise be replaced silently:
+// PaperCluster maps a group count ≤ 0 to 200, a per-group server count
+// below 1 is raised to 1, and an iteration budget ≤ 0 means 200·groups.
+func validate(s config) error {
+	var servers error
+	if s.servers < s.groups {
+		servers = fmt.Errorf("-servers must be >= -groups (%d); got %d", s.groups, s.servers)
+	}
+	load := cliutil.PositiveFloat("-load", s.load)
+	if load == nil && s.load > 1 {
+		load = fmt.Errorf("-load must be a fraction in (0, 1]; got %v", s.load)
+	}
+	return cliutil.FirstError(
+		cliutil.PositiveCount("-groups", s.groups),
+		servers,
+		cliutil.PositiveCount("-iters", s.iters),
+		load,
+		cliutil.NonNegativeFloat("-delta", s.delta),
+		cliutil.NonNegativeFloat("-price", s.price),
+		cliutil.NonNegativeFloat("-beta", s.beta),
+		cliutil.NonNegativeFloat("-q", s.queue),
+	)
+}
+
 func main() {
 	var (
-		groups      = flag.Int("groups", 200, "number of server groups")
-		servers     = flag.Int("servers", 216000, "total servers")
-		loadFrac    = flag.Float64("load", 0.4, "arrival rate as a fraction of top-speed capacity")
+		groups      = flag.Int("groups", 200, "number of server groups (> 0)")
+		servers     = flag.Int("servers", 216000, "total servers (>= -groups)")
+		loadFrac    = flag.Float64("load", 0.4, "arrival rate as a fraction in (0, 1] of top-speed capacity")
 		delta       = flag.Float64("delta", 0, "temperature δ (0 = auto-scale to the objective)")
-		iters       = flag.Int("iters", 500, "iterations")
+		iters       = flag.Int("iters", 500, "iterations (> 0)")
 		seed        = flag.Uint64("seed", 1, "seed")
 		hetero      = flag.Bool("hetero", false, "use a mixed-generation fleet")
-		distributed = flag.Bool("distributed", false, "use the goroutine-per-group message-passing engine")
+		distributed = flag.Bool("distributed", false, "use the distributed engine: per-group random draws, timer competition and price-protocol load splits")
 		priceKWh    = flag.Float64("price", 0.05, "electricity price $/kWh")
 		beta        = flag.Float64("beta", 0.02, "delay weight β")
 		queue       = flag.Float64("q", 0, "carbon-deficit queue length (adds to the electricity weight)")
 	)
 	flag.Parse()
+	if err := validate(config{
+		groups: *groups, servers: *servers, iters: *iters,
+		load: *loadFrac, delta: *delta, price: *priceKWh, beta: *beta, queue: *queue,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "gsdrun:", err)
+		os.Exit(2)
+	}
 
 	var cluster *dcmodel.Cluster
 	if *hetero {
@@ -43,9 +81,6 @@ func main() {
 		cluster = dcmodel.PaperCluster(*groups)
 		if *servers != cluster.TotalServers() {
 			per := *servers / *groups
-			if per < 1 {
-				per = 1
-			}
 			for i := range cluster.Groups {
 				cluster.Groups[i].N = per
 			}
