@@ -160,8 +160,9 @@ type (
 // SolveGSD runs the sequential GSD engine (Algorithm 2).
 func SolveGSD(p *SlotProblem, opts GSDOptions) (GSDResult, error) { return gsd.Solve(p, opts) }
 
-// SolveGSDDistributed runs GSD as a goroutine-per-group message-passing
-// system with random-timer competition.
+// SolveGSDDistributed runs GSD's distributed engine: per-group random
+// draws, random-timer competition and load splits through the
+// dual-decomposition price protocol.
 func SolveGSDDistributed(p *SlotProblem, opts GSDOptions) (GSDResult, error) {
 	return gsd.SolveDistributed(p, opts)
 }

@@ -1,9 +1,9 @@
 // Heterogeneous fleet with distributed optimization: run COCA's
 // group-level controller over a mixed-generation cluster, solving each
-// slot's P3 with GSD. The last slot is re-solved with the fully
-// message-passing GSD engine, where every server group is an autonomous
-// goroutine competing for updates with random timers and load splits are
-// negotiated through dual-decomposition price signals.
+// slot's P3 with GSD. The last slot is re-solved with the distributed GSD
+// engine, where every server group draws from its own randomness and
+// competes for updates with random timers, and load splits are negotiated
+// through dual-decomposition price signals.
 //
 // Usage:
 //
@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Demonstrate the message-passing engine on the final slot's problem.
+	// Demonstrate the distributed engine on the final slot's problem.
 	we, wd := coca.P3Weights(5e4, ctrl.Queue(), env.PriceUSDPerKWh, 0.01)
 	prob := &coca.SlotProblem{
 		Cluster:   cluster,
@@ -85,7 +85,7 @@ func main() {
 	}
 	fmt.Printf("\nfinal slot re-solved:\n")
 	fmt.Printf("  sequential GSD   objective %.3f (%d iterations)\n", seq.Solution.Value, seq.Iters)
-	fmt.Printf("  distributed GSD  objective %.3f (%d iterations, goroutine per group)\n",
+	fmt.Printf("  distributed GSD  objective %.3f (%d iterations, per-group agents)\n",
 		dist.Solution.Value, dist.Iters)
 	fmt.Printf("  gap: %.2f%%\n", 100*(dist.Solution.Value-seq.Solution.Value)/seq.Solution.Value)
 }
