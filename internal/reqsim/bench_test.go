@@ -112,3 +112,35 @@ func BenchmarkReqsimOracle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReqsimBursty runs the on/off arm FleetReplayer uses (1.8×/0.2×
+// the mean rate, 30 s mean phases) at mean ρ = 0.7, so every ON phase
+// overloads the server (ρ_on = 1.26) and the queue builds thousands deep —
+// the regime that dominates the fleet-replay workload, where the two
+// ρ = 0.7 Poisson benchmarks above keep the queue a few entries deep.
+func BenchmarkReqsimBursty(b *testing.B) {
+	const lambda = 250
+	cfg := Config{
+		Arrivals: OnOffArrivals(1.8*lambda, 0.2*lambda, 30, 30), ServiceRPS: lambda / 0.7,
+		Service: ExponentialService(1), Horizon: 300, Warmup: 30, Seed: 1,
+	}
+	eng := NewEngine()
+	res, err := eng.Run(cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		if res, err = eng.Run(cfg, nil); err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
+	}
+	b.StopTimer()
+	if events > 0 {
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(events), "ns/event")
+	}
+	b.ReportMetric(float64(res.MaxInSystem), "max_in_system")
+}
