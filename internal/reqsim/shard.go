@@ -124,9 +124,7 @@ func (p *Pool) RunSharded(cfg Config, shards int) (Result, error) {
 		out.MeanRespSec = out.RespSumSec / float64(out.Completed)
 	}
 	if len(p.merged) > 0 {
-		out.P50Sec = quantileSelect(p.merged, 0.50)
-		out.P95Sec = quantileSelect(p.merged, 0.95)
-		out.P99Sec = quantileSelect(p.merged, 0.99)
+		out.P50Sec, out.P95Sec, out.P99Sec = percentiles(p.merged)
 	}
 	return out, nil
 }

@@ -41,41 +41,69 @@ func (t *SampleTape) AppendTo(dst []float64) []float64 {
 // returns 0 (a slot with no completed requests has no latency). It panics
 // for q outside [0, 1].
 func (t *SampleTape) Quantile(q float64) float64 {
-	return quantileSelect(t.buf, q)
+	var out [1]float64
+	quantilesSelect(t.buf, []float64{q}, out[:])
+	return out[0]
 }
 
-// quantileSelect computes the exact interpolated q-quantile of xs in place
-// (xs is partially reordered, values preserved).
-func quantileSelect(xs []float64, q float64) float64 {
-	if math.IsNaN(q) || q < 0 || q > 1 {
-		panic("reqsim: Quantile requires q in [0,1]")
-	}
+// percentileLevels are the levels behind Result's P50Sec, P95Sec and
+// P99Sec, in the non-decreasing order quantilesSelect needs.
+var percentileLevels = [3]float64{0.50, 0.95, 0.99}
+
+// percentiles returns the exact P50, P95 and P99 of xs in one partition
+// pass (xs is partially reordered, values preserved).
+func percentiles(xs []float64) (p50, p95, p99 float64) {
+	var out [3]float64
+	quantilesSelect(xs, percentileLevels[:], out[:])
+	return out[0], out[1], out[2]
+}
+
+// quantilesSelect writes the exact interpolated qs[i]-quantile of xs to
+// out[i], reordering xs in place. The levels must be non-decreasing: each
+// order statistic is selected in the suffix right of the previous one,
+// which quickselect has already partitioned off, so P95 and P99 cost a
+// selection over half and a twentieth of the slab instead of two more
+// over all of it, and each value is the same order statistic a full sort
+// would give, bit for bit.
+func quantilesSelect(xs, qs, out []float64) {
 	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return xs[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	vlo := selectK(xs, lo)
-	if lo == hi {
-		return vlo
-	}
-	// After selectK(lo) every element right of lo is >= the lo-th order
-	// statistic, so the (lo+1)-th is the minimum of that suffix.
-	vhi := xs[lo+1]
-	for _, v := range xs[lo+2:] {
-		if v < vhi {
-			vhi = v
+	from := 0 // xs[:from] holds order statistics already in final position
+	for i, q := range qs {
+		if math.IsNaN(q) || q < 0 || q > 1 {
+			panic("reqsim: Quantile requires q in [0,1]")
 		}
+		if n == 0 {
+			out[i] = 0
+			continue
+		}
+		pos := q * float64(n-1)
+		lo := int(math.Floor(pos))
+		hi := int(math.Ceil(pos))
+		var vlo float64
+		if lo >= from {
+			vlo = selectK(xs[from:], lo-from)
+			from = lo + 1
+		} else {
+			// lo == from-1: the previous level selected this statistic.
+			vlo = xs[lo]
+		}
+		if lo == hi {
+			out[i] = vlo
+			continue
+		}
+		// After selecting lo every element right of lo is >= the lo-th
+		// order statistic, so the (lo+1)-th is the minimum of that suffix.
+		vhi := xs[lo+1]
+		for _, v := range xs[lo+2:] {
+			if v < vhi {
+				vhi = v
+			}
+		}
+		frac := pos - float64(lo)
+		// Identical interpolation expression to stats.Quantile, so the
+		// property test can require bit equality, not tolerance.
+		out[i] = vlo*(1-frac) + vhi*frac
 	}
-	frac := pos - float64(lo)
-	// Identical interpolation expression to stats.Quantile, so the property
-	// test can require bit equality, not tolerance.
-	return vlo*(1-frac) + vhi*frac
 }
 
 // selectK partitions xs so xs[k] is the k-th order statistic, everything
