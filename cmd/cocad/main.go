@@ -14,9 +14,9 @@
 // Endpoints (one listener): POST /decide, POST /ingest (NDJSON stream),
 // GET /state, GET /checkpoint, GET /healthz (liveness), GET /readyz
 // (restore complete, checkpoint writer healthy, settle-age bound), plus
-// /metrics (Prometheus text), /metrics.json, /spans, /debug/vars and —
-// unless -no-pprof — /debug/pprof from the telemetry layer. Logs are
-// structured records (-log-format text|json) on stderr.
+// /metrics (Prometheus text) and — unless -no-pprof — /debug/pprof from
+// the telemetry layer. /spans answers 404: the daemon attaches no span
+// tracer. Logs are structured records (-log-format text|json) on stderr.
 package main
 
 import (
@@ -44,7 +44,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/logf"
-	"repro/internal/telemetry/span"
 )
 
 // errUsage marks flag/validation failures so main exits 2, not 1.
@@ -156,10 +155,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	reg := telemetry.NewRegistry()
 	svc.Instrument(serve.NewSiteMetrics(reg, "cocad", *site))
 	telemetry.NewRuntimeMetrics(reg, "runtime")
-	if !telemetry.PublishExpvar(reg) {
-		log.Warn("expvar name already owned by an earlier registry; /debug/vars will not carry this run")
-	}
-	tracer := span.NewTracer()
 
 	// Readiness: restore must have finished, the checkpoint writer must
 	// not be failing, and (when bounded) the feed must not have stalled.
@@ -238,7 +233,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.HandlerWith(reg, tracer, serve.HandlerOpts{
+	// No span tracer: nothing in the daemon records spans yet, so /spans
+	// answers 404 rather than an always-empty summary.
+	srv := &http.Server{Handler: svc.HandlerWith(reg, nil, serve.HandlerOpts{
 		Telemetry: telemetry.RegisterOpts{NoPprof: *noPprof},
 		Log:       log.With(slog.String("site", *site)),
 		Ready:     readiness,

@@ -163,20 +163,20 @@ func TestDaemonKillRestoreParity(t *testing.T) {
 }
 
 // TestDaemonEndpointsOneListener confirms the app and telemetry surfaces
-// share the mux.
+// share the mux, that /metrics is the only metrics read-out, and that
+// /spans answers 404 because the daemon attaches no span tracer.
 func TestDaemonEndpointsOneListener(t *testing.T) {
 	dir := t.TempDir()
 	base, _ := startDaemon(t, "-addr", "127.0.0.1:0",
 		"-checkpoint", filepath.Join(dir, "ck.json"), "-n", "15", "-groups", "3")
-	for _, path := range []string{"/state", "/checkpoint", "/metrics", "/metrics.json",
-		"/healthz", "/readyz", "/spans", "/debug/vars"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/state", "/checkpoint", "/metrics", "/healthz", "/readyz"} {
+		if code := getStatus(t, base+path); code != http.StatusOK {
+			t.Errorf("GET %s = %d", path, code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d", path, resp.StatusCode)
+	}
+	for _, path := range []string{"/metrics.json", "/debug/vars", "/spans"} {
+		if code := getStatus(t, base+path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
 		}
 	}
 }
@@ -227,14 +227,14 @@ func TestDaemonNoPprof(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /debug/pprof/ with -no-pprof = %d, want 404", resp.StatusCode)
 	}
-	for _, path := range []string{"/metrics", "/debug/vars", "/healthz"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/metrics", "/healthz"} {
+		if code := getStatus(t, base+path); code != http.StatusOK {
+			t.Errorf("GET %s = %d", path, code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d", path, resp.StatusCode)
+	}
+	for _, path := range []string{"/metrics.json", "/debug/vars"} {
+		if code := getStatus(t, base+path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
 		}
 	}
 }

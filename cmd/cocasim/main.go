@@ -56,7 +56,7 @@ func main() {
 		stream      = flag.String("stream", "", "single-run mode: stream one NDJSON record per settled slot to this path (- for stdout)")
 		policy      = flag.String("policy", "coca", "policy for -stream single-run mode: coca|unaware")
 		vParam      = flag.Float64("v", 240, "COCA cost-carbon parameter V for -stream (the paper's neutral point is ~240)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics Prometheus text, /metrics.json, /spans, /debug/vars expvar, /debug/pprof)")
+		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics Prometheus text, /spans, /debug/pprof)")
 		telemJSON   = flag.String("telemetry-json", "", "write the final telemetry snapshot as JSON to this path")
 
 		reqsim        = flag.Int("reqsim", 0, "with -stream: replay each settled slot at request granularity with ~this many simulated requests (0: off); prints empirical-vs-analytic delay error and exports per-slot percentiles")
@@ -108,7 +108,7 @@ func main() {
 		}
 		metricsSrv = srv
 		logger.Info("telemetry listening", "addr", "http://"+addr.String(),
-			"endpoints", "/metrics /metrics.json /spans /debug/vars /debug/pprof")
+			"endpoints", "/metrics /spans /debug/pprof")
 	}
 	// finish runs every end-of-run duty: snapshot telemetry, export the
 	// recorded spans, and shut the metrics server down so its listener is

@@ -40,16 +40,12 @@ type (
 	SlotProblem = dcmodel.SlotProblem
 	// Solution is a solved slot configuration.
 	Solution = dcmodel.Solution
-	// CostParams prices a configuration (w(t), r(t), β).
-	CostParams = dcmodel.CostParams
 	// Ledger is the shared slot-cost kernel: every execution path (the sim
 	// engine, the controller, the multi-site federation, the baseline
 	// planners) charges slots through it.
 	Ledger = dcmodel.Ledger
 	// SlotCharge is a Ledger's fully priced slot outcome.
 	SlotCharge = dcmodel.SlotCharge
-	// CostBreakdown decomposes a slot's cost (same type as SlotCharge).
-	CostBreakdown = dcmodel.CostBreakdown
 	// Tariff generalizes the electricity cost to convex nonlinear pricing
 	// (§2.1 extension).
 	Tariff = dcmodel.Tariff
@@ -388,7 +384,7 @@ func NewRuntimeMetrics(r *TelemetryRegistry, prefix string) *RuntimeMetrics {
 }
 
 // ServeTelemetry serves the registry over HTTP (/metrics, /spans,
-// /debug/vars, /debug/pprof) on addr and returns the bound listener
+// /debug/pprof) on addr and returns the bound listener
 // address. tr may be nil when no span tracing is active. Callers own the
 // server: Shutdown (or Close) it when the run ends to release the
 // listener.

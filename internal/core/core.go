@@ -272,7 +272,7 @@ type SlotEnv struct {
 // SlotOutcome is the controller's record of one decided-and-operated slot.
 type SlotOutcome struct {
 	Solution dcmodel.Solution
-	Cost     dcmodel.CostBreakdown
+	Cost     dcmodel.SlotCharge
 	Queue    float64 // q(t) used in the slot's P3 weights
 	// Active is the solution's active-server count; Settle commits it as
 	// the next slot's switching-cost anchor.
@@ -309,12 +309,12 @@ func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
 	if err != nil {
 		return SlotOutcome{}, fmt.Errorf("core: slot %d: %w", c.slot, err)
 	}
-	// CostWithSwitching charges through the shared dcmodel.Ledger kernel
-	// with the full extension set — slot duration, nonlinear tariff and
-	// the toggling charge against the last settled slot — so the
-	// controller's accounting matches internal/sim exactly.
+	// Charge prices through the shared dcmodel.Ledger kernel with the full
+	// extension set — slot duration, nonlinear tariff and the toggling
+	// charge against the last settled slot — so the controller's
+	// accounting matches internal/sim exactly.
 	active := c.Cluster.ActiveServers(sol.Speeds)
-	cost := c.Cluster.CostWithSwitching(dcmodel.CostParams{
+	cost := c.Cluster.Charge(dcmodel.Ledger{
 		PriceUSDPerKWh: env.PriceUSDPerKWh,
 		OnsiteKW:       env.OnsiteKW,
 		Beta:           c.Beta,

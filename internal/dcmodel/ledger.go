@@ -63,10 +63,6 @@ type SlotCharge struct {
 	TotalUSD       float64 // e + β·d + switching (Eq. 5 plus extensions)
 }
 
-// CostBreakdown is the historical name of the slot-cost decomposition; it
-// is the same type as SlotCharge.
-type CostBreakdown = SlotCharge
-
 // Hours returns the slot duration, defaulting to the paper's 1-hour slots.
 func (l Ledger) Hours() float64 {
 	if l.SlotHours <= 0 {

@@ -109,16 +109,16 @@ func TestLedgerCheckCaps(t *testing.T) {
 	}
 }
 
-// TestClusterCostMatchesLedger pins the Cluster.Cost path to the shared
-// kernel: the two must agree exactly.
+// TestClusterCostMatchesLedger pins the Cluster.Charge path to the shared
+// kernel: the two must agree exactly, switching charge included.
 func TestClusterCostMatchesLedger(t *testing.T) {
 	c := &Cluster{Groups: []Group{{Type: Opteron(), N: 10}}, Gamma: 0.95, PUE: 1.2}
 	speeds := []int{2}
 	load := []float64{500}
-	p := CostParams{PriceUSDPerKWh: 0.07, OnsiteKW: 2, Beta: 0.02}
-	got := c.Cost(p, speeds, load)
-	want := p.Ledger().Charge(c.FacilityPowerKW(speeds, load), c.DelayCost(speeds, load), 0)
+	l := Ledger{PriceUSDPerKWh: 0.07, OnsiteKW: 2, Beta: 0.02, SwitchCostKWh: 0.05}
+	got := c.Charge(l, speeds, load, -3)
+	want := l.Charge(c.FacilityPowerKW(speeds, load), c.DelayCost(speeds, load), -3)
 	if got != want {
-		t.Errorf("Cluster.Cost = %+v, ledger charge = %+v", got, want)
+		t.Errorf("Cluster.Charge = %+v, ledger charge = %+v", got, want)
 	}
 }

@@ -5,56 +5,14 @@ import (
 	"math"
 )
 
-// CostParams carries the per-slot environment needed to price a
-// configuration: the electricity price w(t), the on-site renewable supply
-// r(t), and the delay weight β of Eq. (5), plus every Ledger extension —
-// slot duration, nonlinear tariff, switching cost, deficit terms and the
-// §3.1 caps. The zero value of each extension reproduces the paper's
-// defaults (1-hour slots, linear tariff, no switching charge, no caps),
-// so existing callers price exactly as before.
-type CostParams struct {
-	PriceUSDPerKWh float64 // w(t)
-	OnsiteKW       float64 // r(t), on-site renewable power available this slot
-	Beta           float64 // β: dollars per unit of delay cost
-
-	SlotHours     float64 // slot duration in hours; 0 means 1
-	Tariff        Tariff  // nil means the paper's linear tariff
-	SwitchCostKWh float64 // energy-equivalent cost per toggled server
-	Alpha         float64 // carbon-deficit capping aggressiveness (Eq. 10)
-	RECPerSlotKWh float64 // per-slot REC allowance z (Eq. 17)
-	MaxPowerKW    float64 // §3.1 peak-power cap; 0 disables
-	MaxDelayCost  float64 // §3.1 delay cap; 0 disables
-}
-
-// Ledger builds the slot-cost kernel for this environment; see Ledger for
-// the semantics of each knob.
-func (p CostParams) Ledger() Ledger {
-	return Ledger{
-		PriceUSDPerKWh: p.PriceUSDPerKWh,
-		OnsiteKW:       p.OnsiteKW,
-		Beta:           p.Beta,
-		SlotHours:      p.SlotHours,
-		Tariff:         p.Tariff,
-		SwitchCostKWh:  p.SwitchCostKWh,
-		Alpha:          p.Alpha,
-		RECPerSlotKWh:  p.RECPerSlotKWh,
-		MaxPowerKW:     p.MaxPowerKW,
-		MaxDelayCost:   p.MaxDelayCost,
-	}
-}
-
-// Cost evaluates Eqs. (3)–(5) for a configuration through the shared
-// Ledger kernel. Infeasible loads (at or beyond a group's aggregate rate)
-// yield +Inf delay and total.
-func (c *Cluster) Cost(p CostParams, speeds []int, load []float64) CostBreakdown {
-	return c.CostWithSwitching(p, speeds, load, 0)
-}
-
-// CostWithSwitching is Cost plus the Fig. 5(d) toggling charge for a
-// change of activeDelta active servers against the previous slot —
-// the heterogeneous counterpart of the sim engine's full slot charge.
-func (c *Cluster) CostWithSwitching(p CostParams, speeds []int, load []float64, activeDelta int) CostBreakdown {
-	return p.Ledger().Charge(c.FacilityPowerKW(speeds, load), c.DelayCost(speeds, load), activeDelta)
+// Charge evaluates Eqs. (3)–(5) for a configuration through the shared
+// Ledger kernel, plus the Fig. 5(d) toggling charge for a change of
+// activeDelta active servers against the previous slot — the
+// heterogeneous counterpart of the sim engine's full slot charge.
+// Infeasible loads (at or beyond a group's aggregate rate) yield +Inf
+// delay and total.
+func (c *Cluster) Charge(l Ledger, speeds []int, load []float64, activeDelta int) SlotCharge {
+	return l.Charge(c.FacilityPowerKW(speeds, load), c.DelayCost(speeds, load), activeDelta)
 }
 
 // ActiveServers returns the number of servers in groups running at a

@@ -134,63 +134,27 @@ func budgetSweep(cfg Config, msr bool) ([]Fig5BudgetPoint, error) {
 // overestimateSweep measures the Fig. 5(c) robustness: COCA decides against
 // φ·λ(t) but is charged against the true λ(t).
 func overestimateSweep(cfg Config) ([]float64, []float64, error) {
-	factors := []float64{1.0, 1.05, 1.10, 1.15, 1.20}
 	sc, _, err := cfg.Scenario(false)
 	if err != nil {
 		return nil, nil, err
 	}
-	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
-	if err != nil {
-		return nil, nil, err
-	}
-	// Each factor runs on its own scenario clone, so the parallel workers
-	// never share the mutated Overestimate knob.
-	sums, err := mapIndexed(cfg.workers(), cfg.pool(), len(factors), func(i int) (sim.Summary, error) {
-		run := sc.Clone()
-		run.Overestimate = factors[i]
-		s, _, err := runCOCA(run, v)
-		return s, err
+	return costSweep(cfg, sc, []float64{1.0, 1.05, 1.10, 1.15, 1.20}, func(run *sim.Scenario, phi float64) {
+		run.Overestimate = phi
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	costs := make([]float64, len(factors))
-	base := sums[0].AvgHourlyCostUSD
-	for i := range sums {
-		costs[i] = sums[i].AvgHourlyCostUSD / base
-	}
-	return factors, costs, nil
 }
 
 // switchSweep measures the Fig. 5(d) robustness: switching cost as a
 // fraction of a server's maximum hourly energy (0.231 kWh), internalized by
 // COCA and charged by the engine.
 func switchSweep(cfg Config) ([]float64, []float64, error) {
-	fractions := []float64{0, 0.02, 0.04, 0.06, 0.08, 0.10}
 	sc, _, err := cfg.Scenario(false)
 	if err != nil {
 		return nil, nil, err
 	}
 	maxEnergy := sc.Server.MaxBusyKW() // 0.231 kWh per hour at full speed
-	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
-	if err != nil {
-		return nil, nil, err
-	}
-	sums, err := mapIndexed(cfg.workers(), cfg.pool(), len(fractions), func(i int) (sim.Summary, error) {
-		run := sc.Clone()
-		run.SwitchCostKWh = fractions[i] * maxEnergy
-		s, _, err := runCOCA(run, v)
-		return s, err
+	return costSweep(cfg, sc, []float64{0, 0.02, 0.04, 0.06, 0.08, 0.10}, func(run *sim.Scenario, frac float64) {
+		run.SwitchCostKWh = frac * maxEnergy
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	costs := make([]float64, len(fractions))
-	base := sums[0].AvgHourlyCostUSD
-	for i := range sums {
-		costs[i] = sums[i].AvgHourlyCostUSD / base
-	}
-	return fractions, costs, nil
 }
 
 // PortfolioMixStudy verifies the §5.2.4 note that COCA is insensitive to
@@ -201,36 +165,43 @@ func PortfolioMixStudy(cfg Config) ([]float64, []float64, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, nil, err
 	}
-	shares := []float64{0.0, 0.2, 0.4, 0.6, 0.8}
 	sc, refGrid, err := cfg.Scenario(false)
 	if err != nil {
 		return nil, nil, err
 	}
+	budget := cfg.Budget * refGrid
+	pristine := sc.Portfolio.OffsiteKWh
+	return costSweep(cfg, sc, []float64{0.0, 0.2, 0.4, 0.6, 0.8}, func(run *sim.Scenario, share float64) {
+		offsite := pristine.Copy()
+		renewable.ScaleToTotal(offsite, sc.Slots, share*budget)
+		run.Portfolio = run.Portfolio.Clone()
+		run.Portfolio.OffsiteKWh = offsite
+		run.Portfolio.RECsKWh = (1 - share) * budget
+	})
+}
+
+// costSweep tunes V once on sc, then runs COCA at that V on one clone of
+// sc per value, mutated by set, and returns the values with each run's
+// average hourly cost normalized by the first run's. Each value mutates
+// its own clone, so the parallel workers never share a knob; set must
+// clone anything shared (such as the portfolio) before writing into it.
+func costSweep(cfg Config, sc *sim.Scenario, values []float64, set func(run *sim.Scenario, v float64)) ([]float64, []float64, error) {
 	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return nil, nil, err
 	}
-	budget := cfg.Budget * refGrid
-	pristine := sc.Portfolio.OffsiteKWh.Copy()
-	// Each share clones the scenario and portfolio before rewriting the
-	// off-site/REC split, keeping the parallel workers independent.
-	sums, err := mapIndexed(cfg.workers(), cfg.pool(), len(shares), func(i int) (sim.Summary, error) {
-		offsite := pristine.Copy()
-		renewable.ScaleToTotal(offsite, sc.Slots, shares[i]*budget)
+	sums, err := mapIndexed(cfg.workers(), cfg.pool(), len(values), func(i int) (sim.Summary, error) {
 		run := sc.Clone()
-		run.Portfolio = sc.Portfolio.Clone()
-		run.Portfolio.OffsiteKWh = offsite
-		run.Portfolio.RECsKWh = (1 - shares[i]) * budget
+		set(run, values[i])
 		s, _, err := runCOCA(run, v)
 		return s, err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	costs := make([]float64, len(shares))
-	base := sums[0].AvgHourlyCostUSD
+	costs := make([]float64, len(values))
 	for i := range sums {
-		costs[i] = sums[i].AvgHourlyCostUSD / base
+		costs[i] = sums[i].AvgHourlyCostUSD / sums[0].AvgHourlyCostUSD
 	}
-	return shares, costs, nil
+	return values, costs, nil
 }

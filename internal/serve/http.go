@@ -39,7 +39,7 @@ type HandlerOpts struct {
 //	GET  /checkpoint — the current Checkpoint as JSON
 //	GET  /healthz    — liveness (200 once the listener is up)
 //	GET  /readyz     — readiness probes (503 while any fails)
-//	/metrics, /metrics.json, /spans, /debug/vars, /debug/pprof
+//	/metrics, /spans, /debug/pprof
 //	                 — telemetry.RegisterWith
 //
 // Every control-plane request is counted and timed into path/code-labeled

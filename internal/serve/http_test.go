@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
@@ -221,15 +225,61 @@ func TestHandlerStateCheckpointTelemetry(t *testing.T) {
 		t.Fatalf("restored hash %s, want %s", got.Hash, s.State().Hash)
 	}
 
-	// Telemetry endpoints ride the same mux.
-	for _, path := range []string{"/metrics", "/spans", "/debug/vars"} {
+	// Telemetry endpoints ride the same mux; /metrics is the only metrics
+	// read-out.
+	for path, want := range map[string]int{
+		"/metrics":      http.StatusOK,
+		"/spans":        http.StatusOK,
+		"/metrics.json": http.StatusNotFound,
+		"/debug/vars":   http.StatusNotFound,
+	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
+}
+
+// TestHandlerDoesNotRetainService pins that mounting a Service's handler
+// leaves nothing process-global behind: once the handler, its registry
+// and the service are dropped, the service (and with it the controller
+// and solver) is collected. The test re-executes itself so that its
+// registry is the first one mounted in the process — the registry a
+// process-wide export would have kept.
+func TestHandlerDoesNotRetainService(t *testing.T) {
+	const childEnv = "SERVE_RETENTION_CHILD"
+	if os.Getenv(childEnv) != "1" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHandlerDoesNotRetainService$", "-test.count=1")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("re-executed test failed: %v\n%s", err, out)
+		}
+		return
+	}
+	collected := make(chan struct{})
+	func() {
+		s := testService(t)
+		runtime.SetFinalizer(s, func(*Service) { close(collected) })
+		reg := telemetry.NewRegistry()
+		s.Instrument(NewMetrics(reg, "serve"))
+		h := s.HandlerWith(reg, nil, HandlerOpts{})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /metrics = %d", rec.Code)
+		}
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("Service still reachable after its handler, registry and service were dropped")
 }

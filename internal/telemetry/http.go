@@ -2,37 +2,13 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"repro/internal/telemetry/promtext"
 	"repro/internal/telemetry/span"
 )
-
-var (
-	publishMu        sync.Mutex
-	publishedExpvars *Registry
-)
-
-// PublishExpvar exposes the registry under the "coca" expvar name, so
-// /debug/vars carries the full snapshot next to the runtime's memstats.
-// Expvar is a process-wide singleton with no Unpublish (and a panic on
-// duplicate names), so only the first registry published wins the name.
-// The return value reports whether r is the exported registry; a false
-// means some earlier registry owns /debug/vars and the caller should log
-// that this one is not exported rather than silently believing it is.
-func PublishExpvar(r *Registry) bool {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if publishedExpvars == nil {
-		publishedExpvars = r
-		expvar.Publish("coca", expvar.Func(func() any { return r.Snapshot() }))
-	}
-	return publishedExpvars == r
-}
 
 // RegisterOpts tunes which observability endpoints RegisterWith mounts.
 type RegisterOpts struct {
@@ -45,10 +21,8 @@ type RegisterOpts struct {
 // Handler serves the observability endpoints:
 //
 //	/metrics       — Prometheus text exposition (flat + labeled series)
-//	/metrics.json  — the registry snapshot as JSON
 //	/spans         — the span tracer's buffer summary as JSON (404 when
 //	                 no tracer is attached)
-//	/debug/vars    — expvar (includes the registry via PublishExpvar)
 //	/debug/pprof/  — the standard pprof index, profiles and traces
 //
 // tr may be nil: a metrics-only process simply has no /spans data.
@@ -63,19 +37,9 @@ func Handler(r *Registry, tr *span.Tracer) http.Handler {
 // exposes application and telemetry endpoints from one listener. opts
 // gates pprof.
 func RegisterWith(mux *http.ServeMux, r *Registry, tr *span.Tracer, opts RegisterOpts) {
-	// Best effort: when a second registry is mounted in one process only
-	// the first owns /debug/vars. Callers that care check PublishExpvar
-	// themselves (cocad logs the loss).
-	PublishExpvar(r)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", promtext.ContentType)
 		if err := r.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := r.WriteJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -91,7 +55,6 @@ func RegisterWith(mux *http.ServeMux, r *Registry, tr *span.Tracer, opts Registe
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	if !opts.NoPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -7,7 +7,7 @@ import (
 // Naming convention: instruments registered by New*Metrics live under a
 // caller-chosen prefix ("run", "gsd", "pool", …) so several runs or
 // solvers can share one registry without colliding, and the flattened
-// names read naturally in expvar / the JSON summary
+// names read naturally in Snapshot and the JSON summary
 // ("run.total_usd", "gsd.iterations", "pool.jobs_done").
 
 // RunMetrics instruments one simulation run (or any stream of settled

@@ -15,9 +15,9 @@ import (
 //     that cache the handle (the fleet does, per site) pay exactly the
 //     flat-instrument cost per emission. Even an uncached With resolves
 //     through a stack key buffer and an allocation-free map lookup.
-//   - Lookups are lock-striped: tuples hash onto vecStripes independent
-//     RWMutex-guarded maps, so concurrent writers on different label
-//     values rarely contend.
+//   - Each family keeps its series in one RWMutex-guarded map, unstriped:
+//     every production With caller either caches its child or resolves
+//     it once per request or replay, so the read lock is taken rarely.
 //   - Snapshots are deterministic: series are sorted by label values, so
 //     two snapshots of the same state render byte-identically (the golden
 //     exposition test pins this).
@@ -27,19 +27,9 @@ import (
 // or request ids), because every distinct tuple allocates a child that
 // lives for the registry's lifetime.
 
-// vecStripes is the lock-stripe fan-out. 16 stripes keep the per-stripe
-// maps small and let a 16-site fleet update mostly contention-free while
-// costing four words of overhead per empty stripe.
-const vecStripes = 16
-
 type vecEntry[T any] struct {
 	values []string // interned copy of the label tuple, lookup key order
 	child  *T
-}
-
-type vecStripe[T any] struct {
-	mu sync.RWMutex
-	m  map[string]*vecEntry[T]
 }
 
 // desc is a family's identity, fixed at registration.
@@ -77,26 +67,25 @@ type family interface {
 	writePrometheus(io.Writer) error
 }
 
-// vec is the generic core shared by the three instrument kinds. A flat
-// family keeps its one series inline; only a labeled family pays for the
-// lock stripes.
+// vec is the generic core shared by the three instrument kinds: the
+// family's series keyed by appendTupleKey, guarded by one lock.
 type vec[T any] struct {
 	desc
-	newChild func() *T                 // builds a zero-valued child instrument
-	one      vecEntry[T]               // a flat family's series
-	stripes  *[vecStripes]vecStripe[T] // a labeled family's series
+	newChild func() *T // builds a zero-valued child instrument
+
+	mu sync.RWMutex
+	m  map[string]*vecEntry[T]
 }
 
-// newVec builds a family's series storage, creating a flat family's one
-// series up front.
+// newVec builds a family's series storage. A flat family's one series,
+// the empty tuple, exists from registration, so it renders before its
+// first write.
 func newVec[T any](d desc, newChild func() *T) vec[T] {
-	v := vec[T]{desc: d, newChild: newChild}
+	m := make(map[string]*vecEntry[T])
 	if len(d.keys) == 0 {
-		v.one.child = newChild()
-	} else {
-		v.stripes = new([vecStripes]vecStripe[T])
+		m[""] = &vecEntry[T]{child: newChild()}
 	}
-	return v
+	return vec[T]{desc: d, newChild: newChild, m: m}
 }
 
 // appendTupleKey encodes the label values into dst as a length-prefixed
@@ -109,15 +98,6 @@ func appendTupleKey(dst []byte, values []string) []byte {
 	return dst
 }
 
-// stripeOf hashes a tuple key onto a stripe (FNV-1a).
-func stripeOf(key []byte) int {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return int(h % vecStripes)
-}
-
 // with resolves (interning on first use) the child for the tuple. The key
 // is built in a stack buffer and the read-path map access converts it
 // without allocating, so repeat lookups are allocation-free.
@@ -125,55 +105,41 @@ func (v *vec[T]) with(values []string) *T {
 	if len(values) != len(v.keys) {
 		panic("telemetry: " + v.name + ": wrong number of label values")
 	}
-	if v.stripes == nil {
-		return v.one.child
-	}
 	var buf [64]byte
 	key := appendTupleKey(buf[:0], values)
-	s := &v.stripes[stripeOf(key)]
-	s.mu.RLock()
-	e := s.m[string(key)]
-	s.mu.RUnlock()
+	v.mu.RLock()
+	e := v.m[string(key)]
+	v.mu.RUnlock()
 	if e != nil {
 		return e.child
 	}
 	return v.create(key, values)
 }
 
-// create interns a new tuple under the stripe's write lock, rechecking for
-// a racing creator so exactly one child exists per tuple.
+// create interns a new tuple under the write lock, rechecking for a
+// racing creator so exactly one child exists per tuple.
 func (v *vec[T]) create(key []byte, values []string) *T {
-	s := &v.stripes[stripeOf(key)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.m[string(key)]; e != nil {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if e := v.m[string(key)]; e != nil {
 		return e.child
-	}
-	if s.m == nil {
-		s.m = make(map[string]*vecEntry[T])
 	}
 	vals := make([]string, len(values))
 	copy(vals, values)
 	e := &vecEntry[T]{values: vals, child: v.newChild()}
-	s.m[string(key)] = e
+	v.m[string(key)] = e
 	return e.child
 }
 
 // entries returns every interned (tuple, child) pair sorted by label
 // values — the deterministic order every snapshot and exposition uses.
 func (v *vec[T]) entries() []*vecEntry[T] {
-	if v.stripes == nil {
-		return []*vecEntry[T]{&v.one}
+	v.mu.RLock()
+	out := make([]*vecEntry[T], 0, len(v.m))
+	for _, e := range v.m {
+		out = append(out, e)
 	}
-	var out []*vecEntry[T]
-	for i := range v.stripes {
-		s := &v.stripes[i]
-		s.mu.RLock()
-		for _, e := range s.m {
-			out = append(out, e)
-		}
-		s.mu.RUnlock()
-	}
+	v.mu.RUnlock()
 	slices.SortFunc(out, func(a, b *vecEntry[T]) int { return slices.Compare(a.values, b.values) })
 	return out
 }
@@ -264,7 +230,7 @@ func (g *LabeledGauge) snapshotInto(s *Snapshot) {
 // under flat, a labeled family's series under labeled.
 func putScalar[T any](flat map[string]float64, labeled map[string]LabeledSnapshot, v *vec[T], value func(*T) float64) {
 	if len(v.keys) == 0 {
-		flat[v.name] = value(v.one.child)
+		flat[v.name] = value(v.with(nil))
 		return
 	}
 	ls := LabeledSnapshot{Help: v.help, Labels: v.keys}
@@ -276,7 +242,7 @@ func putScalar[T any](flat map[string]float64, labeled map[string]LabeledSnapsho
 
 func (h *LabeledHistogram) snapshotInto(s *Snapshot) {
 	if len(h.keys) == 0 {
-		s.Histograms[h.name] = h.one.child.Snapshot()
+		s.Histograms[h.name] = h.with(nil).Snapshot()
 		return
 	}
 	ls := LabeledHistogramsSnapshot{Help: h.help, Labels: h.keys}

@@ -32,12 +32,10 @@
 // and a labeled family of one name panic at the first With (wrong number
 // of label values). No exposition can carry a family twice.
 //
-// Expvar is a process-wide singleton: PublishExpvar can export exactly
-// one registry per process under the "coca" name (expvar.Publish panics
-// on duplicates and has no Unpublish). The first registry published wins;
-// later calls for other registries return false so the caller can log
-// that /debug/vars will not carry them. The Prometheus and JSON endpoints
-// have no such constraint — every Registry serves its own.
+// /metrics is the one live read-out, and Snapshot the one in-process
+// read. Neither touches process-global state: every Registry serves its
+// own, and a dropped registry is collected with everything its scrape
+// hooks reach.
 package telemetry
 
 import (

@@ -263,7 +263,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	srv := httptest.NewServer(Handler(r, tr))
 	defer srv.Close()
 
-	for _, path := range []string{"/metrics", "/metrics.json", "/spans", "/debug/vars", "/debug/pprof/"} {
+	for _, path := range []string{"/metrics", "/spans", "/debug/pprof/"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -278,8 +278,18 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	}
 
-	// /metrics is the Prometheus exposition now; the JSON snapshot moved
-	// to /metrics.json.
+	// /metrics is the one metrics read-out: no JSON copy, no expvar.
+	for _, path := range []string{"/metrics.json", "/debug/vars"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+
 	promResp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -294,19 +304,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if s, ok := promtext.Find(fams, "run_slots"); !ok || s.Value != 3 {
 		t.Fatalf("/metrics run_slots = %+v (ok=%v), want 3", s, ok)
-	}
-
-	resp, err := http.Get(srv.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["run.slots"] != 3 {
-		t.Fatalf("/metrics.json counter = %v", snap.Counters["run.slots"])
 	}
 
 	spansResp, err := http.Get(srv.URL + "/spans")
