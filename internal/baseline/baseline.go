@@ -88,7 +88,12 @@ func (s solver) trueObs(t int) sim.Observation {
 }
 
 func (s solver) gridAt(obs sim.Observation, eta float64) float64 {
-	sol, err := s.solve(obs, eta)
+	return gridOf(s.solve(obs, eta))
+}
+
+// gridOf is a solve's grid usage, +Inf when the solve failed, so a failed
+// probe always reads as over any cap.
+func gridOf(sol p3.HomogeneousSolution, err error) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
@@ -165,20 +170,25 @@ func NewOPT(sc *sim.Scenario) (*OPT, error) {
 		}
 		return sum
 	}
-	if total(0) <= budget {
+	g0 := total(0)
+	if g0 <= budget {
 		o.eta = 0
 		return o, nil
 	}
+	// The bracket's endpoint sums seed the bisection, so it sweeps the
+	// horizon at neither again.
 	hi := 1.0
-	for total(hi) > budget {
+	gHi := total(hi)
+	for gHi > budget {
 		hi *= 4
 		if hi > etaCap {
 			o.eta = etaCap
 			o.Exact = false
 			return o, nil
 		}
+		gHi = total(hi)
 	}
-	o.eta = numopt.BisectMonotone(total, budget, 0, hi, hi*1e-7, 50)
+	o.eta = numopt.BisectMonotoneFrom(total, budget, 0, hi, g0, gHi, hi*1e-7, 50)
 	// Round η up until the budget is actually met (bisection can land a
 	// hair below target on a decreasing step function).
 	for i := 0; i < 20 && total(o.eta) > budget; i++ {
@@ -284,17 +294,24 @@ func (p *PerfectHP) Decide(obs sim.Observation) (sim.Config, error) {
 	if p.s.gridAt(obs, etaCap) > cap {
 		return sim.Config{Speed: free.Speed, Active: free.Active}, nil
 	}
+	// The free solve is g(0) and the bracket ends on g(hi), so the
+	// bisection probes neither endpoint again.
 	hi := 1.0
-	for p.s.gridAt(obs, hi) > cap && hi < etaCap {
+	gHi := p.s.gridAt(obs, hi)
+	for gHi > cap && hi < etaCap {
 		hi *= 4
+		gHi = p.s.gridAt(obs, hi)
 	}
-	eta := numopt.BisectMonotone(func(x float64) float64 {
+	eta := numopt.BisectMonotoneFrom(func(x float64) float64 {
 		return p.s.gridAt(obs, x)
-	}, cap, 0, hi, hi*1e-6, 40)
-	for i := 0; i < 20 && p.s.gridAt(obs, eta) > cap; i++ {
-		eta = eta*1.05 + 1e-9
-	}
+	}, cap, 0, hi, free.GridKWh, gHi, hi*1e-6, 40)
+	// Round η up until the cap is met, solving once per η: the last solve
+	// is the decision.
 	sol, err := p.s.solve(obs, eta)
+	for i := 0; i < 20 && gridOf(sol, err) > cap; i++ {
+		eta = eta*1.05 + 1e-9
+		sol, err = p.s.solve(obs, eta)
+	}
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -341,12 +358,14 @@ func NewLookahead(sc *sim.Scenario, T int) (*Lookahead, error) {
 			return sum
 		}
 		eta := 0.0
-		if total(0) > budget {
+		if g0 := total(0); g0 > budget {
 			hiEta := 1.0
-			for total(hiEta) > budget && hiEta < etaCap {
+			gHi := total(hiEta)
+			for gHi > budget && hiEta < etaCap {
 				hiEta *= 4
+				gHi = total(hiEta)
 			}
-			eta = numopt.BisectMonotone(total, budget, 0, hiEta, hiEta*1e-7, 50)
+			eta = numopt.BisectMonotoneFrom(total, budget, 0, hiEta, g0, gHi, hiEta*1e-7, 50)
 			for i := 0; i < 20 && total(eta) > budget; i++ {
 				eta *= 1.02
 			}

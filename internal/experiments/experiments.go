@@ -9,8 +9,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
@@ -100,6 +102,24 @@ func (c *Config) fill() error {
 	if c.VGrid == nil {
 		c.VGrid = defaultVGrid(c.N)
 	}
+	return checkVGrid(c.VGrid)
+}
+
+// errEmptyVGrid rejects a V grid with no points: there is nothing to sweep
+// and no neutral operating point to pick.
+var errEmptyVGrid = errors.New("experiments: V grid is empty")
+
+// checkVGrid rejects an empty grid and any V that is not a finite positive
+// number, which COCA's Lyapunov weight cannot use.
+func checkVGrid(grid []float64) error {
+	if len(grid) == 0 {
+		return errEmptyVGrid
+	}
+	for i, v := range grid {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return fmt.Errorf("experiments: V grid point %d is %v, want a finite V > 0", i, v)
+		}
+	}
 	return nil
 }
 
@@ -150,16 +170,18 @@ func runCOCA(sc *sim.Scenario, v float64) (sim.Summary, *sim.Result, error) {
 // TuneV finds, over the grid, the V whose yearly usage comes closest to the
 // budget without exceeding it — the paper's neutral operating point ("COCA
 // achieves a close-to-minimum cost with V ≈ 240 while satisfying carbon
-// neutrality"). It returns the chosen V and its summary. The grid runs are
-// independent and fan out across all cores.
+// neutrality"). It returns the chosen V and its summary, or an error for an
+// empty grid. The grid runs are independent and fan out across all cores.
 func TuneV(sc *sim.Scenario, grid []float64) (float64, sim.Summary, error) {
 	return tuneV(sc, grid, Config{}.workers(), nil)
 }
 
 // tuneV is TuneV with an explicit worker count: the grid fans out on the
-// pool, then the winner is picked sequentially so tie-breaking (first V to
-// attain the best fraction) is identical at any worker count.
+// pool, then neutralV picks the winner.
 func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetrics) (float64, sim.Summary, error) {
+	if len(grid) == 0 {
+		return 0, sim.Summary{}, errEmptyVGrid
+	}
 	sums, err := mapIndexed(workers, pm, len(grid), func(i int) (sim.Summary, error) {
 		s, _, err := runCOCA(sc, grid[i])
 		return s, err
@@ -167,19 +189,22 @@ func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetr
 	if err != nil {
 		return 0, sim.Summary{}, err
 	}
-	bestV := 0.0
-	var best sim.Summary
-	found := false
-	for i, s := range sums {
-		if s.BudgetUsedFraction <= 1.0 && (!found || s.BudgetUsedFraction > best.BudgetUsedFraction) {
-			bestV, best, found = grid[i], s, true
+	i := neutralV(len(sums), func(i int) float64 { return sums[i].BudgetUsedFraction })
+	return grid[i], sums[i], nil
+}
+
+// neutralV is the tuning rule over n grid runs whose budget fractions frac
+// reports: the first run with the largest fraction ≤ 1, or run 0 (the
+// smallest V) when every run overshoots. The pick is sequential over the
+// grid order, so it is the same at any worker count.
+func neutralV(n int, frac func(i int) float64) int {
+	best, found := 0, false
+	for i := 0; i < n; i++ {
+		if f := frac(i); f <= 1.0 && (!found || f > frac(best)) {
+			best, found = i, true
 		}
 	}
-	if !found {
-		// Even the smallest V overshoots; take the smallest.
-		return grid[0], sums[0], nil
-	}
-	return bestV, best, nil
+	return best
 }
 
 func (c Config) printf(format string, args ...any) {

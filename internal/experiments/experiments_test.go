@@ -9,6 +9,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // smallConfig keeps experiment tests fast: a 12-week horizon with a
@@ -53,6 +55,53 @@ func TestConfigFillScalesPeak(t *testing.T) {
 	}
 	if len(c.VGrid) == 0 {
 		t.Error("no default V grid")
+	}
+}
+
+// TestVGridValidation pins fill()'s V-grid rule: nil selects the default
+// grid, while an empty grid or a V that is not finite and positive is an
+// explicit error at every experiment entry point instead of a panic or a
+// silent nonsense sweep.
+func TestVGridValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		grid []float64
+		ok   bool
+	}{
+		{"nil selects default", nil, true},
+		{"valid", []float64{1e3, 1e4}, true},
+		{"empty", []float64{}, false},
+		{"zero", []float64{1e3, 0}, false},
+		{"negative", []float64{-1e3}, false},
+		{"NaN", []float64{math.NaN()}, false},
+		{"+Inf", []float64{1e3, math.Inf(1)}, false},
+		{"-Inf", []float64{math.Inf(-1)}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Slots: 48, N: 200, VGrid: c.grid}
+			err := cfg.fill()
+			if (err == nil) != c.ok {
+				t.Fatalf("fill() = %v, want ok=%v", err, c.ok)
+			}
+			if c.ok {
+				return
+			}
+			if !strings.Contains(err.Error(), "V grid") {
+				t.Errorf("fill() error %q does not name the V grid", err)
+			}
+			// The figures surface the same error instead of panicking.
+			if _, err := Fig3(Config{Slots: 48, N: 200, VGrid: c.grid, Out: io.Discard}); err == nil {
+				t.Error("Fig3 accepted the grid")
+			}
+		})
+	}
+	sc, _, err := Config{Slots: 48, N: 200}.Scenario(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := TuneV(sc, []float64{}); err == nil {
+		t.Error("TuneV accepted an empty grid")
 	}
 }
 
@@ -139,6 +188,39 @@ func TestFig2GoldenHash(t *testing.T) {
 	}
 	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
 		t.Errorf("Fig. 2 sweep hash = %s, want %s (experiment arithmetic drifted)", got, want)
+	}
+}
+
+// TestFig3GoldenHash pins Fig. 3 absolutely: sixty days of the
+// 2,000-server scenario on one worker, with the tuned V, both summaries, the
+// saving and all four running-average series folded into FNV-1a as
+// little-endian IEEE-754 bits.
+func TestFig3GoldenHash(t *testing.T) {
+	const want = "fnv1a:ab4dcc8a33bd6f8d"
+	res, err := Fig3(Config{Slots: 60 * 24, N: 2000, Seed: 2012, Workers: 1, Out: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	put(res.CocaV, res.SavingFrac)
+	for _, s := range []sim.Summary{res.Coca, res.PerfectHP} {
+		put(float64(s.Slots), s.SlotHours, s.AvgHourlyCostUSD, s.AvgElectricityUSD, s.AvgDelayUSD,
+			s.AvgSwitchUSD, s.TotalGridKWh, s.TotalEnergyKWh, s.AvgDeficitKWh, s.FinalRunningDeficit,
+			s.BudgetKWh, s.BudgetUsedFraction, s.ShortfallKWh, s.TrueUpUSD)
+	}
+	put(res.RunningCostCoca...)
+	put(res.RunningCostPHP...)
+	put(res.RunningDeficitCoca...)
+	put(res.RunningDeficitPHP...)
+	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		t.Errorf("Fig. 3 hash = %s, want %s (experiment arithmetic drifted)", got, want)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Fig3Result reproduces Fig. 3: COCA versus the prediction-based PerfectHP.
 type Fig3Result struct {
-	CocaV       float64 // neutral operating point chosen by TuneV
+	CocaV       float64 // neutral operating point, picked by TuneV's rule
 	Coca        sim.Summary
 	PerfectHP   sim.Summary
 	SavingFrac  float64 // (PHP − COCA)/PHP on average hourly cost; paper: > 0.25
@@ -24,7 +24,10 @@ type Fig3Result struct {
 	RunningDeficitPHP  []float64
 }
 
-// Fig3 runs the head-to-head comparison of §5.2.2.
+// Fig3 runs the head-to-head comparison of §5.2.2. PerfectHP's year and
+// the V grid's COCA years fan out as one batch; PerfectHP, the longest
+// job, is job 0 so it starts first. COCA's V is then tuned over the grid
+// by TuneV's rule, and the tuned V's grid run is the head-to-head COCA run.
 func Fig3(cfg Config) (Fig3Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Fig3Result{}, err
@@ -33,37 +36,45 @@ func Fig3(cfg Config) (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	var res Fig3Result
-	res.CocaV, res.Coca, err = tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
-	if err != nil {
-		return res, err
+	// Each run keeps only its summary and the two series Fig. 3 charts,
+	// and only until the tuned V is picked.
+	type run struct {
+		sum           sim.Summary
+		cost, deficit []float64
 	}
-	res.CocaNeutral = res.Coca.BudgetUsedFraction <= 1.0
-	// The head-to-head runs are independent: fan out COCA at the tuned V
-	// and PerfectHP together.
-	runs, err := mapIndexed(cfg.workers(), cfg.pool(), 2, func(i int) (*sim.Result, error) {
+	runs, err := mapIndexed(cfg.workers(), cfg.pool(), 1+len(cfg.VGrid), func(i int) (run, error) {
+		var (
+			r   *sim.Result
+			err error
+		)
 		if i == 0 {
-			_, r, err := runCOCA(sc, res.CocaV)
-			return r, err
+			var php *baseline.PerfectHP
+			if php, err = baseline.NewPerfectHP(sc, 48); err == nil {
+				r, err = sim.Run(sc, php)
+			}
+		} else {
+			_, r, err = runCOCA(sc, cfg.VGrid[i-1])
 		}
-		php, err := baseline.NewPerfectHP(sc, 48)
 		if err != nil {
-			return nil, err
+			return run{}, err
 		}
-		return sim.Run(sc, php)
+		return run{sum: sim.Summarize(sc, r), cost: r.CostSeries(), deficit: r.DeficitSeries()}, nil
 	})
 	if err != nil {
-		return res, err
+		return Fig3Result{}, err
 	}
-	cocaRun, phpRun := runs[0], runs[1]
-	res.PerfectHP = sim.Summarize(sc, phpRun)
+	k := neutralV(len(cfg.VGrid), func(i int) float64 { return runs[1+i].sum.BudgetUsedFraction })
+	php, coca := runs[0], runs[1+k]
+
+	res := Fig3Result{CocaV: cfg.VGrid[k], Coca: coca.sum, PerfectHP: php.sum}
+	res.CocaNeutral = res.Coca.BudgetUsedFraction <= 1.0
 	res.SavingFrac = (res.PerfectHP.AvgHourlyCostUSD - res.Coca.AvgHourlyCostUSD) /
 		res.PerfectHP.AvgHourlyCostUSD
 
-	res.RunningCostCoca = stats.RunningAverageSeries(cocaRun.CostSeries())
-	res.RunningCostPHP = stats.RunningAverageSeries(phpRun.CostSeries())
-	res.RunningDeficitCoca = stats.RunningAverageSeries(cocaRun.DeficitSeries())
-	res.RunningDeficitPHP = stats.RunningAverageSeries(phpRun.DeficitSeries())
+	res.RunningCostCoca = stats.RunningAverageSeries(coca.cost)
+	res.RunningCostPHP = stats.RunningAverageSeries(php.cost)
+	res.RunningDeficitCoca = stats.RunningAverageSeries(coca.deficit)
+	res.RunningDeficitPHP = stats.RunningAverageSeries(php.deficit)
 
 	if cfg.Out != nil {
 		t := report.NewTable("Fig 3: COCA vs PerfectHP (48-h perfect hourly prediction)",

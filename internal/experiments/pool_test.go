@@ -68,6 +68,7 @@ func TestParallelSweepsMatchSequential(t *testing.T) {
 	type runner func(cfg Config) (any, error)
 	drivers := map[string]runner{
 		"fig2": func(cfg Config) (any, error) { return Fig2(cfg) },
+		"fig3": func(cfg Config) (any, error) { return Fig3(cfg) },
 		"portfolio-mix": func(cfg Config) (any, error) {
 			shares, costs, err := PortfolioMixStudy(cfg)
 			return [2][]float64{shares, costs}, err

@@ -19,13 +19,14 @@ var ErrInfeasible = errors.New("numopt: problem infeasible")
 // the nearer endpoint is returned; this saturating behavior is what the
 // dual-variable searches in the load balancer need.
 func BisectMonotone(g func(float64) float64, target, lo, hi, xtol float64, maxIter int) float64 {
-	return bisectMonotoneFrom(g, target, lo, hi, g(lo), g(hi), xtol, maxIter)
+	return BisectMonotoneFrom(g, target, lo, hi, g(lo), g(hi), xtol, maxIter)
 }
 
-// bisectMonotoneFrom is BisectMonotone for a caller that already holds the
-// endpoint values glo = g(lo) and ghi = g(hi); g must be pure, so reusing
-// them changes nothing but the number of evaluations.
-func bisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol float64, maxIter int) float64 {
+// BisectMonotoneFrom is BisectMonotone for a caller that already holds the
+// endpoint values glo = g(lo) and ghi = g(hi) (typically from bracketing
+// the target); g must be pure, so reusing them changes nothing but the
+// number of evaluations.
+func BisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol float64, maxIter int) float64 {
 	increasing := ghi >= glo
 	// Saturate outside the achievable range.
 	if increasing {
@@ -317,7 +318,7 @@ func itemPrice(sys WaterSystem, total float64) float64 {
 		nuHi = nuLo + 2*(nuHi-nuLo)
 		sumHi = sumAt(nuHi)
 	}
-	return bisectMonotoneFrom(sumAt, total, nuLo, nuHi, sumAt(nuLo), sumHi, (nuHi-nuLo)*bisectRelTol, bisectIters)
+	return BisectMonotoneFrom(sumAt, total, nuLo, nuHi, sumAt(nuLo), sumHi, (nuHi-nuLo)*bisectRelTol, bisectIters)
 }
 
 // certProbe is one price probe of a BulkWaterSystem: the exact sum
