@@ -220,7 +220,7 @@ func BuildScenario(o ScenarioOptions) (*Scenario, float64, error) { return simte
 type (
 	// Unaware is the carbon-unaware instantaneous cost minimizer.
 	Unaware = baseline.Unaware
-	// OPT is the optimal offline algorithm (Lagrangian dual).
+	// OPT is the optimal offline algorithm: the one-frame Lookahead.
 	OPT = baseline.OPT
 	// PerfectHP is the 48-hour prediction heuristic of §5.2.2.
 	PerfectHP = baseline.PerfectHP

@@ -5,12 +5,13 @@
 //     instantaneous cost g(t) every slot and ignores the budget entirely
 //     (COCA's V → ∞ limit). Its yearly usage defines the reference against
 //     which carbon budgets are sized.
+//   - Lookahead — the T-step lookahead family P2 (§3.2): per-frame budget
+//     constraints, providing the frame optima G_r* that appear in Theorem
+//     2's bounds.
 //   - OPT — the optimal offline algorithm (§5.2.4, Fig. 5): full knowledge
-//     of the year, minimizes total cost subject to the yearly budget. We
-//     solve it by Lagrangian duality: with a multiplier η on the budget the
-//     problem decouples into per-slot solves with electricity weight
-//     w(t) + η; η is bisected until the yearly grid usage meets the budget
-//     (complementary slackness). With 8760 coupled slots the relaxation's
+//     of the year, minimizes total cost subject to the yearly budget. It is
+//     the T = J member of the Lookahead family, a Lookahead with one frame
+//     spanning the horizon. With 8760 coupled slots the relaxation's
 //     duality gap is negligible.
 //   - PerfectHP — the prediction-based heuristic COCA is compared against
 //     (§5.2.2): 48-hour frames, the frame's carbon budget (off-site
@@ -18,9 +19,14 @@
 //     proportion to perfectly predicted hourly workloads; each hour the
 //     cost is minimized subject to the hourly cap, and the cap is dropped
 //     whenever it is infeasible.
-//   - Lookahead — the T-step lookahead family P2 (§3.2): per-frame budget
-//     constraints solved by the same dual bisection, providing the frame
-//     optima G_r* that appear in Theorem 2's bounds.
+//
+// Every budget, a frame's or an hour's, is met by Lagrangian duality: with
+// a multiplier η on the budget the problem decouples into per-slot solves
+// with electricity weight w(t) + η, and one search (dualSearch.price) moves
+// η until the grid usage meets the budget (complementary slackness). One
+// saturation rule holds for all three: a budget that no η up to etaCap
+// meets stops at η = etaCap and is reported as not exact. PerfectHP checks
+// the hour's cap at etaCap before searching and drops an infeasible cap.
 package baseline
 
 import (
@@ -141,80 +147,79 @@ func (u *Unaware) Observe(sim.Feedback) {
 
 var _ sim.Policy = (*Unaware)(nil)
 
-// OPT is the offline optimum via Lagrangian dual bisection.
-type OPT struct {
-	s   solver
-	eta float64
-	// Exact is false when the budget is below the minimum achievable usage
-	// and OPT saturates at its most electricity-averse decisions.
-	Exact bool
-}
-
 // etaCap bounds the dual search; beyond it the per-slot solves are already
 // electricity-only.
 const etaCap = 1e7
+
+// dualSearch holds one baseline's constants for price: the bisection
+// tolerance relative to the bracket's top, the bisection step limit, and
+// the step that raises η when the bisection lands a hair short.
+type dualSearch struct {
+	relTol float64
+	steps  int
+	raise  func(eta float64) float64
+}
+
+var (
+	// frameSearch plans Lookahead's (and so OPT's) frame duals.
+	frameSearch = dualSearch{1e-7, 50, func(eta float64) float64 { return eta * 1.02 }}
+	// hourSearch prices PerfectHP's hourly caps.
+	hourSearch = dualSearch{1e-6, 40, func(eta float64) float64 { return eta*1.05 + 1e-9 }}
+)
+
+// price is the dual search: the η at which grid, the usage of the solves
+// priced at w + η (non-increasing in η), meets budget; g0 = grid(0). It
+// brackets η = 1, 4, 16, … until the budget holds or η reaches etaCap,
+// bisects from the bracket's values, then raises η (at most 20 times)
+// until the budget holds, as the bisection can land a hair below target
+// on a decreasing step function. A budget the bracket never meets
+// saturates at η = etaCap, reported as not exact. The caller's grid sees
+// every probe, so it can keep the last one's solves.
+func (d dualSearch) price(grid func(eta float64) float64, g0, budget float64) (eta float64, exact bool) {
+	if g0 <= budget {
+		return 0, true
+	}
+	hi := 1.0
+	gHi := grid(hi)
+	for gHi > budget && hi < etaCap {
+		hi *= 4
+		gHi = grid(hi)
+	}
+	if gHi > budget {
+		return etaCap, false
+	}
+	eta = numopt.BisectMonotoneFrom(grid, budget, 0, hi, g0, gHi, hi*d.relTol, d.steps)
+	for i := 0; i < 20 && grid(eta) > budget; i++ {
+		eta = d.raise(eta)
+	}
+	return eta, true
+}
+
+// OPT is the offline optimum: the one-frame Lookahead, whose frame and
+// budget are the whole horizon's.
+type OPT struct {
+	*Lookahead
+	// Exact is false when no η meets the budget and OPT saturates at its
+	// most electricity-averse decisions (η = etaCap).
+	Exact bool
+}
 
 // NewOPT plans the offline optimum for the scenario's budget. It runs
 // O(log) full-horizon sweeps, so construction costs a few seconds at
 // year scale.
 func NewOPT(sc *sim.Scenario) (*OPT, error) {
-	if err := sc.Validate(); err != nil {
+	l, err := NewLookahead(sc, sc.Slots)
+	if err != nil {
 		return nil, err
 	}
-	o := &OPT{s: solver{sc: sc}, Exact: true}
-	budget := sc.Portfolio.BudgetKWh(sc.Slots)
-	total := func(eta float64) float64 {
-		var sum float64
-		for t := 0; t < sc.Slots; t++ {
-			sum += o.s.gridAt(o.s.trueObs(t), eta)
-		}
-		return sum
-	}
-	g0 := total(0)
-	if g0 <= budget {
-		o.eta = 0
-		return o, nil
-	}
-	// The bracket's endpoint sums seed the bisection, so it sweeps the
-	// horizon at neither again.
-	hi := 1.0
-	gHi := total(hi)
-	for gHi > budget {
-		hi *= 4
-		if hi > etaCap {
-			o.eta = etaCap
-			o.Exact = false
-			return o, nil
-		}
-		gHi = total(hi)
-	}
-	o.eta = numopt.BisectMonotoneFrom(total, budget, 0, hi, g0, gHi, hi*1e-7, 50)
-	// Round η up until the budget is actually met (bisection can land a
-	// hair below target on a decreasing step function).
-	for i := 0; i < 20 && total(o.eta) > budget; i++ {
-		o.eta *= 1.02
-	}
-	return o, nil
+	return &OPT{Lookahead: l, Exact: l.exact[0]}, nil
 }
 
 // Eta exposes the dual price on the carbon budget.
-func (o *OPT) Eta() float64 { return o.eta }
+func (o *OPT) Eta() float64 { return o.etas[0] }
 
 // Name implements sim.Policy.
 func (o *OPT) Name() string { return "opt-offline" }
-
-// Decide implements sim.Policy. OPT is an oracle: it uses the true
-// environment regardless of the scenario's overestimation factor.
-func (o *OPT) Decide(obs sim.Observation) (sim.Config, error) {
-	sol, err := o.s.solve(o.s.trueObs(obs.Slot), o.eta)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	return sim.Config{Speed: sol.Speed, Active: sol.Active}, nil
-}
-
-// Observe implements sim.Policy.
-func (o *OPT) Observe(sim.Feedback) {}
 
 var _ sim.Policy = (*OPT)(nil)
 
@@ -286,30 +291,23 @@ func (p *PerfectHP) Decide(obs sim.Observation) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	if free.GridKWh <= cap {
+	// If even η = etaCap cannot meet the cap, the paper says to ignore
+	// the cap for this hour.
+	if free.GridKWh <= cap || p.s.gridAt(obs, etaCap) > cap {
 		return sim.Config{Speed: free.Speed, Active: free.Active}, nil
 	}
-	// Tighten η until the cap is met; if even η → ∞ cannot meet it, the
-	// paper says to ignore the cap for this hour.
-	if p.s.gridAt(obs, etaCap) > cap {
-		return sim.Config{Speed: free.Speed, Active: free.Active}, nil
-	}
-	// The free solve is g(0) and the bracket ends on g(hi), so the
-	// bisection probes neither endpoint again.
-	hi := 1.0
-	gHi := p.s.gridAt(obs, hi)
-	for gHi > cap && hi < etaCap {
-		hi *= 4
-		gHi = p.s.gridAt(obs, hi)
-	}
-	eta := numopt.BisectMonotoneFrom(func(x float64) float64 {
-		return p.s.gridAt(obs, x)
-	}, cap, 0, hi, free.GridKWh, gHi, hi*1e-6, 40)
-	// Round η up until the cap is met, solving once per η: the last solve
-	// is the decision.
-	sol, err := p.s.solve(obs, eta)
-	for i := 0; i < 20 && gridOf(sol, err) > cap; i++ {
-		eta = eta*1.05 + 1e-9
+	// The decision is the solve at the final η, which is usually the
+	// search's last probe.
+	var (
+		sol p3.HomogeneousSolution
+		at  float64
+	)
+	eta, _ := hourSearch.price(func(x float64) float64 {
+		at = x
+		sol, err = p.s.solve(obs, x)
+		return gridOf(sol, err)
+	}, free.GridKWh, cap)
+	if at != eta {
 		sol, err = p.s.solve(obs, eta)
 	}
 	if err != nil {
@@ -330,6 +328,7 @@ type Lookahead struct {
 	s      solver
 	t      int
 	etas   []float64 // per-frame dual prices
+	exact  []bool    // false where no η met the frame budget
 	optima []float64 // per-frame average costs G_r*
 }
 
@@ -346,41 +345,41 @@ func NewLookahead(sc *sim.Scenario, T int) (*Lookahead, error) {
 	alpha := sc.Portfolio.Alpha
 	recShare := sc.Portfolio.RECsKWh / float64(frames)
 	l.etas = make([]float64, frames)
+	l.exact = make([]bool, frames)
 	l.optima = make([]float64, frames)
 	for f := 0; f < frames; f++ {
 		lo, hi := f*T, (f+1)*T
 		budget := alpha * (stats.Sum(sc.Portfolio.OffsiteKWh.Values[lo:hi]) + recShare)
-		total := func(eta float64) float64 {
-			var sum float64
+		// sweep solves the frame at η and keeps that probe's η, cost and
+		// error, so G* needs no sweep of its own when the search's last
+		// probe was at the final η.
+		var (
+			at, cost float64
+			sweepErr error
+		)
+		sweep := func(eta float64) float64 {
+			at, cost, sweepErr = eta, 0, nil
+			var grid float64
 			for t := lo; t < hi; t++ {
-				sum += l.s.gridAt(l.s.trueObs(t), eta)
+				obs := l.s.trueObs(t)
+				sol, err := l.s.solve(obs, eta)
+				if err != nil {
+					sweepErr = err
+					return math.Inf(1)
+				}
+				grid += sol.GridKWh
+				cost += l.s.ledger(obs).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
 			}
-			return sum
+			return grid
 		}
-		eta := 0.0
-		if g0 := total(0); g0 > budget {
-			hiEta := 1.0
-			gHi := total(hiEta)
-			for gHi > budget && hiEta < etaCap {
-				hiEta *= 4
-				gHi = total(hiEta)
-			}
-			eta = numopt.BisectMonotoneFrom(total, budget, 0, hiEta, g0, gHi, hiEta*1e-7, 50)
-			for i := 0; i < 20 && total(eta) > budget; i++ {
-				eta *= 1.02
-			}
+		eta, exact := frameSearch.price(sweep, sweep(0), budget)
+		if at != eta {
+			sweep(eta)
 		}
-		l.etas[f] = eta
-		var cost float64
-		for t := lo; t < hi; t++ {
-			obs := l.s.trueObs(t)
-			sol, err := l.s.solve(obs, eta)
-			if err != nil {
-				return nil, err
-			}
-			cost += l.s.ledger(obs).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
+		if sweepErr != nil {
+			return nil, sweepErr
 		}
-		l.optima[f] = cost / float64(T)
+		l.etas[f], l.exact[f], l.optima[f] = eta, exact, cost/float64(T)
 	}
 	return l, nil
 }

@@ -2,10 +2,13 @@ package baseline
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lyapunov"
+	"repro/internal/numopt"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
@@ -233,28 +236,51 @@ func TestLookaheadLongerWindowNoWorse(t *testing.T) {
 
 func TestTheorem2CostBoundHolds(t *testing.T) {
 	// Empirical check of Eq. (20): COCA's average cost is bounded by the
-	// T-lookahead optimum plus C(T)/V.
+	// T-lookahead optimum plus C(T)/V. At T = J the optimum is OPT's one
+	// frame, and a V sweep checks the O(1/V) gap: gap·V ≤ C(J). The logged
+	// tightness is gap·V/C(T), negative where COCA overspends the budget
+	// and so costs less than the optimum.
 	sc, _ := buildScenario(t, 6*24)
-	T := 48
-	la, err := NewLookahead(sc, T)
+	la, err := NewLookahead(sc, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := 1e5
-	sched := lyapunov.VSchedule{T: T, Vs: []float64{v, v, v}}
-	p, err := core.New(core.FromScenario(sc, sched))
+	opt, err := NewOPT(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := runPolicy(t, sc, p)
 	bounds := lyapunov.Bounds{
 		YMax: float64(sc.N) * sc.Server.MaxBusyKW() * sc.PUE,
 		ZMax: sc.Portfolio.Alpha*maxOf(sc.Portfolio.OffsiteKWh.Values[:sc.Slots]) + sc.Portfolio.RECPerSlotKWh(sc.Slots),
 		RMax: maxOf(sc.Portfolio.OnsiteKW.Values[:sc.Slots]),
 	}
-	bound := lyapunov.CostBound(bounds, sched, la.FrameOptima())
-	if s.AvgHourlyCostUSD > bound {
-		t.Errorf("Theorem 2(b) violated: COCA %v > bound %v", s.AvgHourlyCostUSD, bound)
+	cases := []struct {
+		T      int
+		optima []float64
+		vs     []float64
+	}{
+		{48, la.FrameOptima(), []float64{1e5}},
+		{sc.Slots, opt.FrameOptima(), []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7}},
+	}
+	for _, c := range cases {
+		var gStar float64
+		for _, g := range c.optima {
+			gStar += g / float64(len(c.optima))
+		}
+		for _, v := range c.vs {
+			sched := lyapunov.ConstantV(v, sc.Slots/c.T, c.T)
+			p, err := core.New(core.FromScenario(sc, sched))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := runPolicy(t, sc, p)
+			bound := lyapunov.CostBound(bounds, sched, c.optima)
+			t.Logf("T = %d, V = %.0e: cost %.6g, G* %.6g, bound %.6g, gap·V/C(T) = %.3g",
+				c.T, v, s.AvgHourlyCostUSD, gStar, bound, (s.AvgHourlyCostUSD-gStar)*v/bounds.C(c.T))
+			if s.AvgHourlyCostUSD > bound {
+				t.Errorf("T = %d, V = %v: Theorem 2(b) violated: COCA %v > bound %v", c.T, v, s.AvgHourlyCostUSD, bound)
+			}
+		}
 	}
 }
 
@@ -266,4 +292,104 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// TestUnmeetableBudgetSaturatesAtEtaCap: with α = 1e-9 no η meets any
+// budget, so OPT and every Lookahead frame stop at η = etaCap and report
+// not exact, by the one saturation rule of dualSearch.price. It also
+// checks that OPT is the one-frame Lookahead on the pinned 8-day scenario.
+func TestUnmeetableBudgetSaturatesAtEtaCap(t *testing.T) {
+	sc, _ := buildScenario(t, 8*24)
+	opt, err := NewOPT(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewLookahead(sc, sc.Slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(opt.Eta()) != math.Float64bits(one.etas[0]) {
+		t.Errorf("OPT η = %v, one-frame Lookahead η = %v", opt.Eta(), one.etas[0])
+	}
+
+	sc.Portfolio.Alpha = 1e-9
+	opt, err = NewOPT(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Eta() != etaCap || opt.Exact {
+		t.Errorf("OPT: η = %v, exact = %v; want η = %v, not exact", opt.Eta(), opt.Exact, float64(etaCap))
+	}
+	la, err := NewLookahead(sc, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, eta := range la.etas {
+		if eta != etaCap || la.exact[f] {
+			t.Errorf("frame %d: η = %v, exact = %v; want η = %v, not exact", f, eta, la.exact[f], float64(etaCap))
+		}
+	}
+}
+
+// refFrameEta is a verbatim copy of NewLookahead's per-frame dual search
+// before the baselines shared one: bracket, bisection from the bracket's
+// values, ×1.02 round-up.
+func refFrameEta(total func(float64) float64, budget float64) float64 {
+	eta := 0.0
+	if g0 := total(0); g0 > budget {
+		hiEta := 1.0
+		gHi := total(hiEta)
+		for gHi > budget && hiEta < etaCap {
+			hiEta *= 4
+			gHi = total(hiEta)
+		}
+		eta = numopt.BisectMonotoneFrom(total, budget, 0, hiEta, g0, gHi, hiEta*1e-7, 50)
+		for i := 0; i < 20 && total(eta) > budget; i++ {
+			eta *= 1.02
+		}
+	}
+	return eta
+}
+
+// FuzzDualPrice checks the shared search against refFrameEta on random
+// non-increasing step functions of η whose floor is reached by η = 4¹²,
+// the bracket's top, with a budget at or above that floor: the η bits must
+// agree and the search must report the budget met.
+func FuzzDualPrice(f *testing.F) {
+	f.Add(uint64(1), uint8(1), 0.5)
+	f.Add(uint64(2), uint8(8), 0.0)
+	f.Add(uint64(3), uint8(40), 0.999)
+	f.Add(uint64(4), uint8(3), 1.5)
+	f.Fuzz(func(t *testing.T, seed uint64, steps uint8, frac float64) {
+		if math.IsNaN(frac) || math.IsInf(frac, 0) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewPCG(seed, uint64(steps)))
+		n := 1 + int(steps)%64
+		// Breakpoints log-uniform in [1e-9, 4¹²), levels falling from the
+		// top by non-negative steps (equal levels allowed).
+		at := make([]float64, n)
+		level := make([]float64, n+1)
+		level[0] = 1 + rng.Float64()*1e6
+		for i := range at {
+			at[i] = 1e-9 * math.Pow((1<<24)/1e-9, rng.Float64())
+			level[i+1] = level[i] * rng.Float64()
+		}
+		slices.Sort(at)
+		grid := func(eta float64) float64 {
+			i, _ := slices.BinarySearch(at, eta)
+			for i < n && at[i] == eta {
+				i++
+			}
+			return level[i]
+		}
+		// frac in [0, 1) spans [floor, top); larger fracs make slack budgets.
+		frac = math.Abs(frac)
+		budget := level[n] + (level[0]-level[n])*frac
+		got, exact := frameSearch.price(grid, grid(0), budget)
+		if want := refFrameEta(grid, budget); math.Float64bits(got) != math.Float64bits(want) || !exact {
+			t.Fatalf("price = %v (exact %v), reference = %v; budget %v, breakpoints %v, levels %v",
+				got, exact, want, budget, at, level)
+		}
+	})
 }

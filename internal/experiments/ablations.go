@@ -52,7 +52,7 @@ func Capping(cfg Config) (CappingResult, error) {
 	var res CappingResult
 	res.CapKWh = sc.Portfolio.BudgetKWh(sc.Slots)
 
-	_, cocaSum, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
+	_, cocaSum, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return res, err
 	}
@@ -260,16 +260,11 @@ func TariffStudy(cfg Config) (TariffResult, error) {
 	if err != nil {
 		return TariffResult{}, err
 	}
-	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
+	v, flat, flatRun, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return TariffResult{}, err
 	}
-	var res TariffResult
-	_, flatRun, err := runCOCA(sc, v)
-	if err != nil {
-		return res, err
-	}
-	res.Flat = sim.Summarize(sc, flatRun)
+	res := TariffResult{Flat: flat}
 	res.PeakGridFlat = stats.MaxOf(flatRun.GridSeries())
 
 	knee := stats.Quantile(flatRun.GridSeries(), 0.5)
@@ -322,11 +317,7 @@ func GreenBatch(cfg Config) (GreenBatchResult, error) {
 	if err != nil {
 		return GreenBatchResult{}, err
 	}
-	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
-	if err != nil {
-		return GreenBatchResult{}, err
-	}
-	_, run, err := runCOCA(sc, v)
+	_, _, run, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return GreenBatchResult{}, err
 	}

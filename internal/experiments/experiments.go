@@ -173,24 +173,31 @@ func runCOCA(sc *sim.Scenario, v float64) (sim.Summary, *sim.Result, error) {
 // neutrality"). It returns the chosen V and its summary, or an error for an
 // empty grid. The grid runs are independent and fan out across all cores.
 func TuneV(sc *sim.Scenario, grid []float64) (float64, sim.Summary, error) {
-	return tuneV(sc, grid, Config{}.workers(), nil)
+	v, s, _, err := tuneV(sc, grid, Config{}.workers(), nil)
+	return v, s, err
 }
 
-// tuneV is TuneV with an explicit worker count: the grid fans out on the
-// pool, then neutralV picks the winner.
-func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetrics) (float64, sim.Summary, error) {
+// tuneV is TuneV with an explicit worker count that also returns the
+// chosen grid run, so a study that needs the tuned run's records reuses it
+// instead of simulating the year again: the grid fans out on the pool,
+// then neutralV picks the winner.
+func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetrics) (float64, sim.Summary, *sim.Result, error) {
 	if len(grid) == 0 {
-		return 0, sim.Summary{}, errEmptyVGrid
+		return 0, sim.Summary{}, nil, errEmptyVGrid
 	}
-	sums, err := mapIndexed(workers, pm, len(grid), func(i int) (sim.Summary, error) {
-		s, _, err := runCOCA(sc, grid[i])
-		return s, err
+	type run struct {
+		sum sim.Summary
+		res *sim.Result
+	}
+	runs, err := mapIndexed(workers, pm, len(grid), func(i int) (run, error) {
+		s, r, err := runCOCA(sc, grid[i])
+		return run{s, r}, err
 	})
 	if err != nil {
-		return 0, sim.Summary{}, err
+		return 0, sim.Summary{}, nil, err
 	}
-	i := neutralV(len(sums), func(i int) float64 { return sums[i].BudgetUsedFraction })
-	return grid[i], sums[i], nil
+	i := neutralV(len(runs), func(i int) float64 { return runs[i].sum.BudgetUsedFraction })
+	return grid[i], runs[i].sum, runs[i].res, nil
 }
 
 // neutralV is the tuning rule over n grid runs whose budget fractions frac

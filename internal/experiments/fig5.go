@@ -108,7 +108,7 @@ func budgetSweep(cfg Config, msr bool) ([]Fig5BudgetPoint, error) {
 		}
 		unSum := sim.Summarize(sc, unRes)
 
-		_, cocaSum, err := tuneV(sc, c.VGrid, 1, c.pool())
+		_, cocaSum, _, err := tuneV(sc, c.VGrid, 1, c.pool())
 		if err != nil {
 			return Fig5BudgetPoint{}, err
 		}
@@ -186,7 +186,7 @@ func PortfolioMixStudy(cfg Config) ([]float64, []float64, error) {
 // its own clone, so the parallel workers never share a knob; set must
 // clone anything shared (such as the portfolio) before writing into it.
 func costSweep(cfg Config, sc *sim.Scenario, values []float64, set func(run *sim.Scenario, v float64)) ([]float64, []float64, error) {
-	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
+	v, _, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return nil, nil, err
 	}

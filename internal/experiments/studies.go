@@ -32,7 +32,7 @@ func PredictionErrorStudy(cfg Config) ([]PredictionPoint, sim.Summary, error) {
 	if err != nil {
 		return nil, sim.Summary{}, err
 	}
-	_, coca, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
+	_, coca, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return nil, sim.Summary{}, err
 	}
@@ -108,11 +108,7 @@ func DelayValidation(cfg Config, samples int) ([]DelayValidationPoint, float64, 
 	if err != nil {
 		return nil, 0, err
 	}
-	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
-	if err != nil {
-		return nil, 0, err
-	}
-	_, run, err := runCOCA(sc, v)
+	_, _, run, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestPredictionErrorStudy(t *testing.T) {
@@ -149,5 +151,59 @@ func TestGeoStudyGoldenHash(t *testing.T) {
 		if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
 			t.Errorf("geo study hash at %d workers = %s, want %s", workers, got, want)
 		}
+	}
+}
+
+// TestTunedStudiesGoldenHash pins the three studies that run COCA at the
+// tuned V absolutely: two weeks of the 600-server scenario on two workers,
+// every result field folded into FNV-1a as little-endian IEEE-754 bits
+// (counts as float64), so reusing the grid's run at the tuned V instead of
+// simulating the year again must reproduce them bit for bit.
+func TestTunedStudiesGoldenHash(t *testing.T) {
+	cfg := Config{Slots: 14 * 24, N: 600, Seed: 2012, Workers: 2, Out: io.Discard}
+	summary := func(s sim.Summary) []float64 {
+		return []float64{float64(s.Slots), s.SlotHours, s.AvgHourlyCostUSD, s.AvgElectricityUSD,
+			s.AvgDelayUSD, s.AvgSwitchUSD, s.TotalGridKWh, s.TotalEnergyKWh, s.AvgDeficitKWh,
+			s.FinalRunningDeficit, s.BudgetKWh, s.BudgetUsedFraction, s.ShortfallKWh, s.TrueUpUSD}
+	}
+	cases := []struct {
+		name, want string
+		run        func() ([]float64, error)
+	}{
+		{"tariff", "fnv1a:bfce58cab3f3caf0", func() ([]float64, error) {
+			res, err := TariffStudy(cfg)
+			vs := append(summary(res.Flat), summary(res.Tiered)...)
+			return append(vs, res.PeakGridFlat, res.PeakGridTiered), err
+		}},
+		{"green-batch", "fnv1a:8a9099c8ab692649", func() ([]float64, error) {
+			res, err := GreenBatch(cfg)
+			return []float64{res.SpareServerHours, res.ServedHours, float64(res.Completed),
+				float64(res.Missed), res.BatchEnergyKWh, res.CompletionRate}, err
+		}},
+		{"delay-validation", "fnv1a:bbfd44dfb19360aa", func() ([]float64, error) {
+			points, mean, err := DelayValidation(cfg, 4)
+			vs := []float64{mean}
+			for _, p := range points {
+				vs = append(vs, float64(p.Slot), p.Analytic, p.Simulated, p.RelErr)
+			}
+			return vs, err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			vs, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var buf [8]byte
+			for _, v := range vs {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+			if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != c.want {
+				t.Errorf("%s hash = %s, want %s", c.name, got, c.want)
+			}
+		})
 	}
 }
