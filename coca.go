@@ -103,7 +103,9 @@ type Portfolio = renewable.Portfolio
 
 // COCA (paper §4).
 type (
-	// COCAConfig parameterizes the homogeneous-fleet COCA policy.
+	// COCAConfig is the homogeneous-fleet COCA policy's configuration: a
+	// scenario, which supplies every P3 and queue parameter, and a V
+	// schedule.
 	COCAConfig = core.Config
 	// COCA is the paper's Algorithm 1 as a simulation policy.
 	COCA = core.Policy
@@ -122,7 +124,7 @@ type (
 // NewCOCA builds the COCA policy.
 func NewCOCA(cfg COCAConfig) (*COCA, error) { return core.New(cfg) }
 
-// COCAFromScenario derives a COCA config from a scenario and a V schedule.
+// COCAFromScenario pairs a scenario with a V schedule.
 func COCAFromScenario(sc *Scenario, sched VSchedule) COCAConfig {
 	return core.FromScenario(sc, sched)
 }

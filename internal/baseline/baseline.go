@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dcmodel"
 	"repro/internal/numopt"
 	"repro/internal/p3"
 	"repro/internal/sim"
@@ -43,54 +42,22 @@ import (
 )
 
 // solver wraps the homogeneous per-slot solve with an extra grid weight η:
-// minimize (w+η)·[p − r]^+ + β·d.
+// COCA's P3 at V = 1 and q = η, minimize (w+η)·[p − r]^+ + β·d.
 type solver struct {
 	sc *sim.Scenario
 }
 
 func (s solver) solve(obs sim.Observation, eta float64) (p3.HomogeneousSolution, error) {
-	hp := &p3.HomogeneousProblem{
-		Type: s.sc.Server, N: s.sc.N,
-		Gamma: s.sc.Gamma, PUE: s.sc.PUE,
-		LambdaRPS:    obs.LambdaRPS,
-		We:           obs.PriceUSDPerKWh + eta,
-		Wd:           s.sc.Beta,
-		OnsiteKW:     obs.OnsiteKW,
-		MaxPowerKW:   s.sc.MaxPowerKW,
-		MaxDelayCost: s.sc.MaxDelayCost,
-	}
-	if s.sc.Tariff != nil {
-		w := obs.PriceUSDPerKWh
-		tariff := s.sc.Tariff
-		hp.GridCostFn = func(g float64) float64 {
-			return w*tariff.Cost(g) + eta*g
-		}
-	}
+	hp := s.sc.P3At(obs, 1, eta)
 	return hp.Solve()
-}
-
-// ledger builds the slot-cost kernel for the observed slot, including the
-// scenario's tariff and slot duration, so the planners price candidate
-// configurations with exactly the accounting the simulator charges.
-func (s solver) ledger(obs sim.Observation) dcmodel.Ledger {
-	return dcmodel.Ledger{
-		PriceUSDPerKWh: obs.PriceUSDPerKWh,
-		OnsiteKW:       obs.OnsiteKW,
-		Beta:           s.sc.Beta,
-		SlotHours:      s.sc.SlotHours,
-		Tariff:         s.sc.Tariff,
-	}
 }
 
 // trueObs builds the non-overestimated observation for slot t (oracles see
 // the truth).
 func (s solver) trueObs(t int) sim.Observation {
-	return sim.Observation{
-		Slot:           t,
-		LambdaRPS:      s.sc.Workload.Values[t],
-		OnsiteKW:       s.sc.Portfolio.OnsiteKW.Values[t],
-		PriceUSDPerKWh: s.sc.Price.Values[t],
-	}
+	obs := s.sc.Observe(t)
+	obs.LambdaRPS = s.sc.Workload.Values[t]
+	return obs
 }
 
 func (s solver) gridAt(obs sim.Observation, eta float64) float64 {
@@ -133,7 +100,7 @@ func (u *Unaware) Decide(obs sim.Observation) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	u.pendingCost = u.s.ledger(obs).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
+	u.pendingCost = u.s.sc.LedgerAt(obs.Slot, 0).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
 	return sim.Config{Speed: sol.Speed, Active: sol.Active}, nil
 }
 
@@ -368,7 +335,7 @@ func NewLookahead(sc *sim.Scenario, T int) (*Lookahead, error) {
 					return math.Inf(1)
 				}
 				grid += sol.GridKWh
-				cost += l.s.ledger(obs).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
+				cost += l.s.sc.LedgerAt(t, 0).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
 			}
 			return grid
 		}

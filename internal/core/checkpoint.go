@@ -64,37 +64,27 @@ func (c *Controller) Checkpoint() (ControllerCheckpoint, error) {
 // RestoreFrom replaces the controller's cross-slot state with the
 // snapshot. The cluster, schedule and solver configuration are not part of
 // the snapshot — the caller must rebuild the controller with the same
-// construction parameters, then restore; a snapshot carrying solver state
-// for a solver that cannot accept it is an error rather than a silent
-// divergence.
+// construction parameters, then restore; a snapshot whose queue α or z
+// differs from the controller's, or that carries solver state for a solver
+// that cannot accept it, is an error rather than a silent divergence. A
+// refused snapshot leaves the controller's own state untouched.
 func (c *Controller) RestoreFrom(ck ControllerCheckpoint) error {
-	if ck.Version != ControllerCheckpointVersion {
-		return fmt.Errorf("core: controller checkpoint version %d, want %d", ck.Version, ControllerCheckpointVersion)
-	}
 	if ck.Slot < 0 {
 		return fmt.Errorf("core: controller checkpoint slot %d is negative", ck.Slot)
 	}
-	if ck.PrevActive < 0 {
-		return fmt.Errorf("core: controller checkpoint prev_active %d is negative", ck.PrevActive)
-	}
-	if err := c.queue.RestoreFrom(ck.Queue); err != nil {
-		return err
-	}
-	if len(ck.Solver) > 0 {
-		ss, ok := c.Solver.(SolverState)
-		if !ok {
-			return fmt.Errorf("core: checkpoint carries solver state but solver %T cannot restore it", c.Solver)
+	return c.restore("controller", ck.Version, ControllerCheckpointVersion, ck.Queue, ck.PrevActive, func() error {
+		if len(ck.Solver) > 0 {
+			ss, ok := c.Solver.(SolverState)
+			if !ok {
+				return fmt.Errorf("core: checkpoint carries solver state but solver %T cannot restore it", c.Solver)
+			}
+			if err := ss.RestoreState(ck.Solver); err != nil {
+				return err
+			}
 		}
-		if err := ss.RestoreState(ck.Solver); err != nil {
-			return err
-		}
-	}
-	c.slot = ck.Slot
-	c.prevActive = ck.PrevActive
-	if c.queueGauge != nil {
-		c.queueGauge.Set(c.queue.Len())
-	}
-	return nil
+		c.slot = ck.Slot
+		return nil
+	})
 }
 
 // PolicyCheckpointVersion is the current PolicyCheckpoint schema version.
@@ -104,8 +94,8 @@ const PolicyCheckpointVersion = 1
 // policy's cross-slot state: the deficit queue and the settled
 // switching-cost anchor. Snapshots are taken at slot boundaries (after
 // Observe), where the speculative pendingActive has been committed, so the
-// anchor alone reproduces the policy's state. Tracing knobs (RecordQueue,
-// SetV, the queue gauge) are configuration, not state, and are left to the
+// anchor alone reproduces the policy's state. Tracing knobs (SetV, the
+// queue gauge) are configuration, not state, and are left to the
 // caller to re-apply.
 type PolicyCheckpoint struct {
 	Version    int                      `json:"version"`
@@ -122,21 +112,11 @@ func (p *Policy) Checkpoint() PolicyCheckpoint {
 	}
 }
 
-// RestoreFrom replaces the policy's cross-slot state with the snapshot.
+// RestoreFrom replaces the policy's cross-slot state with the snapshot,
+// refusing one whose queue α or z differs from the policy's.
 func (p *Policy) RestoreFrom(ck PolicyCheckpoint) error {
-	if ck.Version != PolicyCheckpointVersion {
-		return fmt.Errorf("core: policy checkpoint version %d, want %d", ck.Version, PolicyCheckpointVersion)
-	}
-	if ck.PrevActive < 0 {
-		return fmt.Errorf("core: policy checkpoint prev_active %d is negative", ck.PrevActive)
-	}
-	if err := p.queue.RestoreFrom(ck.Queue); err != nil {
-		return err
-	}
-	p.prevActive = ck.PrevActive
-	p.pendingActive = ck.PrevActive
-	if p.queueGauge != nil {
-		p.queueGauge.Set(p.queue.Len())
-	}
-	return nil
+	return p.restore("policy", ck.Version, PolicyCheckpointVersion, ck.Queue, ck.PrevActive, func() error {
+		p.pendingActive = ck.PrevActive
+		return nil
+	})
 }

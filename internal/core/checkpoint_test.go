@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dcmodel"
@@ -143,13 +145,15 @@ func TestControllerCheckpointRejectsInvalid(t *testing.T) {
 // TestPolicyCheckpointRoundTrip covers the sim-side policy snapshot; the
 // full engine-resume parity lives in internal/simtest.
 func TestPolicyCheckpointRoundTrip(t *testing.T) {
-	p, err := New(Config{
-		Server: dcmodel.Opteron(), N: 50, Gamma: 0.95, PUE: 1, Beta: 0.02,
-		Schedule: lyapunov.ConstantV(5e5, 1, 24), Alpha: 1, RECPerSlotKWh: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	sc := buildScenario(t, 24)
+	newPolicy := func() *Policy {
+		p, err := New(FromScenario(sc, lyapunov.ConstantV(5e5, 1, 24)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
+	p := newPolicy()
 	p.queue.Update(100, 10)
 	p.prevActive, p.pendingActive = 7, 7
 
@@ -161,13 +165,7 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &ck); err != nil {
 		t.Fatal(err)
 	}
-	q, err := New(Config{
-		Server: dcmodel.Opteron(), N: 50, Gamma: 0.95, PUE: 1, Beta: 0.02,
-		Schedule: lyapunov.ConstantV(5e5, 1, 24), Alpha: 1, RECPerSlotKWh: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := newPolicy()
 	if err := q.RestoreFrom(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -177,4 +175,133 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	if err := q.RestoreFrom(PolicyCheckpoint{Version: 2, Queue: ck.Queue}); err == nil {
 		t.Fatal("RestoreFrom accepted an unknown version")
 	}
+	other := ck
+	other.Queue.Z = math.Nextafter(ck.Queue.Z, math.Inf(1))
+	if err := newPolicy().RestoreFrom(other); err == nil {
+		t.Fatal("RestoreFrom adopted a checkpoint's REC allowance")
+	}
+}
+
+// TestRestoreRefusesOtherQueueParams: α and z are construction parameters.
+// A controller built with α = 0.5, z = 3 must refuse a checkpoint written
+// at α = 1, z = 2 rather than silently run at the checkpoint's values, and
+// the error names both.
+func TestRestoreRefusesOtherQueueParams(t *testing.T) {
+	build := func(alpha, z float64) *Controller {
+		c, err := NewController(ckptCluster(3), 0.02, lyapunov.ConstantV(5e5, 2, 6),
+			alpha, z, &gsd.Solver{Opts: gsd.Options{Delta: 1e4, MaxIters: 200, Seed: 23}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	old := build(1, 2)
+	driveController(t, old, 0, 3)
+	ck, err := old.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := build(0.5, 3)
+	err = c.RestoreFrom(ck)
+	if err == nil {
+		t.Fatal("restore adopted the checkpoint's alpha and z")
+	}
+	for _, want := range []string{"alpha 1", "z 2", "alpha 0.5", "z 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if c.Slot() != 0 || c.Queue() != 0 {
+		t.Errorf("refused restore moved state: slot %d, queue %v", c.Slot(), c.Queue())
+	}
+	if err := build(1, 2).RestoreFrom(ck); err != nil {
+		t.Fatalf("matching restore refused: %v", err)
+	}
+}
+
+// fuzzController is the GSD-backed controller FuzzControllerRestore feeds
+// checkpoints into: the six-group heterogeneous cluster of
+// TestControllerWithGSD, over two 6-slot frames.
+func fuzzController(t testing.TB) *Controller {
+	c, err := NewController(dcmodel.HeterogeneousCluster(60, 6), 0.01, lyapunov.ConstantV(1e4, 2, 6),
+		1, 0.5, &gsd.Solver{Opts: gsd.Options{Delta: 1e6, MaxIters: 60, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// FuzzControllerRestore feeds arbitrary checkpoint JSON into a GSD-backed
+// controller. Each input must be rejected with an error, or restore state
+// that checkpoints back to the same values and survives one Step: a valid
+// configuration, or ErrScheduleExhausted past the horizon, never a panic.
+func FuzzControllerRestore(f *testing.F) {
+	c := fuzzController(f)
+	for i := 0; i < 3; i++ {
+		env, offsite := ckptEnv(i)
+		out, err := c.Step(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		c.Settle(out, offsite)
+	}
+	ck, err := c.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := json.Marshal(ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	// A warm vector whose speeds no group has once panicked the next Step.
+	f.Add([]byte(`{"version":1,"slot":0,"prev_active":0,"queue":{"version":1,"q":0,"alpha":1,"z":0.5},` +
+		`"solver":{"version":1,"started":true,"seed":7,"warm":[99,99,99,99,99,99]}}`))
+	f.Add([]byte(`{"version":1,"slot":11,"prev_active":60,"queue":{"version":1,"q":1e308,"alpha":1,"z":0.5}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ck ControllerCheckpoint
+		if json.Unmarshal(data, &ck) != nil {
+			return
+		}
+		c := fuzzController(t)
+		if c.RestoreFrom(ck) != nil {
+			return
+		}
+		got, err := c.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Slot != ck.Slot || got.PrevActive != ck.PrevActive || !sameQueue(got.Queue, ck.Queue) {
+			t.Fatalf("restore round trip: got %+v, restored %+v", got, ck)
+		}
+		if len(ck.Solver) > 0 {
+			var want, have gsd.SolverCheckpoint
+			if err := json.Unmarshal(ck.Solver, &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(got.Solver, &have); err != nil {
+				t.Fatal(err)
+			}
+			if have.Started != want.Started || have.Seed != want.Seed || !slices.Equal(have.Warm, want.Warm) {
+				t.Fatalf("solver round trip: got %+v, restored %+v", have, want)
+			}
+		}
+		env, _ := ckptEnv(ck.Slot % 24)
+		out, err := c.Step(env)
+		if errors.Is(err, ErrScheduleExhausted) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Step after restore: %v", err)
+		}
+		if err := c.Cluster.CheckConfig(out.Solution.Speeds, out.Solution.Load); err != nil {
+			t.Fatalf("Step after restore: %v", err)
+		}
+	})
+}
+
+// sameQueue compares two queue checkpoints bit for bit.
+func sameQueue(a, b lyapunov.QueueCheckpoint) bool {
+	return a.Version == b.Version && math.Float64bits(a.Q) == math.Float64bits(b.Q) &&
+		math.Float64bits(a.Alpha) == math.Float64bits(b.Alpha) && math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }

@@ -14,11 +14,12 @@
 // the queue update of Eq. (17). As q(t) grows the electricity weight grows
 // with it, realizing "if violate neutrality, then use less electricity".
 //
-// Two entry points are provided: Policy, which plugs into the sim engine's
-// homogeneous-fleet year-long runs using the exact symmetric P3 solver, and
-// Controller, the group-level form that works with any p3.Solver — in
-// particular GSD, the paper's distributed solver — for heterogeneous
-// clusters.
+// One Algorithm-1 loop (the schedule, the queue with its frame reset and
+// update, the switching anchor) drives two P3 back-ends: Policy, a
+// sim.Policy that solves the homogeneous fleet's P3 exactly
+// (sim.Scenario.P3At), and Controller, the group-level form that works with
+// any p3.Solver — in particular GSD, the paper's distributed solver — for
+// heterogeneous clusters.
 package core
 
 import (
@@ -33,114 +34,149 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrScheduleExhausted is returned by Controller.Step when the slot cursor
-// has moved past the configured V schedule's horizon.
+// ErrScheduleExhausted is returned by Policy.Decide and Controller.Step
+// for a slot past the V schedule's horizon.
 var ErrScheduleExhausted = errors.New("core: V schedule exhausted")
 
-// Config parameterizes COCA for the homogeneous sim engine.
+// loop is Algorithm 1 without its P3: the V schedule, the deficit queue
+// with its frame reset (lines 2–4) and Eq. (17) update, the settled
+// switching-cost anchor and the q(t) gauge. Policy and Controller embed it
+// and add only their P3 back-end and cost accounting.
+type loop struct {
+	sched lyapunov.VSchedule
+	queue *lyapunov.DeficitQueue
+
+	// prevActive is the switching-cost anchor: the active count of the
+	// last slot that settled. A decision only proposes its count; the
+	// anchor moves when the slot settles, so a rejected or abandoned step
+	// can be retried against the configuration actually operated last.
+	prevActive int
+
+	// queueGauge, when set, exports q(t) to the telemetry layer.
+	queueGauge *telemetry.Gauge
+}
+
+func newLoop(sched lyapunov.VSchedule, alpha, recPerSlotKWh float64) (loop, error) {
+	if err := sched.Validate(sched.Slots()); err != nil {
+		return loop{}, err
+	}
+	if err := lyapunov.CheckQueueParams(alpha, recPerSlotKWh); err != nil {
+		return loop{}, fmt.Errorf("core: %w", err)
+	}
+	return loop{sched: sched, queue: lyapunov.NewDeficitQueue(alpha, recPerSlotKWh)}, nil
+}
+
+// begin opens slot t: it empties the queue at a frame start and returns
+// the frame's V_r and q(t), the inputs of P3's weights.
+func (l *loop) begin(t int) (v, q float64, err error) {
+	if t >= l.sched.Slots() {
+		return 0, 0, fmt.Errorf("core: slot %d beyond the schedule horizon %d: %w",
+			t, l.sched.Slots(), ErrScheduleExhausted)
+	}
+	if l.sched.FrameStart(t) {
+		l.queue.Reset()
+		l.gauge()
+	}
+	return l.sched.V(t), l.queue.Len(), nil
+}
+
+// settle closes a slot: the Eq. (17) update with the realized grid draw
+// and off-site generation, and the commit of the slot's active count as
+// the next switching anchor.
+func (l *loop) settle(gridKWh, offsiteKWh float64, active int) {
+	l.queue.Update(gridKWh, offsiteKWh)
+	l.gauge()
+	l.prevActive = active
+}
+
+func (l *loop) gauge() {
+	if l.queueGauge != nil {
+		l.queueGauge.Set(l.queue.Len())
+	}
+}
+
+// restore validates a checkpoint's shared part and, if rest (the form's
+// own restore, which may be nil) also succeeds, replaces the loop's state
+// with it. The queue's α and z are construction parameters: a checkpoint
+// written with other values is refused rather than adopted.
+func (l *loop) restore(kind string, version, want int, qc lyapunov.QueueCheckpoint, prevActive int, rest func() error) error {
+	if version != want {
+		return fmt.Errorf("core: %s checkpoint version %d, want %d", kind, version, want)
+	}
+	if prevActive < 0 {
+		return fmt.Errorf("core: %s checkpoint prev_active %d is negative", kind, prevActive)
+	}
+	own := l.queue.Checkpoint()
+	if math.Float64bits(qc.Alpha) != math.Float64bits(own.Alpha) || math.Float64bits(qc.Z) != math.Float64bits(own.Z) {
+		return fmt.Errorf("core: %s checkpoint queue has alpha %v, z %v; this %s runs alpha %v, z %v",
+			kind, qc.Alpha, qc.Z, kind, own.Alpha, own.Z)
+	}
+	queue := *l.queue
+	if err := queue.RestoreFrom(qc); err != nil {
+		return err
+	}
+	if rest != nil {
+		if err := rest(); err != nil {
+			return err
+		}
+	}
+	*l.queue = queue
+	l.prevActive = prevActive
+	l.gauge()
+	return nil
+}
+
+// Queue exposes the current deficit-queue length q(t).
+func (l *loop) Queue() float64 { return l.queue.Len() }
+
+// InstrumentQueue exports the carbon-deficit queue length q(t) through
+// the given telemetry gauge, updated on every frame reset and settle.
+func (l *loop) InstrumentQueue(g *telemetry.Gauge) { l.queueGauge = g }
+
+// Config parameterizes COCA for the homogeneous sim engine: the scenario
+// supplies the fleet, the P3 extensions (switching cost, tariff, per-slot
+// caps) and the portfolio's α and z; the schedule fixes frames and per-frame
+// V_r (Algorithm 1 lines 2–4).
 type Config struct {
-	Server dcmodel.ServerType
-	N      int
-	Gamma  float64
-	PUE    float64
-	Beta   float64
-
-	// Schedule fixes frames and per-frame V_r (Algorithm 1 lines 2–4).
+	Scenario *sim.Scenario
 	Schedule lyapunov.VSchedule
-	// Alpha and RECPerSlotKWh parameterize the deficit-queue update Eq. (17).
-	Alpha         float64
-	RECPerSlotKWh float64
+}
 
-	// SwitchCostKWh internalizes the Fig. 5(d) switching cost into P3 (the
-	// penalty per toggled server is V·w(t)·SwitchCostKWh).
-	SwitchCostKWh float64
-
-	// Tariff optionally makes the electricity cost nonlinear (§2.1): P3's
-	// grid term becomes V·w(t)·Tariff.Cost(g) + q(t)·g (the deficit queue
-	// still prices raw kWh, since carbon accounting is in energy).
-	Tariff dcmodel.Tariff
-
-	// MaxPowerKW and MaxDelayCost are the optional §3.1 per-slot
-	// constraints, enforced inside P3. Zero disables.
-	MaxPowerKW   float64
-	MaxDelayCost float64
+// FromScenario pairs a sim scenario with a V schedule.
+func FromScenario(sc *sim.Scenario, sched lyapunov.VSchedule) Config {
+	return Config{Scenario: sc, Schedule: sched}
 }
 
 // Policy is COCA as a sim.Policy over a homogeneous fleet.
 type Policy struct {
-	cfg   Config
-	queue *lyapunov.DeficitQueue
+	loop
+	sc *sim.Scenario
 
-	// prevActive is the switching-cost anchor: the active count of the
-	// last configuration the engine actually operated. Decide only
-	// proposes (pendingActive); the anchor is committed when the engine
-	// confirms the slot through Observe, so a rejected step (cap
-	// violation, overload) followed by a retry cannot desync the policy
-	// from the engine's own previous-active state.
-	prevActive    int
+	// pendingActive is Decide's proposed active count, committed as the
+	// switching anchor when the engine confirms the slot through Observe.
 	pendingActive int
 	vOverride     float64
-
-	// queueGauge, when set, exports q(t) to the telemetry layer.
-	queueGauge *telemetry.Gauge
-
-	// QueueTrace records q(t) per slot for analysis when enabled.
-	QueueTrace []float64
-	record     bool
 }
 
-// New builds a COCA policy. The schedule must cover the intended horizon;
-// Run validates that via the scenario.
+// New builds a COCA policy. The scenario must be valid and the schedule
+// must cover its horizon.
 func New(cfg Config) (*Policy, error) {
-	if err := cfg.Server.Validate(); err != nil {
+	sc := cfg.Scenario
+	if sc == nil {
+		return nil, errors.New("core: nil scenario")
+	}
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("core: fleet size %d", cfg.N)
+	if n := cfg.Schedule.Slots(); n < sc.Slots {
+		return nil, fmt.Errorf("core: schedule covers %d slots, horizon is %d", n, sc.Slots)
 	}
-	// Negated so that NaN, which fails every comparison, is rejected: a
-	// NaN γ would otherwise switch the utilization cap off.
-	if !(cfg.Gamma > 0 && cfg.Gamma < 1) {
-		return nil, fmt.Errorf("core: gamma %v outside (0,1)", cfg.Gamma)
-	}
-	if !(cfg.PUE >= 1) || math.IsInf(cfg.PUE, 1) {
-		return nil, fmt.Errorf("core: PUE %v not a finite value of at least 1", cfg.PUE)
-	}
-	if !(cfg.Beta >= 0) {
-		return nil, fmt.Errorf("core: beta %v negative or NaN", cfg.Beta)
-	}
-	if err := cfg.Schedule.Validate(cfg.Schedule.Slots()); err != nil {
+	l, err := newLoop(cfg.Schedule, sc.Portfolio.Alpha, sc.Portfolio.RECPerSlotKWh(sc.Slots))
+	if err != nil {
 		return nil, err
 	}
-	if err := lyapunov.CheckQueueParams(cfg.Alpha, cfg.RECPerSlotKWh); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &Policy{
-		cfg:   cfg,
-		queue: lyapunov.NewDeficitQueue(cfg.Alpha, cfg.RECPerSlotKWh),
-	}, nil
+	return &Policy{loop: l, sc: sc}, nil
 }
-
-// FromScenario derives a COCA config from a sim scenario plus a V schedule.
-func FromScenario(sc *sim.Scenario, sched lyapunov.VSchedule) Config {
-	return Config{
-		Server: sc.Server, N: sc.N, Gamma: sc.Gamma, PUE: sc.PUE, Beta: sc.Beta,
-		Schedule:      sched,
-		Alpha:         sc.Portfolio.Alpha,
-		RECPerSlotKWh: sc.Portfolio.RECPerSlotKWh(sc.Slots),
-		SwitchCostKWh: sc.SwitchCostKWh,
-		Tariff:        sc.Tariff,
-		MaxPowerKW:    sc.MaxPowerKW,
-		MaxDelayCost:  sc.MaxDelayCost,
-	}
-}
-
-// RecordQueue enables per-slot queue-length tracing.
-func (p *Policy) RecordQueue() { p.record = true }
-
-// InstrumentQueue exports the carbon-deficit queue length q(t) through
-// the given telemetry gauge, updated on every frame reset and feedback.
-func (p *Policy) InstrumentQueue(g *telemetry.Gauge) { p.queueGauge = g }
 
 // SetV overrides the schedule's cost-carbon parameter for subsequent slots
 // without touching frame boundaries — used by ablation studies that vary V
@@ -150,64 +186,31 @@ func (p *Policy) SetV(v float64) { p.vOverride = v }
 // Name implements sim.Policy.
 func (p *Policy) Name() string { return "coca" }
 
-// Queue exposes the current deficit-queue length q(t).
-func (p *Policy) Queue() float64 { return p.queue.Len() }
-
-// Decide implements sim.Policy: Algorithm 1 lines 2–5.
+// Decide implements sim.Policy: Algorithm 1 lines 2–5 through the exact
+// homogeneous P3 solver.
 func (p *Policy) Decide(obs sim.Observation) (sim.Config, error) {
-	if p.cfg.Schedule.FrameStart(obs.Slot) {
-		p.queue.Reset()
-		if p.queueGauge != nil {
-			p.queueGauge.Set(p.queue.Len())
-		}
+	v, q, err := p.begin(obs.Slot)
+	if err != nil {
+		return sim.Config{}, err
 	}
-	v := p.cfg.Schedule.V(obs.Slot)
 	if p.vOverride > 0 {
 		v = p.vOverride
 	}
-	we, wd := dcmodel.P3Weights(v, p.queue.Len(), obs.PriceUSDPerKWh, p.cfg.Beta)
-	hp := &p3.HomogeneousProblem{
-		Type: p.cfg.Server, N: p.cfg.N,
-		Gamma: p.cfg.Gamma, PUE: p.cfg.PUE,
-		LambdaRPS: obs.LambdaRPS,
-		We:        we, Wd: wd,
-		OnsiteKW:     obs.OnsiteKW,
-		SwitchWeight: v * obs.PriceUSDPerKWh * p.cfg.SwitchCostKWh,
-		PrevActive:   p.prevActive,
-		MaxPowerKW:   p.cfg.MaxPowerKW,
-		MaxDelayCost: p.cfg.MaxDelayCost,
-	}
-	if p.cfg.Tariff != nil {
-		q := p.queue.Len()
-		w := obs.PriceUSDPerKWh
-		tariff := p.cfg.Tariff
-		hp.GridCostFn = func(g float64) float64 {
-			return v*w*tariff.Cost(g) + q*g
-		}
-	}
+	hp := p.sc.P3At(obs, v, q)
+	hp.SwitchWeight = v * obs.PriceUSDPerKWh * p.sc.SwitchCostKWh
+	hp.PrevActive = p.prevActive
 	sol, err := hp.Solve()
 	if err != nil {
 		return sim.Config{}, err
 	}
-	// Speculate only: the anchor moves when the engine confirms the slot
-	// (Observe). A rejected Step never reaches Observe, so a retried
-	// Decide re-anchors against the configuration actually operated last.
 	p.pendingActive = sol.Active
 	return sim.Config{Speed: sol.Speed, Active: sol.Active}, nil
 }
 
-// Observe implements sim.Policy: the Eq. (17) queue update with the
-// realized grid draw and off-site generation, and the commit point for
-// the switching-cost anchor speculated in Decide.
+// Observe implements sim.Policy: it settles the slot with the realized
+// grid draw and off-site generation, committing Decide's active count.
 func (p *Policy) Observe(fb sim.Feedback) {
-	p.prevActive = p.pendingActive
-	q := p.queue.Update(fb.GridKWh, fb.OffsiteKWh)
-	if p.record {
-		p.QueueTrace = append(p.QueueTrace, q)
-	}
-	if p.queueGauge != nil {
-		p.queueGauge.Set(q)
-	}
+	p.settle(fb.GridKWh, fb.OffsiteKWh, p.pendingActive)
 }
 
 var _ sim.Policy = (*Policy)(nil)
@@ -216,10 +219,10 @@ var _ sim.Policy = (*Policy)(nil)
 // caller supplies any P3 solver (typically gsd.Solver, the paper's
 // distributed algorithm) and feeds environments slot by slot.
 type Controller struct {
-	Cluster  *dcmodel.Cluster
-	Beta     float64
-	Schedule lyapunov.VSchedule
-	Solver   p3.Solver
+	loop
+	Cluster *dcmodel.Cluster
+	Beta    float64
+	Solver  p3.Solver
 
 	// SlotHours, Tariff and SwitchCostKWh are the Ledger extensions of
 	// the sim path — slot duration, §2.1 nonlinear pricing and the
@@ -230,16 +233,7 @@ type Controller struct {
 	Tariff        dcmodel.Tariff
 	SwitchCostKWh float64
 
-	queue *lyapunov.DeficitQueue
-	slot  int
-
-	// prevActive anchors the switching charge. Like sim's COCA policy it
-	// is committed only when the slot settles (Settle), so a failed or
-	// abandoned Step can be retried without desyncing the anchor.
-	prevActive int
-
-	// queueGauge, when set, exports q(t) to the telemetry layer.
-	queueGauge *telemetry.Gauge
+	slot int
 }
 
 // NewController builds a group-level COCA controller.
@@ -247,19 +241,17 @@ func NewController(cluster *dcmodel.Cluster, beta float64, sched lyapunov.VSched
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
-	if err := sched.Validate(sched.Slots()); err != nil {
-		return nil, err
+	if err := dcmodel.CheckBeta(beta); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if solver == nil {
 		return nil, fmt.Errorf("core: nil P3 solver")
 	}
-	if err := lyapunov.CheckQueueParams(alpha, recPerSlotKWh); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	l, err := newLoop(sched, alpha, recPerSlotKWh)
+	if err != nil {
+		return nil, err
 	}
-	return &Controller{
-		Cluster: cluster, Beta: beta, Schedule: sched, Solver: solver,
-		queue: lyapunov.NewDeficitQueue(alpha, recPerSlotKWh),
-	}, nil
+	return &Controller{loop: l, Cluster: cluster, Beta: beta, Solver: solver}, nil
 }
 
 // SlotEnv is one slot's environment for the controller.
@@ -284,28 +276,17 @@ type SlotOutcome struct {
 // a Step that is never settled (rejected by the caller, retried after a
 // failure) leaves the controller's state untouched.
 func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
-	if c.slot >= c.Schedule.Slots() {
-		// A long-running controller must outlive its schedule gracefully:
-		// indexing V past the horizon would panic inside VSchedule.
-		return SlotOutcome{}, fmt.Errorf("core: slot %d beyond the schedule horizon %d: %w",
-			c.slot, c.Schedule.Slots(), ErrScheduleExhausted)
+	v, q, err := c.begin(c.slot)
+	if err != nil {
+		return SlotOutcome{}, err
 	}
-	if c.Schedule.FrameStart(c.slot) {
-		c.queue.Reset()
-		if c.queueGauge != nil {
-			c.queueGauge.Set(c.queue.Len())
-		}
-	}
-	v := c.Schedule.V(c.slot)
-	q := c.queue.Len()
 	we, wd := dcmodel.P3Weights(v, q, env.PriceUSDPerKWh, c.Beta)
-	prob := &dcmodel.SlotProblem{
+	sol, err := c.Solver.Solve(&dcmodel.SlotProblem{
 		Cluster:   c.Cluster,
 		LambdaRPS: env.LambdaRPS,
 		We:        we, Wd: wd,
 		OnsiteKW: env.OnsiteKW,
-	}
-	sol, err := c.Solver.Solve(prob)
+	})
 	if err != nil {
 		return SlotOutcome{}, fmt.Errorf("core: slot %d: %w", c.slot, err)
 	}
@@ -330,20 +311,9 @@ func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
 // advance. Only settled outcomes move controller state — the same
 // feedback-driven commit discipline as the sim policy's Observe.
 func (c *Controller) Settle(out SlotOutcome, offsiteKWh float64) {
-	q := c.queue.Update(out.Cost.GridKWh, offsiteKWh)
-	if c.queueGauge != nil {
-		c.queueGauge.Set(q)
-	}
-	c.prevActive = out.Active
+	c.settle(out.Cost.GridKWh, offsiteKWh, out.Active)
 	c.slot++
 }
-
-// Queue exposes the deficit-queue length.
-func (c *Controller) Queue() float64 { return c.queue.Len() }
-
-// InstrumentQueue exports the carbon-deficit queue length q(t) through
-// the given telemetry gauge, updated on every frame reset and Settle.
-func (c *Controller) InstrumentQueue(g *telemetry.Gauge) { c.queueGauge = g }
 
 // Slot returns the next slot index to be stepped.
 func (c *Controller) Slot() int { return c.slot }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -37,49 +38,78 @@ func runCOCA(t *testing.T, sc *sim.Scenario, sched lyapunov.VSchedule) (*Policy,
 
 func TestNewValidation(t *testing.T) {
 	sc := buildScenario(t, 48)
-	good := FromScenario(sc, lyapunov.ConstantV(100, 1, 48))
-	if _, err := New(good); err != nil {
+	sched := lyapunov.ConstantV(100, 1, 48)
+	if _, err := New(FromScenario(sc, sched)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := good
-	bad.N = 0
-	if _, err := New(bad); err == nil {
-		t.Error("zero fleet accepted")
-	}
-	bad = good
-	bad.Beta = -1
-	if _, err := New(bad); err == nil {
-		t.Error("negative beta accepted")
-	}
 	for _, tc := range []struct {
-		name       string
-		gamma, pue float64
-		beta       float64
+		name   string
+		mutate func(*sim.Scenario)
 	}{
-		{"gamma 0", 0, 1, 0},
-		{"gamma 1", 1, 1, 0},
-		{"gamma NaN", math.NaN(), 1, 0}, // would switch the γ cap off
-		{"pue<1", 0.95, 0.9, 0},
-		{"pue NaN", 0.95, math.NaN(), 0},
-		{"pue +Inf", 0.95, math.Inf(1), 0},
-		{"beta NaN", 0.95, 1, math.NaN()},
+		{"zero fleet", func(s *sim.Scenario) { s.N = 0 }},
+		{"negative beta", func(s *sim.Scenario) { s.Beta = -1 }},
+		{"gamma 0", func(s *sim.Scenario) { s.Gamma = 0 }},
+		{"gamma 1", func(s *sim.Scenario) { s.Gamma = 1 }},
+		{"gamma NaN", func(s *sim.Scenario) { s.Gamma = math.NaN() }}, // would switch the γ cap off
+		{"pue<1", func(s *sim.Scenario) { s.PUE = 0.9 }},
+		{"pue NaN", func(s *sim.Scenario) { s.PUE = math.NaN() }},
+		{"pue +Inf", func(s *sim.Scenario) { s.PUE = math.Inf(1) }},
+		{"beta NaN", func(s *sim.Scenario) { s.Beta = math.NaN() }},
 	} {
-		bad = good
-		bad.Gamma, bad.PUE, bad.Beta = tc.gamma, tc.pue, tc.beta
-		if _, err := New(bad); err == nil {
+		bad := sc.Clone()
+		tc.mutate(bad)
+		if _, err := New(FromScenario(bad, sched)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	bad = good
-	bad.Schedule = lyapunov.VSchedule{T: 0}
-	if _, err := New(bad); err == nil {
+	if _, err := New(FromScenario(sc, lyapunov.VSchedule{T: 0})); err == nil {
 		t.Error("bad schedule accepted")
 	}
+	if _, err := New(FromScenario(nil, sched)); err == nil {
+		t.Error("nil scenario accepted")
+	}
 	for _, tc := range badQueueParams {
-		bad = good
-		bad.Alpha, bad.RECPerSlotKWh = tc.alpha, tc.rec
-		if _, err := New(bad); err == nil {
+		bad := sc.Clone()
+		bad.Portfolio = sc.Portfolio.Clone()
+		bad.Portfolio.Alpha, bad.Portfolio.RECsKWh = tc.alpha, tc.rec
+		if _, err := New(FromScenario(bad, sched)); err == nil {
 			t.Errorf("%s: alpha %v, REC allowance %v accepted", tc.name, tc.alpha, tc.rec)
+		}
+	}
+}
+
+// TestScheduleCoversHorizon: New refuses a schedule shorter than the
+// scenario, and a Decide past the schedule returns ErrScheduleExhausted
+// rather than indexing V out of range.
+func TestScheduleCoversHorizon(t *testing.T) {
+	sc := buildScenario(t, 72)
+	if _, err := New(FromScenario(sc, lyapunov.ConstantV(100, 1, 48))); err == nil {
+		t.Fatal("a 48-slot schedule accepted for a 72-slot scenario")
+	}
+	p, err := New(FromScenario(sc, lyapunov.ConstantV(100, 3, 24)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := sc.Observe(0)
+	obs.Slot = sc.Slots
+	if _, err := p.Decide(obs); !errors.Is(err, ErrScheduleExhausted) {
+		t.Fatalf("Decide past the schedule = %v, want ErrScheduleExhausted", err)
+	}
+}
+
+// TestConstructorsRejectBadBeta: both forms refuse a delay weight that is
+// negative, NaN or infinite, which would make every P3 weight Wd invalid.
+func TestConstructorsRejectBadBeta(t *testing.T) {
+	sc := buildScenario(t, 24)
+	sched := lyapunov.ConstantV(100, 1, 24)
+	for _, beta := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := sc.Clone()
+		bad.Beta = beta
+		if _, err := New(FromScenario(bad, sched)); err == nil {
+			t.Errorf("New accepted beta %v", beta)
+		}
+		if _, err := NewController(dcmodel.PaperCluster(2), beta, sched, 1, 1, &p3.HomogeneousSolver{}); err == nil {
+			t.Errorf("NewController accepted beta %v", beta)
 		}
 	}
 }
@@ -127,6 +157,24 @@ func TestQueueFeedbackThrottlesUsage(t *testing.T) {
 	}
 }
 
+// queueTrace steps the policy over the scenario and records q(t) after
+// each slot settles.
+func queueTrace(t *testing.T, sc *sim.Scenario, p *Policy) []float64 {
+	t.Helper()
+	e, err := sim.NewEngine(sc, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qs []float64
+	for !e.Done() {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, p.Queue())
+	}
+	return qs
+}
+
 func TestFrameResetClearsQueue(t *testing.T) {
 	sc := buildScenario(t, 48)
 	sched := lyapunov.VSchedule{T: 24, Vs: []float64{100, 100}}
@@ -134,19 +182,16 @@ func TestFrameResetClearsQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RecordQueue()
-	if _, err := sim.Run(sc, p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.QueueTrace) != 48 {
-		t.Fatalf("queue trace length %d", len(p.QueueTrace))
+	qs := queueTrace(t, sc, p)
+	if len(qs) != 48 {
+		t.Fatalf("queue trace length %d", len(qs))
 	}
 	// Decide at slot 24 resets before solving; the queue value recorded at
 	// slot 24 equals the first post-reset update, which must not exceed one
 	// slot's worth of deficit.
 	maxOneSlot := sc.Capacity() // generous bound: one slot of peak power kWh
-	if p.QueueTrace[24] > maxOneSlot {
-		t.Errorf("queue after frame reset = %v, too large", p.QueueTrace[24])
+	if qs[24] > maxOneSlot {
+		t.Errorf("queue after frame reset = %v, too large", qs[24])
 	}
 }
 
@@ -156,11 +201,7 @@ func TestQueueTraceNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RecordQueue()
-	if _, err := sim.Run(sc, p); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range p.QueueTrace {
+	for i, q := range queueTrace(t, sc, p) {
 		if q < 0 || math.IsNaN(q) {
 			t.Fatalf("q[%d] = %v", i, q)
 		}

@@ -54,6 +54,17 @@ func P3Weights(v, q, priceUSDPerKWh, beta float64) (we, wd float64) {
 	return v*priceUSDPerKWh + q, v * beta
 }
 
+// CheckBeta reports whether a delay weight β can price delay: finite and
+// non-negative. A negative, NaN or infinite β makes every P3 weight
+// Wd = V·β invalid. The error carries no package prefix, so each caller
+// adds its own.
+func CheckBeta(beta float64) error {
+	if !(beta >= 0 && beta <= math.MaxFloat64) {
+		return fmt.Errorf("beta %v must be finite and non-negative", beta)
+	}
+	return nil
+}
+
 // Validate reports whether the problem is well formed and feasible in
 // aggregate (λ must not exceed the cluster's top-speed γ-capacity).
 func (p *SlotProblem) Validate() error {

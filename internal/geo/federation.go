@@ -90,9 +90,8 @@ func newFederation[S any, P siteSpec[S]](sites []S, beta float64, slots int) (fe
 	if len(sites) == 0 {
 		return federation{}, errors.New("geo: no sites")
 	}
-	// Negated so that NaN, which fails every comparison, is rejected.
-	if !(beta >= 0) || math.IsInf(beta, 1) {
-		return federation{}, fmt.Errorf("geo: beta %v is not finite and non-negative", beta)
+	if err := dcmodel.CheckBeta(beta); err != nil {
+		return federation{}, fmt.Errorf("geo: %w", err)
 	}
 	if slots <= 0 {
 		return federation{}, errors.New("geo: non-positive horizon")

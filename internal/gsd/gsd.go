@@ -51,7 +51,8 @@ type Options struct {
 	// Seed drives all randomness; identical seeds give identical runs.
 	Seed uint64
 	// InitSpeeds optionally fixes the initial speed vector (line 1 requires
-	// a feasible initialization). Nil means "all groups at top speed".
+	// a feasible initialization, with every speed in [0, NumSpeeds]). Nil
+	// means "all groups at top speed".
 	InitSpeeds []int
 	// Failed marks server groups that have failed; they are forced to speed
 	// 0 and never selected for updates (§4.2 failure behavior).
@@ -95,7 +96,8 @@ type Result struct {
 }
 
 // ErrInfeasibleInit is returned when the initial speed vector cannot carry
-// the slot's load.
+// the slot's load, has the wrong length, or names a speed outside a group's
+// [0, NumSpeeds].
 var ErrInfeasibleInit = errors.New("gsd: infeasible initial speed vector")
 
 func (o *Options) temperature(iter int) float64 {
@@ -230,12 +232,15 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	}
 	if opts.InitSpeeds != nil {
 		if len(opts.InitSpeeds) != n {
-			return fmt.Errorf("gsd: InitSpeeds has %d entries for %d groups", len(opts.InitSpeeds), n)
+			return fmt.Errorf("%w: %d speeds for %d groups", ErrInfeasibleInit, len(opts.InitSpeeds), n)
 		}
 		copy(e.speeds, opts.InitSpeeds)
 		for g := 0; g < n; g++ {
 			if opts.Failed != nil && opts.Failed[g] {
 				e.speeds[g] = 0
+			}
+			if k, top := e.speeds[g], p.Cluster.Groups[g].Type.NumSpeeds(); k < 0 || k > top {
+				return fmt.Errorf("%w: group %d speed %d outside [0, %d]", ErrInfeasibleInit, g, k, top)
 			}
 		}
 	} else {
@@ -533,23 +538,15 @@ func (s *Solver) runPooled(p *dcmodel.SlotProblem, opts Options) (dcmodel.Soluti
 // slots do not replay the same sample path; pass a fresh Solver (or Clone)
 // for reproducibility of a single slot. Each slot warm-starts from the
 // previous slot's decision, falling back to the all-top-speed
-// initialization when the warm start cannot carry the new load — or when
-// the cluster's group count changed between slots (a resize or failure)
-// and the warm vector no longer lines up with the groups.
+// initialization when the warm start does not fit the slot
+// (ErrInfeasibleInit): it cannot carry the new load, names a speed a group
+// does not have (a corrupt restored checkpoint), or no longer lines up with
+// the groups after a resize or failure.
 func (s *Solver) Solve(p *dcmodel.SlotProblem) (dcmodel.Solution, error) {
 	opts := s.next()
 	var solverSpan *span.Span
 	if opts.Tracer != nil {
 		solverSpan = opts.Tracer.Start("gsd.solver")
-	}
-	if len(opts.InitSpeeds) > 0 && len(opts.InitSpeeds) != len(p.Cluster.Groups) {
-		// A stale warm start must degrade, not fail the slot: drop it and
-		// cold-start from all-top-speed, exactly like an infeasible one.
-		opts.InitSpeeds = nil
-		if opts.Metrics != nil {
-			opts.Metrics.ColdFallbacks.Inc()
-		}
-		solverSpan.Set(span.Bool("cold_fallback", true))
 	}
 	solverSpan.Set(span.Bool("warm_start", len(opts.InitSpeeds) > 0))
 	sol, err := s.runPooled(p, opts)

@@ -1,6 +1,7 @@
 package gsd
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -53,6 +54,31 @@ func TestSolverWarmStartGrownClusterFallsBack(t *testing.T) {
 	}
 	if len(sol.Speeds) != 5 {
 		t.Fatalf("solution has %d speed entries, want 5", len(sol.Speeds))
+	}
+}
+
+// TestOutOfRangeInitSpeedsRejected: a speed outside [0, NumSpeeds], as a
+// corrupt restored warm vector can carry, is ErrInfeasibleInit rather than
+// an index panic. A direct Solve returns the error; a Solver falls back to
+// a cold start and counts it.
+func TestOutOfRangeInitSpeedsRejected(t *testing.T) {
+	p := smallProblem(4, 60)
+	for _, bad := range [][]int{{99, 99, 99, 99}, {1, -1, 1, 1}} {
+		if _, err := Solve(p, Options{Delta: 1e4, MaxIters: 50, InitSpeeds: bad}); !errors.Is(err, ErrInfeasibleInit) {
+			t.Errorf("InitSpeeds %v: Solve = %v, want ErrInfeasibleInit", bad, err)
+		}
+	}
+	reg := telemetry.NewRegistry()
+	m := telemetry.NewSolveMetrics(reg, "gsd")
+	s := &Solver{Opts: Options{Delta: 1e4, MaxIters: 50, Seed: 3, Metrics: m}}
+	if err := s.RestoreFrom(SolverCheckpoint{Version: SolverCheckpointVersion, Started: true, Seed: 9, Warm: []int{99, 99, 99, 99}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(p); err != nil {
+		t.Fatalf("Solve after an out-of-range warm vector: %v", err)
+	}
+	if got := m.ColdFallbacks.Value(); got != 1 {
+		t.Fatalf("cold fallbacks = %v, want 1", got)
 	}
 }
 

@@ -347,9 +347,9 @@ func (s *Service) checkpointLocked() (Checkpoint, error) {
 
 // RestoreFrom replaces the service's state with the snapshot. The wrapped
 // controller must have been rebuilt with the same construction parameters
-// (cluster, schedule, solver options) as the checkpointed one; the
-// snapshot carries no way to verify that, so mismatches surface as
-// diverging hashes, not errors.
+// as the checkpointed one. A different queue α or z is refused; the
+// snapshot carries no way to verify the cluster, schedule or solver
+// options, so those mismatches surface as diverging hashes, not errors.
 func (s *Service) RestoreFrom(ck Checkpoint) error {
 	if ck.Version != CheckpointVersion {
 		return fmt.Errorf("serve: checkpoint version %d, want %d", ck.Version, CheckpointVersion)

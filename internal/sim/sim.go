@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/dcmodel"
+	"repro/internal/p3"
 	"repro/internal/renewable"
 	"repro/internal/stats"
 	"repro/internal/telemetry/span"
@@ -119,22 +120,14 @@ func (sc *Scenario) Clone() *Scenario {
 
 // Validate reports whether the scenario is well formed.
 func (sc *Scenario) Validate() error {
-	if err := sc.Server.Validate(); err != nil {
-		return err
+	// The fleet is a one-group cluster, whose checks cover the server
+	// type, N, γ and PUE.
+	fleet := dcmodel.Cluster{Groups: []dcmodel.Group{{Type: sc.Server, N: sc.N}}, Gamma: sc.Gamma, PUE: sc.PUE}
+	if err := fleet.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	if sc.N <= 0 {
-		return fmt.Errorf("sim: fleet size %d", sc.N)
-	}
-	// The checks are negated so that NaN, which fails every comparison,
-	// is rejected rather than waved through.
-	if !(sc.Gamma > 0 && sc.Gamma < 1) {
-		return fmt.Errorf("sim: gamma %v outside (0,1)", sc.Gamma)
-	}
-	if !(sc.PUE >= 1) || math.IsInf(sc.PUE, 1) {
-		return fmt.Errorf("sim: PUE %v not a finite value of at least 1", sc.PUE)
-	}
-	if !(sc.Beta >= 0) {
-		return fmt.Errorf("sim: beta %v negative or NaN", sc.Beta)
+	if err := dcmodel.CheckBeta(sc.Beta); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if sc.Slots <= 0 {
 		return fmt.Errorf("sim: horizon %d", sc.Slots)
@@ -151,6 +144,8 @@ func (sc *Scenario) Validate() error {
 	if err := sc.Portfolio.Validate(sc.Slots); err != nil {
 		return err
 	}
+	// The checks are negated so that NaN, which fails every comparison,
+	// is rejected rather than waved through.
 	if sc.Overestimate != 0 && !(sc.Overestimate >= 1) {
 		return fmt.Errorf("sim: overestimation factor %v below 1 or NaN", sc.Overestimate)
 	}
@@ -208,6 +203,33 @@ func (sc *Scenario) LedgerAt(t int, zPerSlot float64) dcmodel.Ledger {
 		MaxPowerKW:     sc.MaxPowerKW,
 		MaxDelayCost:   sc.MaxDelayCost,
 	}
+}
+
+// P3At builds the homogeneous P3 of Eq. (16) for the observed slot at
+// control parameter v and grid price q: We = v·w(t) + q, Wd = v·β and,
+// under a tariff, the grid term v·w(t)·C(g) + q·g (q still prices raw kWh:
+// carbon is accounted in energy, not dollars). COCA passes its V_r and
+// deficit queue q(t) and sets the switching terms on top; the baselines'
+// dual solves pass v = 1 and q = η, which is bit-identical to pricing
+// grid energy at w(t) + η.
+func (sc *Scenario) P3At(obs Observation, v, q float64) p3.HomogeneousProblem {
+	we, wd := dcmodel.P3Weights(v, q, obs.PriceUSDPerKWh, sc.Beta)
+	hp := p3.HomogeneousProblem{
+		Type: sc.Server, N: sc.N,
+		Gamma: sc.Gamma, PUE: sc.PUE,
+		LambdaRPS: obs.LambdaRPS,
+		We:        we, Wd: wd,
+		OnsiteKW:     obs.OnsiteKW,
+		MaxPowerKW:   sc.MaxPowerKW,
+		MaxDelayCost: sc.MaxDelayCost,
+	}
+	if sc.Tariff != nil {
+		w, tariff := obs.PriceUSDPerKWh, sc.Tariff
+		hp.GridCostFn = func(g float64) float64 {
+			return v*w*tariff.Cost(g) + q*g
+		}
+	}
+	return hp
 }
 
 // SlotRecord is the full accounting of one operated slot.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/dcmodel"
-	"repro/internal/p3"
 	"repro/internal/price"
 	"repro/internal/renewable"
 	"repro/internal/sim"
@@ -145,9 +144,9 @@ func Reference(sc *sim.Scenario) (ReferenceUsage, error) {
 	}, nil
 }
 
-// unawareLite is the instantaneous cost minimizer (identical decisions to
-// baseline.Unaware, reimplemented locally to keep simtest dependency-free
-// of the packages it serves).
+// unawareLite is the instantaneous cost minimizer: baseline.Unaware's
+// decision, the scenario's P3 at V = 1 and q = 0, restated locally to keep
+// simtest free of the packages it serves.
 type unawareLite struct {
 	sc *sim.Scenario
 }
@@ -155,14 +154,7 @@ type unawareLite struct {
 func (u *unawareLite) Name() string { return "unaware-lite" }
 
 func (u *unawareLite) Decide(obs sim.Observation) (sim.Config, error) {
-	hp := &p3.HomogeneousProblem{
-		Type: u.sc.Server, N: u.sc.N,
-		Gamma: u.sc.Gamma, PUE: u.sc.PUE,
-		LambdaRPS: obs.LambdaRPS,
-		We:        obs.PriceUSDPerKWh,
-		Wd:        u.sc.Beta,
-		OnsiteKW:  obs.OnsiteKW,
-	}
+	hp := u.sc.P3At(obs, 1, 0)
 	sol, err := hp.Solve()
 	if err != nil {
 		return sim.Config{}, err
