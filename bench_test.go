@@ -131,6 +131,26 @@ func BenchmarkYearCOCA(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfectHPYear measures one PerfectHP year on Fig. 3's scenario
+// at the paper's scale (216,000 servers × 8,760 slots), the longest job of
+// Fig. 3's batch.
+func BenchmarkPerfectHPYear(b *testing.B) {
+	sc, _, err := experiments.Config{}.Scenario(false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPerfectHP(sc, 48)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(sc, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHomogeneousP3Solve(b *testing.B) {
 	hp := &p3.HomogeneousProblem{
 		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,

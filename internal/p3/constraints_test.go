@@ -1,6 +1,7 @@
 package p3
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -173,4 +174,55 @@ func TestTariffShiftsTowardLowerDraw(t *testing.T) {
 		t.Errorf("steep tariff did not reduce draw: %v vs %v",
 			tieredSol.GridKWh, flatSol.GridKWh)
 	}
+}
+
+// TestCapsThatNeverBindChangeNothing checks that a peak-power or delay cap
+// far above anything the fleet can reach, up to the largest float and
+// +Inf, gives the uncapped solution bit for bit: the count bounds such caps
+// imply lie past the fleet and must not overflow the int conversion.
+func TestCapsThatNeverBindChangeNothing(t *testing.T) {
+	base := &HomogeneousProblem{
+		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1.2,
+		LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
+	}
+	want, err := base.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := []float64{1e18, 1e30, 1e300, math.MaxFloat64, math.Inf(1)}
+	for _, c := range huge {
+		for _, capDelay := range []bool{false, true} {
+			hp := *base
+			if capDelay {
+				hp.MaxDelayCost = c
+			} else {
+				hp.MaxPowerKW = c
+			}
+			got, err := hp.Solve()
+			if err != nil {
+				t.Errorf("cap %v (delay %v): %v", c, capDelay, err)
+				continue
+			}
+			if !sameSolution(got, want) {
+				t.Errorf("cap %v (delay %v): %+v, uncapped %+v", c, capDelay, got, want)
+			}
+		}
+	}
+	// A load no fleet can carry stays infeasible, with or without caps.
+	for _, maxPower := range []float64{0, math.MaxFloat64} {
+		hp := *base
+		hp.LambdaRPS, hp.MaxPowerKW = math.Inf(1), maxPower
+		if _, err := hp.Solve(); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("λ = +Inf, MaxPowerKW %v: want ErrInfeasible, got %v", maxPower, err)
+		}
+	}
+}
+
+// sameSolution compares two solutions bit for bit.
+func sameSolution(a, b HomogeneousSolution) bool {
+	return a.Speed == b.Speed && a.Active == b.Active &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
+		math.Float64bits(a.PowerKW) == math.Float64bits(b.PowerKW) &&
+		math.Float64bits(a.GridKWh) == math.Float64bits(b.GridKWh) &&
+		math.Float64bits(a.DelayCost) == math.Float64bits(b.DelayCost)
 }

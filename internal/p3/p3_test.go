@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dcmodel"
+	"repro/internal/numopt"
 	"repro/internal/stats"
 )
 
@@ -440,6 +441,15 @@ func TestHomogeneousKernelMatchesOracle(t *testing.T) {
 		checkKernel(t, hp, stride)
 	}
 
+	for _, hp := range kernelCorners(t) {
+		checkKernel(t, hp, 1)
+	}
+}
+
+// kernelCorners returns small problems at the kernel's corners: the
+// corners of [p − r]^+ (a difference of exactly +0 and of −0, and a NaN
+// one) and caps that admit a count only through their tolerance.
+func kernelCorners(t *testing.T) []*HomogeneousProblem {
 	exact := &HomogeneousProblem{
 		Type: dcmodel.Opteron(), N: 40, Gamma: 0.95, PUE: 1,
 		We: 0.07, Wd: 0.02, SwitchWeight: 0.01, PrevActive: 7,
@@ -469,9 +479,7 @@ func TestHomogeneousKernelMatchesOracle(t *testing.T) {
 	if v, _ := oracleObjective(caps, 4, 30); math.IsInf(v, 1) {
 		t.Fatal("the power cap's tolerance does not admit m = 30")
 	}
-	for _, hp := range []*HomogeneousProblem{exact, negZero, nan, caps} {
-		checkKernel(t, hp, 1)
-	}
+	return []*HomogeneousProblem{exact, negZero, nan, caps}
 }
 
 // FuzzHomogeneousKernel checks the kernel against oracleObjective bit for
@@ -512,6 +520,186 @@ func FuzzHomogeneousKernel(f *testing.F) {
 	})
 }
 
+// speedSearch is one speed's kernel and the count window Solve searches.
+type speedSearch struct {
+	kn        speedKernel
+	k, lo, hi int
+}
+
+// speedWindows returns a speedSearch for each speed of hp whose count
+// window is non-empty.
+func speedWindows(hp *HomogeneousProblem) []speedSearch {
+	var ws []speedSearch
+	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
+		lo, hi, ok := hp.countBounds(k)
+		if !ok || lo > hp.N {
+			continue
+		}
+		if hi > hp.N {
+			hi = hp.N
+		}
+		ws = append(ws, speedSearch{kn: hp.kernel(k), k: k, lo: lo, hi: hi})
+	}
+	return ws
+}
+
+// checkBound checks that every speed's bound is at most each finite probe
+// of its window: at every count when every is set, else at every 97th
+// count, both ends and every count within ±50 of the speed's argmin. It
+// returns the largest relative gap between a speed's least probe and its
+// bound, over the speeds whose bound is finite.
+func checkBound(t *testing.T, hp *HomogeneousProblem, every bool) (gap float64) {
+	t.Helper()
+	for _, w := range speedWindows(hp) {
+		b := w.kn.bound(w.lo, w.hi)
+		argmin, least := numopt.MinimizeInt(func(m int) float64 {
+			v, _, _, _ := w.kn.eval(m)
+			return v
+		}, w.lo, w.hi, 3)
+		check := func(m int) {
+			if m < w.lo || m > w.hi {
+				return
+			}
+			if v, _, _, _ := w.kn.eval(m); b > v && !math.IsInf(v, 1) && !math.IsNaN(v) {
+				t.Fatalf("N=%d k=%d window [%d, %d]: bound %v above eval(%d) = %v",
+					hp.N, w.k, w.lo, w.hi, b, m, v)
+			}
+		}
+		stride := 1
+		if !every {
+			stride = 97
+			for m := argmin - 50; m <= argmin+50; m++ {
+				check(m)
+			}
+		}
+		for m := w.lo; m <= w.hi; m += stride {
+			check(m)
+		}
+		check(w.hi)
+		if !math.IsInf(b, -1) && least != 0 && !math.IsInf(least, 0) {
+			gap = math.Max(gap, (least-b)/math.Abs(least))
+		}
+	}
+	return gap
+}
+
+// TestSpeedBoundBelowEveryProbe checks speedKernel.bound, which lets Solve
+// skip speeds, against the probes it must not exceed: over the golden grid
+// (every count for N ≤ 1,000, a stride and each argmin's neighbourhood at
+// N = 216,000) and the kernel corners. The bound must also certify
+// something where the paper's runs need it: finite, and within 1e-5 of the
+// least probe, for every golden instance at N = 216,000 with load, a
+// linear tariff and no switching penalty (which the bound leaves out).
+func TestSpeedBoundBelowEveryProbe(t *testing.T) {
+	for i, hp := range goldenProblems(t) {
+		gap := checkBound(t, hp, hp.N <= 1000)
+		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.GridCostFn == nil && hp.SwitchWeight == 0 {
+			for _, w := range speedWindows(hp) {
+				if math.IsInf(w.kn.bound(w.lo, w.hi), -1) {
+					t.Errorf("problem %d, speed %d: bound certifies nothing", i, w.k)
+				}
+			}
+			if gap > 1e-5 {
+				t.Errorf("problem %d: bound %.3g below the least probe", i, gap)
+			}
+		}
+	}
+	for _, hp := range kernelCorners(t) {
+		checkBound(t, hp, true)
+	}
+}
+
+// refHomogeneousSolve is HomogeneousProblem.Solve as it was before speeds
+// were skipped on their bounds: every speed searched in index order.
+func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
+	if hp.N <= 0 || hp.LambdaRPS < 0 || math.IsNaN(hp.LambdaRPS) {
+		return HomogeneousSolution{}, ErrInvalid
+	}
+	if hp.LambdaRPS == 0 {
+		// With no load the delay term vanishes; all-off is optimal up to the
+		// switching penalty, which is itself minimized near PrevActive — but
+		// keeping idle servers on costs static power, so compare both.
+		offVal, off := hp.objective(0, 0)
+		best := off
+		bestVal := offVal
+		for k := 1; k <= hp.Type.NumSpeeds(); k++ {
+			if v, s := hp.objective(k, hp.PrevActive); v < bestVal {
+				bestVal, best = v, s
+			}
+		}
+		return best, nil
+	}
+	best := HomogeneousSolution{}
+	bestVal := math.Inf(1)
+	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
+		minM, maxM, ok := hp.countBounds(k)
+		if !ok || minM > hp.N {
+			continue
+		}
+		if maxM > hp.N {
+			maxM = hp.N
+		}
+		kn := hp.kernel(k)
+		m, val := numopt.MinimizeInt(func(m int) float64 {
+			v, _, _, _ := kn.eval(m)
+			return v
+		}, minM, maxM, 3)
+		if val < bestVal {
+			bestVal, best = hp.objective(k, m)
+		}
+	}
+	if math.IsInf(bestVal, 1) {
+		return HomogeneousSolution{}, ErrInfeasible
+	}
+	return best, nil
+}
+
+// FuzzHomogeneousSolve checks Solve against refHomogeneousSolve bit for
+// bit (speed, count, value, power, grid energy, delay cost and error) on
+// random problems of up to 216,000 servers: unrestricted λ, weights, PUE,
+// γ and supply, with switching, both caps, a tiered tariff and either
+// server type. Supply and caps are drawn per server and scaled by N. Up
+// to 500 servers it also checks every speed's bound against every probe.
+func FuzzHomogeneousSolve(f *testing.F) {
+	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false, false)
+	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), 0.12, 0.0, false, false)
+	f.Add(uint32(215999), 0.985, 0.95, 1.3, 40.0, 0.001, 0.04, 0.0, uint32(0), 0.0, 0.5, true, false)
+	f.Add(uint32(9999), 0.2, 1.0, 1.1, 3.0, 0.5, 0.1, 0.01, uint32(5000), 0.3, 2.0, true, true)
+	f.Fuzz(func(t *testing.T, n uint32, frac, gamma, pue, we, wd, onsite, sw float64,
+		prev uint32, maxPower, maxDelay float64, cubic, tiered bool) {
+		hp := &HomogeneousProblem{
+			Type: dcmodel.Opteron(), N: 1 + int(n%216000), Gamma: gamma, PUE: pue,
+			We: we, Wd: wd, SwitchWeight: sw,
+		}
+		fn := float64(hp.N)
+		hp.PrevActive = int(prev % uint32(hp.N+1))
+		hp.OnsiteKW, hp.MaxPowerKW, hp.MaxDelayCost = onsite*fn, maxPower*fn, maxDelay*fn
+		if cubic {
+			hp.Type = cubicType()
+		}
+		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * fn
+		if tiered {
+			tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
+				{UpToKWh: fn / 50, Mult: 1},
+				{UpToKWh: math.Inf(1), Mult: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp.GridCostFn = func(g float64) float64 { return we * tiers.Cost(g) }
+		}
+		if hp.N <= 500 && hp.LambdaRPS > 0 {
+			checkBound(t, hp, true)
+		}
+		got, gotErr := hp.Solve()
+		want, wantErr := refHomogeneousSolve(hp)
+		if gotErr != wantErr || !sameSolution(got, want) {
+			t.Fatalf("Solve = %+v, %v; every speed in index order gives %+v, %v",
+				got, gotErr, want, wantErr)
+		}
+	})
+}
+
 // TestHomogeneousSolveZeroAllocs pins that a solve at paper scale without
 // a tariff callback allocates nothing: the per-speed kernel and the probe
 // closure stay on the stack.
@@ -528,5 +716,25 @@ func TestHomogeneousSolveZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Solve allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestHomogeneousSolveLeavesProblemOnStack pins that Solve does not leak
+// its receiver: a caller that builds the problem as a local value, as
+// Scenario.P3At's callers do once per slot, must not pay a heap
+// allocation for it.
+func TestHomogeneousSolveLeavesProblemOnStack(t *testing.T) {
+	st := dcmodel.Opteron()
+	allocs := testing.AllocsPerRun(20, func() {
+		hp := HomogeneousProblem{
+			Type: st, N: 216000, Gamma: 0.95, PUE: 1,
+			LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
+		}
+		if _, err := hp.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a local problem costs %v allocations per Solve, want 0", allocs)
 	}
 }
