@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/dcmodel"
 	"repro/internal/experiments"
 	"repro/internal/geo"
@@ -308,37 +307,10 @@ func BenchmarkDeficitQueueUpdate(b *testing.B) {
 // Extension-study benches (see DESIGN.md §3 and EXPERIMENTS.md "beyond the
 // paper" section).
 
-func BenchmarkCappingStudy(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Capping(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLookaheadSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := experiments.LookaheadSweep(cfg, []int{24, 168}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTariffStudy(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TariffStudy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGreenBatch(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.GreenBatch(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,29 +323,4 @@ func BenchmarkFrameResetAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkBatchSchedulerStep(b *testing.B) {
-	srv := dcmodel.Opteron()
-	sched := batchNewLoaded(5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sched.Slot() >= 5000 {
-			b.StopTimer()
-			sched = batchNewLoaded(5000)
-			b.StartTimer()
-		}
-		sched.Step(3, srv)
-	}
-}
-
-// batchNewLoaded builds a scheduler preloaded with a long job stream.
-func batchNewLoaded(slots int) *batch.Scheduler {
-	s := batch.NewScheduler()
-	for _, j := range batch.Workload(1, slots, 2, 1, 2, 12) {
-		if err := s.Submit(j); err != nil {
-			panic(err)
-		}
-	}
-	return s
 }

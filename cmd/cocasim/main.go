@@ -10,12 +10,10 @@
 //
 // Experiments: fig1 (workload traces), fig2 (impact of V), fig3 (COCA vs
 // PerfectHP), fig4 (GSD execution), fig5 (sensitivity studies), mix
-// (off-site/REC portfolio mix study), capping (§2.2 energy-cap variant),
-// lookahead (P2 window sweep + Theorem 2 bounds), reset (frame-reset
-// ablation), tariff (§2.1 nonlinear pricing), batch (green batch
-// scheduling on spare capacity), predict (PerfectHP under imperfect
-// forecasts), delay (Eq. 4 vs the event-driven M/G/1/PS simulator), geo
-// (multi-site geographic load balancing).
+// (off-site/REC portfolio mix study), lookahead (P2 window sweep +
+// Theorem 2 bounds), reset (frame-reset ablation), predict (PerfectHP
+// under imperfect forecasts), delay (Eq. 4 vs the event-driven M/G/1/PS
+// simulator), geo (multi-site geographic load balancing).
 package main
 
 import (
@@ -44,7 +42,7 @@ var logger *slog.Logger
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|fig5|mix|capping|lookahead|reset|tariff|batch|predict|delay|geo|all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|")+"|all (comma-separable)")
 		slots   = flag.Int("slots", 0, "horizon in hours (default: 8760, one year)")
 		n       = flag.Int("n", 0, "fleet size (default: 216000, the paper's deployment)")
 		beta    = flag.Float64("beta", 0, "delay weight β (default: 0.02)")
@@ -156,76 +154,109 @@ func main() {
 		return
 	}
 
-	runners := map[string]func() error{
-		"fig1": func() error { _, err := experiments.Fig1(cfg); return err },
-		"fig2": func() error {
-			res, err := experiments.Fig2(cfg)
-			if err != nil {
-				return err
-			}
-			return writeFig2CSV(*csvDir, res)
-		},
-		"fig3": func() error {
-			res, err := experiments.Fig3(cfg)
-			if err != nil {
-				return err
-			}
-			return writeFig3CSV(*csvDir, res)
-		},
-		"fig4": func() error { _, err := experiments.Fig4(cfg); return err },
-		"fig5": func() error { _, err := experiments.Fig5(cfg); return err },
-		"mix": func() error {
-			shares, costs, err := experiments.PortfolioMixStudy(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Portfolio mix study (§5.2.4): off-site share vs normalized cost ==")
-			for i := range shares {
-				fmt.Printf("  offsite %.0f%% / RECs %.0f%%: %.4f\n",
-					shares[i]*100, (1-shares[i])*100, costs[i])
-			}
-			return nil
-		},
-		"geo":       func() error { _, err := experiments.GeoStudy(cfg); return err },
-		"predict":   func() error { _, _, err := experiments.PredictionErrorStudy(cfg); return err },
-		"delay":     func() error { _, _, err := experiments.DelayValidation(cfg, 12); return err },
-		"capping":   func() error { _, err := experiments.Capping(cfg); return err },
-		"lookahead": func() error { _, _, err := experiments.LookaheadSweep(cfg, nil); return err },
-		"reset":     func() error { _, err := experiments.FrameResetAblation(cfg); return err },
-		"tariff":    func() error { _, err := experiments.TariffStudy(cfg); return err },
-		"batch":     func() error { _, err := experiments.GreenBatch(cfg); return err },
-	}
-	order := []string{
-		"fig1", "fig2", "fig3", "fig4", "fig5", "mix",
-		"capping", "lookahead", "reset", "tariff", "batch",
-		"predict", "delay", "geo",
-	}
-
-	var selected []string
+	var selected []experiment
 	if *exp == "all" {
-		selected = order
+		selected = catalog
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
 			name = strings.TrimSpace(name)
-			if _, ok := runners[name]; !ok {
+			e, ok := lookupExperiment(name)
+			if !ok {
 				logger.Error("unknown experiment", "name", name,
-					"choices", strings.Join(order, ", "))
+					"choices", strings.Join(experimentNames(), ", "))
 				os.Exit(2)
 			}
-			selected = append(selected, name)
+			selected = append(selected, e)
 		}
 	}
 
-	for _, name := range selected {
-		fmt.Printf("\n################ %s ################\n", name)
+	for _, e := range selected {
+		fmt.Printf("\n################ %s ################\n", e.name)
 		start := time.Now()
-		if err := runners[name](); err != nil {
-			logger.Error("experiment failed", "name", name, "error", err)
+		if err := e.run(cfg, *csvDir); err != nil {
+			logger.Error("experiment failed", "name", e.name, "error", err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s completed in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	finish()
+}
+
+// experiment is one -exp runner.
+type experiment struct {
+	name string
+	run  func(cfg experiments.Config, csvDir string) error
+}
+
+// catalog lists the -exp runners in the order "-exp all" runs them. It is
+// the one list of experiment names: the flag's usage string and the
+// unknown-name error are built from it.
+var catalog = []experiment{
+	{"fig1", func(cfg experiments.Config, _ string) error { _, err := experiments.Fig1(cfg); return err }},
+	{"fig2", func(cfg experiments.Config, csvDir string) error {
+		res, err := experiments.Fig2(cfg)
+		if err != nil {
+			return err
+		}
+		return writeFig2CSV(csvDir, res)
+	}},
+	{"fig3", func(cfg experiments.Config, csvDir string) error {
+		res, err := experiments.Fig3(cfg)
+		if err != nil {
+			return err
+		}
+		return writeFig3CSV(csvDir, res)
+	}},
+	{"fig4", func(cfg experiments.Config, _ string) error { _, err := experiments.Fig4(cfg); return err }},
+	{"fig5", func(cfg experiments.Config, _ string) error { _, err := experiments.Fig5(cfg); return err }},
+	{"mix", func(cfg experiments.Config, _ string) error {
+		shares, costs, err := experiments.PortfolioMixStudy(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Println("== Portfolio mix study (§5.2.4): off-site share vs normalized cost ==")
+		for i := range shares {
+			fmt.Printf("  offsite %.0f%% / RECs %.0f%%: %.4f\n",
+				shares[i]*100, (1-shares[i])*100, costs[i])
+		}
+		return nil
+	}},
+	{"lookahead", func(cfg experiments.Config, _ string) error {
+		_, _, err := experiments.LookaheadSweep(cfg, nil)
+		return err
+	}},
+	{"reset", func(cfg experiments.Config, _ string) error {
+		_, err := experiments.FrameResetAblation(cfg)
+		return err
+	}},
+	{"predict", func(cfg experiments.Config, _ string) error {
+		_, _, err := experiments.PredictionErrorStudy(cfg)
+		return err
+	}},
+	{"delay", func(cfg experiments.Config, _ string) error {
+		_, _, err := experiments.DelayValidation(cfg, 12)
+		return err
+	}},
+	{"geo", func(cfg experiments.Config, _ string) error { _, err := experiments.GeoStudy(cfg); return err }},
+}
+
+// experimentNames returns the catalog's names in run order.
+func experimentNames() []string {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	return names
+}
+
+// lookupExperiment returns the catalog entry called name.
+func lookupExperiment(name string) (experiment, bool) {
+	for _, e := range catalog {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 // writeFig2CSV exports the Fig. 2 sweep and the varying-V moving averages.

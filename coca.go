@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/baseline"
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/dcmodel"
 	"repro/internal/experiments"
@@ -46,19 +45,7 @@ type (
 	Ledger = dcmodel.Ledger
 	// SlotCharge is a Ledger's fully priced slot outcome.
 	SlotCharge = dcmodel.SlotCharge
-	// Tariff generalizes the electricity cost to convex nonlinear pricing
-	// (§2.1 extension).
-	Tariff = dcmodel.Tariff
-	// FlatTariff is the paper's default linear tariff.
-	FlatTariff = dcmodel.FlatTariff
-	// Tier is one block of an inclining-block tariff.
-	Tier = dcmodel.Tier
-	// TieredTariff is a convex inclining-block tariff.
-	TieredTariff = dcmodel.TieredTariff
 )
-
-// NewTieredTariff validates and builds an inclining-block tariff.
-func NewTieredTariff(tiers []Tier) (*TieredTariff, error) { return dcmodel.NewTieredTariff(tiers) }
 
 // Opteron returns the paper's measured quad-core AMD Opteron 2380 profile.
 func Opteron() ServerType { return dcmodel.Opteron() }
@@ -251,31 +238,6 @@ type ExperimentConfig = experiments.Config
 // DefaultExperiments returns the paper-scale experiment configuration.
 func DefaultExperiments() ExperimentConfig { return experiments.Default() }
 
-// Batch workloads (§2.3 isolation): a deferrable-job queue scheduled EDF
-// onto the spare cycles of servers the interactive policy powered on.
-type (
-	// BatchJob is one deferrable batch request.
-	BatchJob = batch.Job
-	// BatchScheduler runs EDF over per-slot spare capacity.
-	BatchScheduler = batch.Scheduler
-	// BatchStepResult reports one slot of batch scheduling.
-	BatchStepResult = batch.StepResult
-)
-
-// NewBatchScheduler returns an empty batch scheduler starting at slot 0.
-func NewBatchScheduler() *BatchScheduler { return batch.NewScheduler() }
-
-// BatchSpareServerHours derives the per-slot spare capacity a run left on
-// its powered-on servers, in full-speed server-hours.
-func BatchSpareServerHours(sc *Scenario, res *RunResult) []float64 {
-	return batch.SpareServerHours(sc, res)
-}
-
-// BatchWorkload synthesizes a deterministic deferrable-job stream.
-func BatchWorkload(seed uint64, slots int, jobsPerSlot, meanSizeServerHours float64, minSlack, maxSlack int) []BatchJob {
-	return batch.Workload(seed, slots, jobsPerSlot, meanSizeServerHours, minSlack, maxSlack)
-}
-
 // Geographic load balancing (multi-site extension; the setting of the
 // paper's refs [21][29][32]).
 type (
@@ -366,12 +328,6 @@ func NewPoolMetrics(r *TelemetryRegistry, prefix string) *PoolMetrics {
 // SlotStreamer.Observer to an Engine.
 func NewSlotStreamer(w io.Writer) *SlotStreamer { return telemetry.NewSlotStreamer(w) }
 
-// NewBatchMetrics registers batch-scheduler instruments under prefix;
-// attach them with BatchScheduler.Instrument.
-func NewBatchMetrics(r *TelemetryRegistry, prefix string) *BatchMetrics {
-	return telemetry.NewBatchMetrics(r, prefix)
-}
-
 // NewFleetMetrics registers multi-site instruments (site-labeled) under
 // prefix; attach them with GeoSystem.Instrument or geo.Fleet.Instrument.
 func NewFleetMetrics(r *TelemetryRegistry, prefix string) *FleetMetrics {
@@ -408,8 +364,6 @@ type (
 	SpanAttr = span.Attr
 	// SpanSummary is a tracer buffer overview (also served on /spans).
 	SpanSummary = span.Summary
-	// BatchMetrics instruments the batch-job scheduler.
-	BatchMetrics = telemetry.BatchMetrics
 )
 
 // NewTracer returns an enabled span tracer; export it with

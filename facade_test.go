@@ -1,7 +1,6 @@
 package coca
 
 import (
-	"math"
 	"testing"
 )
 
@@ -35,22 +34,6 @@ func TestFacadeSurface(t *testing.T) {
 		if tr.Len() != 8760 {
 			t.Errorf("%s trace length %d", name, tr.Len())
 		}
-	}
-
-	// Tariffs.
-	tariff, err := NewTieredTariff([]Tier{
-		{UpToKWh: 10, Mult: 1},
-		{UpToKWh: math.Inf(1), Mult: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tariff.Cost(15) != 20 {
-		t.Errorf("tariff Cost(15) = %v", tariff.Cost(15))
-	}
-	var flat FlatTariff
-	if flat.Cost(3) != 3 {
-		t.Error("flat tariff broken")
 	}
 
 	// Scenario + policies end to end at tiny scale.
@@ -106,22 +89,6 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.Settle(out, 1)
-
-	// Batch scheduling.
-	sched := NewBatchScheduler()
-	jobs := BatchWorkload(4, 10, 1, 0.5, 1, 5)
-	for _, j := range jobs {
-		if err := sched.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := sched.Step(2, Opteron())
-	if r.Slot != 0 {
-		t.Errorf("batch step slot = %d", r.Slot)
-	}
-	if spare := BatchSpareServerHours(sc, run); len(spare) != sc.Slots {
-		t.Errorf("spare length = %d", len(spare))
-	}
 
 	// Geo federation.
 	site := GeoSite{

@@ -4,8 +4,8 @@ package core_test
 // homogeneous sim engine charge slots through the same dcmodel.Ledger
 // kernel, so on a degenerate cluster (groups of the sim scenario's server
 // type) identical decisions must produce identical cost breakdowns — with
-// the full extension set engaged: SlotHours ≠ 1, a nonlinear tiered
-// tariff, and a nonzero switching cost.
+// the full extension set engaged: SlotHours ≠ 1 and a nonzero switching
+// cost.
 
 import (
 	"math"
@@ -55,8 +55,7 @@ func minFeasibleSpeed(t *testing.T, sc *sim.Scenario, active int, lambda float64
 }
 
 // parityScenario builds a small scenario with every Ledger extension
-// non-default: half-hour slots, a tiered tariff whose upper blocks are
-// actually reached, and the paper's 0.231 kWh toggling cost.
+// non-default: half-hour slots and the paper's 0.231 kWh toggling cost.
 func parityScenario(t *testing.T) *sim.Scenario {
 	t.Helper()
 	sc, _, err := simtest.Build(simtest.Options{Slots: 4 * 24, N: 60, Seed: 99})
@@ -65,31 +64,6 @@ func parityScenario(t *testing.T) *sim.Scenario {
 	}
 	sc.SlotHours = 0.5
 	sc.SwitchCostKWh = 0.231
-
-	// Size the tier boundaries off the run's own grid magnitudes so the
-	// tariff is genuinely nonlinear in effect, not just in configuration.
-	maxGrid := 0.0
-	for ts := 0; ts < sc.Slots; ts++ {
-		lambda := sc.Workload.Values[ts]
-		k := minFeasibleSpeed(t, sc, sc.N, lambda)
-		g := dcmodel.Group{Type: sc.Server, N: sc.N}
-		grid := sc.LedgerAt(ts, 0).GridKWh(sc.PUE * g.PowerKW(k, lambda))
-		if grid > maxGrid {
-			maxGrid = grid
-		}
-	}
-	if maxGrid <= 0 {
-		t.Fatal("parity scenario never draws grid power")
-	}
-	tariff, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: 0.4 * maxGrid, Mult: 1},
-		{UpToKWh: 0.8 * maxGrid, Mult: 1.5},
-		{UpToKWh: math.Inf(1), Mult: 2.2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Tariff = tariff
 	return sc
 }
 
@@ -105,7 +79,6 @@ func runController(t *testing.T, sc *sim.Scenario, cluster *dcmodel.Cluster, sol
 		t.Fatal(err)
 	}
 	ctl.SlotHours = sc.SlotHours
-	ctl.Tariff = sc.Tariff
 	ctl.SwitchCostKWh = sc.SwitchCostKWh
 
 	outs := make([]core.SlotOutcome, 0, sc.Slots)
@@ -162,7 +135,7 @@ func compareSlot(t *testing.T, ts int, rec sim.SlotRecord, out core.SlotOutcome,
 // TestControllerSimCostParitySingleGroup: on a single-group cluster with
 // the whole fleet active, the controller's accounting must match the sim
 // engine bit for bit — including the nonzero slot-0 switching charge
-// (0 → N servers), half-hour energy conversion and the tiered tariff.
+// (0 → N servers) and the half-hour energy conversion.
 func TestControllerSimCostParitySingleGroup(t *testing.T) {
 	sc := parityScenario(t)
 
@@ -188,23 +161,15 @@ func TestControllerSimCostParitySingleGroup(t *testing.T) {
 	if outs[0].Cost.SwitchUSD == 0 {
 		t.Fatal("slot 0 switching charge (0 -> N) should be nonzero")
 	}
-	tariffBound := sc.Tariff.(*dcmodel.TieredTariff).Tiers[0].UpToKWh
-	crossed := false
 	queue := lyapunov.NewDeficitQueue(sc.Portfolio.Alpha, sc.Portfolio.RECPerSlotKWh(sc.Slots))
 	for ts, rec := range res.Records {
 		compareSlot(t, ts, rec, outs[ts], 0)
-		if rec.GridKWh > tariffBound {
-			crossed = true
-		}
 		// The controller's queue must follow the same Eq. (17) trajectory
 		// as one fed directly from the sim records.
 		q := queue.Update(rec.GridKWh, rec.OffsiteKWh)
 		if ts+1 < len(outs) && outs[ts+1].Queue != q {
 			t.Fatalf("slot %d: controller queue %v, want %v", ts+1, outs[ts+1].Queue, q)
 		}
-	}
-	if !crossed {
-		t.Fatal("tiered tariff never left its first block; test is not exercising nonlinearity")
 	}
 }
 

@@ -134,8 +134,7 @@ func (l *loop) Queue() float64 { return l.queue.Len() }
 func (l *loop) InstrumentQueue(g *telemetry.Gauge) { l.queueGauge = g }
 
 // Config parameterizes COCA for the homogeneous sim engine: the scenario
-// supplies the fleet, the P3 extensions (switching cost, tariff, per-slot
-// caps) and the portfolio's α and z; the schedule fixes frames and per-frame
+// supplies the fleet, the P3 extensions (switching cost, per-slot caps) and the portfolio's α and z; the schedule fixes frames and per-frame
 // V_r (Algorithm 1 lines 2–4).
 type Config struct {
 	Scenario *sim.Scenario
@@ -224,13 +223,12 @@ type Controller struct {
 	Beta    float64
 	Solver  p3.Solver
 
-	// SlotHours, Tariff and SwitchCostKWh are the Ledger extensions of
-	// the sim path — slot duration, §2.1 nonlinear pricing and the
-	// Fig. 5(d) toggling charge. The zero values reproduce the paper's
-	// defaults; set them (before the first Step) to make heterogeneous
-	// accounting match a sim.Scenario carrying the same knobs.
+	// SlotHours and SwitchCostKWh are the Ledger extensions of the sim
+	// path — slot duration and the Fig. 5(d) toggling charge. The zero
+	// values reproduce the paper's defaults; set them (before the first
+	// Step) to make heterogeneous accounting match a sim.Scenario
+	// carrying the same knobs.
 	SlotHours     float64
-	Tariff        dcmodel.Tariff
 	SwitchCostKWh float64
 
 	slot int
@@ -291,16 +289,15 @@ func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
 		return SlotOutcome{}, fmt.Errorf("core: slot %d: %w", c.slot, err)
 	}
 	// Charge prices through the shared dcmodel.Ledger kernel with the full
-	// extension set — slot duration, nonlinear tariff and the toggling
-	// charge against the last settled slot — so the controller's
-	// accounting matches internal/sim exactly.
+	// extension set — slot duration and the toggling charge against the
+	// last settled slot — so the controller's accounting matches
+	// internal/sim exactly.
 	active := c.Cluster.ActiveServers(sol.Speeds)
 	cost := c.Cluster.Charge(dcmodel.Ledger{
 		PriceUSDPerKWh: env.PriceUSDPerKWh,
 		OnsiteKW:       env.OnsiteKW,
 		Beta:           c.Beta,
 		SlotHours:      c.SlotHours,
-		Tariff:         c.Tariff,
 		SwitchCostKWh:  c.SwitchCostKWh,
 	}, sol.Speeds, sol.Load, active-c.prevActive)
 	return SlotOutcome{Solution: sol, Cost: cost, Queue: q, Active: active}, nil

@@ -108,7 +108,7 @@ func TestConstructorsRejectBadBeta(t *testing.T) {
 		if _, err := New(FromScenario(bad, sched)); err == nil {
 			t.Errorf("New accepted beta %v", beta)
 		}
-		if _, err := NewController(dcmodel.PaperCluster(2), beta, sched, 1, 1, &p3.HomogeneousSolver{}); err == nil {
+		if _, err := NewController(dcmodel.PaperCluster(2), beta, sched, 1, 1, p3Exact); err == nil {
 			t.Errorf("NewController accepted beta %v", beta)
 		}
 	}
@@ -221,11 +221,10 @@ func TestVaryingVSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := res.GridSeries()
 	week := func(i int) float64 {
 		var s float64
-		for t := i * 7 * 24; t < (i+1)*7*24; t++ {
-			s += grid[t]
+		for _, rec := range res.Records[i*7*24 : (i+1)*7*24] {
+			s += rec.GridKWh
 		}
 		return s
 	}
@@ -256,6 +255,14 @@ func TestSwitchingCostInternalized(t *testing.T) {
 	}
 }
 
+// solverFunc adapts a function to the p3.Solver interface.
+type solverFunc func(*dcmodel.SlotProblem) (dcmodel.Solution, error)
+
+func (f solverFunc) Solve(p *dcmodel.SlotProblem) (dcmodel.Solution, error) { return f(p) }
+
+// p3Exact is the exhaustive P3 oracle as a Solver.
+var p3Exact = solverFunc(p3.Enumerate)
+
 func TestControllerWithExactSolver(t *testing.T) {
 	cluster := &dcmodel.Cluster{
 		Groups: []dcmodel.Group{
@@ -265,7 +272,7 @@ func TestControllerWithExactSolver(t *testing.T) {
 		Gamma: 0.95, PUE: 1,
 	}
 	sched := lyapunov.ConstantV(1e4, 1, 24)
-	ctrl, err := NewController(cluster, 0.01, sched, 1, 1, &p3.HomogeneousSolver{})
+	ctrl, err := NewController(cluster, 0.01, sched, 1, 1, p3Exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +331,7 @@ func TestControllerValidation(t *testing.T) {
 		t.Error("nil solver accepted")
 	}
 	bad := &dcmodel.Cluster{}
-	if _, err := NewController(bad, 0.01, sched, 1, 1, &p3.HomogeneousSolver{}); err == nil {
+	if _, err := NewController(bad, 0.01, sched, 1, 1, p3Exact); err == nil {
 		t.Error("bad cluster accepted")
 	}
 	for _, tc := range badQueueParams {
@@ -334,34 +341,10 @@ func TestControllerValidation(t *testing.T) {
 					t.Errorf("%s: NewController panicked: %v", tc.name, r)
 				}
 			}()
-			if _, err := NewController(cluster, 0.01, sched, tc.alpha, tc.rec, &p3.HomogeneousSolver{}); err == nil {
+			if _, err := NewController(cluster, 0.01, sched, tc.alpha, tc.rec, p3Exact); err == nil {
 				t.Errorf("%s: alpha %v, REC allowance %v accepted", tc.name, tc.alpha, tc.rec)
 			}
 		}()
-	}
-}
-
-func TestPolicyWithTariffEndToEnd(t *testing.T) {
-	sc := buildScenario(t, 10*24)
-	_, flat := runCOCA(t, sc, lyapunov.ConstantV(1e5, 1, sc.Slots))
-	tariff, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: flat.TotalGridKWh / float64(sc.Slots), Mult: 1},
-		{UpToKWh: math.Inf(1), Mult: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Tariff = tariff
-	_, tiered := runCOCA(t, sc, lyapunov.ConstantV(1e5, 1, sc.Slots))
-	sc.Tariff = nil
-	// The convex tariff raises dollar cost but COCA, internalizing it, must
-	// draw no more grid energy than under the flat tariff.
-	if tiered.AvgHourlyCostUSD < flat.AvgHourlyCostUSD*(1-1e-9) {
-		t.Errorf("tiered cost %v below flat %v", tiered.AvgHourlyCostUSD, flat.AvgHourlyCostUSD)
-	}
-	if tiered.TotalGridKWh > flat.TotalGridKWh*(1+1e-9) {
-		t.Errorf("tariff-aware COCA drew more energy: %v vs %v",
-			tiered.TotalGridKWh, flat.TotalGridKWh)
 	}
 }
 

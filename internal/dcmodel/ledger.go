@@ -10,14 +10,14 @@ import (
 // Controller (internal/core), the multi-site federation (internal/geo) and
 // the baseline planners (internal/baseline) all charge slots through a
 // Ledger, so the paper's accounting — facility power p, grid draw
-// y = [p − r]^+ (Eq. 10), tariff-priced electricity (Eq. 3 and the §2.1
-// nonlinear extension), the priced M/G/1/PS delay (Eqs. 4–5), switching
-// cost (Fig. 5d), the §3.1 per-slot caps and the per-slot carbon deficit
-// y − α·f − z (Eq. 17) — is written exactly once.
+// y = [p − r]^+ (Eq. 10), priced electricity (Eq. 3), the priced
+// M/G/1/PS delay (Eqs. 4–5), switching cost (Fig. 5d), the §3.1 per-slot
+// caps and the per-slot carbon deficit y − α·f − z (Eq. 17) — is written
+// exactly once.
 //
 // A Ledger is a value: build one per slot from that slot's environment and
 // discard it. The zero value prices nothing but is still well formed
-// (1-hour slots, linear tariff, no caps).
+// (1-hour slots, no caps).
 type Ledger struct {
 	PriceUSDPerKWh float64 // w(t): electricity price this slot
 	OnsiteKW       float64 // r(t): on-site renewable power this slot
@@ -29,11 +29,6 @@ type Ledger struct {
 	// with it, while delay cost (already a per-slot aggregate) and
 	// switching energy (per toggle, not per hour) do not.
 	SlotHours float64
-
-	// Tariff optionally replaces the linear electricity cost with a convex
-	// nonlinear one (§2.1): electricity = w(t)·Tariff.Cost(y). Nil means
-	// the paper's default linear tariff.
-	Tariff Tariff
 
 	// SwitchCostKWh is the energy-equivalent cost of toggling one server
 	// on or off, charged at the slot's electricity price (Fig. 5d).
@@ -56,7 +51,7 @@ type SlotCharge struct {
 	PowerKW        float64 // p(λ, x): facility power
 	EnergyKWh      float64 // p · SlotHours: facility energy incl. on-site-covered power
 	GridKWh        float64 // y = [p − r]^+ · SlotHours (Eq. 10)
-	ElectricityUSD float64 // e = w · tariff(y) (Eq. 3)
+	ElectricityUSD float64 // e = w · y (Eq. 3)
 	DelayCost      float64 // d (Eq. 4), dimensionless
 	DelayUSD       float64 // β · d
 	SwitchUSD      float64 // w · SwitchCostKWh · |Δ active|
@@ -81,12 +76,8 @@ func (l Ledger) GridKWh(powerKW float64) float64 {
 	return math.Max(0, powerKW-l.OnsiteKW) * l.Hours()
 }
 
-// ElectricityUSD prices grid energy through the tariff: w·Tariff.Cost(y),
-// or the paper's linear w·y when no tariff is set.
+// ElectricityUSD prices grid energy: w·y (Eq. 3).
 func (l Ledger) ElectricityUSD(gridKWh float64) float64 {
-	if l.Tariff != nil {
-		return l.PriceUSDPerKWh * l.Tariff.Cost(gridKWh)
-	}
 	return l.PriceUSDPerKWh * gridKWh
 }
 

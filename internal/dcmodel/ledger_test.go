@@ -61,25 +61,6 @@ func TestLedgerChargeDecomposition(t *testing.T) {
 	}
 }
 
-func TestLedgerTariffPricing(t *testing.T) {
-	tt, err := NewTieredTariff([]Tier{
-		{UpToKWh: 50, Mult: 1},
-		{UpToKWh: math.Inf(1), Mult: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := Ledger{PriceUSDPerKWh: 0.1, Tariff: tt}
-	// 80 kWh: 50 at 1x + 30 at 3x = 140 effective kWh.
-	if want := 0.1 * 140; math.Abs(l.ElectricityUSD(80)-want) > 1e-12 {
-		t.Errorf("tiered electricity = %v, want %v", l.ElectricityUSD(80), want)
-	}
-	l.Tariff = nil
-	if want := 0.1 * 80; l.ElectricityUSD(80) != want {
-		t.Errorf("linear electricity = %v, want %v", l.ElectricityUSD(80), want)
-	}
-}
-
 func TestLedgerDeficit(t *testing.T) {
 	l := Ledger{Alpha: 0.8, RECPerSlotKWh: 5}
 	if got, want := l.Deficit(100, 50), 100-0.8*50-5.0; got != want {

@@ -1,36 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"io"
-	"strings"
 	"testing"
 )
-
-func TestCappingStudy(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := smallConfig()
-	cfg.Out = &buf
-	res, err := Capping(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CocaUnderCap {
-		t.Errorf("COCA exceeded the cap: %v", res.CocaUsage)
-	}
-	if res.UnawareUsage <= 1 {
-		t.Errorf("unaware within the cap (%v) — cap not binding", res.UnawareUsage)
-	}
-	if res.CostPremium < 1 {
-		t.Errorf("capped COCA cheaper than unconstrained: %v", res.CostPremium)
-	}
-	if res.CostPremium > 1.25 {
-		t.Errorf("capping premium implausibly large: %v", res.CostPremium)
-	}
-	if !strings.Contains(buf.String(), "Energy capping") {
-		t.Error("report missing")
-	}
-}
 
 func TestLookaheadSweepMonotone(t *testing.T) {
 	cfg := smallConfig()
@@ -71,43 +44,5 @@ func TestFrameResetAblation(t *testing.T) {
 	if res.WithoutResets.TotalGridKWh > res.WithResets.TotalGridKWh*(1+1e-6) {
 		t.Errorf("never-reset used more energy (%v) than with resets (%v)",
 			res.WithoutResets.TotalGridKWh, res.WithResets.TotalGridKWh)
-	}
-}
-
-func TestTariffStudy(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Out = io.Discard
-	res, err := TariffStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inclining-block tariff can only raise the dollar cost…
-	if res.Tiered.AvgHourlyCostUSD < res.Flat.AvgHourlyCostUSD*(1-1e-9) {
-		t.Errorf("tiered cost %v below flat %v", res.Tiered.AvgHourlyCostUSD, res.Flat.AvgHourlyCostUSD)
-	}
-	// …and should flatten the peaks.
-	if res.PeakGridTiered > res.PeakGridFlat*(1+1e-9) {
-		t.Errorf("tiered peak %v above flat peak %v", res.PeakGridTiered, res.PeakGridFlat)
-	}
-}
-
-func TestGreenBatch(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Out = io.Discard
-	res, err := GreenBatch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SpareServerHours <= 0 {
-		t.Fatal("no spare capacity")
-	}
-	if res.ServedHours <= 0 || res.ServedHours > res.SpareServerHours {
-		t.Errorf("served %v of %v spare", res.ServedHours, res.SpareServerHours)
-	}
-	if res.CompletionRate < 0.5 {
-		t.Errorf("completion rate %v too low for a stream sized to a third of spare", res.CompletionRate)
-	}
-	if res.BatchEnergyKWh <= 0 {
-		t.Error("no batch energy accounted")
 	}
 }

@@ -53,9 +53,9 @@ type Config struct {
 
 	// Tracer, when non-nil, records execution spans for the experiments
 	// that step traceable subsystems on the calling goroutine (the geo
-	// federation's smart run, the green-batch scheduler, Fig. 4's GSD
-	// scale probe); fanned-out worker runs stay untraced because ambient
-	// parenting assumes one goroutine. It never affects results.
+	// federation's smart run, Fig. 4's GSD scale probe); fanned-out
+	// worker runs stay untraced because ambient parenting assumes one
+	// goroutine. It never affects results.
 	Tracer *span.Tracer
 }
 
@@ -167,20 +167,13 @@ func runCOCA(sc *sim.Scenario, v float64) (sim.Summary, *sim.Result, error) {
 	return sim.Summarize(sc, res), res, nil
 }
 
-// TuneV finds, over the grid, the V whose yearly usage comes closest to the
+// tuneV finds, over the grid, the V whose yearly usage comes closest to the
 // budget without exceeding it — the paper's neutral operating point ("COCA
 // achieves a close-to-minimum cost with V ≈ 240 while satisfying carbon
-// neutrality"). It returns the chosen V and its summary, or an error for an
-// empty grid. The grid runs are independent and fan out across all cores.
-func TuneV(sc *sim.Scenario, grid []float64) (float64, sim.Summary, error) {
-	v, s, _, err := tuneV(sc, grid, Config{}.workers(), nil)
-	return v, s, err
-}
-
-// tuneV is TuneV with an explicit worker count that also returns the
-// chosen grid run, so a study that needs the tuned run's records reuses it
-// instead of simulating the year again: the grid fans out on the pool,
-// then neutralV picks the winner.
+// neutrality"). The grid runs fan out on the pool, then neutralV picks the
+// winner. It returns the chosen V, its summary and its grid run, which a
+// study that needs the tuned run's records reuses instead of simulating
+// the year again, or an error for an empty grid.
 func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetrics) (float64, sim.Summary, *sim.Result, error) {
 	if len(grid) == 0 {
 		return 0, sim.Summary{}, nil, errEmptyVGrid

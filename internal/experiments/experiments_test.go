@@ -100,8 +100,8 @@ func TestVGridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := TuneV(sc, []float64{}); err == nil {
-		t.Error("TuneV accepted an empty grid")
+	if _, _, _, err := tuneV(sc, []float64{}, 1, nil); err == nil {
+		t.Error("tuneV accepted an empty grid")
 	}
 }
 
@@ -365,7 +365,7 @@ func TestTuneVStaysWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, s, err := TuneV(sc, cfg.VGrid)
+	v, s, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // Fig3Result reproduces Fig. 3: COCA versus the prediction-based PerfectHP.
 type Fig3Result struct {
-	CocaV       float64 // neutral operating point, picked by TuneV's rule
+	CocaV       float64 // neutral operating point, picked by tuneV's rule
 	Coca        sim.Summary
 	PerfectHP   sim.Summary
 	SavingFrac  float64 // (PHP − COCA)/PHP on average hourly cost; paper: > 0.25
@@ -27,7 +27,7 @@ type Fig3Result struct {
 // Fig3 runs the head-to-head comparison of §5.2.2. PerfectHP's year and
 // the V grid's COCA years fan out as one batch; PerfectHP, the longest
 // job, is job 0 so it starts first. COCA's V is then tuned over the grid
-// by TuneV's rule, and the tuned V's grid run is the head-to-head COCA run.
+// by tuneV's rule, and the tuned V's grid run is the head-to-head COCA run.
 func Fig3(cfg Config) (Fig3Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Fig3Result{}, err

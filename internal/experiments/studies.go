@@ -161,32 +161,3 @@ func DelayValidation(cfg Config, samples int) ([]DelayValidationPoint, float64, 
 	}
 	return points, mean, nil
 }
-
-// RenewableShareSeries reports, per calendar month, the fraction of
-// facility energy covered by on-site renewables under a COCA run — a
-// sustainability diagnostic used by the README and examples.
-func RenewableShareSeries(sc *sim.Scenario, run *sim.Result) []float64 {
-	months := len(run.Records) / (30 * 24)
-	if months == 0 {
-		months = 1
-	}
-	out := make([]float64, 0, months)
-	chunk := len(run.Records) / months
-	for m := 0; m < months; m++ {
-		lo, hi := m*chunk, (m+1)*chunk
-		if m == months-1 {
-			hi = len(run.Records)
-		}
-		var energy, grid float64
-		for _, rec := range run.Records[lo:hi] {
-			energy += rec.EnergyKWh
-			grid += rec.GridKWh
-		}
-		if energy > 0 {
-			out = append(out, 1-grid/energy)
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out
-}

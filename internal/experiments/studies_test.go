@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestPredictionErrorStudy(t *testing.T) {
@@ -71,37 +69,6 @@ func TestDelayValidation(t *testing.T) {
 	}
 }
 
-func TestRenewableShareSeries(t *testing.T) {
-	cfg := smallConfig()
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	sc, _, err := cfg.Scenario(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, run, err := runCOCA(sc, midGrid(cfg.VGrid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := RenewableShareSeries(sc, run)
-	if len(shares) == 0 {
-		t.Fatal("no months")
-	}
-	var total float64
-	for _, s := range shares {
-		if s < 0 || s > 1 {
-			t.Fatalf("share %v outside [0,1]", s)
-		}
-		total += s
-	}
-	// On-site was calibrated to ≈ 20% of consumption.
-	avg := total / float64(len(shares))
-	if avg < 0.10 || avg > 0.35 {
-		t.Errorf("average on-site share %v far from the 20%% calibration", avg)
-	}
-}
-
 func TestGeoStudy(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Out = io.Discard
@@ -154,32 +121,17 @@ func TestGeoStudyGoldenHash(t *testing.T) {
 	}
 }
 
-// TestTunedStudiesGoldenHash pins the three studies that run COCA at the
-// tuned V absolutely: two weeks of the 600-server scenario on two workers,
-// every result field folded into FNV-1a as little-endian IEEE-754 bits
-// (counts as float64), so reusing the grid's run at the tuned V instead of
-// simulating the year again must reproduce them bit for bit.
+// TestTunedStudiesGoldenHash pins the study that runs COCA at the tuned V
+// absolutely: two weeks of the 600-server scenario on two workers, every
+// result field folded into FNV-1a as little-endian IEEE-754 bits (counts
+// as float64), so reusing the grid's run at the tuned V instead of
+// simulating the year again must reproduce it bit for bit.
 func TestTunedStudiesGoldenHash(t *testing.T) {
 	cfg := Config{Slots: 14 * 24, N: 600, Seed: 2012, Workers: 2, Out: io.Discard}
-	summary := func(s sim.Summary) []float64 {
-		return []float64{float64(s.Slots), s.SlotHours, s.AvgHourlyCostUSD, s.AvgElectricityUSD,
-			s.AvgDelayUSD, s.AvgSwitchUSD, s.TotalGridKWh, s.TotalEnergyKWh, s.AvgDeficitKWh,
-			s.FinalRunningDeficit, s.BudgetKWh, s.BudgetUsedFraction, s.ShortfallKWh, s.TrueUpUSD}
-	}
 	cases := []struct {
 		name, want string
 		run        func() ([]float64, error)
 	}{
-		{"tariff", "fnv1a:bfce58cab3f3caf0", func() ([]float64, error) {
-			res, err := TariffStudy(cfg)
-			vs := append(summary(res.Flat), summary(res.Tiered)...)
-			return append(vs, res.PeakGridFlat, res.PeakGridTiered), err
-		}},
-		{"green-batch", "fnv1a:8a9099c8ab692649", func() ([]float64, error) {
-			res, err := GreenBatch(cfg)
-			return []float64{res.SpareServerHours, res.ServedHours, float64(res.Completed),
-				float64(res.Missed), res.BatchEnergyKWh, res.CompletionRate}, err
-		}},
 		{"delay-validation", "fnv1a:bbfd44dfb19360aa", func() ([]float64, error) {
 			points, mean, err := DelayValidation(cfg, 4)
 			vs := []float64{mean}

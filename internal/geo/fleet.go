@@ -66,12 +66,9 @@ type Fleet struct {
 	probs []dcmodel.SlotProblem
 }
 
-// FleetSiteOutcome and FleetStepOutcome alias the outcome types both
-// engines share, for callers that still name them.
-type (
-	FleetSiteOutcome = SiteOutcome
-	FleetStepOutcome = StepOutcome
-)
+// FleetStepOutcome aliases the outcome type both engines share, for
+// callers that still name it.
+type FleetStepOutcome = StepOutcome
 
 // fleetSeedStride decorrelates per-site GSD seeds: site i's chain starts at
 // base + (i+1)·stride (a splitmix64-style odd constant), so sites never

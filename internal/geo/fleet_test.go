@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -277,10 +278,10 @@ func TestFleetInstrumentedParity(t *testing.T) {
 	load := snap.LabeledCounters["fleet.site.load_rps"]
 	deficit := snap.LabeledGauges["fleet.site.deficit_kwh"]
 	for i, s := range sites {
-		if got, ok := load.Get(s.Name); !ok || got != wantLoad[s.Name] {
+		if got, ok := sample(load, s.Name); !ok || got != wantLoad[s.Name] {
 			t.Errorf("fleet.site.load_rps{site=%q} = %v (ok=%v), want %v", s.Name, got, ok, wantLoad[s.Name])
 		}
-		if got, ok := deficit.Get(s.Name); !ok || got != f.Queue(i) {
+		if got, ok := sample(deficit, s.Name); !ok || got != f.Queue(i) {
 			t.Errorf("fleet.site.deficit_kwh{site=%q} = %v (ok=%v), want %v", s.Name, got, ok, f.Queue(i))
 		}
 	}
@@ -291,7 +292,7 @@ func TestFleetInstrumentedParity(t *testing.T) {
 		if wantLoad[s.Name] == 0 {
 			continue
 		}
-		if got, ok := shardSolves.Get(s.Name); !ok || got <= 0 {
+		if got, ok := sample(shardSolves, s.Name); !ok || got <= 0 {
 			t.Errorf("fleet.shard.solves{site=%q} = %v (ok=%v), want > 0", s.Name, got, ok)
 		}
 	}
@@ -420,4 +421,14 @@ func TestDuplicateSiteNamesRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sample returns the snapshot's value for the label tuple, if present.
+func sample(s telemetry.LabeledSnapshot, values ...string) (float64, bool) {
+	for _, ser := range s.Series {
+		if slices.Equal(ser.Values, values) {
+			return ser.Value, true
+		}
+	}
+	return 0, false
 }

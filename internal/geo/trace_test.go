@@ -164,18 +164,18 @@ func TestStepMetrics(t *testing.T) {
 	}
 	var loadSum float64
 	for i, s := range sys.Sites {
-		load, ok := snap.LabeledCounters["geo.site.load_rps"].Get(s.Name)
+		load, ok := sample(snap.LabeledCounters["geo.site.load_rps"], s.Name)
 		if !ok || load != out.Sites[i].LoadRPS {
 			t.Fatalf("geo.site.load_rps{site=%q} = %v (ok=%v), want %v",
 				s.Name, load, ok, out.Sites[i].LoadRPS)
 		}
 		loadSum += load
-		cost, ok := snap.LabeledCounters["geo.site.cost_usd"].Get(s.Name)
+		cost, ok := sample(snap.LabeledCounters["geo.site.cost_usd"], s.Name)
 		if !ok || cost != out.Sites[i].CostUSD {
 			t.Fatalf("geo.site.cost_usd{site=%q} = %v (ok=%v), want %v",
 				s.Name, cost, ok, out.Sites[i].CostUSD)
 		}
-		if _, ok := snap.LabeledGauges["geo.site.deficit_kwh"].Get(s.Name); !ok {
+		if _, ok := sample(snap.LabeledGauges["geo.site.deficit_kwh"], s.Name); !ok {
 			t.Fatalf("geo.site.deficit_kwh{site=%q} not set after Settle", s.Name)
 		}
 	}

@@ -37,11 +37,8 @@ import (
 
 // Options configures a GSD run.
 type Options struct {
-	// Delta is the constant temperature δ. Ignored when Schedule is set.
+	// Delta is the constant temperature δ.
 	Delta float64
-	// Schedule, if non-nil, returns the temperature for each iteration,
-	// enabling the paper's "advisory approach" of ramping δ up over time.
-	Schedule func(iter int) float64
 	// MaxIters is the iteration budget (the stopping criterion of line 8).
 	MaxIters int
 	// Patience, when positive, stops the run early after this many
@@ -99,29 +96,6 @@ type Result struct {
 // the slot's load, has the wrong length, or names a speed outside a group's
 // [0, NumSpeeds].
 var ErrInfeasibleInit = errors.New("gsd: infeasible initial speed vector")
-
-func (o *Options) temperature(iter int) float64 {
-	if o.Schedule != nil {
-		return o.Schedule(iter)
-	}
-	return o.Delta
-}
-
-// RampSchedule returns a multiplicative temperature ramp
-// δ(i) = δ0·growth^(i/step), capped at deltaMax — the adaptive selection
-// recommended at the end of §4.2 (explore first, then concentrate).
-func RampSchedule(delta0, growth float64, step int, deltaMax float64) func(int) float64 {
-	if step <= 0 {
-		step = 1
-	}
-	return func(iter int) float64 {
-		d := delta0 * math.Pow(growth, float64(iter/step))
-		if d > deltaMax {
-			return deltaMax
-		}
-		return d
-	}
-}
 
 // acceptProb computes the Gibbs acceptance u in an overflow-safe form:
 // u = σ(δ·(1/g̃ᵉ − 1/g̃*)). Infinite objectives (infeasible explorations)
@@ -400,9 +374,10 @@ func (e *engine) propose() (g, k int) {
 	return w.id, w.rng.IntN(w.speeds + 1)
 }
 
-// run drives the chain for both engines: the temperature, one gsd.sweep
-// span and one step call per iteration, the history, the patience rule, the
-// gsd.solve span (with solveAttrs appended) and the solve metrics.
+// run drives the chain for both engines at the temperature Delta: one
+// gsd.sweep span and one step call per iteration, the history, the
+// patience rule, the gsd.solve span (with solveAttrs appended) and the
+// solve metrics.
 func (e *engine) run(step func(delta float64, sweep *span.Span), solveAttrs ...span.Attr) Result {
 	start := time.Now()
 	var solveSpan *span.Span
@@ -415,8 +390,8 @@ func (e *engine) run(step func(delta float64, sweep *span.Span), solveAttrs ...s
 	noImprove := 0
 	patienceExit := false
 	lastBest := e.bestEver.Value
+	delta := e.opts.Delta
 	for e.iters < e.opts.MaxIters {
-		delta := e.opts.temperature(e.iters)
 		var sweep *span.Span
 		if e.opts.Tracer != nil {
 			sweep = e.opts.Tracer.Start("gsd.sweep",
@@ -478,15 +453,6 @@ type Solver struct {
 	seed    uint64
 	warm    []int
 	eng     *engine // single-slot engine pool (nil when absent or in use)
-}
-
-// Clone returns a fresh solver with the same Options and none of the
-// evolved per-run state (seed advance, warm start) — the right way to hand
-// each concurrent experiment worker its own independent sample path.
-func (s *Solver) Clone() *Solver {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Solver{Opts: s.Opts}
 }
 
 // next snapshots the options for one run and reserves the following seed,

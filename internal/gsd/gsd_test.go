@@ -221,40 +221,6 @@ func TestTooManyFailuresInfeasible(t *testing.T) {
 	}
 }
 
-func TestRampSchedule(t *testing.T) {
-	s := RampSchedule(10, 2, 5, 1000)
-	if s(0) != 10 {
-		t.Errorf("δ(0) = %v", s(0))
-	}
-	if s(5) != 20 {
-		t.Errorf("δ(5) = %v", s(5))
-	}
-	if s(1000) != 1000 {
-		t.Errorf("δ cap: %v", s(1000))
-	}
-	// Defensive: step <= 0 coerced to 1.
-	s2 := RampSchedule(1, 2, 0, 1e9)
-	if s2(3) != 8 {
-		t.Errorf("step-0 ramp δ(3) = %v", s2(3))
-	}
-}
-
-func TestScheduleOverridesDelta(t *testing.T) {
-	p := smallProblem(2, 20)
-	sched := RampSchedule(1, 10, 20, 1e7)
-	res, err := Solve(p, Options{Delta: 0, Schedule: sched, MaxIters: 600, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := p3.Enumerate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solution.Value > exact.Value*1.02 {
-		t.Errorf("ramped GSD %v vs optimum %v", res.Solution.Value, exact.Value)
-	}
-}
-
 func TestAcceptProb(t *testing.T) {
 	// Better exploration (smaller g̃ᵉ) → u > 1/2; much better → u ≈ 1.
 	if u := acceptProb(1e6, 1, 2); u < 0.99 {

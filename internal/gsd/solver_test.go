@@ -47,28 +47,6 @@ func TestSolverSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSolverCloneResetsRunState verifies Clone starts from the original
-// Options, not from the evolved seed/warm-start — a clone replays the
-// solver's first-call behavior.
-func TestSolverCloneResetsRunState(t *testing.T) {
-	s := &Solver{Opts: Options{Delta: 1e4, MaxIters: 300, Seed: 7}}
-	p := smallProblem(3, 40)
-	first, err := s.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(smallProblem(3, 55)); err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.Clone().Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Speeds, again.Speeds) || first.Value != again.Value {
-		t.Errorf("clone diverged from the original first call: %v vs %v", again, first)
-	}
-}
-
 // TestSolverConcurrentSolve hammers one Solver from many goroutines; run
 // under -race this is the regression test for the shared-Opts data race,
 // and the reserved-seed scheme means no two calls replay one sample path.

@@ -159,9 +159,6 @@ func (s VSchedule) V(t int) float64 { return s.Vs[t/s.T] }
 // deficit queue is reset.
 func (s VSchedule) FrameStart(t int) bool { return t%s.T == 0 }
 
-// Frame returns the frame index of slot t.
-func (s VSchedule) Frame(t int) int { return t / s.T }
-
 // Bounds carries the environment extremes the Theorem 2 constants are built
 // from; all in kWh per slot.
 type Bounds struct {

@@ -112,70 +112,6 @@ func TestConstrainedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-func TestGridCostFnTieredConvex(t *testing.T) {
-	// The nonlinear-tariff path must still be exact vs exhaustive search.
-	tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: 10, Mult: 1},
-		{UpToKWh: 25, Mult: 2},
-		{UpToKWh: math.Inf(1), Mult: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(888)
-	for trial := 0; trial < 40; trial++ {
-		hp := &HomogeneousProblem{
-			Type: dcmodel.Opteron(), N: 80 + rng.IntN(120), Gamma: 0.95, PUE: 1,
-			LambdaRPS: rng.Uniform(1, 500), Wd: rng.Uniform(1e-3, 0.05),
-			OnsiteKW: rng.Uniform(0, 5),
-		}
-		w := rng.Uniform(0.01, 0.2)
-		hp.GridCostFn = func(g float64) float64 { return w * tiers.Cost(g) }
-		fast, err := hp.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		bestVal := math.Inf(1)
-		for k := 1; k <= hp.Type.NumSpeeds(); k++ {
-			for m := 1; m <= hp.N; m++ {
-				if v, _ := hp.objective(k, m); v < bestVal {
-					bestVal = v
-				}
-			}
-		}
-		if fast.Value > bestVal*(1+1e-9)+1e-12 {
-			t.Errorf("trial %d: tariff fast %v > exhaustive %v", trial, fast.Value, bestVal)
-		}
-	}
-}
-
-func TestTariffShiftsTowardLowerDraw(t *testing.T) {
-	// A steep inclining-block tariff should push the optimum to a lower
-	// grid draw than the flat tariff at equal base price.
-	flat := baseProblem()
-	flatSol, err := flat.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: flatSol.GridKWh * 0.8, Mult: 1},
-		{UpToKWh: math.Inf(1), Mult: 20},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := baseProblem()
-	tiered.GridCostFn = func(g float64) float64 { return tiered.We * tiers.Cost(g) }
-	tieredSol, err := tiered.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tieredSol.GridKWh > flatSol.GridKWh+1e-9 {
-		t.Errorf("steep tariff did not reduce draw: %v vs %v",
-			tieredSol.GridKWh, flatSol.GridKWh)
-	}
-}
-
 // TestCapsThatNeverBindChangeNothing checks that a peak-power or delay cap
 // far above anything the fleet can reach, up to the largest float and
 // +Inf, gives the uncapped solution bit for bit: the count bounds such caps

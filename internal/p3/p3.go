@@ -3,13 +3,13 @@
 //
 //   - Enumerate, an exhaustive oracle over all speed vectors, exact but
 //     exponential — the correctness yardstick for everything else;
-//   - HomogeneousSolver, a fast exact solver for fleets of identical servers
-//     that exploits symmetry: at the optimum of a symmetric convex objective,
-//     all active servers run at one speed with equal load, so it suffices to
-//     enumerate the speed level and search the active-server count (the
-//     objective is convex in the count). This is the solver that drives the
-//     year-long simulation sweeps; GSD (package gsd) is the paper's
-//     distributed solver and is cross-validated against both.
+//   - HomogeneousProblem.Solve, a fast exact solver for fleets of identical
+//     servers that exploits symmetry: at the optimum of a symmetric convex
+//     objective, all active servers run at one speed with equal load, so it
+//     suffices to enumerate the speed level and search the active-server
+//     count (the objective is convex in the count). This is the solver that
+//     drives the year-long simulation sweeps; GSD (package gsd) is the
+//     paper's distributed solver and is cross-validated against both.
 package p3
 
 import (
@@ -103,11 +103,6 @@ type HomogeneousProblem struct {
 	SwitchWeight float64
 	PrevActive   int
 
-	// GridCostFn, when non-nil, replaces the linear grid term We·[p − r]^+
-	// with an arbitrary convex non-decreasing cost of grid energy — the
-	// §2.1 nonlinear-tariff extension. It receives [p − r]^+ in kWh.
-	GridCostFn func(gridKWh float64) float64
-
 	// MaxPowerKW caps facility power (the §3.1 peak-power constraint);
 	// 0 disables.
 	MaxPowerKW float64
@@ -188,18 +183,13 @@ func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
 	if hp.MaxDelayCost > 0 && delay > hp.MaxDelayCost*(1+1e-12) {
 		return math.Inf(1), power, grid, delay
 	}
-	g := hp.We * grid
-	if hp.GridCostFn != nil {
-		g = hp.GridCostFn(grid)
-	}
-	return g + hp.Wd*delay + hp.switchPenalty(m), power, grid, delay
+	return hp.We*grid + hp.Wd*delay + hp.switchPenalty(m), power, grid, delay
 }
 
 // bound returns a lower bound on every finite eval(m) with m in [lo, hi]
-// (1 ≤ lo ≤ hi ≤ N), or −Inf where it certifies nothing: under a
-// GridCostFn, for a negative or non-finite weight, and unless We, Wd, PUE,
-// p_s and c_k are 0 or in [2⁻¹⁰⁰, 2¹⁰⁰], λ and x are in that range,
-// |r| ≤ 2¹⁰⁰ and N ≤ 2⁵³.
+// (1 ≤ lo ≤ hi ≤ N), or −Inf where it certifies nothing: for a negative
+// or non-finite weight, and unless We, Wd, PUE, p_s and c_k are 0 or in
+// [2⁻¹⁰⁰, 2¹⁰⁰], λ and x are in that range, |r| ≤ 2¹⁰⁰ and N ≤ 2⁵³.
 //
 // Over real m, F(m) = We·[P(m) − r]^+ + Wd·mλ/(mx − λ), with
 // P(m) = PUE·(m·p_s + c_k), is convex and has the affine minorants
@@ -235,7 +225,7 @@ func (kn *speedKernel) bound(lo, hi int) float64 {
 	hp := kn.hp
 	lambda, x, ck, ps, pue, r := hp.LambdaRPS, kn.x, kn.ck, hp.Type.StaticKW, hp.PUE, hp.OnsiteKW
 	we, wd := hp.We, hp.Wd
-	if hp.GridCostFn != nil || !(hp.SwitchWeight >= 0 && hp.SwitchWeight <= math.MaxFloat64) ||
+	if !(hp.SwitchWeight >= 0 && hp.SwitchWeight <= math.MaxFloat64) ||
 		!zeroOrModerate(we) || !zeroOrModerate(wd) || !zeroOrModerate(pue) ||
 		!zeroOrModerate(ps) || !zeroOrModerate(ck) || !moderate(lambda) || !moderate(x) ||
 		!(math.Abs(r) <= 0x1p100) || float64(hp.N) > 0x1p53 {
@@ -441,62 +431,3 @@ type speedWindow struct {
 	k, lo, hi int
 	bound     float64
 }
-
-// HomogeneousSolver adapts HomogeneousProblem to the group-level Solver
-// interface for clusters whose groups all share one ServerType. The returned
-// solution activates whole groups in order and places the remainder in a
-// final partially-loaded group at the chosen speed; the tiny inefficiency of
-// the partial group's idle-but-on servers is charged honestly in Value.
-type HomogeneousSolver struct {
-	// SwitchWeight and PrevActive mirror HomogeneousProblem.
-	SwitchWeight float64
-	PrevActive   int
-}
-
-// Solve implements Solver for same-type clusters.
-func (hs *HomogeneousSolver) Solve(p *dcmodel.SlotProblem) (dcmodel.Solution, error) {
-	groups := p.Cluster.Groups
-	st := groups[0].Type
-	totalN := 0
-	for i := range groups {
-		if groups[i].Type.Name != st.Name {
-			return dcmodel.Solution{}, errors.New("p3: HomogeneousSolver requires a single server type")
-		}
-		totalN += groups[i].N
-	}
-	hp := &HomogeneousProblem{
-		Type: st, N: totalN,
-		Gamma: p.Cluster.Gamma, PUE: p.Cluster.PUE,
-		LambdaRPS: p.LambdaRPS, We: p.We, Wd: p.Wd, OnsiteKW: p.OnsiteKW,
-		SwitchWeight: hs.SwitchWeight, PrevActive: hs.PrevActive,
-	}
-	hsol, err := hp.Solve()
-	if err != nil {
-		return dcmodel.Solution{}, err
-	}
-	speeds := make([]int, len(groups))
-	load := make([]float64, len(groups))
-	if hsol.Active > 0 {
-		perServer := p.LambdaRPS / float64(hsol.Active)
-		remaining := hsol.Active
-		for i := range groups {
-			if remaining <= 0 {
-				break
-			}
-			take := groups[i].N
-			if take > remaining {
-				take = remaining
-			}
-			speeds[i] = hsol.Speed
-			load[i] = perServer * float64(take)
-			remaining -= take
-		}
-	}
-	return dcmodel.Solution{
-		Speeds: speeds,
-		Load:   load,
-		Value:  p.Objective(speeds, load),
-	}, nil
-}
-
-var _ Solver = (*HomogeneousSolver)(nil)

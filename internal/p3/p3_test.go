@@ -178,8 +178,12 @@ func TestHomogeneousNearEnumerateOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d enumerate: %v", trial, err)
 		}
-		hs := &HomogeneousSolver{}
-		fast, err := hs.Solve(p)
+		// The same fleet as one homogeneous problem of n servers.
+		hp := &HomogeneousProblem{
+			Type: dcmodel.Opteron(), N: n, Gamma: c.Gamma, PUE: c.PUE,
+			LambdaRPS: p.LambdaRPS, We: p.We, Wd: p.Wd, OnsiteKW: p.OnsiteKW,
+		}
+		fast, err := hp.Solve()
 		if err != nil {
 			t.Fatalf("trial %d fast: %v", trial, err)
 		}
@@ -191,41 +195,6 @@ func TestHomogeneousNearEnumerateOptimum(t *testing.T) {
 			t.Errorf("trial %d: fast %v more than 5%% above optimum %v",
 				trial, fast.Value, exact.Value)
 		}
-	}
-}
-
-func TestHomogeneousSolverGroupMapping(t *testing.T) {
-	c := &dcmodel.Cluster{
-		Groups: []dcmodel.Group{
-			{Type: dcmodel.Opteron(), N: 30},
-			{Type: dcmodel.Opteron(), N: 30},
-		},
-		Gamma: 0.95, PUE: 1,
-	}
-	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 200, We: 0.05, Wd: 0.01}
-	hs := &HomogeneousSolver{}
-	sol, err := hs.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckConfig(sol.Speeds, sol.Load); err != nil {
-		t.Fatalf("invalid group mapping: %v", err)
-	}
-	var sum float64
-	for _, l := range sol.Load {
-		sum += l
-	}
-	if math.Abs(sum-200) > 1e-6 {
-		t.Errorf("Σload = %v, want 200", sum)
-	}
-}
-
-func TestHomogeneousSolverRejectsMixedTypes(t *testing.T) {
-	c := dcmodel.HeterogeneousCluster(90, 3)
-	p := &dcmodel.SlotProblem{Cluster: c, LambdaRPS: 10, We: 1, Wd: 0.01}
-	hs := &HomogeneousSolver{}
-	if _, err := hs.Solve(p); err == nil {
-		t.Error("mixed-type cluster accepted")
 	}
 }
 
@@ -270,23 +239,15 @@ func cubicType() dcmodel.ServerType {
 // covers: the Opteron and cubicType; N of 50 and 216,000; λ at zero,
 // small, mid and near capacity; PUE 1 and 1.3; delay- and energy-heavy
 // weights; and, on top of a plain instance, a switching penalty, a
-// peak-power cap, a delay cap and a tiered tariff.
-func goldenProblems(t testing.TB) []*HomogeneousProblem {
-	tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: 5, Mult: 1},
-		{UpToKWh: 4000, Mult: 1.5},
-		{UpToKWh: math.Inf(1), Mult: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// peak-power cap and a delay cap.
+func goldenProblems() []*HomogeneousProblem {
 	var out []*HomogeneousProblem
 	for _, st := range []dcmodel.ServerType{dcmodel.Opteron(), cubicType()} {
 		for _, n := range []int{50, 216000} {
 			capRPS := 0.95 * st.MaxRate() * float64(n)
 			for _, frac := range []float64{0, 0.013, 0.5, 0.985} {
 				for _, pue := range []float64{1, 1.3} {
-					for variant := 0; variant < 10; variant++ {
+					for variant := 0; variant < 8; variant++ {
 						// Odd variants weight energy over delay, so slower
 						// speeds and the caps come into play.
 						we, wd := 0.07, 0.02
@@ -309,9 +270,6 @@ func goldenProblems(t testing.TB) []*HomogeneousProblem {
 							if hp.MaxDelayCost == 0 {
 								hp.MaxDelayCost = 1
 							}
-						case 4:
-							w := hp.We
-							hp.GridCostFn = func(g float64) float64 { return w * tiers.Cost(g) }
 						}
 						out = append(out, hp)
 					}
@@ -326,7 +284,7 @@ func goldenProblems(t testing.TB) []*HomogeneousProblem {
 // HomogeneousProblem.Solve over goldenProblems: speed, count, value,
 // power, grid energy and delay cost, plus which instances are infeasible.
 func TestHomogeneousSolveGoldenHash(t *testing.T) {
-	const want = "fnv1a:be8fcd4d5c2bb30d"
+	const want = "fnv1a:bbcdf80422671fa7"
 	h := fnv.New64a()
 	put := func(vs ...float64) {
 		var buf [8]byte
@@ -336,7 +294,7 @@ func TestHomogeneousSolveGoldenHash(t *testing.T) {
 		}
 	}
 	infeasible := 0
-	for i, hp := range goldenProblems(t) {
+	for i, hp := range goldenProblems() {
 		sol, err := hp.Solve()
 		switch {
 		case errors.Is(err, ErrInfeasible):
@@ -384,11 +342,7 @@ func oracleObjective(hp *HomogeneousProblem, k, m int) (float64, HomogeneousSolu
 	if hp.MaxDelayCost > 0 && sol.DelayCost > hp.MaxDelayCost*(1+1e-12) {
 		return math.Inf(1), sol
 	}
-	grid := hp.We * sol.GridKWh
-	if hp.GridCostFn != nil {
-		grid = hp.GridCostFn(sol.GridKWh)
-	}
-	sol.Value = grid + hp.Wd*sol.DelayCost + hp.switchPenalty(m)
+	sol.Value = hp.We*sol.GridKWh + hp.Wd*sol.DelayCost + hp.switchPenalty(m)
 	return sol.Value, sol
 }
 
@@ -433,7 +387,7 @@ func checkKernel(t *testing.T, hp *HomogeneousProblem, stride int) {
 // [p − r]^+ (a difference of exactly +0 and of −0, and a NaN one) and the
 // caps' tolerance.
 func TestHomogeneousKernelMatchesOracle(t *testing.T) {
-	for _, hp := range goldenProblems(t) {
+	for _, hp := range goldenProblems() {
 		stride := 1
 		if hp.N > 1000 {
 			stride = 97
@@ -486,11 +440,11 @@ func kernelCorners(t *testing.T) []*HomogeneousProblem {
 // bit on random problems, with unrestricted weights, PUE, γ, supply and
 // caps, at every count of a fleet of up to 400 servers.
 func FuzzHomogeneousKernel(f *testing.F) {
-	f.Add(uint16(50), 0.5, 0.95, 1.0, 0.07, 0.02, 2.0, 0.0, uint16(0), 0.0, 0.0, false, false)
-	f.Add(uint16(400), 0.99, 0.95, 1.3, 40.0, 0.001, 10.0, 0.003, uint16(130), 50.0, 80.0, true, true)
-	f.Add(uint16(7), 0.0, 0.5, 1.1, 1.0, 1.0, 0.0, 0.5, uint16(3), 0.0, 0.0, false, true)
+	f.Add(uint16(50), 0.5, 0.95, 1.0, 0.07, 0.02, 2.0, 0.0, uint16(0), 0.0, 0.0, false)
+	f.Add(uint16(400), 0.99, 0.95, 1.3, 40.0, 0.001, 10.0, 0.003, uint16(130), 50.0, 80.0, true)
+	f.Add(uint16(7), 0.0, 0.5, 1.1, 1.0, 1.0, 0.0, 0.5, uint16(3), 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, n uint16, frac, gamma, pue, we, wd, onsite, sw float64,
-		prev uint16, maxPower, maxDelay float64, cubic, tiered bool) {
+		prev uint16, maxPower, maxDelay float64, cubic bool) {
 		hp := &HomogeneousProblem{
 			Type: dcmodel.Opteron(), N: 1 + int(n%400), Gamma: gamma, PUE: pue,
 			We: we, Wd: wd, OnsiteKW: onsite,
@@ -505,16 +459,6 @@ func FuzzHomogeneousKernel(f *testing.F) {
 		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * float64(hp.N)
 		if math.IsNaN(hp.LambdaRPS) {
 			hp.LambdaRPS = 0
-		}
-		if tiered {
-			tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-				{UpToKWh: 1, Mult: 1},
-				{UpToKWh: math.Inf(1), Mult: 3},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hp.GridCostFn = func(g float64) float64 { return we * tiers.Cost(g) }
 		}
 		checkKernel(t, hp, 1)
 	})
@@ -588,12 +532,12 @@ func checkBound(t *testing.T, hp *HomogeneousProblem, every bool) (gap float64) 
 // (every count for N ≤ 1,000, a stride and each argmin's neighbourhood at
 // N = 216,000) and the kernel corners. The bound must also certify
 // something where the paper's runs need it: finite, and within 1e-5 of the
-// least probe, for every golden instance at N = 216,000 with load, a
-// linear tariff and no switching penalty (which the bound leaves out).
+// least probe, for every golden instance at N = 216,000 with load and no
+// switching penalty (which the bound leaves out).
 func TestSpeedBoundBelowEveryProbe(t *testing.T) {
-	for i, hp := range goldenProblems(t) {
+	for i, hp := range goldenProblems() {
 		gap := checkBound(t, hp, hp.N <= 1000)
-		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.GridCostFn == nil && hp.SwitchWeight == 0 {
+		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.SwitchWeight == 0 {
 			for _, w := range speedWindows(hp) {
 				if math.IsInf(w.kn.bound(w.lo, w.hi), -1) {
 					t.Errorf("problem %d, speed %d: bound certifies nothing", i, w.k)
@@ -657,16 +601,16 @@ func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
 // FuzzHomogeneousSolve checks Solve against refHomogeneousSolve bit for
 // bit (speed, count, value, power, grid energy, delay cost and error) on
 // random problems of up to 216,000 servers: unrestricted λ, weights, PUE,
-// γ and supply, with switching, both caps, a tiered tariff and either
-// server type. Supply and caps are drawn per server and scaled by N. Up
-// to 500 servers it also checks every speed's bound against every probe.
+// γ and supply, with switching, both caps and either server type. Supply
+// and caps are drawn per server and scaled by N. Up to 500 servers it also
+// checks every speed's bound against every probe.
 func FuzzHomogeneousSolve(f *testing.F) {
-	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false, false)
-	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), 0.12, 0.0, false, false)
-	f.Add(uint32(215999), 0.985, 0.95, 1.3, 40.0, 0.001, 0.04, 0.0, uint32(0), 0.0, 0.5, true, false)
-	f.Add(uint32(9999), 0.2, 1.0, 1.1, 3.0, 0.5, 0.1, 0.01, uint32(5000), 0.3, 2.0, true, true)
+	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), 0.12, 0.0, false)
+	f.Add(uint32(215999), 0.985, 0.95, 1.3, 40.0, 0.001, 0.04, 0.0, uint32(0), 0.0, 0.5, true)
+	f.Add(uint32(9999), 0.2, 1.0, 1.1, 3.0, 0.5, 0.1, 0.01, uint32(5000), 0.3, 2.0, true)
 	f.Fuzz(func(t *testing.T, n uint32, frac, gamma, pue, we, wd, onsite, sw float64,
-		prev uint32, maxPower, maxDelay float64, cubic, tiered bool) {
+		prev uint32, maxPower, maxDelay float64, cubic bool) {
 		hp := &HomogeneousProblem{
 			Type: dcmodel.Opteron(), N: 1 + int(n%216000), Gamma: gamma, PUE: pue,
 			We: we, Wd: wd, SwitchWeight: sw,
@@ -678,16 +622,6 @@ func FuzzHomogeneousSolve(f *testing.F) {
 			hp.Type = cubicType()
 		}
 		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * fn
-		if tiered {
-			tiers, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-				{UpToKWh: fn / 50, Mult: 1},
-				{UpToKWh: math.Inf(1), Mult: 3},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hp.GridCostFn = func(g float64) float64 { return we * tiers.Cost(g) }
-		}
 		if hp.N <= 500 && hp.LambdaRPS > 0 {
 			checkBound(t, hp, true)
 		}
@@ -700,9 +634,9 @@ func FuzzHomogeneousSolve(f *testing.F) {
 	})
 }
 
-// TestHomogeneousSolveZeroAllocs pins that a solve at paper scale without
-// a tariff callback allocates nothing: the per-speed kernel and the probe
-// closure stay on the stack.
+// TestHomogeneousSolveZeroAllocs pins that a solve at paper scale
+// allocates nothing: the per-speed kernel and the probe closure stay on
+// the stack.
 func TestHomogeneousSolveZeroAllocs(t *testing.T) {
 	hp := &HomogeneousProblem{
 		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,

@@ -2,6 +2,7 @@ package reqsim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,10 +51,10 @@ func TestSlotReplayerValidatesAnalyticModel(t *testing.T) {
 	}
 	// Metrics landed under the site label.
 	snap := reg.Snapshot()
-	if v, ok := snap.LabeledCounters["reqsim.site.requests"].Get("dc-test"); !ok || v <= 0 {
+	if v, ok := sample(snap.LabeledCounters["reqsim.site.requests"], "dc-test"); !ok || v <= 0 {
 		t.Errorf("site-labeled request counter missing or zero: %v (ok=%v)", v, ok)
 	}
-	if v, ok := snap.LabeledGauges["reqsim.site.p99_sec"].Get("dc-test"); !ok || v <= 0 {
+	if v, ok := sample(snap.LabeledGauges["reqsim.site.p99_sec"], "dc-test"); !ok || v <= 0 {
 		t.Errorf("site-labeled P99 gauge missing or zero: %v (ok=%v)", v, ok)
 	}
 	if snap.Counters["reqsim.replays"] != 3 {
@@ -157,7 +158,7 @@ func TestFleetReplayerMatchesChargedDelay(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for _, site := range []string{"east", "west"} {
-		if v, ok := snap.LabeledGauges["reqsim.site.queue_len"].Get(site); !ok || v <= 0 {
+		if v, ok := sample(snap.LabeledGauges["reqsim.site.queue_len"], site); !ok || v <= 0 {
 			t.Errorf("site %s queue gauge missing or zero: %v (ok=%v)", site, v, ok)
 		}
 	}
@@ -232,4 +233,14 @@ func TestSlotReplayerEndToEnd(t *testing.T) {
 	if math.IsNaN(rep.MeanAbsRelErr) {
 		t.Error("NaN model error")
 	}
+}
+
+// sample returns the snapshot's value for the label tuple, if present.
+func sample(s telemetry.LabeledSnapshot, values ...string) (float64, bool) {
+	for _, ser := range s.Series {
+		if slices.Equal(ser.Values, values) {
+			return ser.Value, true
+		}
+	}
+	return 0, false
 }

@@ -42,9 +42,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers reports the pool's configured fan-out width.
-func (p *Pool) Workers() int { return p.workers }
-
 // RunSharded simulates `shards` independent replicas of cfg (shard i
 // seeded cfg.Seed + i·stride) and merges them into one Result:
 //

@@ -79,15 +79,6 @@ func TestExportedMetricFamilies(t *testing.T) {
 			"labeled_counters:fleet.shard.accepted_moves", "labeled_counters:fleet.shard.cold_fallbacks",
 			"labeled_histograms:fleet.shard.solve_seconds",
 		}},
-		{"BatchMetrics", func(_ *testing.T, r *telemetry.Registry) {
-			m := telemetry.NewBatchMetrics(r, "batch")
-			m.ObserveSubmit(true)
-			m.ObserveStep(2, 3, 1, 0, 4, 5)
-		}, []string{
-			"counter batch_completed", "counter batch_deferred", "counter batch_energy_kwh",
-			"counter batch_missed", "counter batch_served_server_hours", "counter batch_submitted",
-			"gauge batch_backlog_server_hours", "gauge batch_queue_depth",
-		}, nil},
 		{"PoolMetrics", func(_ *testing.T, r *telemetry.Registry) {
 			m := telemetry.NewPoolMetrics(r, "pool")
 			m.SetWorkers(2)

@@ -4,35 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dcmodel"
 	"repro/internal/trace"
 )
-
-func TestTariffChangesElectricityCost(t *testing.T) {
-	sc := testScenario(3)
-	tariff, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: 5, Mult: 1},
-		{UpToKWh: math.Inf(1), Mult: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Tariff = tariff
-	res, err := Run(sc, &fixedPolicy{cfg: Config{Speed: 4, Active: 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := res.Records[0]
-	// Grid draw is 7.73 kWh: 5 at 1× plus 2.73 at 3×, priced at 0.05 $/kWh.
-	want := 0.05 * (5 + 3*2.73)
-	if math.Abs(r.ElectricityUSD-want) > 1e-9 {
-		t.Errorf("tiered electricity = %v, want %v", r.ElectricityUSD, want)
-	}
-	// Grid energy itself (carbon accounting) is unchanged by the tariff.
-	if math.Abs(r.GridKWh-7.73) > 1e-9 {
-		t.Errorf("grid = %v", r.GridKWh)
-	}
-}
 
 func TestMaxPowerRejectsViolation(t *testing.T) {
 	sc := testScenario(3)

@@ -62,7 +62,7 @@ func TestAccountingIdentities(t *testing.T) {
 			if math.Abs(r.GridKWh-math.Max(0, r.PowerKW-r.OnsiteKW)) > 1e-9 {
 				t.Fatalf("slot %d: grid identity broken: %+v", r.Slot, r)
 			}
-			// Identity 3: electricity = price · grid (flat tariff).
+			// Identity 3: electricity = price · grid (Eq. 3).
 			if math.Abs(r.ElectricityUSD-r.PriceUSDPerKWh*r.GridKWh) > 1e-9 {
 				t.Fatalf("slot %d: electricity identity broken: %+v", r.Slot, r)
 			}

@@ -84,11 +84,6 @@ type Scenario struct {
 	// observation-independent accessor so they can internalize it.
 	SwitchCostKWh float64
 
-	// Tariff optionally replaces the linear electricity cost with a convex
-	// nonlinear one (§2.1): the slot's electricity cost becomes
-	// w(t)·Tariff.Cost(grid). Nil means the paper's default linear tariff.
-	Tariff dcmodel.Tariff
-
 	// MaxPowerKW and MaxDelayCost are the optional §3.1 per-slot
 	// constraints; configurations violating them are rejected by the
 	// engine. Zero disables.
@@ -112,7 +107,7 @@ type Scenario struct {
 // Clone returns a shallow copy of the scenario. Traces and the portfolio
 // are shared — they are read-only during runs — so cloning is the cheap
 // way for concurrent sweeps to vary scalar knobs (Overestimate,
-// SwitchCostKWh, Tariff, ...) without racing on a shared Scenario.
+// SwitchCostKWh, ...) without racing on a shared Scenario.
 func (sc *Scenario) Clone() *Scenario {
 	out := *sc
 	return &out
@@ -196,7 +191,6 @@ func (sc *Scenario) LedgerAt(t int, zPerSlot float64) dcmodel.Ledger {
 		OnsiteKW:       sc.Portfolio.OnsiteKW.Values[t],
 		Beta:           sc.Beta,
 		SlotHours:      sc.SlotHours,
-		Tariff:         sc.Tariff,
 		SwitchCostKWh:  sc.SwitchCostKWh,
 		Alpha:          sc.Portfolio.Alpha,
 		RECPerSlotKWh:  zPerSlot,
@@ -206,15 +200,13 @@ func (sc *Scenario) LedgerAt(t int, zPerSlot float64) dcmodel.Ledger {
 }
 
 // P3At builds the homogeneous P3 of Eq. (16) for the observed slot at
-// control parameter v and grid price q: We = v·w(t) + q, Wd = v·β and,
-// under a tariff, the grid term v·w(t)·C(g) + q·g (q still prices raw kWh:
-// carbon is accounted in energy, not dollars). COCA passes its V_r and
-// deficit queue q(t) and sets the switching terms on top; the baselines'
-// dual solves pass v = 1 and q = η, which is bit-identical to pricing
-// grid energy at w(t) + η.
+// control parameter v and grid price q: We = v·w(t) + q and Wd = v·β.
+// COCA passes its V_r and deficit queue q(t) and sets the switching terms
+// on top; the baselines' dual solves pass v = 1 and q = η, which is
+// bit-identical to pricing grid energy at w(t) + η.
 func (sc *Scenario) P3At(obs Observation, v, q float64) p3.HomogeneousProblem {
 	we, wd := dcmodel.P3Weights(v, q, obs.PriceUSDPerKWh, sc.Beta)
-	hp := p3.HomogeneousProblem{
+	return p3.HomogeneousProblem{
 		Type: sc.Server, N: sc.N,
 		Gamma: sc.Gamma, PUE: sc.PUE,
 		LambdaRPS: obs.LambdaRPS,
@@ -223,13 +215,6 @@ func (sc *Scenario) P3At(obs Observation, v, q float64) p3.HomogeneousProblem {
 		MaxPowerKW:   sc.MaxPowerKW,
 		MaxDelayCost: sc.MaxDelayCost,
 	}
-	if sc.Tariff != nil {
-		w, tariff := obs.PriceUSDPerKWh, sc.Tariff
-		hp.GridCostFn = func(g float64) float64 {
-			return v*w*tariff.Cost(g) + q*g
-		}
-	}
-	return hp
 }
 
 // SlotRecord is the full accounting of one operated slot.
@@ -599,9 +584,4 @@ func (r *Result) CostSeries() []float64 {
 // DeficitSeries returns the per-slot carbon deficit.
 func (r *Result) DeficitSeries() []float64 {
 	return r.Series(func(rec SlotRecord) float64 { return rec.DeficitKWh })
-}
-
-// GridSeries returns the per-slot grid energy draw.
-func (r *Result) GridSeries() []float64 {
-	return r.Series(func(rec SlotRecord) float64 { return rec.GridKWh })
 }

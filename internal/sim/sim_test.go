@@ -214,7 +214,7 @@ func TestSeriesExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CostSeries()) != 4 || len(res.DeficitSeries()) != 4 || len(res.GridSeries()) != 4 {
+	if len(res.CostSeries()) != 4 || len(res.DeficitSeries()) != 4 {
 		t.Error("series lengths wrong")
 	}
 	if res.CostSeries()[0] != res.Records[0].TotalUSD {

@@ -77,11 +77,7 @@ func goldenOperate(sc *sim.Scenario, t int, cfg sim.Config, prevActive int, zPer
 		rec.DelayCost += lambda * sc.NetworkDelaySec.Values[t]
 	}
 	rec.GridKWh = math.Max(0, rec.PowerKW-onsite)
-	if sc.Tariff != nil {
-		rec.ElectricityUSD = price * sc.Tariff.Cost(rec.GridKWh)
-	} else {
-		rec.ElectricityUSD = price * rec.GridKWh
-	}
+	rec.ElectricityUSD = price * rec.GridKWh
 	rec.DelayUSD = sc.Beta * rec.DelayCost
 	rec.SwitchUSD = price * sc.SwitchCostKWh * math.Abs(float64(cfg.Active-prevActive))
 	rec.TotalUSD = rec.ElectricityUSD + rec.DelayUSD + rec.SwitchUSD
@@ -193,20 +189,12 @@ func TestEngineGoldenHash(t *testing.T) {
 }
 
 // TestEngineMatchesGoldenRunVariants exercises the Ledger's optional knobs
-// — switching cost, tiered tariff, network delay, workload overestimation
-// — against the seed arithmetic.
+// — switching cost, network delay, workload overestimation — against the
+// seed arithmetic.
 func TestEngineMatchesGoldenRunVariants(t *testing.T) {
 	base := paritySc(t)
-	tariff, err := dcmodel.NewTieredTariff([]dcmodel.Tier{
-		{UpToKWh: 20, Mult: 1},
-		{UpToKWh: math.Inf(1), Mult: 2.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	variants := map[string]func(*sim.Scenario){
 		"switching":    func(sc *sim.Scenario) { sc.SwitchCostKWh = 0.231 },
-		"tariff":       func(sc *sim.Scenario) { sc.Tariff = tariff },
 		"network":      func(sc *sim.Scenario) { sc.NetworkDelaySec = trace.Constant("net", 0.004, sc.Slots) },
 		"overestimate": func(sc *sim.Scenario) { sc.Overestimate = 1.1 },
 	}

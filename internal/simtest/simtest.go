@@ -26,14 +26,6 @@ type Options struct {
 	OnsiteFrac float64 // on-site renewables as a fraction of consumption (default 0.20)
 	Seed       uint64
 	MSR        bool // use the MSR-like trace instead of FIU-like
-
-	// CappingMode switches to the paper's §2.2 energy-capping variant:
-	// off-site renewables are removed from the model and the whole budget
-	// becomes the REC parameter Z, interpreted as a hard long-term cap on
-	// grid-electricity usage ("all the analysis still applies by removing
-	// the off-site renewable energy ... and taking the REC parameter Z as
-	// the desired total energy cap").
-	CappingMode bool
 }
 
 func (o *Options) defaults() {
@@ -104,16 +96,9 @@ func Build(o Options) (*sim.Scenario, float64, error) {
 		return nil, 0, fmt.Errorf("simtest: onsite reference run: %w", err)
 	}
 	ref.GridKWh = refOnsite.GridKWh
-	// Phase 3: size the budget — 40% off-site PPAs, 60% RECs (or, in
-	// capping mode, everything as the energy cap Z with no off-site
-	// generation at all).
-	if o.CappingMode {
-		p.OffsiteKWh = trace.Constant("none", 0, o.Slots)
-		p.RECsKWh = o.BudgetFrac * ref.GridKWh
-	} else {
-		renewable.ScaleToTotal(p.OffsiteKWh, o.Slots, 0.40*o.BudgetFrac*ref.GridKWh)
-		p.RECsKWh = 0.60 * o.BudgetFrac * ref.GridKWh
-	}
+	// Phase 3: size the budget — 40% off-site PPAs, 60% RECs.
+	renewable.ScaleToTotal(p.OffsiteKWh, o.Slots, 0.40*o.BudgetFrac*ref.GridKWh)
+	p.RECsKWh = 0.60 * o.BudgetFrac * ref.GridKWh
 	if err := sc.Validate(); err != nil {
 		return nil, 0, err
 	}

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -32,7 +33,7 @@ func TestBuildCalibration(t *testing.T) {
 	if stats.Sum(on) <= 0 {
 		t.Error("no on-site supply")
 	}
-	if stats.MinOf(on) == stats.MaxOf(on) {
+	if slices.Min(on) == slices.Max(on) {
 		t.Error("on-site supply is constant — not intermittent")
 	}
 }
@@ -91,25 +92,5 @@ func TestReferenceUsagePositive(t *testing.T) {
 	}
 	if ref.GridKWh > ref.ConsumptionKWh {
 		t.Errorf("grid %v exceeds consumption %v", ref.GridKWh, ref.ConsumptionKWh)
-	}
-}
-
-func TestBuildCappingMode(t *testing.T) {
-	sc, refGrid, err := Build(Options{Slots: 5 * 24, N: 300, CappingMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// No off-site generation at all; the whole budget is the cap Z.
-	if got := sc.Portfolio.TotalOffsiteKWh(sc.Slots); got != 0 {
-		t.Errorf("capping mode has offsite %v", got)
-	}
-	if math.Abs(sc.Portfolio.RECsKWh-0.92*refGrid) > 1e-6*refGrid {
-		t.Errorf("cap Z = %v, want %v", sc.Portfolio.RECsKWh, 0.92*refGrid)
-	}
-	if math.Abs(sc.Portfolio.BudgetKWh(sc.Slots)-0.92*refGrid) > 1e-6*refGrid {
-		t.Errorf("budget = %v", sc.Portfolio.BudgetKWh(sc.Slots))
 	}
 }

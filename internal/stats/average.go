@@ -52,9 +52,6 @@ func (m *MovingAverage) N() int {
 	return m.next
 }
 
-// Window returns the configured window size.
-func (m *MovingAverage) Window() int { return len(m.window) }
-
 // RunningAverage computes the prefix mean of a stream: after t+1 additions it
 // holds (1/(t+1))·Σ_{τ=0..t} x(τ). This matches the averaging used in the
 // paper's Fig. 3 ("summing up all the values from time 0 to time t and then
@@ -82,9 +79,6 @@ func (r *RunningAverage) Value() float64 {
 	}
 	return r.sum / float64(r.n)
 }
-
-// N returns the number of observations.
-func (r *RunningAverage) N() int { return r.n }
 
 // MovingAverageSeries maps a full series through a trailing moving average of
 // the given window, returning a series of equal length.

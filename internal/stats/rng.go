@@ -15,8 +15,8 @@ import (
 
 // RNG is a deterministic pseudo-random generator with convenience samplers
 // for the distributions used throughout the simulator. It wraps a PCG source
-// from math/rand/v2 and is NOT safe for concurrent use; derive independent
-// streams with Split for concurrent components.
+// from math/rand/v2 and is NOT safe for concurrent use; give each concurrent
+// component its own seeded generator.
 type RNG struct {
 	r   *rand.Rand
 	src *rand.PCG
@@ -26,14 +26,6 @@ type RNG struct {
 // with the same seed produce identical streams.
 func NewRNG(seed uint64) *RNG {
 	src := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &RNG{r: rand.New(src), src: src}
-}
-
-// Split derives an independent child generator from the parent stream. The
-// child's sequence is fully determined by the parent's seed and the number
-// and order of prior Split/sample calls.
-func (g *RNG) Split() *RNG {
-	src := rand.NewPCG(g.r.Uint64(), g.r.Uint64())
 	return &RNG{r: rand.New(src), src: src}
 }
 
@@ -49,9 +41,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // IntN returns a uniform sample in [0, n). It panics if n <= 0.
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
-
-// Uint64 returns a uniform 64-bit sample.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
@@ -79,17 +68,6 @@ func (g *RNG) Exponential(rate float64) float64 {
 	return g.r.ExpFloat64() / rate
 }
 
-// Weibull returns a Weibull(shape, scale) sample via inverse-CDF.
-func (g *RNG) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: Weibull requires positive shape and scale")
-	}
-	u := g.r.Float64()
-	// Guard u == 0, for which -ln(1-u) = 0 is fine; 1-u == 0 cannot occur
-	// since Float64 is in [0,1).
-	return scale * math.Pow(-math.Log(1-u), 1/shape)
-}
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (g *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -100,6 +78,3 @@ func (g *RNG) Bernoulli(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -42,14 +42,8 @@ func (s *Summary) AddAll(xs []float64) {
 	}
 }
 
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
 // Mean returns the sample mean, or 0 if empty.
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum returns the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
 
 // Var returns the unbiased sample variance, or 0 with fewer than two
 // observations.
@@ -130,20 +124,6 @@ func MaxOf(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinOf returns the smallest element of xs, or 0 for an empty slice.
-func MinOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
 			m = x
 		}
 	}

@@ -229,62 +229,6 @@ func (m *FleetMetrics) ObserveStep(totalUSD, totalGridKWh, seconds float64) {
 	m.StepSeconds.Observe(seconds)
 }
 
-// BatchMetrics instruments the batch-job scheduler: submission and
-// completion counters, deferred (future-slot) submissions, served work,
-// and the live queue depth / backlog gauges. Value-based for the same
-// no-cycle reason as FleetMetrics; all methods are nil-safe.
-type BatchMetrics struct {
-	Submitted   *Counter // jobs accepted by Submit
-	Deferred    *Counter // of those, jobs queued for a future arrival slot
-	Completed   *Counter // jobs finished before their deadline
-	Missed      *Counter // jobs whose deadline expired unfinished
-	ServedHours *Counter // server-hours of batch work executed
-	EnergyKWh   *Counter // computing energy charged to batch work
-
-	QueueDepth   *Gauge // jobs currently eligible (arrived, not finished)
-	BacklogHours *Gauge // remaining work across queue and future arrivals
-}
-
-// NewBatchMetrics registers scheduler instruments under prefix
-// (conventionally "batch").
-func NewBatchMetrics(r *Registry, prefix string) *BatchMetrics {
-	p := prefix + "."
-	return &BatchMetrics{
-		Submitted:    r.Counter(p + "submitted"),
-		Deferred:     r.Counter(p + "deferred"),
-		Completed:    r.Counter(p + "completed"),
-		Missed:       r.Counter(p + "missed"),
-		ServedHours:  r.Counter(p + "served_server_hours"),
-		EnergyKWh:    r.Counter(p + "energy_kwh"),
-		QueueDepth:   r.Gauge(p + "queue_depth"),
-		BacklogHours: r.Gauge(p + "backlog_server_hours"),
-	}
-}
-
-// ObserveSubmit records one accepted submission.
-func (m *BatchMetrics) ObserveSubmit(deferred bool) {
-	if m == nil {
-		return
-	}
-	m.Submitted.Inc()
-	if deferred {
-		m.Deferred.Inc()
-	}
-}
-
-// ObserveStep folds one scheduled slot into the instruments.
-func (m *BatchMetrics) ObserveStep(usedServerHours, energyKWh float64, completed, missed, queueDepth int, backlogHours float64) {
-	if m == nil {
-		return
-	}
-	m.ServedHours.Add(usedServerHours)
-	m.EnergyKWh.Add(energyKWh)
-	m.Completed.Add(float64(completed))
-	m.Missed.Add(float64(missed))
-	m.QueueDepth.Set(float64(queueDepth))
-	m.BacklogHours.Set(backlogHours)
-}
-
 // PoolMetrics instruments the experiment worker pool: job progress,
 // in-flight fan-out and the per-job wall-time distribution.
 type PoolMetrics struct {

@@ -184,16 +184,6 @@ type LabeledSnapshot struct {
 	Series []LabeledSeries `json:"series"`
 }
 
-// Get returns the sample for the tuple, if present.
-func (s LabeledSnapshot) Get(values ...string) (float64, bool) {
-	for _, ser := range s.Series {
-		if slices.Equal(ser.Values, values) {
-			return ser.Value, true
-		}
-	}
-	return 0, false
-}
-
 // LabeledHistogramSeries is one tuple's histogram in a labeled snapshot.
 type LabeledHistogramSeries struct {
 	Values []string          `json:"values"`

@@ -2,7 +2,7 @@
 // package telemetry answers *how much* (counters, gauges, histograms),
 // span answers *where the time and cost go inside a slot* — a GSD solve
 // between StartSolve and FinishSolve, the greedy site allocation inside a
-// geo step, the per-job decisions of the batch scheduler.
+// geo step.
 //
 // NOTE ON NAMING — this package is repro/internal/telemetry/span, NOT
 // repro/internal/trace: package trace is the *time-series* trace package
@@ -103,14 +103,6 @@ type Span struct {
 	ended  bool
 }
 
-// ID returns the span's tracer-unique id (0 for the nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Set appends attributes to the span. Nil- and post-End-safe.
 func (s *Span) Set(attrs ...Attr) {
 	if s == nil {
@@ -169,9 +161,10 @@ func (s *Span) End() {
 	t.spans = append(t.spans, s)
 }
 
-// DefaultMaxSpans is the default buffer cap: enough for a multi-week
-// traced run (≈ 4 spans/slot) or a few traced GSD solves at full
-// iteration budgets, small enough to bound memory at tens of MB.
+// DefaultMaxSpans is the tracer's buffer cap (spans ended beyond it are
+// dropped and counted): enough for a multi-week traced run (≈ 4
+// spans/slot) or a few traced GSD solves at full iteration budgets, small
+// enough to bound memory at tens of MB.
 const DefaultMaxSpans = 1 << 20
 
 // Tracer records spans. The zero value is not usable; construct with
@@ -199,20 +192,6 @@ func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now(), maxSpans: DefaultMaxSpans, nextTrack: 1}
 }
 
-// SetLimit changes the buffer cap (spans beyond it are dropped and
-// counted). Non-positive n restores the default.
-func (t *Tracer) SetLimit(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultMaxSpans
-	}
-	t.mu.Lock()
-	t.maxSpans = n
-	t.mu.Unlock()
-}
-
 // clock returns the monotonic offset from the tracer's epoch.
 func (t *Tracer) clock() time.Duration { return time.Since(t.epoch) }
 
@@ -234,8 +213,8 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 
 // StartRoot opens a span with no parent regardless of the ambient stack
 // — the entry points of independently stepped subsystems (a geo
-// federation step, a batch scheduler slot) force roots so pooled
-// concurrent runs cannot adopt a stranger's open span.
+// federation step) force roots so pooled concurrent runs cannot adopt a
+// stranger's open span.
 func (t *Tracer) StartRoot(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil

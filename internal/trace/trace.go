@@ -11,7 +11,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -48,9 +47,6 @@ func (t *Trace) At(i int) float64 {
 
 // Max returns the largest sample.
 func (t *Trace) Max() float64 { return stats.MaxOf(t.Values) }
-
-// Mean returns the average sample.
-func (t *Trace) Mean() float64 { return stats.Mean(t.Values) }
 
 // Normalized returns a copy rescaled so the maximum equals 1.
 func (t *Trace) Normalized() *Trace {
@@ -246,28 +242,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < 1 || len(rows[0]) != 2 {
-		return nil, errors.New("trace: malformed CSV header")
-	}
-	t := &Trace{Name: rows[0][1]}
-	for i, row := range rows[1:] {
-		if len(row) != 2 {
-			return nil, fmt.Errorf("trace: row %d has %d fields", i+1, len(row))
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", i+1, err)
-		}
-		t.Values = append(t.Values, v)
-	}
-	return t, nil
 }
