@@ -100,7 +100,8 @@ func (u *Unaware) Decide(obs sim.Observation) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	u.pendingCost = u.s.sc.LedgerAt(obs.Slot, 0).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
+	led := u.s.sc.LedgerAt(obs.Slot, 0)
+	u.pendingCost = led.Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
 	return sim.Config{Speed: sol.Speed, Active: sol.Active}, nil
 }
 
@@ -335,7 +336,8 @@ func NewLookahead(sc *sim.Scenario, T int) (*Lookahead, error) {
 					return math.Inf(1)
 				}
 				grid += sol.GridKWh
-				cost += l.s.sc.LedgerAt(t, 0).Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
+				led := l.s.sc.LedgerAt(t, 0)
+				cost += led.Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
 			}
 			return grid
 		}

@@ -293,7 +293,7 @@ func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
 	// last settled slot — so the controller's accounting matches
 	// internal/sim exactly.
 	active := c.Cluster.ActiveServers(sol.Speeds)
-	cost := c.Cluster.Charge(dcmodel.Ledger{
+	cost := c.Cluster.Charge(&dcmodel.Ledger{
 		PriceUSDPerKWh: env.PriceUSDPerKWh,
 		OnsiteKW:       env.OnsiteKW,
 		Beta:           c.Beta,

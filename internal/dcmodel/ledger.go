@@ -15,9 +15,10 @@ import (
 // caps and the per-slot carbon deficit y − α·f − z (Eq. 17) — is written
 // exactly once.
 //
-// A Ledger is a value: build one per slot from that slot's environment and
-// discard it. The zero value prices nothing but is still well formed
-// (1-hour slots, no caps).
+// Build one Ledger per slot from that slot's environment and discard it;
+// its methods take it by pointer, so a charge copies none of its fields.
+// The zero value prices nothing but is still well formed (1-hour slots, no
+// caps).
 type Ledger struct {
 	PriceUSDPerKWh float64 // w(t): electricity price this slot
 	OnsiteKW       float64 // r(t): on-site renewable power this slot
@@ -59,7 +60,7 @@ type SlotCharge struct {
 }
 
 // Hours returns the slot duration, defaulting to the paper's 1-hour slots.
-func (l Ledger) Hours() float64 {
+func (l *Ledger) Hours() float64 {
 	if l.SlotHours <= 0 {
 		return 1
 	}
@@ -67,41 +68,41 @@ func (l Ledger) Hours() float64 {
 }
 
 // EnergyKWh converts facility power over the slot into energy.
-func (l Ledger) EnergyKWh(powerKW float64) float64 {
+func (l *Ledger) EnergyKWh(powerKW float64) float64 {
 	return powerKW * l.Hours()
 }
 
 // GridKWh returns the slot's grid draw y = [p − r]^+ · SlotHours.
-func (l Ledger) GridKWh(powerKW float64) float64 {
+func (l *Ledger) GridKWh(powerKW float64) float64 {
 	return math.Max(0, powerKW-l.OnsiteKW) * l.Hours()
 }
 
 // ElectricityUSD prices grid energy: w·y (Eq. 3).
-func (l Ledger) ElectricityUSD(gridKWh float64) float64 {
+func (l *Ledger) ElectricityUSD(gridKWh float64) float64 {
 	return l.PriceUSDPerKWh * gridKWh
 }
 
 // DelayUSD prices delay cost: β·d (Eq. 5).
-func (l Ledger) DelayUSD(delayCost float64) float64 {
+func (l *Ledger) DelayUSD(delayCost float64) float64 {
 	return l.Beta * delayCost
 }
 
 // SwitchUSD charges the Fig. 5(d) toggling cost for a change of
 // activeDelta servers at this slot's electricity price.
-func (l Ledger) SwitchUSD(activeDelta int) float64 {
+func (l *Ledger) SwitchUSD(activeDelta int) float64 {
 	return l.PriceUSDPerKWh * l.SwitchCostKWh * math.Abs(float64(activeDelta))
 }
 
 // Deficit returns the slot's carbon-budget overrun y − α·f − z (can be
 // negative); its running sum is the paper's carbon deficit, and its
 // positive part drives the Eq. (17) queue update.
-func (l Ledger) Deficit(gridKWh, offsiteKWh float64) float64 {
+func (l *Ledger) Deficit(gridKWh, offsiteKWh float64) float64 {
 	return gridKWh - l.Alpha*offsiteKWh - l.RECPerSlotKWh
 }
 
 // CheckCaps validates the §3.1 per-slot constraints against an operated
 // configuration's facility power and delay cost.
-func (l Ledger) CheckCaps(powerKW, delayCost float64) error {
+func (l *Ledger) CheckCaps(powerKW, delayCost float64) error {
 	if l.MaxPowerKW > 0 && powerKW > l.MaxPowerKW*(1+1e-9) {
 		return fmt.Errorf("dcmodel: power %v kW exceeds the peak-power cap %v", powerKW, l.MaxPowerKW)
 	}
@@ -115,7 +116,7 @@ func (l Ledger) CheckCaps(powerKW, delayCost float64) error {
 // configuration, plus a change of activeDelta active servers against the
 // previous slot. It performs no feasibility checks — callers gate with
 // CheckCaps (and their own load checks) first.
-func (l Ledger) Charge(powerKW, delayCost float64, activeDelta int) SlotCharge {
+func (l *Ledger) Charge(powerKW, delayCost float64, activeDelta int) SlotCharge {
 	grid := l.GridKWh(powerKW)
 	elec := l.ElectricityUSD(grid)
 	delay := l.DelayUSD(delayCost)

@@ -97,7 +97,7 @@ func TestClusterCostMatchesLedger(t *testing.T) {
 	speeds := []int{2}
 	load := []float64{500}
 	l := Ledger{PriceUSDPerKWh: 0.07, OnsiteKW: 2, Beta: 0.02, SwitchCostKWh: 0.05}
-	got := c.Charge(l, speeds, load, -3)
+	got := c.Charge(&l, speeds, load, -3)
 	want := l.Charge(c.FacilityPowerKW(speeds, load), c.DelayCost(speeds, load), -3)
 	if got != want {
 		t.Errorf("Cluster.Charge = %+v, ledger charge = %+v", got, want)

@@ -11,7 +11,7 @@ import (
 // heterogeneous counterpart of the sim engine's full slot charge.
 // Infeasible loads (at or beyond a group's aggregate rate) yield +Inf
 // delay and total.
-func (c *Cluster) Charge(l Ledger, speeds []int, load []float64, activeDelta int) SlotCharge {
+func (c *Cluster) Charge(l *Ledger, speeds []int, load []float64, activeDelta int) SlotCharge {
 	return l.Charge(c.FacilityPowerKW(speeds, load), c.DelayCost(speeds, load), activeDelta)
 }
 

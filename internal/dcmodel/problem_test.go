@@ -21,7 +21,7 @@ func TestCostBreakdown(t *testing.T) {
 	l := Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 0, Beta: 0.01}
 	speeds := []int{4, 4}
 	load := []float64{50, 50}
-	cb := c.Charge(l, speeds, load, 0)
+	cb := c.Charge(&l, speeds, load, 0)
 	// Power: 2 groups × (10·0.140 + 0.091·50/10) = 2 × 1.855 = 3.71 kW.
 	if math.Abs(cb.PowerKW-3.71) > 1e-9 {
 		t.Errorf("PowerKW = %v, want 3.71", cb.PowerKW)
@@ -46,12 +46,12 @@ func TestCostOnsiteOffsetsGrid(t *testing.T) {
 	speeds := []int{4, 4}
 	load := []float64{50, 50}
 	// On-site renewables exceed facility power → zero grid draw (Eq. 3's [·]^+).
-	cb := c.Charge(Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 100, Beta: 0.01}, speeds, load, 0)
+	cb := c.Charge(&Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 100, Beta: 0.01}, speeds, load, 0)
 	if cb.GridKWh != 0 || cb.ElectricityUSD != 0 {
 		t.Errorf("grid = %v, electricity = %v; want 0", cb.GridKWh, cb.ElectricityUSD)
 	}
 	// Partial offset.
-	cb = c.Charge(Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 1.71, Beta: 0.01}, speeds, load, 0)
+	cb = c.Charge(&Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 1.71, Beta: 0.01}, speeds, load, 0)
 	if math.Abs(cb.GridKWh-2) > 1e-9 {
 		t.Errorf("partially offset grid = %v, want 2", cb.GridKWh)
 	}
@@ -72,7 +72,7 @@ func TestSlotProblemObjectiveMatchesCost(t *testing.T) {
 	speeds := []int{4, 3}
 	load := []float64{40, 30}
 	pr := SlotProblem{Cluster: c, LambdaRPS: 70, We: 0.05, Wd: 0.01, OnsiteKW: 1}
-	cb := c.Charge(Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 1, Beta: 0.01}, speeds, load, 0)
+	cb := c.Charge(&Ledger{PriceUSDPerKWh: 0.05, OnsiteKW: 1, Beta: 0.01}, speeds, load, 0)
 	if math.Abs(pr.Objective(speeds, load)-cb.TotalUSD) > 1e-12 {
 		t.Errorf("objective %v != cost %v", pr.Objective(speeds, load), cb.TotalUSD)
 	}

@@ -166,13 +166,14 @@ func (f *federation) weights(k int, v float64) (we, wd, onsiteKW float64) {
 // and records the charge in so.
 func (f *federation) charge(k int, so *SiteOutcome, powerKW, delayCost float64) {
 	s := &f.sites[k]
-	ch := dcmodel.Ledger{
+	led := dcmodel.Ledger{
 		PriceUSDPerKWh: s.price.Values[f.slot],
 		OnsiteKW:       s.portfolio.OnsiteKW.Values[f.slot],
 		Beta:           f.Beta,
 		Alpha:          s.portfolio.Alpha,
 		RECPerSlotKWh:  s.portfolio.RECPerSlotKWh(f.Slots),
-	}.Charge(powerKW, delayCost, 0)
+	}
+	ch := led.Charge(powerKW, delayCost, 0)
 	so.PowerKW, so.GridKWh, so.DelayCost, so.CostUSD = ch.PowerKW, ch.GridKWh, ch.DelayCost, ch.TotalUSD
 }
 

@@ -30,13 +30,22 @@ type agent struct {
 // whose load split the price protocol reproduces bit for bit, and so
 // differs from Solve only in where its random draws come from.
 func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
+	e, err := newDistributedEngine(p, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return e.run(e.step, span.Bool("distributed", true)), nil
+}
+
+// newDistributedEngine is newEngine with one agent per live group.
+func newDistributedEngine(p *dcmodel.SlotProblem, opts Options) (*engine, error) {
 	if p.Wd <= 0 {
 		// The price protocol cannot split load without a delay term.
-		return Result{}, loadbalance.ErrNeedsDelayWeight
+		return nil, loadbalance.ErrNeedsDelayWeight
 	}
 	e, err := newEngine(p, opts)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	e.agents = make([]agent, len(e.alive))
 	for i, g := range e.alive {
@@ -46,5 +55,5 @@ func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
 			rng:    stats.NewRNG(opts.Seed ^ (0x9e3779b97f4a7c15 * uint64(g+1))),
 		}
 	}
-	return e.run(e.step, span.Bool("distributed", true)), nil
+	return e, nil
 }

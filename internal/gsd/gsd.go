@@ -141,6 +141,11 @@ type engine struct {
 	history  []float64
 	iters    int
 	accept   int
+	rejects  int // proposals rejected on their lower bound, unsplit
+
+	// incNu, incMu are the incumbent's split dual (loadbalance.Instance.Dual),
+	// the price and kink weight of every proposal's lower bound.
+	incNu, incMu float64
 
 	// One persistent load-split instance that receives a SetSpeed delta per
 	// proposal instead of a full rebuild, a reusable evaluation buffer, and
@@ -182,7 +187,7 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	} else {
 		e.rng.Reseed(opts.Seed)
 	}
-	e.iters, e.accept = 0, 0
+	e.iters, e.accept, e.rejects = 0, 0, 0
 	e.history = e.history[:0]
 	if cap(e.alive) < n {
 		e.alive = make([]int, 0, n)
@@ -235,6 +240,7 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 		return fmt.Errorf("gsd: initial load distribution: %w", err)
 	}
 	e.bestEver.CopyFrom(&e.best)
+	e.incNu, e.incMu = e.inst.Dual()
 	e.propG = -1
 	return nil
 }
@@ -248,7 +254,7 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 // re-drew its own speed reproduces a fresh solve bit-for-bit without
 // touching the RNG.
 func (e *engine) evalExploration() (*dcmodel.Solution, int, error) {
-	if g := e.propG; g < 0 || e.speeds[g] == e.best.Speeds[g] {
+	if !e.splitPending() {
 		return &e.best, 0, nil
 	}
 	var rounds int
@@ -262,6 +268,13 @@ func (e *engine) evalExploration() (*dcmodel.Solution, int, error) {
 		return nil, rounds, err
 	}
 	return &e.eval, rounds, nil
+}
+
+// splitPending reports whether the exploration differs from the incumbent:
+// a proposal is pending and moved its group off the incumbent's speed.
+func (e *engine) splitPending() bool {
+	g := e.propG
+	return g >= 0 && e.speeds[g] != e.best.Speeds[g]
 }
 
 // revertProposal rolls the exploration vector and the persistent instance
@@ -278,62 +291,75 @@ func (e *engine) revertProposal() {
 
 // step runs one GSD iteration body (lines 2–7) at temperature delta
 // against the persistent load-split instance, annotating sweep when it is
-// non-nil. The span bookkeeping never touches e.rng, so traced and untraced
-// runs draw the identical random sequence.
+// non-nil. The span bookkeeping never touches the RNGs, so traced and
+// untraced runs draw the identical random sequence.
+//
+// A proposal whose acceptance certifiable lets it draw ahead of the split
+// is rejected unsplit when the Lagrangian bound lb on its value shows both
+// outcomes of the split: lb > the best-ever value, so it cannot become the
+// answer, and the drawn uniform is at least the acceptance u at lb, so
+// Bernoulli(u) at its value, which is no larger, rejects. The uniform is the
+// one Bernoulli would draw, so the chain, the RNG streams and every result
+// stay bit for bit those of splitting every proposal.
 func (e *engine) step(delta float64, sweep *span.Span) {
 	// Lines 2–5: evaluate the exploration if it is feasible.
-	if e.inst.Feasible() {
-		var split *span.Span
-		if sweep != nil {
-			split = sweep.Child("gsd.loadsplit")
-		}
-		sol, rounds, err := e.evalExploration()
-		if e.agents != nil {
-			if m := e.opts.Metrics; m != nil && m.DualRounds != nil {
-				m.DualRounds.Add(float64(rounds))
-			}
-			if sweep != nil {
-				split.Set(span.Int("dual_rounds", rounds))
-			}
-		}
-		if sweep != nil {
-			if err != nil {
-				split.Set(span.Str("error", err.Error()))
-			} else {
-				split.Set(span.Float("value", sol.Value))
-			}
-			split.End()
-		}
-		if err == nil {
-			if sol.Value < e.bestEver.Value {
-				e.bestEver.CopyFrom(sol)
-			}
-			u := acceptProb(delta, sol.Value, e.best.Value)
-			accepted := e.drawAccept(u)
-			if sweep != nil {
-				sweep.Set(
-					span.Float("u", u), span.Bool("accepted", accepted),
-					span.Float("g_explore", sol.Value), span.Float("g_best", e.best.Value))
-			}
-			if accepted {
-				if sol != &e.best {
-					e.best.CopyFrom(sol)
-				}
-				e.inst.Commit()
-				e.accept++
-			} else {
-				e.revertProposal()
-			}
-		} else {
-			e.revertProposal()
-		}
-	} else {
+	switch {
+	case !e.inst.Feasible():
 		// Infeasible exploration: acceptance probability is 0 (g̃ᵉ = +Inf);
 		// revert to the incumbent.
 		if sweep != nil {
 			sweep.Set(span.Bool("feasible", false))
 		}
 		e.revertProposal()
+	default:
+		draw := math.NaN() // the acceptance uniform when drawn ahead of the split
+		if lb, ulb, ok := e.certifiable(delta); ok {
+			draw = e.arbiter().Float64()
+			if lb > e.bestEver.Value && draw >= ulb*(1+acceptSlack) {
+				e.rejects++
+				if sweep != nil {
+					sweep.Set(
+						span.Bool("certified_reject", true), span.Float("g_lower", lb),
+						span.Bool("accepted", false), span.Float("g_best", e.best.Value))
+				}
+				e.revertProposal()
+				break
+			}
+		}
+		sol, err := e.split(sweep)
+		if err != nil {
+			if !math.IsNaN(draw) {
+				// certifiable admits only splits that cannot fail.
+				panic("gsd: a certifiable proposal's split failed: " + err.Error())
+			}
+			e.revertProposal()
+			break
+		}
+		if sol.Value < e.bestEver.Value {
+			e.bestEver.CopyFrom(sol)
+		}
+		u := acceptProb(delta, sol.Value, e.best.Value)
+		var accepted bool
+		if math.IsNaN(draw) {
+			accepted = e.arbiter().Bernoulli(u)
+		} else {
+			accepted = draw < u // Bernoulli's own test: certifiable keeps u in (0, 1)
+		}
+		if sweep != nil {
+			sweep.Set(
+				span.Float("u", u), span.Bool("accepted", accepted),
+				span.Float("g_explore", sol.Value), span.Float("g_best", e.best.Value))
+		}
+		if accepted {
+			if sol != &e.best {
+				e.best.CopyFrom(sol)
+				e.incNu, e.incMu = e.inst.Dual()
+			}
+			e.inst.Commit()
+			e.accept++
+		} else {
+			e.revertProposal()
+		}
 	}
 	// Line 7: a random live group explores a random speed.
 	g, k := e.propose()
@@ -347,13 +373,73 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 	}
 }
 
-// drawAccept draws the Gibbs acceptance with probability u. Any agent can
-// arbitrate; the distributed engine's first one does.
-func (e *engine) drawAccept(u float64) bool {
-	if e.agents != nil {
-		return e.agents[0].rng.Bernoulli(u)
+// acceptSlack is the relative margin step adds to the acceptance at a lower
+// bound before it rejects on it. acceptProb is monotone in the value but for
+// math.Exp, which errs by under an ulp and so can lift the acceptance at a
+// larger value by a few ulps; 2⁻⁴⁰ covers that many times over.
+const acceptSlack = 0x1p-40
+
+// certifiable reports whether the pending proposal's acceptance may be drawn
+// before its split, with lb, the Lagrangian lower bound on the split's value
+// at the incumbent's dual (loadbalance.Instance.LowerBound), and ulb, the
+// acceptance at lb. It may when all of these hold, so that splitting after
+// the draw consumes exactly the draw Bernoulli would have made:
+//   - a split is pending (evalExploration answers a re-drawn speed with
+//     the incumbent);
+//   - the split cannot fail: Wd > 0, which the price protocol needs, and λ
+//     fits the proposal's capacity (loadbalance.Instance.Fits);
+//   - Bernoulli draws, at any value v ≥ lb: u(v) > 0 because u(+Inf) > 0
+//     (the sigmoid is positive whenever it is not saturated at 0), and
+//     u(v) < 1 because u(lb) < 1 − 2⁻⁴⁰ (u(v) exceeds u(lb) by at most the
+//     few ulps acceptSlack covers, and 1/(1+e^−z) rounds to 1 only for
+//     z ≳ 36.7, well past where u reaches 1 − 2⁻⁴⁰).
+//
+// It reads no RNG.
+func (e *engine) certifiable(delta float64) (lb, ulb float64, ok bool) {
+	if !e.splitPending() || !(e.p.Wd > 0) || !e.inst.Fits() ||
+		!(acceptProb(delta, math.Inf(1), e.best.Value) > 0) {
+		return 0, 0, false
 	}
-	return e.rng.Bernoulli(u)
+	lb = e.inst.LowerBound(e.incNu, e.incMu)
+	ulb = acceptProb(delta, lb, e.best.Value)
+	return lb, ulb, ulb < 1-acceptSlack
+}
+
+// split evaluates the pending exploration (evalExploration) under a
+// gsd.loadsplit child of sweep, counting the distributed engine's price
+// rounds.
+func (e *engine) split(sweep *span.Span) (*dcmodel.Solution, error) {
+	var sp *span.Span
+	if sweep != nil {
+		sp = sweep.Child("gsd.loadsplit")
+	}
+	sol, rounds, err := e.evalExploration()
+	if e.agents != nil {
+		if m := e.opts.Metrics; m != nil && m.DualRounds != nil {
+			m.DualRounds.Add(float64(rounds))
+		}
+		if sweep != nil {
+			sp.Set(span.Int("dual_rounds", rounds))
+		}
+	}
+	if sweep != nil {
+		if err != nil {
+			sp.Set(span.Str("error", err.Error()))
+		} else {
+			sp.Set(span.Float("value", sol.Value))
+		}
+		sp.End()
+	}
+	return sol, err
+}
+
+// arbiter returns the RNG that draws the Gibbs acceptance. Any agent can
+// arbitrate; the distributed engine's first one does.
+func (e *engine) arbiter() *stats.RNG {
+	if e.agents != nil {
+		return e.agents[0].rng
+	}
+	return e.rng
 }
 
 // propose draws line 7's proposal: a live group and the speed it explores.
@@ -417,6 +503,7 @@ func (e *engine) run(step func(delta float64, sweep *span.Span), solveAttrs ...s
 	if solveSpan != nil {
 		solveSpan.Set(
 			span.Int("iters", e.iters), span.Int("accepted", e.accept),
+			span.Int("certified_rejects", e.rejects),
 			span.Float("best_value", e.bestEver.Value),
 			span.Bool("patience_exit", patienceExit))
 		solveSpan.End()

@@ -236,3 +236,61 @@ func TestSolveDistributedTracedSpans(t *testing.T) {
 		t.Fatalf("the run broadcast %v prices", sum)
 	}
 }
+
+// TestCertifiedRejectSpans pins how a proposal rejected on its lower bound
+// shows in the trace: its gsd.sweep span carries certified_reject (with the
+// bound and accepted=false) and has no gsd.loadsplit child, every other
+// sweep that split keeps its child, and the gsd.solve span counts the
+// certified rejections. The traced run still hashes as the untraced one.
+func TestCertifiedRejectSpans(t *testing.T) {
+	for _, distributed := range []bool{false, true} {
+		p := smallProblem(6, 80)
+		opts := Options{Delta: scaledDelta(t, p, -1), MaxIters: 400, Seed: 5, RecordHistory: true}
+		solve := Solve
+		if distributed {
+			solve = SolveDistributed
+		}
+		plain, err := solve(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := span.NewTracer()
+		opts.Tracer = tr
+		res, err := solve(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hashRun(res) != hashRun(plain) {
+			t.Fatalf("distributed=%v: traced run %s, untraced %s", distributed, hashRun(res), hashRun(plain))
+		}
+		recs := recordedSpans(t, tr)
+		splitOf := map[uint64]bool{}
+		for _, sp := range spansNamed(recs, "gsd.loadsplit") {
+			splitOf[sp.Parent] = true
+		}
+		certified := 0
+		for i, sw := range spansNamed(recs, "gsd.sweep") {
+			if sw.Attrs["certified_reject"] != true {
+				if _, ok := sw.Attrs["u"]; ok && !splitOf[sw.ID] && sw.Attrs["g_explore"] != sw.Attrs["g_best"] {
+					t.Fatalf("sweep %d drew u without a split or a certified rejection: %v", i, sw.Attrs)
+				}
+				continue
+			}
+			certified++
+			if splitOf[sw.ID] {
+				t.Fatalf("certified sweep %d has a gsd.loadsplit child", i)
+			}
+			lb, ok := sw.Attrs["g_lower"].(float64)
+			if !ok || sw.Attrs["accepted"] != false || !(lb > 0) {
+				t.Fatalf("certified sweep %d attrs %v", i, sw.Attrs)
+			}
+		}
+		solves := spansNamed(recs, "gsd.solve")
+		if len(solves) != 1 || solves[0].Attrs["certified_rejects"] != float64(certified) {
+			t.Fatalf("distributed=%v: solve spans %v, %d certified sweeps", distributed, solves, certified)
+		}
+		if certified == 0 {
+			t.Fatalf("distributed=%v: no certified rejection in %d iterations", distributed, res.Iters)
+		}
+	}
+}

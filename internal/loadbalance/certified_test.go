@@ -193,12 +193,7 @@ func TestSolveValueMatchesObjective(t *testing.T) {
 						in.Commit()
 					}
 					if regime == "kink" {
-						// Midway between the surplus and grid fills' power.
-						grid, gerr := in.fill(p.We)
-						free, ferr := in.fill(0)
-						if gerr == nil && ferr == nil {
-							p.OnsiteKW = (in.powerOf(grid) + in.powerOf(free)) / 2
-						}
+						setKinkSupply(p, in)
 					}
 					if err := in.SolveInto(&sol); err != nil {
 						if errors.Is(err, ErrInfeasible) {

@@ -18,7 +18,8 @@ var ErrNeedsDelayWeight = errors.New("loadbalance: distributed solver requires W
 // numopt.WaterFillInto runs its per-item price search: the coordinator
 // announces a price ν and every server group answers from nothing but its
 // own parameters, in index order. Every announcement asks the groups from
-// the first on, so a round begins whenever group 0 is asked.
+// the first on, so a round begins whenever group 0 is asked, and the last
+// announcement is the price the fill allocates at.
 type priceProtocol struct {
 	sys    *fillSystem
 	rounds int // prices broadcast since the split began
@@ -30,6 +31,7 @@ func (p *priceProtocol) Deriv(i int, v float64) float64 { return p.sys.Deriv(i, 
 func (p *priceProtocol) Alloc(i int, nu float64) float64 {
 	if i == 0 {
 		p.rounds++
+		p.sys.nu = nu
 	}
 	return p.sys.Alloc(i, nu)
 }

@@ -224,12 +224,15 @@ type fillSystem struct {
 	// (hint[1]) located, NaN before the first: the PriceHint of the next
 	// fill at that weight, whose speeds differ from it in a group or two.
 	hint [2]float64
+	// nu is the price the current fill allocated at, NaN until it has one
+	// (a fill that needs no price search never does).
+	nu float64
 }
 
 // prepare sets the live classes up for one fill under electricity weight
 // omega.
 func (s *fillSystem) prepare(omega float64) {
-	s.omega = omega
+	s.omega, s.nu = omega, math.NaN()
 	t := &s.in.cls
 	for _, r := range t.live {
 		t.rows[r].oslope = omega * t.rows[r].slope
@@ -360,6 +363,7 @@ func (s *fillSystem) AllocInto(out []float64, nu float64) float64 {
 	if i := s.hintSlot(); i >= 0 {
 		s.hint[i] = nu
 	}
+	s.nu = nu
 	s.classAlloc(nu)
 	rows := s.in.cls.rows
 	var sum float64
@@ -486,6 +490,10 @@ type Instance struct {
 	// the rows.
 	cls classTable
 
+	// The dual of the last split: the price its returned fill allocated at
+	// and that fill's electricity weight over We, NaN when it had none.
+	dualNu, dualMu float64
+
 	undo    undoRecord
 	sys     fillSystem
 	proto   priceProtocol
@@ -569,7 +577,8 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 		in.appendEntry(in.makeGroup(g, k))
 	}
 	in.recompute()
-	if p.LambdaRPS > in.capSum*(1+1e-12) {
+	in.dualNu, in.dualMu = math.NaN(), math.NaN()
+	if !in.Fits() {
 		return ErrInfeasible
 	}
 	return nil
@@ -633,6 +642,14 @@ func (in *Instance) Speeds() []int { return in.speeds }
 // bit-for-bit the same.
 func (in *Instance) Feasible() bool {
 	return in.prob.LambdaRPS <= in.rateSum*in.prob.Cluster.Gamma*(1+1e-12)
+}
+
+// Fits reports whether λ fits under the tracked γ-capacity sum: the check
+// Reset and every split make before water-filling. A split of an instance
+// that fits cannot fail, except SolveDistributedInto's without a delay
+// weight.
+func (in *Instance) Fits() bool {
+	return in.prob.LambdaRPS <= in.capSum*(1+1e-12)
 }
 
 // SetSpeed retargets cluster group g to speed index k, updating the prepared
@@ -796,6 +813,7 @@ type filler interface {
 // omega, writing per-instance-group loads into dst.
 func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 	if in.prob.Wd <= 0 {
+		in.sys.nu = math.NaN() // bang-bang: no price search
 		return in.fillNoDelayInto(dst, omega), nil
 	}
 	return in.waterFill(&in.sys, dst, omega)
@@ -893,7 +911,7 @@ func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
 
 // solveIntoWith is SolveInto over filler f.
 func (in *Instance) solveIntoWith(f filler, dst *dcmodel.Solution) error {
-	if in.prob.LambdaRPS > in.capSum*(1+1e-12) {
+	if !in.Fits() {
 		return ErrInfeasible
 	}
 	loads, err := in.solveWith(f)
@@ -949,6 +967,7 @@ func (in *Instance) objective(loads []float64) float64 {
 // aliases the instance's scratch buffers; callers consume or copy it before
 // the next solve.
 func (in *Instance) solveWith(f filler) ([]float64, error) {
+	in.dualNu, in.dualMu = math.NaN(), math.NaN()
 	if len(in.gIdx) == 0 {
 		if in.prob.LambdaRPS > 0 {
 			return nil, ErrInfeasible
@@ -963,6 +982,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 	}
 	in.scratch.grid = gridLoads
 	if in.prob.We == 0 || in.powerOf(gridLoads) >= r-powerTol {
+		in.dualNu, in.dualMu = in.sys.nu, 1
 		return gridLoads, nil
 	}
 	// Regime "surplus": on-site renewables cover everything; electricity
@@ -973,6 +993,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 	}
 	in.scratch.free = freeLoads
 	if in.powerOf(freeLoads) <= r+powerTol {
+		in.dualNu, in.dualMu = in.sys.nu, 0
 		return freeLoads, nil
 	}
 	// Kink regime: the optimum pins total power at r. Total power is
@@ -983,6 +1004,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 	// are reused instead of re-filled.
 	var (
 		lastW  [2]float64
+		lastNu [2]float64
 		lastOK [2]bool
 		cur    int
 	)
@@ -993,15 +1015,17 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 			return 0
 		}
 		in.scratch.bis[cur] = loads
-		lastW[cur], lastOK[cur] = w, true
+		lastW[cur], lastNu[cur], lastOK[cur] = w, in.sys.nu, true
 		cur = 1 - cur
 		return in.powerOf(loads)
 	}, r, 0, in.prob.We, in.prob.We*1e-12, 100)
 	if err != nil {
 		return nil, err
 	}
+	mu := omega / in.prob.We
 	for i := range lastW {
 		if lastOK[i] && lastW[i] == omega {
+			in.dualNu, in.dualMu = lastNu[i], mu
 			return in.scratch.bis[i], nil
 		}
 	}
@@ -1010,10 +1034,104 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 		return nil, err
 	}
 	in.scratch.bis[cur] = loads
+	in.dualNu, in.dualMu = in.sys.nu, mu
 	return loads, nil
 }
 
 const powerTol = 1e-6 // kW: tolerance when comparing power against r(t)
+
+// Dual returns the last split's dual: nu, the price its returned fill
+// allocated at, and mu, that fill's electricity weight over We (1 in the
+// grid regime, 0 in the surplus one, ω/We at the kink). Both are NaN before
+// the first split after a Reset and after a split that ran no price search
+// (Wd = 0, or a fill that met λ = 0 or the full capacity).
+func (in *Instance) Dual() (nu, mu float64) { return in.dualNu, in.dualMu }
+
+// LowerBound returns a lower bound on the value SolveInto (or
+// SolveDistributedInto) returns for the current speeds, from the Lagrangian
+// dual of the split at price nu and kink weight mu in [0, 1], or −Inf where
+// it certifies nothing (mu outside [0, 1], a non-finite operand or result).
+//
+// Write the kink as We·[P − r]^+ ≥ We·μ·(P − r) and price Σ L = λ at ν. For
+// any loads L in the box 0 ≤ L_g ≤ γ·R_g,
+//
+//	V(L) ≥ G(ν, μ) + ν·(Σ L − λ),
+//	G(ν, μ) = We·μ·(base − r) + ν·λ + Σ_classes cnt·min over 0 ≤ L ≤ cap of h(L),
+//	h(L) = −ρ·L + Wd·n·L/(R − L),  ρ = ν − We·μ·slope,
+//
+// with base the static power and slope a class's power per RPS. h is convex
+// with h'(0) = −ρ + Wd·n/R: its minimum is 0 at L = 0 when ρ ≤ Wd·n·R/R²,
+// h(cap) when classAlloc's R − √(Wd·n·R/ρ) reaches cap, and otherwise
+// −(√(ρ·R) − √(Wd·n))² at that point (with s = R − L, h = −ρ·R + ρ·s +
+// Wd·n·R/s − Wd·n, least at s² = Wd·n·R/ρ).
+//
+// Slack. With u = 2⁻⁵³, take M = We·base + We·μ·|r| + |ν|·λ +
+// Σ cnt·(|ν| + We·slope)·R + |Ĝ|, Ĝ the computed G, and γ_k = k·u/(1 − k·u).
+// Five errors separate the split's computed value V̂ from Ĝ:
+//   - the objective sums its n on groups' power and delay terms, each
+//     rounded at most 4 times, and 4 more operations combine them, so V̂ is
+//     within γ_{n+8}·(We·(P + |r|) + Wd·d) of the value V of its float
+//     loads. Here P ≤ base + Σ cnt·slope·R, Wd·d ≤ V, and We·|r| matters
+//     only when P − r or its rounding is positive, where it is at most
+//     We·P·(1 + γ) (r ≥ 0) or V (r < 0): the error is within 2γ_{n+8}·M + γ·V;
+//   - G is taken with base (the tracked sum), slope (rounded apart from
+//     p_c/x) and classAlloc's branch tests instead of the objective's own
+//     operands: a perturbed ρ moves a class's minimum by at most its change
+//     times cap, and a branch test decided by a rounding error moves it by
+//     O(u)·ρ·R (the unclamped form is below the clamped minimum, and at the
+//     cap end convexity gives min ≥ h(cap) − h'(cap)·cap with h'(cap) =
+//     O(u)·ρ); in each branch every term is at most (|ν| + We·slope)·R;
+//   - Ĝ sums classes + 2 such terms, each rounded at most 8 times;
+//   - the fill's loads miss λ: numopt.WaterFillInto repairs its residual to
+//     waterFillTol while the float residual drifts from the true one by at
+//     most (4n + 8)·u·capSum, and its full-capacity branch leaves Σ L short
+//     of λ by at most 10⁻¹² ·capSum (what Fits allows) plus γ_n·capSum. The
+//     repair keeps every load in [0, cap]: it tops a group up to cap only
+//     when the group lies within the residual of it, where cap − L is exact;
+//   - (1 − γ)·V ≥ (1 − γ)·Ĝ − … contributes γ·|Ĝ|.
+//
+// So V̂ is at least Ĝ − |ν|·Δ − 4·γ_{n+classes+16}·M with
+// Δ = waterFillTol + (10⁻¹² + (4n + 8)·u)·capSum. The slack subtracted is
+// |ν|·(waterFillTol + (2·10⁻¹² + (n + 2)·2⁻⁴⁹)·capSum) +
+// (n + classes + 16)·2⁻⁵⁰·M: the second term is 8·(n + classes + 16)·u·M,
+// and the margin over 4·γ also covers the rounding of M, of the slack and
+// of the final subtraction, for any n + classes far below 2⁴⁰.
+func (in *Instance) LowerBound(nu, mu float64) float64 {
+	p := in.prob
+	if !(mu >= 0 && mu <= 1) || math.IsNaN(nu) || math.IsInf(nu, 0) {
+		return math.Inf(-1)
+	}
+	omega, wd, anu := p.We*mu, p.Wd, math.Abs(nu)
+	g := omega*(in.baseKW-p.OnsiteKW) + nu*p.LambdaRPS
+	m := p.We*in.baseKW + omega*math.Abs(p.OnsiteKW) + anu*p.LambdaRPS
+	t := &in.cls
+	for _, r := range t.live {
+		c := &t.rows[r]
+		m += c.cnt * (anu + p.We*c.slope) * c.rate
+		rho := nu - omega*c.slope
+		if rho <= 0 {
+			continue // h ≥ 0 = h(0)
+		}
+		var h float64
+		switch l := c.rate - math.Sqrt(c.wdnr/rho); {
+		case l <= 0:
+			continue
+		case l >= c.cap:
+			h = -rho*c.cap + wd*c.n*c.cap/(c.rate-c.cap)
+		default:
+			d := math.Sqrt(rho*c.rate) - math.Sqrt(wd*c.n)
+			h = -(d * d)
+		}
+		g += c.cnt * h
+	}
+	n, classes := float64(len(in.gIdx)), float64(len(t.live))
+	slack := anu*(waterFillTol+(2e-12+(n+2)*0x1p-49)*in.capSum) +
+		(n+classes+16)*0x1p-50*(m+math.Abs(g))
+	if lb := g - slack; lb > math.Inf(-1) && lb < math.Inf(1) {
+		return lb
+	}
+	return math.Inf(-1)
+}
 
 // Solve computes the optimal load split of Eq. (18) for fixed speeds using
 // the centralized solver. See Instance for the reusable form.

@@ -348,18 +348,23 @@ func (e *Engine) Step() error {
 		child = e.tracer.Start("sim.operate",
 			span.Int("speed", cfg.Speed), span.Int("active", cfg.Active))
 	}
-	rec, err := e.sc.operate(t, cfg, e.prevActive, e.zPerSlot)
+	// The slot is charged in place at the end of the records, which a
+	// failed charge leaves as they were.
+	n := len(e.res.Records)
+	e.res.Records = append(e.res.Records, SlotRecord{})
+	rec := &e.res.Records[n]
+	err = e.sc.operate(rec, t, cfg, e.prevActive, e.zPerSlot)
 	if e.tracer != nil {
 		child.Set(span.Float("total_usd", rec.TotalUSD), span.Float("grid_kwh", rec.GridKWh))
 		e.endSpan(child, err)
 	}
 	if err != nil {
+		e.res.Records = e.res.Records[:n]
 		e.endSpan(slotSpan, err)
 		return fmt.Errorf("sim: slot %d: %w", t, err)
 	}
-	e.res.Records = append(e.res.Records, rec)
 	for _, ob := range e.observers {
-		ob(rec)
+		ob(*rec)
 	}
 	if e.tracer != nil {
 		child = e.tracer.Start("sim.observe",
@@ -430,30 +435,30 @@ func RunTraced(sc *Scenario, p Policy, tr *span.Tracer, observers ...Observer) (
 }
 
 // operate charges one slot of the given configuration against the true
-// environment through the shared Ledger kernel.
-func (sc *Scenario) operate(t int, cfg Config, prevActive int, zPerSlot float64) (SlotRecord, error) {
+// environment through the shared Ledger kernel, writing the record into rec.
+func (sc *Scenario) operate(rec *SlotRecord, t int, cfg Config, prevActive int, zPerSlot float64) error {
 	lambda := sc.Workload.Values[t]
 	offsite := sc.Portfolio.OffsiteKWh.Values[t]
 	led := sc.LedgerAt(t, zPerSlot)
 
-	rec := SlotRecord{
+	*rec = SlotRecord{
 		Slot: t, LambdaRPS: lambda, PriceUSDPerKWh: led.PriceUSDPerKWh,
 		OnsiteKW: led.OnsiteKW, OffsiteKWh: offsite,
 		Speed: cfg.Speed, Active: cfg.Active,
 	}
 	if cfg.Active < 0 || cfg.Active > sc.N {
-		return rec, fmt.Errorf("%w: active=%d of %d", ErrOverload, cfg.Active, sc.N)
+		return fmt.Errorf("%w: active=%d of %d", ErrOverload, cfg.Active, sc.N)
 	}
 	if cfg.Speed < 0 || cfg.Speed > sc.Server.NumSpeeds() {
-		return rec, fmt.Errorf("sim: speed index %d out of range", cfg.Speed)
+		return fmt.Errorf("sim: speed index %d out of range", cfg.Speed)
 	}
 	if lambda > 0 {
 		if cfg.Active == 0 || cfg.Speed == 0 {
-			return rec, ErrOverload
+			return ErrOverload
 		}
 		perServer := lambda / float64(cfg.Active)
 		if perServer > sc.Gamma*sc.Server.Rate(cfg.Speed)*(1+1e-9) {
-			return rec, fmt.Errorf("%w: per-server load %v exceeds γ·x = %v",
+			return fmt.Errorf("%w: per-server load %v exceeds γ·x = %v",
 				ErrOverload, perServer, sc.Gamma*sc.Server.Rate(cfg.Speed))
 		}
 	}
@@ -465,7 +470,7 @@ func (sc *Scenario) operate(t int, cfg Config, prevActive int, zPerSlot float64)
 	}
 	if err := led.CheckCaps(powerKW, delayCost); err != nil {
 		rec.PowerKW, rec.DelayCost = powerKW, delayCost
-		return rec, err
+		return err
 	}
 	// The §2.3 network delay is charged after the caps: it is
 	// decision-independent, so the §3.1 constraints apply to the data
@@ -483,7 +488,7 @@ func (sc *Scenario) operate(t int, cfg Config, prevActive int, zPerSlot float64)
 	rec.SwitchUSD = ch.SwitchUSD
 	rec.TotalUSD = ch.TotalUSD
 	rec.DeficitKWh = led.Deficit(ch.GridKWh, offsite)
-	return rec, nil
+	return nil
 }
 
 // Summary aggregates a run for reporting.
@@ -518,7 +523,8 @@ type Summary struct {
 
 // Summarize computes the run's aggregates against the scenario's budget.
 func Summarize(sc *Scenario, res *Result) Summary {
-	s := Summary{Policy: res.Policy, Slots: len(res.Records), SlotHours: dcmodel.Ledger{SlotHours: sc.SlotHours}.Hours()}
+	led := dcmodel.Ledger{SlotHours: sc.SlotHours}
+	s := Summary{Policy: res.Policy, Slots: len(res.Records), SlotHours: led.Hours()}
 	var cost, elec, delay, sw, grid, energy, deficit float64
 	for _, r := range res.Records {
 		cost += r.TotalUSD
