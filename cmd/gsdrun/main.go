@@ -131,8 +131,8 @@ func main() {
 	fmt.Printf("cluster: %d servers in %d groups; λ = %.0f req/s\n",
 		cluster.TotalServers(), len(cluster.Groups), prob.LambdaRPS)
 	fmt.Printf("%d iterations in %v (%.0f iters/s), %d accepted\n",
-		res.Iters, elapsed.Round(time.Millisecond),
-		float64(res.Iters)/elapsed.Seconds(), res.Accepted)
+		res.Stats.Iters, elapsed.Round(time.Millisecond),
+		float64(res.Stats.Iters)/elapsed.Seconds(), res.Stats.Accepted)
 	fmt.Printf("objective: %.4f (initial %.4f, improvement %.2f%%)\n",
 		res.Solution.Value, res.History[0],
 		100*(res.History[0]-res.Solution.Value)/res.History[0])

@@ -84,8 +84,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfinal slot re-solved:\n")
-	fmt.Printf("  sequential GSD   objective %.3f (%d iterations)\n", seq.Solution.Value, seq.Iters)
+	fmt.Printf("  sequential GSD   objective %.3f (%d iterations)\n", seq.Solution.Value, seq.Stats.Iters)
 	fmt.Printf("  distributed GSD  objective %.3f (%d iterations, per-group agents)\n",
-		dist.Solution.Value, dist.Iters)
+		dist.Solution.Value, dist.Stats.Iters)
 	fmt.Printf("  gap: %.2f%%\n", 100*(dist.Solution.Value-seq.Solution.Value)/seq.Solution.Value)
 }

@@ -23,9 +23,7 @@ func (e *engine) referenceStep(delta float64, sweep *span.Span) {
 		}
 		sol, rounds, err := e.evalExploration()
 		if e.agents != nil {
-			if m := e.opts.Metrics; m != nil && m.DualRounds != nil {
-				m.DualRounds.Add(float64(rounds))
-			}
+			e.stats.DualRounds += rounds
 			if sweep != nil {
 				split.Set(span.Int("dual_rounds", rounds))
 			}
@@ -54,7 +52,7 @@ func (e *engine) referenceStep(delta float64, sweep *span.Span) {
 					e.best.CopyFrom(sol)
 				}
 				e.inst.Commit()
-				e.accept++
+				e.stats.Accepted++
 			} else {
 				e.revertProposal()
 			}
@@ -79,6 +77,27 @@ func (e *engine) referenceStep(delta float64, sweep *span.Span) {
 	if sweep != nil {
 		sweep.Set(span.Int("group", g), span.Int("proposed_speed", k))
 	}
+}
+
+// evalExploration is the split referenceStep runs on every feasible
+// proposal: the incumbent when the proposal re-drew its own speed (no
+// split), else the load split and the prices it broadcast (0 for the
+// centralized split).
+func (e *engine) evalExploration() (*dcmodel.Solution, int, error) {
+	if !e.splitPending() {
+		return &e.best, 0, nil
+	}
+	var rounds int
+	var err error
+	if e.agents == nil {
+		err = e.inst.SolveInto(&e.eval)
+	} else {
+		rounds, err = e.inst.SolveDistributedInto(&e.eval)
+	}
+	if err != nil {
+		return nil, rounds, err
+	}
+	return &e.eval, rounds, nil
 }
 
 // chainCase is one certified-reject scenario: a problem, the run options
@@ -120,17 +139,17 @@ func runChain(t testing.TB, c chainCase, reference, bounds bool) (string, int) {
 			if lb, _, ok := e.certifiable(delta); ok && lb > e.bestEver.Value {
 				sol, err := loadbalance.Solve(e.p, e.speeds)
 				if err != nil {
-					t.Fatalf("%s iter %d: a certifiable proposal's split failed: %v", c.name, e.iters, err)
+					t.Fatalf("%s iter %d: a certifiable proposal's split failed: %v", c.name, e.stats.Iters, err)
 				}
 				if !(lb <= sol.Value) {
-					t.Fatalf("%s iter %d: lower bound %v above the split's value %v", c.name, e.iters, lb, sol.Value)
+					t.Fatalf("%s iter %d: lower bound %v above the split's value %v", c.name, e.stats.Iters, lb, sol.Value)
 				}
 			}
 			step(delta, sweep)
 		}
 	}
 	res := e.run(checked)
-	return hashRun(res), e.rejects
+	return hashRun(res), res.Stats.CertifiedRejects
 }
 
 // requireReferenceChain runs c under both step bodies and requires the

@@ -1,8 +1,11 @@
 package gsd
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -92,4 +95,70 @@ func TestSolverCheckpointStateJSON(t *testing.T) {
 	if err := fresh.RestoreFrom(SolverCheckpoint{Version: SolverCheckpointVersion, Warm: []int{-1}}); err == nil {
 		t.Fatal("RestoreFrom accepted a negative warm speed")
 	}
+}
+
+// FuzzSolverRestore feeds arbitrary bytes to RestoreState. Each input must
+// be refused with an error, or restore a state that round-trips exactly
+// through Checkpoint and survives one Solve on a small fixed cluster, where
+// a warm vector that cannot seed the slot (stale length, out-of-range
+// speed, too little capacity) shows up as Stats.ColdFallback.
+func FuzzSolverRestore(f *testing.F) {
+	opts := Options{Delta: 1e4, MaxIters: 30, Seed: 3}
+	p := smallProblem(4, 60)
+	s := &Solver{Opts: opts}
+	if _, err := s.Solve(p); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := s.CheckpointState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add([]byte(`{"version":1,"started":true,"seed":7,"warm":[99,99,99,99]}`))
+	f.Add([]byte(`{"version":1,"started":true,"seed":7,"warm":[1,1]}`))
+	f.Add([]byte(`{"version":1,"started":true,"seed":0,"warm":[0,0,0,0]}`))
+	f.Add([]byte(`{"version":1,"started":false,"seed":18446744073709551615,"warm":[]}`))
+	f.Add([]byte(`{"version":1,"warm":[1,-1,1,1]}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &Solver{Opts: opts}
+		if s.RestoreState(data) != nil {
+			return
+		}
+		var in SolverCheckpoint
+		if err := json.Unmarshal(data, &in); err != nil {
+			t.Fatalf("RestoreState accepted what json.Unmarshal refuses: %v", err)
+		}
+		got := s.Checkpoint()
+		if got.Version != SolverCheckpointVersion || got.Started != in.Started || got.Seed != in.Seed ||
+			!slices.Equal(got.Warm, in.Warm) {
+			t.Fatalf("restore round trip: got %+v, restored %+v", got, in)
+		}
+		state, err := s.CheckpointState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := &Solver{Opts: opts}
+		if err := again.RestoreState(state); err != nil {
+			t.Fatalf("a checkpoint does not restore: %v", err)
+		}
+		if state2, err := again.CheckpointState(); err != nil || !bytes.Equal(state2, state) {
+			t.Fatalf("checkpoint round trip: %s, then %s (%v)", state, state2, err)
+		}
+
+		warm := opts
+		warm.InitSpeeds = in.Warm
+		_, initErr := newEngine(p, warm)
+		wantCold := in.Started && len(in.Warm) > 0 && errors.Is(initErr, ErrInfeasibleInit)
+		sol, st, err := s.solve(p)
+		if err != nil {
+			t.Fatalf("Solve after restore: %v", err)
+		}
+		if st.ColdFallback != wantCold {
+			t.Fatalf("warm %v (started %v): ColdFallback %v, want %v", in.Warm, in.Started, st.ColdFallback, wantCold)
+		}
+		if err := p.Cluster.CheckConfig(sol.Speeds, sol.Load); err != nil {
+			t.Fatalf("Solve after restore: %v", err)
+		}
+	})
 }

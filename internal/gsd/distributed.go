@@ -4,7 +4,6 @@ import (
 	"repro/internal/dcmodel"
 	"repro/internal/loadbalance"
 	"repro/internal/stats"
-	"repro/internal/telemetry/span"
 )
 
 // The distributed GSD engine realizes §4.2's description: every server
@@ -30,11 +29,7 @@ type agent struct {
 // whose load split the price protocol reproduces bit for bit, and so
 // differs from Solve only in where its random draws come from.
 func SolveDistributed(p *dcmodel.SlotProblem, opts Options) (Result, error) {
-	e, err := newDistributedEngine(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.run(e.step, span.Bool("distributed", true)), nil
+	return runFresh(newDistributedEngine(p, opts))
 }
 
 // newDistributedEngine is newEngine with one agent per live group.

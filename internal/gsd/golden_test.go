@@ -37,7 +37,7 @@ func (d digest) sum() string { return fmt.Sprintf("fnv1a:%016x", d.Sum64()) }
 
 // putSolve folds a Result's Value, Iters, Accepted, Speeds and Load.
 func (d digest) putSolve(res Result) {
-	d.put(res.Solution.Value, float64(res.Iters), float64(res.Accepted))
+	d.put(res.Solution.Value, float64(res.Stats.Iters), float64(res.Stats.Accepted))
 	for _, s := range res.Solution.Speeds {
 		d.put(float64(s))
 	}

@@ -19,6 +19,9 @@
 // the dual-decomposition price protocol of package loadbalance. Server
 // failures are modeled per §4.2: failed groups are forced off and simply do
 // not participate.
+//
+// Each run's record is the Stats value in its Result; the gsd.solve and
+// gsd.solver span attributes and the one fold into Options.Metrics read it.
 package gsd
 
 import (
@@ -61,10 +64,10 @@ type Options struct {
 	// because the benchmark module (bench/) still sets it; it goes when
 	// that caller does.
 	Workers int
-	// Metrics, when non-nil, records iteration/acceptance totals,
-	// patience exits, warm-start cold fallbacks and per-solve wall time.
-	// The instruments are concurrency-safe, so one SolveMetrics can be
-	// shared across solvers and goroutines.
+	// Metrics, when non-nil, receives each call's Stats when it finishes;
+	// only that fold reads the field, and the field goes when the benchmark
+	// module (bench/) stops setting it. The instruments are concurrency-safe,
+	// so one SolveMetrics can be shared across solvers and goroutines.
 	Metrics *telemetry.SolveMetrics
 	// Tracer, when non-nil, records execution spans: one gsd.solve span
 	// per run with a gsd.sweep child per iteration (acceptance probability
@@ -86,10 +89,45 @@ type Result struct {
 	// RecordHistory is set — the trajectory the paper plots in Fig. 4,
 	// including the occasional accepted up-moves.
 	History []float64
-	// Iters is the number of iterations executed.
-	Iters int
-	// Accepted counts adopted explorations.
-	Accepted int
+	// Stats is the run's record.
+	Stats Stats
+}
+
+// Stats is the record of one solve, counted once by the engine and read by
+// the metrics fold and the span attributes; reading it touches no RNG.
+type Stats struct {
+	Iters            int           // iterations executed
+	Accepted         int           // adopted explorations
+	CertifiedRejects int           // proposals rejected on their lower bound, unsplit
+	Splits           int           // load splits run; a re-drawn incumbent speed runs none
+	DualRounds       int           // prices the distributed engine's splits broadcast
+	PatienceExit     bool          // Patience stopped the run before MaxIters
+	ColdFallback     bool          // a Solver dropped its warm start and ran cold
+	Wall             time.Duration // the run's wall time
+}
+
+// record folds a Solve, SolveDistributed or Solver.Solve call's Stats into
+// opts.Metrics, the field's only reader; a failed call counts its fallback.
+func record(opts Options, st Stats, err error) {
+	m := opts.Metrics
+	if m == nil {
+		return
+	}
+	if st.ColdFallback {
+		m.ColdFallbacks.Inc()
+	}
+	if err != nil {
+		return
+	}
+	m.Solves.Inc()
+	m.Iterations.Add(float64(st.Iters))
+	m.Accepted.Add(float64(st.Accepted))
+	if st.PatienceExit {
+		m.PatienceExits.Inc()
+	}
+	m.DualRounds.Add(float64(st.DualRounds))
+	m.SolveSeconds.Observe(st.Wall.Seconds())
+	m.ItersPerRun.Observe(float64(st.Iters))
 }
 
 // ErrInfeasibleInit is returned when the initial speed vector cannot carry
@@ -139,9 +177,7 @@ type engine struct {
 	best     dcmodel.Solution // incumbent x*
 	bestEver dcmodel.Solution // best configuration visited
 	history  []float64
-	iters    int
-	accept   int
-	rejects  int // proposals rejected on their lower bound, unsplit
+	stats    Stats
 
 	// incNu, incMu are the incumbent's split dual (loadbalance.Instance.Dual),
 	// the price and kink weight of every proposal's lower bound.
@@ -187,7 +223,7 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	} else {
 		e.rng.Reseed(opts.Seed)
 	}
-	e.iters, e.accept, e.rejects = 0, 0, 0
+	e.stats = Stats{}
 	e.history = e.history[:0]
 	if cap(e.alive) < n {
 		e.alive = make([]int, 0, n)
@@ -245,31 +281,6 @@ func (e *engine) reset(p *dcmodel.SlotProblem, opts Options) error {
 	return nil
 }
 
-// evalExploration computes g̃ for the current exploration vector and
-// reports the prices the split broadcast (0 for the centralized split). The
-// returned pointer aliases engine-owned state (the incumbent when the
-// exploration equals it, the shared eval buffer otherwise) and is only valid
-// until the next call. Both splits are pure, deterministic and bit-identical
-// to each other, so returning the incumbent directly when the proposal
-// re-drew its own speed reproduces a fresh solve bit-for-bit without
-// touching the RNG.
-func (e *engine) evalExploration() (*dcmodel.Solution, int, error) {
-	if !e.splitPending() {
-		return &e.best, 0, nil
-	}
-	var rounds int
-	var err error
-	if e.agents == nil {
-		err = e.inst.SolveInto(&e.eval)
-	} else {
-		rounds, err = e.inst.SolveDistributedInto(&e.eval)
-	}
-	if err != nil {
-		return nil, rounds, err
-	}
-	return &e.eval, rounds, nil
-}
-
 // splitPending reports whether the exploration differs from the incumbent:
 // a proposal is pending and moved its group off the incumbent's speed.
 func (e *engine) splitPending() bool {
@@ -316,7 +327,7 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 		if lb, ulb, ok := e.certifiable(delta); ok {
 			draw = e.arbiter().Float64()
 			if lb > e.bestEver.Value && draw >= ulb*(1+acceptSlack) {
-				e.rejects++
+				e.stats.CertifiedRejects++
 				if sweep != nil {
 					sweep.Set(
 						span.Bool("certified_reject", true), span.Float("g_lower", lb),
@@ -326,7 +337,10 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 				break
 			}
 		}
-		sol, err := e.split(sweep)
+		sol, err := &e.best, error(nil) // a re-drawn speed: the incumbent's split, bit for bit
+		if e.splitPending() {
+			sol, err = e.split(sweep)
+		}
 		if err != nil {
 			if !math.IsNaN(draw) {
 				// certifiable admits only splits that cannot fail.
@@ -356,7 +370,7 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 				e.incNu, e.incMu = e.inst.Dual()
 			}
 			e.inst.Commit()
-			e.accept++
+			e.stats.Accepted++
 		} else {
 			e.revertProposal()
 		}
@@ -384,12 +398,13 @@ const acceptSlack = 0x1p-40
 // at the incumbent's dual (loadbalance.Instance.LowerBound), and ulb, the
 // acceptance at lb. It may when all of these hold, so that splitting after
 // the draw consumes exactly the draw Bernoulli would have made:
-//   - a split is pending (evalExploration answers a re-drawn speed with
-//     the incumbent);
+//   - a split is pending (step answers a re-drawn speed with the
+//     incumbent);
 //   - the split cannot fail: Wd > 0, which the price protocol needs, and λ
 //     fits the proposal's capacity (loadbalance.Instance.Fits);
 //   - Bernoulli draws, at any value v ≥ lb: u(v) > 0 because u(+Inf) > 0
-//     (the sigmoid is positive whenever it is not saturated at 0), and
+//     (the sigmoid is positive unless acceptProb saturates it at 0, which it
+//     does exactly when its z = δ·(0 − 1/g*) fails z ≥ −500, NaN too), and
 //     u(v) < 1 because u(lb) < 1 − 2⁻⁴⁰ (u(v) exceeds u(lb) by at most the
 //     few ulps acceptSlack covers, and 1/(1+e^−z) rounds to 1 only for
 //     z ≳ 36.7, well past where u reaches 1 − 2⁻⁴⁰).
@@ -397,7 +412,7 @@ const acceptSlack = 0x1p-40
 // It reads no RNG.
 func (e *engine) certifiable(delta float64) (lb, ulb float64, ok bool) {
 	if !e.splitPending() || !(e.p.Wd > 0) || !e.inst.Fits() ||
-		!(acceptProb(delta, math.Inf(1), e.best.Value) > 0) {
+		!(delta*(0-safeInv(e.best.Value)) >= -500) {
 		return 0, 0, false
 	}
 	lb = e.inst.LowerBound(e.incNu, e.incMu)
@@ -405,32 +420,36 @@ func (e *engine) certifiable(delta float64) (lb, ulb float64, ok bool) {
 	return lb, ulb, ulb < 1-acceptSlack
 }
 
-// split evaluates the pending exploration (evalExploration) under a
-// gsd.loadsplit child of sweep, counting the distributed engine's price
-// rounds.
+// split computes g̃ for the pending exploration (only when splitPending)
+// under a gsd.loadsplit child of sweep, counting the split and its price
+// rounds. Both splits are pure and bit-identical; the result aliases the
+// engine's eval buffer until the next split.
 func (e *engine) split(sweep *span.Span) (*dcmodel.Solution, error) {
 	var sp *span.Span
 	if sweep != nil {
 		sp = sweep.Child("gsd.loadsplit")
 	}
-	sol, rounds, err := e.evalExploration()
-	if e.agents != nil {
-		if m := e.opts.Metrics; m != nil && m.DualRounds != nil {
-			m.DualRounds.Add(float64(rounds))
-		}
-		if sweep != nil {
+	var rounds int
+	var err error
+	if e.agents == nil {
+		err = e.inst.SolveInto(&e.eval)
+	} else {
+		rounds, err = e.inst.SolveDistributedInto(&e.eval)
+	}
+	e.stats.Splits++
+	e.stats.DualRounds += rounds
+	if sweep != nil {
+		if e.agents != nil {
 			sp.Set(span.Int("dual_rounds", rounds))
 		}
-	}
-	if sweep != nil {
 		if err != nil {
 			sp.Set(span.Str("error", err.Error()))
 		} else {
-			sp.Set(span.Float("value", sol.Value))
+			sp.Set(span.Float("value", e.eval.Value))
 		}
 		sp.End()
 	}
-	return sol, err
+	return &e.eval, err
 }
 
 // arbiter returns the RNG that draws the Gibbs acceptance. Any agent can
@@ -462,30 +481,32 @@ func (e *engine) propose() (g, k int) {
 
 // run drives the chain for both engines at the temperature Delta: one
 // gsd.sweep span and one step call per iteration, the history, the
-// patience rule, the gsd.solve span (with solveAttrs appended) and the
-// solve metrics.
-func (e *engine) run(step func(delta float64, sweep *span.Span), solveAttrs ...span.Attr) Result {
+// patience rule and the gsd.solve span (flagged distributed for the
+// distributed engine), whose closing attributes are the run's Stats.
+func (e *engine) run(step func(delta float64, sweep *span.Span)) Result {
 	start := time.Now()
 	var solveSpan *span.Span
 	if e.opts.Tracer != nil {
 		solveSpan = e.opts.Tracer.Start("gsd.solve",
 			span.Int("groups", len(e.p.Cluster.Groups)),
 			span.Float("lambda_rps", e.p.LambdaRPS))
-		solveSpan.Set(solveAttrs...)
+		if e.agents != nil {
+			solveSpan.Set(span.Bool("distributed", true))
+		}
 	}
 	noImprove := 0
-	patienceExit := false
 	lastBest := e.bestEver.Value
 	delta := e.opts.Delta
-	for e.iters < e.opts.MaxIters {
+	st := &e.stats
+	for st.Iters < e.opts.MaxIters {
 		var sweep *span.Span
 		if e.opts.Tracer != nil {
 			sweep = e.opts.Tracer.Start("gsd.sweep",
-				span.Int("iter", e.iters), span.Float("delta", delta))
+				span.Int("iter", st.Iters), span.Float("delta", delta))
 		}
 		step(delta, sweep)
 		sweep.End()
-		e.iters++
+		st.Iters++
 		if e.opts.RecordHistory {
 			e.history = append(e.history, e.best.Value)
 		}
@@ -495,37 +516,35 @@ func (e *engine) run(step func(delta float64, sweep *span.Span), solveAttrs ...s
 		} else {
 			noImprove++
 			if e.opts.Patience > 0 && noImprove >= e.opts.Patience {
-				patienceExit = true
+				st.PatienceExit = true
 				break
 			}
 		}
 	}
+	st.Wall = time.Since(start)
 	if solveSpan != nil {
-		solveSpan.Set(
-			span.Int("iters", e.iters), span.Int("accepted", e.accept),
-			span.Int("certified_rejects", e.rejects),
-			span.Float("best_value", e.bestEver.Value),
-			span.Bool("patience_exit", patienceExit))
+		solveSpan.Set(span.Int("iters", st.Iters), span.Int("accepted", st.Accepted),
+			span.Int("certified_rejects", st.CertifiedRejects), span.Int("splits", st.Splits),
+			span.Int("dual_rounds", st.DualRounds), span.Bool("patience_exit", st.PatienceExit),
+			span.Float("best_value", e.bestEver.Value))
 		solveSpan.End()
 	}
-	if m := e.opts.Metrics; m != nil {
-		m.FinishSolve(e.iters, e.accept, patienceExit, time.Since(start).Seconds())
-	}
-	return Result{
-		Solution: e.bestEver,
-		History:  e.history,
-		Iters:    e.iters,
-		Accepted: e.accept,
-	}
+	return Result{Solution: e.bestEver, History: e.history, Stats: *st}
 }
 
 // Solve runs the sequential GSD engine on P3.
 func Solve(p *dcmodel.SlotProblem, opts Options) (Result, error) {
-	e, err := newEngine(p, opts)
+	return runFresh(newEngine(p, opts))
+}
+
+// runFresh runs a newly built engine (or returns its error) and folds its Stats.
+func runFresh(e *engine, err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return e.run(e.step), nil
+	res := e.run(e.step)
+	record(e.opts, res.Stats, nil)
+	return res, nil
 }
 
 // Solver adapts GSD to the p3.Solver interface. Opts configures the first
@@ -560,9 +579,9 @@ func (s *Solver) next() Options {
 // runPooled executes one run on the solver's pooled engine (falling back to
 // a fresh engine when a concurrent call holds the pooled one) and returns a
 // deep copy of the solution, so the engine's buffers can be reused by the
-// next call. reset makes a pooled engine bit-identical to a fresh one, so
-// pooling is invisible to results.
-func (s *Solver) runPooled(p *dcmodel.SlotProblem, opts Options) (dcmodel.Solution, error) {
+// next call, and the run's Stats. reset makes a pooled engine bit-identical
+// to a fresh one, so pooling is invisible to results.
+func (s *Solver) runPooled(p *dcmodel.SlotProblem, opts Options) (dcmodel.Solution, Stats, error) {
 	s.mu.Lock()
 	e := s.eng
 	s.eng = nil
@@ -570,21 +589,18 @@ func (s *Solver) runPooled(p *dcmodel.SlotProblem, opts Options) (dcmodel.Soluti
 	if e == nil {
 		e = &engine{}
 	}
-	put := func() {
+	defer func() {
 		s.mu.Lock()
 		if s.eng == nil {
 			s.eng = e
 		}
 		s.mu.Unlock()
-	}
+	}()
 	if err := e.reset(p, opts); err != nil {
-		put()
-		return dcmodel.Solution{}, err
+		return dcmodel.Solution{}, Stats{}, err
 	}
 	res := e.run(e.step)
-	sol := res.Solution.Clone()
-	put()
-	return sol, nil
+	return res.Solution.Clone(), res.Stats, nil
 }
 
 // Solve implements p3.Solver. The seed is advanced on every call so repeated
@@ -596,31 +612,35 @@ func (s *Solver) runPooled(p *dcmodel.SlotProblem, opts Options) (dcmodel.Soluti
 // does not have (a corrupt restored checkpoint), or no longer lines up with
 // the groups after a resize or failure.
 func (s *Solver) Solve(p *dcmodel.SlotProblem) (dcmodel.Solution, error) {
+	sol, _, err := s.solve(p)
+	return sol, err
+}
+
+// solve is Solve, also returning the call's Stats.
+func (s *Solver) solve(p *dcmodel.SlotProblem) (dcmodel.Solution, Stats, error) {
 	opts := s.next()
 	var solverSpan *span.Span
 	if opts.Tracer != nil {
 		solverSpan = opts.Tracer.Start("gsd.solver")
 	}
-	solverSpan.Set(span.Bool("warm_start", len(opts.InitSpeeds) > 0))
-	sol, err := s.runPooled(p, opts)
+	sol, st, err := s.runPooled(p, opts)
 	if errors.Is(err, ErrInfeasibleInit) && opts.InitSpeeds != nil {
-		if opts.Metrics != nil {
-			opts.Metrics.ColdFallbacks.Inc()
-		}
-		solverSpan.Set(span.Bool("cold_fallback", true))
 		cold := opts
 		cold.InitSpeeds = nil
-		sol, err = s.runPooled(p, cold)
+		sol, st, err = s.runPooled(p, cold)
+		st.ColdFallback = true
 	}
+	record(opts, st, err)
+	solverSpan.Set(span.Bool("warm_start", len(opts.InitSpeeds) > 0), span.Bool("cold_fallback", st.ColdFallback))
 	if err != nil {
 		solverSpan.Set(span.Str("error", err.Error()))
 		solverSpan.End()
-		return dcmodel.Solution{}, err
+		return dcmodel.Solution{}, st, err
 	}
 	solverSpan.End()
 	// Warm-start the next slot from this slot's decision.
 	s.mu.Lock()
 	s.warm = append([]int(nil), sol.Speeds...)
 	s.mu.Unlock()
-	return sol, nil
+	return sol, st, nil
 }

@@ -76,7 +76,7 @@ func TestSolveDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Solution.Value != b.Solution.Value || a.Accepted != b.Accepted {
+	if a.Solution.Value != b.Solution.Value || a.Stats.Accepted != b.Stats.Accepted {
 		t.Error("same seed gave different runs")
 	}
 	for i := range a.History {
@@ -143,8 +143,8 @@ func TestHistoryMonotoneNonIncreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.History) != res.Iters {
-		t.Fatalf("history length %d != iters %d", len(res.History), res.Iters)
+	if len(res.History) != res.Stats.Iters {
+		t.Fatalf("history length %d != iters %d", len(res.History), res.Stats.Iters)
 	}
 	// The incumbent g̃* can temporarily move up (Gibbs sampling may accept a
 	// worse exploration), so we check it ends no worse than it starts and
@@ -166,8 +166,8 @@ func TestPatienceStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iters >= 100000 {
-		t.Errorf("patience did not stop the run (iters = %d)", res.Iters)
+	if res.Stats.Iters >= 100000 {
+		t.Errorf("patience did not stop the run (iters = %d)", res.Stats.Iters)
 	}
 }
 

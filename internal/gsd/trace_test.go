@@ -62,19 +62,19 @@ func TestSolveTracedSpans(t *testing.T) {
 	if solve.Parent != 0 {
 		t.Fatalf("gsd.solve has parent %d, want root", solve.Parent)
 	}
-	if got := solve.Attrs["iters"]; got != float64(res.Iters) {
-		t.Fatalf("solve iters attr = %v, result %d", got, res.Iters)
+	if got := solve.Attrs["iters"]; got != float64(res.Stats.Iters) {
+		t.Fatalf("solve iters attr = %v, result %d", got, res.Stats.Iters)
 	}
-	if got := solve.Attrs["accepted"]; got != float64(res.Accepted) {
-		t.Fatalf("solve accepted attr = %v, result %d", got, res.Accepted)
+	if got := solve.Attrs["accepted"]; got != float64(res.Stats.Accepted) {
+		t.Fatalf("solve accepted attr = %v, result %d", got, res.Stats.Accepted)
 	}
 	if got := solve.Attrs["best_value"]; got != res.Solution.Value {
 		t.Fatalf("solve best_value attr = %v, result %v", got, res.Solution.Value)
 	}
 
 	sweeps := spansNamed(recs, "gsd.sweep")
-	if len(sweeps) != res.Iters {
-		t.Fatalf("%d gsd.sweep spans, want one per iteration (%d)", len(sweeps), res.Iters)
+	if len(sweeps) != res.Stats.Iters {
+		t.Fatalf("%d gsd.sweep spans, want one per iteration (%d)", len(sweeps), res.Stats.Iters)
 	}
 	sweepIDs := make(map[uint64]bool, len(sweeps))
 	acceptedAttr := 0
@@ -101,8 +101,8 @@ func TestSolveTracedSpans(t *testing.T) {
 			t.Fatalf("sweep %d missing line-7 proposal: %v", i, sw.Attrs)
 		}
 	}
-	if acceptedAttr != res.Accepted {
-		t.Fatalf("accepted=true on %d sweeps, result says %d", acceptedAttr, res.Accepted)
+	if acceptedAttr != res.Stats.Accepted {
+		t.Fatalf("accepted=true on %d sweeps, result says %d", acceptedAttr, res.Stats.Accepted)
 	}
 
 	splits := spansNamed(recs, "gsd.loadsplit")
@@ -136,10 +136,10 @@ func TestSolveTracedMatchesUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Solution.Value != plain.Solution.Value ||
-		got.Iters != plain.Iters || got.Accepted != plain.Accepted {
+		got.Stats.Iters != plain.Stats.Iters || got.Stats.Accepted != plain.Stats.Accepted {
 		t.Fatalf("traced run diverged: %v/%d/%d vs %v/%d/%d",
-			got.Solution.Value, got.Iters, got.Accepted,
-			plain.Solution.Value, plain.Iters, plain.Accepted)
+			got.Solution.Value, got.Stats.Iters, got.Stats.Accepted,
+			plain.Solution.Value, plain.Stats.Iters, plain.Stats.Accepted)
 	}
 	for i := range plain.Solution.Speeds {
 		if got.Solution.Speeds[i] != plain.Solution.Speeds[i] {
@@ -193,11 +193,13 @@ func TestSolverTracedSpans(t *testing.T) {
 }
 
 // TestSolveDistributedTracedSpans pins the distributed engine's extra
-// observability: the solve span is flagged distributed and every
-// loadsplit child reports how many prices the dual-decomposition protocol
-// broadcast. An iteration whose proposal re-drew its own speed reuses the
-// incumbent's split and truthfully reports 0, so the rounds are checked in
-// sum: the spans add up to the run's DualRounds counter, which is positive.
+// observability: the solve span is flagged distributed and carries the
+// run's Stats, and only a real load split opens a gsd.loadsplit child, which
+// reports the prices the dual-decomposition protocol broadcast. An
+// iteration whose proposal re-drew its own speed keeps the incumbent's
+// split, so it opens no span and adds no round: every span has rounds, the
+// spans count Stats.Splits and their rounds sum to Stats.DualRounds, which
+// the metrics fold receives.
 func TestSolveDistributedTracedSpans(t *testing.T) {
 	p := smallProblem(3, 50)
 	tr := span.NewTracer()
@@ -214,26 +216,39 @@ func TestSolveDistributedTracedSpans(t *testing.T) {
 	if got := solves[0].Attrs["distributed"]; got != true {
 		t.Fatalf("solve distributed attr = %v, want true", got)
 	}
-	if got := solves[0].Attrs["iters"]; got != float64(res.Iters) {
-		t.Fatalf("solve iters attr = %v, result %d", got, res.Iters)
+	st := res.Stats
+	for key, want := range map[string]int{"iters": st.Iters, "splits": st.Splits, "dual_rounds": st.DualRounds} {
+		if got := solves[0].Attrs[key]; got != float64(want) {
+			t.Fatalf("solve %s attr = %v, Stats %d", key, got, want)
+		}
 	}
 	splits := spansNamed(recs, "gsd.loadsplit")
-	if len(splits) == 0 {
-		t.Fatal("no gsd.loadsplit spans recorded")
+	if len(splits) != st.Splits {
+		t.Fatalf("%d gsd.loadsplit spans, Stats.Splits %d", len(splits), st.Splits)
 	}
-	var sum float64
+	sum := 0
 	for i, sp := range splits {
 		rounds, ok := sp.Attrs["dual_rounds"].(float64)
-		if !ok {
-			t.Fatalf("loadsplit %d missing dual_rounds: %v", i, sp.Attrs)
+		if !ok || !(rounds > 0) {
+			t.Fatalf("loadsplit %d dual_rounds = %v: a span without a split", i, sp.Attrs["dual_rounds"])
 		}
-		sum += rounds
+		sum += int(rounds)
 	}
-	if got := m.DualRounds.Value(); sum != got {
-		t.Fatalf("loadsplit spans sum to %v dual rounds, DualRounds counter %v", sum, got)
+	if sum != st.DualRounds || float64(sum) != m.DualRounds.Value() {
+		t.Fatalf("loadsplit spans sum to %d dual rounds, Stats %d, counter %v", sum, st.DualRounds, m.DualRounds.Value())
 	}
-	if sum <= 0 {
-		t.Fatalf("the run broadcast %v prices", sum)
+	splitOf := map[uint64]bool{}
+	for _, sp := range splits {
+		splitOf[sp.Parent] = true
+	}
+	redrawn := 0
+	for _, sw := range spansNamed(recs, "gsd.sweep") {
+		if _, drew := sw.Attrs["u"]; drew && !splitOf[sw.ID] {
+			redrawn++
+		}
+	}
+	if st.Splits == 0 || redrawn == 0 {
+		t.Fatalf("%d splits, %d re-drawn speeds: the run no longer exercises both", st.Splits, redrawn)
 	}
 }
 
@@ -290,7 +305,7 @@ func TestCertifiedRejectSpans(t *testing.T) {
 			t.Fatalf("distributed=%v: solve spans %v, %d certified sweeps", distributed, solves, certified)
 		}
 		if certified == 0 {
-			t.Fatalf("distributed=%v: no certified rejection in %d iterations", distributed, res.Iters)
+			t.Fatalf("distributed=%v: no certified rejection in %d iterations", distributed, res.Stats.Iters)
 		}
 	}
 }

@@ -96,11 +96,11 @@ func TestSolveMetricsInstrumentation(t *testing.T) {
 	if got := m.Solves.Value(); got != 1 {
 		t.Fatalf("solves = %v", got)
 	}
-	if got := m.Iterations.Value(); got != float64(res.Iters) {
-		t.Fatalf("iterations = %v, want %v", got, res.Iters)
+	if got := m.Iterations.Value(); got != float64(res.Stats.Iters) {
+		t.Fatalf("iterations = %v, want %v", got, res.Stats.Iters)
 	}
-	if got := m.Accepted.Value(); got != float64(res.Accepted) {
-		t.Fatalf("accepted = %v, want %v", got, res.Accepted)
+	if got := m.Accepted.Value(); got != float64(res.Stats.Accepted) {
+		t.Fatalf("accepted = %v, want %v", got, res.Stats.Accepted)
 	}
 	if m.SolveSeconds.Snapshot().Count != 1 || m.ItersPerRun.Snapshot().Count != 1 {
 		t.Fatal("wall-time/iteration histograms missed the solve")
@@ -111,8 +111,8 @@ func TestSolveMetricsInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Iters >= 100000 {
-		t.Fatalf("patience did not stop the run (%d iters)", res2.Iters)
+	if res2.Stats.Iters >= 100000 {
+		t.Fatalf("patience did not stop the run (%d iters)", res2.Stats.Iters)
 	}
 	if got := m.PatienceExits.Value(); got != 1 {
 		t.Fatalf("patience exits = %v, want 1", got)
@@ -129,8 +129,8 @@ func TestDistributedMetricsInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Iterations.Value(); got != float64(res.Iters) {
-		t.Fatalf("iterations = %v, want %v", got, res.Iters)
+	if got := m.Iterations.Value(); got != float64(res.Stats.Iters) {
+		t.Fatalf("iterations = %v, want %v", got, res.Stats.Iters)
 	}
 	if got := m.Solves.Value(); got != 1 {
 		t.Fatalf("solves = %v", got)

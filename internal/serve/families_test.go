@@ -38,7 +38,9 @@ func TestExportedMetricFamilies(t *testing.T) {
 			"histogram run_slot_grid_kwh{le}", "counter run_slot_grid_kwh_invalid",
 		}, nil},
 		{"SolveMetrics", func(_ *testing.T, r *telemetry.Registry) {
-			telemetry.NewSolveMetrics(r, "gsd").FinishSolve(10, 4, true, 1e-3)
+			m := telemetry.NewSolveMetrics(r, "gsd")
+			m.Solves.Inc()
+			m.SolveSeconds.Observe(1e-3)
 		}, []string{
 			"counter gsd_accepted_moves", "counter gsd_cold_fallbacks", "counter gsd_dual_rounds",
 			"counter gsd_iterations", "counter gsd_patience_exits", "counter gsd_solves",
@@ -63,7 +65,9 @@ func TestExportedMetricFamilies(t *testing.T) {
 			"histogram geo_step_seconds{le}", "counter geo_step_seconds_invalid",
 		}, []string{"counters:geo.steps", "counters:geo.p3_solves", "counters:geo.memo_hits"}},
 		{"FleetMetrics(fleet).SiteSolveMetrics", func(_ *testing.T, r *telemetry.Registry) {
-			telemetry.NewFleetMetrics(r, "fleet").SiteSolveMetrics("f0").FinishSolve(10, 4, false, 1e-3)
+			m := telemetry.NewFleetMetrics(r, "fleet").SiteSolveMetrics("f0")
+			m.Solves.Inc()
+			m.SolveSeconds.Observe(1e-3)
 		}, []string{
 			"counter fleet_grid_kwh", "counter fleet_solve_errors", "counter fleet_steps", "counter fleet_total_usd",
 			"counter fleet_site_cost_usd", "counter fleet_site_grid_kwh", "counter fleet_site_load_rps",

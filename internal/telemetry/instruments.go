@@ -77,10 +77,8 @@ func (m *RunMetrics) Observer() sim.Observer {
 	return m.Observe
 }
 
-// SolveMetrics instruments a P3 solver (GSD): solve counts, iteration
-// and acceptance totals, early patience exits, warm-start cold
-// fallbacks, distributed dual-decomposition rounds, and the per-solve
-// wall-time distribution.
+// SolveMetrics instruments a P3 solver: package gsd folds each solve's
+// record (gsd.Stats) into these totals and distributions.
 type SolveMetrics struct {
 	Solves        *Counter
 	Iterations    *Counter
@@ -125,18 +123,6 @@ func newSolveMetrics(r *Registry, p string, labels []string, values ...string) *
 		SolveSeconds:  histogram("solve_seconds", "wall time per shard solve", ExpBuckets(1e-5, 4, 12)),
 		ItersPerRun:   histogram("iterations_per_solve", "iterations per shard solve", ExpBuckets(8, 2, 12)),
 	}
-}
-
-// FinishSolve folds one completed solve into the instruments.
-func (m *SolveMetrics) FinishSolve(iters, accepted int, patienceExit bool, seconds float64) {
-	m.Solves.Inc()
-	m.Iterations.Add(float64(iters))
-	m.Accepted.Add(float64(accepted))
-	if patienceExit {
-		m.PatienceExits.Inc()
-	}
-	m.SolveSeconds.Observe(seconds)
-	m.ItersPerRun.Observe(float64(iters))
 }
 
 // FleetSiteMetrics is one site's slice of FleetMetrics: the slot outcome

@@ -1,8 +1,7 @@
 // Package span is the span-tracing half of the observability layer: where
 // package telemetry answers *how much* (counters, gauges, histograms),
-// span answers *where the time and cost go inside a slot* — a GSD solve
-// between StartSolve and FinishSolve, the greedy site allocation inside a
-// geo step.
+// span answers *where the time and cost go inside a slot* — the sweeps and
+// load splits of a GSD solve, the greedy site allocation inside a geo step.
 //
 // NOTE ON NAMING — this package is repro/internal/telemetry/span, NOT
 // repro/internal/trace: package trace is the *time-series* trace package

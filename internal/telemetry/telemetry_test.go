@@ -190,22 +190,6 @@ func TestRunMetricsObserve(t *testing.T) {
 	}
 }
 
-func TestSolveMetricsFinishSolve(t *testing.T) {
-	r := NewRegistry()
-	m := NewSolveMetrics(r, "gsd")
-	m.FinishSolve(100, 40, true, 0.01)
-	m.FinishSolve(50, 10, false, 0.02)
-	if m.Solves.Value() != 2 || m.Iterations.Value() != 150 || m.Accepted.Value() != 50 {
-		t.Fatalf("solve counters = %v/%v/%v", m.Solves.Value(), m.Iterations.Value(), m.Accepted.Value())
-	}
-	if m.PatienceExits.Value() != 1 {
-		t.Fatalf("patience exits = %v", m.PatienceExits.Value())
-	}
-	if m.SolveSeconds.Snapshot().Count != 2 || m.ItersPerRun.Snapshot().Count != 2 {
-		t.Fatal("solve histograms missed runs")
-	}
-}
-
 func TestSlotStreamerNDJSON(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSlotStreamer(&buf)
