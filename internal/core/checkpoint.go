@@ -72,7 +72,7 @@ func (c *Controller) RestoreFrom(ck ControllerCheckpoint) error {
 	if ck.Slot < 0 {
 		return fmt.Errorf("core: controller checkpoint slot %d is negative", ck.Slot)
 	}
-	return c.restore("controller", ck.Version, ControllerCheckpointVersion, ck.Queue, ck.PrevActive, func() error {
+	return c.restore("controller", ck.Version, ControllerCheckpointVersion, ck.Queue, ck.PrevActive, c.Cluster.TotalServers(), func() error {
 		if len(ck.Solver) > 0 {
 			ss, ok := c.Solver.(SolverState)
 			if !ok {
@@ -115,7 +115,7 @@ func (p *Policy) Checkpoint() PolicyCheckpoint {
 // RestoreFrom replaces the policy's cross-slot state with the snapshot,
 // refusing one whose queue α or z differs from the policy's.
 func (p *Policy) RestoreFrom(ck PolicyCheckpoint) error {
-	return p.restore("policy", ck.Version, PolicyCheckpointVersion, ck.Queue, ck.PrevActive, func() error {
+	return p.restore("policy", ck.Version, PolicyCheckpointVersion, ck.Queue, ck.PrevActive, p.sc.N, func() error {
 		p.pendingActive = ck.PrevActive
 		return nil
 	})

@@ -130,6 +130,9 @@ func TestControllerCheckpointRejectsInvalid(t *testing.T) {
 		"version":     func(ck *ControllerCheckpoint) { ck.Version = 0 },
 		"slot":        func(ck *ControllerCheckpoint) { ck.Slot = -1 },
 		"prev-active": func(ck *ControllerCheckpoint) { ck.PrevActive = -2 },
+		"prev-active-above-fleet": func(ck *ControllerCheckpoint) {
+			ck.PrevActive = ckptCluster(3).TotalServers() + 1
+		},
 		"queue":       func(ck *ControllerCheckpoint) { ck.Queue.Alpha = -1 },
 		"solver-blob": func(ck *ControllerCheckpoint) { ck.Solver = []byte("{") },
 	}
@@ -179,6 +182,52 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	other.Queue.Z = math.Nextafter(ck.Queue.Z, math.Inf(1))
 	if err := newPolicy().RestoreFrom(other); err == nil {
 		t.Fatal("RestoreFrom adopted a checkpoint's REC allowance")
+	}
+}
+
+// TestRestoreRefusesActiveOutsideFleet: a switching anchor above the fleet
+// (or below zero) is refused with ErrActiveOutsideFleet and leaves the
+// state as it was; the fleet itself is accepted. Policy's fleet is the
+// scenario's N, Controller's the cluster's servers.
+func TestRestoreRefusesActiveOutsideFleet(t *testing.T) {
+	sc := buildScenario(t, 24)
+	p, err := New(FromScenario(sc, lyapunov.ConstantV(5e5, 1, 24)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.prevActive, p.pendingActive = 7, 7
+	pck := p.Checkpoint()
+	c := ckptController(t, 12)
+	driveController(t, c, 0, 3)
+	cck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := c.Cluster.TotalServers()
+	prev := c.prevActive
+	for _, tc := range []struct {
+		active, fleet int
+	}{{-1, -1}, {sc.N + 1, fleet + 1}, {sc.N + 150, fleet + 150}} {
+		ck := pck
+		ck.PrevActive = tc.active
+		if err := p.RestoreFrom(ck); !errors.Is(err, ErrActiveOutsideFleet) {
+			t.Errorf("policy prev_active %d (N = %d): RestoreFrom = %v, want ErrActiveOutsideFleet", tc.active, sc.N, err)
+		}
+		cc := cck
+		cc.PrevActive = tc.fleet
+		if err := c.RestoreFrom(cc); !errors.Is(err, ErrActiveOutsideFleet) {
+			t.Errorf("controller prev_active %d (fleet %d): RestoreFrom = %v, want ErrActiveOutsideFleet", tc.fleet, fleet, err)
+		}
+	}
+	if p.prevActive != 7 || p.pendingActive != 7 || c.prevActive != prev {
+		t.Fatalf("a refused restore moved the anchor: policy %d/%d, controller %d", p.prevActive, p.pendingActive, c.prevActive)
+	}
+	pck.PrevActive, cck.PrevActive = sc.N, fleet
+	if err := p.RestoreFrom(pck); err != nil {
+		t.Errorf("policy prev_active = N: %v", err)
+	}
+	if err := c.RestoreFrom(cck); err != nil {
+		t.Errorf("controller prev_active = fleet: %v", err)
 	}
 }
 

@@ -38,6 +38,11 @@ import (
 // for a slot past the V schedule's horizon.
 var ErrScheduleExhausted = errors.New("core: V schedule exhausted")
 
+// ErrActiveOutsideFleet is returned by RestoreFrom for a checkpoint whose
+// switching anchor, prev_active, is negative or above the fleet: no slot
+// of this fleet can have settled there.
+var ErrActiveOutsideFleet = errors.New("core: checkpoint prev_active outside the fleet")
+
 // loop is Algorithm 1 without its P3: the V schedule, the deficit queue
 // with its frame reset (lines 2–4) and Eq. (17) update, the settled
 // switching-cost anchor and the q(t) gauge. Policy and Controller embed it
@@ -98,13 +103,14 @@ func (l *loop) gauge() {
 // restore validates a checkpoint's shared part and, if rest (the form's
 // own restore, which may be nil) also succeeds, replaces the loop's state
 // with it. The queue's α and z are construction parameters: a checkpoint
-// written with other values is refused rather than adopted.
-func (l *loop) restore(kind string, version, want int, qc lyapunov.QueueCheckpoint, prevActive int, rest func() error) error {
+// written with other values is refused rather than adopted. fleet is the
+// number of servers, the largest switching anchor a slot can settle.
+func (l *loop) restore(kind string, version, want int, qc lyapunov.QueueCheckpoint, prevActive, fleet int, rest func() error) error {
 	if version != want {
 		return fmt.Errorf("core: %s checkpoint version %d, want %d", kind, version, want)
 	}
-	if prevActive < 0 {
-		return fmt.Errorf("core: %s checkpoint prev_active %d is negative", kind, prevActive)
+	if prevActive < 0 || prevActive > fleet {
+		return fmt.Errorf("%w: %s checkpoint has %d, fleet %d", ErrActiveOutsideFleet, kind, prevActive, fleet)
 	}
 	own := l.queue.Checkpoint()
 	if math.Float64bits(qc.Alpha) != math.Float64bits(own.Alpha) || math.Float64bits(qc.Z) != math.Float64bits(own.Z) {

@@ -64,6 +64,12 @@ func BisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol 
 // sweep of width sweep, which protects against small plateaus and mild
 // non-unimodality near the optimum (e.g. the [·]^+ kink in the COCA
 // objective). It returns the best argument and value. It panics if lo > hi.
+//
+// It is the reference for the homogeneous P3 solver's count search, which
+// reproduces its probe order and answer bit for bit while skipping the
+// comparisons a certified plateau decides: tests compare the two, and the
+// solver calls MinimizeInt itself only on the windows its certificate
+// cannot cover (a switching penalty, a cap or out-of-range operands).
 func MinimizeInt(f func(int) float64, lo, hi, sweep int) (int, float64) {
 	if lo > hi {
 		panic("numopt: MinimizeInt requires lo <= hi")

@@ -125,22 +125,67 @@ type HomogeneousSolution struct {
 // speedKernel is the homogeneous objective compiled for one speed level k:
 // it holds every operand that does not depend on the active-server count m,
 // so a probe of the integer search pays only the arithmetic in m. It is the
-// single formula of the objective; objective and Solve's probes both go
-// through eval.
+// single formula of the objective: eval and search's probes both go
+// through value. A solve compiles the speed-independent operands once
+// (compile) and aims the kernel from speed to speed (setSpeed).
 type speedKernel struct {
-	hp *HomogeneousProblem
+	hp                         *HomogeneousProblem
+	lambda, ps, pue, r, we, wd float64
+	// rare is set when a switching penalty or a cap is on: value leaves
+	// both out, so search's probes go through eval.
+	rare bool
+	// ranged reports that bound's speed-independent operand-range checks
+	// pass; a is We·PUE·p_s, and when a > 0, root is √(Wd/a) and rPUE is
+	// r/PUE.
+	ranged        bool
+	a, root, rPUE float64
+
 	x  float64 // Rate(k)
 	gx float64 // γ·x, the per-server load cap
 	ck float64 // ComputingKW(k)·λ/Rate(k), the fleet's computing power
+	// certified reports that all of bound's operand-range checks pass;
+	// kink is then the count where P(m) = r (see bound).
+	certified bool
+	kink      float64
+	// searches and probes count search's calls and its evaluations of the
+	// objective, across speeds, for tests.
+	searches, probes int
 }
 
-// kernel compiles the objective for speed level k ≥ 1; speed 0 serves only
-// to evaluate the all-off count m = 0.
-func (hp *HomogeneousProblem) kernel(k int) speedKernel {
-	x := hp.Type.Rate(k)
+// compile returns a kernel with hp's speed-independent operands, for
+// setSpeed to aim at a speed.
+func (hp *HomogeneousProblem) compile() speedKernel {
+	kn := speedKernel{hp: hp, lambda: hp.LambdaRPS, ps: hp.Type.StaticKW, pue: hp.PUE,
+		r: hp.OnsiteKW, we: hp.We, wd: hp.Wd,
+		rare: hp.SwitchWeight != 0 || hp.MaxPowerKW > 0 || hp.MaxDelayCost > 0}
+	kn.ranged = hp.SwitchWeight >= 0 && hp.SwitchWeight <= math.MaxFloat64 &&
+		zeroOrModerate(kn.we) && zeroOrModerate(kn.wd) && zeroOrModerate(kn.pue) &&
+		zeroOrModerate(kn.ps) && moderate(kn.lambda) && math.Abs(kn.r) <= 0x1p100 &&
+		float64(hp.N) <= 0x1p53
+	if kn.a = kn.we * kn.pue * kn.ps; kn.ranged && kn.a > 0 {
+		kn.root, kn.rPUE = math.Sqrt(kn.wd/kn.a), kn.r/kn.pue
+	}
+	return kn
+}
+
+// setSpeed aims the kernel at speed level k.
+func (kn *speedKernel) setSpeed(k int) {
+	st := &kn.hp.Type
+	x := st.Rate(k)
 	// Evaluated in the order Group.PowerKW evaluates p_c(x_k)·L/x_k.
-	return speedKernel{hp: hp, x: x, gx: hp.Gamma * x,
-		ck: hp.Type.ComputingKW(k) * hp.LambdaRPS / x}
+	kn.x, kn.gx, kn.ck = x, kn.hp.Gamma*x, st.ComputingKW(k)*kn.lambda/x
+	kn.certified = kn.ranged && zeroOrModerate(kn.ck) && moderate(x)
+	// With no grid slope P is flat, and every count lies left of the kink
+	// (P ≤ r) or right of it.
+	switch {
+	case !kn.certified:
+	case kn.a > 0:
+		kn.kink = (kn.rPUE - kn.ck) / kn.ps
+	case kn.pue*kn.ck <= kn.r:
+		kn.kink = math.Inf(1)
+	default:
+		kn.kink = math.Inf(-1)
+	}
 }
 
 // eval returns the objective value for m active servers (m = 0 is the
@@ -149,47 +194,64 @@ func (hp *HomogeneousProblem) kernel(k int) speedKernel {
 // with the operands computed before the failing test (zero for the γ cap).
 func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
 	hp := kn.hp
-	lambda := hp.LambdaRPS
 	if m == 0 {
-		if lambda > 0 {
+		if kn.lambda > 0 {
 			return math.Inf(1), 0, 0, 0
 		}
 		return hp.switchPenalty(0), 0, 0, 0
 	}
 	fm := float64(m)
-	if lambda/fm > kn.gx {
+	if kn.lambda/fm > kn.gx {
 		return math.Inf(1), 0, 0, 0
 	}
-	power = hp.PUE * (fm*hp.Type.StaticKW + kn.ck)
-	// [p − r]^+ bit for bit as math.Max(0, ·) computes it, without the
-	// call: +0 for every non-positive difference (−0 included) and
-	// math.NaN() for a NaN one.
-	if d := power - hp.OnsiteKW; d > 0 {
-		grid = d
-	} else if d != d {
+	_, power, grid, delay = kn.value(fm)
+	// value's corners, bit for bit as math.Max(0, ·) and Group.DelayCost
+	// meet them: math.NaN() for a NaN p − r, no delay without load, and an
+	// infinite one where the active servers cannot carry λ.
+	if grid != grid {
 		grid = math.NaN()
 	}
-	// The M/G/1/PS delay m·λ/(m·x − λ), as Group.DelayCost computes it.
-	if !(lambda <= 0) {
-		if agg := fm * kn.x; lambda >= agg {
-			delay = math.Inf(1)
-		} else {
-			delay = fm * lambda / (agg - lambda)
-		}
+	if kn.lambda <= 0 {
+		delay = 0
+	} else if kn.lambda >= fm*kn.x {
+		delay = math.Inf(1)
 	}
-	if hp.MaxPowerKW > 0 && power > hp.MaxPowerKW*(1+1e-12) {
+	if hp.MaxPowerKW > 0 && power > hp.MaxPowerKW*(1+1e-12) ||
+		hp.MaxDelayCost > 0 && delay > hp.MaxDelayCost*(1+1e-12) {
 		return math.Inf(1), power, grid, delay
 	}
-	if hp.MaxDelayCost > 0 && delay > hp.MaxDelayCost*(1+1e-12) {
-		return math.Inf(1), power, grid, delay
-	}
-	return hp.We*grid + hp.Wd*delay + hp.switchPenalty(m), power, grid, delay
+	return kn.weigh(grid, delay) + hp.switchPenalty(m), power, grid, delay
+}
+
+// value is the objective's formula at fm ≥ 1 active servers: the power
+// PUE·(m·p_s + c_k) in Group.PowerKW's order, [p − r]^+ (+0 for every
+// non-positive difference, −0 included), the M/G/1/PS delay m·λ/(m·x − λ)
+// in Group.DelayCost's and their weighted sum. It is small enough to
+// inline into search's probes. eval adds the γ and the optional caps, the
+// switching penalty and the corners value leaves out (a NaN p − r, no
+// load, m·x ≤ λ), none of which a plain window meets (see plain).
+func (kn *speedKernel) value(fm float64) (v, power, grid, delay float64) {
+	power = kn.pue * (fm*kn.ps + kn.ck)
+	grid = max(power-kn.r, 0)
+	delay = fm * kn.lambda / (fm*kn.x - kn.lambda)
+	return kn.weigh(grid, delay), power, grid, delay
+}
+
+// weigh is the objective's weighted sum We·[p − r]^+ + Wd·d.
+func (kn *speedKernel) weigh(grid, delay float64) float64 { return kn.we*grid + kn.wd*delay }
+
+// probe is search's evaluation of the objective at m.
+func (kn *speedKernel) probe(m int) float64 {
+	kn.probes++
+	v, _, _, _ := kn.value(float64(m))
+	return v
 }
 
 // bound returns a lower bound on every finite eval(m) with m in [lo, hi]
-// (1 ≤ lo ≤ hi ≤ N), or −Inf where it certifies nothing: for a negative
-// or non-finite weight, and unless We, Wd, PUE, p_s and c_k are 0 or in
-// [2⁻¹⁰⁰, 2¹⁰⁰], λ and x are in that range, |r| ≤ 2¹⁰⁰ and N ≤ 2⁵³.
+// (1 ≤ lo ≤ hi ≤ N), or −Inf where it certifies nothing: unless the
+// kernel is certified, that is for a negative or non-finite switching
+// weight, and unless We, Wd, PUE, p_s and c_k are 0 or in [2⁻¹⁰⁰, 2¹⁰⁰],
+// λ and x are in that range, |r| ≤ 2¹⁰⁰ and N ≤ 2⁵³.
 //
 // Over real m, F(m) = We·[P(m) − r]^+ + Wd·mλ/(mx − λ), with
 // P(m) = PUE·(m·p_s + c_k), is convex and has the affine minorants
@@ -222,26 +284,17 @@ func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
 // covers the rounding of A and of the subtraction, and the underflows. A
 // compiler that fuses a multiply-add only drops roundings.
 func (kn *speedKernel) bound(lo, hi int) float64 {
-	hp := kn.hp
-	lambda, x, ck, ps, pue, r := hp.LambdaRPS, kn.x, kn.ck, hp.Type.StaticKW, hp.PUE, hp.OnsiteKW
-	we, wd := hp.We, hp.Wd
-	if !(hp.SwitchWeight >= 0 && hp.SwitchWeight <= math.MaxFloat64) ||
-		!zeroOrModerate(we) || !zeroOrModerate(wd) || !zeroOrModerate(pue) ||
-		!zeroOrModerate(ps) || !zeroOrModerate(ck) || !moderate(lambda) || !moderate(x) ||
-		!(math.Abs(r) <= 0x1p100) || float64(hp.N) > 0x1p53 {
+	if !kn.certified {
 		return math.Inf(-1)
 	}
+	lambda, x, ck, ps, pue, r := kn.lambda, kn.x, kn.ck, kn.ps, kn.pue, kn.r
+	we, wd, kink := kn.we, kn.wd, kn.kink
 	flo, fhi := float64(lo), float64(hi)
-	// kink is the count where P(m) = r; with no grid slope P is flat, and
-	// every count lies left of the kink (P ≤ r) or right of it.
-	kink, m0 := math.Inf(-1), fhi
-	if a := we * pue * ps; a > 0 {
-		kink = (r/pue - ck) / ps
-		if m0 = lambda * (1 + math.Sqrt(wd/a)) / x; m0 < kink {
+	m0 := fhi
+	if kn.a > 0 {
+		if m0 = lambda * (1 + kn.root) / x; m0 < kink {
 			m0 = kink
 		}
-	} else if pue*ck <= r {
-		kink = math.Inf(1)
 	}
 	m0 = numopt.Clamp(m0, flo, fhi)
 	q := 0.0
@@ -277,18 +330,160 @@ func (kn *speedKernel) bound(lo, hi int) float64 {
 	return math.Inf(-1)
 }
 
+// search minimizes eval over [lo, hi] (1 ≤ lo ≤ hi) and returns what
+// numopt.MinimizeInt(eval, lo, hi, 3) returns. Outside a plain window it
+// calls MinimizeInt. In one it runs the same ternary search and guard
+// sweep with inlined probes (value), in the same order, except that it
+// skips every probe whose comparison plateau decides: an iteration whose
+// m1 is at or right of mR keeps [a, m2 − 1], and one whose m2 is at or
+// left of mL keeps [m1 + 1, b], as their probes would; the sweep is cut to
+// [mL, mR], since left of mL it would pass a strictly falling run, whose
+// last count wins, and right of mR a non-decreasing one, which cannot
+// displace the best.
+func (kn *speedKernel) search(lo, hi int) (int, float64) {
+	kn.searches++
+	if !kn.plain(lo) {
+		return numopt.MinimizeInt(func(m int) float64 {
+			kn.probes++
+			v, _, _, _ := kn.eval(m)
+			return v
+		}, lo, hi, 3)
+	}
+	mL, mR := kn.plateau(lo, hi)
+	const sweep = 3
+	a, b := lo, hi
+	for b-a > 2*sweep {
+		m1 := a + (b-a)/3
+		m2 := b - (b-a)/3
+		if m1 >= mR || m2 > mL && kn.probe(m1) <= kn.probe(m2) {
+			b = m2 - 1
+		} else {
+			a = m1 + 1
+		}
+	}
+	end := min(b+sweep, hi)
+	start := min(max(a-sweep, lo, mL), end)
+	end = max(min(end, mR), start)
+	bestX, bestF := start, kn.probe(start)
+	for x := start + 1; x <= end; x++ {
+		if v := kn.probe(x); v < bestF {
+			bestX, bestF = x, v
+		}
+	}
+	return bestX, bestF
+}
+
+// plain reports whether value is eval bit for bit at every count m ≥ lo:
+// the kernel is certified (so no operation overflows, p − r is never NaN
+// and the weighted sum never −0), has no switching penalty and no cap, λ/lo
+// passes the γ cap and lo·x exceeds λ. The last two hold for every larger
+// count too, since correctly rounded division and multiplication are
+// monotone.
+func (kn *speedKernel) plain(lo int) bool {
+	flo := float64(lo)
+	return kn.certified && !kn.rare && !(kn.lambda/flo > kn.gx) && flo*kn.x > kn.lambda
+}
+
+// plateau returns counts mL and mR in [lo − 1, hi + 1] that decide every
+// comparison of eval over a plain window [lo, hi] they reach:
+// eval(p) > eval(q) for p < q ≤ mL, and eval(p) ≤ eval(q) for
+// mR ≤ p < q. They decide nothing (lo − 1 and hi + 1) where evalError
+// bounds nothing.
+//
+// With F bound's objective over real m, E evalError's bound on
+// |eval − F|, A = We·PUE·p_s and K the kink where P(K) = r, F's right
+// slope at m is A·[m ≥ K] − Wd·λ²/(mx − λ)² and its left slope
+// A·[m > K] − Wd·λ²/(mx − λ)². The right slope is at least 2E where m ≥ K
+// and m ≥ (λ/x)·(1 + √(Wd/(A − 2E))); the left slope is below −2E where
+// m < (λ/x)·(1 + √(Wd/(A + 2E))), and also where m ≤ K and
+// m < (λ/x)·(1 + √(Wd/(2E))). F is convex, so between counts p < q a left
+// slope s at q gives F(p) − F(q) ≥ −s and a right slope s at p gives
+// F(q) − F(p) ≥ s; a difference beyond 2E in F fixes the order of eval.
+// The thresholds take A rounded outward by 2⁻⁵⁰, K moved outward by
+// 2⁻⁴⁸·(|r/PUE| + c_k)/p_s (its rounding is within 5u of that), and are
+// moved outward by 2⁻⁴⁰ relatively, beyond their few roundings.
+func (kn *speedKernel) plateau(lo, hi int) (mL, mR int) {
+	mL, mR = lo-1, hi+1
+	e, ok := kn.evalError(lo, hi)
+	if !ok {
+		return mL, mR
+	}
+	lx := kn.lambda / kn.x
+	mL = countBelow(lx*(1+math.Sqrt(kn.wd/(kn.a*(1+0x1p-50)+2*e)))*(1-0x1p-40), lo, hi)
+	if kn.a > 0 {
+		slack := 0x1p-48 * (math.Abs(kn.rPUE) + kn.ck) / kn.ps
+		kinkLeft := min(kn.kink-slack, lx*(1+math.Sqrt(kn.wd/(2*e)))*(1-0x1p-40))
+		mL = max(mL, countBelow(kinkLeft, lo, hi))
+		if d := kn.a*(1-0x1p-50) - 2*e; d > 0 {
+			mR = countAbove(max(kn.kink+slack, lx*(1+math.Sqrt(kn.wd/d))*(1+0x1p-40)), lo, hi)
+		}
+	}
+	return mL, mR
+}
+
+// evalError returns E, a bound on |eval(m) − F(m)| over a plain window
+// [lo, hi], F being bound's objective over real m. It bounds nothing
+// (ok is false) unless the delay's conditioning at lo,
+// κ = lo·x/(lo·x − λ), is at most 2²⁰.
+//
+// With u = 2⁻⁵³, every operand of value in a plain window is normal, so
+// each operation errs by at most u relatively, except that We·grid may
+// underflow by 2⁻¹⁰⁷⁵. The power is then within 3u·P(m) of P(m), and as
+// [·]^+ is 1-Lipschitz, grid is within u·(4P + |r|) of [P − r]^+. The
+// divisor fl(m·x) − λ carries m·x's rounding magnified by κ(m) ≤ κ, so the
+// delay is within (κ(m) + 4)·u relatively of D(m) = mλ/(mx − λ). Weighting
+// and summing two non-negative terms adds two roundings, so
+//
+//	|eval(m) − F(m)| ≤ u·(We·(6P(m) + 3|r|) + Wd·D(m)·(κ(m) + 7)) + 2⁻¹⁰⁷⁴.
+//
+// P rises in m and D·(κ + 7) = (λ/x)·κ·(κ + 7) falls, so E, with P at hi,
+// κ at lo and 8 times the slack (which also covers κ's and E's own
+// rounding), bounds that error over the window. A compiler that fuses a
+// multiply-add only drops roundings.
+func (kn *speedKernel) evalError(lo, hi int) (e float64, ok bool) {
+	t := float64(lo) * kn.x
+	g := t - kn.lambda
+	if !(g >= 0x1p-20*t) {
+		return 0, false
+	}
+	kappa := t / g
+	return 0x1p-50*(kn.we*(7*kn.pue*(float64(hi)*kn.ps+kn.ck)+4*math.Abs(kn.r))+
+		kn.wd*(kn.lambda/kn.x)*kappa*(kappa+8)) + 0x1p-1060, true
+}
+
+// countBelow returns the largest count below t, and countAbove the least
+// count above it, clamped to [lo − 1, hi + 1]; a NaN t gives the end that
+// decides nothing.
+func countBelow(t float64, lo, hi int) int {
+	switch {
+	case !(t > float64(lo)):
+		return lo - 1
+	case t > float64(hi+1):
+		return hi + 1
+	}
+	return int(math.Ceil(t)) - 1
+}
+
+func countAbove(t float64, lo, hi int) int {
+	switch {
+	case !(t < float64(hi)):
+		return hi + 1
+	case t < float64(lo-1):
+		return lo - 1
+	}
+	return int(math.Floor(t)) + 1
+}
+
 // moderate reports whether v is in [2⁻¹⁰⁰, 2¹⁰⁰], zeroOrModerate whether
 // it is also allowed to be 0: bound's operand ranges.
 func moderate(v float64) bool { return v >= 0x1p-100 && v <= 0x1p100 }
 
 func zeroOrModerate(v float64) bool { return v == 0 || moderate(v) }
 
-// objective evaluates the homogeneous objective for m active servers at
-// speed k. Infeasible pairs return +Inf.
-func (hp *HomogeneousProblem) objective(k, m int) (float64, HomogeneousSolution) {
-	kn := hp.kernel(k)
+// solution evaluates kn, the kernel of speed k, at m active servers.
+func (kn *speedKernel) solution(k, m int) HomogeneousSolution {
 	v, power, grid, delay := kn.eval(m)
-	return v, HomogeneousSolution{Speed: k, Active: m, Value: v,
+	return HomogeneousSolution{Speed: k, Active: m, Value: v,
 		PowerKW: power, GridKWh: grid, DelayCost: delay}
 }
 
@@ -358,23 +553,32 @@ func (hp *HomogeneousProblem) switchPenalty(m int) float64 {
 // with a guard sweep is exact. The answer is the lowest speed index whose
 // search reaches the least value. Speeds are searched in order of their
 // certified lower bounds (speedKernel.bound), and a speed whose bound shows
-// it cannot be that index is not searched at all; every search that runs is
-// the same MinimizeInt over the same window, so the result is bit for bit
-// that of searching every speed in index order.
+// it cannot be that index is not searched at all; every search that runs
+// returns what numopt.MinimizeInt returns over the same window
+// (speedKernel.search), so the result is bit for bit that of searching
+// every speed in index order with MinimizeInt.
 func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
-	if hp.N <= 0 || hp.LambdaRPS < 0 || math.IsNaN(hp.LambdaRPS) {
+	kn := hp.compile()
+	return kn.solve()
+}
+
+// solve is Solve on the problem kn was compiled from.
+func (kn *speedKernel) solve() (HomogeneousSolution, error) {
+	hp := kn.hp
+	if hp.N <= 0 || hp.LambdaRPS < 0 || math.IsNaN(hp.LambdaRPS) ||
+		hp.PrevActive < 0 || hp.PrevActive > hp.N {
 		return HomogeneousSolution{}, ErrInvalid
 	}
 	if hp.LambdaRPS == 0 {
 		// With no load the delay term vanishes; all-off is optimal up to the
 		// switching penalty, which is itself minimized near PrevActive — but
 		// keeping idle servers on costs static power, so compare both.
-		offVal, off := hp.objective(0, 0)
-		best := off
-		bestVal := offVal
+		kn.setSpeed(0)
+		best := kn.solution(0, 0)
 		for k := 1; k <= hp.Type.NumSpeeds(); k++ {
-			if v, s := hp.objective(k, hp.PrevActive); v < bestVal {
-				bestVal, best = v, s
+			kn.setSpeed(k)
+			if s := kn.solution(k, hp.PrevActive); s.Value < best.Value {
+				best = s
 			}
 		}
 		return best, nil
@@ -392,7 +596,7 @@ func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 		if hi > hp.N {
 			hi = hp.N
 		}
-		kn := hp.kernel(k)
+		kn.setSpeed(k)
 		w := speedWindow{k: k, lo: lo, hi: hi, bound: kn.bound(lo, hi)}
 		i := len(ws)
 		ws = append(ws, w)
@@ -409,11 +613,8 @@ func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 		if w.bound > bestVal || w.bound == bestVal && w.k > bestK {
 			break
 		}
-		kn := hp.kernel(w.k)
-		m, val := numopt.MinimizeInt(func(m int) float64 {
-			v, _, _, _ := kn.eval(m)
-			return v
-		}, w.lo, w.hi, 3)
+		kn.setSpeed(w.k)
+		m, val := kn.search(w.lo, w.hi)
 		if val < bestVal || val == bestVal && w.k < bestK {
 			bestK, bestM, bestVal = w.k, m, val
 		}
@@ -421,8 +622,8 @@ func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 	if math.IsInf(bestVal, 1) {
 		return HomogeneousSolution{}, ErrInfeasible
 	}
-	_, best := hp.objective(bestK, bestM)
-	return best, nil
+	kn.setSpeed(bestK)
+	return kn.solution(bestK, bestM), nil
 }
 
 // speedWindow is one speed's share of a Solve: its index, its feasible

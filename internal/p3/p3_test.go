@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/dcmodel"
@@ -110,6 +111,11 @@ func TestHomogeneousInvalid(t *testing.T) {
 		{Type: dcmodel.Opteron(), N: -3, Gamma: 0.95, PUE: 1, LambdaRPS: 1},
 		{Type: dcmodel.Opteron(), N: 10, Gamma: 0.95, PUE: 1, LambdaRPS: -1},
 		{Type: dcmodel.Opteron(), N: 10, Gamma: 0.95, PUE: 1, LambdaRPS: math.NaN()},
+		// A switching anchor outside the fleet: the zero-load branch once
+		// returned it as the active count.
+		{Type: dcmodel.Opteron(), N: 100, Gamma: 0.95, PUE: 1, SwitchWeight: 0.5, PrevActive: 150},
+		{Type: dcmodel.Opteron(), N: 100, Gamma: 0.95, PUE: 1, SwitchWeight: 0.5, PrevActive: -7},
+		{Type: dcmodel.Opteron(), N: 100, Gamma: 0.95, PUE: 1, LambdaRPS: 300, PrevActive: 101},
 	}
 	for i, hp := range cases {
 		if _, err := hp.Solve(); !errors.Is(err, ErrInvalid) {
@@ -313,6 +319,22 @@ func TestHomogeneousSolveGoldenHash(t *testing.T) {
 	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
 		t.Errorf("homogeneous solve hash = %s, want %s (solver arithmetic drifted)", got, want)
 	}
+}
+
+// kernel compiles the objective for speed level k ≥ 1; speed 0 serves only
+// to evaluate the all-off count m = 0.
+func (hp *HomogeneousProblem) kernel(k int) speedKernel {
+	kn := hp.compile()
+	kn.setSpeed(k)
+	return kn
+}
+
+// objective evaluates the homogeneous objective for m active servers at
+// speed k. Infeasible pairs return +Inf.
+func (hp *HomogeneousProblem) objective(k, m int) (float64, HomogeneousSolution) {
+	kn := hp.kernel(k)
+	s := kn.solution(k, m)
+	return s.Value, s
 }
 
 // oracleObjective is the homogeneous objective as the solver computed it
@@ -553,10 +575,242 @@ func TestSpeedBoundBelowEveryProbe(t *testing.T) {
 	}
 }
 
+// checkPlateau checks every speed window's search against
+// numopt.MinimizeInt (the same count and value bits, in no more probes).
+// In a plain window it also checks that search makes exactly the probes
+// plateauProbes counts, the certificate in exact arithmetic
+// (checkCertificate), and the plateau against the comparisons it decides:
+// eval(m) > eval(m + 1) for m + 1 ≤ mL and eval(m) ≤ eval(m + 1) for
+// m ≥ mR, which by transitivity is every pair it decides. It checks every
+// consecutive pair when every is set, else every 97th and those within 200
+// counts of mL and of mR. It returns the widest plateau, mR − mL, over the
+// plain windows.
+func checkPlateau(t *testing.T, hp *HomogeneousProblem, every bool) (width int) {
+	t.Helper()
+	for _, w := range speedWindows(hp) {
+		kn := &w.kn
+		ref := 0
+		wantM, wantV := numopt.MinimizeInt(func(m int) float64 {
+			ref++
+			v, _, _, _ := kn.eval(m)
+			return v
+		}, w.lo, w.hi, 3)
+		gotM, gotV := kn.search(w.lo, w.hi)
+		if gotM != wantM || math.Float64bits(gotV) != math.Float64bits(wantV) || kn.probes > ref {
+			t.Fatalf("N=%d k=%d window [%d, %d]: search = (%d, %v) in %d probes, MinimizeInt (%d, %v) in %d",
+				hp.N, w.k, w.lo, w.hi, gotM, gotV, kn.probes, wantM, wantV, ref)
+		}
+		if !kn.plain(w.lo) {
+			continue
+		}
+		mL, mR := kn.plateau(w.lo, w.hi)
+		width = max(width, mR-mL)
+		if want := plateauProbes(kn, w.lo, w.hi, mL, mR); kn.probes != want {
+			t.Fatalf("N=%d k=%d window [%d, %d], plateau [%d, %d]: search made %d probes, want %d",
+				hp.N, w.k, w.lo, w.hi, mL, mR, kn.probes, want)
+		}
+		checkCertificate(t, kn, w.lo, w.hi, mL, mR, every)
+		check := func(m int) {
+			if m < w.lo || m >= w.hi {
+				return
+			}
+			v0, _, _, _ := kn.eval(m)
+			v1, _, _, _ := kn.eval(m + 1)
+			if m+1 <= mL && !(v0 > v1) || m >= mR && !(v0 <= v1) {
+				t.Fatalf("N=%d k=%d window [%d, %d], plateau [%d, %d]: eval(%d) = %v, eval(%d) = %v",
+					hp.N, w.k, w.lo, w.hi, mL, mR, m, v0, m+1, v1)
+			}
+		}
+		stride := 1
+		if !every {
+			stride = 97
+			for d := -200; d <= 200; d++ {
+				check(mL + d)
+				check(mR + d)
+			}
+		}
+		for m := w.lo; m < w.hi; m += stride {
+			check(m)
+		}
+	}
+	return width
+}
+
+// plateauProbes counts the probes search must make over [lo, hi] with the
+// plateau [mL, mR]: those of numopt.MinimizeInt's path, taken with every
+// probe, less each iteration's pair whose m1 ≥ mR or m2 ≤ mL and the
+// sweep's counts outside [mL, mR].
+func plateauProbes(kn *speedKernel, lo, hi, mL, mR int) int {
+	f := func(m int) float64 {
+		v, _, _, _ := kn.eval(m)
+		return v
+	}
+	n := 0
+	a, b := lo, hi
+	for b-a > 6 {
+		m1, m2 := a+(b-a)/3, b-(b-a)/3
+		if m1 < mR && m2 > mL {
+			n += 2
+		}
+		if f(m1) <= f(m2) {
+			b = m2 - 1
+		} else {
+			a = m1 + 1
+		}
+	}
+	end := min(b+3, hi)
+	start := min(max(a-3, lo, mL), end)
+	return n + max(min(end, mR), start) - start + 1
+}
+
+// checkCertificate checks plateau's certificate in exact arithmetic
+// (math/big at 300 bits) against F, the objective over real m with the
+// kernel's operands: |eval(m) − F(m)| ≤ E at every count of [lo, hi] when
+// every is set, else at every 97th and both ends; F's left slope below −2E
+// at min(mL, hi) and its right slope at least 2E at max(mR, lo), where
+// those are in the window.
+func checkCertificate(t *testing.T, kn *speedKernel, lo, hi, mL, mR int, every bool) {
+	t.Helper()
+	e, ok := kn.evalError(lo, hi)
+	if !ok {
+		return
+	}
+	num := func(v float64) *big.Float { return new(big.Float).SetPrec(300).SetFloat64(v) }
+	op := func() *big.Float { return new(big.Float).SetPrec(300) }
+	// power returns P(m) = PUE·(m·p_s + c_k); denom m·x − λ.
+	power := func(m int) *big.Float {
+		p := op().Mul(num(float64(m)), num(kn.ps))
+		return p.Mul(num(kn.pue), p.Add(p, num(kn.ck)))
+	}
+	denom := func(m int) *big.Float {
+		d := op().Mul(num(float64(m)), num(kn.x))
+		return d.Sub(d, num(kn.lambda))
+	}
+	twoE := num(2 * e)
+	for m := lo; m <= hi; m++ {
+		if !every && m != hi && (m-lo)%97 != 0 {
+			continue
+		}
+		grid := op().Sub(power(m), num(kn.r))
+		if grid.Sign() < 0 {
+			grid.SetFloat64(0)
+		}
+		f := op().Mul(num(kn.we), grid)
+		d := op().Mul(num(float64(m)), num(kn.lambda))
+		d.Quo(d, denom(m))
+		f.Add(f, d.Mul(d, num(kn.wd)))
+		v, _, _, _ := kn.eval(m)
+		diff := op().Sub(num(v), f)
+		if diff.Abs(diff).Cmp(num(e)) > 0 {
+			t.Fatalf("window [%d, %d]: |eval(%d) − F| = %v exceeds E = %v", lo, hi, m, diff, e)
+		}
+	}
+	// slope returns F's left (right == false) or right slope at m.
+	slope := func(m int, right bool) *big.Float {
+		s := op()
+		if c := power(m).Cmp(num(kn.r)); c > 0 || right && c == 0 {
+			s.Mul(num(kn.we), num(kn.pue))
+			s.Mul(s, num(kn.ps))
+		}
+		d := denom(m)
+		q := op().Mul(num(kn.lambda), num(kn.lambda))
+		q.Quo(q, d.Mul(d, d))
+		return s.Sub(s, q.Mul(q, num(kn.wd)))
+	}
+	if m := min(mL, hi); m >= lo {
+		if s := slope(m, false); s.Add(s, twoE).Sign() >= 0 {
+			t.Fatalf("window [%d, %d]: left slope at mL = %d is not below −2E = %v", lo, hi, m, -2*e)
+		}
+	}
+	if m := max(mR, lo); m <= hi {
+		if s := slope(m, true); s.Sub(s, twoE).Sign() < 0 {
+			t.Fatalf("window [%d, %d]: right slope at mR = %d is below 2E = %v", lo, hi, m, 2*e)
+		}
+	}
+}
+
+// TestPlateauDecidesOnlyTrueComparisons checks checkPlateau over the
+// golden grid, the kernel corners and random plain problems of up to
+// 2,000 servers whose weights span twelve decades, whose kink falls
+// anywhere in the window, half the time exactly on a count, and whose γ
+// runs up to 1. The plateau must also
+// decide nearly everything where the paper's runs need it: at most a few
+// counts wide for every golden problem at N = 216,000 with load and no
+// switching penalty or cap.
+func TestPlateauDecidesOnlyTrueComparisons(t *testing.T) {
+	for i, hp := range goldenProblems() {
+		width := checkPlateau(t, hp, hp.N <= 1000)
+		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.SwitchWeight == 0 && hp.MaxPowerKW == 0 &&
+			hp.MaxDelayCost == 0 && width > 4 {
+			t.Errorf("problem %d: plateau %d counts wide", i, width)
+		}
+	}
+	for _, hp := range kernelCorners(t) {
+		checkPlateau(t, hp, true)
+	}
+	rng := stats.NewRNG(35)
+	decade := func(lo, hi float64) float64 { return math.Pow(10, rng.Uniform(lo, hi)) }
+	for trial := 0; trial < 300; trial++ {
+		hp := &HomogeneousProblem{
+			Type: dcmodel.Opteron(), N: 1 + rng.IntN(2000), PUE: rng.Uniform(1, 2),
+			Gamma: []float64{0.5, 0.95, 0.999, 1}[rng.IntN(4)],
+			We:    decade(-6, 6), Wd: decade(-6, 6),
+		}
+		if rng.Bernoulli(0.5) {
+			hp.Type = cubicType()
+		}
+		fn := float64(hp.N)
+		hp.LambdaRPS = rng.Uniform(0.001, 0.99) * hp.Gamma * hp.Type.MaxRate() * fn
+		hp.OnsiteKW = rng.Uniform(0, 1.5) * hp.PUE * hp.Type.Levels[3].BusyKW * fn
+		if rng.Bernoulli(0.5) {
+			// The kink on a count: r is the power there, to the last bit.
+			_, at := oracleObjective(hp, 1+rng.IntN(4), 1+rng.IntN(hp.N))
+			hp.OnsiteKW = at.PowerKW
+		}
+		checkPlateau(t, hp, true)
+	}
+}
+
+// TestSearchSkipsCertifiedProbes pins the probes the plateau saves on the
+// BenchmarkHomogeneousP3Solve instance: over Solve's searches and over
+// every speed's window, search must probe well under numopt.MinimizeInt's
+// ~61 per window while returning the same count and value.
+func TestSearchSkipsCertifiedProbes(t *testing.T) {
+	hp := &HomogeneousProblem{
+		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,
+		LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
+	}
+	kn := hp.compile()
+	if _, err := kn.solve(); err != nil {
+		t.Fatal(err)
+	}
+	solveMean := float64(kn.probes) / float64(kn.searches)
+	checkPlateau(t, hp, false)
+	var probes, ref int
+	ws := speedWindows(hp)
+	for _, w := range ws {
+		w.kn.search(w.lo, w.hi)
+		probes += w.kn.probes
+		numopt.MinimizeInt(func(m int) float64 {
+			ref++
+			v, _, _, _ := w.kn.eval(m)
+			return v
+		}, w.lo, w.hi, 3)
+	}
+	mean, refMean := float64(probes)/float64(len(ws)), float64(ref)/float64(len(ws))
+	t.Logf("probes per search: Solve %.1f over %d searches; every window %.1f, MinimizeInt %.1f",
+		solveMean, kn.searches, mean, refMean)
+	if solveMean > 45 || mean > 0.6*refMean || refMean < 55 {
+		t.Errorf("probes per search: Solve %.1f (want ≤ 45); every window %.1f against MinimizeInt's %.1f (want ≤ 60%%)",
+			solveMean, mean, refMean)
+	}
+}
+
 // refHomogeneousSolve is HomogeneousProblem.Solve as it was before speeds
 // were skipped on their bounds: every speed searched in index order.
 func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
-	if hp.N <= 0 || hp.LambdaRPS < 0 || math.IsNaN(hp.LambdaRPS) {
+	if hp.N <= 0 || hp.LambdaRPS < 0 || math.IsNaN(hp.LambdaRPS) ||
+		hp.PrevActive < 0 || hp.PrevActive > hp.N {
 		return HomogeneousSolution{}, ErrInvalid
 	}
 	if hp.LambdaRPS == 0 {
@@ -601,14 +855,29 @@ func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
 // FuzzHomogeneousSolve checks Solve against refHomogeneousSolve bit for
 // bit (speed, count, value, power, grid energy, delay cost and error) on
 // random problems of up to 216,000 servers: unrestricted λ, weights, PUE,
-// γ and supply, with switching, both caps and either server type. Supply
-// and caps are drawn per server and scaled by N. Up to 500 servers it also
-// checks every speed's bound against every probe.
+// γ and supply, with switching (its anchor up to four counts above the
+// fleet, and below zero for draws of 2³¹ and up), both caps and either
+// server type. Supply and caps are drawn per
+// server and scaled by N. Up to 500 servers it also checks every speed's
+// bound against every probe and its plateau against every comparison.
+// The seeds after the first four sit at the plateau's corners: the
+// optimum at the kink (at 216,000 servers a kink exactly on a count) and
+// at the γ cap's low end, γ = 1 (lo·x = λ), We = 0, Wd = 0, switching,
+// both caps binding and a tiny λ.
 func FuzzHomogeneousSolve(f *testing.F) {
 	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
 	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), 0.12, 0.0, false)
 	f.Add(uint32(215999), 0.985, 0.95, 1.3, 40.0, 0.001, 0.04, 0.0, uint32(0), 0.0, 0.5, true)
 	f.Add(uint32(9999), 0.2, 1.0, 1.1, 3.0, 0.5, 0.1, 0.01, uint32(5000), 0.3, 2.0, true)
+	f.Add(uint32(499), 0.3, 0.95, 1.0, 40.0, 0.001, 0.1, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(215999), 0.3, 0.95, 1.0, 40.0, 0.001, 0.12, 0.0, uint32(0), 0.0, 0.0, true)
+	f.Add(uint32(499), 0.3, 0.95, 1.0, 1.0, 1e-6, 0.0, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(215999), 0.5, 1.0, 1.1, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(215999), 0.4, 0.95, 1.0, 0.0, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(215999), 0.4, 0.95, 1.0, 0.07, 0.0, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(4999), 0.3, 0.95, 1.2, 0.07, 0.02, 0.04, 0.01, uint32(1700), 0.0, 0.0, false)
+	f.Add(uint32(4999), 0.3, 0.95, 1.2, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.3, 1.0, true)
+	f.Add(uint32(215999), 1e-9, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, n uint32, frac, gamma, pue, we, wd, onsite, sw float64,
 		prev uint32, maxPower, maxDelay float64, cubic bool) {
 		hp := &HomogeneousProblem{
@@ -616,7 +885,7 @@ func FuzzHomogeneousSolve(f *testing.F) {
 			We: we, Wd: wd, SwitchWeight: sw,
 		}
 		fn := float64(hp.N)
-		hp.PrevActive = int(prev % uint32(hp.N+1))
+		hp.PrevActive = int(int32(prev)) % (hp.N + 5)
 		hp.OnsiteKW, hp.MaxPowerKW, hp.MaxDelayCost = onsite*fn, maxPower*fn, maxDelay*fn
 		if cubic {
 			hp.Type = cubicType()
@@ -624,6 +893,7 @@ func FuzzHomogeneousSolve(f *testing.F) {
 		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * fn
 		if hp.N <= 500 && hp.LambdaRPS > 0 {
 			checkBound(t, hp, true)
+			checkPlateau(t, hp, true)
 		}
 		got, gotErr := hp.Solve()
 		want, wantErr := refHomogeneousSolve(hp)
