@@ -89,15 +89,16 @@ func (e *engine) evalExploration() (*dcmodel.Solution, int, error) {
 	}
 	var rounds int
 	var err error
+	sol := new(dcmodel.Solution)
 	if e.agents == nil {
-		err = e.inst.SolveInto(&e.eval)
+		err = e.inst.SolveInto(sol)
 	} else {
-		rounds, err = e.inst.SolveDistributedInto(&e.eval)
+		rounds, err = e.inst.SolveDistributedInto(sol)
 	}
 	if err != nil {
 		return nil, rounds, err
 	}
-	return &e.eval, rounds, nil
+	return sol, rounds, nil
 }
 
 // chainCase is one certified-reject scenario: a problem, the run options

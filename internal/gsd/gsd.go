@@ -104,6 +104,11 @@ type Stats struct {
 	PatienceExit     bool          // Patience stopped the run before MaxIters
 	ColdFallback     bool          // a Solver dropped its warm start and ran cold
 	Wall             time.Duration // the run's wall time
+
+	// The load-split instance's passes over the run, the initial split
+	// included: fills, O(classes) probes, O(groups) gathers and tracked-sum
+	// passes (loadbalance.Work).
+	loadbalance.Work
 }
 
 // record folds a Solve, SolveDistributed or Solver.Solve call's Stats into
@@ -174,7 +179,7 @@ type engine struct {
 	rng      *stats.RNG
 	alive    []int            // indices of non-failed groups
 	speeds   []int            // current exploration vector x^e
-	best     dcmodel.Solution // incumbent x*
+	best     dcmodel.Solution // incumbent x*: the chain reads only its speeds and value
 	bestEver dcmodel.Solution // best configuration visited
 	history  []float64
 	stats    Stats
@@ -184,10 +189,9 @@ type engine struct {
 	incNu, incMu float64
 
 	// One persistent load-split instance that receives a SetSpeed delta per
-	// proposal instead of a full rebuild, a reusable evaluation buffer, and
-	// the group of the pending proposal (-1 before the first draw).
+	// proposal instead of a full rebuild, and the group of the pending
+	// proposal (-1 before the first draw).
 	inst  *loadbalance.Instance
-	eval  dcmodel.Solution
 	propG int
 
 	// agents, when non-nil, makes this the distributed engine: the agents
@@ -337,9 +341,12 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 				break
 			}
 		}
-		sol, err := &e.best, error(nil) // a re-drawn speed: the incumbent's split, bit for bit
-		if e.splitPending() {
-			sol, err = e.split(sweep)
+		// A re-drawn speed's value is the incumbent's split, bit for bit, and
+		// never below the best-ever value, so only a split is ever copied
+		// out, and only into the best-ever solution when it improves it.
+		value, pending, err := e.best.Value, e.splitPending(), error(nil)
+		if pending {
+			value, err = e.split(sweep)
 		}
 		if err != nil {
 			if !math.IsNaN(draw) {
@@ -349,10 +356,10 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 			e.revertProposal()
 			break
 		}
-		if sol.Value < e.bestEver.Value {
-			e.bestEver.CopyFrom(sol)
+		if value < e.bestEver.Value {
+			e.inst.WriteSplit(&e.bestEver)
 		}
-		u := acceptProb(delta, sol.Value, e.best.Value)
+		u := acceptProb(delta, value, e.best.Value)
 		var accepted bool
 		if math.IsNaN(draw) {
 			accepted = e.arbiter().Bernoulli(u)
@@ -362,11 +369,13 @@ func (e *engine) step(delta float64, sweep *span.Span) {
 		if sweep != nil {
 			sweep.Set(
 				span.Float("u", u), span.Bool("accepted", accepted),
-				span.Float("g_explore", sol.Value), span.Float("g_best", e.best.Value))
+				span.Float("g_explore", value), span.Float("g_best", e.best.Value))
 		}
 		if accepted {
-			if sol != &e.best {
-				e.best.CopyFrom(sol)
+			if pending {
+				// The exploration differs from the incumbent in the proposed
+				// group alone; the incumbent's loads are never read again.
+				e.best.Speeds[e.propG], e.best.Value = e.speeds[e.propG], value
 				e.incNu, e.incMu = e.inst.Dual()
 			}
 			e.inst.Commit()
@@ -422,19 +431,22 @@ func (e *engine) certifiable(delta float64) (lb, ulb float64, ok bool) {
 
 // split computes g̃ for the pending exploration (only when splitPending)
 // under a gsd.loadsplit child of sweep, counting the split and its price
-// rounds. Both splits are pure and bit-identical; the result aliases the
-// engine's eval buffer until the next split.
-func (e *engine) split(sweep *span.Span) (*dcmodel.Solution, error) {
+// rounds. Both splits are pure and bit-identical; the loads stay in the
+// instance, for loadbalance.Instance.WriteSplit, until the next mutation.
+func (e *engine) split(sweep *span.Span) (float64, error) {
 	var sp *span.Span
 	if sweep != nil {
 		sp = sweep.Child("gsd.loadsplit")
 	}
-	var rounds int
-	var err error
+	var (
+		rounds int
+		value  float64
+		err    error
+	)
 	if e.agents == nil {
-		err = e.inst.SolveInto(&e.eval)
+		value, err = e.inst.Split()
 	} else {
-		rounds, err = e.inst.SolveDistributedInto(&e.eval)
+		rounds, value, err = e.inst.SplitDistributed()
 	}
 	e.stats.Splits++
 	e.stats.DualRounds += rounds
@@ -445,11 +457,11 @@ func (e *engine) split(sweep *span.Span) (*dcmodel.Solution, error) {
 		if err != nil {
 			sp.Set(span.Str("error", err.Error()))
 		} else {
-			sp.Set(span.Float("value", e.eval.Value))
+			sp.Set(span.Float("value", value))
 		}
 		sp.End()
 	}
-	return &e.eval, err
+	return value, err
 }
 
 // arbiter returns the RNG that draws the Gibbs acceptance. Any agent can
@@ -522,10 +534,13 @@ func (e *engine) run(step func(delta float64, sweep *span.Span)) Result {
 		}
 	}
 	st.Wall = time.Since(start)
+	st.Work = e.inst.Work()
 	if solveSpan != nil {
 		solveSpan.Set(span.Int("iters", st.Iters), span.Int("accepted", st.Accepted),
 			span.Int("certified_rejects", st.CertifiedRejects), span.Int("splits", st.Splits),
 			span.Int("dual_rounds", st.DualRounds), span.Bool("patience_exit", st.PatienceExit),
+			span.Int("fills", st.Fills), span.Int("class_sweeps", st.ClassSweeps),
+			span.Int("gathers", st.Gathers), span.Int("sum_passes", st.SumPasses),
 			span.Float("best_value", e.bestEver.Value))
 		solveSpan.End()
 	}

@@ -299,7 +299,7 @@ func TestSumAllocMonotoneBitwise(t *testing.T) {
 					walk(c.oslope+c.wdnr/(gap*gap), 200)
 				}
 				for _, frac := range []float64{0.05, 0.5, 0.95, 0.999} {
-					target := frac * in.capSum
+					target := frac * s.CapSum()
 					walk(numopt.BisectMonotone(s.SumAlloc, target, lo, 64*(hi-lo)+hi, 0, 200), 200)
 				}
 				for k := 0; k < 200; k++ {

@@ -48,10 +48,21 @@ func (p *priceProtocol) fillInto(dst []float64, omega float64) ([]float64, error
 // announcement, summed over every electricity weight the regime analysis
 // tried): the message cost a real deployment would pay for the split.
 func (in *Instance) SolveDistributedInto(dst *dcmodel.Solution) (rounds int, err error) {
+	rounds, _, err = in.SplitDistributed()
+	if err == nil {
+		in.WriteSplit(dst)
+	}
+	return rounds, err
+}
+
+// SplitDistributed is SolveDistributedInto without the copy out, as Split
+// is SolveInto's: it returns the prices broadcast and the split's value,
+// and WriteSplit copies the loads out.
+func (in *Instance) SplitDistributed() (rounds int, value float64, err error) {
 	if in.prob.Wd <= 0 {
-		return 0, ErrNeedsDelayWeight
+		return 0, 0, ErrNeedsDelayWeight
 	}
 	in.proto = priceProtocol{sys: &in.sys}
-	err = in.solveIntoWith(&in.proto, dst)
-	return in.proto.rounds, err
+	value, err = in.splitWith(&in.proto)
+	return in.proto.rounds, value, err
 }

@@ -22,14 +22,15 @@
 // An Instance is mutable: SetSpeed applies a single-group speed change and
 // Revert undoes it, so an iterative caller (the GSD engine proposes one
 // coordinate change per Gibbs iteration) keeps one persistent Instance and
-// pays a delta update plus an allocation-free SolveInto per proposal instead
-// of rebuilding the subproblem 200·n times per slot.
+// pays a delta update plus an allocation-free split per proposal instead
+// of rebuilding the subproblem 200·n times per slot. Split returns only the
+// split's value and WriteSplit copies its loads out, so a caller that keeps
+// few proposals copies few.
 //
-// The per-group constants live in a struct-of-arrays layout (parallel
-// gIdx/gRow/gN/gRate/gSlope/gCap slices over the on groups, backed by the
-// cluster's cached dcmodel.ClusterArrays): the water-fill and sweep inner
-// loops walk flat float64 arrays instead of pointer-chasing group structs,
-// which keeps them cache-linear at fleet scale (10k+ groups per site).
+// The on groups are two parallel slices in ascending cluster order: gIdx,
+// each group's cluster index, and gRow, its class's row in the class table.
+// Every other per-group constant is a class constant read through gRow, so
+// an on↔off move shifts two slices and a speed change rewrites one entry.
 //
 // On groups with the same shape (dcmodel.ClusterArrays.Shape) at the same
 // speed form one class and get the same allocation at every price, so each
@@ -37,18 +38,22 @@
 // and weighs it by the class's group count. That estimate of the ascending
 // per-group sum comes with a rounding-error bound (numopt.ClassSumSlack)
 // that decides almost every bisection comparison; only an undecided probe
-// accumulates the per-group values in ascending order. Every comparison is
-// decided as the exact sum decides it, hence the same bits. The class table
-// is kept by delta: SetSpeed moves one group between two classes' counts and
-// Revert moves it back, so a proposal costs what it changes. Each fill also
-// starts its price search from the price the last fill at the same
-// electricity weight found, which is advisory and changes no bit either.
+// accumulates the per-group values in ascending order. The three tracked
+// sums (static power, γ-capacity and capacity) are estimated and certified
+// the same way, and taken as ascending sums only for a comparison the
+// estimate leaves open. Every comparison is decided as the exact sum
+// decides it, hence the same bits. The class table is kept by delta:
+// SetSpeed moves one group between two classes' counts and Revert moves it
+// back, so a proposal costs what it changes. Each fill also starts its
+// price search from the price the last fill at the same electricity weight
+// found, which is advisory and changes no bit either.
 package loadbalance
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dcmodel"
@@ -59,52 +64,34 @@ import (
 // given speed configuration.
 var ErrInfeasible = errors.New("loadbalance: load exceeds configuration capacity")
 
-// group is one on-group's precomputed constants gathered back into a struct —
-// the undo snapshot unit for SetSpeed/Revert. The live state is the
-// Instance's parallel slices; entry/setEntry convert between the two views.
-type group struct {
-	idx     int     // index into the cluster's group list
-	row     int32   // its (shape, speed) class's row in the class table
-	n       float64 // number of servers
-	rate    float64 // R = n·x: aggregate service rate
-	slopeKW float64 // A = PUE·p_c(x)/x: marginal facility power per RPS
-	cap     float64 // γ·R: maximum allowed load
-}
-
-// makeGroup builds the prepared constants for cluster group g at speed k > 0
-// from the cluster's flat arrays, with exactly the arithmetic NewInstance has
-// always used (the arrays store RateAt/PowerSlopeKWPerRPS values verbatim).
-// It counts the group in its class's row, appending the row when the table
-// has not met the class since Reset.
-func (in *Instance) makeGroup(g, k int) group {
-	r := in.arr.Rate(g, k)
-	e := group{
-		idx:     g,
-		n:       in.arr.N[g],
-		rate:    r,
-		slopeKW: in.prob.Cluster.PUE * in.arr.Slope(g, k),
-		cap:     in.prob.Cluster.Gamma * r,
-	}
+// classOf returns the class-table row of cluster group g at speed k > 0 and
+// counts the group in it. A class the table has not met since Reset gets a
+// new row, computed with exactly the arithmetic NewInstance has always used
+// (the arrays store RateAt/PowerSlopeKWPerRPS values verbatim).
+func (in *Instance) classOf(g, k int) int32 {
 	id := in.arr.Shape[g]*int32(in.arr.Stride) + int32(k)
-	e.row = in.cls.slot[id]
-	if e.row < 0 {
-		typ := &in.prob.Cluster.Groups[g].Type
-		e.row = int32(len(in.cls.rows))
-		in.cls.slot[id] = e.row
+	row := in.cls.slot[id]
+	if row < 0 {
+		p := in.prob
+		typ := &p.Cluster.Groups[g].Type
+		n, rate := in.arr.N[g], in.arr.Rate(g, k)
+		row = int32(len(in.cls.rows))
+		in.cls.slot[id] = row
 		in.cls.rows = append(in.cls.rows, classRow{
 			id:       id,
-			rate:     e.rate,
-			cap:      e.cap,
-			slope:    e.slopeKW,
-			wdnr:     in.prob.Wd * e.n * e.rate,
-			n:        e.n,
+			rate:     rate,
+			cap:      p.Cluster.Gamma * rate,
+			slope:    p.Cluster.PUE * in.arr.Slope(g, k),
+			wdnr:     p.Wd * n * rate,
+			static:   p.Cluster.PUE * n * in.arr.StaticKW[g],
+			n:        n,
 			staticKW: in.arr.StaticKW[g],
 			compKW:   typ.ComputingKW(k),
 			x:        typ.Rate(k),
 		})
 	}
-	in.cls.inc(e.row)
-	return e
+	in.cls.inc(row)
+	return row
 }
 
 // undoKind describes the structural effect of the last SetSpeed.
@@ -118,20 +105,17 @@ const (
 )
 
 // undoRecord snapshots what a single SetSpeed changed so Revert can restore
-// the instance bit-for-bit. The sums are restored from the snapshot rather
-// than recomputed: they were fresh ordered sums before the mutation, so
-// restoring them reproduces the exact pre-mutation bits.
+// the instance bit-for-bit, the tracked sums' estimates and exact values
+// included.
 type undoRecord struct {
-	valid   bool
-	kind    undoKind
-	g       int   // cluster group the mutation touched
-	oldK    int   // its previous speed index
-	pos     int   // position in the on-group slices the mutation touched
-	entry   group // the displaced entry (modify/remove)
-	rows    int   // class-table rows before the mutation, which may append one
-	baseKW  float64
-	capSum  float64
-	rateSum float64
+	valid bool
+	kind  undoKind
+	g     int   // cluster group the mutation touched
+	oldK  int   // its previous speed index
+	pos   int   // position in the on-group slices the mutation touched
+	row   int32 // the displaced entry's class row (modify/remove)
+	rows  int   // class-table rows before the mutation, which may append one
+	sums  trackedSums
 }
 
 // classRow is one (shape, speed) class the instance has met since its last
@@ -146,6 +130,8 @@ type classRow struct {
 	cap   float64 // γ·R
 	slope float64 // PUE·p_c(x)/x
 	wdnr  float64 // (Wd·n)·R
+	// static is PUE·n·p_s: a member's share of the tracked static power.
+	static float64
 
 	// The objective's per-group terms: Group.PowerKW = n·p_s + p_c·L/x and
 	// Group.DelayCost = n·L/(R − L).
@@ -156,6 +142,34 @@ type classRow struct {
 
 	// objective's memo: a member group's power and delay terms at load memoL.
 	memoL, memoP, memoD float64
+}
+
+// The three tracked sums over the on groups, each the ascending sum of a
+// class constant (classRow's static, cap and rate): the facility's static
+// power, the γ-capacity NewInstance checks λ against, and the capacity
+// before the γ factor (Cluster.UsableCapacityRPS's sum).
+const (
+	sumStatic = iota
+	sumCap
+	sumRate
+	numSums
+)
+
+// trackedSums is what the instance knows of the tracked sums at its current
+// speeds. SetSpeed forgets both views and Revert restores its snapshot, so
+// a proposal pays neither unless a reader needs it: the class table's
+// estimates Σ cnt·value with their numopt.ClassSumSlack (one O(classes)
+// sweep for all three), or the ascending sums (one O(groups) pass for all
+// three), which a reader takes only for a comparison the estimate leaves
+// open. The ascending sums are accumulated in a from-scratch NewInstance's
+// order (off groups add exact zeros there), so they are never updated by
+// +=delta: floating-point addition is order-sensitive, and delta drift in
+// the last ulps would break the bit-for-bit parity with a fresh build.
+type trackedSums struct {
+	est, slack [numSums]float64 // the class estimates, when estOK
+	exact      [numSums]float64 // the ascending sums, when exactOK
+	estOK      bool
+	exactOK    bool
 }
 
 // classTable is the class table, kept by delta between Resets. A class's
@@ -261,7 +275,7 @@ func (s *fillSystem) PriceHint() float64 {
 }
 
 func (s *fillSystem) Items() int        { return len(s.in.gIdx) }
-func (s *fillSystem) Cap(i int) float64 { return s.in.gCap[i] }
+func (s *fillSystem) Cap(i int) float64 { return s.in.row(i).cap }
 func (s *fillSystem) Deriv(i int, v float64) float64 {
 	return s.in.marginal(i, s.omega, v)
 }
@@ -296,6 +310,7 @@ func (s *fillSystem) classAlloc(nu float64) float64 {
 // class sweep costs what the ascending per-group gather does, so the
 // estimate is that gather, the exact sum, with slack 0.
 func (s *fillSystem) SumAllocBound(nu float64) (est, slack float64) {
+	s.in.work.ClassSweeps++
 	est = s.classAlloc(nu)
 	n, classes := len(s.in.gRow), len(s.in.cls.live)
 	if classes == n {
@@ -310,6 +325,7 @@ func (s *fillSystem) SumAllocBound(nu float64) (est, slack float64) {
 // ½·q/rem; a row at 0 or at cap contributes no slope. It writes no row
 // state, so it may run between any two probes.
 func (s *fillSystem) SumAllocSlope(nu float64) (est, slope float64) {
+	s.in.work.ClassSweeps++
 	wd, rows := s.in.prob.Wd, s.in.cls.rows
 	for _, r := range s.in.cls.live {
 		c := &rows[r]
@@ -335,7 +351,11 @@ func (s *fillSystem) SumAllocSlope(nu float64) (est, slope float64) {
 
 // CapSum implements numopt.BulkWaterSystem: the tracked Σ γ·R, the same
 // ascending sum over the on groups.
-func (s *fillSystem) CapSum() float64 { return s.in.capSum }
+func (s *fillSystem) CapSum() float64 { return s.in.exactSum(sumCap) }
+
+// CapSumBound implements numopt.BulkWaterSystem: the tracked Σ γ·R within
+// its certified slack.
+func (s *fillSystem) CapSumBound() (est, slack float64) { return s.in.bound(sumCap) }
 
 // SumAlloc implements numopt.BulkWaterSystem: Σ_i Alloc(i, ν) accumulated in
 // ascending index order — the per-group values and the order of the
@@ -347,6 +367,7 @@ func (s *fillSystem) SumAlloc(nu float64) float64 {
 
 // gather returns the ascending sum over the on groups of their rows' val.
 func (s *fillSystem) gather() float64 {
+	s.in.work.Gathers++
 	rows := s.in.cls.rows
 	var sum float64
 	for _, r := range s.in.gRow {
@@ -435,7 +456,7 @@ func sortedOrder(buf []int, in *Instance, omega float64) []int {
 		buf[i] = i
 	}
 	sort.Slice(buf, func(a, b int) bool {
-		return omega*in.gSlope[buf[a]] < omega*in.gSlope[buf[b]]
+		return omega*in.row(buf[a]).slope < omega*in.row(buf[b]).slope
 	})
 	return buf
 }
@@ -463,26 +484,12 @@ type Instance struct {
 	arr    *dcmodel.ClusterArrays
 	speeds []int // owned copy of the current speed vector
 
-	// On groups in struct-of-arrays layout, ascending cluster index. The
-	// six slices are parallel: position i describes one on group.
-	gIdx   []int     // cluster group index
-	gRow   []int32   // its class's row in cls
-	gN     []float64 // float64(n_g)
-	gRate  []float64 // R = n·x
-	gSlope []float64 // A = PUE·p_c(x)/x
-	gCap   []float64 // γ·R
+	// The on groups, ascending cluster index: position i is cluster group
+	// gIdx[i], whose constants are its class's row cls.rows[gRow[i]].
+	gIdx []int
+	gRow []int32
 
-	pos    []int     // cluster group index -> position in the slices, -1 when off
-	static []float64 // per cluster group: PUE·n·StaticKW, speed-independent
-
-	// Tracked aggregates. Each is recomputed as a fresh ordered sum over the
-	// on groups after every structural change (never updated by +=delta):
-	// floating-point addition is order-sensitive, and accumulated delta
-	// drift in the last ulps would break the golden bit-for-bit parity the
-	// repository pins against a from-scratch NewInstance build.
-	baseKW  float64 // PUE · Σ static power of on groups (load-independent)
-	capSum  float64 // Σ γ·R of on groups (the feasibility bound NewInstance checks)
-	rateSum float64 // Σ R of on groups (Cluster.UsableCapacityRPS before the γ factor)
+	sums trackedSums // what the readers at the current speeds took
 
 	// The class table, built by Reset and kept by delta after it. Reset
 	// sizes it for the most classes the cluster can have live at once,
@@ -494,12 +501,36 @@ type Instance struct {
 	// and that fill's electricity weight over We, NaN when it had none.
 	dualNu, dualMu float64
 
+	last    lastSplit
+	work    Work
 	undo    undoRecord
 	sys     fillSystem
 	proto   priceProtocol
 	order   orderCache
 	scratch solveScratch
 }
+
+// lastSplit is the instance's last split while its speeds stand: the
+// instance-group loads (aliasing solveScratch) and their objective value.
+type lastSplit struct {
+	ok    bool
+	loads []float64
+	value float64
+}
+
+// Work counts an instance's passes since its last Reset, as plain
+// increments: the fills its splits ran, their O(classes) and O(groups)
+// price probes, and the O(groups) passes the tracked sums' certificates
+// left to the ascending sums.
+type Work struct {
+	Fills       int // water-fills, one per electricity weight a split tries
+	ClassSweeps int // O(classes) price probes: certified bounds and slope sweeps
+	Gathers     int // O(groups) price probes: exact per-group sums
+	SumPasses   int // O(groups) passes over the tracked sums a certificate left open
+}
+
+// Work returns the passes counted since the last Reset.
+func (in *Instance) Work() Work { return in.work }
 
 // NewInstance validates and prepares the subproblem. It returns
 // ErrInfeasible when the speed vector cannot carry the problem's λ.
@@ -516,10 +547,11 @@ func NewInstance(p *dcmodel.SlotProblem, speeds []int) (*Instance, error) {
 // every internal buffer. The resulting state is bit-for-bit identical to a
 // fresh NewInstance build: the on-group slices and the class table are
 // rebuilt in the same ascending order with the same arithmetic, the tracked
-// sums come from the same recompute, and the price hints are cleared. A
-// problem whose scalars fail dcmodel.SlotProblem.CheckScalars (a NaN or
-// infinite λ, weight or on-site supply, or a negative one) is an error. On error the instance is left
-// invalid; it must be Reset successfully before further use.
+// sums and the price hints are cleared, and the Work counts start at zero.
+// A problem whose scalars fail dcmodel.SlotProblem.CheckScalars (a NaN or
+// infinite λ, weight or on-site supply, or a negative one) is an error. On
+// error the instance is left invalid; it must be Reset successfully before
+// further use.
 func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	if err := p.CheckScalars(); err != nil {
 		return err
@@ -532,23 +564,11 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	in.prob = p
 	in.arr = p.Cluster.Arrays()
 	in.speeds = append(in.speeds[:0], speeds...)
-	if cap(in.pos) < n {
-		in.pos = make([]int, 0, n)
-		in.static = make([]float64, 0, n)
-	}
-	in.pos = in.pos[:n]
-	in.static = in.static[:n]
 	if cap(in.gIdx) < n {
 		in.gIdx = make([]int, 0, n)
 		in.gRow = make([]int32, 0, n)
-		in.gN = make([]float64, 0, n)
-		in.gRate = make([]float64, 0, n)
-		in.gSlope = make([]float64, 0, n)
-		in.gCap = make([]float64, 0, n)
-	} else {
-		in.gIdx, in.gRow, in.gN, in.gRate, in.gSlope, in.gCap =
-			in.gIdx[:0], in.gRow[:0], in.gN[:0], in.gRate[:0], in.gSlope[:0], in.gCap[:0]
 	}
+	in.gIdx, in.gRow = in.gIdx[:0], in.gRow[:0]
 	t := &in.cls
 	t.slot = growInt32(t.slot, in.arr.Shapes*in.arr.Stride)
 	for i := range t.slot {
@@ -563,20 +583,17 @@ func (in *Instance) Reset(p *dcmodel.SlotProblem, speeds []int) error {
 	in.sys.in = in
 	in.sys.hint = [2]float64{math.NaN(), math.NaN()}
 	in.undo.valid = false
-	for g := range p.Cluster.Groups {
-		k := speeds[g]
+	in.forget()
+	in.work = Work{}
+	for g, k := range speeds {
 		if k < 0 || k > in.arr.NumSpeeds[g] {
 			return fmt.Errorf("loadbalance: group %d speed index %d out of range", g, k)
 		}
-		in.static[g] = p.Cluster.PUE * in.arr.N[g] * in.arr.StaticKW[g]
-		in.pos[g] = -1
-		if k == 0 {
-			continue
+		if k > 0 {
+			in.gIdx = append(in.gIdx, g)
+			in.gRow = append(in.gRow, in.classOf(g, k))
 		}
-		in.pos[g] = len(in.gIdx)
-		in.appendEntry(in.makeGroup(g, k))
 	}
-	in.recompute()
 	in.dualNu, in.dualMu = math.NaN(), math.NaN()
 	if !in.Fits() {
 		return ErrInfeasible
@@ -592,43 +609,83 @@ func growInt32(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// appendEntry pushes one on group onto the end of the parallel slices.
-func (in *Instance) appendEntry(e group) {
-	in.gIdx = append(in.gIdx, e.idx)
-	in.gRow = append(in.gRow, e.row)
-	in.gN = append(in.gN, e.n)
-	in.gRate = append(in.gRate, e.rate)
-	in.gSlope = append(in.gSlope, e.slopeKW)
-	in.gCap = append(in.gCap, e.cap)
-}
+// row returns on group i's class row.
+func (in *Instance) row(i int) *classRow { return &in.cls.rows[in.gRow[i]] }
 
-// entry gathers position p of the parallel slices back into a struct.
-func (in *Instance) entry(p int) group {
-	return group{
-		idx: in.gIdx[p], row: in.gRow[p], n: in.gN[p], rate: in.gRate[p],
-		slopeKW: in.gSlope[p], cap: in.gCap[p],
-	}
-}
-
-// setEntry scatters e into position p of the parallel slices.
-func (in *Instance) setEntry(p int, e group) {
-	in.gIdx[p], in.gRow[p], in.gN[p], in.gRate[p], in.gSlope[p], in.gCap[p] =
-		e.idx, e.row, e.n, e.rate, e.slopeKW, e.cap
-}
-
-// recompute refreshes the tracked aggregates as fresh sums over the on
-// groups in ascending cluster order — the exact accumulation order of a
-// from-scratch NewInstance (off groups contribute an exact +0 there, which
-// is an identity), so the values are bit-for-bit reproducible.
-func (in *Instance) recompute() {
-	var base, caps, rates float64
-	for i := range in.gIdx {
-		base += in.static[in.gIdx[i]]
-		caps += in.gCap[i]
-		rates += in.gRate[i]
-	}
-	in.baseKW, in.capSum, in.rateSum = base, caps, rates
+// forget drops everything derived from the speeds: the tracked sums, the
+// cached fill orders and the last split.
+func (in *Instance) forget() {
+	in.sums.estOK, in.sums.exactOK = false, false
 	in.order.valid = false
+	in.last.ok = false
+}
+
+// bound returns tracked sum s (sumStatic, sumCap or sumRate) within slack:
+// the ascending sum with slack 0 once a reader has taken it at the current
+// speeds, else the class table's estimate. When every live class has one
+// member the estimate would cost what the ascending sum does, so the
+// ascending sum is taken instead.
+func (in *Instance) bound(s int) (est, slack float64) {
+	t := &in.sums
+	if !t.exactOK && !t.estOK {
+		n, classes := len(in.gRow), len(in.cls.live)
+		if classes == n {
+			return in.exactSum(s), 0
+		}
+		var e [numSums]float64
+		for _, r := range in.cls.live {
+			c := &in.cls.rows[r]
+			e[sumStatic] += c.cnt * c.static
+			e[sumCap] += c.cnt * c.cap
+			e[sumRate] += c.cnt * c.rate
+		}
+		for i, v := range e {
+			t.slack[i] = numopt.ClassSumSlack(v, n, classes)
+		}
+		t.est, t.estOK = e, true
+	}
+	if t.exactOK {
+		return t.exact[s], 0
+	}
+	return t.est[s], t.slack[s]
+}
+
+// exactSum returns tracked sum s as the ascending sum over the on groups,
+// taking the O(groups) pass for all three sums the first time the current
+// speeds need one.
+func (in *Instance) exactSum(s int) float64 {
+	t := &in.sums
+	if !t.exactOK {
+		in.work.SumPasses++
+		var e [numSums]float64
+		rows := in.cls.rows
+		for _, r := range in.gRow {
+			c := &rows[r]
+			e[sumStatic] += c.static
+			e[sumCap] += c.cap
+			e[sumRate] += c.rate
+		}
+		t.exact, t.exactOK = e, true
+	}
+	return t.exact[s]
+}
+
+// carries reports whether λ ≤ S·scale·(1+1e-12) for tracked sum S, as the
+// ascending sum decides it. The right side is monotone in S, so it lies
+// between its values at the ends of S's certified interval: when λ falls
+// on one side of both the estimate decides, and otherwise (NaN included)
+// the ascending sum does.
+func (in *Instance) carries(s int, scale float64) bool {
+	lambda := in.prob.LambdaRPS
+	est, slack := in.bound(s)
+	lo, hi := (est-slack)*scale*(1+1e-12), (est+slack)*scale*(1+1e-12)
+	switch {
+	case lambda <= min(lo, hi):
+		return true
+	case lambda > max(lo, hi):
+		return false
+	}
+	return lambda <= in.exactSum(s)*scale*(1+1e-12)
 }
 
 // Speeds returns the instance's current speed vector. The slice is the
@@ -636,21 +693,19 @@ func (in *Instance) recompute() {
 func (in *Instance) Speeds() []int { return in.speeds }
 
 // Feasible reports whether the current speed configuration can carry the
-// problem's load under the γ cap. It is the O(1) equivalent of
-// SlotProblem.Feasible on the instance's speeds: rateSum is maintained in
-// UsableCapacityRPS's exact accumulation order, so the comparison is
-// bit-for-bit the same.
+// problem's load under the γ cap: SlotProblem.Feasible on the instance's
+// speeds, bit for bit, since the capacity sum is taken in
+// UsableCapacityRPS's accumulation order whenever its estimate cannot
+// decide the comparison.
 func (in *Instance) Feasible() bool {
-	return in.prob.LambdaRPS <= in.rateSum*in.prob.Cluster.Gamma*(1+1e-12)
+	return in.carries(sumRate, in.prob.Cluster.Gamma)
 }
 
 // Fits reports whether λ fits under the tracked γ-capacity sum: the check
 // Reset and every split make before water-filling. A split of an instance
 // that fits cannot fail, except SolveDistributedInto's without a delay
 // weight.
-func (in *Instance) Fits() bool {
-	return in.prob.LambdaRPS <= in.capSum*(1+1e-12)
-}
+func (in *Instance) Fits() bool { return in.carries(sumCap, 1) }
 
 // SetSpeed retargets cluster group g to speed index k, updating the prepared
 // subproblem in place, and snapshots the previous state so Revert can undo
@@ -659,76 +714,78 @@ func (in *Instance) Fits() bool {
 // new one's. A no-op change (k equal to the current speed) still records an
 // (empty) undo snapshot.
 func (in *Instance) SetSpeed(g, k int) error {
-	if g < 0 || g >= len(in.pos) {
+	if g < 0 || g >= len(in.speeds) {
 		return fmt.Errorf("loadbalance: group %d out of range", g)
 	}
 	if k < 0 || k > in.arr.NumSpeeds[g] {
 		return fmt.Errorf("loadbalance: group %d speed index %d out of range", g, k)
 	}
 	old := in.speeds[g]
-	in.undo = undoRecord{
-		valid: true, kind: undoNone, g: g, oldK: old, rows: len(in.cls.rows),
-		baseKW: in.baseKW, capSum: in.capSum, rateSum: in.rateSum,
-	}
+	in.undo = undoRecord{valid: true, kind: undoNone, g: g, oldK: old, rows: len(in.cls.rows), sums: in.sums}
 	if k == old {
 		return nil
 	}
 	in.speeds[g] = k
+	in.forget()
+	p := in.insertPos(g)
+	in.undo.pos = p
 	switch {
 	case old > 0 && k > 0:
-		p := in.pos[g]
-		in.undo.kind, in.undo.pos, in.undo.entry = undoModify, p, in.entry(p)
+		in.undo.kind, in.undo.row = undoModify, in.gRow[p]
 		in.cls.dec(in.gRow[p])
-		in.setEntry(p, in.makeGroup(g, k))
+		in.gRow[p] = in.classOf(g, k)
 	case old > 0: // k == 0: drop the entry
-		p := in.pos[g]
-		in.undo.kind, in.undo.pos, in.undo.entry = undoRemove, p, in.entry(p)
+		in.undo.kind, in.undo.row = undoRemove, in.gRow[p]
 		in.cls.dec(in.gRow[p])
-		in.removeAt(p)
+		in.gIdx = slices.Delete(in.gIdx, p, p+1)
+		in.gRow = slices.Delete(in.gRow, p, p+1)
 	default: // old == 0, k > 0: insert in cluster-index order
-		p := in.insertPos(g)
-		in.undo.kind, in.undo.pos = undoInsert, p
-		in.insertAt(p, in.makeGroup(g, k))
+		in.undo.kind = undoInsert
+		in.gIdx = slices.Insert(in.gIdx, p, g)
+		in.gRow = slices.Insert(in.gRow, p, in.classOf(g, k))
 	}
-	in.recompute()
 	return nil
 }
 
 // Revert undoes the most recent SetSpeed since the last Revert or Commit,
 // restoring the instance bit-for-bit (the tracked sums come back from the
-// snapshot, not a recomputation; the class counts move back and a row the
-// SetSpeed appended is popped). It is a no-op when nothing is pending.
+// snapshot; the class counts move back and a row the SetSpeed appended is
+// popped). It is a no-op when nothing is pending.
 func (in *Instance) Revert() {
 	if !in.undo.valid {
 		return
 	}
 	u := in.undo
 	in.undo.valid = false
+	if u.kind == undoNone {
+		return // sums and slices untouched; order cache still valid
+	}
 	in.speeds[u.g] = u.oldK
 	switch u.kind {
-	case undoNone:
-		return // sums and slices untouched; order cache still valid
 	case undoModify:
 		in.cls.dec(in.gRow[u.pos])
-		in.cls.inc(u.entry.row)
-		in.setEntry(u.pos, u.entry)
+		in.cls.inc(u.row)
+		in.gRow[u.pos] = u.row
 	case undoRemove:
-		in.cls.inc(u.entry.row)
-		in.insertAt(u.pos, u.entry)
+		in.cls.inc(u.row)
+		in.gIdx = slices.Insert(in.gIdx, u.pos, u.g)
+		in.gRow = slices.Insert(in.gRow, u.pos, u.row)
 	case undoInsert:
 		in.cls.dec(in.gRow[u.pos])
-		in.removeAt(u.pos)
+		in.gIdx = slices.Delete(in.gIdx, u.pos, u.pos+1)
+		in.gRow = slices.Delete(in.gRow, u.pos, u.pos+1)
 	}
 	in.cls.truncate(u.rows)
-	in.baseKW, in.capSum, in.rateSum = u.baseKW, u.capSum, u.rateSum
-	in.order.valid = false
+	in.forget()
+	in.sums = u.sums
 }
 
 // Commit accepts the most recent SetSpeed, discarding its undo snapshot.
 func (in *Instance) Commit() { in.undo.valid = false }
 
 // insertPos returns the position in the on-group slices where cluster group
-// g belongs (on groups are kept sorted by cluster index).
+// g is, or belongs when it is off (on groups are kept sorted by cluster
+// index).
 func (in *Instance) insertPos(g int) int {
 	lo, hi := 0, len(in.gIdx)
 	for lo < hi {
@@ -742,62 +799,33 @@ func (in *Instance) insertPos(g int) int {
 	return lo
 }
 
-func (in *Instance) insertAt(p int, e group) {
-	in.appendEntry(group{})
-	copy(in.gIdx[p+1:], in.gIdx[p:])
-	copy(in.gRow[p+1:], in.gRow[p:])
-	copy(in.gN[p+1:], in.gN[p:])
-	copy(in.gRate[p+1:], in.gRate[p:])
-	copy(in.gSlope[p+1:], in.gSlope[p:])
-	copy(in.gCap[p+1:], in.gCap[p:])
-	in.setEntry(p, e)
-	for i := p; i < len(in.gIdx); i++ {
-		in.pos[in.gIdx[i]] = i
-	}
-}
-
-func (in *Instance) removeAt(p int) {
-	g := in.gIdx[p]
-	copy(in.gIdx[p:], in.gIdx[p+1:])
-	copy(in.gRow[p:], in.gRow[p+1:])
-	copy(in.gN[p:], in.gN[p+1:])
-	copy(in.gRate[p:], in.gRate[p+1:])
-	copy(in.gSlope[p:], in.gSlope[p+1:])
-	copy(in.gCap[p:], in.gCap[p+1:])
-	n := len(in.gIdx) - 1
-	in.gIdx, in.gRow, in.gN, in.gRate, in.gSlope, in.gCap =
-		in.gIdx[:n], in.gRow[:n], in.gN[:n], in.gRate[:n], in.gSlope[:n], in.gCap[:n]
-	in.pos[g] = -1
-	for i := p; i < n; i++ {
-		in.pos[in.gIdx[i]] = i
-	}
-}
-
 // marginal returns d(cost)/dL for on group i (slice position) at load v
 // under electricity weight omega.
 func (in *Instance) marginal(i int, omega, v float64) float64 {
-	den := in.gRate[i] - v
+	c := in.row(i)
+	den := c.rate - v
 	if den <= 0 {
 		return math.Inf(1)
 	}
-	return omega*in.gSlope[i] + in.prob.Wd*in.gN[i]*in.gRate[i]/(den*den)
+	return omega*c.slope + c.wdnr/(den*den)
 }
 
 // alloc returns the load at which on group i's marginal cost equals price nu
 // under electricity weight omega, clamped to [0, cap].
 func (in *Instance) alloc(i int, omega, nu float64) float64 {
-	rem := nu - omega*in.gSlope[i]
+	c := in.row(i)
+	rem := nu - omega*c.slope
 	if rem <= 0 {
 		return 0
 	}
 	if in.prob.Wd <= 0 {
 		// Pure electricity cost: bang-bang (handled by fillNoDelay; this
 		// path keeps alloc total so water-filling code stays generic).
-		return in.gCap[i]
+		return c.cap
 	}
 	// Wd·n·R/(R−L)² = rem  →  L = R − sqrt(Wd·n·R/rem).
-	l := in.gRate[i] - math.Sqrt(in.prob.Wd*in.gN[i]*in.gRate[i]/rem)
-	return numopt.Clamp(l, 0, in.gCap[i])
+	l := c.rate - math.Sqrt(c.wdnr/rem)
+	return numopt.Clamp(l, 0, c.cap)
 }
 
 // filler computes one water-filling for a fixed electricity weight, writing
@@ -813,6 +841,7 @@ type filler interface {
 // omega, writing per-instance-group loads into dst.
 func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 	if in.prob.Wd <= 0 {
+		in.work.Fills++
 		in.sys.nu = math.NaN() // bang-bang: no price search
 		return in.fillNoDelayInto(dst, omega), nil
 	}
@@ -822,6 +851,7 @@ func (in *Instance) fillInto(dst []float64, omega float64) ([]float64, error) {
 // waterFill water-fills λ under electricity weight omega through sys: the
 // instance's fillSystem, or the price protocol over it.
 func (in *Instance) waterFill(sys numopt.WaterSystem, dst []float64, omega float64) ([]float64, error) {
+	in.work.Fills++
 	in.sys.prepare(omega)
 	out, err := numopt.WaterFillInto(sys, in.prob.LambdaRPS, waterFillTol, dst)
 	if err != nil {
@@ -851,7 +881,7 @@ func (in *Instance) fillNoDelayInto(dst []float64, omega float64) []float64 {
 	}
 	remaining := in.prob.LambdaRPS
 	for _, i := range order {
-		take := math.Min(remaining, in.gCap[i])
+		take := math.Min(remaining, in.row(i).cap)
 		dst[i] = take
 		remaining -= take
 		if remaining <= 0 {
@@ -865,11 +895,20 @@ const waterFillTol = 1e-7
 
 // powerOf returns the facility power of an instance-group load vector.
 func (in *Instance) powerOf(loads []float64) float64 {
-	p := in.baseKW
-	for i := 0; i < len(in.gIdx); i++ {
-		p += in.gSlope[i] * loads[i]
+	p, rows := in.exactSum(sumStatic), in.cls.rows
+	for i, r := range in.gRow {
+		p += rows[r].slope * loads[i]
 	}
 	return p
+}
+
+// staticAtLeast reports that powerOf is at least t for any non-negative
+// loads, from the static power alone: powerOf adds non-negative terms to
+// the tracked static sum, which is at least its certified lower end. A
+// false answer decides nothing.
+func (in *Instance) staticAtLeast(t float64) bool {
+	est, slack := in.bound(sumStatic)
+	return est-slack >= t
 }
 
 // expandInto scatters instance-group loads back to full cluster-group
@@ -906,22 +945,43 @@ func (in *Instance) Solve() (dcmodel.Solution, error) {
 // so an infeasible configuration surfaces as ErrInfeasible exactly as a
 // fresh build would.
 func (in *Instance) SolveInto(dst *dcmodel.Solution) error {
-	return in.solveIntoWith(in, dst)
+	if _, err := in.Split(); err != nil {
+		return err
+	}
+	in.WriteSplit(dst)
+	return nil
 }
 
-// solveIntoWith is SolveInto over filler f.
-func (in *Instance) solveIntoWith(f filler, dst *dcmodel.Solution) error {
+// Split is SolveInto without the copy out: it splits the current speeds
+// and returns the split's value, keeping the loads in the instance's
+// scratch until the next split or until the speeds change. WriteSplit
+// copies them out, so a caller that keeps few splits copies few.
+func (in *Instance) Split() (float64, error) { return in.splitWith(in) }
+
+// splitWith is Split over filler f.
+func (in *Instance) splitWith(f filler) (float64, error) {
+	in.last.ok = false
 	if !in.Fits() {
-		return ErrInfeasible
+		return 0, ErrInfeasible
 	}
 	loads, err := in.solveWith(f)
 	if err != nil {
-		return err
+		return 0, err
+	}
+	in.last = lastSplit{ok: true, loads: loads, value: in.objective(loads)}
+	return in.last.value, nil
+}
+
+// WriteSplit writes the last split into dst as SolveInto would: the speeds,
+// the loads by cluster group and the value, reusing dst's backing arrays.
+// It panics unless a split succeeded since the speeds last changed.
+func (in *Instance) WriteSplit(dst *dcmodel.Solution) {
+	if !in.last.ok {
+		panic("loadbalance: WriteSplit without a split of the current speeds")
 	}
 	dst.Speeds = append(dst.Speeds[:0], in.speeds...)
-	dst.Load = in.expandInto(dst.Load, loads)
-	dst.Value = in.objective(loads)
-	return nil
+	dst.Load = in.expandInto(dst.Load, in.last.loads)
+	dst.Value = in.last.value
 }
 
 // objective is SlotProblem.Objective of the instance's speeds and the
@@ -981,7 +1041,7 @@ func (in *Instance) solveWith(f filler) ([]float64, error) {
 		return nil, err
 	}
 	in.scratch.grid = gridLoads
-	if in.prob.We == 0 || in.powerOf(gridLoads) >= r-powerTol {
+	if in.prob.We == 0 || in.staticAtLeast(r-powerTol) || in.powerOf(gridLoads) >= r-powerTol {
 		in.dualNu, in.dualMu = in.sys.nu, 1
 		return gridLoads, nil
 	}
@@ -1096,14 +1156,22 @@ func (in *Instance) Dual() (nu, mu float64) { return in.dualNu, in.dualMu }
 // (n + classes + 16)·2⁻⁵⁰·M: the second term is 8·(n + classes + 16)·u·M,
 // and the margin over 4·γ also covers the rounding of M, of the slack and
 // of the final subtraction, for any n + classes far below 2⁴⁰.
+//
+// Unless a reader has taken them at these speeds, base and capSum are the
+// tracked sums' class estimates, each within its certified slack of the
+// ascending sum. An estimate of base within s moves G by at most ω·s, which
+// is subtracted as well (M takes base's upper end), and capSum enters the
+// slack at its upper end, so the bound stays below V̂ in O(classes).
 func (in *Instance) LowerBound(nu, mu float64) float64 {
 	p := in.prob
 	if !(mu >= 0 && mu <= 1) || math.IsNaN(nu) || math.IsInf(nu, 0) {
 		return math.Inf(-1)
 	}
 	omega, wd, anu := p.We*mu, p.Wd, math.Abs(nu)
-	g := omega*(in.baseKW-p.OnsiteKW) + nu*p.LambdaRPS
-	m := p.We*in.baseKW + omega*math.Abs(p.OnsiteKW) + anu*p.LambdaRPS
+	base, baseSlack := in.bound(sumStatic)
+	caps, capSlack := in.bound(sumCap)
+	g := omega*(base-p.OnsiteKW) + nu*p.LambdaRPS
+	m := p.We*(base+baseSlack) + omega*math.Abs(p.OnsiteKW) + anu*p.LambdaRPS
 	t := &in.cls
 	for _, r := range t.live {
 		c := &t.rows[r]
@@ -1125,7 +1193,7 @@ func (in *Instance) LowerBound(nu, mu float64) float64 {
 		g += c.cnt * h
 	}
 	n, classes := float64(len(in.gIdx)), float64(len(t.live))
-	slack := anu*(waterFillTol+(2e-12+(n+2)*0x1p-49)*in.capSum) +
+	slack := omega*baseSlack + anu*(waterFillTol+(2e-12+(n+2)*0x1p-49)*(caps+capSlack)) +
 		(n+classes+16)*0x1p-50*(m+math.Abs(g))
 	if lb := g - slack; lb > math.Inf(-1) && lb < math.Inf(1) {
 		return lb

@@ -276,7 +276,7 @@ func TestKKTEqualMarginals(t *testing.T) {
 	var marginals []float64
 	for i := range in.gIdx {
 		l := sol.Load[in.gIdx[i]]
-		if l > 1e-6 && l < in.gCap[i]-1e-6 {
+		if l > 1e-6 && l < in.sys.Cap(i)-1e-6 {
 			marginals = append(marginals, in.marginal(i, p.We, l))
 		}
 	}

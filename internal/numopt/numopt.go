@@ -146,8 +146,9 @@ type WaterSystem interface {
 //
 // Each price probe first asks SumAllocBound for a certified estimate of the
 // exact sum and takes SumAlloc only when the estimate cannot decide the
-// comparison at hand (see certProbe), so every decision, and hence every
-// output bit, is the one the exact sums would give. SumAllocSlope and
+// comparison at hand (see certProbe), and the capacity tests ask
+// CapSumBound before CapSum (see capSumVs), so every decision, and hence
+// every output bit, is the one the exact sums would give. SumAllocSlope and
 // PriceHint only steer which probes are taken (see locate); their
 // values never reach a decision.
 type BulkWaterSystem interface {
@@ -178,6 +179,9 @@ type BulkWaterSystem interface {
 	ZeroDerivRange() (lo, hi float64)
 	// CapSum returns Σ_i Cap(i), accumulated in ascending i.
 	CapSum() float64
+	// CapSumBound returns an estimate of CapSum() and a slack with
+	// |CapSum() − est| ≤ slack; a zero slack promises est is exact.
+	CapSumBound() (est, slack float64)
 }
 
 // ClassSumSlack is the slack for est = Σ_r c_r·v_r as an estimate of E, the
@@ -220,14 +224,7 @@ func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float6
 	}
 	n := sys.Items()
 	bulk, _ := sys.(BulkWaterSystem)
-	var capSum float64
-	if bulk != nil {
-		capSum = bulk.CapSum()
-	} else {
-		for i := 0; i < n; i++ {
-			capSum += sys.Cap(i)
-		}
-	}
+	capSum := capSumVs(sys, bulk, total, tol)
 	if total > capSum*(1+1e-12)+tol {
 		return nil, ErrInfeasible
 	}
@@ -278,6 +275,30 @@ func WaterFillInto(sys WaterSystem, total, tol float64, out []float64) ([]float6
 		}
 	}
 	return out, nil
+}
+
+// capSumVs returns a value that WaterFillInto's two capacity tests,
+// total > C·(1+1e-12)+tol and total ≥ C, decide as they decide the exact
+// C = Σ_i Cap(i) accumulated in ascending i: the upper end of a
+// BulkWaterSystem's certified CapSumBound when total lies on one side of
+// both ends in each test (each side is monotone in C), and C itself
+// otherwise (NaN included) and for a plain WaterSystem.
+func capSumVs(sys WaterSystem, bulk BulkWaterSystem, total, tol float64) float64 {
+	if bulk == nil {
+		var c float64
+		for i := 0; i < sys.Items(); i++ {
+			c += sys.Cap(i)
+		}
+		return c
+	}
+	est, slack := bulk.CapSumBound()
+	lo, hi := est-slack, est+slack
+	over := total > hi*(1+1e-12)+tol || total <= lo*(1+1e-12)+tol
+	full := total >= hi || total < lo
+	if over && full {
+		return hi
+	}
+	return bulk.CapSum()
 }
 
 // The price search's constants, shared by both paths: the bracket may

@@ -598,6 +598,19 @@ func (q *quadBulk) CapSum() float64 {
 	return s
 }
 
+func (q *quadBulk) CapSumBound() (est, slack float64) {
+	if q.mode == boundExact {
+		return q.CapSum(), 0
+	}
+	for r := range q.ccap {
+		est += q.cnt[r] * q.ccap[r]
+	}
+	if q.mode == boundNoSlack {
+		return est, 0
+	}
+	return est, ClassSumSlack(est, len(q.w), len(q.cw))
+}
+
 func (q *quadBulk) PriceHint() float64 { return q.hintNu }
 
 // with returns a copy of q, sharing its items and its hint, that reports
@@ -848,6 +861,43 @@ func TestWaterFillCertifiedMatchesExact(t *testing.T) {
 				t.Fatalf("located fills take %d probes, unlocated %d: the locator skips under half", c.probes, c.unlocated)
 			}
 		})
+	}
+}
+
+// TestWaterFillCapacityCertified pins capSumVs: on duplicate-heavy systems,
+// at totals within a few dozen ulps of the capacity sum C and of the
+// feasibility edge C·(1+1e-12)+tol, where CapSumBound's estimate cannot
+// settle the capacity tests, a fill with certified bounds must fail or
+// succeed as the per-item path does and return its allocation bit for bit.
+func TestWaterFillCapacityCertified(t *testing.T) {
+	const tol = 1e-9
+	rng := stats.NewRNG(0xCA95)
+	undecided := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 20 + rng.IntN(400)
+		q := classQuad(rng, n, 1+rng.IntN(5), boundCertified)
+		c := q.CapSum()
+		for _, edge := range []float64{c, c*(1+1e-12) + tol} {
+			for k := -40; k <= 40; k += 1 + rng.IntN(4) {
+				total := edge + float64(k)*math.Abs(math.Nextafter(edge, math.Inf(1))-edge)
+				want, wantErr := WaterFillInto(&q.quadSystem, total, tol, nil)
+				got, gotErr := WaterFillInto(q, total, tol, nil)
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Fatalf("trial %d, total %v (C %v): certified err %v, per-item err %v", trial, total, c, gotErr, wantErr)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("trial %d, total %v (C %v): item %d = %v, per-item %v", trial, total, c, i, got[i], want[i])
+					}
+				}
+				if est, slack := q.CapSumBound(); math.Abs(total-est) <= slack {
+					undecided++
+				}
+			}
+		}
+	}
+	if undecided == 0 {
+		t.Fatal("no total fell inside the capacity estimate's slack; the exact fallback is not exercised")
 	}
 }
 
