@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	if *maxSettle < 0 {
 		return fmt.Errorf("%w: -ready-max-settle-age %v is negative", errUsage, *maxSettle)
 	}
-	log, err := logf.New(stderr, *logFormat, logf.Options{})
+	log, err := logf.New(stderr, *logFormat)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}

@@ -69,7 +69,7 @@ func main() {
 	flag.Parse()
 
 	var err error
-	logger, err = logf.New(os.Stderr, *logFormat, logf.Options{})
+	logger, err = logf.New(os.Stderr, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)

@@ -140,8 +140,8 @@ func (l *loop) Queue() float64 { return l.queue.Len() }
 func (l *loop) InstrumentQueue(g *telemetry.Gauge) { l.queueGauge = g }
 
 // Config parameterizes COCA for the homogeneous sim engine: the scenario
-// supplies the fleet, the P3 extensions (switching cost, per-slot caps) and the portfolio's α and z; the schedule fixes frames and per-frame
-// V_r (Algorithm 1 lines 2–4).
+// supplies the fleet, the P3 switching cost and the portfolio's α and z;
+// the schedule fixes frames and per-frame V_r (Algorithm 1 lines 2–4).
 type Config struct {
 	Scenario *sim.Scenario
 	Schedule lyapunov.VSchedule
@@ -233,7 +233,8 @@ type Controller struct {
 	// path — slot duration and the Fig. 5(d) toggling charge. The zero
 	// values reproduce the paper's defaults; set them (before the first
 	// Step) to make heterogeneous accounting match a sim.Scenario
-	// carrying the same knobs.
+	// carrying the same knobs. Step refuses a NaN, infinite or negative
+	// value of either.
 	SlotHours     float64
 	SwitchCostKWh float64
 
@@ -280,6 +281,9 @@ type SlotOutcome struct {
 // a Step that is never settled (rejected by the caller, retried after a
 // failure) leaves the controller's state untouched.
 func (c *Controller) Step(env SlotEnv) (SlotOutcome, error) {
+	if err := dcmodel.CheckSlotExtensions(c.SlotHours, c.SwitchCostKWh); err != nil {
+		return SlotOutcome{}, fmt.Errorf("core: %w", err)
+	}
 	v, q, err := c.begin(c.slot)
 	if err != nil {
 		return SlotOutcome{}, err

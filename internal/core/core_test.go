@@ -348,40 +348,48 @@ func TestControllerValidation(t *testing.T) {
 	}
 }
 
-func TestPolicyRespectsPeakPowerEndToEnd(t *testing.T) {
-	sc := buildScenario(t, 5*24)
-	// First find the unconstrained peak, then cap below it.
-	p, err := New(FromScenario(sc, lyapunov.ConstantV(1e6, 1, sc.Slots)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(sc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := 0.0
-	for _, r := range res.Records {
-		if r.PowerKW > peak {
-			peak = r.PowerKW
+// TestControllerStepRejectsBadSlotExtensions checks that Step refuses a
+// NaN, infinite or negative SlotHours or SwitchCostKWh before it solves,
+// and that the refusal leaves the controller where it was: no slot
+// advanced and no frame-start queue reset (the refused slot opens a frame).
+func TestControllerStepRejectsBadSlotExtensions(t *testing.T) {
+	env := SlotEnv{LambdaRPS: 150, OnsiteKW: 0.5, PriceUSDPerKWh: 0.05}
+	for _, field := range []string{"SlotHours", "SwitchCostKWh"} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+			ctrl, err := NewController(dcmodel.HeterogeneousCluster(60, 6), 0.01, lyapunov.ConstantV(1e4, 3, 2),
+				1, 0.5, &gsd.Solver{Opts: gsd.Options{Delta: 1e6, MaxIters: 60, Seed: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				out, err := ctrl.Step(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctrl.Settle(out, 0.1)
+			}
+			slot, queue := ctrl.Slot(), ctrl.Queue()
+			if queue <= 0 {
+				t.Fatalf("queue %v after two slots; the reset check needs a positive one", queue)
+			}
+			value := &ctrl.SlotHours
+			if field == "SwitchCostKWh" {
+				value = &ctrl.SwitchCostKWh
+			}
+			*value = bad
+			if _, err := ctrl.Step(env); err == nil {
+				t.Errorf("%s = %v accepted", field, bad)
+			}
+			if ctrl.Slot() != slot || math.Float64bits(ctrl.Queue()) != math.Float64bits(queue) {
+				t.Errorf("%s = %v: Step moved the controller to slot %d, queue %v (was %d, %v)",
+					field, bad, ctrl.Slot(), ctrl.Queue(), slot, queue)
+			}
+			*value = 0
+			if _, err := ctrl.Step(env); err != nil {
+				t.Errorf("%s restored to 0: %v", field, err)
+			}
 		}
 	}
-	sc.MaxPowerKW = peak * 0.9
-	p2, err := New(FromScenario(sc, lyapunov.ConstantV(1e6, 1, sc.Slots)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine enforces the cap, so a clean run proves the policy
-	// internalized it.
-	res2, err := sim.Run(sc, p2)
-	if err != nil {
-		t.Fatalf("capped run failed: %v", err)
-	}
-	for _, r := range res2.Records {
-		if r.PowerKW > sc.MaxPowerKW*(1+1e-9) {
-			t.Fatalf("slot %d power %v exceeds cap %v", r.Slot, r.PowerKW, sc.MaxPowerKW)
-		}
-	}
-	sc.MaxPowerKW = 0
 }
 
 func TestSetVOverride(t *testing.T) {

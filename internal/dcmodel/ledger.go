@@ -1,9 +1,6 @@
 package dcmodel
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Ledger is the single slot-cost kernel shared by every execution path in
 // the repository. The simulation engine (internal/sim), the group-level
@@ -11,14 +8,13 @@ import (
 // the baseline planners (internal/baseline) all charge slots through a
 // Ledger, so the paper's accounting — facility power p, grid draw
 // y = [p − r]^+ (Eq. 10), priced electricity (Eq. 3), the priced
-// M/G/1/PS delay (Eqs. 4–5), switching cost (Fig. 5d), the §3.1 per-slot
-// caps and the per-slot carbon deficit y − α·f − z (Eq. 17) — is written
-// exactly once.
+// M/G/1/PS delay (Eqs. 4–5), switching cost (Fig. 5d) and the per-slot
+// carbon deficit y − α·f − z (Eq. 17) — is written exactly once.
 //
 // Build one Ledger per slot from that slot's environment and discard it;
 // its methods take it by pointer, so a charge copies none of its fields.
 // The zero value prices nothing but is still well formed (1-hour slots, no
-// caps).
+// switching charge).
 type Ledger struct {
 	PriceUSDPerKWh float64 // w(t): electricity price this slot
 	OnsiteKW       float64 // r(t): on-site renewable power this slot
@@ -39,11 +35,6 @@ type Ledger struct {
 	// y − α·f − z of Eqs. (10)/(17).
 	Alpha         float64
 	RECPerSlotKWh float64
-
-	// MaxPowerKW and MaxDelayCost are the optional §3.1 per-slot
-	// constraints enforced by CheckCaps. Zero disables.
-	MaxPowerKW   float64
-	MaxDelayCost float64
 }
 
 // SlotCharge is the fully priced outcome of one slot: the decomposition of
@@ -100,22 +91,10 @@ func (l *Ledger) Deficit(gridKWh, offsiteKWh float64) float64 {
 	return gridKWh - l.Alpha*offsiteKWh - l.RECPerSlotKWh
 }
 
-// CheckCaps validates the §3.1 per-slot constraints against an operated
-// configuration's facility power and delay cost.
-func (l *Ledger) CheckCaps(powerKW, delayCost float64) error {
-	if l.MaxPowerKW > 0 && powerKW > l.MaxPowerKW*(1+1e-9) {
-		return fmt.Errorf("dcmodel: power %v kW exceeds the peak-power cap %v", powerKW, l.MaxPowerKW)
-	}
-	if l.MaxDelayCost > 0 && delayCost > l.MaxDelayCost*(1+1e-9) {
-		return fmt.Errorf("dcmodel: delay cost %v exceeds the cap %v", delayCost, l.MaxDelayCost)
-	}
-	return nil
-}
-
 // Charge prices one operated slot: facility power and delay cost from the
 // configuration, plus a change of activeDelta active servers against the
-// previous slot. It performs no feasibility checks — callers gate with
-// CheckCaps (and their own load checks) first.
+// previous slot. It performs no feasibility checks — callers run their own
+// load checks first.
 func (l *Ledger) Charge(powerKW, delayCost float64, activeDelta int) SlotCharge {
 	grid := l.GridKWh(powerKW)
 	elec := l.ElectricityUSD(grid)

@@ -72,24 +72,6 @@ func TestLedgerDeficit(t *testing.T) {
 	}
 }
 
-func TestLedgerCheckCaps(t *testing.T) {
-	l := Ledger{MaxPowerKW: 100, MaxDelayCost: 10}
-	if err := l.CheckCaps(99, 9); err != nil {
-		t.Errorf("within caps rejected: %v", err)
-	}
-	if err := l.CheckCaps(101, 1); err == nil {
-		t.Error("peak-power violation accepted")
-	}
-	if err := l.CheckCaps(1, 11); err == nil {
-		t.Error("max-delay violation accepted")
-	}
-	// Zero disables.
-	var open Ledger
-	if err := open.CheckCaps(1e12, 1e12); err != nil {
-		t.Errorf("uncapped ledger rejected: %v", err)
-	}
-}
-
 // TestClusterCostMatchesLedger pins the Cluster.Charge path to the shared
 // kernel: the two must agree exactly, switching charge included.
 func TestClusterCostMatchesLedger(t *testing.T) {

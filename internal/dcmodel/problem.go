@@ -65,6 +65,22 @@ func CheckBeta(beta float64) error {
 	return nil
 }
 
+// CheckSlotExtensions reports whether a Ledger's slot duration in hours
+// (0 meaning the paper's 1-hour slots) and per-toggle switching cost in kWh
+// can be charged: both finite and non-negative. An infinite or NaN one
+// turns a slot's charge, and from it the deficit queue, NaN or makes every
+// later P3 infeasible. The error carries no package prefix, so each caller
+// adds its own.
+func CheckSlotExtensions(slotHours, switchCostKWh float64) error {
+	if !(slotHours >= 0 && slotHours <= math.MaxFloat64) {
+		return fmt.Errorf("slot duration %v hours must be finite and non-negative", slotHours)
+	}
+	if !(switchCostKWh >= 0 && switchCostKWh <= math.MaxFloat64) {
+		return fmt.Errorf("switching cost %v kWh must be finite and non-negative", switchCostKWh)
+	}
+	return nil
+}
+
 // Validate reports whether the problem is well formed and feasible in
 // aggregate (λ must not exceed the cluster's top-speed γ-capacity).
 func (p *SlotProblem) Validate() error {

@@ -69,7 +69,7 @@ func BisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol 
 // reproduces its probe order and answer bit for bit while skipping the
 // comparisons a certified plateau decides: tests compare the two, and the
 // solver calls MinimizeInt itself only on the windows its certificate
-// cannot cover (a switching penalty, a cap or out-of-range operands).
+// cannot cover (a switching penalty or out-of-range operands).
 func MinimizeInt(f func(int) float64, lo, hi, sweep int) (int, float64) {
 	if lo > hi {
 		panic("numopt: MinimizeInt requires lo <= hi")

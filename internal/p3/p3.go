@@ -102,13 +102,6 @@ type HomogeneousProblem struct {
 	// relative to PrevActive (0 disables; used for the Fig. 5(d) study).
 	SwitchWeight float64
 	PrevActive   int
-
-	// MaxPowerKW caps facility power (the §3.1 peak-power constraint);
-	// 0 disables.
-	MaxPowerKW float64
-	// MaxDelayCost caps the total delay cost d (the §3.1 maximum-delay
-	// constraint); 0 disables.
-	MaxDelayCost float64
 }
 
 // HomogeneousSolution is the optimum of a HomogeneousProblem.
@@ -131,9 +124,6 @@ type HomogeneousSolution struct {
 type speedKernel struct {
 	hp                         *HomogeneousProblem
 	lambda, ps, pue, r, we, wd float64
-	// rare is set when a switching penalty or a cap is on: value leaves
-	// both out, so search's probes go through eval.
-	rare bool
 	// ranged reports that bound's speed-independent operand-range checks
 	// pass; a is We·PUE·p_s, and when a > 0, root is √(Wd/a) and rPUE is
 	// r/PUE.
@@ -156,8 +146,7 @@ type speedKernel struct {
 // setSpeed to aim at a speed.
 func (hp *HomogeneousProblem) compile() speedKernel {
 	kn := speedKernel{hp: hp, lambda: hp.LambdaRPS, ps: hp.Type.StaticKW, pue: hp.PUE,
-		r: hp.OnsiteKW, we: hp.We, wd: hp.Wd,
-		rare: hp.SwitchWeight != 0 || hp.MaxPowerKW > 0 || hp.MaxDelayCost > 0}
+		r: hp.OnsiteKW, we: hp.We, wd: hp.Wd}
 	kn.ranged = hp.SwitchWeight >= 0 && hp.SwitchWeight <= math.MaxFloat64 &&
 		zeroOrModerate(kn.we) && zeroOrModerate(kn.wd) && zeroOrModerate(kn.pue) &&
 		zeroOrModerate(kn.ps) && moderate(kn.lambda) && math.Abs(kn.r) <= 0x1p100 &&
@@ -190,8 +179,8 @@ func (kn *speedKernel) setSpeed(k int) {
 
 // eval returns the objective value for m active servers (m = 0 is the
 // fleet switched off), with the facility power p, the grid energy [p − r]^+
-// and the delay cost d it was built from. Infeasible counts return +Inf,
-// with the operands computed before the failing test (zero for the γ cap).
+// and the delay cost d it was built from. Infeasible counts (m = 0 under
+// load, or past the γ cap) return +Inf and zero operands.
 func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
 	hp := kn.hp
 	if m == 0 {
@@ -216,10 +205,6 @@ func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
 	} else if kn.lambda >= fm*kn.x {
 		delay = math.Inf(1)
 	}
-	if hp.MaxPowerKW > 0 && power > hp.MaxPowerKW*(1+1e-12) ||
-		hp.MaxDelayCost > 0 && delay > hp.MaxDelayCost*(1+1e-12) {
-		return math.Inf(1), power, grid, delay
-	}
 	return kn.weigh(grid, delay) + hp.switchPenalty(m), power, grid, delay
 }
 
@@ -227,9 +212,9 @@ func (kn *speedKernel) eval(m int) (v, power, grid, delay float64) {
 // PUE·(m·p_s + c_k) in Group.PowerKW's order, [p − r]^+ (+0 for every
 // non-positive difference, −0 included), the M/G/1/PS delay m·λ/(m·x − λ)
 // in Group.DelayCost's and their weighted sum. It is small enough to
-// inline into search's probes. eval adds the γ and the optional caps, the
-// switching penalty and the corners value leaves out (a NaN p − r, no
-// load, m·x ≤ λ), none of which a plain window meets (see plain).
+// inline into search's probes. eval adds the γ cap, the switching penalty
+// and the corners value leaves out (a NaN p − r, no load, m·x ≤ λ), none of
+// which a plain window meets (see plain).
 func (kn *speedKernel) value(fm float64) (v, power, grid, delay float64) {
 	power = kn.pue * (fm*kn.ps + kn.ck)
 	grid = max(power-kn.r, 0)
@@ -265,8 +250,7 @@ func (kn *speedKernel) probe(m int) float64 {
 // subgradients at its continuous minimizer. Right of the kink P = r, B is
 // 0 at mx − λ = λ·√(Wd/(We·PUE·p_s)); that point is raised to the kink if
 // it lies left of it (θ then zeroes B) and clamped into [lo, hi] (B is then
-// the slope there). The caps only narrow [lo, hi] or make a probe +Inf, so
-// the bound holds under them.
+// the slope there).
 //
 // Rounding. With u = 2⁻⁵³, the operand ranges keep every product that
 // feeds a later operation normal, so each operation errs by at most u
@@ -375,13 +359,12 @@ func (kn *speedKernel) search(lo, hi int) (int, float64) {
 
 // plain reports whether value is eval bit for bit at every count m ≥ lo:
 // the kernel is certified (so no operation overflows, p − r is never NaN
-// and the weighted sum never −0), has no switching penalty and no cap, λ/lo
-// passes the γ cap and lo·x exceeds λ. The last two hold for every larger
-// count too, since correctly rounded division and multiplication are
-// monotone.
+// and the weighted sum never −0), has no switching penalty, λ/lo passes the
+// γ cap and lo·x exceeds λ. The last two hold for every larger count too,
+// since correctly rounded division and multiplication are monotone.
 func (kn *speedKernel) plain(lo int) bool {
 	flo := float64(lo)
-	return kn.certified && !kn.rare && !(kn.lambda/flo > kn.gx) && flo*kn.x > kn.lambda
+	return kn.certified && kn.hp.SwitchWeight == 0 && !(kn.lambda/flo > kn.gx) && flo*kn.x > kn.lambda
 }
 
 // plateau returns counts mL and mR in [lo − 1, hi + 1] that decide every
@@ -487,49 +470,11 @@ func (kn *speedKernel) solution(k, m int) HomogeneousSolution {
 		PowerKW: power, GridKWh: grid, DelayCost: delay}
 }
 
-// countBounds returns the feasible active-server interval [lo, hi] at speed
-// index k under the γ cap and the optional peak-power and max-delay
-// constraints. ok is false when the interval is empty.
-func (hp *HomogeneousProblem) countBounds(k int) (lo, hi int, ok bool) {
-	x := hp.Type.Rate(k)
-	lo, hi = 1, hp.N
-	if hp.LambdaRPS > 0 {
-		lo = hp.clampCount(math.Ceil(hp.LambdaRPS / (hp.Gamma * x)))
-		if lo < 1 {
-			lo = 1
-		}
-	}
-	// Peak power: PUE·(m·p_s + p_c·λ/x) ≤ Pmax — power increases in m.
-	if hp.MaxPowerKW > 0 {
-		budget := hp.MaxPowerKW/hp.PUE - hp.Type.ComputingKW(k)*hp.LambdaRPS/x
-		if hp.Type.StaticKW > 0 {
-			m := hp.clampCount(math.Floor(budget / hp.Type.StaticKW * (1 + 1e-12)))
-			if m < hi {
-				hi = m
-			}
-		} else if budget < 0 {
-			return 0, 0, false
-		}
-	}
-	// Max delay: λ·m/(m·x − λ) ≤ D — delay decreases in m, with limit λ/x.
-	if hp.MaxDelayCost > 0 && hp.LambdaRPS > 0 {
-		d := hp.MaxDelayCost
-		if d*x <= hp.LambdaRPS {
-			return 0, 0, false // even infinitely many servers exceed the cap
-		}
-		m := hp.clampCount(math.Ceil(d * hp.LambdaRPS / (d*x - hp.LambdaRPS) * (1 - 1e-12)))
-		if m > lo {
-			lo = m
-		}
-	}
-	return lo, hi, lo <= hi
-}
-
 // clampCount converts a whole-valued count bound to an int clamped to
 // [0, N+1], so that a bound past the fleet (up to +Inf) cannot overflow
 // the conversion; NaN and negative bounds give 0. Solve treats every count
-// above N alike (a window starting there is empty, one ending there is cut
-// to N), so the clamp changes no window.
+// above N alike (a window starting there is empty), so the clamp changes no
+// window.
 func (hp *HomogeneousProblem) clampCount(v float64) int {
 	if v >= float64(hp.N+1) {
 		return hp.N + 1
@@ -585,19 +530,17 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 	}
 	// The feasible speeds sorted by (bound, k); the array holds every type
 	// of up to 8 levels without a heap allocation. The windows hold no
-	// pointer, so hp does not escape through a grown slice.
+	// pointer, so hp does not escape through a grown slice. A speed's window
+	// is [lo, N], lo being the least count the γ cap lets carry λ.
 	var buf [8]speedWindow
 	ws := buf[:0]
 	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
-		lo, hi, ok := hp.countBounds(k)
-		if !ok || lo > hp.N {
+		kn.setSpeed(k)
+		lo := max(hp.clampCount(math.Ceil(kn.lambda/kn.gx)), 1)
+		if lo > hp.N {
 			continue
 		}
-		if hi > hp.N {
-			hi = hp.N
-		}
-		kn.setSpeed(k)
-		w := speedWindow{k: k, lo: lo, hi: hi, bound: kn.bound(lo, hi)}
+		w := speedWindow{k: k, lo: lo, bound: kn.bound(lo, hp.N)}
 		i := len(ws)
 		ws = append(ws, w)
 		for ; i > 0 && ws[i-1].bound > w.bound; i-- {
@@ -614,7 +557,7 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 			break
 		}
 		kn.setSpeed(w.k)
-		m, val := kn.search(w.lo, w.hi)
+		m, val := kn.search(w.lo, hp.N)
 		if val < bestVal || val == bestVal && w.k < bestK {
 			bestK, bestM, bestVal = w.k, m, val
 		}
@@ -626,9 +569,10 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 	return kn.solution(bestK, bestM), nil
 }
 
-// speedWindow is one speed's share of a Solve: its index, its feasible
-// count window and its kernel's lower bound over that window.
+// speedWindow is one speed's share of a Solve: its index, the low end of
+// its feasible count window [lo, N] and its kernel's lower bound over that
+// window.
 type speedWindow struct {
-	k, lo, hi int
-	bound     float64
+	k, lo int
+	bound float64
 }

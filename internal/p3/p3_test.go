@@ -100,6 +100,15 @@ func TestHomogeneousInfeasible(t *testing.T) {
 	if _, err := hp.Solve(); err != ErrInfeasible {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
+	// A load no fleet can carry: the γ cap's least count, +Inf, must not
+	// overflow the int conversion.
+	hp = &HomogeneousProblem{
+		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1.2,
+		LambdaRPS: math.Inf(1), We: 0.07, Wd: 0.02, OnsiteKW: 3000,
+	}
+	if _, err := hp.Solve(); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("λ = +Inf: want ErrInfeasible, got %v", err)
+	}
 }
 
 func TestHomogeneousInvalid(t *testing.T) {
@@ -244,8 +253,7 @@ func cubicType() dcmodel.ServerType {
 // goldenProblems is the grid of homogeneous instances the golden hash
 // covers: the Opteron and cubicType; N of 50 and 216,000; λ at zero,
 // small, mid and near capacity; PUE 1 and 1.3; delay- and energy-heavy
-// weights; and, on top of a plain instance, a switching penalty, a
-// peak-power cap and a delay cap.
+// weights; each with and without a switching penalty.
 func goldenProblems() []*HomogeneousProblem {
 	var out []*HomogeneousProblem
 	for _, st := range []dcmodel.ServerType{dcmodel.Opteron(), cubicType()} {
@@ -253,9 +261,9 @@ func goldenProblems() []*HomogeneousProblem {
 			capRPS := 0.95 * st.MaxRate() * float64(n)
 			for _, frac := range []float64{0, 0.013, 0.5, 0.985} {
 				for _, pue := range []float64{1, 1.3} {
-					for variant := 0; variant < 8; variant++ {
+					for variant := 0; variant < 4; variant++ {
 						// Odd variants weight energy over delay, so slower
-						// speeds and the caps come into play.
+						// speeds come into play.
 						we, wd := 0.07, 0.02
 						if variant%2 == 1 {
 							we, wd = 40, 0.001
@@ -265,17 +273,9 @@ func goldenProblems() []*HomogeneousProblem {
 							LambdaRPS: frac * capRPS, We: we, Wd: wd,
 							OnsiteKW: 0.04 * float64(n),
 						}
-						switch variant / 2 {
-						case 1:
+						if variant >= 2 {
 							hp.SwitchWeight = 0.003
 							hp.PrevActive = n / 3
-						case 2:
-							hp.MaxPowerKW = 0.12 * float64(n) * pue
-						case 3:
-							hp.MaxDelayCost = 3 * hp.LambdaRPS / 10
-							if hp.MaxDelayCost == 0 {
-								hp.MaxDelayCost = 1
-							}
 						}
 						out = append(out, hp)
 					}
@@ -290,7 +290,7 @@ func goldenProblems() []*HomogeneousProblem {
 // HomogeneousProblem.Solve over goldenProblems: speed, count, value,
 // power, grid energy and delay cost, plus which instances are infeasible.
 func TestHomogeneousSolveGoldenHash(t *testing.T) {
-	const want = "fnv1a:bbcdf80422671fa7"
+	const want = "fnv1a:23da6ebfe9ac7f5c"
 	h := fnv.New64a()
 	put := func(vs ...float64) {
 		var buf [8]byte
@@ -299,12 +299,10 @@ func TestHomogeneousSolveGoldenHash(t *testing.T) {
 			h.Write(buf[:])
 		}
 	}
-	infeasible := 0
 	for i, hp := range goldenProblems() {
 		sol, err := hp.Solve()
 		switch {
 		case errors.Is(err, ErrInfeasible):
-			infeasible++
 			put(-1)
 			continue
 		case err != nil:
@@ -312,9 +310,6 @@ func TestHomogeneousSolveGoldenHash(t *testing.T) {
 		}
 		put(float64(sol.Speed), float64(sol.Active), sol.Value,
 			sol.PowerKW, sol.GridKWh, sol.DelayCost)
-	}
-	if infeasible == 0 {
-		t.Error("the grid has no infeasible instance; the caps never bind")
 	}
 	if got := fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
 		t.Errorf("homogeneous solve hash = %s, want %s (solver arithmetic drifted)", got, want)
@@ -358,12 +353,6 @@ func oracleObjective(hp *HomogeneousProblem, k, m int) (float64, HomogeneousSolu
 	sol.PowerKW = hp.PUE * g.PowerKW(k, hp.LambdaRPS)
 	sol.GridKWh = math.Max(0, sol.PowerKW-hp.OnsiteKW)
 	sol.DelayCost = g.DelayCost(k, hp.LambdaRPS)
-	if hp.MaxPowerKW > 0 && sol.PowerKW > hp.MaxPowerKW*(1+1e-12) {
-		return math.Inf(1), sol
-	}
-	if hp.MaxDelayCost > 0 && sol.DelayCost > hp.MaxDelayCost*(1+1e-12) {
-		return math.Inf(1), sol
-	}
 	sol.Value = hp.We*sol.GridKWh + hp.Wd*sol.DelayCost + hp.switchPenalty(m)
 	return sol.Value, sol
 }
@@ -406,8 +395,7 @@ func checkKernel(t *testing.T, hp *HomogeneousProblem, stride int) {
 // TestHomogeneousKernelMatchesOracle checks the per-speed kernel against
 // the pre-kernel formula bit for bit: at every count for N = 50 and at a
 // stride for N = 216,000, over the golden grid, plus the corners of
-// [p − r]^+ (a difference of exactly +0 and of −0, and a NaN one) and the
-// caps' tolerance.
+// [p − r]^+ (a difference of exactly +0 and of −0, and a NaN one).
 func TestHomogeneousKernelMatchesOracle(t *testing.T) {
 	for _, hp := range goldenProblems() {
 		stride := 1
@@ -417,15 +405,14 @@ func TestHomogeneousKernelMatchesOracle(t *testing.T) {
 		checkKernel(t, hp, stride)
 	}
 
-	for _, hp := range kernelCorners(t) {
+	for _, hp := range kernelCorners() {
 		checkKernel(t, hp, 1)
 	}
 }
 
-// kernelCorners returns small problems at the kernel's corners: the
-// corners of [p − r]^+ (a difference of exactly +0 and of −0, and a NaN
-// one) and caps that admit a count only through their tolerance.
-func kernelCorners(t *testing.T) []*HomogeneousProblem {
+// kernelCorners returns small problems at the corners of [p − r]^+: a
+// difference of exactly +0 and of −0, and a NaN one.
+func kernelCorners() []*HomogeneousProblem {
 	exact := &HomogeneousProblem{
 		Type: dcmodel.Opteron(), N: 40, Gamma: 0.95, PUE: 1,
 		We: 0.07, Wd: 0.02, SwitchWeight: 0.01, PrevActive: 7,
@@ -442,36 +429,22 @@ func kernelCorners(t *testing.T) []*HomogeneousProblem {
 		Type: dcmodel.Opteron(), N: 10, Gamma: 0.95, PUE: math.Inf(1),
 		LambdaRPS: 20, We: 1, Wd: 1, OnsiteKW: math.Inf(1),
 	}
-	// Caps a hair below the power at m = 30 and the delay at m = 15, so
-	// both counts pass only through the (1 + 1e-12) tolerance.
-	caps := &HomogeneousProblem{
-		Type: dcmodel.Opteron(), N: 40, Gamma: 1, PUE: 1.2,
-		LambdaRPS: 120, We: 1, Wd: 1,
-	}
-	_, at30 := oracleObjective(caps, 4, 30)
-	_, at15 := oracleObjective(caps, 4, 15)
-	caps.MaxPowerKW = at30.PowerKW / (1 + 1e-13)
-	caps.MaxDelayCost = at15.DelayCost / (1 + 1e-13)
-	if v, _ := oracleObjective(caps, 4, 30); math.IsInf(v, 1) {
-		t.Fatal("the power cap's tolerance does not admit m = 30")
-	}
-	return []*HomogeneousProblem{exact, negZero, nan, caps}
+	return []*HomogeneousProblem{exact, negZero, nan}
 }
 
 // FuzzHomogeneousKernel checks the kernel against oracleObjective bit for
 // bit on random problems, with unrestricted weights, PUE, γ, supply and
-// caps, at every count of a fleet of up to 400 servers.
+// switching penalty, at every count of a fleet of up to 400 servers.
 func FuzzHomogeneousKernel(f *testing.F) {
-	f.Add(uint16(50), 0.5, 0.95, 1.0, 0.07, 0.02, 2.0, 0.0, uint16(0), 0.0, 0.0, false)
-	f.Add(uint16(400), 0.99, 0.95, 1.3, 40.0, 0.001, 10.0, 0.003, uint16(130), 50.0, 80.0, true)
-	f.Add(uint16(7), 0.0, 0.5, 1.1, 1.0, 1.0, 0.0, 0.5, uint16(3), 0.0, 0.0, false)
+	f.Add(uint16(50), 0.5, 0.95, 1.0, 0.07, 0.02, 2.0, 0.0, uint16(0), false)
+	f.Add(uint16(400), 0.99, 0.95, 1.3, 40.0, 0.001, 10.0, 0.003, uint16(130), true)
+	f.Add(uint16(7), 0.0, 0.5, 1.1, 1.0, 1.0, 0.0, 0.5, uint16(3), false)
 	f.Fuzz(func(t *testing.T, n uint16, frac, gamma, pue, we, wd, onsite, sw float64,
-		prev uint16, maxPower, maxDelay float64, cubic bool) {
+		prev uint16, cubic bool) {
 		hp := &HomogeneousProblem{
 			Type: dcmodel.Opteron(), N: 1 + int(n%400), Gamma: gamma, PUE: pue,
 			We: we, Wd: wd, OnsiteKW: onsite,
 			SwitchWeight: sw, PrevActive: int(prev % 401),
-			MaxPowerKW: maxPower, MaxDelayCost: maxDelay,
 		}
 		if cubic {
 			hp.Type = cubicType()
@@ -492,19 +465,20 @@ type speedSearch struct {
 	k, lo, hi int
 }
 
+// windowLo returns the low end of speed k's count window, the least count
+// the γ cap lets carry λ, as Solve computes it.
+func windowLo(hp *HomogeneousProblem, k int) int {
+	return max(hp.clampCount(math.Ceil(hp.LambdaRPS/(hp.Gamma*hp.Type.Rate(k)))), 1)
+}
+
 // speedWindows returns a speedSearch for each speed of hp whose count
-// window is non-empty.
+// window [lo, N] is non-empty.
 func speedWindows(hp *HomogeneousProblem) []speedSearch {
 	var ws []speedSearch
 	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
-		lo, hi, ok := hp.countBounds(k)
-		if !ok || lo > hp.N {
-			continue
+		if lo := windowLo(hp, k); lo <= hp.N {
+			ws = append(ws, speedSearch{kn: hp.kernel(k), k: k, lo: lo, hi: hp.N})
 		}
-		if hi > hp.N {
-			hi = hp.N
-		}
-		ws = append(ws, speedSearch{kn: hp.kernel(k), k: k, lo: lo, hi: hi})
 	}
 	return ws
 }
@@ -570,7 +544,7 @@ func TestSpeedBoundBelowEveryProbe(t *testing.T) {
 			}
 		}
 	}
-	for _, hp := range kernelCorners(t) {
+	for _, hp := range kernelCorners() {
 		checkBound(t, hp, true)
 	}
 }
@@ -736,16 +710,15 @@ func checkCertificate(t *testing.T, kn *speedKernel, lo, hi, mL, mR int, every b
 // runs up to 1. The plateau must also
 // decide nearly everything where the paper's runs need it: at most a few
 // counts wide for every golden problem at N = 216,000 with load and no
-// switching penalty or cap.
+// switching penalty.
 func TestPlateauDecidesOnlyTrueComparisons(t *testing.T) {
 	for i, hp := range goldenProblems() {
 		width := checkPlateau(t, hp, hp.N <= 1000)
-		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.SwitchWeight == 0 && hp.MaxPowerKW == 0 &&
-			hp.MaxDelayCost == 0 && width > 4 {
+		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.SwitchWeight == 0 && width > 4 {
 			t.Errorf("problem %d: plateau %d counts wide", i, width)
 		}
 	}
-	for _, hp := range kernelCorners(t) {
+	for _, hp := range kernelCorners() {
 		checkPlateau(t, hp, true)
 	}
 	rng := stats.NewRNG(35)
@@ -830,18 +803,15 @@ func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
 	best := HomogeneousSolution{}
 	bestVal := math.Inf(1)
 	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
-		minM, maxM, ok := hp.countBounds(k)
-		if !ok || minM > hp.N {
+		minM := windowLo(hp, k)
+		if minM > hp.N {
 			continue
-		}
-		if maxM > hp.N {
-			maxM = hp.N
 		}
 		kn := hp.kernel(k)
 		m, val := numopt.MinimizeInt(func(m int) float64 {
 			v, _, _, _ := kn.eval(m)
 			return v
-		}, minM, maxM, 3)
+		}, minM, hp.N, 3)
 		if val < bestVal {
 			bestVal, best = hp.objective(k, m)
 		}
@@ -856,37 +826,37 @@ func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
 // bit (speed, count, value, power, grid energy, delay cost and error) on
 // random problems of up to 216,000 servers: unrestricted λ, weights, PUE,
 // γ and supply, with switching (its anchor up to four counts above the
-// fleet, and below zero for draws of 2³¹ and up), both caps and either
-// server type. Supply and caps are drawn per
-// server and scaled by N. Up to 500 servers it also checks every speed's
-// bound against every probe and its plateau against every comparison.
-// The seeds after the first four sit at the plateau's corners: the
-// optimum at the kink (at 216,000 servers a kink exactly on a count) and
-// at the γ cap's low end, γ = 1 (lo·x = λ), We = 0, Wd = 0, switching,
-// both caps binding and a tiny λ.
+// fleet, and below zero for draws of 2³¹ and up) and either server type.
+// Supply is drawn per server and scaled by N. Up to 500 servers it also
+// checks every speed's bound against every probe and its plateau against
+// every comparison. The seeds after the first four sit at the plateau's
+// corners: the optimum at the kink (at 216,000 servers a kink exactly on a
+// count) and at the γ cap's low end, γ = 1 (lo·x = λ), We = 0, Wd = 0,
+// switching, an infinite λ (a window starting past the fleet) and a tiny
+// λ.
 func FuzzHomogeneousSolve(f *testing.F) {
-	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
-	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), 0.12, 0.0, false)
-	f.Add(uint32(215999), 0.985, 0.95, 1.3, 40.0, 0.001, 0.04, 0.0, uint32(0), 0.0, 0.5, true)
-	f.Add(uint32(9999), 0.2, 1.0, 1.1, 3.0, 0.5, 0.1, 0.01, uint32(5000), 0.3, 2.0, true)
-	f.Add(uint32(499), 0.3, 0.95, 1.0, 40.0, 0.001, 0.1, 0.0, uint32(0), 0.0, 0.0, false)
-	f.Add(uint32(215999), 0.3, 0.95, 1.0, 40.0, 0.001, 0.12, 0.0, uint32(0), 0.0, 0.0, true)
-	f.Add(uint32(499), 0.3, 0.95, 1.0, 1.0, 1e-6, 0.0, 0.0, uint32(0), 0.0, 0.0, false)
-	f.Add(uint32(215999), 0.5, 1.0, 1.1, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
-	f.Add(uint32(215999), 0.4, 0.95, 1.0, 0.0, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
-	f.Add(uint32(215999), 0.4, 0.95, 1.0, 0.07, 0.0, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
-	f.Add(uint32(4999), 0.3, 0.95, 1.2, 0.07, 0.02, 0.04, 0.01, uint32(1700), 0.0, 0.0, false)
-	f.Add(uint32(4999), 0.3, 0.95, 1.2, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.3, 1.0, true)
-	f.Add(uint32(215999), 1e-9, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), 0.0, 0.0, false)
+	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), false)
+	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), false)
+	f.Add(uint32(215999), 0.985, 0.95, 1.3, 40.0, 0.001, 0.04, 0.0, uint32(0), true)
+	f.Add(uint32(9999), 0.2, 1.0, 1.1, 3.0, 0.5, 0.1, 0.01, uint32(5000), true)
+	f.Add(uint32(499), 0.3, 0.95, 1.0, 40.0, 0.001, 0.1, 0.0, uint32(0), false)
+	f.Add(uint32(215999), 0.3, 0.95, 1.0, 40.0, 0.001, 0.12, 0.0, uint32(0), true)
+	f.Add(uint32(499), 0.3, 0.95, 1.0, 1.0, 1e-6, 0.0, 0.0, uint32(0), false)
+	f.Add(uint32(215999), 0.5, 1.0, 1.1, 0.07, 0.02, 0.04, 0.0, uint32(0), false)
+	f.Add(uint32(215999), 0.4, 0.95, 1.0, 0.0, 0.02, 0.04, 0.0, uint32(0), false)
+	f.Add(uint32(215999), 0.4, 0.95, 1.0, 0.07, 0.0, 0.04, 0.0, uint32(0), false)
+	f.Add(uint32(4999), 0.3, 0.95, 1.2, 0.07, 0.02, 0.04, 0.01, uint32(1700), false)
+	f.Add(uint32(215999), math.Inf(1), 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), false)
+	f.Add(uint32(215999), 1e-9, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), false)
 	f.Fuzz(func(t *testing.T, n uint32, frac, gamma, pue, we, wd, onsite, sw float64,
-		prev uint32, maxPower, maxDelay float64, cubic bool) {
+		prev uint32, cubic bool) {
 		hp := &HomogeneousProblem{
 			Type: dcmodel.Opteron(), N: 1 + int(n%216000), Gamma: gamma, PUE: pue,
 			We: we, Wd: wd, SwitchWeight: sw,
 		}
 		fn := float64(hp.N)
 		hp.PrevActive = int(int32(prev)) % (hp.N + 5)
-		hp.OnsiteKW, hp.MaxPowerKW, hp.MaxDelayCost = onsite*fn, maxPower*fn, maxDelay*fn
+		hp.OnsiteKW = onsite * fn
 		if cubic {
 			hp.Type = cubicType()
 		}
@@ -911,7 +881,7 @@ func TestHomogeneousSolveZeroAllocs(t *testing.T) {
 	hp := &HomogeneousProblem{
 		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,
 		LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
-		SwitchWeight: 0.001, PrevActive: 70000, MaxPowerKW: 4e4, MaxDelayCost: 1e6,
+		SwitchWeight: 0.001, PrevActive: 70000,
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := hp.Solve(); err != nil {
@@ -941,4 +911,13 @@ func TestHomogeneousSolveLeavesProblemOnStack(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a local problem costs %v allocations per Solve, want 0", allocs)
 	}
+}
+
+// sameSolution compares two solutions bit for bit.
+func sameSolution(a, b HomogeneousSolution) bool {
+	return a.Speed == b.Speed && a.Active == b.Active &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
+		math.Float64bits(a.PowerKW) == math.Float64bits(b.PowerKW) &&
+		math.Float64bits(a.GridKWh) == math.Float64bits(b.GridKWh) &&
+		math.Float64bits(a.DelayCost) == math.Float64bits(b.DelayCost)
 }

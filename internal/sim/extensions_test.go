@@ -3,60 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
-
-	"repro/internal/trace"
 )
-
-func TestMaxPowerRejectsViolation(t *testing.T) {
-	sc := testScenario(3)
-	sc.MaxPowerKW = 5 // the fixed config draws 9.73 kW
-	if _, err := Run(sc, &fixedPolicy{cfg: Config{Speed: 4, Active: 50}}); err == nil {
-		t.Error("peak-power violation accepted")
-	}
-	sc.MaxPowerKW = 50
-	if _, err := Run(sc, &fixedPolicy{cfg: Config{Speed: 4, Active: 50}}); err != nil {
-		t.Errorf("loose cap rejected: %v", err)
-	}
-}
-
-func TestMaxDelayRejectsViolation(t *testing.T) {
-	sc := testScenario(3)
-	sc.MaxDelayCost = 10 // the fixed config has delay 75
-	if _, err := Run(sc, &fixedPolicy{cfg: Config{Speed: 4, Active: 50}}); err == nil {
-		t.Error("delay violation accepted")
-	}
-}
-
-func TestNegativeConstraintRejected(t *testing.T) {
-	sc := testScenario(3)
-	sc.MaxPowerKW = -1
-	if err := sc.Validate(); err == nil {
-		t.Error("negative constraint accepted")
-	}
-}
-
-func TestNetworkDelayAddsToAccounting(t *testing.T) {
-	sc := testScenario(3)
-	base, err := Run(sc, &fixedPolicy{cfg: Config{Speed: 4, Active: 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.NetworkDelaySec = trace.Constant("net", 0.02, 3)
-	withNet, err := Run(sc, &fixedPolicy{cfg: Config{Speed: 4, Active: 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// λ = 300, T_net = 0.02 → +6 jobs-in-system equivalent.
-	got := withNet.Records[0].DelayCost - base.Records[0].DelayCost
-	if math.Abs(got-6) > 1e-9 {
-		t.Errorf("network delay contribution = %v, want 6", got)
-	}
-	// Short trace rejected.
-	sc.NetworkDelaySec = trace.Constant("net", 0.02, 1)
-	if err := sc.Validate(); err == nil {
-		t.Error("short network-delay trace accepted")
-	}
-}
 
 func TestSummarizeWithTrueUp(t *testing.T) {
 	sc := testScenario(10)

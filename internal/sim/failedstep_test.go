@@ -121,50 +121,3 @@ func TestEngineFailedStepLeavesStateUntouched(t *testing.T) {
 		t.Fatal("records diverged after retry")
 	}
 }
-
-// TestEngineFailedStepCapRejection covers the other rejection path: a slot
-// rejected by the §3.1 power cap (Ledger.CheckCaps) rather than by the
-// overload guard, then retried after the cap is relaxed.
-func TestEngineFailedStepCapRejection(t *testing.T) {
-	sc, _, err := simtest.Build(simtest.Options{Slots: 2 * 24, N: 80, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.SwitchCostKWh = 0.231
-
-	clean, err := sim.Run(sc, buildCoca(t, sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const failAt = 11
-	e, err := sim.NewEngine(sc, buildCoca(t, sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < failAt; i++ {
-		if err := e.Step(); err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-	}
-	// Impose an impossible transient power cap: the engine reads the
-	// scenario's caps into each slot's Ledger, so this rejects the step
-	// without the policy (whose config snapshot has no cap) knowing.
-	sc.MaxPowerKW = 1e-6
-	if err := e.Step(); err == nil {
-		t.Fatal("capped step did not fail")
-	}
-	if e.Slot() != failAt || len(e.Result().Records) != failAt {
-		t.Fatalf("capped failure moved engine state: slot %d, %d records",
-			e.Slot(), len(e.Result().Records))
-	}
-	sc.MaxPowerKW = 0 // relax and retry
-	for !e.Done() {
-		if err := e.Step(); err != nil {
-			t.Fatalf("slot %d retry/continue: %v", e.Slot(), err)
-		}
-	}
-	if !reflect.DeepEqual(clean.Records, e.Result().Records) {
-		t.Fatal("cap-rejected-then-retried run diverged from the clean run")
-	}
-}

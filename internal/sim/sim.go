@@ -84,18 +84,6 @@ type Scenario struct {
 	// observation-independent accessor so they can internalize it.
 	SwitchCostKWh float64
 
-	// MaxPowerKW and MaxDelayCost are the optional §3.1 per-slot
-	// constraints; configurations violating them are rejected by the
-	// engine. Zero disables.
-	MaxPowerKW   float64
-	MaxDelayCost float64
-
-	// NetworkDelaySec is the optional time-varying mean network delay
-	// between users and the data center (§2.3): it adds λ(t)·T_net(t) to
-	// the recorded delay cost. Being decision-independent it does not
-	// change any policy's optimum, only the accounting. Nil disables.
-	NetworkDelaySec *trace.Trace
-
 	// SlotHours is the slot duration in hours; 0 means 1 (the paper's
 	// hourly slots). It is threaded into every slot's Ledger, where it is
 	// the single kW→kWh conversion: grid draw and facility energy scale
@@ -144,17 +132,8 @@ func (sc *Scenario) Validate() error {
 	if sc.Overestimate != 0 && !(sc.Overestimate >= 1) {
 		return fmt.Errorf("sim: overestimation factor %v below 1 or NaN", sc.Overestimate)
 	}
-	if !(sc.SwitchCostKWh >= 0) {
-		return fmt.Errorf("sim: switching cost %v negative or NaN", sc.SwitchCostKWh)
-	}
-	if !(sc.MaxPowerKW >= 0 && sc.MaxDelayCost >= 0) {
-		return fmt.Errorf("sim: per-slot constraint (power %v, delay %v) negative or NaN", sc.MaxPowerKW, sc.MaxDelayCost)
-	}
-	if sc.NetworkDelaySec != nil && sc.NetworkDelaySec.Len() < sc.Slots {
-		return errors.New("sim: network-delay trace shorter than horizon")
-	}
-	if !(sc.SlotHours >= 0) {
-		return fmt.Errorf("sim: slot duration %v negative or NaN", sc.SlotHours)
+	if err := dcmodel.CheckSlotExtensions(sc.SlotHours, sc.SwitchCostKWh); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	maxLambda := stats.MaxOf(sc.Workload.Values[:sc.Slots])
 	if maxLambda > sc.Capacity() {
@@ -194,8 +173,6 @@ func (sc *Scenario) LedgerAt(t int, zPerSlot float64) dcmodel.Ledger {
 		SwitchCostKWh:  sc.SwitchCostKWh,
 		Alpha:          sc.Portfolio.Alpha,
 		RECPerSlotKWh:  zPerSlot,
-		MaxPowerKW:     sc.MaxPowerKW,
-		MaxDelayCost:   sc.MaxDelayCost,
 	}
 }
 
@@ -211,9 +188,7 @@ func (sc *Scenario) P3At(obs Observation, v, q float64) p3.HomogeneousProblem {
 		Gamma: sc.Gamma, PUE: sc.PUE,
 		LambdaRPS: obs.LambdaRPS,
 		We:        we, Wd: wd,
-		OnsiteKW:     obs.OnsiteKW,
-		MaxPowerKW:   sc.MaxPowerKW,
-		MaxDelayCost: sc.MaxDelayCost,
+		OnsiteKW: obs.OnsiteKW,
 	}
 }
 
@@ -467,16 +442,6 @@ func (sc *Scenario) operate(rec *SlotRecord, t int, cfg Config, prevActive int, 
 		g := dcmodel.Group{Type: sc.Server, N: cfg.Active}
 		powerKW = sc.PUE * g.PowerKW(cfg.Speed, lambda)
 		delayCost = g.DelayCost(cfg.Speed, lambda)
-	}
-	if err := led.CheckCaps(powerKW, delayCost); err != nil {
-		rec.PowerKW, rec.DelayCost = powerKW, delayCost
-		return err
-	}
-	// The §2.3 network delay is charged after the caps: it is
-	// decision-independent, so the §3.1 constraints apply to the data
-	// center's own delay only.
-	if sc.NetworkDelaySec != nil {
-		delayCost += lambda * sc.NetworkDelaySec.Values[t]
 	}
 	ch := led.Charge(powerKW, delayCost, cfg.Active-prevActive)
 	rec.PowerKW = ch.PowerKW

@@ -139,11 +139,12 @@ func TestScenarioValidation(t *testing.T) {
 		{"inf pue", func(s *Scenario) { s.PUE = math.Inf(1) }},
 		{"nan beta", func(s *Scenario) { s.Beta = math.NaN() }},
 		{"nan switch", func(s *Scenario) { s.SwitchCostKWh = math.NaN() }},
-		{"nan max power", func(s *Scenario) { s.MaxPowerKW = math.NaN() }},
-		{"nan max delay", func(s *Scenario) { s.MaxDelayCost = math.NaN() }},
-		{"neg max delay", func(s *Scenario) { s.MaxDelayCost = -1 }},
 		{"nan slot hours", func(s *Scenario) { s.SlotHours = math.NaN() }},
 		{"neg slot hours", func(s *Scenario) { s.SlotHours = -1 }},
+		// An infinite slot length or switching cost passes a plain ≥ 0
+		// test and fails the run mid-way with an infeasible P3.
+		{"inf slot hours", func(s *Scenario) { s.SlotHours = math.Inf(1) }},
+		{"inf switch", func(s *Scenario) { s.SwitchCostKWh = math.Inf(1) }},
 		{"nan phi", func(s *Scenario) { s.Overestimate = math.NaN() }},
 		{"overloaded", func(s *Scenario) { s.Workload = trace.Constant("w", 1e9, s.Slots) }},
 	}

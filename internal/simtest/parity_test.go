@@ -17,7 +17,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simtest"
 	"repro/internal/telemetry/span"
-	"repro/internal/trace"
 )
 
 // This file pins the Engine/Ledger refactor to the seed implementation:
@@ -72,9 +71,6 @@ func goldenOperate(sc *sim.Scenario, t int, cfg sim.Config, prevActive int, zPer
 		g := dcmodel.Group{Type: sc.Server, N: cfg.Active}
 		rec.PowerKW = sc.PUE * g.PowerKW(cfg.Speed, lambda)
 		rec.DelayCost = g.DelayCost(cfg.Speed, lambda)
-	}
-	if sc.NetworkDelaySec != nil {
-		rec.DelayCost += lambda * sc.NetworkDelaySec.Values[t]
 	}
 	rec.GridKWh = math.Max(0, rec.PowerKW-onsite)
 	rec.ElectricityUSD = price * rec.GridKWh
@@ -189,13 +185,12 @@ func TestEngineGoldenHash(t *testing.T) {
 }
 
 // TestEngineMatchesGoldenRunVariants exercises the Ledger's optional knobs
-// — switching cost, network delay, workload overestimation — against the
-// seed arithmetic.
+// — switching cost and workload overestimation — against the seed
+// arithmetic.
 func TestEngineMatchesGoldenRunVariants(t *testing.T) {
 	base := paritySc(t)
 	variants := map[string]func(*sim.Scenario){
 		"switching":    func(sc *sim.Scenario) { sc.SwitchCostKWh = 0.231 },
-		"network":      func(sc *sim.Scenario) { sc.NetworkDelaySec = trace.Constant("net", 0.004, sc.Slots) },
 		"overestimate": func(sc *sim.Scenario) { sc.Overestimate = 1.1 },
 	}
 	for name, mutate := range variants {

@@ -25,33 +25,15 @@ const (
 	FormatJSON = "json"
 )
 
-// Options tunes a constructed logger.
-type Options struct {
-	// Level is the minimum record level (default slog.LevelInfo).
-	Level slog.Leveler
-	// NoTime drops the time attribute from every record — for tests and
-	// golden outputs that must not depend on the clock.
-	NoTime bool
-}
-
-// New returns a logger writing format-structured records to w. An
-// unknown format is an error (the caller surfaces it as a flag error);
-// an empty format means text.
-func New(w io.Writer, format string, opts Options) (*slog.Logger, error) {
-	ho := &slog.HandlerOptions{Level: opts.Level}
-	if opts.NoTime {
-		ho.ReplaceAttr = func(groups []string, a slog.Attr) slog.Attr {
-			if len(groups) == 0 && a.Key == slog.TimeKey {
-				return slog.Attr{}
-			}
-			return a
-		}
-	}
+// New returns a logger writing format-structured records at level Info
+// and up to w. An unknown format is an error (the caller surfaces it as a
+// flag error); an empty format means text.
+func New(w io.Writer, format string) (*slog.Logger, error) {
 	switch format {
 	case FormatText, "":
-		return slog.New(slog.NewTextHandler(w, ho)), nil
+		return slog.New(slog.NewTextHandler(w, nil)), nil
 	case FormatJSON:
-		return slog.New(slog.NewJSONHandler(w, ho)), nil
+		return slog.New(slog.NewJSONHandler(w, nil)), nil
 	}
 	return nil, fmt.Errorf("logf: unknown log format %q (want %s or %s)", format, FormatText, FormatJSON)
 }

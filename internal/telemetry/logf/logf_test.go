@@ -4,31 +4,32 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"log/slog"
+	"time"
 )
 
 func TestTextFormat(t *testing.T) {
 	var b strings.Builder
-	log, err := New(&b, FormatText, Options{NoTime: true})
+	log, err := New(&b, FormatText)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log.Info("listening", "addr", "127.0.0.1:8080")
-	line := b.String()
-	for _, want := range []string{"level=INFO", "msg=listening", "addr=127.0.0.1:8080"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("text line %q missing %q", line, want)
-		}
+	line := strings.TrimSuffix(b.String(), "\n")
+	// The record leads with its time attribute; the rest is fixed.
+	stamp, rest, ok := strings.Cut(line, " ")
+	if ts, found := strings.CutPrefix(stamp, "time="); !ok || !found {
+		t.Fatalf("text line %q does not lead with a time attribute", line)
+	} else if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Errorf("text line %q: time attribute: %v", line, err)
 	}
-	if strings.Contains(line, "time=") {
-		t.Errorf("NoTime line still carries a timestamp: %q", line)
+	if want := "level=INFO msg=listening addr=127.0.0.1:8080"; rest != want {
+		t.Errorf("text record %q, want %q", rest, want)
 	}
 }
 
 func TestJSONFormat(t *testing.T) {
 	var b strings.Builder
-	log, err := New(&b, FormatJSON, Options{NoTime: true})
+	log, err := New(&b, FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,33 +38,22 @@ func TestJSONFormat(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &rec); err != nil {
 		t.Fatalf("json line does not decode: %v\n%s", err, b.String())
 	}
-	if rec["msg"] != "checkpoint failed" || rec["err"] != "disk full" || rec["slot"] != float64(42) {
-		t.Fatalf("record = %v", rec)
+	ts, ok := rec["time"].(string)
+	if !ok {
+		t.Fatalf("record %v has no time key", rec)
 	}
-	if rec["level"] != "ERROR" {
-		t.Fatalf("level = %v", rec["level"])
+	if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Errorf("time key: %v", err)
 	}
-	if _, ok := rec["time"]; ok {
-		t.Fatal("NoTime record still carries a time key")
-	}
-}
-
-func TestLevelFilter(t *testing.T) {
-	var b strings.Builder
-	log, err := New(&b, FormatText, Options{Level: slog.LevelWarn, NoTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.Info("dropped")
-	log.Warn("kept")
-	out := b.String()
-	if strings.Contains(out, "dropped") || !strings.Contains(out, "kept") {
-		t.Fatalf("level filter output:\n%s", out)
+	delete(rec, "time")
+	if len(rec) != 4 || rec["msg"] != "checkpoint failed" || rec["err"] != "disk full" ||
+		rec["slot"] != float64(42) || rec["level"] != "ERROR" {
+		t.Fatalf("record without its time = %v", rec)
 	}
 }
 
 func TestUnknownFormat(t *testing.T) {
-	if _, err := New(&strings.Builder{}, "yaml", Options{}); err == nil {
+	if _, err := New(&strings.Builder{}, "yaml"); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }
