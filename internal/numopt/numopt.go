@@ -66,10 +66,11 @@ func BisectMonotoneFrom(g func(float64) float64, target, lo, hi, glo, ghi, xtol 
 // objective). It returns the best argument and value. It panics if lo > hi.
 //
 // It is the reference for the homogeneous P3 solver's count search, which
-// reproduces its probe order and answer bit for bit while skipping the
-// comparisons a certified plateau decides: tests compare the two, and the
-// solver calls MinimizeInt itself only on the windows its certificate
-// cannot cover (a switching penalty or out-of-range operands).
+// returns its answer bit for bit: on a window whose certified plateau is a
+// few counts wide and whose probes there are shaped, it reads the answer
+// off those probes, and it calls MinimizeInt itself on every other window
+// (a switching penalty, out-of-range operands, a wide or unshaped
+// plateau). Tests compare the two.
 func MinimizeInt(f func(int) float64, lo, hi, sweep int) (int, float64) {
 	if lo > hi {
 		panic("numopt: MinimizeInt requires lo <= hi")

@@ -314,47 +314,65 @@ func (kn *speedKernel) bound(lo, hi int) float64 {
 	return math.Inf(-1)
 }
 
+// sweep is the guard sweep's width in search's numopt.MinimizeInt calls.
+const sweep = 3
+
 // search minimizes eval over [lo, hi] (1 ≤ lo ≤ hi) and returns what
-// numopt.MinimizeInt(eval, lo, hi, 3) returns. Outside a plain window it
-// calls MinimizeInt. In one it runs the same ternary search and guard
-// sweep with inlined probes (value), in the same order, except that it
-// skips every probe whose comparison plateau decides: an iteration whose
-// m1 is at or right of mR keeps [a, m2 − 1], and one whose m2 is at or
-// left of mL keeps [m1 + 1, b], as their probes would; the sweep is cut to
-// [mL, mR], since left of mL it would pass a strictly falling run, whose
-// last count wins, and right of mR a non-decreasing one, which cannot
-// displace the best.
+// numopt.MinimizeInt(eval, lo, hi, sweep) returns. In a plain window it
+// reads the answer off plateau's counts: with s = min(max(mL, lo), hi)
+// and e = max(min(mR, hi), s), it probes [s, e] (inlined, through value)
+// when that is at most 2·sweep + 1 counts, and returns the first least
+// probe if the probes are shaped (fall strictly to it and never fall after
+// it). Otherwise, and outside a plain window, it calls MinimizeInt.
+//
+// Why that is MinimizeInt's answer. The plateau certifies that eval falls
+// strictly on [lo, s] and never falls on [e, hi] (the clamps only shrink
+// those runs or make them single counts); a shaped [s, e] joins the two,
+// so eval over [lo, hi] falls strictly to its leftmost minimum m° and
+// never falls after it. On such a function each of MinimizeInt's ternary
+// steps keeps m° in [a, b]: f(m1) ≤ f(m2) rules out m° ≥ m2 (f would fall
+// strictly from m1 to m2), and f(m1) > f(m2) rules out m° ≤ m1 (f would
+// not fall from m1 to m2). Its sweep then covers m°, passes only larger
+// values before it and takes a new best only on a strictly smaller one, so
+// it returns m° with eval(m°)'s bits, which is the first least probe of
+// [s, e]. A plain window's values are never NaN or −0, so no comparison
+// here or in MinimizeInt treats unequal bits as equal.
 func (kn *speedKernel) search(lo, hi int) (int, float64) {
 	kn.searches++
-	if !kn.plain(lo) {
-		return numopt.MinimizeInt(func(m int) float64 {
-			kn.probes++
-			v, _, _, _ := kn.eval(m)
-			return v
-		}, lo, hi, 3)
-	}
-	mL, mR := kn.plateau(lo, hi)
-	const sweep = 3
-	a, b := lo, hi
-	for b-a > 2*sweep {
-		m1 := a + (b-a)/3
-		m2 := b - (b-a)/3
-		if m1 >= mR || m2 > mL && kn.probe(m1) <= kn.probe(m2) {
-			b = m2 - 1
-		} else {
-			a = m1 + 1
+	if kn.plain(lo) {
+		mL, mR := kn.plateau(lo, hi)
+		s := min(max(mL, lo), hi)
+		if e := max(min(mR, hi), s); e-s <= 2*sweep {
+			var vs [2*sweep + 1]float64
+			for m := s; m <= e; m++ {
+				vs[m-s] = kn.probe(m)
+			}
+			if j, ok := shaped(vs[:e-s+1]); ok {
+				return s + j, vs[j]
+			}
 		}
 	}
-	end := min(b+sweep, hi)
-	start := min(max(a-sweep, lo, mL), end)
-	end = max(min(end, mR), start)
-	bestX, bestF := start, kn.probe(start)
-	for x := start + 1; x <= end; x++ {
-		if v := kn.probe(x); v < bestF {
-			bestX, bestF = x, v
+	return numopt.MinimizeInt(func(m int) float64 {
+		kn.probes++
+		v, _, _, _ := kn.eval(m)
+		return v
+	}, lo, hi, sweep)
+}
+
+// shaped returns the index j of the first least value of vs (non-empty),
+// and whether vs falls strictly to it and never falls after it:
+// vs[i] > vs[i+1] for i < j and vs[i] ≤ vs[i+1] for i ≥ j. A NaN makes it
+// false unless vs holds one value.
+func shaped(vs []float64) (j int, ok bool) {
+	for j+1 < len(vs) && vs[j] > vs[j+1] {
+		j++
+	}
+	for i := j; i+1 < len(vs); i++ {
+		if !(vs[i] <= vs[i+1]) {
+			return j, false
 		}
 	}
-	return bestX, bestF
+	return j, true
 }
 
 // plain reports whether value is eval bit for bit at every count m ≥ lo:
@@ -500,8 +518,9 @@ func (hp *HomogeneousProblem) switchPenalty(m int) float64 {
 // certified lower bounds (speedKernel.bound), and a speed whose bound shows
 // it cannot be that index is not searched at all; every search that runs
 // returns what numopt.MinimizeInt returns over the same window
-// (speedKernel.search), so the result is bit for bit that of searching
-// every speed in index order with MinimizeInt.
+// (speedKernel.search, which reads a plain window's answer off its
+// certified plateau), so the result is bit for bit that of searching every
+// speed in index order with MinimizeInt.
 func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 	kn := hp.compile()
 	return kn.solve()

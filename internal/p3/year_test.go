@@ -56,8 +56,8 @@ func (c *probeCounter) Observe(fb sim.Feedback) {
 
 // TestCOCAYearProbesPerSearch pins the probes the certified plateau saves
 // over a seed-1 COCA year at the paper's 216,000 servers: Solve's searches
-// must average at most 45 probes (numopt.MinimizeInt's ternary search
-// makes ~62), and over every feasible speed's window the kernel search at
+// must average at most 3 probes (numopt.MinimizeInt's ternary search
+// makes ~61), and over every feasible speed's window the kernel search at
 // most 60% of MinimizeInt's.
 func TestCOCAYearProbesPerSearch(t *testing.T) {
 	sc, _, err := simtest.Build(simtest.Options{Slots: 8760, N: 216000, Beta: 0.02, Seed: 1})
@@ -77,8 +77,8 @@ func TestCOCAYearProbesPerSearch(t *testing.T) {
 	wMean, refMean := float64(c.wProbes)/float64(c.windows), float64(c.wRefs)/float64(c.windows)
 	t.Logf("probes per search: Solve %.1f over %d searches; every window %.1f, MinimizeInt %.1f, over %d",
 		mean, c.searches, wMean, refMean, c.windows)
-	if mean > 45 || wMean > 0.6*refMean {
-		t.Errorf("probes per search: Solve %.1f (want ≤ 45); every window %.1f against MinimizeInt's %.1f (want ≤ 60%%)",
+	if mean > 3 || wMean > 0.6*refMean {
+		t.Errorf("probes per search: Solve %.1f (want ≤ 3); every window %.1f against MinimizeInt's %.1f (want ≤ 60%%)",
 			mean, wMean, refMean)
 	}
 }

@@ -129,8 +129,9 @@ func (sc *Scenario) Validate() error {
 	}
 	// The checks are negated so that NaN, which fails every comparison,
 	// is rejected rather than waved through.
-	if sc.Overestimate != 0 && !(sc.Overestimate >= 1) {
-		return fmt.Errorf("sim: overestimation factor %v below 1 or NaN", sc.Overestimate)
+	// An infinite φ would make Observe's φ·λ NaN on a zero-load slot.
+	if sc.Overestimate != 0 && !(sc.Overestimate >= 1 && sc.Overestimate <= math.MaxFloat64) {
+		return fmt.Errorf("sim: overestimation factor %v below 1 or not finite", sc.Overestimate)
 	}
 	if err := dcmodel.CheckSlotExtensions(sc.SlotHours, sc.SwitchCostKWh); err != nil {
 		return fmt.Errorf("sim: %w", err)

@@ -146,6 +146,9 @@ func TestScenarioValidation(t *testing.T) {
 		{"inf slot hours", func(s *Scenario) { s.SlotHours = math.Inf(1) }},
 		{"inf switch", func(s *Scenario) { s.SwitchCostKWh = math.Inf(1) }},
 		{"nan phi", func(s *Scenario) { s.Overestimate = math.NaN() }},
+		// An infinite φ makes φ·λ NaN on a zero-load slot, which stops COCA
+		// there with p3.ErrInvalid.
+		{"inf overestimate", func(s *Scenario) { s.Overestimate = math.Inf(1) }},
 		{"overloaded", func(s *Scenario) { s.Workload = trace.Constant("w", 1e9, s.Slots) }},
 	}
 	for _, tc := range cases {
