@@ -2,12 +2,19 @@ package p3
 
 import "repro/internal/numopt"
 
-// SolveCounted is Solve that also returns how many count searches it ran
-// and how many probes of the objective they made.
-func SolveCounted(hp *HomogeneousProblem) (sol HomogeneousSolution, searches, probes int, err error) {
-	kn := hp.compile()
-	sol, err = kn.solve()
-	return sol, kn.searches, kn.probes, err
+// SolveCounts counts the work of one Solve: its count searches, their
+// probes of the objective, its lower bounds and its aims of the kernel at
+// a speed.
+type SolveCounts struct {
+	Searches, Probes, Bounds, Aims int
+}
+
+// SolveCounted is Solve that also returns its work counts.
+func SolveCounted(hp *HomogeneousProblem) (HomogeneousSolution, SolveCounts, error) {
+	kn := speedKernel{hp: hp}
+	kn.compile()
+	sol, err := kn.solve()
+	return sol, SolveCounts{Searches: kn.searches, Probes: kn.probes, Bounds: kn.bounds, Aims: kn.aims}, err
 }
 
 // WindowProbes searches every feasible speed's count window of hp and

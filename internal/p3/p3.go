@@ -120,7 +120,7 @@ type HomogeneousSolution struct {
 // so a probe of the integer search pays only the arithmetic in m. It is the
 // single formula of the objective: eval and search's probes both go
 // through value. A solve compiles the speed-independent operands once
-// (compile) and aims the kernel from speed to speed (setSpeed).
+// (compile) and aims the kernel from speed to speed (aim, setSpeed).
 type speedKernel struct {
 	hp                         *HomogeneousProblem
 	lambda, ps, pue, r, we, wd float64
@@ -130,23 +130,36 @@ type speedKernel struct {
 	ranged        bool
 	a, root, rPUE float64
 
-	x  float64 // Rate(k)
-	gx float64 // γ·x, the per-server load cap
-	ck float64 // ComputingKW(k)·λ/Rate(k), the fleet's computing power
+	speed int // the speed level the kernel is aimed at
+	speedOps
 	// certified reports that all of bound's operand-range checks pass;
 	// kink is then the count where P(m) = r (see bound).
 	certified bool
 	kink      float64
-	// searches and probes count search's calls and its evaluations of the
-	// objective, across speeds, for tests.
-	searches, probes int
+	// searches, probes, bounds and aims count search's calls, its
+	// evaluations of the objective, bound's calls and aim's, across
+	// speeds, for tests; skipped has bit k − 1 set for each speed k < 65
+	// solve skips as beaten (see beats).
+	searches, probes, bounds, aims int
+	skipped                        uint64
 }
 
-// compile returns a kernel with hp's speed-independent operands, for
-// setSpeed to aim at a speed.
-func (hp *HomogeneousProblem) compile() speedKernel {
-	kn := speedKernel{hp: hp, lambda: hp.LambdaRPS, ps: hp.Type.StaticKW, pue: hp.PUE,
-		r: hp.OnsiteKW, we: hp.We, wd: hp.Wd}
+// speedOps are the operands of the objective that depend on the speed
+// level k.
+type speedOps struct {
+	x  float64 // Rate(k)
+	gx float64 // γ·x, the per-server load cap
+	ck float64 // ComputingKW(k)·λ/Rate(k), the fleet's computing power
+}
+
+// compile sets the speed-independent operands of a kernel that holds only
+// its problem, for setSpeed to aim at a speed. It fills kn in place,
+// sparing Solve a copy of the kernel; storing hp through kn would leak it
+// to the heap, so the caller sets kn.hp.
+func (kn *speedKernel) compile() {
+	hp := kn.hp
+	kn.lambda, kn.ps, kn.pue = hp.LambdaRPS, hp.Type.StaticKW, hp.PUE
+	kn.r, kn.we, kn.wd = hp.OnsiteKW, hp.We, hp.Wd
 	kn.ranged = hp.SwitchWeight >= 0 && hp.SwitchWeight <= math.MaxFloat64 &&
 		zeroOrModerate(kn.we) && zeroOrModerate(kn.wd) && zeroOrModerate(kn.pue) &&
 		zeroOrModerate(kn.ps) && moderate(kn.lambda) && math.Abs(kn.r) <= 0x1p100 &&
@@ -154,16 +167,24 @@ func (hp *HomogeneousProblem) compile() speedKernel {
 	if kn.a = kn.we * kn.pue * kn.ps; kn.ranged && kn.a > 0 {
 		kn.root, kn.rPUE = math.Sqrt(kn.wd/kn.a), kn.r/kn.pue
 	}
-	return kn
 }
 
-// setSpeed aims the kernel at speed level k.
-func (kn *speedKernel) setSpeed(k int) {
+// opsAt returns speed level k's operands.
+func (kn *speedKernel) opsAt(k int) speedOps {
 	st := &kn.hp.Type
 	x := st.Rate(k)
 	// Evaluated in the order Group.PowerKW evaluates p_c(x_k)·L/x_k.
-	kn.x, kn.gx, kn.ck = x, kn.hp.Gamma*x, st.ComputingKW(k)*kn.lambda/x
-	kn.certified = kn.ranged && zeroOrModerate(kn.ck) && moderate(x)
+	return speedOps{x: x, gx: kn.hp.Gamma * x, ck: st.ComputingKW(k) * kn.lambda / x}
+}
+
+// setSpeed aims the kernel at speed level k.
+func (kn *speedKernel) setSpeed(k int) { kn.aim(k, kn.opsAt(k)) }
+
+// aim aims the kernel at speed level k, whose operands are o.
+func (kn *speedKernel) aim(k int, o speedOps) {
+	kn.aims++
+	kn.speed, kn.speedOps = k, o
+	kn.certified = kn.certifies(&o)
 	// With no grid slope P is flat, and every count lies left of the kink
 	// (P ≤ r) or right of it.
 	switch {
@@ -175,6 +196,12 @@ func (kn *speedKernel) setSpeed(k int) {
 	default:
 		kn.kink = math.Inf(-1)
 	}
+}
+
+// certifies reports whether a speed with operands o passes all of bound's
+// operand-range checks.
+func (kn *speedKernel) certifies(o *speedOps) bool {
+	return kn.ranged && zeroOrModerate(o.ck) && moderate(o.x)
 }
 
 // eval returns the objective value for m active servers (m = 0 is the
@@ -268,6 +295,7 @@ func (kn *speedKernel) probe(m int) float64 {
 // covers the rounding of A and of the subtraction, and the underflows. A
 // compiler that fuses a multiply-add only drops roundings.
 func (kn *speedKernel) bound(lo, hi int) float64 {
+	kn.bounds++
 	if !kn.certified {
 		return math.Inf(-1)
 	}
@@ -323,7 +351,11 @@ const sweep = 3
 // and e = max(min(mR, hi), s), it probes [s, e] (inlined, through value)
 // when that is at most 2·sweep + 1 counts, and returns the first least
 // probe if the probes are shaped (fall strictly to it and never fall after
-// it). Otherwise, and outside a plain window, it calls MinimizeInt.
+// it); least then reports that the value is the least eval over [lo, hi].
+// Otherwise, and outside a plain window, it calls MinimizeInt. The shape
+// check fails, for one, where a server without static power makes the
+// energy term flat and the delay moves the sum by single ulps
+// (TestSearchFallsBackOnUnshapedPlateau).
 //
 // Why that is MinimizeInt's answer. The plateau certifies that eval falls
 // strictly on [lo, s] and never falls on [e, hi] (the clamps only shrink
@@ -337,7 +369,7 @@ const sweep = 3
 // it returns m° with eval(m°)'s bits, which is the first least probe of
 // [s, e]. A plain window's values are never NaN or −0, so no comparison
 // here or in MinimizeInt treats unequal bits as equal.
-func (kn *speedKernel) search(lo, hi int) (int, float64) {
+func (kn *speedKernel) search(lo, hi int) (m int, v float64, least bool) {
 	kn.searches++
 	if kn.plain(lo) {
 		mL, mR := kn.plateau(lo, hi)
@@ -348,15 +380,16 @@ func (kn *speedKernel) search(lo, hi int) (int, float64) {
 				vs[m-s] = kn.probe(m)
 			}
 			if j, ok := shaped(vs[:e-s+1]); ok {
-				return s + j, vs[j]
+				return s + j, vs[j], true
 			}
 		}
 	}
-	return numopt.MinimizeInt(func(m int) float64 {
+	m, v = numopt.MinimizeInt(func(m int) float64 {
 		kn.probes++
 		v, _, _, _ := kn.eval(m)
 		return v
 	}, lo, hi, sweep)
+	return m, v, false
 }
 
 // shaped returns the index j of the first least value of vs (non-empty),
@@ -447,10 +480,27 @@ func (kn *speedKernel) evalError(lo, hi int) (e float64, ok bool) {
 	if !(g >= 0x1p-20*t) {
 		return 0, false
 	}
-	kappa := t / g
-	return 0x1p-50*(kn.we*(7*kn.pue*(float64(hi)*kn.ps+kn.ck)+4*math.Abs(kn.r))+
-		kn.wd*(kn.lambda/kn.x)*kappa*(kappa+8)) + 0x1p-1060, true
+	return kn.errorBound(&kn.speedOps, t/g, hi), true
 }
+
+// errorBound is evalError's E for the speed with operands o over counts up
+// to hi whose conditioning κ(m) is at most kappa ≤ 2²⁰. Its floating-point
+// value never falls as c or kappa rises or as x falls, every operation
+// being monotone and every operand non-negative.
+func (kn *speedKernel) errorBound(o *speedOps, kappa float64, hi int) float64 {
+	return 0x1p-50*(kn.we*(7*kn.pue*(float64(hi)*kn.ps+o.ck)+4*math.Abs(kn.r))+
+		kn.wd*(kn.lambda/o.x)*kappa*(kappa+8)) + 0x1p-1060
+}
+
+// capKappa bounds the delay's conditioning κ(m) = m·x/(m·x − λ) at every
+// count m that passes the γ cap (fl(λ/m) ≤ fl(γ·x)) when γ ≤ maxCapGamma,
+// for any rate x and λ > 0 in certifies' ranges: passing the cap,
+// ρ = λ/(m·x) ≤ γ·(1 + u)/(1 − u) < 1 − 2⁻⁷, so κ(m) = 1/(1 − ρ) < 2⁷. For
+// γ ≤ 0 no count passes.
+const (
+	capKappa    = 128
+	maxCapGamma = 0.99
+)
 
 // countBelow returns the largest count below t, and countAbove the least
 // count above it, clamped to [lo − 1, hi + 1]; a NaN t gives the end that
@@ -514,15 +564,19 @@ func (hp *HomogeneousProblem) switchPenalty(m int) float64 {
 // objective is convex in the count (affine-with-kink electricity + convex
 // decreasing delay + convex switching penalty), so an integer ternary search
 // with a guard sweep is exact. The answer is the lowest speed index whose
-// search reaches the least value. Speeds are searched in order of their
+// search reaches the least value. A speed that a faster speed with no more
+// computing power per request dominates is not searched at all when the
+// faster speed's answer certifiably beats it at every count
+// (speedKernel.beats); the other speeds are searched in order of their
 // certified lower bounds (speedKernel.bound), and a speed whose bound shows
-// it cannot be that index is not searched at all; every search that runs
+// it cannot be that index is not searched either. Every search that runs
 // returns what numopt.MinimizeInt returns over the same window
 // (speedKernel.search, which reads a plain window's answer off its
 // certified plateau), so the result is bit for bit that of searching every
 // speed in index order with MinimizeInt.
 func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
-	kn := hp.compile()
+	kn := speedKernel{hp: hp}
+	kn.compile()
 	return kn.solve()
 }
 
@@ -547,51 +601,172 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 		}
 		return best, nil
 	}
-	// The feasible speeds sorted by (bound, k); the array holds every type
-	// of up to 8 levels without a heap allocation. The windows hold no
-	// pointer, so hp does not escape through a grown slice. A speed's window
-	// is [lo, N], lo being the least count the γ cap lets carry λ.
+	// The feasible speeds' windows; the array holds every type of up to 8
+	// levels without a heap allocation. The windows hold no pointer, so hp
+	// does not escape through a grown slice. A speed's window is [lo, N],
+	// lo being the least count the γ cap lets carry λ.
 	var buf [8]speedWindow
 	ws := buf[:0]
 	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
-		kn.setSpeed(k)
-		lo := max(hp.clampCount(math.Ceil(kn.lambda/kn.gx)), 1)
+		o := kn.opsAt(k)
+		lo := max(hp.clampCount(math.Ceil(kn.lambda/o.gx)), 1)
 		if lo > hp.N {
 			continue
 		}
-		w := speedWindow{k: k, lo: lo, bound: kn.bound(lo, hp.N)}
-		i := len(ws)
-		ws = append(ws, w)
-		for ; i > 0 && ws[i-1].bound > w.bound; i-- {
-			ws[i] = ws[i-1]
-		}
-		ws[i] = w
+		// Filled field by field: a composite literal would be built on the
+		// stack and copied in wider loads than its stores.
+		ws = append(ws, speedWindow{})
+		w := &ws[len(ws)-1]
+		w.speedOps, w.k, w.lo, w.bound = o, k, lo, math.Inf(-1)
 	}
-	bestK, bestM, bestVal := 0, 0, math.Inf(1)
+	// The speeds no other speed dominates (faster, with no more computing
+	// power) come first and are searched first; each dominated speed is
+	// searched after them unless one of their answers beats it.
+	n := 0
 	for i := range ws {
-		w := &ws[i]
-		// A speed whose bound exceeds the best value, or ties it from a
-		// higher index, cannot win; nor can any speed sorted after it.
-		if w.bound > bestVal || w.bound == bestVal && w.k > bestK {
-			break
-		}
-		kn.setSpeed(w.k)
-		m, val := kn.search(w.lo, hp.N)
-		if val < bestVal || val == bestVal && w.k < bestK {
-			bestK, bestM, bestVal = w.k, m, val
+		if !dominated(ws, &ws[i]) {
+			ws[n], ws[i] = ws[i], ws[n]
+			n++
 		}
 	}
-	if math.IsInf(bestVal, 1) {
+	best := bestSpeed{val: math.Inf(1)}
+	top := ws[:n]
+	kn.searchByBound(top, &best)
+	if rest := ws[n:]; len(rest) > 0 {
+		capped := hp.Gamma <= maxCapGamma
+		kept := 0
+		for i := range rest {
+			if capped && kn.beats(top, &rest[i]) {
+				if k := rest[i].k; k <= 64 {
+					kn.skipped |= 1 << (k - 1)
+				}
+				continue
+			}
+			rest[kept] = rest[i]
+			kept++
+		}
+		kn.searchByBound(rest[:kept], &best)
+	}
+	if math.IsInf(best.val, 1) {
 		return HomogeneousSolution{}, ErrInfeasible
 	}
-	kn.setSpeed(bestK)
-	return kn.solution(bestK, bestM), nil
+	if kn.speed != best.k {
+		kn.setSpeed(best.k)
+	}
+	return kn.solution(best.k, best.m), nil
 }
 
-// speedWindow is one speed's share of a Solve: its index, the low end of
-// its feasible count window [lo, N] and its kernel's lower bound over that
-// window.
+// speedWindow is one speed's share of a Solve: its index and operands, the
+// low end of its feasible count window [lo, N] and its kernel's lower bound
+// over that window (−Inf until bounded). least reports that its search
+// read the least eval over the window off the certified plateau.
 type speedWindow struct {
+	speedOps
 	k, lo int
 	bound float64
+	least bool
+}
+
+// bestSpeed is the best (speed, count, value) of a Solve so far.
+type bestSpeed struct {
+	k, m int
+	val  float64
+}
+
+// dominated reports whether some window of ws is of a faster speed whose
+// computing power is at most w's.
+func dominated(ws []speedWindow, w *speedWindow) bool {
+	for i := range ws {
+		if ws[i].x > w.x && ws[i].ck <= w.ck {
+			return true
+		}
+	}
+	return false
+}
+
+// searchByBound searches the windows ws in order of (bound, k), updating
+// best with each answer that is less, or ties it from a lower index. A
+// window whose bound exceeds best's value, or ties it from a higher index,
+// cannot be Solve's answer; nor can any window sorted after it, so the
+// search stops there. With nothing found yet, one window needs no bound.
+func (kn *speedKernel) searchByBound(ws []speedWindow, best *bestSpeed) {
+	hi := kn.hp.N
+	if len(ws) > 1 || !math.IsInf(best.val, 1) {
+		for i := range ws {
+			w := ws[i]
+			kn.aim(w.k, w.speedOps)
+			w.bound = kn.bound(w.lo, hi)
+			j := i
+			for ; j > 0 && (ws[j-1].bound > w.bound || ws[j-1].bound == w.bound && ws[j-1].k > w.k); j-- {
+				ws[j] = ws[j-1]
+			}
+			ws[j] = w
+		}
+	}
+	for i := range ws {
+		w := &ws[i]
+		if w.bound > best.val || w.bound == best.val && w.k > best.k {
+			break
+		}
+		if kn.speed != w.k {
+			kn.aim(w.k, w.speedOps)
+		}
+		m, v, least := kn.search(w.lo, hi)
+		w.least = least
+		if v < best.val || v == best.val && w.k < best.k {
+			*best = bestSpeed{k: w.k, m: m, val: v}
+		}
+	}
+}
+
+// beats reports whether some window j of top certifiably beats w: every
+// eval of w's speed k over w's window is strictly above j's searched
+// answer v_j, so k's search cannot change Solve's answer and need not run.
+// Solve asks only when γ ≤ maxCapGamma. For each j it checks, in O(1) and
+// without aiming the kernel at k, that j's search read v_j off the
+// certified plateau (j.least), that x_j > x_k and c_j ≤ c_k (x and c being
+// the speeds' rates and computing power operands), that lo_j ≤ lo_k, that
+// k's operands are in certifies' ranges, and that
+// M = Wd·λ·(1/x_k − 1/x_j) exceeds 2·E, E being errorBound for k with
+// κ ≤ capKappa and hi = N.
+//
+// Proof. Let F_i be bound's objective over real m with speed i's operands,
+// P_i(m) = PUE·(m·p_s + c_i) and D_i(m) = mλ/(m·x_i − λ) = λ/(x_i − λ/m).
+// Take m in [lo_k, N]. If m fails k's γ cap, eval_k(m) = +Inf > v_j. If it
+// passes, κ_k(m) < capKappa, so m·x_k > λ, m·x_j > λ and k's operands of
+// value at m are normal: evalError's per-count bound holds, and with P at
+// N and κ at capKappa, eval_k(m) ≥ F_k(m) − E (an infinite delay only
+// raises eval_k(m)). j read v_j off its plateau, so its window
+// [lo_j, N] ⊇ [lo_k, N] is plain: m passes j's cap too, and
+// eval_j(m) ≤ F_j(m) + E, errorBound being monotone. As We, PUE ≥ 0 and
+// c_j ≤ c_k, We·[P_k(m) − r]^+ ≥ We·[P_j(m) − r]^+. With t = 1/m,
+// D_k − D_j = λ/(x_k − λt) − λ/(x_j − λt) rises in t, its derivative
+// λ²/(x_k − λt)² − λ²/(x_j − λt)² being positive where
+// 0 < x_k − λt < x_j − λt; so it is at least its value λ·(1/x_k − 1/x_j)
+// at t = 0, and F_k(m) − F_j(m) ≥ M. Hence
+//
+//	eval_k(m) ≥ eval_j(m) + M − 2·E > eval_j(m) ≥ v_j,
+//
+// the read-off certifying that v_j is the least eval_j over [lo_j, N]
+// (see search). numopt.MinimizeInt returns eval at a count of the window,
+// so k's search in the all-speeds reference would return a value strictly
+// above v_j, which is at least Solve's answer: k neither is that answer
+// nor ties it. The test is conservative in floating point: with the
+// operands in certifies' ranges no operation of M's under- or overflows,
+// so fl(fl(M)·(1 − 2⁻⁴⁰)) < M, and 2·E is exact. Wd = 0 gives M = 0 and
+// beats nothing, as E > 0; a switching penalty leaves no window plain, so
+// no j reads its answer off.
+func (kn *speedKernel) beats(top []speedWindow, w *speedWindow) bool {
+	if !kn.certifies(&w.speedOps) {
+		return false
+	}
+	e := kn.errorBound(&w.speedOps, capKappa, kn.hp.N)
+	for i := range top {
+		j := &top[i]
+		if j.least && j.x > w.x && j.ck <= w.ck && j.lo <= w.lo &&
+			kn.wd*(kn.lambda*((j.x-w.x)/(j.x*w.x)))*(1-0x1p-40) > 2*e {
+			return true
+		}
+	}
+	return false
 }

@@ -319,7 +319,8 @@ func TestHomogeneousSolveGoldenHash(t *testing.T) {
 // kernel compiles the objective for speed level k ≥ 1; speed 0 serves only
 // to evaluate the all-off count m = 0.
 func (hp *HomogeneousProblem) kernel(k int) speedKernel {
-	kn := hp.compile()
+	kn := speedKernel{hp: hp}
+	kn.compile()
 	kn.setSpeed(k)
 	return kn
 }
@@ -570,7 +571,7 @@ func checkPlateau(t *testing.T, hp *HomogeneousProblem, every bool) (width int) 
 			v, _, _, _ := kn.eval(m)
 			return v
 		}, w.lo, w.hi, 3)
-		gotM, gotV := kn.search(w.lo, w.hi)
+		gotM, gotV, _ := kn.search(w.lo, w.hi)
 		// A plain window's fallback makes its shape probes before
 		// MinimizeInt's.
 		extra := 0
@@ -763,7 +764,8 @@ func TestSearchSkipsCertifiedProbes(t *testing.T) {
 		Type: dcmodel.Opteron(), N: 216000, Gamma: 0.95, PUE: 1,
 		LambdaRPS: 6e5, We: 0.07, Wd: 0.02, OnsiteKW: 3000,
 	}
-	kn := hp.compile()
+	kn := speedKernel{hp: hp}
+	kn.compile()
 	if _, err := kn.solve(); err != nil {
 		t.Fatal(err)
 	}
@@ -786,6 +788,47 @@ func TestSearchSkipsCertifiedProbes(t *testing.T) {
 	if kn.searches != 1 || kn.probes != 2 || mean > 0.6*refMean || refMean < 55 {
 		t.Errorf("Solve: %d probes over %d searches (want 2 over 1); every window %.1f against MinimizeInt's %.1f (want ≤ 60%%)",
 			kn.probes, kn.searches, mean, refMean)
+	}
+}
+
+// TestSearchFallsBackOnUnshapedPlateau reaches search's fallback after a
+// failed shape check with a real kernel: a server with no static power has
+// a flat energy term, so a delay weight of about a third of an ulp of it
+// moves the sum by single ulps. The window [2, 7] is plain and its plateau
+// decides nothing, so search probes all six counts; the first two round to
+// the same value above the rest, a left tie that shaped must refuse. The
+// fallback must then return numopt.MinimizeInt's count and value bits,
+// report no certified least value, and make the probes plateauProbes
+// counts.
+func TestSearchFallsBackOnUnshapedPlateau(t *testing.T) {
+	hp := &HomogeneousProblem{
+		Type: dcmodel.ServerType{Name: "static-free", Levels: []dcmodel.SpeedLevel{
+			{FreqGHz: 1, BusyKW: 1, RateRPS: 1},
+		}},
+		N: 7, Gamma: 0.5, PUE: 1, LambdaRPS: 1, We: 1, Wd: 0x1p-52 * 0.35,
+	}
+	kn := hp.kernel(1)
+	lo := windowLo(hp, 1)
+	mL, mR := kn.plateau(lo, hp.N)
+	var vs []float64
+	for m := lo; m <= hp.N; m++ {
+		v, _, _, _ := kn.eval(m)
+		vs = append(vs, v)
+	}
+	if !kn.plain(lo) || lo != 2 || mL >= lo || mR <= hp.N {
+		t.Fatalf("window [%d, %d] plain %v, plateau [%d, %d]: want a plain window [2, 7] whose plateau decides nothing",
+			lo, hp.N, kn.plain(lo), mL, mR)
+	}
+	if _, ok := shaped(vs); ok || vs[0] != vs[1] || !(vs[1] > vs[2]) {
+		t.Fatalf("probes %v: want a left tie above a fall, which shaped refuses", vs)
+	}
+	wantM, wantV := minimizeSlice(vs)
+	m, v, least := kn.search(lo, hp.N)
+	if m != lo+wantM || math.Float64bits(v) != math.Float64bits(wantV) || least {
+		t.Errorf("search = (%d, %v, least %v); MinimizeInt gives (%d, %v) and no certificate", m, v, least, lo+wantM, wantV)
+	}
+	if want := plateauProbes(&kn, lo, hp.N, mL, mR); kn.probes != want || want <= len(vs) {
+		t.Errorf("search made %d probes; plateauProbes counts %d, the %d shape probes and MinimizeInt's", kn.probes, want, len(vs))
 	}
 }
 
@@ -1004,6 +1047,93 @@ func FuzzHomogeneousSolve(f *testing.F) {
 		if gotErr != wantErr || !sameSolution(got, want) {
 			t.Fatalf("Solve = %+v, %v; every speed in index order gives %+v, %v",
 				got, gotErr, want, wantErr)
+		}
+	})
+}
+
+// freeType decodes a server type of up to 8 levels from levels, two bytes
+// a level: a rate of 0.5 to 4 in steps of 0.5, nudged up by 0 to 3 units
+// in the last place (so rates repeat, come within ulps of each other and
+// need not rise), and computing power of 1/4 to 2 times the rate, over 64;
+// the multiples repeat, so levels tie in computing power per request, and
+// the dyadic operands let some of those ties survive into the kernel's c
+// exactly. static picks the static power: 0, 1/8 or 0.14.
+func freeType(levels []byte, static uint8) dcmodel.ServerType {
+	st := dcmodel.ServerType{Name: "free", StaticKW: []float64{0, 0.125, 0.14}[static%3]}
+	for i := 0; i+1 < len(levels) && len(st.Levels) < 8; i += 2 {
+		x := 0.5 * float64(1+levels[i]%8)
+		for range levels[i] / 8 % 4 {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		perRequest := []float64{0.25, 0.5, 0.75, 1, 1.5, 2}[levels[i+1]%6] / 64
+		st.Levels = append(st.Levels, dcmodel.SpeedLevel{
+			FreqGHz: float64(len(st.Levels) + 1), BusyKW: st.StaticKW + perRequest*x, RateRPS: x,
+		})
+	}
+	if len(st.Levels) == 0 {
+		st.Levels = []dcmodel.SpeedLevel{{FreqGHz: 1, BusyKW: st.StaticKW + 1.0/64, RateRPS: 1}}
+	}
+	return st
+}
+
+// FuzzSpeedDominance checks Solve, and the speeds it skips as beaten (see
+// speedKernel.beats), on free server types (freeType): equal, near-equal
+// and falling rates, ties in computing power per request, any λ (tiny
+// included), weights, PUE, γ (1 included), supply and switching. Solve
+// must match refHomogeneousSolve bit for bit, and up to 500 servers every
+// count of every skipped speed's window must evaluate strictly above
+// Solve's answer. The seeds cover a type whose top speed dominates the
+// rest (as on the Opteron), rising computing power per request (nothing
+// dominated), equal rates, rates an ulp or two apart, exact ties in c
+// between a slower and a faster speed in either index order with a
+// negligible delay weight (a skip there would change the answer's speed or
+// tie it), a tiny λ, γ = 1, We = 0, Wd = 0 and switching.
+func FuzzSpeedDominance(f *testing.F) {
+	opteronLike := []byte{1, 5, 3, 3, 5, 1, 7, 0}
+	f.Add(opteronLike, uint8(1), uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0))
+	f.Add(opteronLike, uint8(2), uint32(99), 0.6, 0.95, 1.2, 40.0, 0.001, 0.04, 0.0, uint32(0))
+	f.Add([]byte{1, 0, 3, 1, 5, 3, 7, 5}, uint8(1), uint32(299), 0.4, 0.95, 1.0, 40.0, 0.001, 0.02, 0.0, uint32(0))
+	f.Add([]byte{3, 4, 3, 1, 7, 1, 1, 0}, uint8(0), uint32(49), 0.5, 0.9, 1.0, 1.0, 0.1, 0.0, 0.0, uint32(0))
+	f.Add([]byte{1, 3, 3, 3}, uint8(0), uint32(5), 0.1, 0.9, 1.0, 1.0, 1e-25, 0.0, 0.0, uint32(0))
+	f.Add([]byte{3, 3, 1, 3}, uint8(1), uint32(5), 0.1, 0.9, 1.0, 1.0, 1e-25, 0.0, 0.0, uint32(0))
+	f.Add(opteronLike, uint8(1), uint32(215999), 1e-9, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0))
+	f.Add(opteronLike, uint8(1), uint32(499), 0.5, 1.0, 1.1, 0.07, 0.02, 0.04, 0.0, uint32(0))
+	f.Add(opteronLike, uint8(1), uint32(499), 0.4, 0.95, 1.0, 0.0, 0.02, 0.04, 0.0, uint32(0))
+	f.Add(opteronLike, uint8(1), uint32(499), 0.4, 0.95, 1.0, 0.07, 0.0, 0.04, 0.0, uint32(0))
+	f.Add(opteronLike, uint8(1), uint32(499), 0.3, 0.95, 1.2, 0.07, 0.02, 0.04, 0.01, uint32(170))
+	f.Add([]byte{7, 0, 31, 0, 15, 1}, uint8(1), uint32(299), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0))
+	f.Fuzz(func(t *testing.T, levels []byte, static uint8, n uint32, frac, gamma, pue, we, wd, onsite, sw float64,
+		prev uint32) {
+		hp := &HomogeneousProblem{
+			Type: freeType(levels, static), N: 1 + int(n%216000), Gamma: gamma, PUE: pue,
+			We: we, Wd: wd, SwitchWeight: sw,
+		}
+		fn := float64(hp.N)
+		hp.PrevActive = int(int32(prev)) % (hp.N + 5)
+		hp.OnsiteKW = onsite * fn
+		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * fn
+		kn := speedKernel{hp: hp}
+		kn.compile()
+		got, gotErr := kn.solve()
+		want, wantErr := refHomogeneousSolve(hp)
+		if gotErr != wantErr || !sameSolution(got, want) {
+			t.Fatalf("%+v: Solve = %+v, %v; every speed in index order gives %+v, %v",
+				hp.Type.Levels, got, gotErr, want, wantErr)
+		}
+		if hp.N > 500 {
+			return
+		}
+		for k := 1; k <= hp.Type.NumSpeeds(); k++ {
+			if kn.skipped&(1<<(k-1)) == 0 {
+				continue
+			}
+			sk := hp.kernel(k)
+			for m := windowLo(hp, k); m <= hp.N; m++ {
+				if v, _, _, _ := sk.eval(m); !(v > got.Value) {
+					t.Fatalf("%+v: speed %d skipped, but eval(%d) = %v is not above the answer %+v",
+						hp.Type.Levels, k, m, v, got)
+				}
+			}
 		}
 	})
 }

@@ -492,7 +492,8 @@ func Summarize(sc *Scenario, res *Result) Summary {
 	led := dcmodel.Ledger{SlotHours: sc.SlotHours}
 	s := Summary{Policy: res.Policy, Slots: len(res.Records), SlotHours: led.Hours()}
 	var cost, elec, delay, sw, grid, energy, deficit float64
-	for _, r := range res.Records {
+	for i := range res.Records {
+		r := &res.Records[i] // read in place: a SlotRecord is 16 words
 		cost += r.TotalUSD
 		elec += r.ElectricityUSD
 		delay += r.DelayUSD
@@ -541,19 +542,24 @@ func SummarizeWithTrueUp(sc *Scenario, res *Result, recPriceUSDPerKWh float64) S
 
 // Series extracts one metric from the records.
 func (r *Result) Series(f func(SlotRecord) float64) []float64 {
+	return r.series(func(rec *SlotRecord) float64 { return f(*rec) })
+}
+
+// series is Series reading each record in place.
+func (r *Result) series(f func(*SlotRecord) float64) []float64 {
 	out := make([]float64, len(r.Records))
-	for i, rec := range r.Records {
-		out[i] = f(rec)
+	for i := range r.Records {
+		out[i] = f(&r.Records[i])
 	}
 	return out
 }
 
 // CostSeries returns the per-slot total cost.
 func (r *Result) CostSeries() []float64 {
-	return r.Series(func(rec SlotRecord) float64 { return rec.TotalUSD })
+	return r.series(func(rec *SlotRecord) float64 { return rec.TotalUSD })
 }
 
 // DeficitSeries returns the per-slot carbon deficit.
 func (r *Result) DeficitSeries() []float64 {
-	return r.Series(func(rec SlotRecord) float64 { return rec.DeficitKWh })
+	return r.series(func(rec *SlotRecord) float64 { return rec.DeficitKWh })
 }
