@@ -3,10 +3,9 @@ package p3
 import "repro/internal/numopt"
 
 // SolveCounts counts the work of one Solve: its count searches, their
-// probes of the objective, its lower bounds and its aims of the kernel at
-// a speed.
+// probes of the objective and its aims of the kernel at a speed.
 type SolveCounts struct {
-	Searches, Probes, Bounds, Aims int
+	Searches, Probes, Aims int
 }
 
 // SolveCounted is Solve that also returns its work counts.
@@ -14,7 +13,7 @@ func SolveCounted(hp *HomogeneousProblem) (HomogeneousSolution, SolveCounts, err
 	kn := speedKernel{hp: hp}
 	kn.compile()
 	sol, err := kn.solve()
-	return sol, SolveCounts{Searches: kn.searches, Probes: kn.probes, Bounds: kn.bounds, Aims: kn.aims}, err
+	return sol, SolveCounts{Searches: kn.searches, Probes: kn.probes, Aims: kn.aims}, err
 }
 
 // WindowProbes searches every feasible speed's count window of hp and

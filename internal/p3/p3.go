@@ -124,24 +124,24 @@ type HomogeneousSolution struct {
 type speedKernel struct {
 	hp                         *HomogeneousProblem
 	lambda, ps, pue, r, we, wd float64
-	// ranged reports that bound's speed-independent operand-range checks
-	// pass; a is We·PUE·p_s, and when a > 0, root is √(Wd/a) and rPUE is
-	// r/PUE.
-	ranged        bool
-	a, root, rPUE float64
+	// ranged reports that the speed-independent operands are in the
+	// operand ranges (see evalError); a is We·PUE·p_s, and when a > 0,
+	// rPUE is r/PUE.
+	ranged  bool
+	a, rPUE float64
 
 	speed int // the speed level the kernel is aimed at
 	speedOps
-	// certified reports that all of bound's operand-range checks pass;
-	// kink is then the count where P(m) = r (see bound).
+	// certified reports that every operand is in the operand ranges; kink
+	// is then the count where P(m) = r (see plateau).
 	certified bool
 	kink      float64
-	// searches, probes, bounds and aims count search's calls, its
-	// evaluations of the objective, bound's calls and aim's, across
-	// speeds, for tests; skipped has bit k − 1 set for each speed k < 65
-	// solve skips as beaten (see beats).
-	searches, probes, bounds, aims int
-	skipped                        uint64
+	// searches, probes and aims count search's calls, its evaluations of
+	// the objective and aim's calls, across speeds, for tests; skipped has
+	// bit k − 1 set for each speed k < 65 solve skips as beaten (see
+	// beats).
+	searches, probes, aims int
+	skipped                uint64
 }
 
 // speedOps are the operands of the objective that depend on the speed
@@ -165,7 +165,7 @@ func (kn *speedKernel) compile() {
 		zeroOrModerate(kn.ps) && moderate(kn.lambda) && math.Abs(kn.r) <= 0x1p100 &&
 		float64(hp.N) <= 0x1p53
 	if kn.a = kn.we * kn.pue * kn.ps; kn.ranged && kn.a > 0 {
-		kn.root, kn.rPUE = math.Sqrt(kn.wd/kn.a), kn.r/kn.pue
+		kn.rPUE = kn.r / kn.pue
 	}
 }
 
@@ -198,8 +198,8 @@ func (kn *speedKernel) aim(k int, o speedOps) {
 	}
 }
 
-// certifies reports whether a speed with operands o passes all of bound's
-// operand-range checks.
+// certifies reports whether every operand of a speed with operands o is in
+// the operand ranges (see evalError).
 func (kn *speedKernel) certifies(o *speedOps) bool {
 	return kn.ranged && zeroOrModerate(o.ck) && moderate(o.x)
 }
@@ -257,89 +257,6 @@ func (kn *speedKernel) probe(m int) float64 {
 	kn.probes++
 	v, _, _, _ := kn.value(float64(m))
 	return v
-}
-
-// bound returns a lower bound on every finite eval(m) with m in [lo, hi]
-// (1 ≤ lo ≤ hi ≤ N), or −Inf where it certifies nothing: unless the
-// kernel is certified, that is for a negative or non-finite switching
-// weight, and unless We, Wd, PUE, p_s and c_k are 0 or in [2⁻¹⁰⁰, 2¹⁰⁰],
-// λ and x are in that range, |r| ≤ 2¹⁰⁰ and N ≤ 2⁵³.
-//
-// Over real m, F(m) = We·[P(m) − r]^+ + Wd·mλ/(mx − λ), with
-// P(m) = PUE·(m·p_s + c_k), is convex and has the affine minorants
-//
-//	We·[P(m) − r]^+ ≥ θ·(P(m) − r)          for θ in [0, We],
-//	mλ/(mx − λ)     ≥ λ·(1 + q)²/x − q²·m   for q ≥ 0 and mx > λ
-//
-// (the second is the tangent of slope −q² at mx − λ = λ/q); the switching
-// penalty is non-negative and left out. Their sum ℓ(m) = C + B·m is least
-// at lo or at hi, so every θ and q give a bound; the tight ones are F's
-// subgradients at its continuous minimizer. Right of the kink P = r, B is
-// 0 at mx − λ = λ·√(Wd/(We·PUE·p_s)); that point is raised to the kink if
-// it lies left of it (θ then zeroes B) and clamped into [lo, hi] (B is then
-// the slope there).
-//
-// Rounding. With u = 2⁻⁵³, the operand ranges keep every product that
-// feeds a later operation normal, so each operation errs by at most u
-// relatively; only a chain's last product (We·grid in eval, θ·(…) here)
-// may underflow, by at most 2⁻¹⁰⁷⁵. In eval the power is at least
-// PUE(1−u)³·(m·p_s + c_k), the divisor fl(m·x) − λ is at most
-// (m·x(1+u) − λ)(1+u), and the value sums non-negative terms that are each
-// rounded at most 6 more times; so eval(m) ≥ (1−u)⁶·F̃(m) − 2⁻¹⁰⁷⁵, F̃
-// being F with PUE(1−u)³ and x(1+u). Computing ℓ for F̃ from the
-// unperturbed operands rounds each of its terms at most 9 times, counting
-// those perturbations and the squared (1 + q) twice, so by Higham's bound
-// (Accuracy and Stability of Numerical Algorithms, §3.1) it is within γ₉·A
-// of the exact ℓ at either end, A being ℓ(hi) with every term made
-// positive. The slack needed is about (9 + 6)·u·A; 32u·A + 2⁻¹⁰⁷⁰ also
-// covers the rounding of A and of the subtraction, and the underflows. A
-// compiler that fuses a multiply-add only drops roundings.
-func (kn *speedKernel) bound(lo, hi int) float64 {
-	kn.bounds++
-	if !kn.certified {
-		return math.Inf(-1)
-	}
-	lambda, x, ck, ps, pue, r := kn.lambda, kn.x, kn.ck, kn.ps, kn.pue, kn.r
-	we, wd, kink := kn.we, kn.wd, kn.kink
-	flo, fhi := float64(lo), float64(hi)
-	m0 := fhi
-	if kn.a > 0 {
-		if m0 = lambda * (1 + kn.root) / x; m0 < kink {
-			m0 = kink
-		}
-	}
-	m0 = numopt.Clamp(m0, flo, fhi)
-	q := 0.0
-	if wd > 0 {
-		if q = lambda / (m0*x - lambda); !(q >= 0 && q <= 0x1p100) {
-			return math.Inf(-1) // m0·x ≤ λ, possible for γ ≥ 1: no tangent there
-		}
-	}
-	theta := 0.0
-	switch {
-	case m0 > kink:
-		theta = we
-	case m0 == kink:
-		theta = math.Min(wd*(q*q)/(pue*ps), we)
-	}
-	if q < 0x1p-200 {
-		q = 0
-	}
-	if theta < 0x1p-200 {
-		theta = 0
-	}
-	tan := lambda * ((1 + q) * (1 + q)) / x
-	b := theta*(pue*ps) - wd*(q*q)
-	e := flo
-	if b < 0 {
-		e = fhi
-	}
-	l := theta*(pue*ck-r) + wd*tan + b*e
-	a := theta*(pue*(ps*fhi+ck)+math.Abs(r)) + wd*(tan+q*q*fhi)
-	if v := l - (0x1p-48*a + 0x1p-1070); v <= math.MaxFloat64 {
-		return v
-	}
-	return math.Inf(-1)
 }
 
 // sweep is the guard sweep's width in search's numopt.MinimizeInt calls.
@@ -424,10 +341,9 @@ func (kn *speedKernel) plain(lo int) bool {
 // mR ≤ p < q. They decide nothing (lo − 1 and hi + 1) where evalError
 // bounds nothing.
 //
-// With F bound's objective over real m, E evalError's bound on
-// |eval − F|, A = We·PUE·p_s and K the kink where P(K) = r, F's right
-// slope at m is A·[m ≥ K] − Wd·λ²/(mx − λ)² and its left slope
-// A·[m > K] − Wd·λ²/(mx − λ)². The right slope is at least 2E where m ≥ K
+// With F, P and E as in evalError, A = We·PUE·p_s and K the kink where
+// P(K) = r, F's right slope at m is A·[m ≥ K] − Wd·λ²/(mx − λ)² and its
+// left slope A·[m > K] − Wd·λ²/(mx − λ)². The right slope is at least 2E where m ≥ K
 // and m ≥ (λ/x)·(1 + √(Wd/(A − 2E))); the left slope is below −2E where
 // m < (λ/x)·(1 + √(Wd/(A + 2E))), and also where m ≤ K and
 // m < (λ/x)·(1 + √(Wd/(2E))). F is convex, so between counts p < q a left
@@ -456,16 +372,23 @@ func (kn *speedKernel) plateau(lo, hi int) (mL, mR int) {
 }
 
 // evalError returns E, a bound on |eval(m) − F(m)| over a plain window
-// [lo, hi], F being bound's objective over real m. It bounds nothing
-// (ok is false) unless the delay's conditioning at lo,
-// κ = lo·x/(lo·x − λ), is at most 2²⁰.
+// [lo, hi], F being the objective without its switching penalty over real
+// m with mx > λ,
 //
-// With u = 2⁻⁵³, every operand of value in a plain window is normal, so
-// each operation errs by at most u relatively, except that We·grid may
-// underflow by 2⁻¹⁰⁷⁵. The power is then within 3u·P(m) of P(m), and as
+//	F(m) = We·[P(m) − r]^+ + Wd·D(m),  P(m) = PUE·(m·p_s + c_k),  D(m) = mλ/(mx − λ),
+//
+// which is convex. It bounds nothing (ok is false) unless the delay's
+// conditioning at lo, κ = lo·x/(lo·x − λ), is at most 2²⁰.
+//
+// The operand ranges, which ranged and certifies check: the switching
+// weight is finite and non-negative; We, Wd, PUE, p_s and c_k are 0 or in
+// [2⁻¹⁰⁰, 2¹⁰⁰]; λ and x are in [2⁻¹⁰⁰, 2¹⁰⁰]; |r| ≤ 2¹⁰⁰; and N ≤ 2⁵³.
+// With u = 2⁻⁵³, they make every operand of value in a plain window
+// normal, so each operation errs by at most u relatively, except that
+// We·grid may underflow by 2⁻¹⁰⁷⁵. The power is then within 3u·P(m) of P(m), and as
 // [·]^+ is 1-Lipschitz, grid is within u·(4P + |r|) of [P − r]^+. The
 // divisor fl(m·x) − λ carries m·x's rounding magnified by κ(m) ≤ κ, so the
-// delay is within (κ(m) + 4)·u relatively of D(m) = mλ/(mx − λ). Weighting
+// delay is within (κ(m) + 4)·u relatively of D(m). Weighting
 // and summing two non-negative terms adds two roundings, so
 //
 //	|eval(m) − F(m)| ≤ u·(We·(6P(m) + 3|r|) + Wd·D(m)·(κ(m) + 7)) + 2⁻¹⁰⁷⁴.
@@ -526,7 +449,7 @@ func countAbove(t float64, lo, hi int) int {
 }
 
 // moderate reports whether v is in [2⁻¹⁰⁰, 2¹⁰⁰], zeroOrModerate whether
-// it is also allowed to be 0: bound's operand ranges.
+// it is also allowed to be 0 (see evalError's operand ranges).
 func moderate(v float64) bool { return v >= 0x1p-100 && v <= 0x1p100 }
 
 func zeroOrModerate(v float64) bool { return v == 0 || moderate(v) }
@@ -564,16 +487,18 @@ func (hp *HomogeneousProblem) switchPenalty(m int) float64 {
 // objective is convex in the count (affine-with-kink electricity + convex
 // decreasing delay + convex switching penalty), so an integer ternary search
 // with a guard sweep is exact. The answer is the lowest speed index whose
-// search reaches the least value. A speed that a faster speed with no more
-// computing power per request dominates is not searched at all when the
-// faster speed's answer certifiably beats it at every count
-// (speedKernel.beats); the other speeds are searched in order of their
-// certified lower bounds (speedKernel.bound), and a speed whose bound shows
-// it cannot be that index is not searched either. Every search that runs
-// returns what numopt.MinimizeInt returns over the same window
-// (speedKernel.search, which reads a plain window's answer off its
-// certified plateau), so the result is bit for bit that of searching every
-// speed in index order with MinimizeInt.
+// search reaches the least value. Solve visits the speeds fastest first
+// (rates ascend with the index, see dcmodel.ServerType.Validate) and skips
+// a speed that an already searched speed certifiably beats at every count
+// (speedKernel.beats: a faster speed with no more computing power per
+// request, whose answer was read off its certified plateau). Every other
+// speed is searched, and each search returns what numopt.MinimizeInt
+// returns over the same window (speedKernel.search, which reads a plain
+// window's answer off its certified plateau). A skipped speed neither is
+// the answer nor ties it, so the result is bit for bit that of searching
+// every speed in index order with MinimizeInt. A type whose rates do not
+// ascend gets the same result, but a speed visited before a faster speed
+// that would beat it is searched.
 func (hp *HomogeneousProblem) Solve() (HomogeneousSolution, error) {
 	kn := speedKernel{hp: hp}
 	kn.compile()
@@ -601,13 +526,13 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 		}
 		return best, nil
 	}
-	// The feasible speeds' windows; the array holds every type of up to 8
-	// levels without a heap allocation. The windows hold no pointer, so hp
-	// does not escape through a grown slice. A speed's window is [lo, N],
-	// lo being the least count the γ cap lets carry λ.
+	// The feasible speeds' windows, fastest first; the array holds every
+	// type of up to 8 levels without a heap allocation. The windows hold no
+	// pointer, so hp does not escape through a grown slice. A speed's window
+	// is [lo, N], lo being the least count the γ cap lets carry λ.
 	var buf [8]speedWindow
 	ws := buf[:0]
-	for k := 1; k <= hp.Type.NumSpeeds(); k++ {
+	for k := hp.Type.NumSpeeds(); k >= 1; k-- {
 		o := kn.opsAt(k)
 		lo := max(hp.clampCount(math.Ceil(kn.lambda/o.gx)), 1)
 		if lo > hp.N {
@@ -617,35 +542,26 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 		// stack and copied in wider loads than its stores.
 		ws = append(ws, speedWindow{})
 		w := &ws[len(ws)-1]
-		w.speedOps, w.k, w.lo, w.bound = o, k, lo, math.Inf(-1)
+		w.speedOps, w.k, w.lo = o, k, lo
 	}
-	// The speeds no other speed dominates (faster, with no more computing
-	// power) come first and are searched first; each dominated speed is
-	// searched after them unless one of their answers beats it.
-	n := 0
-	for i := range ws {
-		if !dominated(ws, &ws[i]) {
-			ws[n], ws[i] = ws[i], ws[n]
-			n++
-		}
-	}
+	// Each window is searched unless one searched before it beats it; a
+	// skipped window's least stays false, so it beats nothing.
+	capped := hp.Gamma <= maxCapGamma
 	best := bestSpeed{val: math.Inf(1)}
-	top := ws[:n]
-	kn.searchByBound(top, &best)
-	if rest := ws[n:]; len(rest) > 0 {
-		capped := hp.Gamma <= maxCapGamma
-		kept := 0
-		for i := range rest {
-			if capped && kn.beats(top, &rest[i]) {
-				if k := rest[i].k; k <= 64 {
-					kn.skipped |= 1 << (k - 1)
-				}
-				continue
+	for i := range ws {
+		w := &ws[i]
+		if capped && kn.beats(ws[:i], w) {
+			if w.k <= 64 {
+				kn.skipped |= 1 << (w.k - 1)
 			}
-			rest[kept] = rest[i]
-			kept++
+			continue
 		}
-		kn.searchByBound(rest[:kept], &best)
+		kn.aim(w.k, w.speedOps)
+		m, v, least := kn.search(w.lo, hp.N)
+		w.least = least
+		if v < best.val || v == best.val && w.k < best.k {
+			best = bestSpeed{k: w.k, m: m, val: v}
+		}
 	}
 	if math.IsInf(best.val, 1) {
 		return HomogeneousSolution{}, ErrInfeasible
@@ -656,14 +572,12 @@ func (kn *speedKernel) solve() (HomogeneousSolution, error) {
 	return kn.solution(best.k, best.m), nil
 }
 
-// speedWindow is one speed's share of a Solve: its index and operands, the
-// low end of its feasible count window [lo, N] and its kernel's lower bound
-// over that window (−Inf until bounded). least reports that its search
-// read the least eval over the window off the certified plateau.
+// speedWindow is one speed's share of a Solve: its index and operands and
+// the low end of its feasible count window [lo, N]. least reports that its
+// search read the least eval over the window off the certified plateau.
 type speedWindow struct {
 	speedOps
 	k, lo int
-	bound float64
 	least bool
 }
 
@@ -673,53 +587,7 @@ type bestSpeed struct {
 	val  float64
 }
 
-// dominated reports whether some window of ws is of a faster speed whose
-// computing power is at most w's.
-func dominated(ws []speedWindow, w *speedWindow) bool {
-	for i := range ws {
-		if ws[i].x > w.x && ws[i].ck <= w.ck {
-			return true
-		}
-	}
-	return false
-}
-
-// searchByBound searches the windows ws in order of (bound, k), updating
-// best with each answer that is less, or ties it from a lower index. A
-// window whose bound exceeds best's value, or ties it from a higher index,
-// cannot be Solve's answer; nor can any window sorted after it, so the
-// search stops there. With nothing found yet, one window needs no bound.
-func (kn *speedKernel) searchByBound(ws []speedWindow, best *bestSpeed) {
-	hi := kn.hp.N
-	if len(ws) > 1 || !math.IsInf(best.val, 1) {
-		for i := range ws {
-			w := ws[i]
-			kn.aim(w.k, w.speedOps)
-			w.bound = kn.bound(w.lo, hi)
-			j := i
-			for ; j > 0 && (ws[j-1].bound > w.bound || ws[j-1].bound == w.bound && ws[j-1].k > w.k); j-- {
-				ws[j] = ws[j-1]
-			}
-			ws[j] = w
-		}
-	}
-	for i := range ws {
-		w := &ws[i]
-		if w.bound > best.val || w.bound == best.val && w.k > best.k {
-			break
-		}
-		if kn.speed != w.k {
-			kn.aim(w.k, w.speedOps)
-		}
-		m, v, least := kn.search(w.lo, hi)
-		w.least = least
-		if v < best.val || v == best.val && w.k < best.k {
-			*best = bestSpeed{k: w.k, m: m, val: v}
-		}
-	}
-}
-
-// beats reports whether some window j of top certifiably beats w: every
+// beats reports whether some window j of ws certifiably beats w: every
 // eval of w's speed k over w's window is strictly above j's searched
 // answer v_j, so k's search cannot change Solve's answer and need not run.
 // Solve asks only when γ ≤ maxCapGamma. For each j it checks, in O(1) and
@@ -730,7 +598,7 @@ func (kn *speedKernel) searchByBound(ws []speedWindow, best *bestSpeed) {
 // M = Wd·λ·(1/x_k − 1/x_j) exceeds 2·E, E being errorBound for k with
 // κ ≤ capKappa and hi = N.
 //
-// Proof. Let F_i be bound's objective over real m with speed i's operands,
+// Proof. Let F_i be evalError's F with speed i's operands,
 // P_i(m) = PUE·(m·p_s + c_i) and D_i(m) = mλ/(m·x_i − λ) = λ/(x_i − λ/m).
 // Take m in [lo_k, N]. If m fails k's γ cap, eval_k(m) = +Inf > v_j. If it
 // passes, κ_k(m) < capKappa, so m·x_k > λ, m·x_j > λ and k's operands of
@@ -756,13 +624,13 @@ func (kn *speedKernel) searchByBound(ws []speedWindow, best *bestSpeed) {
 // so fl(fl(M)·(1 − 2⁻⁴⁰)) < M, and 2·E is exact. Wd = 0 gives M = 0 and
 // beats nothing, as E > 0; a switching penalty leaves no window plain, so
 // no j reads its answer off.
-func (kn *speedKernel) beats(top []speedWindow, w *speedWindow) bool {
-	if !kn.certifies(&w.speedOps) {
+func (kn *speedKernel) beats(ws []speedWindow, w *speedWindow) bool {
+	if len(ws) == 0 || !kn.certifies(&w.speedOps) {
 		return false
 	}
 	e := kn.errorBound(&w.speedOps, capKappa, kn.hp.N)
-	for i := range top {
-		j := &top[i]
+	for i := range ws {
+		j := &ws[i]
 		if j.least && j.x > w.x && j.ck <= w.ck && j.lo <= w.lo &&
 			kn.wd*(kn.lambda*((j.x-w.x)/(j.x*w.x)))*(1-0x1p-40) > 2*e {
 			return true

@@ -484,72 +484,6 @@ func speedWindows(hp *HomogeneousProblem) []speedSearch {
 	return ws
 }
 
-// checkBound checks that every speed's bound is at most each finite probe
-// of its window: at every count when every is set, else at every 97th
-// count, both ends and every count within ±50 of the speed's argmin. It
-// returns the largest relative gap between a speed's least probe and its
-// bound, over the speeds whose bound is finite.
-func checkBound(t *testing.T, hp *HomogeneousProblem, every bool) (gap float64) {
-	t.Helper()
-	for _, w := range speedWindows(hp) {
-		b := w.kn.bound(w.lo, w.hi)
-		argmin, least := numopt.MinimizeInt(func(m int) float64 {
-			v, _, _, _ := w.kn.eval(m)
-			return v
-		}, w.lo, w.hi, 3)
-		check := func(m int) {
-			if m < w.lo || m > w.hi {
-				return
-			}
-			if v, _, _, _ := w.kn.eval(m); b > v && !math.IsInf(v, 1) && !math.IsNaN(v) {
-				t.Fatalf("N=%d k=%d window [%d, %d]: bound %v above eval(%d) = %v",
-					hp.N, w.k, w.lo, w.hi, b, m, v)
-			}
-		}
-		stride := 1
-		if !every {
-			stride = 97
-			for m := argmin - 50; m <= argmin+50; m++ {
-				check(m)
-			}
-		}
-		for m := w.lo; m <= w.hi; m += stride {
-			check(m)
-		}
-		check(w.hi)
-		if !math.IsInf(b, -1) && least != 0 && !math.IsInf(least, 0) {
-			gap = math.Max(gap, (least-b)/math.Abs(least))
-		}
-	}
-	return gap
-}
-
-// TestSpeedBoundBelowEveryProbe checks speedKernel.bound, which lets Solve
-// skip speeds, against the probes it must not exceed: over the golden grid
-// (every count for N ≤ 1,000, a stride and each argmin's neighbourhood at
-// N = 216,000) and the kernel corners. The bound must also certify
-// something where the paper's runs need it: finite, and within 1e-5 of the
-// least probe, for every golden instance at N = 216,000 with load and no
-// switching penalty (which the bound leaves out).
-func TestSpeedBoundBelowEveryProbe(t *testing.T) {
-	for i, hp := range goldenProblems() {
-		gap := checkBound(t, hp, hp.N <= 1000)
-		if hp.N > 1000 && hp.LambdaRPS > 0 && hp.SwitchWeight == 0 {
-			for _, w := range speedWindows(hp) {
-				if math.IsInf(w.kn.bound(w.lo, w.hi), -1) {
-					t.Errorf("problem %d, speed %d: bound certifies nothing", i, w.k)
-				}
-			}
-			if gap > 1e-5 {
-				t.Errorf("problem %d: bound %.3g below the least probe", i, gap)
-			}
-		}
-	}
-	for _, hp := range kernelCorners() {
-		checkBound(t, hp, true)
-	}
-}
-
 // checkPlateau checks every speed window's search against
 // numopt.MinimizeInt (the same count and value bits, in no more probes but
 // the shape probes a plain window's fallback adds).
@@ -956,8 +890,9 @@ func FuzzShapedWindow(f *testing.F) {
 	})
 }
 
-// refHomogeneousSolve is HomogeneousProblem.Solve as it was before speeds
-// were skipped on their bounds: every speed searched in index order.
+// refHomogeneousSolve is HomogeneousProblem.Solve as it was before any
+// speed was skipped or any answer read off a plateau: every speed searched
+// in index order with numopt.MinimizeInt.
 func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
 	if hp.N <= 0 || hp.LambdaRPS < 0 || math.IsNaN(hp.LambdaRPS) ||
 		hp.PrevActive < 0 || hp.PrevActive > hp.N {
@@ -999,18 +934,48 @@ func refHomogeneousSolve(hp *HomogeneousProblem) (HomogeneousSolution, error) {
 	return best, nil
 }
 
+// TestSwitchingSearchesEveryWindow pins Solve on the switching path of the
+// Fig. 5(d) study: a switching penalty leaves no window plain, so no answer
+// is read off a plateau and no speed is skipped. Over goldenProblems'
+// switching variants with load, Solve must search each feasible speed's
+// window exactly once (aiming the kernel once a search, plus once more at
+// the answer's speed if that was not searched last) and match
+// refHomogeneousSolve bit for bit.
+func TestSwitchingSearchesEveryWindow(t *testing.T) {
+	solves := 0
+	for i, hp := range goldenProblems() {
+		if hp.SwitchWeight == 0 || hp.LambdaRPS == 0 {
+			continue
+		}
+		solves++
+		got, n, err := SolveCounted(hp)
+		want, wantErr := refHomogeneousSolve(hp)
+		if err != wantErr || !sameSolution(got, want) {
+			t.Fatalf("problem %d: Solve = %+v, %v; every speed in index order gives %+v, %v",
+				i, got, err, want, wantErr)
+		}
+		windows := len(speedWindows(hp))
+		if n.Searches != windows || n.Aims < windows || n.Aims > windows+1 {
+			t.Errorf("problem %d: %d searches and %d aims over %d feasible windows, want one search each",
+				i, n.Searches, n.Aims, windows)
+		}
+	}
+	if solves == 0 {
+		t.Fatal("no switching problem with load in the golden grid")
+	}
+}
+
 // FuzzHomogeneousSolve checks Solve against refHomogeneousSolve bit for
 // bit (speed, count, value, power, grid energy, delay cost and error) on
 // random problems of up to 216,000 servers: unrestricted λ, weights, PUE,
 // γ and supply, with switching (its anchor up to four counts above the
 // fleet, and below zero for draws of 2³¹ and up) and either server type.
 // Supply is drawn per server and scaled by N. Up to 500 servers it also
-// checks every speed's bound against every probe and its plateau against
-// every comparison. The seeds after the first four sit at the plateau's
-// corners: the optimum at the kink (at 216,000 servers a kink exactly on a
-// count) and at the γ cap's low end, γ = 1 (lo·x = λ), We = 0, Wd = 0,
-// switching, an infinite λ (a window starting past the fleet) and a tiny
-// λ.
+// checks every speed's plateau against every comparison. The seeds after
+// the first four sit at the plateau's corners: the optimum at the kink (at
+// 216,000 servers a kink exactly on a count) and at the γ cap's low end,
+// γ = 1 (lo·x = λ), We = 0, Wd = 0, switching, an infinite λ (a window
+// starting past the fleet) and a tiny λ.
 func FuzzHomogeneousSolve(f *testing.F) {
 	f.Add(uint32(215999), 0.3, 0.95, 1.0, 0.07, 0.02, 0.04, 0.0, uint32(0), false)
 	f.Add(uint32(49), 0.5, 0.95, 1.3, 40.0, 0.001, 0.04, 0.003, uint32(16), false)
@@ -1039,7 +1004,6 @@ func FuzzHomogeneousSolve(f *testing.F) {
 		}
 		hp.LambdaRPS = math.Abs(frac) * hp.Type.MaxRate() * fn
 		if hp.N <= 500 && hp.LambdaRPS > 0 {
-			checkBound(t, hp, true)
 			checkPlateau(t, hp, true)
 		}
 		got, gotErr := hp.Solve()
