@@ -130,6 +130,22 @@ func BenchmarkYearCOCA(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioBuild measures the §5.1 calibration of the paper-scale
+// scenario (the traces and two carbon-unaware reference years) that every
+// Fig. 2 and Fig. 3 call repeats, on one and on two calibration workers.
+func BenchmarkScenarioBuild(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := experiments.Config{Workers: workers}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := cfg.Scenario(false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPerfectHPYear measures one PerfectHP year on Fig. 3's scenario
 // at the paper's scale (216,000 servers × 8,760 slots), the longest job of
 // Fig. 3's batch.

@@ -67,7 +67,7 @@ func LookaheadSweep(cfg Config, windows []int) ([]LookaheadPoint, float64, error
 		return nil, 0, err
 	}
 	// COCA's measured cost at the same V for reference.
-	cocaSum, _, err := runCOCA(sc, v)
+	cocaSum, err := summarizeCOCA(sc, v)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -118,11 +118,7 @@ func FrameResetAblation(cfg Config) (FrameResetResult, error) {
 			if err != nil {
 				return sim.Summary{}, err
 			}
-			r1, err := sim.Run(sc, p1)
-			if err != nil {
-				return sim.Summary{}, err
-			}
-			return sim.Summarize(sc, r1), nil
+			return sim.RunSummary(sc, p1)
 		}
 		// Ablated: the same V trajectory applied per slot, but a single
 		// frame — the queue never resets.
@@ -131,11 +127,7 @@ func FrameResetAblation(cfg Config) (FrameResetResult, error) {
 			return sim.Summary{}, err
 		}
 		ab := &vOverridePolicy{Policy: p2, vs: vs, frame: cfg.Slots / 4}
-		r2, err := sim.Run(sc, ab)
-		if err != nil {
-			return sim.Summary{}, err
-		}
-		return sim.Summarize(sc, r2), nil
+		return sim.RunSummary(sc, ab)
 	})
 	if err != nil {
 		return res, err

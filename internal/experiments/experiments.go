@@ -38,7 +38,8 @@ type Config struct {
 	Out     io.Writer
 
 	// Workers bounds the experiment fan-out: independent runs (V sweeps,
-	// budget fractions, ablation arms) are mapped onto this many workers.
+	// budget fractions, ablation arms) are mapped onto this many workers,
+	// and the scenario's calibration runs on as many.
 	// 0 uses all cores; 1 forces strictly sequential execution. Results
 	// are deterministic and byte-identical at any worker count.
 	Workers int
@@ -74,9 +75,16 @@ func Default() Config {
 // fill applies the paper-scale defaults and validates the fields a zero
 // value does not cover. A negative Workers used to slip through workers()'
 // `> 0` check and silently mean "all cores"; library callers now get the
-// same explicit cliutil error the CLI raises for -workers.
+// same explicit cliutil error the CLI raises for -workers. Negative sizes
+// are rejected here too, before any trace is generated.
 func (c *Config) fill() error {
-	if err := cliutil.WorkersFor("experiments.Config.Workers", c.Workers); err != nil {
+	if err := cliutil.FirstError(
+		cliutil.WorkersFor("experiments.Config.Workers", c.Workers),
+		cliutil.NonNegativeCount("experiments.Config.Slots", c.Slots),
+		cliutil.NonNegativeCount("experiments.Config.N", c.N),
+		cliutil.NonNegativeFloat("experiments.Config.PeakRPS", c.PeakRPS),
+		cliutil.NonNegativeFloat("experiments.Config.Budget", c.Budget),
+	); err != nil {
 		return err
 	}
 	d := Default()
@@ -138,6 +146,7 @@ func defaultVGrid(n int) []float64 {
 // Scenario builds the calibrated paper-scale scenario; msr selects the
 // MSR-like workload of Fig. 1(b)/5(b) instead of the FIU-like default.
 // It returns the scenario and the carbon-unaware reference grid usage.
+// The calibration runs on the configured workers.
 func (c Config) Scenario(msr bool) (*sim.Scenario, float64, error) {
 	if err := c.fill(); err != nil {
 		return nil, 0, err
@@ -151,12 +160,19 @@ func (c Config) Scenario(msr bool) (*sim.Scenario, float64, error) {
 		OnsiteFrac: 0.20,
 		Seed:       c.Seed,
 		MSR:        msr,
+		Workers:    c.workers(),
 	})
 }
 
-// runCOCA runs COCA with a constant V over the scenario.
+// cocaAt builds COCA with a constant V over the scenario.
+func cocaAt(sc *sim.Scenario, v float64) (*core.Policy, error) {
+	return core.New(core.FromScenario(sc, lyapunov.ConstantV(v, 1, sc.Slots)))
+}
+
+// runCOCA runs COCA with a constant V over the scenario, keeping its
+// records.
 func runCOCA(sc *sim.Scenario, v float64) (sim.Summary, *sim.Result, error) {
-	p, err := core.New(core.FromScenario(sc, lyapunov.ConstantV(v, 1, sc.Slots)))
+	p, err := cocaAt(sc, v)
 	if err != nil {
 		return sim.Summary{}, nil, err
 	}
@@ -165,6 +181,34 @@ func runCOCA(sc *sim.Scenario, v float64) (sim.Summary, *sim.Result, error) {
 		return sim.Summary{}, nil, err
 	}
 	return sim.Summarize(sc, res), res, nil
+}
+
+// summarizeCOCA is runCOCA without the records: a summary run whose
+// observers see every slot.
+func summarizeCOCA(sc *sim.Scenario, v float64, observers ...sim.Observer) (sim.Summary, error) {
+	p, err := cocaAt(sc, v)
+	if err != nil {
+		return sim.Summary{}, err
+	}
+	return sim.RunSummary(sc, p, observers...)
+}
+
+// seriesRun is a summary run's result. A run that passes observe to its
+// engine also keeps the per-slot cost and deficit series Figs. 2 and 3
+// chart.
+type seriesRun struct {
+	sum           sim.Summary
+	cost, deficit []float64
+}
+
+// newSeriesRun sizes the series for a horizon of the given slots.
+func newSeriesRun(slots int) seriesRun {
+	return seriesRun{cost: make([]float64, 0, slots), deficit: make([]float64, 0, slots)}
+}
+
+func (r *seriesRun) observe(rec sim.SlotRecord) {
+	r.cost = append(r.cost, rec.TotalUSD)
+	r.deficit = append(r.deficit, rec.DeficitKWh)
 }
 
 // tuneV finds, over the grid, the V whose yearly usage comes closest to the

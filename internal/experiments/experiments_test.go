@@ -105,6 +105,28 @@ func TestVGridValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNegativeSizes checks that a negative size is an error
+// naming its field, raised before calibration generates or indexes a trace
+// (Slots: -5 used to panic in trace.Constant).
+func TestConfigRejectsNegativeSizes(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Slots", Config{Slots: -5}},
+		{"N", Config{N: -1}},
+		{"PeakRPS", Config{PeakRPS: -1e6}},
+		{"Budget", Config{Budget: -0.1}},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			_, _, err := c.cfg.Scenario(false)
+			if err == nil || !strings.Contains(err.Error(), "experiments.Config."+c.field) {
+				t.Errorf("error %v, want one naming experiments.Config.%s", err, c.field)
+			}
+		})
+	}
+}
+
 func TestFig1(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := smallConfig()

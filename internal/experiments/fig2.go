@@ -28,7 +28,7 @@ type Fig2Result struct {
 }
 
 // Fig2 sweeps constant V (Fig. 2a,b) and runs a quarterly-varying V
-// schedule (Fig. 2c,d).
+// schedule (Fig. 2c,d), all in one batch of summary runs.
 func Fig2(cfg Config) (Fig2Result, error) {
 	if err := cfg.fill(); err != nil {
 		return Fig2Result{}, err
@@ -38,11 +38,30 @@ func Fig2(cfg Config) (Fig2Result, error) {
 		return Fig2Result{}, err
 	}
 	var res Fig2Result
-	// One batch over the V grid plus the carbon-unaware V→∞ reference.
+	// One batch over the V grid, the carbon-unaware V→∞ reference and, at
+	// a horizon divisible by 4, Fig. 2(c,d)'s quarterly V: start small
+	// (cost high, deficit negative), then increase, demonstrating the
+	// tunable tradeoff.
 	vs := append(append([]float64(nil), cfg.VGrid...), 1e15)
-	sums, err := mapIndexed(cfg.workers(), cfg.pool(), len(vs), func(i int) (sim.Summary, error) {
-		s, _, err := runCOCA(sc, vs[i])
-		return s, err
+	jobs := len(vs)
+	if cfg.Slots%4 == 0 {
+		mid := midGrid(cfg.VGrid)
+		res.VaryingVs = []float64{mid / 100, mid, mid * 10, mid}
+		jobs++
+	}
+	runs, err := mapIndexed(cfg.workers(), cfg.pool(), jobs, func(i int) (seriesRun, error) {
+		if i < len(vs) {
+			s, err := summarizeCOCA(sc, vs[i])
+			return seriesRun{sum: s}, err
+		}
+		sched := lyapunov.VSchedule{T: cfg.Slots / 4, Vs: res.VaryingVs}
+		p, err := core.New(core.FromScenario(sc, sched))
+		if err != nil {
+			return seriesRun{}, err
+		}
+		r := newSeriesRun(sc.Slots)
+		r.sum, err = sim.RunSummary(sc, p, r.observe)
+		return r, err
 	})
 	if err != nil {
 		return res, err
@@ -50,33 +69,16 @@ func Fig2(cfg Config) (Fig2Result, error) {
 	for i, v := range cfg.VGrid {
 		res.Sweep = append(res.Sweep, Fig2Point{
 			V:             v,
-			AvgCostUSD:    sums[i].AvgHourlyCostUSD,
-			AvgDeficitKWh: sums[i].AvgDeficitKWh,
-			BudgetUsed:    sums[i].BudgetUsedFraction,
+			AvgCostUSD:    runs[i].sum.AvgHourlyCostUSD,
+			AvgDeficitKWh: runs[i].sum.AvgDeficitKWh,
+			BudgetUsed:    runs[i].sum.BudgetUsedFraction,
 		})
 	}
-	res.UnawareAvgCostUSD = sums[len(vs)-1].AvgHourlyCostUSD
-
-	// Fig. 2(c,d): quarterly V — start small (cost high, deficit negative),
-	// then increase, demonstrating the tunable tradeoff.
-	if cfg.Slots%4 == 0 {
-		mid := midGrid(cfg.VGrid)
-		res.VaryingVs = []float64{mid / 100, mid, mid * 10, mid}
-		sched := lyapunov.VSchedule{T: cfg.Slots / 4, Vs: res.VaryingVs}
-		p, err := core.New(core.FromScenario(sc, sched))
-		if err != nil {
-			return res, err
-		}
-		r, err := sim.Run(sc, p)
-		if err != nil {
-			return res, err
-		}
-		window := 45 * 24
-		if window > cfg.Slots {
-			window = cfg.Slots
-		}
-		res.MovingAvgCost = stats.MovingAverageSeries(r.CostSeries(), window)
-		res.MovingAvgDeficit = stats.MovingAverageSeries(r.DeficitSeries(), window)
+	res.UnawareAvgCostUSD = runs[len(vs)-1].sum.AvgHourlyCostUSD
+	if jobs > len(vs) {
+		window := min(45*24, cfg.Slots)
+		res.MovingAvgCost = stats.MovingAverageSeries(runs[jobs-1].cost, window)
+		res.MovingAvgDeficit = stats.MovingAverageSeries(runs[jobs-1].deficit, window)
 	}
 
 	if cfg.Out != nil {

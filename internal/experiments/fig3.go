@@ -36,29 +36,20 @@ func Fig3(cfg Config) (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	// Each run keeps only its summary and the two series Fig. 3 charts,
-	// and only until the tuned V is picked.
-	type run struct {
-		sum           sim.Summary
-		cost, deficit []float64
-	}
-	runs, err := mapIndexed(cfg.workers(), cfg.pool(), 1+len(cfg.VGrid), func(i int) (run, error) {
-		var (
-			r   *sim.Result
-			err error
-		)
+	// Each run is a summary run that keeps only the two series Fig. 3
+	// charts, and only until the tuned V is picked.
+	runs, err := mapIndexed(cfg.workers(), cfg.pool(), 1+len(cfg.VGrid), func(i int) (seriesRun, error) {
+		r := newSeriesRun(sc.Slots)
+		var err error
 		if i == 0 {
 			var php *baseline.PerfectHP
 			if php, err = baseline.NewPerfectHP(sc, 48); err == nil {
-				r, err = sim.Run(sc, php)
+				r.sum, err = sim.RunSummary(sc, php, r.observe)
 			}
 		} else {
-			_, r, err = runCOCA(sc, cfg.VGrid[i-1])
+			r.sum, err = summarizeCOCA(sc, cfg.VGrid[i-1], r.observe)
 		}
-		if err != nil {
-			return run{}, err
-		}
-		return run{sum: sim.Summarize(sc, r), cost: r.CostSeries(), deficit: r.DeficitSeries()}, nil
+		return r, err
 	})
 	if err != nil {
 		return Fig3Result{}, err

@@ -89,25 +89,23 @@ func Fig5(cfg Config) (Fig5Result, error) {
 // COCA, OPT and the carbon-unaware algorithm, normalizing by the unaware
 // cost (the paper normalizes usage by the unaware algorithm's 1.55e5 MWh).
 // The fractions are independent end-to-end (each builds its own scenario),
-// so they fan out on the worker pool; the per-fraction work stays
-// sequential to keep the pool bounded.
+// so they fan out on the worker pool; the per-fraction work, calibration
+// included, stays sequential to keep the pool bounded.
 func budgetSweep(cfg Config, msr bool) ([]Fig5BudgetPoint, error) {
 	fracs := []float64{0.85, 0.90, 0.92, 0.95, 1.00, 1.05}
 	return mapIndexed(cfg.workers(), cfg.pool(), len(fracs), func(i int) (Fig5BudgetPoint, error) {
 		c := cfg
 		c.Budget = fracs[i]
 		c.Out = nil
+		c.Workers = 1
 		sc, _, err := c.Scenario(msr)
 		if err != nil {
 			return Fig5BudgetPoint{}, err
 		}
-		un := baseline.NewUnaware(sc)
-		unRes, err := sim.Run(sc, un)
+		unSum, err := sim.RunSummary(sc, baseline.NewUnaware(sc))
 		if err != nil {
 			return Fig5BudgetPoint{}, err
 		}
-		unSum := sim.Summarize(sc, unRes)
-
 		_, cocaSum, _, err := tuneV(sc, c.VGrid, 1, c.pool())
 		if err != nil {
 			return Fig5BudgetPoint{}, err
@@ -116,11 +114,10 @@ func budgetSweep(cfg Config, msr bool) ([]Fig5BudgetPoint, error) {
 		if err != nil {
 			return Fig5BudgetPoint{}, err
 		}
-		optRes, err := sim.Run(sc, opt)
+		optSum, err := sim.RunSummary(sc, opt)
 		if err != nil {
 			return Fig5BudgetPoint{}, err
 		}
-		optSum := sim.Summarize(sc, optRes)
 		return Fig5BudgetPoint{
 			BudgetFrac:  fracs[i],
 			CocaCost:    cocaSum.AvgHourlyCostUSD / unSum.AvgHourlyCostUSD,
@@ -193,8 +190,7 @@ func costSweep(cfg Config, sc *sim.Scenario, values []float64, set func(run *sim
 	sums, err := mapIndexed(cfg.workers(), cfg.pool(), len(values), func(i int) (sim.Summary, error) {
 		run := sc.Clone()
 		set(run, values[i])
-		s, _, err := runCOCA(run, v)
-		return s, err
+		return summarizeCOCA(run, v)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -53,11 +53,10 @@ func PredictionErrorStudy(cfg Config) ([]PredictionPoint, sim.Summary, error) {
 		if err != nil {
 			return PredictionPoint{}, err
 		}
-		res, err := sim.Run(sc, php)
+		s, err := sim.RunSummary(sc, php)
 		if err != nil {
 			return PredictionPoint{}, err
 		}
-		s := sim.Summarize(sc, res)
 		return PredictionPoint{
 			Forecaster: f.Name(),
 			MAPE:       predict.MAPE(sc.Workload, forecast),

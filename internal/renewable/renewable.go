@@ -172,25 +172,45 @@ func (p *Portfolio) RECPerSlotKWh(slots int) float64 {
 //     split offsiteShare into off-site PPA energy (0.40) with the remainder
 //     purchased as RECs (0.60);
 //   - α = 1 (budget sizing carries the aggressiveness).
+//
+// It is NewPaperShapes(seed).Portfolio(...): callers that learn the
+// reference only later build the shapes first.
 func NewPaperPortfolio(seed uint64, slots int, referenceKWh, onsiteFrac, budgetFrac, offsiteShare float64) *Portfolio {
-	onsite := Blend(
-		[]*trace.Trace{SolarYear(seed), WindYear(seed + 1)},
-		[]float64{0.6, 0.4},
-	)
-	ScaleToTotal(onsite, slots, onsiteFrac*referenceKWh)
-	onsite.Name = "onsite"
+	return NewPaperShapes(seed).Portfolio(slots, referenceKWh, onsiteFrac, budgetFrac, offsiteShare)
+}
 
-	offsite := Blend(
-		[]*trace.Trace{SolarYear(seed + 2), WindYear(seed + 3)},
-		[]float64{0.5, 0.5},
-	)
+// PaperShapes are the §5.1 portfolio's generation shapes (peak 1), which
+// depend only on the seed.
+type PaperShapes struct {
+	Onsite, Offsite *trace.Trace
+}
+
+// NewPaperShapes blends the seed's solar and wind years into the on-site
+// (60/40 solar/wind) and off-site (50/50) shapes.
+func NewPaperShapes(seed uint64) PaperShapes {
+	return PaperShapes{
+		Onsite: Blend(
+			[]*trace.Trace{SolarYear(seed), WindYear(seed + 1)},
+			[]float64{0.6, 0.4},
+		),
+		Offsite: Blend(
+			[]*trace.Trace{SolarYear(seed + 2), WindYear(seed + 3)},
+			[]float64{0.5, 0.5},
+		),
+	}
+}
+
+// Portfolio scales the shapes in place around the reference consumption,
+// as NewPaperPortfolio documents, and returns the portfolio that holds them.
+func (sh PaperShapes) Portfolio(slots int, referenceKWh, onsiteFrac, budgetFrac, offsiteShare float64) *Portfolio {
+	ScaleToTotal(sh.Onsite, slots, onsiteFrac*referenceKWh)
+	sh.Onsite.Name = "onsite"
 	budget := budgetFrac * referenceKWh
-	ScaleToTotal(offsite, slots, offsiteShare*budget)
-	offsite.Name = "offsite"
-
+	ScaleToTotal(sh.Offsite, slots, offsiteShare*budget)
+	sh.Offsite.Name = "offsite"
 	return &Portfolio{
-		OnsiteKW:   onsite,
-		OffsiteKWh: offsite,
+		OnsiteKW:   sh.Onsite,
+		OffsiteKWh: sh.Offsite,
 		RECsKWh:    (1 - offsiteShare) * budget,
 		Alpha:      1,
 	}

@@ -258,21 +258,37 @@ type Engine struct {
 	zPerSlot   float64
 	prevActive int
 	t          int
+
+	// rec is the slot being charged. A recording engine appends it to the
+	// records; a summary run (RunSummary) only adds it to sums.
+	rec       SlotRecord
+	recording bool
+	sums      totals
 }
 
 // NewEngine validates the scenario and prepares a run of the policy over
 // it. Observers, if any, are invoked in order for every operated slot.
 func NewEngine(sc *Scenario, p Policy, observers ...Observer) (*Engine, error) {
+	return newEngine(sc, p, true, observers)
+}
+
+// newEngine is NewEngine, recording every slot or (for a summary run) none.
+func newEngine(sc *Scenario, p Policy, recording bool, observers []Observer) (*Engine, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		sc:        sc,
 		policy:    p,
-		res:       &Result{Policy: p.Name(), Records: make([]SlotRecord, 0, sc.Slots)},
+		res:       &Result{Policy: p.Name()},
 		observers: observers,
 		zPerSlot:  sc.Portfolio.RECPerSlotKWh(sc.Slots),
-	}, nil
+		recording: recording,
+	}
+	if recording {
+		e.res.Records = make([]SlotRecord, 0, sc.Slots)
+	}
+	return e, nil
 }
 
 // SetTracer attaches a span tracer: every subsequent Step records a
@@ -324,20 +340,20 @@ func (e *Engine) Step() error {
 		child = e.tracer.Start("sim.operate",
 			span.Int("speed", cfg.Speed), span.Int("active", cfg.Active))
 	}
-	// The slot is charged in place at the end of the records, which a
-	// failed charge leaves as they were.
-	n := len(e.res.Records)
-	e.res.Records = append(e.res.Records, SlotRecord{})
-	rec := &e.res.Records[n]
+	rec := &e.rec
 	err = e.sc.operate(rec, t, cfg, e.prevActive, e.zPerSlot)
 	if e.tracer != nil {
 		child.Set(span.Float("total_usd", rec.TotalUSD), span.Float("grid_kwh", rec.GridKWh))
 		e.endSpan(child, err)
 	}
 	if err != nil {
-		e.res.Records = e.res.Records[:n]
 		e.endSpan(slotSpan, err)
 		return fmt.Errorf("sim: slot %d: %w", t, err)
+	}
+	if e.recording {
+		e.res.Records = append(e.res.Records, *rec)
+	} else {
+		e.sums.add(rec)
 	}
 	for _, ob := range e.observers {
 		ob(*rec)
@@ -408,6 +424,24 @@ func RunTraced(sc *Scenario, p Policy, tr *span.Tracer, observers ...Observer) (
 		}
 	}
 	return e.Result(), nil
+}
+
+// RunSummary drives the policy over the scenario's horizon like
+// RunObserved, but keeps no records: each slot is charged into one scratch
+// record and added to running sums, so the summary is bit-equal to
+// Summarize of the recorded run. Observers see the same records in the
+// same order, and a failed slot returns the same error.
+func RunSummary(sc *Scenario, p Policy, observers ...Observer) (Summary, error) {
+	e, err := newEngine(sc, p, false, observers)
+	if err != nil {
+		return Summary{}, err
+	}
+	for !e.Done() {
+		if err := e.Step(); err != nil {
+			return Summary{}, err
+		}
+	}
+	return e.sums.summary(sc, e.res.Policy), nil
 }
 
 // operate charges one slot of the given configuration against the true
@@ -487,41 +521,58 @@ type Summary struct {
 	TrueUpUSD float64
 }
 
-// Summarize computes the run's aggregates against the scenario's budget.
-func Summarize(sc *Scenario, res *Result) Summary {
+// totals are a run's running sums, added in slot order. Summarize and
+// RunSummary both fold slots through add, so the sum order exists once.
+type totals struct {
+	slots                                        int
+	cost, elec, delay, sw, grid, energy, deficit float64
+}
+
+func (a *totals) add(r *SlotRecord) {
+	a.slots++
+	a.cost += r.TotalUSD
+	a.elec += r.ElectricityUSD
+	a.delay += r.DelayUSD
+	a.sw += r.SwitchUSD
+	a.grid += r.GridKWh
+	a.energy += r.EnergyKWh
+	a.deficit += r.DeficitKWh
+}
+
+// summary computes the aggregates of the summed slots against the
+// scenario's budget.
+func (a *totals) summary(sc *Scenario, policy string) Summary {
 	led := dcmodel.Ledger{SlotHours: sc.SlotHours}
-	s := Summary{Policy: res.Policy, Slots: len(res.Records), SlotHours: led.Hours()}
-	var cost, elec, delay, sw, grid, energy, deficit float64
-	for i := range res.Records {
-		r := &res.Records[i] // read in place: a SlotRecord is 16 words
-		cost += r.TotalUSD
-		elec += r.ElectricityUSD
-		delay += r.DelayUSD
-		sw += r.SwitchUSD
-		grid += r.GridKWh
-		energy += r.EnergyKWh
-		deficit += r.DeficitKWh
-	}
-	n := float64(len(res.Records))
-	if n == 0 {
+	s := Summary{Policy: policy, Slots: a.slots, SlotHours: led.Hours()}
+	if a.slots == 0 {
 		return s
 	}
-	s.AvgHourlyCostUSD = cost / n
-	s.AvgElectricityUSD = elec / n
-	s.AvgDelayUSD = delay / n
-	s.AvgSwitchUSD = sw / n
-	s.TotalGridKWh = grid
-	s.TotalEnergyKWh = energy
-	s.AvgDeficitKWh = deficit / n
-	s.FinalRunningDeficit = deficit
+	n := float64(a.slots)
+	s.AvgHourlyCostUSD = a.cost / n
+	s.AvgElectricityUSD = a.elec / n
+	s.AvgDelayUSD = a.delay / n
+	s.AvgSwitchUSD = a.sw / n
+	s.TotalGridKWh = a.grid
+	s.TotalEnergyKWh = a.energy
+	s.AvgDeficitKWh = a.deficit / n
+	s.FinalRunningDeficit = a.deficit
 	s.BudgetKWh = sc.Portfolio.BudgetKWh(sc.Slots)
 	if s.BudgetKWh > 0 {
-		s.BudgetUsedFraction = grid / s.BudgetKWh
+		s.BudgetUsedFraction = a.grid / s.BudgetKWh
 	}
-	if grid > s.BudgetKWh {
-		s.ShortfallKWh = grid - s.BudgetKWh
+	if a.grid > s.BudgetKWh {
+		s.ShortfallKWh = a.grid - s.BudgetKWh
 	}
 	return s
+}
+
+// Summarize computes the run's aggregates against the scenario's budget.
+func Summarize(sc *Scenario, res *Result) Summary {
+	var a totals
+	for i := range res.Records {
+		a.add(&res.Records[i]) // read in place: a SlotRecord is 16 words
+	}
+	return a.summary(sc, res.Policy)
 }
 
 // SummarizeWithTrueUp is Summarize plus the §4.3 end-of-period REC
