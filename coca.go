@@ -161,7 +161,7 @@ type (
 	Scenario = sim.Scenario
 	// Policy is a per-slot decision maker driven by the engine.
 	Policy = sim.Policy
-	// Engine is the resumable step-wise slot executor behind Run: it
+	// Engine is the step-wise slot executor behind Run: it
 	// exposes Step/Done/Result plus per-slot observer callbacks.
 	Engine = sim.Engine
 	// Observer is a per-slot instrumentation hook receiving each operated
@@ -185,7 +185,7 @@ func RunObserved(sc *Scenario, p Policy, observers ...Observer) (*RunResult, err
 	return sim.RunObserved(sc, p, observers...)
 }
 
-// NewEngine prepares a resumable step-wise run of a policy over a
+// NewEngine prepares a step-wise run of a policy over a
 // scenario; step it with Engine.Step until Engine.Done.
 func NewEngine(sc *Scenario, p Policy, observers ...Observer) (*Engine, error) {
 	return sim.NewEngine(sc, p, observers...)
@@ -476,10 +476,6 @@ type (
 	// ControllerCheckpoint snapshots a Controller: slot cursor, switching
 	// anchor, deficit queue and the solver's opaque cross-slot state.
 	ControllerCheckpoint = core.ControllerCheckpoint
-	// PolicyCheckpoint snapshots the homogeneous COCA policy.
-	PolicyCheckpoint = core.PolicyCheckpoint
-	// EngineCheckpoint snapshots a sim Engine mid-run.
-	EngineCheckpoint = sim.EngineCheckpoint
 	// QueueCheckpoint snapshots a DeficitQueue.
 	QueueCheckpoint = lyapunov.QueueCheckpoint
 	// GSDSolverCheckpoint snapshots a GSDSolver's advancing seed and

@@ -76,19 +76,11 @@ func gridOf(sol p3.HomogeneousSolution, err error) float64 {
 // Unaware is the carbon-unaware instantaneous cost minimizer.
 type Unaware struct {
 	s solver
-	// MinSlotCost tracks the smallest per-slot cost among *operated*
-	// slots, the g_min of Theorem 2.
-	MinSlotCost float64
-	// pendingCost is the candidate from the last Decide; it folds into
-	// MinSlotCost only when the engine confirms the slot via Observe, so
-	// a rejected-and-retried step cannot record the cost of a
-	// configuration that never ran.
-	pendingCost float64
 }
 
 // NewUnaware builds the carbon-unaware policy for a scenario.
 func NewUnaware(sc *sim.Scenario) *Unaware {
-	return &Unaware{s: solver{sc: sc}, MinSlotCost: math.Inf(1), pendingCost: math.Inf(1)}
+	return &Unaware{s: solver{sc: sc}}
 }
 
 // Name implements sim.Policy.
@@ -100,18 +92,11 @@ func (u *Unaware) Decide(obs sim.Observation) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	led := u.s.sc.LedgerAt(obs.Slot, 0)
-	u.pendingCost = led.Charge(sol.PowerKW, sol.DelayCost, 0).TotalUSD
 	return sim.Config{Speed: sol.Speed, Active: sol.Active}, nil
 }
 
-// Observe implements sim.Policy: commits the per-slot cost candidate
-// speculated in Decide.
-func (u *Unaware) Observe(sim.Feedback) {
-	if u.pendingCost < u.MinSlotCost {
-		u.MinSlotCost = u.pendingCost
-	}
-}
+// Observe implements sim.Policy; the unaware policy keeps no state.
+func (u *Unaware) Observe(sim.Feedback) {}
 
 var _ sim.Policy = (*Unaware)(nil)
 

@@ -41,11 +41,6 @@ func TestUnawareMatchesReference(t *testing.T) {
 	if math.Abs(s.BudgetUsedFraction-1/0.92) > 0.01 {
 		t.Errorf("unaware budget fraction = %v, want ≈ %v", s.BudgetUsedFraction, 1/0.92)
 	}
-	u := NewUnaware(sc)
-	runPolicy(t, sc, u)
-	if math.IsInf(u.MinSlotCost, 1) || u.MinSlotCost < 0 {
-		t.Errorf("MinSlotCost = %v", u.MinSlotCost)
-	}
 }
 
 func TestOPTMeetsBudgetExactly(t *testing.T) {

@@ -1,15 +1,15 @@
 package core
 
-// Checkpoint/restore of controller state: both COCA forms (the sim-engine
-// Policy and the group-level Controller) expose their cross-slot state —
-// deficit queue, switching-cost anchor, slot cursor, and the P3 solver's
-// evolved state — as explicit, versioned snapshot values with exact JSON
-// round-trips, so a controller interrupted mid-year can be restarted and
-// continue bit-for-bit.
+// Checkpoint/restore of controller state: the group-level Controller
+// exposes its cross-slot state — deficit queue, switching-cost anchor,
+// slot cursor, and the P3 solver's evolved state — as an explicit,
+// versioned snapshot value with exact JSON round-trips, so a controller
+// interrupted mid-year can be restarted and continue bit-for-bit.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/lyapunov"
 )
@@ -72,51 +72,33 @@ func (c *Controller) RestoreFrom(ck ControllerCheckpoint) error {
 	if ck.Slot < 0 {
 		return fmt.Errorf("core: controller checkpoint slot %d is negative", ck.Slot)
 	}
-	return c.restore("controller", ck.Version, ControllerCheckpointVersion, ck.Queue, ck.PrevActive, c.Cluster.TotalServers(), func() error {
-		if len(ck.Solver) > 0 {
-			ss, ok := c.Solver.(SolverState)
-			if !ok {
-				return fmt.Errorf("core: checkpoint carries solver state but solver %T cannot restore it", c.Solver)
-			}
-			if err := ss.RestoreState(ck.Solver); err != nil {
-				return err
-			}
-		}
-		c.slot = ck.Slot
-		return nil
-	})
-}
-
-// PolicyCheckpointVersion is the current PolicyCheckpoint schema version.
-const PolicyCheckpointVersion = 1
-
-// PolicyCheckpoint is the versioned snapshot of the sim-engine COCA
-// policy's cross-slot state: the deficit queue and the settled
-// switching-cost anchor. Snapshots are taken at slot boundaries (after
-// Observe), where the speculative pendingActive has been committed, so the
-// anchor alone reproduces the policy's state. Tracing knobs (SetV, the
-// queue gauge) are configuration, not state, and are left to the
-// caller to re-apply.
-type PolicyCheckpoint struct {
-	Version    int                      `json:"version"`
-	Queue      lyapunov.QueueCheckpoint `json:"queue"`
-	PrevActive int                      `json:"prev_active"`
-}
-
-// Checkpoint snapshots the policy's cross-slot state.
-func (p *Policy) Checkpoint() PolicyCheckpoint {
-	return PolicyCheckpoint{
-		Version:    PolicyCheckpointVersion,
-		Queue:      p.queue.Checkpoint(),
-		PrevActive: p.prevActive,
+	if ck.Version != ControllerCheckpointVersion {
+		return fmt.Errorf("core: controller checkpoint version %d, want %d", ck.Version, ControllerCheckpointVersion)
 	}
-}
-
-// RestoreFrom replaces the policy's cross-slot state with the snapshot,
-// refusing one whose queue α or z differs from the policy's.
-func (p *Policy) RestoreFrom(ck PolicyCheckpoint) error {
-	return p.restore("policy", ck.Version, PolicyCheckpointVersion, ck.Queue, ck.PrevActive, p.sc.N, func() error {
-		p.pendingActive = ck.PrevActive
-		return nil
-	})
+	if fleet := c.Cluster.TotalServers(); ck.PrevActive < 0 || ck.PrevActive > fleet {
+		return fmt.Errorf("%w: controller checkpoint has %d, fleet %d", ErrActiveOutsideFleet, ck.PrevActive, fleet)
+	}
+	own := c.queue.Checkpoint()
+	if math.Float64bits(ck.Queue.Alpha) != math.Float64bits(own.Alpha) || math.Float64bits(ck.Queue.Z) != math.Float64bits(own.Z) {
+		return fmt.Errorf("core: controller checkpoint queue has alpha %v, z %v; this controller runs alpha %v, z %v",
+			ck.Queue.Alpha, ck.Queue.Z, own.Alpha, own.Z)
+	}
+	queue := *c.queue
+	if err := queue.RestoreFrom(ck.Queue); err != nil {
+		return err
+	}
+	if len(ck.Solver) > 0 {
+		ss, ok := c.Solver.(SolverState)
+		if !ok {
+			return fmt.Errorf("core: checkpoint carries solver state but solver %T cannot restore it", c.Solver)
+		}
+		if err := ss.RestoreState(ck.Solver); err != nil {
+			return err
+		}
+	}
+	*c.queue = queue
+	c.prevActive = ck.PrevActive
+	c.slot = ck.Slot
+	c.gauge()
+	return nil
 }

@@ -145,58 +145,11 @@ func TestControllerCheckpointRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestPolicyCheckpointRoundTrip covers the sim-side policy snapshot; the
-// full engine-resume parity lives in internal/simtest.
-func TestPolicyCheckpointRoundTrip(t *testing.T) {
-	sc := buildScenario(t, 24)
-	newPolicy := func() *Policy {
-		p, err := New(FromScenario(sc, lyapunov.ConstantV(5e5, 1, 24)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	p := newPolicy()
-	p.queue.Update(100, 10)
-	p.prevActive, p.pendingActive = 7, 7
-
-	blob, err := json.Marshal(p.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ck PolicyCheckpoint
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		t.Fatal(err)
-	}
-	q := newPolicy()
-	if err := q.RestoreFrom(ck); err != nil {
-		t.Fatal(err)
-	}
-	if q.Queue() != p.Queue() || q.prevActive != 7 || q.pendingActive != 7 {
-		t.Fatalf("restored policy state queue=%v prev=%d pending=%d", q.Queue(), q.prevActive, q.pendingActive)
-	}
-	if err := q.RestoreFrom(PolicyCheckpoint{Version: 2, Queue: ck.Queue}); err == nil {
-		t.Fatal("RestoreFrom accepted an unknown version")
-	}
-	other := ck
-	other.Queue.Z = math.Nextafter(ck.Queue.Z, math.Inf(1))
-	if err := newPolicy().RestoreFrom(other); err == nil {
-		t.Fatal("RestoreFrom adopted a checkpoint's REC allowance")
-	}
-}
-
 // TestRestoreRefusesActiveOutsideFleet: a switching anchor above the fleet
-// (or below zero) is refused with ErrActiveOutsideFleet and leaves the
-// state as it was; the fleet itself is accepted. Policy's fleet is the
-// scenario's N, Controller's the cluster's servers.
+// (the cluster's servers) or below zero is refused with
+// ErrActiveOutsideFleet and leaves the state as it was; the fleet itself
+// is accepted.
 func TestRestoreRefusesActiveOutsideFleet(t *testing.T) {
-	sc := buildScenario(t, 24)
-	p, err := New(FromScenario(sc, lyapunov.ConstantV(5e5, 1, 24)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.prevActive, p.pendingActive = 7, 7
-	pck := p.Checkpoint()
 	c := ckptController(t, 12)
 	driveController(t, c, 0, 3)
 	cck, err := c.Checkpoint()
@@ -205,27 +158,17 @@ func TestRestoreRefusesActiveOutsideFleet(t *testing.T) {
 	}
 	fleet := c.Cluster.TotalServers()
 	prev := c.prevActive
-	for _, tc := range []struct {
-		active, fleet int
-	}{{-1, -1}, {sc.N + 1, fleet + 1}, {sc.N + 150, fleet + 150}} {
-		ck := pck
-		ck.PrevActive = tc.active
-		if err := p.RestoreFrom(ck); !errors.Is(err, ErrActiveOutsideFleet) {
-			t.Errorf("policy prev_active %d (N = %d): RestoreFrom = %v, want ErrActiveOutsideFleet", tc.active, sc.N, err)
-		}
+	for _, active := range []int{-1, fleet + 1, fleet + 150} {
 		cc := cck
-		cc.PrevActive = tc.fleet
+		cc.PrevActive = active
 		if err := c.RestoreFrom(cc); !errors.Is(err, ErrActiveOutsideFleet) {
-			t.Errorf("controller prev_active %d (fleet %d): RestoreFrom = %v, want ErrActiveOutsideFleet", tc.fleet, fleet, err)
+			t.Errorf("controller prev_active %d (fleet %d): RestoreFrom = %v, want ErrActiveOutsideFleet", active, fleet, err)
 		}
 	}
-	if p.prevActive != 7 || p.pendingActive != 7 || c.prevActive != prev {
-		t.Fatalf("a refused restore moved the anchor: policy %d/%d, controller %d", p.prevActive, p.pendingActive, c.prevActive)
+	if c.prevActive != prev {
+		t.Fatalf("a refused restore moved the anchor: controller %d, want %d", c.prevActive, prev)
 	}
-	pck.PrevActive, cck.PrevActive = sc.N, fleet
-	if err := p.RestoreFrom(pck); err != nil {
-		t.Errorf("policy prev_active = N: %v", err)
-	}
+	cck.PrevActive = fleet
 	if err := c.RestoreFrom(cck); err != nil {
 		t.Errorf("controller prev_active = fleet: %v", err)
 	}

@@ -25,7 +25,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/dcmodel"
 	"repro/internal/lyapunov"
@@ -38,9 +37,9 @@ import (
 // for a slot past the V schedule's horizon.
 var ErrScheduleExhausted = errors.New("core: V schedule exhausted")
 
-// ErrActiveOutsideFleet is returned by RestoreFrom for a checkpoint whose
-// switching anchor, prev_active, is negative or above the fleet: no slot
-// of this fleet can have settled there.
+// ErrActiveOutsideFleet is returned by Controller.RestoreFrom for a
+// checkpoint whose switching anchor, prev_active, is negative or above the
+// fleet: no slot of this fleet can have settled there.
 var ErrActiveOutsideFleet = errors.New("core: checkpoint prev_active outside the fleet")
 
 // loop is Algorithm 1 without its P3: the V schedule, the deficit queue
@@ -98,38 +97,6 @@ func (l *loop) gauge() {
 	if l.queueGauge != nil {
 		l.queueGauge.Set(l.queue.Len())
 	}
-}
-
-// restore validates a checkpoint's shared part and, if rest (the form's
-// own restore, which may be nil) also succeeds, replaces the loop's state
-// with it. The queue's α and z are construction parameters: a checkpoint
-// written with other values is refused rather than adopted. fleet is the
-// number of servers, the largest switching anchor a slot can settle.
-func (l *loop) restore(kind string, version, want int, qc lyapunov.QueueCheckpoint, prevActive, fleet int, rest func() error) error {
-	if version != want {
-		return fmt.Errorf("core: %s checkpoint version %d, want %d", kind, version, want)
-	}
-	if prevActive < 0 || prevActive > fleet {
-		return fmt.Errorf("%w: %s checkpoint has %d, fleet %d", ErrActiveOutsideFleet, kind, prevActive, fleet)
-	}
-	own := l.queue.Checkpoint()
-	if math.Float64bits(qc.Alpha) != math.Float64bits(own.Alpha) || math.Float64bits(qc.Z) != math.Float64bits(own.Z) {
-		return fmt.Errorf("core: %s checkpoint queue has alpha %v, z %v; this %s runs alpha %v, z %v",
-			kind, qc.Alpha, qc.Z, kind, own.Alpha, own.Z)
-	}
-	queue := *l.queue
-	if err := queue.RestoreFrom(qc); err != nil {
-		return err
-	}
-	if rest != nil {
-		if err := rest(); err != nil {
-			return err
-		}
-	}
-	*l.queue = queue
-	l.prevActive = prevActive
-	l.gauge()
-	return nil
 }
 
 // Queue exposes the current deficit-queue length q(t).

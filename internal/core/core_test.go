@@ -23,7 +23,8 @@ func buildScenario(t *testing.T, slots int) *sim.Scenario {
 	return sc
 }
 
-func runCOCA(t *testing.T, sc *sim.Scenario, sched lyapunov.VSchedule) (*Policy, sim.Summary) {
+// runSchedule runs COCA under the schedule and summarizes the run.
+func runSchedule(t *testing.T, sc *sim.Scenario, sched lyapunov.VSchedule) sim.Summary {
 	t.Helper()
 	p, err := New(FromScenario(sc, sched))
 	if err != nil {
@@ -33,7 +34,7 @@ func runCOCA(t *testing.T, sc *sim.Scenario, sched lyapunov.VSchedule) (*Policy,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, sim.Summarize(sc, res)
+	return sim.Summarize(sc, res)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -132,8 +133,8 @@ var badQueueParams = []struct {
 func TestCostDecreasesWithV(t *testing.T) {
 	// Fig. 2(a): greater V → COCA cares more about cost, less about carbon.
 	sc := buildScenario(t, 21*24)
-	_, low := runCOCA(t, sc, lyapunov.ConstantV(100, 1, sc.Slots))
-	_, high := runCOCA(t, sc, lyapunov.ConstantV(1e7, 1, sc.Slots))
+	low := runSchedule(t, sc, lyapunov.ConstantV(100, 1, sc.Slots))
+	high := runSchedule(t, sc, lyapunov.ConstantV(1e7, 1, sc.Slots))
 	if high.AvgHourlyCostUSD >= low.AvgHourlyCostUSD {
 		t.Errorf("cost did not decrease with V: %v → %v",
 			low.AvgHourlyCostUSD, high.AvgHourlyCostUSD)
@@ -149,8 +150,8 @@ func TestQueueFeedbackThrottlesUsage(t *testing.T) {
 	// With a moderate V the deficit queue must keep usage at or below the
 	// V→∞ (carbon-unaware-like) usage.
 	sc := buildScenario(t, 21*24)
-	_, mod := runCOCA(t, sc, lyapunov.ConstantV(1e4, 1, sc.Slots))
-	_, inf := runCOCA(t, sc, lyapunov.ConstantV(1e10, 1, sc.Slots))
+	mod := runSchedule(t, sc, lyapunov.ConstantV(1e4, 1, sc.Slots))
+	inf := runSchedule(t, sc, lyapunov.ConstantV(1e10, 1, sc.Slots))
 	if mod.TotalGridKWh > inf.TotalGridKWh {
 		t.Errorf("queue feedback increased usage: %v > %v",
 			mod.TotalGridKWh, inf.TotalGridKWh)

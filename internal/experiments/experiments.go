@@ -169,22 +169,8 @@ func cocaAt(sc *sim.Scenario, v float64) (*core.Policy, error) {
 	return core.New(core.FromScenario(sc, lyapunov.ConstantV(v, 1, sc.Slots)))
 }
 
-// runCOCA runs COCA with a constant V over the scenario, keeping its
-// records.
-func runCOCA(sc *sim.Scenario, v float64) (sim.Summary, *sim.Result, error) {
-	p, err := cocaAt(sc, v)
-	if err != nil {
-		return sim.Summary{}, nil, err
-	}
-	res, err := sim.Run(sc, p)
-	if err != nil {
-		return sim.Summary{}, nil, err
-	}
-	return sim.Summarize(sc, res), res, nil
-}
-
-// summarizeCOCA is runCOCA without the records: a summary run whose
-// observers see every slot.
+// summarizeCOCA runs COCA with a constant V over the scenario as a summary
+// run whose observers see every slot.
 func summarizeCOCA(sc *sim.Scenario, v float64, observers ...sim.Observer) (sim.Summary, error) {
 	p, err := cocaAt(sc, v)
 	if err != nil {
@@ -214,27 +200,21 @@ func (r *seriesRun) observe(rec sim.SlotRecord) {
 // tuneV finds, over the grid, the V whose yearly usage comes closest to the
 // budget without exceeding it — the paper's neutral operating point ("COCA
 // achieves a close-to-minimum cost with V ≈ 240 while satisfying carbon
-// neutrality"). The grid runs fan out on the pool, then neutralV picks the
-// winner. It returns the chosen V, its summary and its grid run, which a
-// study that needs the tuned run's records reuses instead of simulating
-// the year again, or an error for an empty grid.
-func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetrics) (float64, sim.Summary, *sim.Result, error) {
+// neutrality"). The grid's summary runs fan out on the pool, then neutralV
+// picks the winner. It returns the chosen V and its summary, or an error
+// for an empty grid.
+func tuneV(sc *sim.Scenario, grid []float64, workers int, pm *telemetry.PoolMetrics) (float64, sim.Summary, error) {
 	if len(grid) == 0 {
-		return 0, sim.Summary{}, nil, errEmptyVGrid
+		return 0, sim.Summary{}, errEmptyVGrid
 	}
-	type run struct {
-		sum sim.Summary
-		res *sim.Result
-	}
-	runs, err := mapIndexed(workers, pm, len(grid), func(i int) (run, error) {
-		s, r, err := runCOCA(sc, grid[i])
-		return run{s, r}, err
+	sums, err := mapIndexed(workers, pm, len(grid), func(i int) (sim.Summary, error) {
+		return summarizeCOCA(sc, grid[i])
 	})
 	if err != nil {
-		return 0, sim.Summary{}, nil, err
+		return 0, sim.Summary{}, err
 	}
-	i := neutralV(len(runs), func(i int) float64 { return runs[i].sum.BudgetUsedFraction })
-	return grid[i], runs[i].sum, runs[i].res, nil
+	i := neutralV(len(sums), func(i int) float64 { return sums[i].BudgetUsedFraction })
+	return grid[i], sums[i], nil
 }
 
 // neutralV is the tuning rule over n grid runs whose budget fractions frac

@@ -100,7 +100,7 @@ func TestVGridValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := tuneV(sc, []float64{}, 1, nil); err == nil {
+	if _, _, err := tuneV(sc, []float64{}, 1, nil); err == nil {
 		t.Error("tuneV accepted an empty grid")
 	}
 }
@@ -387,7 +387,7 @@ func TestTuneVStaysWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, s, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), nil)
+	v, s, err := tuneV(sc, cfg.VGrid, cfg.workers(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

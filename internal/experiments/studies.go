@@ -32,7 +32,7 @@ func PredictionErrorStudy(cfg Config) ([]PredictionPoint, sim.Summary, error) {
 	if err != nil {
 		return nil, sim.Summary{}, err
 	}
-	_, coca, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
+	_, coca, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
 		return nil, sim.Summary{}, err
 	}
@@ -107,18 +107,26 @@ func DelayValidation(cfg Config, samples int) ([]DelayValidationPoint, float64, 
 	if err != nil {
 		return nil, 0, err
 	}
-	_, _, run, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
+	v, _, err := tuneV(sc, cfg.VGrid, cfg.workers(), cfg.pool())
 	if err != nil {
+		return nil, 0, err
+	}
+	// The tuned year's every step-th slot is a candidate sample.
+	step := max(sc.Slots/samples, 1)
+	var sampled []sim.SlotRecord
+	if _, err := summarizeCOCA(sc, v, func(rec sim.SlotRecord) {
+		if rec.Slot%step == 0 {
+			sampled = append(sampled, rec)
+		}
+	}); err != nil {
 		return nil, 0, err
 	}
 	var points []DelayValidationPoint
 	var errSum float64
-	step := len(run.Records) / samples
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < len(run.Records) && len(points) < samples; i += step {
-		rec := run.Records[i]
+	for _, rec := range sampled {
+		if len(points) == samples {
+			break
+		}
 		if rec.Active == 0 || rec.Speed == 0 || rec.LambdaRPS <= 0 {
 			continue
 		}
@@ -130,7 +138,7 @@ func DelayValidation(cfg Config, samples int) ([]DelayValidationPoint, float64, 
 			Service:    reqsim.ExponentialService(1),
 			Horizon:    40000,
 			Warmup:     2000,
-			Seed:       cfg.Seed + uint64(i),
+			Seed:       cfg.Seed + uint64(rec.Slot),
 		})
 		if err != nil {
 			return nil, 0, err

@@ -162,23 +162,6 @@ func (p *Portfolio) RECPerSlotKWh(slots int) float64 {
 	return p.Alpha * p.RECsKWh / float64(slots)
 }
 
-// NewPaperPortfolio builds the §5.1 configuration around a measured
-// reference consumption (in kWh over the horizon, normally the
-// carbon-unaware algorithm's yearly usage):
-//
-//   - on-site solar+wind scaled so its total equals onsiteFrac of the
-//     reference (the paper uses 0.20);
-//   - a total budget of budgetFrac × reference (the paper's default 0.92),
-//     split offsiteShare into off-site PPA energy (0.40) with the remainder
-//     purchased as RECs (0.60);
-//   - α = 1 (budget sizing carries the aggressiveness).
-//
-// It is NewPaperShapes(seed).Portfolio(...): callers that learn the
-// reference only later build the shapes first.
-func NewPaperPortfolio(seed uint64, slots int, referenceKWh, onsiteFrac, budgetFrac, offsiteShare float64) *Portfolio {
-	return NewPaperShapes(seed).Portfolio(slots, referenceKWh, onsiteFrac, budgetFrac, offsiteShare)
-}
-
 // PaperShapes are the §5.1 portfolio's generation shapes (peak 1), which
 // depend only on the seed.
 type PaperShapes struct {
@@ -200,8 +183,20 @@ func NewPaperShapes(seed uint64) PaperShapes {
 	}
 }
 
-// Portfolio scales the shapes in place around the reference consumption,
-// as NewPaperPortfolio documents, and returns the portfolio that holds them.
+// Portfolio builds the §5.1 configuration around a measured reference
+// consumption (in kWh over the horizon, normally the carbon-unaware
+// algorithm's yearly usage), scaling the shapes in place:
+//
+//   - on-site solar+wind scaled so its total equals onsiteFrac of the
+//     reference (the paper uses 0.20);
+//   - a total budget of budgetFrac × reference (the paper's default 0.92),
+//     split offsiteShare into off-site PPA energy (0.40) with the remainder
+//     purchased as RECs (0.60);
+//   - α = 1 (budget sizing carries the aggressiveness).
+//
+// It returns the portfolio that holds the scaled shapes. The shapes depend
+// only on the seed, so a caller that learns the reference only later
+// builds them first.
 func (sh PaperShapes) Portfolio(slots int, referenceKWh, onsiteFrac, budgetFrac, offsiteShare float64) *Portfolio {
 	ScaleToTotal(sh.Onsite, slots, onsiteFrac*referenceKWh)
 	sh.Onsite.Name = "onsite"

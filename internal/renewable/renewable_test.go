@@ -183,10 +183,10 @@ func TestPortfolioValidateErrors(t *testing.T) {
 	}
 }
 
-func TestNewPaperPortfolioCalibration(t *testing.T) {
+func TestPaperPortfolioCalibration(t *testing.T) {
 	const slots = trace.HoursPerYear
 	const reference = 1.55e8 // kWh: the paper's carbon-unaware yearly usage
-	p := NewPaperPortfolio(7, slots, reference, 0.20, 0.92, 0.40)
+	p := NewPaperShapes(7).Portfolio(slots, reference, 0.20, 0.92, 0.40)
 	if err := p.Validate(slots); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +19,7 @@ import (
 // testService builds a deterministic service: a 3-group Opteron cluster, a
 // 312-slot V schedule and a seeded GSD solver. Every call builds an
 // identical instance, which is what checkpoint/restore parity needs.
-func testService(t *testing.T) *Service {
+func testService(t testing.TB) *Service {
 	t.Helper()
 	groups := make([]dcmodel.Group, 3)
 	for i := range groups {
@@ -35,7 +37,7 @@ func testService(t *testing.T) *Service {
 
 // testSlots returns the deterministic observation stream scaled to the
 // test cluster.
-func testSlots(t *testing.T, start, count int) []SlotInput {
+func testSlots(t testing.TB, start, count int) []SlotInput {
 	t.Helper()
 	groups := make([]dcmodel.Group, 3)
 	for i := range groups {
@@ -216,6 +218,81 @@ func TestCheckpointRestoreRejectsInvalid(t *testing.T) {
 	if err := testService(t).RestoreFrom(bad); err == nil {
 		t.Error("RestoreFrom accepted a slot/controller mismatch")
 	}
+}
+
+// FuzzServiceRestore feeds arbitrary checkpoint JSON, the format cocad
+// persists, into a GSD-backed service. Each input must be rejected with an
+// error, or restore state that checkpoints back to the same values and
+// survives one Step: a decision for the restored slot, or
+// ErrScheduleExhausted past the horizon, never a panic.
+func FuzzServiceRestore(f *testing.F) {
+	s := testService(f)
+	for _, in := range testSlots(f, 0, 3) {
+		if _, err := s.Step(in); err != nil {
+			f.Fatal(err)
+		}
+	}
+	ck, err := s.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := json.Marshal(ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	// A warm vector whose speeds no group has, and a saturated queue on
+	// the schedule's last slot.
+	f.Add([]byte(`{"version":1,"slot":0,"total_usd":0,"grid_kwh":0,"hash":1,"controller":{"version":1,"slot":0,"prev_active":0,` +
+		`"queue":{"version":1,"q":0,"alpha":1,"z":2},"solver":{"version":1,"started":true,"seed":7,"warm":[99,99,99]}}}`))
+	f.Add([]byte(`{"version":1,"slot":311,"total_usd":1e308,"grid_kwh":-5,"hash":18446744073709551615,"controller":{"version":1,` +
+		`"slot":311,"prev_active":15,"queue":{"version":1,"q":1e308,"alpha":1,"z":2}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ck Checkpoint
+		if json.Unmarshal(data, &ck) != nil {
+			return
+		}
+		s := testService(t)
+		if s.RestoreFrom(ck) != nil {
+			return
+		}
+		got, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, cc := got.Controller, ck.Controller
+		if got.Version != ck.Version || got.Slot != ck.Slot || got.Hash != ck.Hash ||
+			math.Float64bits(got.TotalUSD) != math.Float64bits(ck.TotalUSD) ||
+			math.Float64bits(got.GridKWh) != math.Float64bits(ck.GridKWh) ||
+			gc.Version != cc.Version || gc.Slot != cc.Slot || gc.PrevActive != cc.PrevActive ||
+			gc.Queue.Version != cc.Queue.Version || math.Float64bits(gc.Queue.Q) != math.Float64bits(cc.Queue.Q) ||
+			math.Float64bits(gc.Queue.Alpha) != math.Float64bits(cc.Queue.Alpha) ||
+			math.Float64bits(gc.Queue.Z) != math.Float64bits(cc.Queue.Z) {
+			t.Fatalf("restore round trip: got %+v, restored %+v", got, ck)
+		}
+		if len(cc.Solver) > 0 {
+			var want, have gsd.SolverCheckpoint
+			if err := json.Unmarshal(cc.Solver, &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(gc.Solver, &have); err != nil {
+				t.Fatal(err)
+			}
+			if have.Started != want.Started || have.Seed != want.Seed || !slices.Equal(have.Warm, want.Warm) {
+				t.Fatalf("solver round trip: got %+v, restored %+v", have, want)
+			}
+		}
+		d, err := s.Step(testSlots(t, ck.Slot%312, 1)[0])
+		if errors.Is(err, core.ErrScheduleExhausted) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Step after restore: %v", err)
+		}
+		if st := s.State(); d.Slot != ck.Slot || st.Slot != ck.Slot+1 || len(d.Speeds) != len(s.ctrl.Cluster.Groups) {
+			t.Fatalf("Step after restoring slot %d: decision %+v, state %+v", ck.Slot, d, st)
+		}
+	})
 }
 
 // TestSyntheticSlotsPositionAddressable pins the generator contract the

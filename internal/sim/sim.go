@@ -19,7 +19,6 @@ import (
 	"repro/internal/dcmodel"
 	"repro/internal/p3"
 	"repro/internal/renewable"
-	"repro/internal/stats"
 	"repro/internal/telemetry/span"
 	"repro/internal/trace"
 )
@@ -136,7 +135,17 @@ func (sc *Scenario) Validate() error {
 	if err := dcmodel.CheckSlotExtensions(sc.SlotHours, sc.SwitchCostKWh); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	maxLambda := stats.MaxOf(sc.Workload.Values[:sc.Slots])
+	// One pass over the horizon's workload both rejects a value no P3 can
+	// take (the run would stop at that slot's decision) and finds the peak.
+	var maxLambda float64
+	for t, lambda := range sc.Workload.Values[:sc.Slots] {
+		if !(lambda >= 0 && lambda <= math.MaxFloat64) {
+			return fmt.Errorf("sim: workload %v at slot %d is negative or not finite", lambda, t)
+		}
+		if lambda > maxLambda {
+			maxLambda = lambda
+		}
+	}
 	if maxLambda > sc.Capacity() {
 		return fmt.Errorf("sim: peak workload %v exceeds usable capacity %v", maxLambda, sc.Capacity())
 	}
@@ -237,11 +246,11 @@ var ErrDone = errors.New("sim: run already complete")
 // streaming exports and tests.
 type Observer func(rec SlotRecord)
 
-// Engine is the resumable, step-wise slot executor: it drives a policy
+// Engine is the step-wise slot executor: it drives a policy
 // over a scenario one slot at a time, charging each slot through the
 // shared dcmodel.Ledger kernel. Run is a thin wrapper that steps an Engine
-// to completion; callers that need per-slot control (checkpointing,
-// interleaving several runs, live dashboards) step it themselves:
+// to completion; callers that need per-slot control (interleaving several
+// runs, live dashboards) step it themselves:
 //
 //	e, err := NewEngine(sc, policy)
 //	for !e.Done() {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dcmodel"
@@ -150,6 +151,12 @@ func TestScenarioValidation(t *testing.T) {
 		// there with p3.ErrInvalid.
 		{"inf overestimate", func(s *Scenario) { s.Overestimate = math.Inf(1) }},
 		{"overloaded", func(s *Scenario) { s.Workload = trace.Constant("w", 1e9, s.Slots) }},
+		// A negative or non-finite λ anywhere in the horizon, not only at
+		// its peak, would stop the run at its slot with p3.ErrInvalid.
+		{"neg workload", func(s *Scenario) { s.Workload.Values[3] = -1 }},
+		{"nan workload", func(s *Scenario) { s.Workload.Values[3] = math.NaN() }},
+		{"nan first workload", func(s *Scenario) { s.Workload.Values[0] = math.NaN() }},
+		{"-inf workload", func(s *Scenario) { s.Workload.Values[3] = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		sc := testScenario(10)
@@ -160,6 +167,18 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if err := testScenario(10).Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
+	}
+	sc := testScenario(10)
+	sc.Workload.Values[7] = -2
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "slot 7") {
+		t.Errorf("negative workload at slot 7: Validate = %v, want an error naming the slot", err)
+	}
+	// Values past the horizon are never run, so they are not checked.
+	sc = testScenario(10)
+	sc.Slots = 9
+	sc.Workload.Values[9] = math.NaN()
+	if err := sc.Validate(); err != nil {
+		t.Errorf("bad workload past the horizon rejected: %v", err)
 	}
 }
 

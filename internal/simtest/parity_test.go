@@ -1,13 +1,10 @@
 package simtest_test
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/baseline"
@@ -16,7 +13,6 @@ import (
 	"repro/internal/lyapunov"
 	"repro/internal/sim"
 	"repro/internal/simtest"
-	"repro/internal/telemetry/span"
 )
 
 // This file pins the Engine/Ledger refactor to the seed implementation:
@@ -256,183 +252,6 @@ func TestEngineStepwiseMatchesRun(t *testing.T) {
 	for i := range observed {
 		if observed[i] != want.Records[i] {
 			t.Fatalf("observer record %d diverges", i)
-		}
-	}
-}
-
-// cocaPolicy builds the stateful COCA policy used by the resume tests.
-func cocaPolicy(t *testing.T, sc *sim.Scenario) *core.Policy {
-	t.Helper()
-	p, err := core.New(core.FromScenario(sc, lyapunov.ConstantV(5e5, 1, sc.Slots)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// spanSignature reduces a tracer's buffer to the (name, attrs) sequence in
-// start order — everything deterministic about the recorded spans.
-func spanSignature(t *testing.T, tr *span.Tracer) []string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	dec := json.NewDecoder(&buf)
-	for {
-		var rec span.Record
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		keys := make([]string, 0, len(rec.Attrs))
-		for k := range rec.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		line := rec.Name
-		for _, k := range keys {
-			line += fmt.Sprintf(" %s=%v", k, rec.Attrs[k])
-		}
-		out = append(out, line)
-	}
-	return out
-}
-
-// TestEngineResumeMatchesUninterrupted pins the tentpole's sim-layer
-// semantics: Step after RestoreFrom (engine + policy checkpoints, through
-// JSON) must produce the same records, the same observer sequence and the
-// same span sequence as the uninterrupted run's second half.
-func TestEngineResumeMatchesUninterrupted(t *testing.T) {
-	sc := paritySc(t)
-	half := sc.Slots / 2
-
-	// Uninterrupted reference: trace only the second half, so the span
-	// signature is directly comparable with the resumed run's.
-	refEngine, err := sim.NewEngine(sc, cocaPolicy(t, sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for refEngine.Slot() < half {
-		if err := refEngine.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refTracer := span.NewTracer()
-	refEngine.SetTracer(refTracer)
-	for !refEngine.Done() {
-		if err := refEngine.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := refEngine.Result()
-
-	// Interrupted run: stop at half, checkpoint engine and policy through
-	// JSON, rebuild both from scratch, restore, finish.
-	firstPolicy := cocaPolicy(t, sc)
-	firstEngine, err := sim.NewEngine(sc, firstPolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for firstEngine.Slot() < half {
-		if err := firstEngine.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	engBlob, err := json.Marshal(firstEngine.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	polBlob, err := json.Marshal(firstPolicy.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var engCk sim.EngineCheckpoint
-	if err := json.Unmarshal(engBlob, &engCk); err != nil {
-		t.Fatal(err)
-	}
-	var polCk core.PolicyCheckpoint
-	if err := json.Unmarshal(polBlob, &polCk); err != nil {
-		t.Fatal(err)
-	}
-	resumedPolicy := cocaPolicy(t, sc)
-	if err := resumedPolicy.RestoreFrom(polCk); err != nil {
-		t.Fatal(err)
-	}
-	var observed []sim.SlotRecord
-	resumedEngine, err := sim.NewEngine(sc, resumedPolicy, func(rec sim.SlotRecord) {
-		observed = append(observed, rec)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumedEngine.RestoreFrom(engCk); err != nil {
-		t.Fatal(err)
-	}
-	if resumedEngine.Slot() != half {
-		t.Fatalf("restored slot cursor %d, want %d", resumedEngine.Slot(), half)
-	}
-	resumedTracer := span.NewTracer()
-	resumedEngine.SetTracer(resumedTracer)
-	for !resumedEngine.Done() {
-		if err := resumedEngine.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	compareRuns(t, "resume", resumedEngine.Result(), want)
-	// Observers attached to the resumed engine see exactly the slots it
-	// operated — the uninterrupted run's second half.
-	if len(observed) != sc.Slots-half {
-		t.Fatalf("observer saw %d records, want %d", len(observed), sc.Slots-half)
-	}
-	for i, rec := range observed {
-		if rec != want.Records[half+i] {
-			t.Fatalf("observer record %d diverges from uninterrupted slot %d", i, half+i)
-		}
-	}
-	gotSpans, wantSpans := spanSignature(t, resumedTracer), spanSignature(t, refTracer)
-	if len(gotSpans) != len(wantSpans) {
-		t.Fatalf("resumed run recorded %d spans, uninterrupted second half %d", len(gotSpans), len(wantSpans))
-	}
-	for i := range wantSpans {
-		if gotSpans[i] != wantSpans[i] {
-			t.Fatalf("span %d diverges:\nresumed       %s\nuninterrupted %s", i, gotSpans[i], wantSpans[i])
-		}
-	}
-}
-
-// TestEngineRestoreRejectsInvalid covers the engine checkpoint guards.
-func TestEngineRestoreRejectsInvalid(t *testing.T) {
-	sc := paritySc(t)
-	e, err := sim.NewEngine(sc, baseline.NewUnaware(sc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	valid := e.Checkpoint()
-	cases := map[string]func(*sim.EngineCheckpoint){
-		"version":      func(ck *sim.EngineCheckpoint) { ck.Version = 9 },
-		"policy":       func(ck *sim.EngineCheckpoint) { ck.Policy = "other" },
-		"slot-high":    func(ck *sim.EngineCheckpoint) { ck.Slot = sc.Slots + 1; ck.Records = nil },
-		"record-count": func(ck *sim.EngineCheckpoint) { ck.Records = ck.Records[:1] },
-		"prev-active":  func(ck *sim.EngineCheckpoint) { ck.PrevActive = sc.N + 1 },
-	}
-	for name, mutate := range cases {
-		ck := valid
-		ck.Records = append([]sim.SlotRecord(nil), valid.Records...)
-		mutate(&ck)
-		fresh, err := sim.NewEngine(sc, baseline.NewUnaware(sc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.RestoreFrom(ck); err == nil {
-			t.Errorf("%s: RestoreFrom accepted an invalid checkpoint", name)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func Build(o Options) (*sim.Scenario, float64, error) {
 		RECsKWh:    1, // placeholder, α·Z/J must be finite
 		Alpha:      1,
 	}
-	ref, err := reference(sc, o.Workers)
+	ref, err := reference(sc, o.Workers, unaware)
 	wait()
 	if err != nil {
 		return nil, 0, fmt.Errorf("simtest: reference run: %w", err)
@@ -117,7 +117,7 @@ func Build(o Options) (*sim.Scenario, float64, error) {
 	// *electricity* (grid) usage in the actual environment.
 	p := shapes.Portfolio(o.Slots, ref.ConsumptionKWh, o.OnsiteFrac, o.BudgetFrac, 0.40)
 	sc.Portfolio = p
-	refOnsite, err := reference(sc, o.Workers)
+	refOnsite, err := reference(sc, o.Workers, unaware)
 	if err != nil {
 		return nil, 0, fmt.Errorf("simtest: onsite reference run: %w", err)
 	}
@@ -159,16 +159,17 @@ type ReferenceUsage struct {
 // import cycle in tests; it restates the unaware decision rule through
 // the public sim API.
 func Reference(sc *sim.Scenario) (ReferenceUsage, error) {
-	return reference(sc, 1)
+	return reference(sc, 1, unaware)
 }
 
 // reference is Reference with the decisions fanned out over up to workers
-// goroutines. The unaware rule is stateless (a slot's decision reads only
-// its observation), so the slots are decided in index-ordered chunks and
-// then charged in slot order by a summary run that replays them. The usage
-// is bit-identical at any worker count, and a failed decision surfaces as
-// the engine's error at the lowest failing slot.
-func reference(sc *sim.Scenario, workers int) (ReferenceUsage, error) {
+// goroutines. decide is the per-slot rule (unaware outside tests); it must
+// be stateless (a slot's decision reads only its observation), so the
+// slots are decided in index-ordered chunks and then charged in slot order
+// by a summary run that replays them. The usage is bit-identical at any
+// worker count, and a failed decision surfaces as the engine's error at
+// the lowest failing slot.
+func reference(sc *sim.Scenario, workers int, decide func(*sim.Scenario, sim.Observation) (sim.Config, error)) (ReferenceUsage, error) {
 	// Observe indexes the traces, so the scenario is checked first.
 	if err := sc.Validate(); err != nil {
 		return ReferenceUsage{}, err
@@ -184,7 +185,7 @@ func reference(sc *sim.Scenario, workers int) (ReferenceUsage, error) {
 	fails := make([]failure, chunks)
 	workpool.Fan(chunks, chunks, func(c int) {
 		for t := c * sc.Slots / chunks; t < (c+1)*sc.Slots/chunks; t++ {
-			cfg, err := unaware(sc, sc.Observe(t))
+			cfg, err := decide(sc, sc.Observe(t))
 			if err != nil {
 				fails[c] = failure{t, err}
 				return

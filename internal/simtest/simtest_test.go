@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/p3"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -149,18 +150,20 @@ func TestBuildGoldenAndWorkers(t *testing.T) {
 // the sequential one: at the lowest slot whose decision fails, whichever
 // chunk that slot falls in.
 func TestReferenceLowestSlotError(t *testing.T) {
+	sc, _, err := Build(Options{Slots: 100, N: 100, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range [][]int{{30, 70}, {70}, {0, 99}} {
-		sc, _, err := Build(Options{Slots: 100, N: 100, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Workload = sc.Workload.Copy()
-		for _, s := range bad {
-			sc.Workload.Values[s] = -1 // a negative load is an invalid P3
+		decide := func(sc *sim.Scenario, obs sim.Observation) (sim.Config, error) {
+			if slices.Contains(bad, obs.Slot) {
+				return sim.Config{}, p3.ErrInvalid
+			}
+			return unaware(sc, obs)
 		}
 		want := fmt.Sprintf("sim: slot %d: %v", bad[0], p3.ErrInvalid)
 		for _, workers := range []int{1, 2, 3} {
-			_, err := reference(sc, workers)
+			_, err := reference(sc, workers, decide)
 			if !errors.Is(err, p3.ErrInvalid) || err.Error() != want {
 				t.Errorf("bad slots %v, workers=%d: error %v, want %q", bad, workers, err, want)
 			}
